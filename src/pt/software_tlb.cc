@@ -26,7 +26,7 @@ PhysAddr SoftwareTlb::SlotAddr(std::uint32_t set, unsigned way) const {
   return array_base_ + (std::uint64_t{set} * opts_.ways + way) * slot_stride_;
 }
 
-SoftwareTlb::Entry* SoftwareTlb::Probe(std::uint64_t key, bool count_touch) {
+SoftwareTlb::Entry* SoftwareTlb::FindEntry(std::uint64_t key, bool count_touch) {
   const std::uint32_t set = hasher_(key);
   for (unsigned way = 0; way < opts_.ways; ++way) {
     Entry& e = entries_[std::size_t{set} * opts_.ways + way];
@@ -47,7 +47,7 @@ std::optional<TlbFill> SoftwareTlb::Lookup(VirtAddr va) {
   const Vpn vpn = VpnOf(va);
   const std::uint64_t key = KeyOf(vpn);
   obs::WalkTracer* const tracer = cache_.tracer();
-  if (Entry* e = Probe(key, /*count_touch=*/true)) {
+  if (Entry* e = FindEntry(key, /*count_touch=*/true)) {
     for (const TlbFill& fill : e->fills) {
       if (fill.Covers(vpn)) {
         ++hits_;
@@ -114,7 +114,7 @@ void SoftwareTlb::Refill(std::uint64_t key, Vpn vpn, const TlbFill& fill) {
 }
 
 void SoftwareTlb::InvalidateKey(std::uint64_t key) {
-  if (Entry* e = Probe(key, /*count_touch=*/false)) {
+  if (Entry* e = FindEntry(key, /*count_touch=*/false)) {
     e->valid = false;
   }
 }

@@ -99,7 +99,7 @@ class SoftwareTlb final : public PageTable {
   std::uint64_t EntryBytes() const {
     return opts_.clustered_entries ? 8 + 8ull * opts_.subblock_factor : 16;
   }
-  Entry* Probe(std::uint64_t key, bool count_touch);
+  Entry* FindEntry(std::uint64_t key, bool count_touch);
   void Refill(std::uint64_t key, Vpn vpn, const TlbFill& fill);
   void InvalidateKey(std::uint64_t key);
   void InvalidateRange(Vpn first_vpn, std::uint64_t npages);

@@ -145,7 +145,7 @@ AccessMeasurement MeasureAccessTime(const workload::WorkloadSpec& spec, MachineO
   perf.Start();
   for (std::uint64_t i = 0; i < trace_len; ++i) {
     const workload::Reference ref = gen.Next();
-    machine.Access(ref.asid, ref.va);
+    machine.Access(ref.asid, ref.va, ref.is_write);
   }
   m.host_perf = perf.Stop();
   m.wall_seconds = m.host_perf.wall_seconds;

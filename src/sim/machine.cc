@@ -348,22 +348,6 @@ void Machine::Preload(const workload::Snapshot& snapshot) {
   }
 }
 
-Machine::RunStats Machine::Run(const std::vector<workload::Reference>& trace) {
-  RunStats stats;
-  stats.refs = trace.size();
-  obs::HostPerfCounters perf;
-  perf.Start();
-  for (const workload::Reference& ref : trace) {
-    Access(ref.asid, ref.va, ref.is_write);
-  }
-  stats.host_perf = perf.Stop();
-  stats.wall_seconds = stats.host_perf.wall_seconds;
-  if (stats.wall_seconds > 0.0) {
-    stats.refs_per_sec = static_cast<double>(stats.refs) / stats.wall_seconds;
-  }
-  return stats;
-}
-
 std::uint64_t Machine::DenominatorMisses() const {
   return ref_tlb_ ? ref_tlb_->stats().misses : tlb_->stats().misses;
 }

@@ -27,7 +27,6 @@
 #include "check/auditor.h"
 #include "common/hotpath.h"
 #include "mem/cache_model.h"
-#include "obs/perf.h"
 #include "mem/reservation.h"
 #include "os/address_space.h"
 #include "pt/page_table.h"
@@ -129,17 +128,6 @@ class Machine {
   // Pre-faults every page so the trace starts with a fully-populated page
   // table (the paper's simulators see resident pages only).
   void Preload(const workload::Snapshot& snapshot);
-
-  // Replays a whole trace and reports host-side throughput of the loop
-  // (perf_event counters when available, rusage/wall-clock fallback — the
-  // degradation contract in obs/perf.h).  Simulated counts are unaffected.
-  struct RunStats {
-    std::uint64_t refs = 0;
-    double wall_seconds = 0.0;
-    double refs_per_sec = 0.0;
-    obs::HostPerfSample host_perf;
-  };
-  CPT_HOT RunStats Run(const std::vector<workload::Reference>& trace);
 
   // ---- Metrics ----
   const mem::CacheTouchModel& cache() const { return cache_; }

@@ -39,7 +39,7 @@ CompleteSubblockTlb::Entry& CompleteSubblockTlb::AllocEntry(Asid asid, Vpbn vpbn
   return *victim;
 }
 
-LookupOutcome CompleteSubblockTlb::Lookup(Asid asid, Vpn vpn) {
+LookupOutcome CompleteSubblockTlb::Probe(Asid asid, Vpn vpn) {
   const Vpbn vpbn = VpbnOf(vpn, factor_);
   Entry* e = FindTag(asid, vpbn);
   if (e == nullptr) {
@@ -48,15 +48,13 @@ LookupOutcome CompleteSubblockTlb::Lookup(Asid asid, Vpn vpn) {
   }
   const unsigned boff = BoffOf(vpn, factor_);
   if ((e->vector >> boff) & 1u) {
-    e->stamp = NextStamp();
-    RecordHit();
-    return LookupOutcome::kHit;
+    return Hit(asid, vpn, e->stamp, nullptr);
   }
   RecordMiss(LookupOutcome::kSubblockMiss);
   return LookupOutcome::kSubblockMiss;
 }
 
-void CompleteSubblockTlb::Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
+void CompleteSubblockTlb::DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
   const Vpbn vpbn = VpbnOf(vpn, factor_);
   Entry* e = FindTag(asid, vpbn);
   if (e == nullptr) {
@@ -69,6 +67,7 @@ void CompleteSubblockTlb::Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
 }
 
 void CompleteSubblockTlb::InsertBlock(Asid asid, Vpn vpn, std::span<const pt::TlbFill> fills) {
+  ForgetHit();
   const Vpbn vpbn = VpbnOf(vpn, factor_);
   Entry* e = FindTag(asid, vpbn);
   if (e == nullptr) {
@@ -86,7 +85,7 @@ void CompleteSubblockTlb::InsertBlock(Asid asid, Vpn vpn, std::span<const pt::Tl
   e->stamp = NextStamp();
 }
 
-void CompleteSubblockTlb::Flush() {
+void CompleteSubblockTlb::DoFlush() {
   for (Entry& e : entries_) {
     e.valid = false;
   }

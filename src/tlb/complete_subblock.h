@@ -28,9 +28,6 @@ class CompleteSubblockTlb final : public Tlb {
 
   CompleteSubblockTlb(unsigned num_entries, unsigned subblock_factor);
 
-  [[nodiscard]] CPT_HOT LookupOutcome Lookup(Asid asid, Vpn vpn) override;
-  CPT_HOT void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
-  void Flush() override;
   std::string name() const override { return "complete-subblock"; }
 
   // Block-miss prefetch: installs every page of vpn's block that the given
@@ -41,6 +38,11 @@ class CompleteSubblockTlb final : public Tlb {
 
   // ---- Invariant auditing (src/check) ----
   void AuditVisit(check::TlbAuditVisitor& visitor) const;
+
+ protected:
+  [[nodiscard]] CPT_HOT LookupOutcome Probe(Asid asid, Vpn vpn) override;
+  CPT_HOT void DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
+  void DoFlush() override;
 
  private:
   friend class check::TestBackdoor;

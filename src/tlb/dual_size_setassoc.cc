@@ -16,21 +16,19 @@ DualSizeSetAssocTlb::DualSizeSetAssocTlb(unsigned num_sets, unsigned ways,
   invalid_entries_ = entries_.size();
 }
 
-LookupOutcome DualSizeSetAssocTlb::Lookup(Asid asid, Vpn vpn) {
+LookupOutcome DualSizeSetAssocTlb::Probe(Asid asid, Vpn vpn) {
   const unsigned set = SetOf(vpn);
   for (unsigned way = 0; way < ways_; ++way) {
     Entry& e = entries_[std::size_t{set} * ways_ + way];
     if (Matches(e, asid, vpn)) {
-      e.stamp = NextStamp();
-      RecordHit();
-      return LookupOutcome::kHit;
+      return Hit(asid, vpn, e.stamp, nullptr);
     }
   }
   RecordMiss(LookupOutcome::kMiss);
   return LookupOutcome::kMiss;
 }
 
-void DualSizeSetAssocTlb::Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
+void DualSizeSetAssocTlb::DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
   Entry incoming;
   incoming.asid = asid;
   incoming.valid = true;
@@ -82,7 +80,7 @@ void DualSizeSetAssocTlb::Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
   *victim = incoming;
 }
 
-void DualSizeSetAssocTlb::Flush() {
+void DualSizeSetAssocTlb::DoFlush() {
   for (Entry& e : entries_) {
     e.valid = false;
   }

@@ -26,9 +26,6 @@ class DualSizeSetAssocTlb final : public Tlb {
   // (log2 base pages), also the index granularity.
   DualSizeSetAssocTlb(unsigned num_sets, unsigned ways, unsigned superpage_log2 = 4);
 
-  [[nodiscard]] CPT_HOT LookupOutcome Lookup(Asid asid, Vpn vpn) override;
-  CPT_HOT void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
-  void Flush() override;
   std::string name() const override { return "dual-size-setassoc"; }
 
   unsigned num_sets() const { return num_sets_; }
@@ -41,6 +38,11 @@ class DualSizeSetAssocTlb final : public Tlb {
   unsigned superpage_log2() const { return superpage_log2_; }
   std::uint64_t invalid_entries() const { return invalid_entries_; }
   void AuditVisit(check::TlbAuditVisitor& visitor) const;
+
+ protected:
+  [[nodiscard]] CPT_HOT LookupOutcome Probe(Asid asid, Vpn vpn) override;
+  CPT_HOT void DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
+  void DoFlush() override;
 
  private:
   friend class check::TestBackdoor;

@@ -27,22 +27,17 @@ bool PartialSubblockTlb::Covers(const Entry& e, Asid asid, Vpn vpn) const {
   return (e.vector >> BoffOf(vpn, factor_)) & 1u;
 }
 
-LookupOutcome PartialSubblockTlb::Lookup(Asid asid, Vpn vpn) {
+LookupOutcome PartialSubblockTlb::Probe(Asid asid, Vpn vpn) {
   for (Entry& e : entries_) {
     if (Covers(e, asid, vpn)) {
-      e.stamp = NextStamp();
-      RecordHit();
-      if (e.block_entry) {
-        ++psb_hits_;
-      }
-      return LookupOutcome::kHit;
+      return Hit(asid, vpn, e.stamp, e.block_entry ? &psb_hits_ : nullptr);
     }
   }
   RecordMiss(LookupOutcome::kMiss);
   return LookupOutcome::kMiss;
 }
 
-void PartialSubblockTlb::Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
+void PartialSubblockTlb::DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
   Entry incoming;
   incoming.asid = asid;
   incoming.valid = true;
@@ -94,7 +89,7 @@ void PartialSubblockTlb::Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
   *victim = incoming;
 }
 
-void PartialSubblockTlb::Flush() {
+void PartialSubblockTlb::DoFlush() {
   for (Entry& e : entries_) {
     e.valid = false;
   }

@@ -20,9 +20,6 @@ class PartialSubblockTlb final : public Tlb {
  public:
   PartialSubblockTlb(unsigned num_entries, unsigned subblock_factor);
 
-  [[nodiscard]] CPT_HOT LookupOutcome Lookup(Asid asid, Vpn vpn) override;
-  CPT_HOT void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
-  void Flush() override;
   std::string name() const override { return "partial-subblock"; }
 
   unsigned subblock_factor() const { return factor_; }
@@ -33,6 +30,11 @@ class PartialSubblockTlb final : public Tlb {
 
   // ---- Invariant auditing (src/check) ----
   void AuditVisit(check::TlbAuditVisitor& visitor) const;
+
+ protected:
+  [[nodiscard]] CPT_HOT LookupOutcome Probe(Asid asid, Vpn vpn) override;
+  CPT_HOT void DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
+  void DoFlush() override;
 
  private:
   friend class check::TestBackdoor;

@@ -6,19 +6,17 @@ namespace cpt::tlb {
 
 SinglePageTlb::SinglePageTlb(unsigned num_entries) : Tlb(num_entries), entries_(num_entries) {}
 
-LookupOutcome SinglePageTlb::Lookup(Asid asid, Vpn vpn) {
+LookupOutcome SinglePageTlb::Probe(Asid asid, Vpn vpn) {
   for (Entry& e : entries_) {
     if (e.valid && e.asid == asid && e.vpn == vpn) {
-      e.stamp = NextStamp();
-      RecordHit();
-      return LookupOutcome::kHit;
+      return Hit(asid, vpn, e.stamp, nullptr);
     }
   }
   RecordMiss(LookupOutcome::kMiss);
   return LookupOutcome::kMiss;
 }
 
-void SinglePageTlb::Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
+void SinglePageTlb::DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
   // A single-page TLB holds exactly one base translation regardless of the
   // fill's coverage (a superpage fill still installs only the faulting page).
   Entry* victim = &entries_[0];
@@ -40,7 +38,7 @@ void SinglePageTlb::Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
   victim->stamp = NextStamp();
 }
 
-void SinglePageTlb::Flush() {
+void SinglePageTlb::DoFlush() {
   for (Entry& e : entries_) {
     e.valid = false;
   }

@@ -16,13 +16,15 @@ class SinglePageTlb final : public Tlb {
  public:
   explicit SinglePageTlb(unsigned num_entries);
 
-  [[nodiscard]] CPT_HOT LookupOutcome Lookup(Asid asid, Vpn vpn) override;
-  CPT_HOT void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
-  void Flush() override;
   std::string name() const override { return "single-page"; }
 
   // ---- Invariant auditing (src/check) ----
   void AuditVisit(check::TlbAuditVisitor& visitor) const;
+
+ protected:
+  [[nodiscard]] CPT_HOT LookupOutcome Probe(Asid asid, Vpn vpn) override;
+  CPT_HOT void DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
+  void DoFlush() override;
 
  private:
   friend class check::TestBackdoor;

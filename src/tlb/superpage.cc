@@ -6,24 +6,19 @@ namespace cpt::tlb {
 
 SuperpageTlb::SuperpageTlb(unsigned num_entries) : Tlb(num_entries), entries_(num_entries) {}
 
-LookupOutcome SuperpageTlb::Lookup(Asid asid, Vpn vpn) {
+LookupOutcome SuperpageTlb::Probe(Asid asid, Vpn vpn) {
   for (Entry& e : entries_) {
     const PageSize size{e.pages_log2};
     if (e.valid && e.asid == asid &&
         SuperpageBaseVpn(vpn, size) == SuperpageBaseVpn(e.base_vpn, size)) {
-      e.stamp = NextStamp();
-      RecordHit();
-      if (e.pages_log2 > 0) {
-        ++super_hits_;
-      }
-      return LookupOutcome::kHit;
+      return Hit(asid, vpn, e.stamp, e.pages_log2 > 0 ? &super_hits_ : nullptr);
     }
   }
   RecordMiss(LookupOutcome::kMiss);
   return LookupOutcome::kMiss;
 }
 
-void SuperpageTlb::Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
+void SuperpageTlb::DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
   Entry incoming;
   incoming.asid = asid;
   incoming.valid = true;
@@ -55,7 +50,7 @@ void SuperpageTlb::Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
   *victim = incoming;
 }
 
-void SuperpageTlb::Flush() {
+void SuperpageTlb::DoFlush() {
   for (Entry& e : entries_) {
     e.valid = false;
   }

@@ -17,9 +17,6 @@ class SuperpageTlb final : public Tlb {
  public:
   explicit SuperpageTlb(unsigned num_entries);
 
-  [[nodiscard]] CPT_HOT LookupOutcome Lookup(Asid asid, Vpn vpn) override;
-  CPT_HOT void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
-  void Flush() override;
   std::string name() const override { return "superpage"; }
 
   // Fraction of hits served by entries larger than a base page.
@@ -30,6 +27,11 @@ class SuperpageTlb final : public Tlb {
 
   // ---- Invariant auditing (src/check) ----
   void AuditVisit(check::TlbAuditVisitor& visitor) const;
+
+ protected:
+  [[nodiscard]] CPT_HOT LookupOutcome Probe(Asid asid, Vpn vpn) override;
+  CPT_HOT void DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
+  void DoFlush() override;
 
  private:
   friend class check::TestBackdoor;

@@ -45,6 +45,13 @@ struct TlbStats {
   }
 };
 
+// Every design shares one last-hit memo: the (asid, vpn) of the last probe
+// that hit, with the hitting entry's recency stamp and its design-specific
+// hit counter.  A probe that repeats that page replays the hit's side
+// effects without a scan.  This is exact because an entry's validity and
+// coverage change only inside Insert/Flush (and CompleteSubblockTlb's
+// InsertBlock), which all forget the memo: between them the scan would
+// find the same first covering entry and do exactly what ReplayHit() does.
 class Tlb {
  public:
   explicit Tlb(unsigned num_entries) : num_entries_(num_entries) {}
@@ -53,12 +60,23 @@ class Tlb {
   Tlb& operator=(const Tlb&) = delete;
 
   // Probes the TLB for (asid, vpn), updating recency and statistics.
-  [[nodiscard]] CPT_HOT virtual LookupOutcome Lookup(Asid asid, Vpn vpn) = 0;
+  [[nodiscard]] CPT_HOT LookupOutcome Lookup(Asid asid, Vpn vpn) {
+    if (memo_stamp_ != nullptr && memo_vpn_ == vpn && memo_asid_ == asid) {
+      return ReplayHit();
+    }
+    return Probe(asid, vpn);
+  }
 
   // Installs the page-table fill that satisfied a miss on (asid, vpn).
-  CPT_HOT virtual void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) = 0;
+  CPT_HOT void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
+    ForgetHit();
+    DoInsert(asid, vpn, fill);
+  }
 
-  virtual void Flush() = 0;
+  void Flush() {
+    ForgetHit();
+    DoFlush();
+  }
 
   virtual std::string name() const = 0;
 
@@ -67,6 +85,25 @@ class Tlb {
   void ResetStats() { stats_ = TlbStats{}; }
 
  protected:
+  // The design's full probe, reached only when the memo does not answer.
+  // A hit must be scored through Hit().
+  [[nodiscard]] CPT_HOT virtual LookupOutcome Probe(Asid asid, Vpn vpn) = 0;
+  CPT_HOT virtual void DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) = 0;
+  virtual void DoFlush() = 0;
+
+  // Scores a probe hit on the entry owning `stamp` and memoizes it.
+  // `class_hits` is the design's per-class hit counter to bump with it
+  // (superpage or PSB hits), or nullptr.
+  LookupOutcome Hit(Asid asid, Vpn vpn, std::uint64_t& stamp, std::uint64_t* class_hits) {
+    memo_asid_ = asid;
+    memo_vpn_ = vpn;
+    memo_stamp_ = &stamp;
+    memo_class_hits_ = class_hits;
+    return ReplayHit();
+  }
+  // Every change to an entry's validity or coverage must call this first.
+  void ForgetHit() { memo_stamp_ = nullptr; }
+
   std::uint64_t NextStamp() { return ++clock_; }
   void RecordHit() {
     ++stats_.accesses;
@@ -82,9 +119,25 @@ class Tlb {
     }
   }
 
-  unsigned num_entries_;
   TlbStats stats_;
+
+ private:
+  // Does what the scan does on a hit of the memoized entry, in its order.
+  LookupOutcome ReplayHit() {
+    *memo_stamp_ = NextStamp();
+    RecordHit();
+    if (memo_class_hits_ != nullptr) {
+      ++*memo_class_hits_;
+    }
+    return LookupOutcome::kHit;
+  }
+
+  unsigned num_entries_;
+  Asid memo_asid_ = 0;  // Fills num_entries_'s padding.
   std::uint64_t clock_ = 0;
+  Vpn memo_vpn_{};
+  std::uint64_t* memo_stamp_ = nullptr;  // Null: no memo.
+  std::uint64_t* memo_class_hits_ = nullptr;
 };
 
 }  // namespace cpt::tlb

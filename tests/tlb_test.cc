@@ -1,8 +1,15 @@
 // Tests for the four TLB simulators: hit/miss semantics, LRU replacement,
-// asid isolation, superpage coverage, PSB vectors, and complete-subblock
-// block/subblock miss classification with prefetch.
+// asid isolation, superpage coverage, PSB vectors, complete-subblock
+// block/subblock miss classification with prefetch, and the exactness of
+// the base class's last-hit memo.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <type_traits>
+#include <vector>
+
+#include "check/audit_visitor.h"
 #include "common/rng.h"
 #include "tlb/complete_subblock.h"
 #include "tlb/partial_subblock.h"
@@ -292,6 +299,268 @@ TEST(TlbPropertyTest, LruInclusionAcrossSizes) {
     }
   }
   EXPECT_LE(big.stats().misses, small.stats().misses);
+}
+
+// ---------------------------------------------------------------------------
+// Last-hit memo (tlb::Tlb::Lookup)
+// ---------------------------------------------------------------------------
+
+class ViewCollector final : public check::TlbAuditVisitor {
+ public:
+  void OnEntry(const check::TlbEntryView& entry) override { views.push_back(entry); }
+  std::vector<check::TlbEntryView> views;
+};
+
+template <class T>
+std::vector<check::TlbEntryView> ViewsOf(const T& tlb) {
+  ViewCollector c;
+  tlb.AuditVisit(c);
+  return std::move(c.views);
+}
+
+// Whether an entry view serves (asid, vpn).  Superpage-TLB views carry no
+// valid vector (`whole_span`): a live entry serves its whole span.
+bool ViewCovers(const check::TlbEntryView& v, Asid asid, Vpn vpn, bool whole_span) {
+  if (!v.valid || v.asid != asid) {
+    return false;
+  }
+  const Vpn base = SuperpageBaseVpn(v.base_vpn, PageSize{v.pages_log2});
+  if (vpn < base || vpn - base >= (std::uint64_t{1} << v.pages_log2)) {
+    return false;
+  }
+  return whole_span || ((v.valid_vector >> (vpn - base)) & 1u);
+}
+
+struct MemoStreamResult {
+  std::uint64_t hits = 0;
+  std::uint64_t class_hits = 0;  // Hits served by block_entry views.
+};
+
+// Drives `tlb` with a seeded mix of repeated probes (the memo's case),
+// fresh probes, refills, unrelated inserts and flushes.  After every probe
+// it checks the outcome against the scan's definition: a hit stamps the
+// first entry, in array order, that covers (asid, vpn); a miss means no
+// entry covers it.  `install` inserts a fill covering (asid, vpn).
+template <class T>
+MemoStreamResult RunMemoStream(T& tlb, bool whole_span, std::uint64_t seed,
+                               const std::function<void(Rng&, Asid, Vpn)>& install) {
+  Rng rng(seed);
+  MemoStreamResult r;
+  Asid asid = 0;
+  Vpn vpn{0x8000};
+  Asid hit_asid = 0;
+  Vpn hit_vpn{0x8000};
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t roll = rng.Below(100);
+    if (roll < 1) {
+      tlb.Flush();
+      continue;
+    }
+    if (roll < 5) {
+      install(rng, static_cast<Asid>(rng.Below(2)), Vpn{0x8000} + rng.Below(96));
+      continue;
+    }
+    if (roll < 15) {  // The memo's key, even after misses and refills since.
+      asid = hit_asid;
+      vpn = hit_vpn;
+    } else if (roll >= 55) {  // Otherwise repeat the previous probe.
+      asid = static_cast<Asid>(rng.Below(2));
+      vpn = Vpn{0x8000} + rng.Below(96);
+    }
+    const LookupOutcome out = tlb.Lookup(asid, vpn);
+    const std::vector<check::TlbEntryView> views = ViewsOf(tlb);
+    std::size_t first = views.size();
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      if (ViewCovers(views[i], asid, vpn, whole_span)) {
+        first = i;
+        break;
+      }
+    }
+    if (IsMiss(out)) {
+      EXPECT_EQ(first, views.size()) << "step " << step << ": miss on a covered page";
+      if (rng.Below(10) != 0) {
+        install(rng, asid, vpn);
+      }
+      continue;
+    }
+    if (first == views.size()) {
+      ADD_FAILURE() << "step " << step << ": hit on an uncovered page";
+      return r;
+    }
+    std::size_t newest = 0;
+    for (std::size_t i = 1; i < views.size(); ++i) {
+      if (views[i].stamp > views[newest].stamp) {
+        newest = i;
+      }
+    }
+    if (newest != first) {
+      ADD_FAILURE() << "step " << step << ": the hit stamped entry " << newest << ", not "
+                    << first;
+      return r;
+    }
+    ++r.hits;
+    hit_asid = asid;
+    hit_vpn = vpn;
+    if (views[first].block_entry) {
+      ++r.class_hits;
+    }
+  }
+  const TlbStats& s = tlb.stats();
+  EXPECT_EQ(s.hits + s.misses, s.accesses);
+  EXPECT_EQ(s.hits, r.hits);
+  return r;
+}
+
+double Fraction(std::uint64_t part, std::uint64_t whole) {
+  return whole == 0 ? 0.0 : static_cast<double>(part) / static_cast<double>(whole);
+}
+
+TEST(TlbMemoTest, SinglePageStreamMatchesScan) {
+  SinglePageTlb tlb(8);
+  const MemoStreamResult r = RunMemoStream(tlb, false, 11, [&](Rng&, Asid asid, Vpn vpn) {
+    tlb.Insert(asid, vpn, BaseFill(vpn, Ppn{vpn.raw() + 0x100000}));
+  });
+  EXPECT_GT(r.hits, 5000u);
+}
+
+TEST(TlbMemoTest, SuperpageStreamMatchesScan) {
+  SuperpageTlb tlb(8);
+  const MemoStreamResult r = RunMemoStream(tlb, true, 12, [&](Rng& rng, Asid asid, Vpn vpn) {
+    const std::uint64_t kind = rng.Below(4);
+    if (kind == 0) {
+      tlb.Insert(asid, vpn, BaseFill(vpn, Ppn{vpn.raw() + 0x100000}));
+    } else if (kind == 3) {
+      const Vpn block = SuperpageBaseVpn(vpn, kPage64K);
+      tlb.Insert(asid, vpn, PsbFill(block, Ppn{block.raw() + 0x100000}, 0xFFFF));
+    } else {
+      const PageSize size = kind == 1 ? kPage8K : kPage64K;
+      const Vpn base = SuperpageBaseVpn(vpn, size);
+      tlb.Insert(asid, vpn, SuperFill(base, Ppn{base.raw() + 0x100000}, size));
+    }
+  });
+  EXPECT_GT(r.class_hits, 0u);
+  EXPECT_EQ(tlb.SuperpageHitFraction(), Fraction(r.class_hits, r.hits));
+}
+
+TEST(TlbMemoTest, PartialSubblockStreamMatchesScan) {
+  PartialSubblockTlb tlb(8, 16);
+  const MemoStreamResult r = RunMemoStream(tlb, false, 13, [&](Rng& rng, Asid asid, Vpn vpn) {
+    const Vpn block = SuperpageBaseVpn(vpn, kPage64K);
+    const Ppn block_ppn{block.raw() + 0x100000};
+    switch (rng.Below(3)) {
+      case 0:
+        tlb.Insert(asid, vpn, BaseFill(vpn, Ppn{vpn.raw() + 0x200000}));
+        break;
+      case 1:
+        tlb.Insert(asid, vpn, SuperFill(block, block_ppn, kPage64K));
+        break;
+      default: {
+        const auto vector = static_cast<std::uint16_t>(rng.Below(0x10000) |
+                                                       (1u << (vpn - block)));
+        tlb.Insert(asid, vpn, PsbFill(block, block_ppn, vector));
+        break;
+      }
+    }
+  });
+  EXPECT_GT(r.class_hits, 0u);
+  EXPECT_EQ(tlb.SubblockHitFraction(), Fraction(r.class_hits, r.hits));
+}
+
+TEST(TlbMemoTest, CompleteSubblockStreamMatchesScan) {
+  CompleteSubblockTlb tlb(2, 16);  // Small, so refills often evict the memo's entry.
+  const MemoStreamResult r = RunMemoStream(tlb, false, 14, [&](Rng& rng, Asid asid, Vpn vpn) {
+    if (rng.Below(2) == 0) {
+      tlb.Insert(asid, vpn, BaseFill(vpn, Ppn{vpn.raw() + 0x100000}));
+      return;
+    }
+    // Block prefetch of the faulting page plus a random subset of its block.
+    const Vpn block = SuperpageBaseVpn(vpn, kPage64K);
+    std::vector<pt::TlbFill> fills{BaseFill(vpn, Ppn{vpn.raw() + 0x100000})};
+    for (unsigned i = 0; i < 16; ++i) {
+      if (rng.Below(3) == 0) {
+        fills.push_back(BaseFill(block + i, Ppn{block.raw() + i + 0x100000}));
+      }
+    }
+    tlb.InsertBlock(asid, vpn, fills);
+  });
+  EXPECT_GT(r.hits, 5000u);
+}
+
+template <class T>
+std::unique_ptr<T> MakeTlb(unsigned entries) {
+  if constexpr (std::is_constructible_v<T, unsigned, unsigned>) {
+    return std::make_unique<T>(entries, 16);
+  } else {
+    return std::make_unique<T>(entries);
+  }
+}
+
+template <class T>
+class TlbMemoTypedTest : public ::testing::Test {};
+using FullyAssociativeTlbs =
+    ::testing::Types<SinglePageTlb, SuperpageTlb, PartialSubblockTlb, CompleteSubblockTlb>;
+TYPED_TEST_SUITE(TlbMemoTypedTest, FullyAssociativeTlbs);
+
+TYPED_TEST(TlbMemoTypedTest, MemoizedEntryEvictedByInsertsMisses) {
+  auto tlb = MakeTlb<TypeParam>(64);
+  const Vpn vpn{0x8000};
+  tlb->Insert(0, vpn, BaseFill(vpn, Ppn{1}));
+  ASSERT_EQ(tlb->Lookup(0, vpn), LookupOutcome::kHit);
+  ASSERT_EQ(tlb->Lookup(0, vpn), LookupOutcome::kHit);  // Answered by the memo.
+  for (unsigned i = 1; i <= 64; ++i) {  // One fresh block each: evicts vpn last.
+    const Vpn other = vpn + 16ull * i;
+    tlb->Insert(0, other, BaseFill(other, Ppn{i + 1}));
+  }
+  EXPECT_TRUE(IsMiss(tlb->Lookup(0, vpn)));
+  EXPECT_EQ(tlb->stats().hits, 2u);
+  EXPECT_EQ(tlb->stats().misses, 1u);
+}
+
+TYPED_TEST(TlbMemoTypedTest, FlushForgetsMemoizedEntry) {
+  auto tlb = MakeTlb<TypeParam>(64);
+  const Vpn vpn{0x8000};
+  tlb->Insert(0, vpn, BaseFill(vpn, Ppn{1}));
+  ASSERT_EQ(tlb->Lookup(0, vpn), LookupOutcome::kHit);
+  tlb->Flush();
+  EXPECT_TRUE(IsMiss(tlb->Lookup(0, vpn)));
+}
+
+TYPED_TEST(TlbMemoTypedTest, SameVpnUnderOtherAsidMisses) {
+  auto tlb = MakeTlb<TypeParam>(64);
+  const Vpn vpn{0x8000};
+  tlb->Insert(0, vpn, BaseFill(vpn, Ppn{1}));
+  ASSERT_EQ(tlb->Lookup(0, vpn), LookupOutcome::kHit);
+  EXPECT_TRUE(IsMiss(tlb->Lookup(1, vpn)));
+  EXPECT_EQ(tlb->Lookup(0, vpn), LookupOutcome::kHit);
+  EXPECT_EQ(tlb->stats().hits, 2u);
+  EXPECT_EQ(tlb->stats().misses, 1u);
+}
+
+TEST(TlbMemoTest, InsertBlockGrowingTheVectorKeepsHitsExact) {
+  CompleteSubblockTlb tlb(4, 16);
+  const Vpn block{0x8000};
+  const pt::TlbFill page0 = BaseFill(block, Ppn{0x100});
+  tlb.InsertBlock(0, block, std::span<const pt::TlbFill>(&page0, 1));
+  ASSERT_EQ(tlb.Lookup(0, block), LookupOutcome::kHit);
+  ASSERT_EQ(tlb.Lookup(0, block + 1), LookupOutcome::kSubblockMiss);
+  const pt::TlbFill whole = SuperFill(block, Ppn{0x100}, kPage64K);
+  tlb.InsertBlock(0, block + 1, std::span<const pt::TlbFill>(&whole, 1));
+  EXPECT_EQ(tlb.Lookup(0, block + 1), LookupOutcome::kHit);
+  EXPECT_EQ(tlb.Lookup(0, block), LookupOutcome::kHit);
+  EXPECT_EQ(tlb.Lookup(0, block), LookupOutcome::kHit);
+  EXPECT_EQ(tlb.stats().hits, 4u);
+  EXPECT_EQ(tlb.stats().subblock_misses, 1u);
+}
+
+TEST(TlbMemoTest, InsertBlockReusingTheMemoizedSlotMisses) {
+  CompleteSubblockTlb tlb(1, 16);
+  const pt::TlbFill a = BaseFill(Vpn{0x8000}, Ppn{0x100});
+  const pt::TlbFill b = BaseFill(Vpn{0x9000}, Ppn{0x200});
+  tlb.InsertBlock(0, Vpn{0x8000}, std::span<const pt::TlbFill>(&a, 1));
+  ASSERT_EQ(tlb.Lookup(0, Vpn{0x8000}), LookupOutcome::kHit);
+  tlb.InsertBlock(0, Vpn{0x9000}, std::span<const pt::TlbFill>(&b, 1));  // Same slot.
+  EXPECT_EQ(tlb.Lookup(0, Vpn{0x8000}), LookupOutcome::kBlockMiss);
+  EXPECT_EQ(tlb.Lookup(0, Vpn{0x9000}), LookupOutcome::kHit);
 }
 
 }  // namespace
