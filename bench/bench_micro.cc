@@ -126,7 +126,9 @@ std::function<void(std::uint64_t, std::uint64_t)> InsertRemoveBody(sim::PtKind k
   };
 }
 
-std::function<void(std::uint64_t, std::uint64_t)> MachineAccessBody() {
+// Replays coral on a preloaded clustered machine: one Access() call per
+// reference, or (`by_run`) one AccessRun() call per same-page run.
+std::function<void(std::uint64_t, std::uint64_t)> MachineAccessBody(bool by_run) {
   const auto& spec = workload::GetPaperWorkload("coral");
   // The generator keeps pointers into the snapshot's page lists, so the
   // snapshot must outlive the returned body — share both into the closure.
@@ -137,8 +139,17 @@ std::function<void(std::uint64_t, std::uint64_t)> MachineAccessBody() {
   machine->Preload(*snap);
   auto gen = std::make_shared<workload::TraceGenerator>(spec, *snap);
   auto warmed = std::make_shared<bool>(false);
-  return [machine, gen, snap, warmed](std::uint64_t iters, std::uint64_t slowdown) {
+  return [machine, gen, snap, warmed, by_run](std::uint64_t iters, std::uint64_t slowdown) {
     auto replay = [&] {
+      if (by_run) {
+        for (std::uint64_t n = 0; n < iters;) {
+          const workload::Run run = gen->NextRun(iters - n);
+          machine->AccessRun(run.asid, run.va, run.count, run.writes);
+          n += run.count;
+          SlowdownSpin(slowdown * run.count);
+        }
+        return;
+      }
       for (std::uint64_t n = 0; n < iters; ++n) {
         const auto r = gen->Next();
         machine->Access(r.asid, r.va);
@@ -253,7 +264,8 @@ int main(int argc, char** argv) {
     micros.push_back({std::string("insert_remove/") + k.label, 1'000'000,
                       [kind = k.kind] { return InsertRemoveBody(kind); }});
   }
-  micros.push_back({"machine_access", 1'000'000, [] { return MachineAccessBody(); }});
+  micros.push_back({"machine_access", 1'000'000, [] { return MachineAccessBody(false); }});
+  micros.push_back({"machine_access_run", 1'000'000, [] { return MachineAccessBody(true); }});
 
   std::printf("%-24s %12s %5s %14s %14s %14s %10s\n", "benchmark", "iters", "reps",
               "median ref/s", "best ref/s", "worst ref/s", "ns/op");

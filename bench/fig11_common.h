@@ -5,11 +5,15 @@
 #ifndef CPT_BENCH_FIG11_COMMON_H_
 #define CPT_BENCH_FIG11_COMMON_H_
 
+#include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_flags.h"
+#include "common/check.h"
 #include "sim/experiments.h"
 #include "sim/report.h"
 #include "workload/workload.h"
@@ -36,6 +40,10 @@ inline void RunFig11(BenchIo& io, const char* title, sim::TlbKind tlb_kind,
     const workload::WorkloadSpec& spec = workload::GetPaperWorkload(name);
     std::vector<std::string> row = {name};
     bool first = true;
+    // The miss stream depends on the TLB and the page-size policy, not on
+    // which table serves the walks, so every non-linear series must see
+    // the same misses.  (Linear tables reserve TLB entries and differ.)
+    std::optional<std::pair<std::uint64_t, std::uint64_t>> nonlinear_misses;
     for (const auto& s : series) {
       sim::MachineOptions opts;
       opts.pt_kind = s.pt_kind;
@@ -43,6 +51,14 @@ inline void RunFig11(BenchIo& io, const char* title, sim::TlbKind tlb_kind,
       const sim::AccessMeasurement m =
           sim::MeasureAccessTime(spec, opts, trace_len, io.Hooks());
       io.RecordAccess(s.label, m);
+      if (!sim::IsLinearTable(s.pt_kind)) {
+        const std::pair misses{m.denominator_misses, m.effective_misses};
+        if (!nonlinear_misses) {
+          nonlinear_misses = misses;
+        }
+        CPT_CHECK(misses == *nonlinear_misses,
+                  "non-linear page tables must see the same TLB miss stream");
+      }
       if (first) {
         row.push_back(sim::Report::Num(m.denominator_misses));
         first = false;

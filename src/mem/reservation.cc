@@ -12,13 +12,6 @@ ReservationAllocator::ReservationAllocator(std::uint64_t num_frames, unsigned su
   CPT_CHECK(IsPowerOfTwo(subblock_factor) && subblock_factor <= 32,
             "group masks are 32-bit");
   CPT_CHECK(num_frames_ > 0);
-  const std::uint64_t num_groups = num_frames_ / factor_;
-  groups_.resize(num_groups);
-  free_groups_.reserve(num_groups);
-  // Push in reverse so low frame numbers are handed out first.
-  for (std::uint64_t g = num_groups; g-- > 0;) {
-    free_groups_.push_back(g);
-  }
 }
 
 std::optional<ReservationAllocator::FrameGrant> ReservationAllocator::Allocate(
@@ -43,10 +36,19 @@ std::optional<ReservationAllocator::FrameGrant> ReservationAllocator::Allocate(
     return FrameGrant{ppn, true};
   }
 
-  // 2. Reserve a fresh aligned group for this virtual block.
-  if (!free_groups_.empty()) {
-    const std::uint64_t g = free_groups_.back();
-    free_groups_.pop_back();
+  // 2. Reserve a free aligned group for this virtual block: a recycled one
+  //    if any (the last freed first), else the lowest never-granted one.
+  if (!free_groups_.empty() || groups_.size() < num_groups()) {
+    std::uint64_t g = groups_.size();
+    if (!free_groups_.empty()) {
+      g = free_groups_.back();
+      free_groups_.pop_back();
+    } else {
+      // Fault path only, like the fifo push below: the pool grows as groups
+      // are first granted instead of being built whole up front.
+      // cpt-lint: allow(hot-no-alloc)
+      groups_.emplace_back();
+    }
     Group& grp = groups_[g];
     grp.state = GroupState::kReserved;
     grp.owner_key = block_key;
@@ -136,6 +138,7 @@ void ReservationAllocator::Free(Ppn ppn) {
   // Range check on the raw frame index, matching GroupOf/SlotOf's crossing.
   CPT_DCHECK(ppn.raw() < num_frames_);
   const std::uint64_t g = GroupOf(ppn);
+  CPT_DCHECK(g < groups_.size(), "freeing a frame of a never-granted group");
   Group& grp = groups_[g];
   const std::uint32_t bit = 1u << SlotOf(ppn);
   CPT_DCHECK((grp.used_mask & bit) != 0, "freeing an unallocated frame");
@@ -144,26 +147,28 @@ void ReservationAllocator::Free(Ppn ppn) {
   if (grant_log_enabled_) {
     live_grants_.erase(ppn);
   }
-  if (grp.state == GroupState::kFragmented) {
-    if (grp.used_mask == 0) {
-      grp.state = GroupState::kFree;
-      free_groups_.push_back(g);
-    } else {
+  if (grp.used_mask != 0) {
+    if (grp.state == GroupState::kFragmented) {
       // Unmap/teardown path only; never on the replay steady state.
       // cpt-lint: allow(hot-no-alloc)
       fragment_pool_.push_back(ppn);
     }
-  } else if (grp.state == GroupState::kReserved && grp.used_mask == 0) {
-    by_owner_.erase(grp.owner_key);
-    grp.state = GroupState::kFree;
-    free_groups_.push_back(g);
-    // Its fifo entry becomes stale and is skipped by BreakOneReservation.
+    return;
   }
+  if (grp.state == GroupState::kReserved) {
+    // Its fifo entry becomes stale and is skipped by BreakOneReservation.
+    by_owner_.erase(grp.owner_key);
+  }
+  grp.state = GroupState::kFree;
+  // Unmap/teardown path only, like the fragment-pool push above.
+  // cpt-lint: allow(hot-no-alloc)
+  free_groups_.push_back(g);
 }
 
 void ReservationAllocator::AuditVisit(check::ReservationAuditVisitor& visitor) const {
-  for (std::uint64_t g = 0; g < groups_.size(); ++g) {
-    const Group& grp = groups_[g];
+  for (std::uint64_t g = 0; g < num_groups(); ++g) {
+    // Groups never granted are free.
+    const Group grp = g < groups_.size() ? groups_[g] : Group{};
     check::ReservationGroupView view;
     view.group = g;
     switch (grp.state) {
@@ -181,7 +186,11 @@ void ReservationAllocator::AuditVisit(check::ReservationAuditVisitor& visitor) c
     view.used_mask = grp.used_mask;
     visitor.OnGroup(view);
   }
+  // The free list is the recycled stack plus every never-granted group.
   for (const std::uint64_t g : free_groups_) {
+    visitor.OnFreeListGroup(g);
+  }
+  for (std::uint64_t g = groups_.size(); g < num_groups(); ++g) {
     visitor.OnFreeListGroup(g);
   }
   for (const Ppn ppn : fragment_pool_) {

@@ -93,6 +93,7 @@ class ReservationAllocator {
     std::uint32_t used_mask = 0;   // Bit per slot.
   };
 
+  std::uint64_t num_groups() const { return num_frames_ / factor_; }
   // Frame-group arithmetic unwraps the PPN. // cpt-lint: allow(raw-address-param)
   std::uint64_t GroupOf(Ppn ppn) const { return ppn.raw() / factor_; }
   unsigned SlotOf(Ppn ppn) const { return static_cast<unsigned>(ppn.raw() % factor_); }
@@ -109,8 +110,10 @@ class ReservationAllocator {
   unsigned factor_;
   std::uint64_t num_frames_;
   std::uint64_t frames_used_ = 0;
+  // Created on first grant, in ascending order: groups_.size() is the
+  // lowest never-granted group, and every group from there up is free.
   std::vector<Group> groups_;
-  std::vector<std::uint64_t> free_groups_;                    // Stack of kFree group ids.
+  std::vector<std::uint64_t> free_groups_;                    // Stack of recycled kFree ids.
   std::unordered_map<std::uint64_t, std::uint64_t> by_owner_;  // block_key -> group id.
   std::deque<std::uint64_t> reservation_fifo_;                // Steal victims, oldest first.
   std::vector<Ppn> fragment_pool_;                            // Individually-free frames.

@@ -126,6 +126,7 @@ AccessMeasurement MeasureAccessTime(const workload::WorkloadSpec& spec, MachineO
   Machine machine(opts, static_cast<unsigned>(spec.processes.size()));
   machine.Preload(snapshot);
   const std::uint64_t preload_faults = machine.TotalPageFaults();
+  const std::uint64_t preload_oom_faults = machine.TotalOomFaults();
   close_phase("preload", preload_faults, perf.Stop());
 
   // Attach after Preload: events describe the measured trace, not the
@@ -143,9 +144,10 @@ AccessMeasurement MeasureAccessTime(const workload::WorkloadSpec& spec, MachineO
 
   workload::TraceGenerator gen(spec, snapshot);
   perf.Start();
-  for (std::uint64_t i = 0; i < trace_len; ++i) {
-    const workload::Reference ref = gen.Next();
-    machine.Access(ref.asid, ref.va, ref.is_write);
+  for (std::uint64_t done = 0; done < trace_len;) {
+    const workload::Run run = gen.NextRun(trace_len - done);
+    machine.AccessRun(run.asid, run.va, run.count, run.writes);
+    done += run.count;
   }
   m.host_perf = perf.Stop();
   m.wall_seconds = m.host_perf.wall_seconds;
@@ -161,6 +163,7 @@ AccessMeasurement MeasureAccessTime(const workload::WorkloadSpec& spec, MachineO
   m.miss_ratio = machine.tlb().stats().MissRatio();
   m.pt_bytes = machine.TotalPtBytesPaperModel();
   m.page_faults = machine.TotalPageFaults() - preload_faults;
+  m.oom_faults = machine.TotalOomFaults() - preload_oom_faults;
   m.rng_seed = spec.seed;
   m.options = machine.options();
   if (m.wall_seconds > 0.0) {

@@ -77,6 +77,8 @@ struct AccessMeasurement {
   std::string audit_summary;  // The defect list, "" when clean.
   // Provenance + timing, stamped into JSON output.
   std::uint64_t page_faults = 0;    // Faults during the measured trace.
+  // References dropped during the trace because no frame was free.
+  std::uint64_t oom_faults = 0;
   std::uint64_t rng_seed = 0;       // The workload spec's seed.
   double wall_seconds = 0.0;        // Trace-replay time (excludes preload).
   double refs_per_sec = 0.0;

@@ -192,7 +192,7 @@ Machine::Machine(MachineOptions opts, unsigned num_processes)
   // reserved for mappings to the table itself, so the workload effectively
   // has fewer entries, while the normalization denominator still uses the
   // full-size TLB (Section 6.1).
-  if (IsLinear()) {
+  if (IsLinearTable(opts_.pt_kind)) {
     CPT_CHECK(opts_.tlb_entries > opts_.linear_reserved_entries);
     tlb_ = MakeTlb(opts_.tlb_entries - opts_.linear_reserved_entries);
     ref_tlb_ = MakeTlb(opts_.tlb_entries);
@@ -336,6 +336,30 @@ void Machine::Access(tlb::Asid asid, VirtAddr va, bool is_write) {
   }
 }
 
+void Machine::AccessRun(tlb::Asid asid, VirtAddr va, std::uint32_t count,
+                        std::uint64_t writes) {
+  CPT_DCHECK(count <= workload::kMaxRunRefs);
+  const Vpn vpn = VpnOf(EffectiveVa(asid, va));
+  // A page is settled once both TLBs memoize it: Access() would then only
+  // re-score a memo hit in each.  Until then a reference can miss, walk,
+  // fault or refill, so it runs in full.  A page dropped for lack of
+  // memory never settles and so takes one Access() per reference.
+  const auto settled = [&] {
+    return tracer_ == nullptr && tlb_->Memoizes(asid, vpn) &&
+           (!ref_tlb_ || ref_tlb_->Memoizes(asid, vpn));
+  };
+  std::uint32_t i = 0;
+  for (; i < count && !settled(); ++i) {
+    Access(asid, va, ((writes >> i) & 1) != 0);
+  }
+  if (i < count) {
+    tlb_->ReplayHits(count - i);
+    if (ref_tlb_) {
+      ref_tlb_->ReplayHits(count - i);
+    }
+  }
+}
+
 void Machine::Preload(const workload::Snapshot& snapshot) {
   CPT_CHECK(snapshot.pages.size() == num_processes_);
   for (std::size_t p = 0; p < snapshot.pages.size(); ++p) {
@@ -398,6 +422,14 @@ std::uint64_t Machine::TotalPageFaults() const {
   std::uint64_t total = 0;
   for (const ProcessCtx& p : procs_) {
     total += p.aspace->stats().faults;
+  }
+  return total;
+}
+
+std::uint64_t Machine::TotalOomFaults() const {
+  std::uint64_t total = 0;
+  for (const ProcessCtx& p : procs_) {
+    total += p.aspace->stats().oom_faults;
   }
   return total;
 }

@@ -58,6 +58,12 @@ enum class TlbKind : std::uint8_t {
 std::string ToString(PtKind kind);
 std::string ToString(TlbKind kind);
 
+// Linear tables live in virtual memory and so reserve TLB entries for
+// their own mappings (see Machine).
+constexpr bool IsLinearTable(PtKind kind) {
+  return kind == PtKind::kLinear6 || kind == PtKind::kLinear1 || kind == PtKind::kLinearHashed;
+}
+
 struct MachineOptions {
   PtKind pt_kind = PtKind::kClustered;
   TlbKind tlb_kind = TlbKind::kSinglePage;
@@ -118,6 +124,16 @@ class Machine {
   // the steady state allocation-free.
   CPT_HOT void Access(tlb::Asid asid, VirtAddr va, bool is_write = false);
 
+  // Models a workload::Run: `count` (at most workload::kMaxRunRefs)
+  // references by `asid` to the page of `va`, where bit i of `writes` is
+  // reference i's store bit.  The effect is that of one Access() per
+  // reference.  References run through Access() until both the effective
+  // and the reference TLB memoize the page; the rest are then certain hits
+  // and are scored in one step (Tlb::ReplayHits).  With a tracer attached
+  // every reference runs through Access(), so each one is still published.
+  CPT_HOT void AccessRun(tlb::Asid asid, VirtAddr va, std::uint32_t count,
+                         std::uint64_t writes);
+
   // ---- Telemetry (src/obs) ----
   // Publishes every TLB probe, walk step, page fault, promotion, and
   // reservation grant through `tracer` (nullptr detaches).  Simulated counts
@@ -143,6 +159,8 @@ class Machine {
   std::uint64_t TotalPtBytesPaperModel() const;
   std::uint64_t TotalPtBytesActual() const;
   std::uint64_t TotalPageFaults() const;
+  // Faults that found no free frame; each one dropped its reference.
+  std::uint64_t TotalOomFaults() const;
 
   unsigned num_processes() const { return num_processes_; }
   pt::PageTable& page_table(tlb::Asid asid) { return *CtxOf(asid).table; }
@@ -162,10 +180,6 @@ class Machine {
     std::unique_ptr<os::AddressSpace> aspace;
   };
 
-  bool IsLinear() const {
-    return opts_.pt_kind == PtKind::kLinear6 || opts_.pt_kind == PtKind::kLinear1 ||
-           opts_.pt_kind == PtKind::kLinearHashed;
-  }
   os::PteStrategy EffectiveStrategy() const;
   std::unique_ptr<tlb::Tlb> MakeTlb(unsigned entries) const;
   ProcessCtx& CtxOf(tlb::Asid asid) {

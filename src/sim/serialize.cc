@@ -79,6 +79,11 @@ void ToJson(obs::JsonWriter& w, const AccessMeasurement& m) {
   w.KV("miss_ratio", m.miss_ratio);
   w.KV("pt_bytes", m.pt_bytes);
   w.KV("page_faults", m.page_faults);
+  if (m.oom_faults != 0) {
+    // Written only when references were dropped, so a run with ample
+    // memory keeps the report shape the committed baselines diff against.
+    w.KV("oom_faults", m.oom_faults);
+  }
   w.KV("rng_seed", m.rng_seed);
   w.Key("timing");
   w.BeginObject();

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/check.h"
 #include "common/hotpath.h"
 #include "common/types.h"
 #include "pt/page_table.h"
@@ -61,10 +62,29 @@ class Tlb {
 
   // Probes the TLB for (asid, vpn), updating recency and statistics.
   [[nodiscard]] CPT_HOT LookupOutcome Lookup(Asid asid, Vpn vpn) {
-    if (memo_stamp_ != nullptr && memo_vpn_ == vpn && memo_asid_ == asid) {
+    if (Memoizes(asid, vpn)) {
       return ReplayHit();
     }
     return Probe(asid, vpn);
+  }
+
+  // True when the memo holds (asid, vpn): its next Lookup is a hit that
+  // changes only the hit entry's stamp and the hit counters.
+  bool Memoizes(Asid asid, Vpn vpn) const {
+    return memo_stamp_ != nullptr && memo_vpn_ == vpn && memo_asid_ == asid;
+  }
+
+  // Scores `n` more hits on the memoized page, leaving the TLB exactly as
+  // `n` Lookups of it would.  Requires a memo (see Memoizes).
+  CPT_HOT void ReplayHits(std::uint64_t n) {
+    CPT_DCHECK(memo_stamp_ != nullptr);
+    clock_ += n;
+    *memo_stamp_ = clock_;
+    stats_.accesses += n;
+    stats_.hits += n;
+    if (memo_class_hits_ != nullptr) {
+      *memo_class_hits_ += n;
+    }
   }
 
   // Installs the page-table fill that satisfied a miss on (asid, vpn).

@@ -168,50 +168,49 @@ void TraceGenerator::PickNewPage(ProcessState& p) {
   p.current_page = pages[st.cursor];
 }
 
-Reference TraceGenerator::EmitFrom(ProcessState& p, tlb::Asid asid) {
+Run TraceGenerator::NextRun(std::uint64_t max_refs) {
+  CPT_DCHECK(max_refs >= 1);
+  // Several processes take turns in slices: round-robin timeslices, or
+  // equal shares of the default trace length one after another.
+  const bool sliced = spec_.sequential_processes || procs_.size() > 1;
+  if (sliced && slice_left_ == 0) {
+    active_proc_ = (active_proc_ + 1) % procs_.size();
+    slice_left_ = std::max<std::uint64_t>(
+        1, spec_.sequential_processes ? spec_.default_trace_length / procs_.size()
+                                      : spec_.timeslice);
+  }
+  ProcessState& p = procs_[active_proc_];
   if (p.sojourn_left == 0 || p.current_segment == nullptr) {
     PickNewPage(p);
     const double mean = p.current_segment != nullptr ? p.current_segment->spec->sojourn_mean : 1.0;
     p.sojourn_left = rng_.BurstLength(mean);
   }
-  --p.sojourn_left;
+  std::uint64_t count = std::min(std::min<std::uint64_t>(kMaxRunRefs, max_refs), p.sojourn_left);
+  if (sliced) {
+    count = std::min(count, slice_left_);
+    slice_left_ -= count;
+  }
+  p.sojourn_left -= count;
+
   const double write_fraction =
       p.current_segment != nullptr ? p.current_segment->spec->write_fraction : 0.0;
-  // Touch a pseudo-random offset within the page; the TLB only sees the VPN.
-  return Reference{asid, VaOf(p.current_page) + (rng_.Next() & 0xFF8),
-                   rng_.Chance(write_fraction)};
+  // Each reference draws a pseudo-random offset within the page, then its
+  // store bit; the TLB only sees the VPN, so only the first offset is kept.
+  Run run{.asid = static_cast<tlb::Asid>(active_proc_),
+          .va = VaOf(p.current_page) + (rng_.Next() & 0xFF8),
+          .count = static_cast<std::uint32_t>(count)};
+  run.writes = rng_.Chance(write_fraction) ? 1 : 0;
+  for (std::uint32_t i = 1; i < run.count; ++i) {
+    (void)rng_.Next();
+    run.writes |= std::uint64_t{rng_.Chance(write_fraction)} << i;
+  }
+  return run;
 }
 
-Reference TraceGenerator::Next() {
-  if (spec_.sequential_processes) {
-    // Each process runs for an equal share of the default trace length, then
-    // the next one starts; wraps around at the end.
-    const std::uint64_t share =
-        std::max<std::uint64_t>(1, spec_.default_trace_length / procs_.size());
-    if (slice_left_ == 0) {
-      active_proc_ = (active_proc_ + 1) % procs_.size();
-      slice_left_ = share;
-    }
-    --slice_left_;
-    return EmitFrom(procs_[active_proc_], static_cast<tlb::Asid>(active_proc_));
-  }
-  if (procs_.size() > 1) {
-    if (slice_left_ == 0) {
-      active_proc_ = (active_proc_ + 1) % procs_.size();
-      slice_left_ = std::max<std::uint64_t>(1, spec_.timeslice);
-    }
-    --slice_left_;
-  }
-  return EmitFrom(procs_[active_proc_], static_cast<tlb::Asid>(active_proc_));
-}
-
-std::vector<Reference> TraceGenerator::Generate(std::uint64_t n) {
-  std::vector<Reference> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    out.push_back(Next());
-  }
-  return out;
+// Flattened so the per-reference API pays no call into NextRun.
+[[gnu::flatten]] Reference TraceGenerator::Next() {
+  const Run run = NextRun(1);
+  return Reference{run.asid, run.va, run.writes != 0};
 }
 
 }  // namespace cpt::workload

@@ -91,6 +91,18 @@ struct Reference {
   bool is_write = false;
 };
 
+// Consecutive references by one process to one page: what `count` calls of
+// TraceGenerator::Next() return, in one value.  Only the first reference's
+// address is kept whole; the others differ from it only in the page offset,
+// which nothing below the generator reads (every layer keys on the VPN).
+inline constexpr std::uint32_t kMaxRunRefs = 64;
+struct Run {
+  tlb::Asid asid = 0;
+  VirtAddr va{};             // The first reference's exact address.
+  std::uint32_t count = 0;   // 1..kMaxRunRefs references.
+  std::uint64_t writes = 0;  // Bit i set: reference i is a store.
+};
+
 // Which pages each process has mapped, per segment, in fault order.
 struct Snapshot {
   // pages[process][segment] = mapped VPNs in ascending order.
@@ -113,8 +125,11 @@ class TraceGenerator {
   // Next reference; wraps process schedules indefinitely.
   Reference Next();
 
-  // Convenience: materialize n references.
-  std::vector<Reference> Generate(std::uint64_t n);
+  // The next run of up to min(kMaxRunRefs, max_refs) references, cut where
+  // the page's sojourn or the process's scheduling slice ends.  It makes
+  // the same RNG draws, in the same order, as `count` calls of Next(), so
+  // runs and single references can be mixed freely in one stream.
+  Run NextRun(std::uint64_t max_refs);
 
  private:
   struct SegmentState {
@@ -132,7 +147,6 @@ class TraceGenerator {
     SegmentState* current_segment = nullptr;
   };
 
-  Reference EmitFrom(ProcessState& p, tlb::Asid asid);
   void PickNewPage(ProcessState& p);
 
   const WorkloadSpec& spec_;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <new>
 #include <vector>
 
@@ -93,6 +94,31 @@ TEST(HotGuardTest, SteadyStateReplayDoesNotAllocate) {
       const auto r = gen.Next();
       m.Access(r.asid, r.va);
     }
+  }
+}
+
+// The same proof for run-length replay (Machine::AccessRun), including a
+// linear table so the reference TLB's replayed hits are covered too.
+TEST(HotGuardTest, SteadyStateRunReplayDoesNotAllocate) {
+  for (const sim::PtKind pt : {sim::PtKind::kClustered, sim::PtKind::kLinear1}) {
+    SCOPED_TRACE(sim::ToString(pt));
+    sim::MachineOptions opts;
+    opts.pt_kind = pt;
+    const auto& spec = workload::GetPaperWorkload("mp3d");
+    const auto snap = workload::BuildSnapshot(spec);
+    sim::Machine m(opts, 1);
+    m.Preload(snap);
+    workload::TraceGenerator gen(spec, snap);
+    const auto replay = [&](std::uint64_t n) {
+      for (std::uint64_t done = 0; done < n;) {
+        const workload::Run run = gen.NextRun(n - done);
+        m.AccessRun(run.asid, run.va, run.count, run.writes);
+        done += run.count;
+      }
+    };
+    replay(30000);
+    HotPathScope guard("hotguard_test.steady_state_run_replay");
+    replay(30000);
   }
 }
 

@@ -4,12 +4,22 @@
 // invariants of the simulation.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
+#include "check/audit_visitor.h"
+#include "check/auditor.h"
+#include "obs/trace.h"
 #include "sim/analytic.h"
 #include "sim/experiments.h"
 #include "sim/machine.h"
+#include "tlb/complete_subblock.h"
+#include "tlb/partial_subblock.h"
+#include "tlb/single_page.h"
+#include "tlb/superpage.h"
 #include "workload/workload.h"
 
 namespace cpt::sim {
@@ -69,6 +79,135 @@ TEST_P(MachineMatrixTest, RunsWorkloadSliceWithInvariantsIntact) {
   if (!hashed_family) {
     EXPECT_LE(m.avg_lines_per_miss, 8.0) << "unexpectedly expensive walk";
   }
+}
+
+class EntryCollector final : public check::TlbAuditVisitor {
+ public:
+  void OnEntry(const check::TlbEntryView& e) override {
+    entries.emplace_back(e.valid, e.asid, e.base_vpn.raw(), e.stamp);
+  }
+  std::vector<std::tuple<bool, std::uint16_t, std::uint64_t, std::uint64_t>> entries;
+};
+
+// The effective TLB's replacement state: every entry's validity, tag and
+// LRU stamp, in array order.
+std::vector<std::tuple<bool, std::uint16_t, std::uint64_t, std::uint64_t>> LruState(
+    const tlb::Tlb& t, TlbKind kind) {
+  EntryCollector c;
+  switch (kind) {
+    case TlbKind::kSinglePage:
+      static_cast<const tlb::SinglePageTlb&>(t).AuditVisit(c);
+      break;
+    case TlbKind::kSuperpage:
+      static_cast<const tlb::SuperpageTlb&>(t).AuditVisit(c);
+      break;
+    case TlbKind::kPartialSubblock:
+      static_cast<const tlb::PartialSubblockTlb&>(t).AuditVisit(c);
+      break;
+    case TlbKind::kCompleteSubblock:
+      static_cast<const tlb::CompleteSubblockTlb&>(t).AuditVisit(c);
+      break;
+  }
+  return std::move(c.entries);
+}
+
+// The design's per-class hit share (superpage or PSB hits), else 0.
+double ClassHitFraction(const tlb::Tlb& t, TlbKind kind) {
+  switch (kind) {
+    case TlbKind::kSuperpage:
+      return static_cast<const tlb::SuperpageTlb&>(t).SuperpageHitFraction();
+    case TlbKind::kPartialSubblock:
+      return static_cast<const tlb::PartialSubblockTlb&>(t).SubblockHitFraction();
+    case TlbKind::kSinglePage:
+    case TlbKind::kCompleteSubblock:
+      return 0.0;
+  }
+  return 0.0;
+}
+
+// Replays `n` references of `spec` on two fresh machines built from
+// `opts`: one run at a time (NextRun + AccessRun), one reference at a time
+// (Next + Access).  Nothing is preloaded, so pages fault inside runs.  With
+// `traced`, both machines publish to a StatsTracer.  Every simulated count,
+// the TLB's LRU state, the R/M bits of every snapshot page and the
+// per-kind event counts must agree, and both machines must audit clean.
+void ExpectRunReplayMatchesAccess(const workload::WorkloadSpec& spec, const MachineOptions& opts,
+                                  std::uint64_t n, bool traced) {
+  SCOPED_TRACE(traced ? "traced" : "untraced");
+  const workload::Snapshot snap = workload::BuildSnapshot(spec);
+  const auto procs = static_cast<unsigned>(spec.processes.size());
+  Machine by_run(opts, procs);
+  Machine by_ref(opts, procs);
+  obs::StatsTracer run_events;
+  obs::StatsTracer ref_events;
+  if (traced) {
+    by_run.AttachTracer(&run_events);
+    by_ref.AttachTracer(&ref_events);
+  }
+  workload::TraceGenerator run_gen(spec, snap);
+  for (std::uint64_t done = 0; done < n;) {
+    const workload::Run run = run_gen.NextRun(n - done);
+    by_run.AccessRun(run.asid, run.va, run.count, run.writes);
+    done += run.count;
+  }
+  workload::TraceGenerator ref_gen(spec, snap);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const workload::Reference r = ref_gen.Next();
+    by_ref.Access(r.asid, r.va, r.is_write);
+  }
+
+  const tlb::TlbStats& a = by_run.tlb().stats();
+  const tlb::TlbStats& b = by_ref.tlb().stats();
+  EXPECT_EQ(a.accesses, n);
+  EXPECT_EQ(a.accesses, b.accesses);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.block_misses, b.block_misses);
+  EXPECT_EQ(a.subblock_misses, b.subblock_misses);
+  EXPECT_EQ(ClassHitFraction(by_run.tlb(), opts.tlb_kind),
+            ClassHitFraction(by_ref.tlb(), opts.tlb_kind));
+  EXPECT_EQ(LruState(by_run.tlb(), opts.tlb_kind), LruState(by_ref.tlb(), opts.tlb_kind));
+  EXPECT_EQ(by_run.DenominatorMisses(), by_ref.DenominatorMisses());
+  EXPECT_EQ(by_run.cache().total_lines(), by_ref.cache().total_lines());
+  EXPECT_EQ(by_run.cache().total_walks(), by_ref.cache().total_walks());
+  EXPECT_EQ(by_run.TotalPageFaults(), by_ref.TotalPageFaults());
+  EXPECT_EQ(by_run.TotalOomFaults(), by_ref.TotalOomFaults());
+  // A shared table keys its pages by asid-salted VPNs; the counts above
+  // cover it, the per-page walk below needs per-process tables.
+  if (!opts.shared_page_table) {
+    for (unsigned p = 0; p < procs; ++p) {
+      for (const auto& seg_pages : snap.pages[p]) {
+        for (const Vpn vpn : seg_pages) {
+          ASSERT_EQ(by_run.page_table(p).PeekAttr(vpn), by_ref.page_table(p).PeekAttr(vpn))
+              << "R/M bits of proc " << p << " vpn " << vpn.raw();
+        }
+      }
+    }
+  }
+  for (std::size_t k = 0; k < obs::kEventKindCount; ++k) {
+    const auto kind = static_cast<obs::EventKind>(k);
+    EXPECT_EQ(run_events.counts()[kind], ref_events.counts()[kind]) << "event kind " << k;
+  }
+  const check::AuditReport run_audit = by_run.AuditAll();
+  const check::AuditReport ref_audit = by_ref.AuditAll();
+  EXPECT_TRUE(run_audit.ok()) << run_audit.Summary();
+  EXPECT_TRUE(ref_audit.ok()) << ref_audit.Summary();
+}
+
+TEST_P(MachineMatrixTest, AccessRunMatchesPerReferenceAccess) {
+  const auto [pt, tlb] = GetParam();
+  if (!CombinationSupported(pt, tlb)) {
+    GTEST_SKIP() << "combination not supported by design";
+  }
+  MachineOptions opts;
+  opts.pt_kind = pt;
+  opts.tlb_kind = tlb;
+  opts.maintain_ref_bits = true;  // Makes each reference's store bit count.
+  opts.audit = true;
+  // compress interleaves two processes, so runs are also cut by timeslices.
+  const auto& spec = workload::GetPaperWorkload("compress");
+  ExpectRunReplayMatchesAccess(spec, opts, 60000, /*traced=*/false);
+  ExpectRunReplayMatchesAccess(spec, opts, 60000, /*traced=*/true);
 }
 
 std::string MatrixName(const ::testing::TestParamInfo<MatrixParam>& info) {
@@ -142,6 +281,15 @@ TEST(SharedTableTest, ProcessesShareOneTableWithoutAliasing) {
   m.Access(0, VaOf(Vpn{0x100}));
   m.Access(1, VaOf(Vpn{0x100}));
   EXPECT_EQ(m.tlb().stats().hits, 2u);
+}
+
+TEST(SharedTableTest, AccessRunMatchesPerReferenceAccess) {
+  MachineOptions opts;
+  opts.pt_kind = PtKind::kClustered;
+  opts.shared_page_table = true;
+  opts.maintain_ref_bits = true;
+  const auto& spec = workload::GetPaperWorkload("compress");
+  ExpectRunReplayMatchesAccess(spec, opts, 60000, /*traced=*/false);
 }
 
 TEST(SharedTableTest, SharedHashedLoadGrowsWithProcessCount) {

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "check/auditor.h"
 #include "common/rng.h"
 #include "mem/phys_mem.h"
 #include "mem/reservation.h"
@@ -210,6 +211,42 @@ TEST(ReservationTest, FullyFreedReservedGroupBecomesFreeAgain) {
   ASSERT_TRUE(g1 && g2);
   EXPECT_TRUE(g1->properly_placed);
   EXPECT_TRUE(g2->properly_placed);
+}
+
+// Groups are granted lowest first, and a group freed back to the pool is
+// granted again before any never-granted one, the last freed first.  The
+// audit sees never-granted groups as free and on the free list.
+TEST(ReservationTest, GrantOrderIsRecycledFirstThenFreshAscending) {
+  ReservationAllocator ra(8 * 4, 4);  // 8 groups of 4 frames.
+  const auto audit_ok = [&ra] {
+    const check::AuditReport report = check::StructuralAuditor::Audit(ra);
+    EXPECT_TRUE(report.ok()) << report.Summary();
+  };
+  const auto group_of_next_grant = [&ra](std::uint64_t key) {
+    const auto grant = ra.Allocate(key, 0);
+    EXPECT_TRUE(grant.has_value());
+    return grant ? grant->ppn.raw() / 4 : ~std::uint64_t{0};
+  };
+  audit_ok();
+  for (std::uint64_t g = 0; g < 4; ++g) {
+    EXPECT_EQ(group_of_next_grant(g), g);
+  }
+  audit_ok();
+  ra.Free(Ppn{1 * 4});
+  ra.Free(Ppn{2 * 4});
+  audit_ok();
+  EXPECT_EQ(group_of_next_grant(10), 2u);
+  EXPECT_EQ(group_of_next_grant(11), 1u);
+  EXPECT_EQ(group_of_next_grant(12), 4u);
+  audit_ok();
+  // Exhaust memory: the remaining groups, then the broken reservations'
+  // spare frames, then nothing.
+  std::uint64_t key = 100;
+  while (ra.Allocate(key++, 0).has_value()) {
+  }
+  EXPECT_EQ(ra.frames_used(), ra.num_frames());
+  EXPECT_GT(ra.reservations_broken(), 0u);
+  audit_ok();
 }
 
 TEST(ReservationTest, PlacementStatsAccumulate) {

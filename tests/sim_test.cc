@@ -2,10 +2,15 @@
 // against structural sizes, experiment plumbing, and report formatting.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
+#include "obs/json_writer.h"
 #include "sim/analytic.h"
 #include "sim/experiments.h"
 #include "sim/machine.h"
 #include "sim/report.h"
+#include "sim/serialize.h"
 #include "workload/workload.h"
 
 namespace cpt::sim {
@@ -134,6 +139,57 @@ TEST(MachineTest, PerProcessPageTablesAreIsolated) {
 // ---------------------------------------------------------------------------
 // Analytic formulae (Table 2) against structural simulation.
 // ---------------------------------------------------------------------------
+
+// Memory pressure: too few frames for the working set, so reservations
+// break and references are dropped.  The run replay of MeasureAccessTime
+// and a per-reference replay must still agree on every count, including
+// the drops, and both must audit clean.
+TEST(MemoryPressureTest, RunReplayMatchesPerReferenceReplayWhenReferencesDrop) {
+  const auto& spec = workload::GetPaperWorkload("compress");
+  const auto snap = workload::BuildSnapshot(spec);
+  constexpr std::uint64_t kRefs = 100000;
+  for (const TlbKind tlb : {TlbKind::kSinglePage, TlbKind::kPartialSubblock,
+                            TlbKind::kCompleteSubblock}) {
+    SCOPED_TRACE(ToString(tlb));
+    MachineOptions opts;
+    opts.pt_kind = PtKind::kClustered;
+    opts.tlb_kind = tlb;
+    opts.phys_frames = snap.TotalPages() / 2;
+    opts.audit = true;
+    const AccessMeasurement m = MeasureAccessTime(spec, opts, kRefs);
+
+    Machine ref(opts, static_cast<unsigned>(spec.processes.size()));
+    ref.Preload(snap);
+    const std::uint64_t preload_faults = ref.TotalPageFaults();
+    const std::uint64_t preload_oom_faults = ref.TotalOomFaults();
+    workload::TraceGenerator gen(spec, snap);
+    for (std::uint64_t i = 0; i < kRefs; ++i) {
+      const auto r = gen.Next();
+      ref.Access(r.asid, r.va, r.is_write);
+    }
+
+    EXPECT_GT(ref.frames().reservations_broken(), 0u);
+    EXPECT_GT(m.oom_faults, 0u) << "the trace must drop references";
+    EXPECT_EQ(m.oom_faults, ref.TotalOomFaults() - preload_oom_faults);
+    EXPECT_EQ(m.page_faults, ref.TotalPageFaults() - preload_faults);
+    EXPECT_EQ(m.denominator_misses, ref.DenominatorMisses());
+    EXPECT_EQ(m.effective_misses, ref.tlb().stats().misses);
+    EXPECT_EQ(m.block_misses, ref.tlb().stats().block_misses);
+    EXPECT_EQ(m.subblock_misses, ref.tlb().stats().subblock_misses);
+    EXPECT_EQ(m.avg_lines_per_miss, ref.AvgLinesPerMiss());
+    EXPECT_EQ(m.audit_defects, 0u) << m.audit_summary;
+    const check::AuditReport audit = ref.AuditAll();
+    EXPECT_TRUE(audit.ok()) << audit.Summary();
+    // The report says references were dropped.
+    std::ostringstream json;
+    {
+      obs::JsonWriter w(json, /*pretty=*/false);
+      ToJson(w, m);
+    }
+    EXPECT_NE(json.str().find("\"oom_faults\":" + std::to_string(m.oom_faults)), std::string::npos)
+        << json.str().substr(0, 300);
+  }
+}
 
 TEST(AnalyticTest, NactiveCountsAlignedRegions) {
   const std::vector<Vpn> mapped = {Vpn{0}, Vpn{1}, Vpn{15}, Vpn{16}, Vpn{100}, Vpn{4096}};

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 namespace cpt::workload {
 namespace {
@@ -167,6 +168,71 @@ TEST(TraceTest, SojournControlsPageChangeRate) {
   const auto fast = page_changes(make(4));
   const auto slow = page_changes(make(64));
   EXPECT_GT(fast, slow * 5);
+}
+
+// How a run stream was cut, for checking that every cut reason occurred.
+struct RunCuts {
+  std::uint64_t full = 0;           // Runs of kMaxRunRefs references.
+  std::uint64_t asid_switches = 0;  // Run boundaries that switch process.
+};
+
+// Expands `n` references of NextRun output, with each run's max_refs taken
+// in turn from `caps`, and checks it against an independent Next() stream:
+// the same asid, page and store bit for every reference, and the exact
+// address for each run's first one.
+RunCuts ExpectRunsMatchNext(const WorkloadSpec& spec, std::uint64_t n,
+                            const std::vector<std::uint64_t>& caps) {
+  const Snapshot snap = BuildSnapshot(spec);
+  TraceGenerator runs(spec, snap);
+  TraceGenerator refs(spec, snap);
+  RunCuts cuts;
+  tlb::Asid last_asid = 0;
+  std::uint64_t done = 0;
+  for (std::size_t k = 0; done < n; ++k) {
+    const std::uint64_t cap = std::min(caps[k % caps.size()], n - done);
+    const Run run = runs.NextRun(cap);
+    EXPECT_GE(run.count, 1u);
+    EXPECT_LE(run.count, std::min<std::uint64_t>(cap, kMaxRunRefs));
+    for (std::uint32_t i = 0; i < run.count; ++i) {
+      const Reference ref = refs.Next();
+      const bool is_write = ((run.writes >> i) & 1) != 0;
+      if (ref.asid != run.asid || VpnOf(ref.va) != VpnOf(run.va) || ref.is_write != is_write ||
+          (i == 0 && ref.va != run.va)) {
+        ADD_FAILURE() << spec.name << ": run " << k << " reference " << i << " (stream position "
+                      << done + i << ") differs from Next()";
+        return cuts;
+      }
+    }
+    if (run.count < kMaxRunRefs) {
+      EXPECT_EQ(run.writes >> run.count, 0u) << "store bits past the run's end";
+    }
+    cuts.full += run.count == kMaxRunRefs;
+    cuts.asid_switches += k > 0 && run.asid != last_asid;
+    last_asid = run.asid;
+    done += run.count;
+  }
+  return cuts;
+}
+
+TEST(TraceRunTest, RunsReproduceTheNextStreamForEveryWorkload) {
+  // Caps mix unbounded runs, single references, and cuts inside a run.
+  const std::vector<std::uint64_t> caps = {1'000'000, 1, 5, 64, 2, 100, 63};
+  std::uint64_t full = 0;
+  for (const char* name : {"coral", "nasa7", "compress", "fftpde", "wave5", "mp3d", "spice",
+                           "pthor", "ml", "gcc"}) {
+    const WorkloadSpec& spec = GetPaperWorkload(name);
+    // gcc's first process runs for a whole share of the default length;
+    // go past it so the stream crosses a sequential-process cut.
+    const std::uint64_t n =
+        spec.sequential_processes ? spec.default_trace_length / spec.processes.size() + 50'000
+                                  : 200'000;
+    const RunCuts cuts = ExpectRunsMatchNext(spec, n, caps);
+    full += cuts.full;
+    if (spec.processes.size() > 1) {
+      EXPECT_GT(cuts.asid_switches, 0u) << name << ": no slice cut was exercised";
+    }
+  }
+  EXPECT_GT(full, 0u) << "no sojourn longer than a run was exercised";
 }
 
 TEST(PaperWorkloadsTest, AllElevenPresent) {
