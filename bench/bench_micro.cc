@@ -37,6 +37,7 @@
 #include "common/rng.h"
 #include "mem/cache_model.h"
 #include "obs/perf.h"
+#include "sim/experiments.h"
 #include "sim/machine.h"
 #include "workload/workload.h"
 
@@ -127,8 +128,11 @@ std::function<void(std::uint64_t, std::uint64_t)> InsertRemoveBody(sim::PtKind k
 }
 
 // Replays coral on a preloaded clustered machine: one Access() call per
-// reference, or (`by_run`) one AccessRun() call per same-page run.
-std::function<void(std::uint64_t, std::uint64_t)> MachineAccessBody(bool by_run) {
+// reference, or (`by_run`) one AccessRun() call per same-page run.  With
+// `collect` the machine publishes to the collect chain, as every --json
+// figure bench does.
+std::function<void(std::uint64_t, std::uint64_t)> MachineAccessBody(bool by_run,
+                                                                   bool collect = false) {
   const auto& spec = workload::GetPaperWorkload("coral");
   // The generator keeps pointers into the snapshot's page lists, so the
   // snapshot must outlive the returned body — share both into the closure.
@@ -137,9 +141,15 @@ std::function<void(std::uint64_t, std::uint64_t)> MachineAccessBody(bool by_run)
   opts.pt_kind = sim::PtKind::kClustered;
   auto machine = std::make_shared<sim::Machine>(opts, 1);
   machine->Preload(*snap);
+  std::shared_ptr<sim::CollectTracers> chain;
+  if (collect) {
+    chain = std::make_shared<sim::CollectTracers>(spec, opts.shared_page_table);
+    machine->AttachTracer(chain->head());
+  }
   auto gen = std::make_shared<workload::TraceGenerator>(spec, *snap);
   auto warmed = std::make_shared<bool>(false);
-  return [machine, gen, snap, warmed, by_run](std::uint64_t iters, std::uint64_t slowdown) {
+  return [machine, chain, gen, snap, warmed, by_run](std::uint64_t iters,
+                                                     std::uint64_t slowdown) {
     auto replay = [&] {
       if (by_run) {
         for (std::uint64_t n = 0; n < iters;) {
@@ -266,8 +276,10 @@ int main(int argc, char** argv) {
   }
   micros.push_back({"machine_access", 1'000'000, [] { return MachineAccessBody(false); }});
   micros.push_back({"machine_access_run", 1'000'000, [] { return MachineAccessBody(true); }});
+  micros.push_back({"machine_access_run_collect", 1'000'000,
+                    [] { return MachineAccessBody(true, /*collect=*/true); }});
 
-  std::printf("%-24s %12s %5s %14s %14s %14s %10s\n", "benchmark", "iters", "reps",
+  std::printf("%-28s %12s %5s %14s %14s %14s %10s\n", "benchmark", "iters", "reps",
               "median ref/s", "best ref/s", "worst ref/s", "ns/op");
   bool ran_any = false;
   for (const Micro& micro : micros) {
@@ -277,7 +289,7 @@ int main(int argc, char** argv) {
     ran_any = true;
     const std::uint64_t iters = env_iters > 0 ? env_iters : micro.default_iters;
     const MicroResult r = RunOne(micro, iters, reps, warmup, slowdown);
-    std::printf("%-24s %12llu %5llu %14.0f %14.0f %14.0f %10.2f\n", r.name.c_str(),
+    std::printf("%-28s %12llu %5llu %14.0f %14.0f %14.0f %10.2f\n", r.name.c_str(),
                 static_cast<unsigned long long>(r.iterations),
                 static_cast<unsigned long long>(r.reps), r.median_refs_per_sec,
                 r.best_refs_per_sec, r.worst_refs_per_sec, r.median_ns_per_op);

@@ -36,6 +36,7 @@ inline void RunFig11(BenchIo& io, const char* title, sim::TlbKind tlb_kind,
   sim::Report report(columns);
 
   const std::uint64_t trace_len = sim::TraceLengthFromEnv(0);
+  bool dropped_refs = false;
   for (const std::string& name : sim::TraceWorkloadNames()) {
     const workload::WorkloadSpec& spec = workload::GetPaperWorkload(name);
     std::vector<std::string> row = {name};
@@ -63,12 +64,16 @@ inline void RunFig11(BenchIo& io, const char* title, sim::TlbKind tlb_kind,
         row.push_back(sim::Report::Num(m.denominator_misses));
         first = false;
       }
-      row.push_back(sim::Report::Fixed(m.avg_lines_per_miss, 2));
+      row.push_back(sim::LinesPerMissCell(m));
+      dropped_refs |= m.oom_faults > 0;
     }
     report.AddRow(std::move(row));
   }
   io.RecordTable(title, report);
   report.Print();
+  if (dropped_refs) {
+    std::printf("%s\n", sim::kDroppedRefsFootnote);
+  }
   std::printf("\n%s\n", expectation);
 }
 

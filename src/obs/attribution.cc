@@ -202,6 +202,21 @@ void AttributionTracer::Record(const WalkEvent& event) {
   }
 }
 
+void AttributionTracer::RecordRepeat(const WalkEvent& event, std::uint64_t n) {
+  if (event.kind != EventKind::kTlbHit || n == 0) {
+    WalkTracer::RecordRepeat(event, n);
+    return;
+  }
+  // A hit is neither a block-prefetch marker nor a walk-protocol event: the
+  // first one commits a pending walk and the rest pass through.
+  if (pending_commit_) {
+    CommitWalk();
+  }
+  if (forward_ != nullptr) {
+    forward_->RecordRepeat(event, n);
+  }
+}
+
 AttributionResult AttributionTracer::Result() {
   if (pending_commit_) {
     CommitWalk();

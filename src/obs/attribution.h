@@ -118,6 +118,9 @@ class AttributionTracer final : public WalkTracer {
       : segments_(segments), forward_(forward) {}
 
   void Record(const WalkEvent& event) override;
+  // O(1) for kTlbHit: only the first hit can commit a pending walk; other
+  // kinds loop.
+  void RecordRepeat(const WalkEvent& event, std::uint64_t n) override;
 
   // Finalizes any walk whose block-prefetch marker is still pending and
   // returns the breakdown.

@@ -42,6 +42,12 @@ std::uint64_t EventCounts::TlbMisses() const {
          (*this)[EventKind::kTlbSubblockMiss];
 }
 
+void WalkTracer::RecordRepeat(const WalkEvent& event, std::uint64_t n) {
+  for (; n > 0; --n) {
+    Record(event);
+  }
+}
+
 RingBufferTracer::RingBufferTracer(std::size_t capacity) : capacity_(capacity) {
   CPT_CHECK(capacity_ > 0);
   buffer_.reserve(capacity_);
@@ -107,6 +113,17 @@ void StatsTracer::Record(const WalkEvent& event) {
   }
   if (forward_ != nullptr) {
     forward_->Record(event);
+  }
+}
+
+void StatsTracer::RecordRepeat(const WalkEvent& event, std::uint64_t n) {
+  if (event.kind != EventKind::kTlbHit) {
+    WalkTracer::RecordRepeat(event, n);
+    return;
+  }
+  counts_[event.kind] += n;
+  if (forward_ != nullptr) {
+    forward_->RecordRepeat(event, n);
   }
 }
 

@@ -21,6 +21,12 @@
 // are never affected either way, so the paper-figure numbers are identical
 // with and without tracing (the bit-identical-output guarantee the benches
 // rely on).
+//
+// Batched events: WalkTracer::RecordRepeat(e, n) publishes `n` copies of one
+// event.  Its effect is exactly that of `n` calls to Record(e), in order; the
+// default implementation is that loop.  Machine::AccessRun uses it for the
+// kTlbHit events of a run's settled tail, and a tracer may override it where
+// a count does the work of the loop (StatsTracer, AttributionTracer).
 #ifndef CPT_OBS_TRACE_H_
 #define CPT_OBS_TRACE_H_
 
@@ -141,6 +147,8 @@ class WalkTracer {
  public:
   virtual ~WalkTracer() = default;
   virtual void Record(const WalkEvent& event) = 0;
+  // Exactly `n` calls to Record(event); overrides must keep that effect.
+  virtual void RecordRepeat(const WalkEvent& event, std::uint64_t n);
 };
 
 // Bounded ring-buffer recorder: keeps the most recent `capacity` events,
@@ -183,9 +191,17 @@ class RingBufferTracer final : public WalkTracer {
 // backing a --trace file).
 class StatsTracer final : public WalkTracer {
  public:
-  explicit StatsTracer(WalkTracer* forward = nullptr) : forward_(forward) {}
+  // Pre-sizes both histograms past any realistic chain length or lines per
+  // walk, as CacheTouchModel does, so a traced steady-state replay never
+  // allocates (the hot-path guard in tests/hotguard_test.cc).
+  explicit StatsTracer(WalkTracer* forward = nullptr) : forward_(forward) {
+    chain_length_.Reserve(64);
+    lines_per_walk_.Reserve(64);
+  }
 
   void Record(const WalkEvent& event) override;
+  // O(1) for kTlbHit, which touches no histogram; other kinds loop.
+  void RecordRepeat(const WalkEvent& event, std::uint64_t n) override;
 
   const EventCounts& counts() const { return counts_; }
   // Chain nodes / tree levels visited per *counted* walk.
@@ -204,6 +220,9 @@ class StatsTracer final : public WalkTracer {
 // Fan-out tracer: forwards every event to each attached downstream tracer,
 // in attachment order.  Null sinks are ignored, so callers can compose
 // optional consumers (ring buffer, Perfetto exporter) without branching.
+// RecordRepeat keeps the per-event default on purpose: sinks may observe
+// one another (IntervalSnapshotter stamps windows with PerfettoExporter's
+// logical clock), so a batch must reach every sink one event at a time.
 class TeeTracer final : public WalkTracer {
  public:
   TeeTracer() = default;

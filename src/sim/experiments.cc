@@ -92,6 +92,12 @@ obs::SegmentMap BuildSegmentMap(const workload::WorkloadSpec& spec, bool shared_
 
 }  // namespace
 
+CollectTracers::CollectTracers(const workload::WorkloadSpec& spec, bool shared_page_table,
+                               obs::WalkTracer* forward)
+    : segments(BuildSegmentMap(spec, shared_page_table)),
+      stats(forward),
+      attribution(&segments, &stats) {}
+
 AccessMeasurement MeasureAccessTime(const workload::WorkloadSpec& spec, MachineOptions opts,
                                     std::uint64_t trace_len, const MeasureHooks& hooks) {
   if (trace_len == 0) {
@@ -127,17 +133,14 @@ AccessMeasurement MeasureAccessTime(const workload::WorkloadSpec& spec, MachineO
   machine.Preload(snapshot);
   const std::uint64_t preload_faults = machine.TotalPageFaults();
   const std::uint64_t preload_oom_faults = machine.TotalOomFaults();
+  const std::uint64_t preload_broken = machine.frames().reservations_broken();
   close_phase("preload", preload_faults, perf.Stop());
 
   // Attach after Preload: events describe the measured trace, not the
-  // preload fault storm.  The chain is machine -> attribution -> histogram
-  // aggregator -> caller's tracer, so one pass feeds the per-dimension
-  // breakdown, the histograms, and a --trace ring buffer together.
-  const obs::SegmentMap segments = BuildSegmentMap(spec, opts.shared_page_table);
-  obs::StatsTracer stats(hooks.tracer);
-  obs::AttributionTracer attribution(&segments, &stats);
+  // preload fault storm.
+  CollectTracers collect(spec, opts.shared_page_table, hooks.tracer);
   if (hooks.collect) {
-    machine.AttachTracer(&attribution);
+    machine.AttachTracer(collect.head());
   } else if (hooks.tracer != nullptr) {
     machine.AttachTracer(hooks.tracer);
   }
@@ -164,6 +167,7 @@ AccessMeasurement MeasureAccessTime(const workload::WorkloadSpec& spec, MachineO
   m.pt_bytes = machine.TotalPtBytesPaperModel();
   m.page_faults = machine.TotalPageFaults() - preload_faults;
   m.oom_faults = machine.TotalOomFaults() - preload_oom_faults;
+  m.reservations_broken = machine.frames().reservations_broken() - preload_broken;
   m.rng_seed = spec.seed;
   m.options = machine.options();
   if (m.wall_seconds > 0.0) {
@@ -172,10 +176,10 @@ AccessMeasurement MeasureAccessTime(const workload::WorkloadSpec& spec, MachineO
   }
   if (hooks.collect) {
     m.telemetry_valid = true;
-    m.chain_length = stats.chain_length();
-    m.lines_per_walk = stats.lines_per_walk();
-    m.events = stats.counts();
-    m.attribution = attribution.Result();
+    m.chain_length = collect.stats.chain_length();
+    m.lines_per_walk = collect.stats.lines_per_walk();
+    m.events = collect.stats.counts();
+    m.attribution = collect.attribution.Result();
   }
   if (opts.audit) {
     const check::AuditReport audit = machine.AuditAll();

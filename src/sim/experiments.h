@@ -79,6 +79,8 @@ struct AccessMeasurement {
   std::uint64_t page_faults = 0;    // Faults during the measured trace.
   // References dropped during the trace because no frame was free.
   std::uint64_t oom_faults = 0;
+  // Reservations broken during the trace to find a free frame.
+  std::uint64_t reservations_broken = 0;
   std::uint64_t rng_seed = 0;       // The workload spec's seed.
   double wall_seconds = 0.0;        // Trace-replay time (excludes preload).
   double refs_per_sec = 0.0;
@@ -106,6 +108,25 @@ struct AccessMeasurement {
 struct MeasureHooks {
   obs::WalkTracer* tracer = nullptr;  // Receives every WalkEvent of the trace.
   bool collect = false;               // Fill the telemetry fields above.
+};
+
+// The tracer chain MeasureHooks::collect attaches to the Machine:
+// attribution -> histogram aggregator -> `forward`, so one pass feeds the
+// per-dimension breakdown, the histograms and a caller's tracer (a --trace
+// ring buffer, say) together.  The segment map covers every spec segment
+// under the VPNs the Machine puts in walk events.
+struct CollectTracers {
+  CollectTracers(const workload::WorkloadSpec& spec, bool shared_page_table,
+                 obs::WalkTracer* forward = nullptr);
+  CollectTracers(const CollectTracers&) = delete;
+  CollectTracers& operator=(const CollectTracers&) = delete;
+
+  // Where a Machine attaches.
+  obs::WalkTracer* head() { return &attribution; }
+
+  obs::SegmentMap segments;
+  obs::StatsTracer stats;
+  obs::AttributionTracer attribution;
 };
 
 // Runs `trace_len` references of the workload's trace on a machine with the

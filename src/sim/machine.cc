@@ -341,12 +341,12 @@ void Machine::AccessRun(tlb::Asid asid, VirtAddr va, std::uint32_t count,
   CPT_DCHECK(count <= workload::kMaxRunRefs);
   const Vpn vpn = VpnOf(EffectiveVa(asid, va));
   // A page is settled once both TLBs memoize it: Access() would then only
-  // re-score a memo hit in each.  Until then a reference can miss, walk,
-  // fault or refill, so it runs in full.  A page dropped for lack of
-  // memory never settles and so takes one Access() per reference.
+  // re-score a memo hit in each and publish one kTlbHit.  Until then a
+  // reference can miss, walk, fault or refill, so it runs in full.  A page
+  // dropped for lack of memory never settles and so takes one Access() per
+  // reference.
   const auto settled = [&] {
-    return tracer_ == nullptr && tlb_->Memoizes(asid, vpn) &&
-           (!ref_tlb_ || ref_tlb_->Memoizes(asid, vpn));
+    return tlb_->Memoizes(asid, vpn) && (!ref_tlb_ || ref_tlb_->Memoizes(asid, vpn));
   };
   std::uint32_t i = 0;
   for (; i < count && !settled(); ++i) {
@@ -356,6 +356,10 @@ void Machine::AccessRun(tlb::Asid asid, VirtAddr va, std::uint32_t count,
     tlb_->ReplayHits(count - i);
     if (ref_tlb_) {
       ref_tlb_->ReplayHits(count - i);
+    }
+    if (tracer_ != nullptr) {
+      tracer_->RecordRepeat({.kind = obs::EventKind::kTlbHit, .asid = asid, .vpn = vpn},
+                            count - i);
     }
   }
 }

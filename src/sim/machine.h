@@ -129,8 +129,10 @@ class Machine {
   // reference i's store bit.  The effect is that of one Access() per
   // reference.  References run through Access() until both the effective
   // and the reference TLB memoize the page; the rest are then certain hits
-  // and are scored in one step (Tlb::ReplayHits).  With a tracer attached
-  // every reference runs through Access(), so each one is still published.
+  // and are scored in one step (Tlb::ReplayHits).  A tracer receives their
+  // kTlbHit events as one WalkTracer::RecordRepeat call, whose contract is
+  // the effect of one Record() per reference, so every consumer sees the
+  // stream Access() would have published.
   CPT_HOT void AccessRun(tlb::Asid asid, VirtAddr va, std::uint32_t count,
                          std::uint64_t writes);
 

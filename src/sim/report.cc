@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "obs/json_writer.h"
+#include "sim/experiments.h"
 
 namespace cpt::sim {
 
@@ -27,6 +28,14 @@ std::string Report::Kb(std::uint64_t bytes) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.0fKB", static_cast<double>(bytes) / 1024.0);
   return buf;
+}
+
+std::string LinesPerMissCell(const AccessMeasurement& m) {
+  std::string cell = Report::Fixed(m.avg_lines_per_miss, 2);
+  if (m.oom_faults > 0) {
+    cell += '*';
+  }
+  return cell;
 }
 
 std::string Report::ToString() const {

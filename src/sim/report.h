@@ -13,6 +13,8 @@ class JsonWriter;
 
 namespace cpt::sim {
 
+struct AccessMeasurement;
+
 class Report {
  public:
   explicit Report(std::vector<std::string> columns);
@@ -35,6 +37,14 @@ class Report {
   std::vector<std::string> columns_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+// A Figure 11 cell: average lines per miss to two decimals, marked with a
+// trailing '*' when the run dropped references for lack of a free frame
+// (AccessMeasurement::oom_faults > 0).  kDroppedRefsFootnote explains the
+// mark under a table that has one.
+std::string LinesPerMissCell(const AccessMeasurement& m);
+inline constexpr const char* kDroppedRefsFootnote =
+    "* the run dropped references for lack of a free frame (oom_faults > 0)";
 
 }  // namespace cpt::sim
 

@@ -79,10 +79,13 @@ void ToJson(obs::JsonWriter& w, const AccessMeasurement& m) {
   w.KV("miss_ratio", m.miss_ratio);
   w.KV("pt_bytes", m.pt_bytes);
   w.KV("page_faults", m.page_faults);
+  // Written only when nonzero, so a run with ample memory keeps the report
+  // shape the committed baselines diff against.
   if (m.oom_faults != 0) {
-    // Written only when references were dropped, so a run with ample
-    // memory keeps the report shape the committed baselines diff against.
     w.KV("oom_faults", m.oom_faults);
+  }
+  if (m.reservations_broken != 0) {
+    w.KV("reservations_broken", m.reservations_broken);
   }
   w.KV("rng_seed", m.rng_seed);
   w.Key("timing");

@@ -11,6 +11,7 @@
 #include <new>
 #include <vector>
 
+#include "collect_chain.h"
 #include "sim/machine.h"
 #include "workload/workload.h"
 
@@ -118,6 +119,36 @@ TEST(HotGuardTest, SteadyStateRunReplayDoesNotAllocate) {
     };
     replay(30000);
     HotPathScope guard("hotguard_test.steady_state_run_replay");
+    replay(30000);
+  }
+}
+
+// The same replay with the collect chain attached (attribution ->
+// histograms -> ring buffer): a settled run tail is one batched kTlbHit,
+// and neither the batch nor the walks between runs may allocate.
+TEST(HotGuardTest, SteadyStateCollectRunReplayDoesNotAllocate) {
+  for (const sim::PtKind pt : {sim::PtKind::kClustered, sim::PtKind::kLinear1}) {
+    SCOPED_TRACE(sim::ToString(pt));
+    sim::MachineOptions opts;
+    opts.pt_kind = pt;
+    const auto& spec = workload::GetPaperWorkload("mp3d");
+    const auto snap = workload::BuildSnapshot(spec);
+    sim::Machine m(opts, 1);
+    m.Preload(snap);
+    testutil::CollectChain chain(spec, opts.shared_page_table, /*ring_capacity=*/4096);
+    m.AttachTracer(chain.head());
+    workload::TraceGenerator gen(spec, snap);
+    const auto replay = [&](std::uint64_t n) {
+      for (std::uint64_t done = 0; done < n;) {
+        const workload::Run run = gen.NextRun(n - done);
+        m.AccessRun(run.asid, run.va, run.count, run.writes);
+        done += run.count;
+      }
+    };
+    // Warm-up fills the ring past a wrap and sizes the histograms.
+    replay(30000);
+    ASSERT_GT(chain.ring.dropped(), 0u);
+    HotPathScope guard("hotguard_test.steady_state_collect_run_replay");
     replay(30000);
   }
 }

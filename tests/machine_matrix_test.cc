@@ -12,6 +12,7 @@
 
 #include "check/audit_visitor.h"
 #include "check/auditor.h"
+#include "collect_chain.h"
 #include "obs/trace.h"
 #include "sim/analytic.h"
 #include "sim/experiments.h"
@@ -128,9 +129,11 @@ double ClassHitFraction(const tlb::Tlb& t, TlbKind kind) {
 // Replays `n` references of `spec` on two fresh machines built from
 // `opts`: one run at a time (NextRun + AccessRun), one reference at a time
 // (Next + Access).  Nothing is preloaded, so pages fault inside runs.  With
-// `traced`, both machines publish to a StatsTracer.  Every simulated count,
-// the TLB's LRU state, the R/M bits of every snapshot page and the
-// per-kind event counts must agree, and both machines must audit clean.
+// `traced`, both machines publish to the collect chain (attribution ->
+// histograms -> ring buffer), so the run path's settled tails go through
+// WalkTracer::RecordRepeat.  Every simulated count, the TLB's LRU state,
+// the R/M bits of every snapshot page and every observable of the chain
+// must agree, and both machines must audit clean.
 void ExpectRunReplayMatchesAccess(const workload::WorkloadSpec& spec, const MachineOptions& opts,
                                   std::uint64_t n, bool traced) {
   SCOPED_TRACE(traced ? "traced" : "untraced");
@@ -138,11 +141,11 @@ void ExpectRunReplayMatchesAccess(const workload::WorkloadSpec& spec, const Mach
   const auto procs = static_cast<unsigned>(spec.processes.size());
   Machine by_run(opts, procs);
   Machine by_ref(opts, procs);
-  obs::StatsTracer run_events;
-  obs::StatsTracer ref_events;
+  testutil::CollectChain run_events(spec, opts.shared_page_table);
+  testutil::CollectChain ref_events(spec, opts.shared_page_table);
   if (traced) {
-    by_run.AttachTracer(&run_events);
-    by_ref.AttachTracer(&ref_events);
+    by_run.AttachTracer(run_events.head());
+    by_ref.AttachTracer(ref_events.head());
   }
   workload::TraceGenerator run_gen(spec, snap);
   for (std::uint64_t done = 0; done < n;) {
@@ -184,9 +187,11 @@ void ExpectRunReplayMatchesAccess(const workload::WorkloadSpec& spec, const Mach
       }
     }
   }
-  for (std::size_t k = 0; k < obs::kEventKindCount; ++k) {
-    const auto kind = static_cast<obs::EventKind>(k);
-    EXPECT_EQ(run_events.counts()[kind], ref_events.counts()[kind]) << "event kind " << k;
+  if (traced) {
+    EXPECT_EQ(run_events.tracers.stats.counts()[obs::EventKind::kTlbHit], b.hits)
+        << "one published hit per reference that hit";
+    EXPECT_EQ(run_events.ring.dropped(), 0u) << "the ring must hold the whole stream";
+    testutil::ExpectSameChain(run_events, ref_events);
   }
   const check::AuditReport run_audit = by_run.AuditAll();
   const check::AuditReport ref_audit = by_ref.AuditAll();
@@ -290,6 +295,7 @@ TEST(SharedTableTest, AccessRunMatchesPerReferenceAccess) {
   opts.maintain_ref_bits = true;
   const auto& spec = workload::GetPaperWorkload("compress");
   ExpectRunReplayMatchesAccess(spec, opts, 60000, /*traced=*/false);
+  ExpectRunReplayMatchesAccess(spec, opts, 60000, /*traced=*/true);
 }
 
 TEST(SharedTableTest, SharedHashedLoadGrowsWithProcessCount) {

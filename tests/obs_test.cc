@@ -5,12 +5,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "collect_chain.h"
 #include "common/stats.h"
+#include "obs/attribution.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
+#include "obs/perfetto.h"
+#include "obs/sharded.h"
+#include "obs/snapshot.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
 #include "sim/machine.h"
@@ -320,6 +327,234 @@ TEST(TimerTest, PhaseProfilerAccumulatesRepeatedPhases) {
   EXPECT_EQ(prof.phases()[1].name, "replay");
   EXPECT_EQ(prof.phases()[1].count, 2u);
   EXPECT_GE(prof.TotalSeconds(), 0.0);
+}
+
+// --- RecordRepeat: the batch contract ------------------------------------
+//
+// RecordRepeat(e, n) must leave every tracer exactly as n calls to
+// Record(e) would.  Each test feeds one tracer the batch and a twin the
+// loop, between the same prefix and suffix, and compares everything the
+// tracer exposes.  The prefix leaves a walk pending commit (kWalkEnd seen),
+// and the suffix opens with a kBlockPrefetch marker: the first repeated
+// hit must commit the walk as an ordinary hit, while with n = 0 the marker
+// still claims it.
+
+constexpr WalkEvent kRepeatedHit{.kind = EventKind::kTlbHit, .asid = 1, .vpn = Vpn{0x40}};
+
+const std::vector<WalkEvent>& RepeatPrefix() {
+  static const std::vector<WalkEvent> prefix = {
+      {.kind = EventKind::kTlbHit, .asid = 1, .vpn = Vpn{0x3f}},
+      {.kind = EventKind::kTlbBlockMiss, .asid = 1, .vpn = Vpn{0x40}},
+      {.kind = EventKind::kWalkStep, .asid = 1, .vpn = Vpn{0x40}, .step = 1, .lines = 1},
+      {.kind = EventKind::kWalkStep, .asid = 1, .vpn = Vpn{0x40}, .step = 2, .lines = 2},
+      {.kind = EventKind::kWalkHit,
+       .asid = 1,
+       .vpn = Vpn{0x40},
+       .step = 2,
+       .value = EncodeWalkHitClass(WalkHitClass::kBase, 0)},
+      {.kind = EventKind::kWalkEnd, .asid = 1, .vpn = Vpn{0x40}, .lines = 2},
+  };
+  return prefix;
+}
+
+const std::vector<WalkEvent>& RepeatSuffix() {
+  static const std::vector<WalkEvent> suffix = {
+      {.kind = EventKind::kBlockPrefetch, .asid = 1, .vpn = Vpn{0x40}, .value = 16},
+      {.kind = EventKind::kTlbMiss, .asid = 1, .vpn = Vpn{0x91}},
+      {.kind = EventKind::kWalkStep, .asid = 1, .vpn = Vpn{0x91}, .step = 1, .lines = 1},
+      {.kind = EventKind::kWalkHit,
+       .asid = 1,
+       .vpn = Vpn{0x91},
+       .step = 1,
+       .value = EncodeWalkHitClass(WalkHitClass::kBase, 0)},
+      {.kind = EventKind::kWalkEnd, .asid = 1, .vpn = Vpn{0x91}, .lines = 1},
+      {.kind = EventKind::kTlbMiss, .asid = 1, .vpn = Vpn{0x92}},
+      {.kind = EventKind::kWalkStep, .asid = 1, .vpn = Vpn{0x92}, .step = 1, .lines = 1},
+      {.kind = EventKind::kWalkAbort, .asid = 1, .vpn = Vpn{0x92}},
+      {.kind = EventKind::kPageFault, .asid = 1, .vpn = Vpn{0x92}},
+      {.kind = EventKind::kWalkStep, .asid = 1, .vpn = Vpn{0x92}, .step = 1, .lines = 1},
+      {.kind = EventKind::kWalkEnd, .asid = 1, .vpn = Vpn{0x92}, .lines = 1},
+      {.kind = EventKind::kTlbHit, .asid = 1, .vpn = Vpn{0x92}},
+  };
+  return suffix;
+}
+
+// Feeds `batched` the prefix, RecordRepeat(event, n) and the suffix, and
+// `looped` the same with n Record(event) calls in the middle.
+void FeedBatchedAndLooped(WalkTracer& batched, WalkTracer& looped, const WalkEvent& event,
+                          std::uint64_t n) {
+  for (const WalkEvent& e : RepeatPrefix()) {
+    batched.Record(e);
+    looped.Record(e);
+  }
+  batched.RecordRepeat(event, n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    looped.Record(event);
+  }
+  for (const WalkEvent& e : RepeatSuffix()) {
+    batched.Record(e);
+    looped.Record(e);
+  }
+}
+
+// Batch sizes: none, one, and more than the small rings below hold.
+constexpr std::uint64_t kRepeatCounts[] = {0, 1, 7};
+
+// A repeated kWalkStep takes the per-event fallback of the O(1) overrides;
+// the suffix's first walk must then count the repeated steps too.
+constexpr WalkEvent kRepeatedStep{
+    .kind = EventKind::kWalkStep, .asid = 1, .vpn = Vpn{0x91}, .step = 1, .lines = 1};
+
+TEST(RecordRepeatTest, StatsTracerMatchesRecordLoop) {
+  for (const WalkEvent& event : {kRepeatedHit, kRepeatedStep}) {
+    for (const std::uint64_t n : kRepeatCounts) {
+      SCOPED_TRACE(std::string(ToString(event.kind)) + " n=" + std::to_string(n));
+      RingBufferTracer batched_ring(64);
+      RingBufferTracer looped_ring(64);
+      StatsTracer batched(&batched_ring);
+      StatsTracer looped(&looped_ring);
+      FeedBatchedAndLooped(batched, looped, event, n);
+      testutil::ExpectSameStats(batched, looped);
+      testutil::ExpectSameRing(batched_ring, looped_ring);
+    }
+  }
+}
+
+TEST(RecordRepeatTest, AttributionTracerMatchesRecordLoop) {
+  SegmentMap segments;
+  segments.Add(1, Vpn{0x00}, Vpn{0x80}, SegmentClass::kHeap);
+  for (const WalkEvent& event : {kRepeatedHit, kRepeatedStep}) {
+    for (const std::uint64_t n : kRepeatCounts) {
+      SCOPED_TRACE(std::string(ToString(event.kind)) + " n=" + std::to_string(n));
+      RingBufferTracer batched_ring(64);
+      RingBufferTracer looped_ring(64);
+      StatsTracer batched_stats(&batched_ring);
+      StatsTracer looped_stats(&looped_ring);
+      AttributionTracer batched(&segments, &batched_stats);
+      AttributionTracer looped(&segments, &looped_stats);
+      FeedBatchedAndLooped(batched, looped, event, n);
+      testutil::ExpectSameAttribution(batched.Result(), looped.Result());
+      testutil::ExpectSameStats(batched_stats, looped_stats);
+      testutil::ExpectSameRing(batched_ring, looped_ring);
+    }
+  }
+  // The pending walk: a repeated hit commits it as a base-page hit at chain
+  // node 2; with no hit in between, the block-prefetch marker claims it.
+  // The suffix adds a hit@1 walk and a faulting walk either way.
+  const auto outcomes = [&](std::uint64_t n) {
+    AttributionTracer attribution(&segments);
+    RingBufferTracer sink(64);
+    FeedBatchedAndLooped(attribution, sink, kRepeatedHit, n);
+    const AttributionResult r = attribution.Result();
+    EXPECT_EQ(r.walks, 3u);
+    std::vector<std::string> labels;
+    for (const AttributionCell& c : r.by_outcome) {
+      labels.push_back(c.label);
+    }
+    return labels;
+  };
+  EXPECT_EQ(outcomes(3), (std::vector<std::string>{"fault", "hit@1", "hit@2"}));
+  EXPECT_EQ(outcomes(0), (std::vector<std::string>{"fault", "prefetch", "hit@1"}));
+}
+
+TEST(RecordRepeatTest, RingBufferTracerMatchesRecordLoopAcrossAWrap) {
+  for (const std::uint64_t n : kRepeatCounts) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    // 6 prefix events + 7 hits + 13 suffix events wrap a 5-slot ring.
+    RingBufferTracer batched(5);
+    RingBufferTracer looped(5);
+    FeedBatchedAndLooped(batched, looped, kRepeatedHit, n);
+    EXPECT_GT(looped.dropped(), 0u);
+    testutil::ExpectSameRing(batched, looped);
+  }
+}
+
+// BenchIo's composition: the snapshotter stamps each closed window with the
+// exporter's logical clock, so the tee must hand a batch to its sinks one
+// event at a time.
+TEST(RecordRepeatTest, TeeTracerMatchesRecordLoop) {
+  for (const std::uint64_t n : kRepeatCounts) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::ostringstream batched_trace;
+    std::ostringstream looped_trace;
+    RingBufferTracer batched_ring(64);
+    RingBufferTracer looped_ring(64);
+    PerfettoExporter batched_perfetto(batched_trace);
+    PerfettoExporter looped_perfetto(looped_trace);
+    IntervalSnapshotter batched_windows(3, nullptr, &batched_perfetto);
+    IntervalSnapshotter looped_windows(3, nullptr, &looped_perfetto);
+    TeeTracer batched{&batched_ring, &batched_perfetto, &batched_windows};
+    TeeTracer looped{&looped_ring, &looped_perfetto, &looped_windows};
+    FeedBatchedAndLooped(batched, looped, kRepeatedHit, n);
+    batched_windows.Finish();
+    looped_windows.Finish();
+    batched_perfetto.Finish();
+    looped_perfetto.Finish();
+    testutil::ExpectSameRing(batched_ring, looped_ring);
+    EXPECT_EQ(batched_trace.str(), looped_trace.str());
+    std::ostringstream a;
+    std::ostringstream b;
+    batched_windows.WriteJsonl(a);
+    looped_windows.WriteJsonl(b);
+    EXPECT_EQ(a.str(), b.str());
+  }
+}
+
+TEST(RecordRepeatTest, IntervalSnapshotterMatchesRecordLoopAcrossAWindowBoundary) {
+  for (const std::uint64_t n : kRepeatCounts) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    // 3-reference windows: the prefix holds two references, so the batch
+    // closes a window part way through.
+    IntervalSnapshotter batched(3);
+    IntervalSnapshotter looped(3);
+    FeedBatchedAndLooped(batched, looped, kRepeatedHit, n);
+    batched.Finish();
+    looped.Finish();
+    EXPECT_EQ(batched.total_refs(), looped.total_refs());
+    EXPECT_EQ(batched.windows().size(), looped.windows().size());
+    std::ostringstream a;
+    std::ostringstream b;
+    batched.WriteJsonl(a);
+    looped.WriteJsonl(b);
+    EXPECT_EQ(a.str(), b.str());
+  }
+}
+
+TEST(RecordRepeatTest, PerfettoExporterMatchesRecordLoop) {
+  for (const bool include_hits : {false, true}) {
+    for (const std::uint64_t n : kRepeatCounts) {
+      SCOPED_TRACE(std::string(include_hits ? "hits" : "no hits") + " n=" + std::to_string(n));
+      PerfettoExporter::Options opts;
+      opts.include_hits = include_hits;
+      opts.counter_interval = 1;
+      std::ostringstream a;
+      std::ostringstream b;
+      {
+        PerfettoExporter batched(a, opts);
+        PerfettoExporter looped(b, opts);
+        FeedBatchedAndLooped(batched, looped, kRepeatedHit, n);
+        batched.Finish();
+        looped.Finish();
+        EXPECT_EQ(batched.events_written(), looped.events_written());
+      }
+      EXPECT_EQ(a.str(), b.str());
+    }
+  }
+}
+
+TEST(RecordRepeatTest, ShardTracerMatchesRecordLoop) {
+  for (const std::uint64_t n : kRepeatCounts) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    ShardedTraceBuffer batched(2, 8);
+    ShardedTraceBuffer looped(2, 8);
+    batched.shard(1).BeginRef(5);
+    looped.shard(1).BeginRef(5);
+    FeedBatchedAndLooped(batched.shard(1), looped.shard(1), kRepeatedHit, n);
+    EXPECT_EQ(batched.TotalRecorded(), looped.TotalRecorded());
+    EXPECT_EQ(batched.TotalDropped(), looped.TotalDropped());
+    testutil::ExpectSameCounts(batched.MergedCounts(), looped.MergedCounts());
+    testutil::ExpectSameEvents(batched.MergedEvents(), looped.MergedEvents());
+  }
 }
 
 // --- Machine integration -------------------------------------------------

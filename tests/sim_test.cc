@@ -4,8 +4,11 @@
 
 #include <sstream>
 #include <string>
+#include <tuple>
 
+#include "collect_chain.h"
 #include "obs/json_writer.h"
+#include "obs/trace.h"
 #include "sim/analytic.h"
 #include "sim/experiments.h"
 #include "sim/machine.h"
@@ -136,6 +139,51 @@ TEST(MachineTest, PerProcessPageTablesAreIsolated) {
   EXPECT_EQ(m.page_table(1).live_translations(), 1u);
 }
 
+// Collect mode replays the trace run by run, so each run's settled tail
+// reaches the tracer chain as one batched kTlbHit (RecordRepeat).  Its
+// telemetry must equal a per-reference Access replay carrying the same
+// chain: attribution, both histograms, event counts and the event stream.
+TEST(MeasureAccessTimeTest, CollectMatchesPerReferenceReplay) {
+  constexpr std::uint64_t kRefs = 100000;
+  for (const auto& [name, pt, tlb] :
+       {std::tuple{"compress", PtKind::kClustered, TlbKind::kSinglePage},
+        std::tuple{"mp3d", PtKind::kLinear1, TlbKind::kSinglePage},
+        std::tuple{"nasa7", PtKind::kHashedMulti, TlbKind::kSuperpage},
+        std::tuple{"gcc", PtKind::kClustered, TlbKind::kCompleteSubblock}}) {
+    SCOPED_TRACE(std::string(name) + " " + ToString(pt) + " " + ToString(tlb));
+    const auto& spec = workload::GetPaperWorkload(name);
+    MachineOptions opts;
+    opts.pt_kind = pt;
+    opts.tlb_kind = tlb;
+    obs::RingBufferTracer run_ring(1 << 18);
+    const AccessMeasurement m =
+        MeasureAccessTime(spec, opts, kRefs, {.tracer = &run_ring, .collect = true});
+    ASSERT_TRUE(m.telemetry_valid);
+
+    const auto snap = workload::BuildSnapshot(spec);
+    Machine ref(opts, static_cast<unsigned>(spec.processes.size()));
+    ref.Preload(snap);
+    testutil::CollectChain chain(spec, opts.shared_page_table);
+    ref.AttachTracer(chain.head());
+    workload::TraceGenerator gen(spec, snap);
+    for (std::uint64_t i = 0; i < kRefs; ++i) {
+      const auto r = gen.Next();
+      ref.Access(r.asid, r.va, r.is_write);
+    }
+
+    EXPECT_EQ(m.denominator_misses, ref.DenominatorMisses());
+    EXPECT_EQ(m.effective_misses, ref.tlb().stats().misses);
+    EXPECT_EQ(m.avg_lines_per_miss, ref.AvgLinesPerMiss());
+    EXPECT_GT(m.attribution.walks, 0u);
+    testutil::ExpectSameAttribution(m.attribution, chain.tracers.attribution.Result());
+    testutil::ExpectSameHistogram(m.chain_length, chain.tracers.stats.chain_length());
+    testutil::ExpectSameHistogram(m.lines_per_walk, chain.tracers.stats.lines_per_walk());
+    testutil::ExpectSameCounts(m.events, chain.tracers.stats.counts());
+    EXPECT_EQ(run_ring.dropped(), 0u) << "the ring must hold the whole stream";
+    testutil::ExpectSameRing(run_ring, chain.ring);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Analytic formulae (Table 2) against structural simulation.
 // ---------------------------------------------------------------------------
@@ -143,7 +191,9 @@ TEST(MachineTest, PerProcessPageTablesAreIsolated) {
 // Memory pressure: too few frames for the working set, so reservations
 // break and references are dropped.  The run replay of MeasureAccessTime
 // and a per-reference replay must still agree on every count, including
-// the drops, and both must audit clean.
+// the drops, and both must audit clean.  The report says so: the JSON
+// carries oom_faults (and reservations_broken, when nonzero), and the
+// Figure 11 cell is marked.
 TEST(MemoryPressureTest, RunReplayMatchesPerReferenceReplayWhenReferencesDrop) {
   const auto& spec = workload::GetPaperWorkload("compress");
   const auto snap = workload::BuildSnapshot(spec);
@@ -162,6 +212,7 @@ TEST(MemoryPressureTest, RunReplayMatchesPerReferenceReplayWhenReferencesDrop) {
     ref.Preload(snap);
     const std::uint64_t preload_faults = ref.TotalPageFaults();
     const std::uint64_t preload_oom_faults = ref.TotalOomFaults();
+    const std::uint64_t preload_broken = ref.frames().reservations_broken();
     workload::TraceGenerator gen(spec, snap);
     for (std::uint64_t i = 0; i < kRefs; ++i) {
       const auto r = gen.Next();
@@ -171,6 +222,10 @@ TEST(MemoryPressureTest, RunReplayMatchesPerReferenceReplayWhenReferencesDrop) {
     EXPECT_GT(ref.frames().reservations_broken(), 0u);
     EXPECT_GT(m.oom_faults, 0u) << "the trace must drop references";
     EXPECT_EQ(m.oom_faults, ref.TotalOomFaults() - preload_oom_faults);
+    EXPECT_EQ(m.reservations_broken, ref.frames().reservations_broken() - preload_broken);
+    // Every steal happens in Preload: a fault finds no frame only once no
+    // reservation is left to break, and the trace frees no frame.
+    EXPECT_EQ(m.reservations_broken, 0u);
     EXPECT_EQ(m.page_faults, ref.TotalPageFaults() - preload_faults);
     EXPECT_EQ(m.denominator_misses, ref.DenominatorMisses());
     EXPECT_EQ(m.effective_misses, ref.tlb().stats().misses);
@@ -188,6 +243,21 @@ TEST(MemoryPressureTest, RunReplayMatchesPerReferenceReplayWhenReferencesDrop) {
     }
     EXPECT_NE(json.str().find("\"oom_faults\":" + std::to_string(m.oom_faults)), std::string::npos)
         << json.str().substr(0, 300);
+    EXPECT_EQ(json.str().find("reservations_broken"), std::string::npos)
+        << "written only when nonzero";
+    AccessMeasurement stolen = m;
+    stolen.reservations_broken = 3;
+    std::ostringstream stolen_json;
+    {
+      obs::JsonWriter w(stolen_json, /*pretty=*/false);
+      ToJson(w, stolen);
+    }
+    EXPECT_NE(stolen_json.str().find("\"reservations_broken\":3"), std::string::npos);
+    // The Figure 11 cell is marked.
+    EXPECT_EQ(LinesPerMissCell(m), Report::Fixed(m.avg_lines_per_miss, 2) + "*");
+    AccessMeasurement clean = m;
+    clean.oom_faults = 0;
+    EXPECT_EQ(LinesPerMissCell(clean), Report::Fixed(m.avg_lines_per_miss, 2));
   }
 }
 
