@@ -26,13 +26,8 @@
 // measurement, and per-measurement "timing" blocks gain per-phase host
 // samples.  v1 consumers must re-pin baselines.
 //
-// Schema v3: every JSON report additionally carries a bench-wide
-// "concurrency" section — the ContentionRegistry dump (named lock sites
-// with acquisition/contended counters, per-stripe heat maps, and wait-time
-// histograms when CPT_CONTENTION_TIMING is set; see obs/contention.h) and
-// machine options gain "lock_stripes".  Contention values are host-
-// dependent, so tools/bench_diff.py treats the section as non-drift, like
-// "timing" and "host_perf".  v2 consumers must re-pin baselines.
+// Schema v4: drops v3's "concurrency" section (lock-contention sites) and
+// its lock-stripe machine option, which leaves the v2 layout.
 //
 // Error handling: an unopenable path, a malformed flag, or a stream that
 // goes bad while writing all terminate the bench with a nonzero exit and a
@@ -49,7 +44,6 @@
 #include <string_view>
 
 #include "obs/attribution.h"
-#include "obs/contention.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/perf.h"
@@ -65,8 +59,9 @@ namespace cpt::bench {
 // Version of the JSON document layout; bump on breaking schema changes.
 // tools/check_bench_json.py validates against this.
 // v2: host_perf + throughput sections, timing.phases, timeseries sidecar.
-// v3: concurrency section (lock-contention sites), options.lock_stripes.
-inline constexpr std::uint64_t kBenchSchemaVersion = 3;
+// v3: concurrency section (lock-contention sites) and a lock-stripe option.
+// v4: both v3 additions removed.
+inline constexpr std::uint64_t kBenchSchemaVersion = 4;
 
 // Default time-series window width, in simulated references.
 inline constexpr std::uint64_t kDefaultTimeseriesWindow = 8192;
@@ -210,10 +205,6 @@ class BenchIo {
         writer_->KV("windows", timeseries_windows_);
         writer_->EndObject();
       }
-      // Lock-contention sites (live + retired — machines destroyed before
-      // this destructor still contribute their final counts).
-      writer_->Key("concurrency");
-      obs::ContentionRegistry::Global().ToJson(*writer_);
       writer_->EndObject();
       json_os_ << '\n';
       json_os_.flush();

@@ -59,8 +59,7 @@ class TestBackdoor {
   // base_vpn >> tag_shift no longer matches the node's key — the
   // "misaligned tag" defect.
   static bool CorruptHashedBaseVpn(pt::HashedPageTable& table) {
-    for (const auto& bucket : table.buckets_) {
-      const std::int32_t head = bucket.load_relaxed();
+    for (const std::int32_t head : table.buckets_) {
       if (head == pt::HashedPageTable::kNil) {
         continue;
       }

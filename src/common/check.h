@@ -12,6 +12,12 @@
 //                                paths (per-access, per-fault) where the
 //                                branch itself would show up in benches.
 //
+// NDEBUG is never defined in this repo's builds: both CMakeLists.txt and
+// perfbench/CMakeLists.txt strip -DNDEBUG from every build type, so DCHECKs
+// are live in tests, benches and perfbench alike.  A build that compiles
+// them out for committed throughput numbers is ROADMAP item 1's "Bench
+// build" note (a `bench` preset with NDEBUG); it does not exist yet.
+//
 // A failed check prints the expression, location, and message to stderr and
 // aborts, so sanitizer builds and CI get a deterministic, loud failure
 // instead of silently corrupt measurements.

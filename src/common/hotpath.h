@@ -22,8 +22,8 @@
 // The lint traversal stops at CPT_COLD functions, and [[gnu::cold]] keeps
 // their code out of the hot text pages.
 //
-// Like CPT_SHARED (sync.h), the linter keys on the unexpanded token, so
-// the annotations mean the same thing under every compiler.
+// The linter keys on the unexpanded token, so the annotations mean the same
+// thing under every compiler.
 #ifndef CPT_COMMON_HOTPATH_H_
 #define CPT_COMMON_HOTPATH_H_
 
@@ -46,11 +46,10 @@
 #define CPT_CACHE_LINE 64
 
 // Marks a type (or member) whose instances are written by different
-// threads — per-stripe locks, per-shard telemetry slots — so adjacent
-// elements land on distinct destructive-interference lines instead of
-// ping-ponging one line between cores.  The false-sharing lint rule
-// demands this on per-stripe/per-shard element types; the layout ledger
-// records the resulting size so the cost stays visible.
+// threads, so adjacent elements land on distinct destructive-interference
+// lines instead of ping-ponging one line between cores.  The false-sharing
+// lint rule demands this on per-stripe/per-shard element types; the
+// simulator is single-writer and has none today.
 #define CPT_CACHE_ALIGNED alignas(CPT_CACHE_LINE)
 
 #endif  // CPT_COMMON_HOTPATH_H_

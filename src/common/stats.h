@@ -29,8 +29,8 @@ class RunningStats {
   // combine).  Equivalent to having Add()ed the other stream's samples here,
   // up to floating-point rounding: counts and sums are exact, mean/m2 use the
   // pairwise update so variance stays stable even when the two streams have
-  // very different magnitudes.  Merging per-shard stats in shard-index order
-  // yields a deterministic result for a deterministic per-shard input.
+  // very different magnitudes.  Merging partial streams in a fixed order
+  // yields a deterministic result for deterministic inputs.
   void Merge(const RunningStats& other);
 
   std::uint64_t count() const { return n_; }

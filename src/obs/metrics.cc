@@ -50,26 +50,6 @@ RunningStats& MetricRegistry::Stats(std::string_view name, const Labels& labels)
   return Intern(name, labels, Type::kStats).stats;
 }
 
-void MetricRegistry::MergeFrom(const MetricRegistry& other) {
-  for (const auto& [key, src] : other.instruments_) {
-    Instrument& dst = Intern(src.name, src.labels, src.type);
-    switch (src.type) {
-      case Type::kCounter:
-        dst.counter += src.counter;
-        break;
-      case Type::kGauge:
-        dst.gauge = src.gauge;
-        break;
-      case Type::kHisto:
-        dst.histo.Merge(src.histo);
-        break;
-      case Type::kStats:
-        dst.stats.Merge(src.stats);
-        break;
-    }
-  }
-}
-
 void MetricRegistry::ToJson(JsonWriter& w) const {
   w.BeginArray();
   for (const auto& [key, inst] : instruments_) {

@@ -21,17 +21,13 @@
 #include <utility>
 #include <vector>
 
-#include "common/hotpath.h"
 #include "common/stats.h"
 
 namespace cpt::obs {
 
 class JsonWriter;
 
-// Cache-aligned: ShardedMetricRegistry hands each worker thread its own
-// registry, and each shard's hot counters must not share a
-// destructive-interference line with a neighboring shard's.
-class CPT_CACHE_ALIGNED MetricRegistry {
+class MetricRegistry {
  public:
   using Labels = std::vector<std::pair<std::string, std::string>>;
 
@@ -42,13 +38,6 @@ class CPT_CACHE_ALIGNED MetricRegistry {
 
   std::size_t size() const { return instruments_.size(); }
   bool empty() const { return instruments_.empty(); }
-
-  // Folds `other` into this registry instrument-by-instrument: counters sum,
-  // histograms and stats Merge, gauges take `other`'s value (last writer
-  // wins, so folding shards in index order is deterministic).  Instruments
-  // only present in `other` are interned here; re-merging the same name with
-  // a different type trips a CPT_CHECK.
-  void MergeFrom(const MetricRegistry& other);
 
   // Visits every counter instrument in dump order (name, labels, value).
   // Used by IntervalSnapshotter to delta-sample a registry at window

@@ -1,9 +1,9 @@
 // Host-performance counters: where the *simulator's own* cycles go.
 //
 // The paper's metrics are simulated cache lines; the ROADMAP's speed work
-// (parallel replay shards, the 10x refs/sec hot-path overhaul) needs the
-// other half — host cycles, instructions, LLC misses, dTLB misses — so a
-// claimed win is measurable and a regression is gateable.  HostPerfCounters
+// (the refs/sec hot-path overhaul) needs the other half — host cycles,
+// instructions, LLC misses, dTLB misses — so a claimed win is measurable
+// and a regression is gateable.  HostPerfCounters
 // opens one perf_event counter group over the calling thread and brackets a
 // region with Start()/Stop(); each Stop() returns a HostPerfSample holding
 // the counter deltas plus getrusage/wall-clock deltas.

@@ -1,7 +1,5 @@
 #include "obs/perfetto.h"
 
-#include <string>
-
 #include "common/check.h"
 #include "obs/json_writer.h"
 
@@ -15,37 +13,13 @@ PerfettoExporter::PerfettoExporter(std::ostream& os, Options opts)
   writer_->Key("traceEvents");
   writer_->BeginArray();
   EmitMeta("process_name", 0, "cpt-sim");
-  EnsureShardTracks(0);
-}
-
-void PerfettoExporter::EnsureShardTracks(std::uint16_t shard) {
-  if (shard < shard_announced_.size() && shard_announced_[shard]) {
-    return;
-  }
-  if (shard >= shard_announced_.size()) {
-    shard_announced_.resize(shard + 1, false);
-  }
-  shard_announced_[shard] = true;
-  // Shard 0 keeps the original bare names so single-threaded traces are
-  // unchanged; other shards get a suffixed copy of each track.
-  const std::string suffix = shard == 0 ? "" : " (shard " + std::to_string(shard) + ")";
-  EmitMeta("thread_name", Tid(shard, kTrackTlb), "TLB" + suffix);
-  EmitMeta("thread_name", Tid(shard, kTrackWalk), "PT walk" + suffix);
-  EmitMeta("thread_name", Tid(shard, kTrackOs), "OS" + suffix);
-  EmitMeta("thread_name", Tid(shard, kTrackAllocator), "allocator" + suffix);
-  EmitMeta("thread_name", Tid(shard, kTrackSwTlb), "softTLB" + suffix);
-  if (shard == 0) {
-    // Sections and timeseries are run-global; they exist once.
-    EmitMeta("thread_name", Tid(0, kTrackSections), "sections");
-    EmitMeta("thread_name", Tid(0, kTrackTimeseries), "timeseries");
-  }
-}
-
-PerfettoExporter::WalkState& PerfettoExporter::WalkStateFor(std::uint16_t shard) {
-  if (shard >= walk_.size()) {
-    walk_.resize(shard + 1);
-  }
-  return walk_[shard];
+  EmitMeta("thread_name", kTrackTlb, "TLB");
+  EmitMeta("thread_name", kTrackWalk, "PT walk");
+  EmitMeta("thread_name", kTrackOs, "OS");
+  EmitMeta("thread_name", kTrackAllocator, "allocator");
+  EmitMeta("thread_name", kTrackSwTlb, "softTLB");
+  EmitMeta("thread_name", kTrackSections, "sections");
+  EmitMeta("thread_name", kTrackTimeseries, "timeseries");
 }
 
 PerfettoExporter::~PerfettoExporter() { Finish(); }
@@ -160,13 +134,10 @@ void PerfettoExporter::BeginSection(std::string_view label) {
 void PerfettoExporter::Record(const WalkEvent& event) {
   CPT_CHECK(!finished_);
   ++now_;
-  const std::uint16_t shard = event.shard;
-  EnsureShardTracks(shard);
-  WalkState& walk = WalkStateFor(shard);
   switch (event.kind) {
     case EventKind::kTlbHit:
       if (opts_.include_hits) {
-        Instant("tlb_hit", Tid(shard, kTrackTlb));
+        Instant("tlb_hit", kTrackTlb);
       }
       break;
 
@@ -174,46 +145,46 @@ void PerfettoExporter::Record(const WalkEvent& event) {
     case EventKind::kTlbBlockMiss:
     case EventKind::kTlbSubblockMiss:
       ++misses_;
-      Instant(ToString(event.kind), Tid(shard, kTrackTlb));
-      walk.open = true;
-      walk.faulted = false;
-      walk.start = now_;
-      walk.vpn = event.vpn;
-      walk.steps = 0;
+      Instant(ToString(event.kind), kTrackTlb);
+      walk_.open = true;
+      walk_.faulted = false;
+      walk_.start = now_;
+      walk_.vpn = event.vpn;
+      walk_.steps = 0;
       break;
 
     case EventKind::kWalkStep:
-      if (walk.open) {
-        ++walk.steps;
+      if (walk_.open) {
+        ++walk_.steps;
       }
       break;
 
     case EventKind::kWalkHit:
-      break;  // Folded into the slice args via walk.steps.
+      break;  // Folded into the slice args via walk_.steps.
 
     case EventKind::kWalkAbort:
-      if (walk.open) {
-        walk.faulted = true;
+      if (walk_.open) {
+        walk_.faulted = true;
       }
       break;
 
     case EventKind::kWalkEnd: {
-      if (!walk.open) {
+      if (!walk_.open) {
         break;
       }
-      walk.open = false;
+      walk_.open = false;
       lines_ += event.lines;
       ++walks_;
       if (Budget()) {
-        BeginEvent("X", walk.faulted ? "walk+fault" : "walk", Tid(shard, kTrackWalk),
-                   walk.start);
-        writer_->KV("dur", now_ - walk.start + 1);
+        BeginEvent("X", walk_.faulted ? "walk+fault" : "walk", kTrackWalk,
+                   walk_.start);
+        writer_->KV("dur", now_ - walk_.start + 1);
         writer_->Key("args");
         writer_->BeginObject();
-        writer_->KV("vpn", walk.vpn);
-        writer_->KV("steps", std::uint64_t{walk.steps});
+        writer_->KV("vpn", walk_.vpn);
+        writer_->KV("steps", std::uint64_t{walk_.steps});
         writer_->KV("lines", std::uint64_t{event.lines});
-        writer_->KV("faulted", walk.faulted);
+        writer_->KV("faulted", walk_.faulted);
         writer_->EndObject();
         EndEvent();
         ++events_written_;
@@ -225,22 +196,22 @@ void PerfettoExporter::Record(const WalkEvent& event) {
     }
 
     case EventKind::kPageFault:
-      Instant("page_fault", Tid(shard, kTrackOs));
+      Instant("page_fault", kTrackOs);
       break;
     case EventKind::kPtePromotion:
-      Instant("pte_promotion", Tid(shard, kTrackOs));
+      Instant("pte_promotion", kTrackOs);
       break;
     case EventKind::kBlockPrefetch:
-      Instant("block_prefetch", Tid(shard, kTrackTlb));
+      Instant("block_prefetch", kTrackTlb);
       break;
     case EventKind::kReservationGrant:
-      Instant(event.value != 0 ? "grant" : "grant_misplaced", Tid(shard, kTrackAllocator));
+      Instant(event.value != 0 ? "grant" : "grant_misplaced", kTrackAllocator);
       break;
     case EventKind::kSwTlbHit:
-      Instant("swtlb_hit", Tid(shard, kTrackSwTlb));
+      Instant("swtlb_hit", kTrackSwTlb);
       break;
     case EventKind::kSwTlbMiss:
-      Instant("swtlb_miss", Tid(shard, kTrackSwTlb));
+      Instant("swtlb_miss", kTrackSwTlb);
       break;
   }
 }

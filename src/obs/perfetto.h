@@ -31,7 +31,6 @@
 #include <ostream>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "obs/trace.h"
 
@@ -78,13 +77,7 @@ class PerfettoExporter final : public WalkTracer {
   std::uint64_t events_dropped() const { return events_dropped_; }
 
  private:
-  // Track (thread) ids within the single trace process.  These are shard 0's
-  // ids; shard `s` (WalkEvent::shard, stamped by ShardedTraceBuffer) gets
-  // its own parallel set of tracks at `s * kTrackStride + Track`, named
-  // lazily on the shard's first event — so a merged multi-thread trace
-  // renders one track group per shard instead of interleaving every shard's
-  // walks on one timeline, and a single-threaded trace (shard 0 only) is
-  // unchanged.
+  // Track (thread) ids within the single trace process.
   enum Track : std::uint32_t {
     kTrackTlb = 1,
     kTrackWalk = 2,
@@ -94,10 +87,8 @@ class PerfettoExporter final : public WalkTracer {
     kTrackSections = 6,
     kTrackTimeseries = 7,
   };
-  static constexpr std::uint32_t kTrackStride = 8;
 
-  // Per-shard open-walk slice state (walks from different shards overlap in
-  // a merged stream; each shard's slice must pair with its own boundaries).
+  // The open walk slice, from its miss to its kWalkEnd.
   struct WalkState {
     bool open = false;
     bool faulted = false;
@@ -105,13 +96,6 @@ class PerfettoExporter final : public WalkTracer {
     Vpn vpn{};
     std::uint32_t steps = 0;
   };
-
-  std::uint32_t Tid(std::uint16_t shard, Track track) const {
-    return shard * kTrackStride + static_cast<std::uint32_t>(track);
-  }
-  // Emits the thread_name metadata for a shard's tracks on first sight.
-  void EnsureShardTracks(std::uint16_t shard);
-  WalkState& WalkStateFor(std::uint16_t shard);
 
   bool Budget();  // True if another event fits under max_events.
   void EmitMeta(std::string_view name, std::uint32_t tid, std::string_view value);
@@ -129,13 +113,9 @@ class PerfettoExporter final : public WalkTracer {
   std::uint64_t events_written_ = 0;
   std::uint64_t events_dropped_ = 0;
 
-  // Exporter state is single-threaded (merge-time), so the packed
-  // vector<bool> cannot false-share across workers.
-  std::vector<bool> shard_announced_;  // cpt-lint: allow(false-sharing)
-  std::vector<WalkState> walk_;        // [shard] -> open-walk slice state.
+  WalkState walk_;
 
-  // Counter-track accumulators (aggregated across shards; sampled on shard
-  // 0's TLB track).
+  // Counter-track accumulators, sampled on the TLB track.
   std::uint64_t misses_ = 0;
   std::uint64_t lines_ = 0;
   std::uint64_t walks_ = 0;

@@ -131,10 +131,6 @@ void EventToJson(std::ostream& os, const WalkEvent& event) {
   JsonWriter w(os, /*pretty=*/false);
   w.BeginObject();
   w.KV("kind", ToString(event.kind));
-  if (event.shard != 0) {
-    // Only multi-shard runs carry the field; see WalkEvent::shard.
-    w.KV("shard", std::uint64_t{event.shard});
-  }
   w.KV("asid", std::uint64_t{event.asid});
   w.KV("vpn", event.vpn);
   if (event.kind == EventKind::kWalkStep || event.kind == EventKind::kWalkHit) {

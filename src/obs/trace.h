@@ -116,11 +116,6 @@ constexpr unsigned WalkHitPagesLog2Of(std::uint64_t value) {
 
 struct WalkEvent {
   EventKind kind = EventKind::kTlbHit;
-  std::uint16_t shard = 0;  // Replay shard that emitted the event (0 in
-                            // single-threaded runs; stamped by
-                            // ShardedTraceBuffer).  Omitted from the wire
-                            // format when 0, so single-threaded traces are
-                            // byte-identical to the pre-shard format.
   std::uint16_t asid = 0;   // Process id where the publisher knows it.
   Vpn vpn{};                // Faulting/affected virtual page number.
                             // (kReservationGrant reuses the slot for the

@@ -36,32 +36,22 @@ HashedPageTable::HashedPageTable(mem::CacheTouchModel& cache, Options opts)
       bucket_stride_(opts.inverted ? 8 : std::bit_ceil<std::uint64_t>(opts.packed_pte ? 16 : 24)),
       alloc_(cache.line_size(), opts.placement),
       bucket_base_(alloc_.Allocate(std::uint64_t{opts.num_buckets} * bucket_stride_)),
-      buckets_(opts.num_buckets, AtomicCell<std::int32_t>{kNil}),
-      stripes_(opts.lock_stripes),
-      alloc_site_(opts.inverted ? "pt.hashed_inverted.alloc" : "pt.hashed.alloc", &alloc_mu_),
-      stripe_site_(opts.inverted ? "pt.hashed_inverted.stripes" : "pt.hashed.stripes",
-                   &stripes_) {
+      buckets_(opts.num_buckets, kNil) {
   CPT_CHECK(IsPowerOfTwo(opts.num_buckets));
-  if (!stripes_.empty()) {
-    // Lock-free walkers hold pointers into the arena across stripe-locked
-    // inserts, so the backing store must never reallocate (header comment).
-    arena_.reserve(opts_.striped_node_capacity);
-  }
 }
 
 HashedPageTable::~HashedPageTable() = default;
 
 std::int32_t HashedPageTable::AllocNode() {
-  // hot-lock: bounded critical section — a free-list pop or an arena bump,
-  // no I/O, no nested locks; contended only during concurrent inserts.
-  MutexLock lock(alloc_mu_);
   std::int32_t idx;
   if (!free_nodes_.empty()) {
     idx = free_nodes_.back();
     free_nodes_.pop_back();
   } else {
-    CPT_CHECK(stripes_.empty() || arena_.size() < arena_.capacity(),
-              "striped arena exhausted: raise Options::striped_node_capacity");
+    // Fault path only: a node is created when a key is first inserted.  The
+    // hot traversal reaches this through PageTable::UpdateAttrFlags's
+    // rewrite, which replaces an existing node and never allocates.
+    // cpt-lint: allow(hot-no-alloc)
     arena_.push_back(Node{});
     idx = static_cast<std::int32_t>(arena_.size() - 1);
   }
@@ -70,7 +60,6 @@ std::int32_t HashedPageTable::AllocNode() {
 }
 
 void HashedPageTable::FreeNode(std::int32_t idx) {
-  MutexLock lock(alloc_mu_);
   alloc_.Free(arena_[idx].addr, NodeBytes());
   arena_[idx] = Node{};
   free_nodes_.push_back(idx);
@@ -104,7 +93,7 @@ std::optional<TlbFill> HashedPageTable::LookupKey(std::uint64_t key, Vpn faultin
   std::uint32_t chain_pos = 0;
   obs::WalkTracer* const tracer = cache_.tracer();
   cache_.Touch(BucketAddr(b), opts_.inverted ? 8 : TagNextBytes());
-  for (std::int32_t idx = buckets_[b].load_acquire(); idx != kNil; idx = arena_[idx].next) {
+  for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
     const Node& n = arena_[idx];
     const PhysAddr addr = (head && !opts_.inverted) ? BucketAddr(b) : n.addr;
     // The handler reads the tag and next pointer of every node it visits.
@@ -143,32 +132,16 @@ std::optional<TlbFill> HashedPageTable::Lookup(VirtAddr va) {
 }
 
 void HashedPageTable::UpsertWord(Vpn base_vpn, MappingWord word) {
-  if (!stripes_.empty()) {
-    // Stripe by *bucket index*, not by chain key: distinct keys sharing a
-    // bucket must serialize their head updates, and only the bucket index
-    // captures that.  The stripe is selected at runtime, beyond TSA's static
-    // lock model; the scoped MutexLock still gives TSan and the debug checks
-    // the acquire/release pair.
-    // hot-lock: one bucket-chain head update per acquisition; stripe count
-    // bounds contention and the section never blocks on anything else.
-    MutexLock lock(stripes_.StripeFor(hasher_(ChainKeyOf(base_vpn))));
-    UpsertWordImpl(base_vpn, word);
-    return;
-  }
-  UpsertWordImpl(base_vpn, word);
-}
-
-void HashedPageTable::UpsertWordImpl(Vpn base_vpn, MappingWord word) {
   const std::uint64_t key = ChainKeyOf(base_vpn);
   const std::uint32_t b = hasher_(key);
-  for (std::int32_t idx = buckets_[b].load_acquire(); idx != kNil; idx = arena_[idx].next) {
+  for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
     Node& n = arena_[idx];
     const MappingWord old = n.word.load();
     if (n.key == key && n.base_vpn == base_vpn && old.kind() == word.kind() &&
         (word.kind() != MappingKind::kSuperpage || old.page_size() == word.page_size())) {
-      live_translations_.fetch_sub_relaxed(TranslationsOf(old, opts_.tag_shift));
+      live_translations_ -= TranslationsOf(old, opts_.tag_shift);
       n.word.store(word);
-      live_translations_.fetch_add_relaxed(TranslationsOf(word, opts_.tag_shift));
+      live_translations_ += TranslationsOf(word, opts_.tag_shift);
       return;
     }
   }
@@ -177,33 +150,29 @@ void HashedPageTable::UpsertWordImpl(Vpn base_vpn, MappingWord word) {
   n.key = key;
   n.base_vpn = base_vpn;
   n.word.store(word);
-  n.next = buckets_[b].load_acquire();
-  // Publish: the release store makes the fully-initialized node visible to
-  // any walker that acquire-loads this bucket head.
-  buckets_[b].store_release(idx);
-  live_nodes_.fetch_add_relaxed(1);
-  live_translations_.fetch_add_relaxed(TranslationsOf(word, opts_.tag_shift));
+  n.next = buckets_[b];
+  buckets_[b] = idx;
+  ++live_nodes_;
+  live_translations_ += TranslationsOf(word, opts_.tag_shift);
 }
 
 bool HashedPageTable::RemoveKey(std::uint64_t key) {
-  // Single-writer only (header comment): unlinking under concurrent walkers
-  // would need deferred node reclamation.
   const std::uint32_t b = hasher_(key);
   bool removed = false;
-  std::int32_t idx = buckets_[b].load_acquire();
+  std::int32_t idx = buckets_[b];
   std::int32_t prev = kNil;
   while (idx != kNil) {
     Node& n = arena_[idx];
     const std::int32_t next = n.next;
     if (n.key == key) {
-      live_translations_.fetch_sub_relaxed(TranslationsOf(n.word.load(), opts_.tag_shift));
+      live_translations_ -= TranslationsOf(n.word.load(), opts_.tag_shift);
       if (prev == kNil) {
-        buckets_[b].store_release(next);
+        buckets_[b] = next;
       } else {
         arena_[prev].next = next;
       }
       FreeNode(idx);
-      live_nodes_.fetch_sub_relaxed(1);
+      --live_nodes_;
       removed = true;
       idx = next;
       continue;  // Remove every node with this key (mixed-size blocks).
@@ -226,7 +195,7 @@ bool HashedPageTable::RemoveBase(Vpn vpn) {
 
 std::optional<MappingWord> HashedPageTable::Peek(std::uint64_t key) const {
   const std::uint32_t b = hasher_(key);
-  for (std::int32_t idx = buckets_[b].load_acquire(); idx != kNil; idx = arena_[idx].next) {
+  for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
     if (arena_[idx].key == key) {
       return arena_[idx].word.load();
     }
@@ -247,7 +216,7 @@ std::uint64_t HashedPageTable::ProtectRange(Vpn first_vpn, std::uint64_t npages,
   for (std::uint64_t key = first_key; key <= last_key; ++key) {
     ++searches;
     const std::uint32_t b = hasher_(key);
-    for (std::int32_t idx = buckets_[b].load_acquire(); idx != kNil; idx = arena_[idx].next) {
+    for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
       Node& n = arena_[idx];
       if (n.key == key) {
         n.word.store(n.word.load().with_attr(attr));
@@ -262,7 +231,7 @@ bool HashedPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint
   // covering word — no lock, no word rewrite, safe under concurrent walkers.
   const std::uint64_t key = ChainKeyOf(vpn);
   const std::uint32_t b = hasher_(key);
-  for (std::int32_t idx = buckets_[b].load_acquire(); idx != kNil; idx = arena_[idx].next) {
+  for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
     Node& n = arena_[idx];
     if (n.key != key) {
       continue;
@@ -278,18 +247,15 @@ bool HashedPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint
 }
 
 std::uint64_t HashedPageTable::SizeBytesPaperModel() const {
-  return live_nodes_.load_relaxed() * NodeBytes();
+  return live_nodes_ * NodeBytes();
 }
 
 std::uint64_t HashedPageTable::SizeBytesActual() const {
-  MutexLock lock(alloc_mu_);
   // bytes_live already includes the embedded-head bucket array.
   return alloc_.bytes_live();
 }
 
-std::uint64_t HashedPageTable::live_translations() const {
-  return live_translations_.load_relaxed();
-}
+std::uint64_t HashedPageTable::live_translations() const { return live_translations_; }
 
 std::string HashedPageTable::name() const {
   std::string n = opts_.packed_pte ? "hashed-packed" : "hashed";
@@ -303,10 +269,10 @@ std::string HashedPageTable::name() const {
 }
 
 void HashedPageTable::AuditVisit(check::PtAuditVisitor& visitor) const {
-  const std::uint64_t step_limit = live_nodes_.load_relaxed() + 1;
+  const std::uint64_t step_limit = live_nodes_ + 1;
   for (std::uint32_t b = 0; b < buckets_.size(); ++b) {
     std::uint64_t steps = 0;
-    for (std::int32_t idx = buckets_[b].load_acquire(); idx != kNil; idx = arena_[idx].next) {
+    for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
       if (++steps > step_limit || idx < 0 ||
           static_cast<std::size_t>(idx) >= arena_.size()) {
         visitor.OnChainCycle(b);
@@ -329,9 +295,9 @@ void HashedPageTable::AuditVisit(check::PtAuditVisitor& visitor) const {
 
 Histogram HashedPageTable::ChainLengthHistogram() const {
   Histogram h;
-  for (const AtomicCell<std::int32_t>& head : buckets_) {
+  for (const std::int32_t head : buckets_) {
     std::size_t len = 0;
-    for (std::int32_t idx = head.load_acquire(); idx != kNil; idx = arena_[idx].next) {
+    for (std::int32_t idx = head; idx != kNil; idx = arena_[idx].next) {
       ++len;
     }
     h.Add(len);

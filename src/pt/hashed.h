@@ -17,17 +17,10 @@
 // (bucket heads are "an array of hash nodes", Figure 4).
 //
 // Concurrency contract (see DESIGN.md "Concurrency contracts"):
-//   - Mapping words are atomic cells: concurrent Lookup + R/M-bit updates
-//     (Section 3.1) are always safe, on any table.
-//   - Structural mutation (Insert*/Remove*/ProtectRange) is single-writer by
-//     default.  With Options::lock_stripes > 0 the bucket chains are
-//     partitioned across a stripe-lock set and concurrent UpsertWord /
-//     InsertBase calls are safe: a node is fully initialized, then published
-//     by a release store of its bucket head, so lock-free walkers see it
-//     whole.  Concurrent removal is NOT supported in either mode (unlinked
-//     nodes would need deferred reclamation).
-//   - Lock order: stripe mutex before alloc_mu_; neither is ever held while
-//     calling out of this class.
+//   - Mapping words are atomic: concurrent Lookup + R/M-bit updates
+//     (Section 3.1) are safe on a table whose structure is not changing.
+//   - Structural mutation (Insert*/Remove*/ProtectRange) is single-writer and
+//     must not overlap any other call.
 #ifndef CPT_PT_HASHED_H_
 #define CPT_PT_HASHED_H_
 
@@ -40,14 +33,12 @@
 #include "common/hash.h"
 #include "common/hotpath.h"
 #include "common/stats.h"
-#include "common/sync.h"
 #include "mem/sim_alloc.h"
-#include "obs/contention.h"
 #include "pt/page_table.h"
 
 namespace cpt::pt {
 
-class CPT_SHARED HashedPageTable final : public PageTable {
+class HashedPageTable final : public PageTable {
  public:
   struct Options {
     std::uint32_t num_buckets = kDefaultHashBuckets;
@@ -64,15 +55,6 @@ class CPT_SHARED HashedPageTable final : public PageTable {
     bool inverted = false;
     HashKind hash_kind = HashKind::kMix;
     mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
-    // Striped-lock mode (default off): a power-of-two number of mutexes
-    // sharding the bucket space, making concurrent inserts safe (see the
-    // header comment).  Zero keeps the historical single-writer mode with
-    // no locking on the update path.
-    unsigned lock_stripes = 0;
-    // Striped mode pre-reserves the node arena at this capacity so it never
-    // reallocates while lock-free walkers hold pointers into it; exceeding
-    // it is a hard CPT_CHECK failure.  Ignored when lock_stripes == 0.
-    std::uint64_t striped_node_capacity = std::uint64_t{1} << 18;
   };
 
   HashedPageTable(mem::CacheTouchModel& cache, Options opts);
@@ -85,11 +67,11 @@ class CPT_SHARED HashedPageTable final : public PageTable {
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
   // Lock-free R/M-bit update (Section 3.1): an uncounted chain walk followed
   // by an atomic fetch_or/CAS on the covering word — safe against concurrent
-  // walkers and other updaters in every mode.
+  // walkers and other updaters.
   CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
                                std::uint16_t clear_mask) override;
   std::uint64_t SizeBytesPaperModel() const override;
-  std::uint64_t SizeBytesActual() const override CPT_EXCLUDES(alloc_mu_);
+  std::uint64_t SizeBytesActual() const override;
   std::uint64_t live_translations() const override;
   std::string name() const override;
 
@@ -107,16 +89,9 @@ class CPT_SHARED HashedPageTable final : public PageTable {
   // ---- Introspection for tests and benches ----
   unsigned tag_shift() const { return opts_.tag_shift; }
   std::uint32_t num_buckets() const { return opts_.num_buckets; }
-  bool striped() const { return !stripes_.empty(); }
-  // The stripe-lock set (empty unless striped) and the node-allocator lock:
-  // read-only views of their acquisition/contention counters, for telemetry
-  // reconciliation in tests and benches.
-  const StripeSet& stripe_set() const { return stripes_; }
-  const Mutex& alloc_mutex() const { return alloc_mu_; }
-  std::uint64_t node_count() const { return live_nodes_.load_relaxed(); }
+  std::uint64_t node_count() const { return live_nodes_; }
   double LoadFactor() const {
-    return static_cast<double>(live_nodes_.load_relaxed()) /
-           static_cast<double>(opts_.num_buckets);
+    return static_cast<double>(live_nodes_) / static_cast<double>(opts_.num_buckets);
   }
   Histogram ChainLengthHistogram() const;
 
@@ -163,37 +138,20 @@ class CPT_SHARED HashedPageTable final : public PageTable {
   // straddles a cache line.
   PhysAddr BucketAddr(std::uint32_t b) const { return bucket_base_ + b * bucket_stride_; }
 
-  std::int32_t AllocNode() CPT_EXCLUDES(alloc_mu_);
-  void FreeNode(std::int32_t idx) CPT_EXCLUDES(alloc_mu_);
+  std::int32_t AllocNode();
+  void FreeNode(std::int32_t idx);
   TlbFill FillFrom(const Node& n, MappingWord word) const;
-  // The shared body of UpsertWord; in striped mode the caller holds the
-  // key's stripe mutex (a dynamic capability TSA cannot name statically).
-  void UpsertWordImpl(Vpn base_vpn, MappingWord word);
 
   const Options opts_;
   const BucketHasher hasher_;
   const std::uint64_t bucket_stride_;
-  mem::SimAllocator alloc_ CPT_GUARDED_BY(alloc_mu_);
+  mem::SimAllocator alloc_;
   const PhysAddr bucket_base_;
-  // Node storage.  Not TSA-guarded: lock-free walkers traverse it
-  // concurrently with (striped) inserts.  Safe because nodes are published
-  // only via release stores of bucket heads after full initialization, and
-  // striped mode pre-reserves capacity so element addresses never move.
-  // Growth and the free list are serialized by alloc_mu_.
-  std::vector<Node> arena_;  // cpt-lint: allow(guarded-by-coverage)
-  std::vector<std::int32_t> free_nodes_ CPT_GUARDED_BY(alloc_mu_);
-  // Bucket heads: release-published by inserts, acquire-read by walkers.
-  std::vector<AtomicCell<std::int32_t>> buckets_;
-  mutable Mutex alloc_mu_;
-  StripeSet stripes_;
-  AtomicCell<std::uint64_t> live_nodes_;
-  AtomicCell<std::uint64_t> live_translations_;
-  // Contention-observability registrations (obs/contention.h): set once in
-  // the constructor, touched again only by their destructors, so they carry
-  // no guard.  Declared LAST so they unregister — folding the final counts
-  // into the global registry — before the locks they reference die.
-  obs::ContentionSite alloc_site_;   // cpt-lint: allow(guarded-by-coverage)
-  obs::ContentionSite stripe_site_;  // cpt-lint: allow(guarded-by-coverage)
+  std::vector<Node> arena_;
+  std::vector<std::int32_t> free_nodes_;
+  std::vector<std::int32_t> buckets_;
+  std::uint64_t live_nodes_ = 0;
+  std::uint64_t live_translations_ = 0;
 };
 
 }  // namespace cpt::pt

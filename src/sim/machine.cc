@@ -78,8 +78,7 @@ std::unique_ptr<pt::PageTable> MakeBareTable(PtKind kind, mem::CacheTouchModel& 
                                                           pt::ForwardMappedPageTable::Options{});
     case PtKind::kHashed:
       return std::make_unique<pt::HashedPageTable>(
-          cache, pt::HashedPageTable::Options{.num_buckets = opts.num_buckets,
-                                              .lock_stripes = opts.lock_stripes});
+          cache, pt::HashedPageTable::Options{.num_buckets = opts.num_buckets});
     case PtKind::kHashedMulti:
       return std::make_unique<pt::MultiTableHashed>(
           cache,
@@ -104,8 +103,7 @@ std::unique_ptr<pt::PageTable> MakeBareTable(PtKind kind, mem::CacheTouchModel& 
     case PtKind::kHashedInverted:
       return std::make_unique<pt::HashedPageTable>(
           cache, pt::HashedPageTable::Options{.num_buckets = opts.num_buckets,
-                                              .inverted = true,
-                                              .lock_stripes = opts.lock_stripes});
+                                              .inverted = true});
   }
   return nullptr;
 }

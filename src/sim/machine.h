@@ -91,12 +91,6 @@ struct MachineOptions {
   // stores, modified) bits of the PTE it loads, lock-free.  Off by default
   // so the Figure 11 metrics stay pure walk costs.
   bool maintain_ref_bits = false;
-  // Striped-lock inserts for the hashed organizations (ROADMAP item 1 prep):
-  // a power-of-two stripe count forwarded to HashedPageTable::Options so
-  // concurrent InsertBase/UpsertWord calls are safe, with per-stripe
-  // contention telemetry (obs/contention.h).  Zero keeps the historical
-  // single-writer mode; non-hashed organizations ignore it.
-  unsigned lock_stripes = 0;
   std::uint64_t phys_frames = 1ull << 22;  // 16GB: ample for every workload.
   // Invariant auditing (src/check): wraps every page table in the shadow-map
   // differential oracle and logs reservation grants so AuditAll() can verify

@@ -23,7 +23,6 @@ void ToJson(obs::JsonWriter& w, const MachineOptions& opts) {
   w.KV("swtlb_clustered_entries", opts.swtlb_clustered_entries);
   w.KV("shared_page_table", opts.shared_page_table);
   w.KV("maintain_ref_bits", opts.maintain_ref_bits);
-  w.KV("lock_stripes", std::uint64_t{opts.lock_stripes});
   w.KV("phys_frames", opts.phys_frames);
   w.KV("audit", opts.audit);
   w.Key("strategy");

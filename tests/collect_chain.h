@@ -70,7 +70,7 @@ inline void ExpectSameAttribution(const obs::AttributionResult& a,
 }
 
 inline bool SameEvent(const obs::WalkEvent& a, const obs::WalkEvent& b) {
-  return a.kind == b.kind && a.shard == b.shard && a.asid == b.asid && a.vpn == b.vpn &&
+  return a.kind == b.kind && a.asid == b.asid && a.vpn == b.vpn &&
          a.step == b.step && a.lines == b.lines && a.value == b.value;
 }
 
@@ -84,7 +84,6 @@ inline void ExpectSameEvents(const std::vector<obs::WalkEvent>& a,
     }
     SCOPED_TRACE(::testing::Message() << "first diverging event: " << i);
     EXPECT_STREQ(obs::ToString(a[i].kind), obs::ToString(b[i].kind));
-    EXPECT_EQ(a[i].shard, b[i].shard);
     EXPECT_EQ(a[i].asid, b[i].asid);
     EXPECT_EQ(a[i].vpn.raw(), b[i].vpn.raw());
     EXPECT_EQ(a[i].step, b[i].step);

@@ -1,6 +1,5 @@
-// Tests for common utilities: deterministic RNG, bucket hashing, the
-// statistics helpers (including the parallel-merge combines), and the lock
-// telemetry counters in common/sync.h.
+// Tests for common utilities: deterministic RNG, bucket hashing, and the
+// statistics helpers (including the merge combines).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -10,7 +9,6 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "common/sync.h"
 
 namespace cpt {
 namespace {
@@ -185,11 +183,11 @@ TEST(StatsTest, FormatBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel merges (sharded-telemetry fan-in; see obs/sharded.h).
+// Merges: folding partial summaries equals one pass over every sample.
 // ---------------------------------------------------------------------------
 
 TEST(StatsTest, RunningStatsMergeMatchesSingleStream) {
-  // Two disjoint shards of one sample stream must merge to the same summary
+  // Two disjoint halves of one sample stream must merge to the same summary
   // as a single accumulator that saw every sample.
   RunningStats whole;
   RunningStats left;
@@ -269,179 +267,6 @@ TEST(StatsTest, HistogramMergeFoldsWiderBucketsIntoOverflow) {
   EXPECT_EQ(narrow.overflow(), 2u);  // 10 folded down + 100 carried over.
   EXPECT_EQ(narrow.max_seen(), 100u);
   EXPECT_DOUBLE_EQ(narrow.mean(), (1.0 + 2.0 + 10.0 + 100.0) / 4.0);
-}
-
-// ---------------------------------------------------------------------------
-// Lock telemetry (common/sync.h counters; sites render via obs/contention).
-// ---------------------------------------------------------------------------
-
-TEST(SyncTelemetryTest, MutexCountsAcquisitions) {
-  Mutex mu;
-  EXPECT_EQ(mu.acquisitions(), 0u);
-  for (int i = 0; i < 3; ++i) {
-    MutexLock lock(mu);
-  }
-  EXPECT_TRUE(mu.try_lock());
-  mu.unlock();
-  EXPECT_EQ(mu.acquisitions(), 4u);
-  // Single-threaded locking never contends.
-  EXPECT_EQ(mu.contended(), 0u);
-}
-
-TEST(SyncTelemetryTest, MutexContendedAcquisitionIsCounted) {
-  Mutex mu;
-  mu.lock();
-  ThreadGroup worker;
-  worker.Spawn([&mu] {
-    MutexLock lock(mu);  // Blocks until the main thread releases.
-  });
-  // The worker bumps `contended` *before* blocking, so polling the counter
-  // is a deterministic rendezvous: once it reads 1 the worker is committed
-  // to the slow path and unlocking lets it through.
-  while (mu.contended() == 0) {
-  }
-  mu.unlock();
-  worker.JoinAll();
-  EXPECT_EQ(mu.acquisitions(), 2u);
-  EXPECT_EQ(mu.contended(), 1u);
-}
-
-TEST(SyncTelemetryTest, SharedMutexSplitsSharedAndExclusiveCounts) {
-  SharedMutex mu;
-  {
-    SharedMutexLock r1(mu);
-  }
-  {
-    SharedMutexLock r2(mu);
-  }
-  mu.lock();
-  mu.unlock();
-  EXPECT_EQ(mu.shared_acquisitions(), 2u);
-  EXPECT_EQ(mu.acquisitions(), 1u);
-  EXPECT_EQ(mu.contended(), 0u);
-  EXPECT_EQ(mu.shared_contended(), 0u);
-}
-
-TEST(SyncTelemetryTest, WaitHistogramOnlyWhenTimingEnabled) {
-  // The flag is snapshotted at lock construction: locks born with it off
-  // never allocate the histogram, locks born with it on always do.
-  SetContentionTimingForTest(false);
-  const Mutex cold;
-  EXPECT_EQ(cold.wait_histogram(), nullptr);
-
-  SetContentionTimingForTest(true);
-  Mutex hot;
-  ASSERT_NE(hot.wait_histogram(), nullptr);
-  SetContentionTimingForTest(false);
-
-  hot.lock();
-  ThreadGroup worker;
-  worker.Spawn([&hot] {
-    MutexLock lock(hot);
-  });
-  while (hot.contended() == 0) {
-  }
-  hot.unlock();
-  worker.JoinAll();
-  // Every contended acquisition records exactly one timed wait.
-  EXPECT_EQ(hot.wait_histogram()->total_count(), 1u);
-}
-
-TEST(SyncTelemetryTest, WaitHistogramBucketsAreLog2) {
-  WaitHistogram h;
-  h.Record(0);     // bit_width(0) == 0.
-  h.Record(1);     // bit_width(1) == 1.
-  h.Record(1023);  // bit_width == 10.
-  h.Record(~std::uint64_t{0});  // Clamped into the last bucket.
-  EXPECT_EQ(h.counts[0].load_relaxed(), 1u);
-  EXPECT_EQ(h.counts[1].load_relaxed(), 1u);
-  EXPECT_EQ(h.counts[10].load_relaxed(), 1u);
-  EXPECT_EQ(h.counts[WaitHistogram::kBuckets - 1].load_relaxed(), 1u);
-  EXPECT_EQ(h.total_count(), 4u);
-}
-
-// ---------------------------------------------------------------------------
-// Stripe selection (common/sync.h StripeSet).
-// ---------------------------------------------------------------------------
-
-TEST(StripeSetTest, IndexForMatchesStripeFor) {
-  const StripeSet stripes(8);
-  for (std::uint64_t h = 0; h < 64; ++h) {
-    EXPECT_EQ(&stripes.StripeFor(h), &stripes.stripe(stripes.IndexFor(h)));
-    EXPECT_EQ(stripes.IndexFor(h), h & 7u);
-  }
-}
-
-TEST(StripeSetTest, MixedHashesSpreadAcrossStripes) {
-  // Stripe selection masks the low bits, so anything upstream must feed it
-  // mixed hashes (HashedPageTable stripes by bucket index, post-hasher).
-  // Mixing sequential keys must land within 25% of the uniform share.
-  constexpr unsigned kStripes = 16;
-  constexpr std::uint64_t kSamples = 1 << 14;
-  const StripeSet stripes(kStripes);
-  std::vector<std::uint64_t> hits(kStripes, 0);
-  for (std::uint64_t k = 0; k < kSamples; ++k) {
-    ++hits[stripes.IndexFor(Mix64(k))];
-  }
-  const double share = static_cast<double>(kSamples) / kStripes;
-  for (unsigned i = 0; i < kStripes; ++i) {
-    EXPECT_GT(hits[i], share * 0.75) << "stripe " << i;
-    EXPECT_LT(hits[i], share * 1.25) << "stripe " << i;
-  }
-}
-
-TEST(StripeSetTest, TotalsSumPerStripeCounters) {
-  const StripeSet stripes(4);
-  // Lock stripe 1 twice and stripe 3 once; totals must reconcile exactly.
-  for (const std::uint64_t hash : {1u, 5u, 3u}) {
-    MutexLock lock(stripes.StripeFor(hash));
-  }
-  EXPECT_EQ(stripes.stripe(1).acquisitions(), 2u);
-  EXPECT_EQ(stripes.stripe(3).acquisitions(), 1u);
-  EXPECT_EQ(stripes.total_acquisitions(), 3u);
-  EXPECT_EQ(stripes.total_contended(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// AtomicCell structural-copy contract (single-threaded phases only).
-// ---------------------------------------------------------------------------
-
-TEST(AtomicCellTest, StructuralCopyPreservesValues) {
-  AtomicCell<std::uint64_t> a{41};
-  a.fetch_add_relaxed(1);
-  const AtomicCell<std::uint64_t> b(a);  // NOLINT(performance-unnecessary-copy-initialization)
-  EXPECT_EQ(b.load_relaxed(), 42u);
-  AtomicCell<std::uint64_t> c;
-  c = a;
-  EXPECT_EQ(c.load_relaxed(), 42u);
-  // The copy is a snapshot, not an alias.
-  a.fetch_add_relaxed(1);
-  EXPECT_EQ(b.load_relaxed(), 42u);
-  EXPECT_EQ(c.load_relaxed(), 42u);
-}
-
-TEST(AtomicCellTest, VectorGrowthCopiesCells) {
-  // The structural-copy carve-out exists exactly for this: containers of
-  // cells (bucket heads, per-stripe counters) may grow during
-  // single-threaded setup phases without losing their values.
-  std::vector<AtomicCell<std::uint64_t>> cells;
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    cells.emplace_back(i);
-  }
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(cells[i].load_relaxed(), i);
-  }
-}
-
-TEST(StripeSetDeathTest, OutOfRangeStripeIndexDies) {
-#ifdef NDEBUG
-  GTEST_SKIP() << "CPT_DCHECK compiled out";
-#else
-  const StripeSet stripes(4);
-  EXPECT_DEATH(stripes.stripe(4), "stripe index out of range");
-  const StripeSet none(0);
-  EXPECT_DEATH(none.IndexFor(1), "IndexFor on an empty StripeSet");
-#endif
 }
 
 }  // namespace

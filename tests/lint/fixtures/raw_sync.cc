@@ -1,8 +1,8 @@
 // Fixture: raw-sync-primitive.
 //
-// Synchronization primitives outside common/sync.h must be the annotated
-// cpt wrappers (cpt::Mutex, cpt::MutexLock, ...), never bare std or
-// pthread primitives, so Clang TSA sees every capability.
+// The simulator is single-threaded and its page tables single-writer, so
+// no std or pthread thread or lock primitive belongs in src/ or bench/
+// (the R/M bits are lock-free atomic words, Section 3.1).
 #include <mutex>
 
 namespace fx {
@@ -20,12 +20,12 @@ void InitRaw() {
   pthread_mutex_init(&g_raw, nullptr);  // BAD: pthread call
 }
 
-std::condition_variable g_cv;  // BAD: condition variables have no wrapper yet
+std::condition_variable g_cv;  // BAD: condition variable
 
-std::atomic_flag g_spin = ATOMIC_FLAG_INIT;  // BAD: use cpt::AtomicCell
+std::atomic_flag g_spin = ATOMIC_FLAG_INIT;  // BAD: atomic_flag spin lock
 
 void SpawnDetached() {
-  std::thread worker([] {});  // BAD: bare thread; use cpt::ThreadGroup
+  std::thread worker([] {});  // BAD: bare thread
   worker.detach();
 }
 

@@ -16,7 +16,6 @@
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/perfetto.h"
-#include "obs/sharded.h"
 #include "obs/snapshot.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
@@ -539,21 +538,6 @@ TEST(RecordRepeatTest, PerfettoExporterMatchesRecordLoop) {
       }
       EXPECT_EQ(a.str(), b.str());
     }
-  }
-}
-
-TEST(RecordRepeatTest, ShardTracerMatchesRecordLoop) {
-  for (const std::uint64_t n : kRepeatCounts) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    ShardedTraceBuffer batched(2, 8);
-    ShardedTraceBuffer looped(2, 8);
-    batched.shard(1).BeginRef(5);
-    looped.shard(1).BeginRef(5);
-    FeedBatchedAndLooped(batched.shard(1), looped.shard(1), kRepeatedHit, n);
-    EXPECT_EQ(batched.TotalRecorded(), looped.TotalRecorded());
-    EXPECT_EQ(batched.TotalDropped(), looped.TotalDropped());
-    testutil::ExpectSameCounts(batched.MergedCounts(), looped.MergedCounts());
-    testutil::ExpectSameEvents(batched.MergedEvents(), looped.MergedEvents());
   }
 }
 

@@ -15,8 +15,6 @@
 #include <type_traits>
 #include <unordered_set>
 
-#include "common/sync.h"
-
 namespace cpt {
 namespace {
 
@@ -205,9 +203,9 @@ TEST(TypesDeathTest, BlockSpanIndexOfOutsideTheSpan) {
 // Atomic storage of the strong types (Section 3.1's lock-free claim).
 // ---------------------------------------------------------------------------
 
-// The concurrency contracts store strong-typed values in atomic cells
-// (bucket heads, counters, PTE words); the paper's "lock-free" language only
-// holds if none of those specializations fall back to a lock table.
+// Referenced/modified bits live in atomic PTE words, and strong-typed values
+// may sit in atomics beside them; the paper's "lock-free" language only
+// holds if none of these specializations fall back to a lock table.
 static_assert(std::atomic<Vpn>::is_always_lock_free);
 static_assert(std::atomic<Vpbn>::is_always_lock_free);
 static_assert(std::atomic<Ppn>::is_always_lock_free);
@@ -218,44 +216,6 @@ static_assert(std::atomic<std::uint64_t>::is_always_lock_free);
 // The tags must not grow the cell: an atomic strong type is exactly the
 // 8-byte word the size model accounts for.
 static_assert(sizeof(std::atomic<Vpn>) == sizeof(std::uint64_t));
-static_assert(sizeof(AtomicCell<Vpn>) == sizeof(std::uint64_t));
-
-// ---------------------------------------------------------------------------
-// Sync-wrapper misuse dies in debug builds (common/sync.h).
-// ---------------------------------------------------------------------------
-
-TEST(SyncDeathTest, UnlockOfAMutexNotHeld) {
-#ifdef NDEBUG
-  GTEST_SKIP() << "CPT_DCHECK compiled out";
-#else
-  Mutex mu;
-  EXPECT_DEATH(mu.unlock(), "unlock of a Mutex not held");
-#endif
-}
-
-TEST(SyncDeathTest, SharedUnlockWithNoReaders) {
-#ifdef NDEBUG
-  GTEST_SKIP() << "CPT_DCHECK compiled out";
-#else
-  SharedMutex mu;
-  EXPECT_DEATH(mu.unlock_shared(), "unlock_shared of a SharedMutex with no readers");
-  EXPECT_DEATH(mu.unlock(), "unlock of a SharedMutex not held");
-#endif
-}
-
-TEST(SyncDeathTest, StripeForOnAnEmptyStripeSet) {
-#ifdef NDEBUG
-  GTEST_SKIP() << "CPT_DCHECK compiled out";
-#else
-  const StripeSet stripes(0);
-  EXPECT_DEATH(stripes.StripeFor(42), "StripeFor on an empty StripeSet");
-#endif
-}
-
-TEST(SyncDeathTest, NonPowerOfTwoStripeCountIsRejected) {
-  // CPT_CHECK: on in every build type, no NDEBUG guard needed.
-  EXPECT_DEATH(StripeSet{12}, "power of two");
-}
 
 }  // namespace
 }  // namespace cpt

@@ -5,9 +5,8 @@ The simulator is deterministic: for an identical RNG seed and trace length,
 every *simulated* metric (miss counts, lines per miss, page-table bytes,
 histograms, attribution cells, ...) must match the baseline bit for bit.
 Wall-clock-derived keys (wall_seconds, refs_per_sec, misses_per_sec) and
-host-side subtrees (timing, host_perf, throughput, timeseries, phases,
-concurrency) are machine noise; they are reported but only enforced when
---time-tol is given.
+host-side subtrees (timing, host_perf, throughput, timeseries, phases) are
+machine noise; they are reported but only enforced when --time-tol is given.
 
 --throughput-tol adds a one-sided gate on the schema-v2 throughput keys
 (the report's aggregate refs_per_sec plus every micro entry's
@@ -33,9 +32,8 @@ TIMING_KEYS = {"wall_seconds", "refs_per_sec", "misses_per_sec"}
 
 # Subtrees that are host-side measurements end to end: anything under a
 # component with one of these names is timing noise (perf counters, rusage,
-# per-phase rates, per-rep throughput samples, lock-contention counters).
-TIMING_SUBTREES = {"timing", "host_perf", "throughput", "timeseries", "phases",
-                   "concurrency"}
+# per-phase rates, per-rep throughput samples).
+TIMING_SUBTREES = {"timing", "host_perf", "throughput", "timeseries", "phases"}
 
 
 def flatten(value, prefix=""):

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 SCHEMA = "cpt-bench-report"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 # The single source of truth for event-kind names is the kEventKindNames
 # table in src/obs/trace.h.  Rather than regex-scraping the header here,
@@ -136,7 +136,7 @@ MICRO_THROUGHPUT_FIELDS = {
 
 OPTION_FIELDS = {
     "pt_kind", "tlb_kind", "tlb_entries", "subblock_factor", "num_buckets",
-    "line_size", "phys_frames", "lock_stripes",
+    "line_size", "phys_frames",
 }
 
 
@@ -283,71 +283,6 @@ def check_table_entry(entry, i):
                 f"{where}: row {r} has {len(row)} cells for {len(cols)} columns")
 
 
-def check_concurrency(conc, where):
-    """v3 "concurrency" section: the ContentionRegistry dump.  Contended
-    counts are approximate (try-lock-first detection) but the structural
-    identities are exact: a stripe site's per-stripe counts sum to its site
-    header, and the report totals sum over the site list."""
-    require(isinstance(conc.get("contention_timing"), bool),
-            f"{where}: concurrency missing bool 'contention_timing'")
-    sites = conc.get("sites")
-    require(isinstance(sites, list), f"{where}: concurrency missing sites list")
-    total_acq = 0
-    total_cont = 0
-    for i, site in enumerate(sites):
-        sw = f"{where}.sites[{i}]"
-        require(isinstance(site.get("name"), str) and site["name"],
-                f"{sw}: missing name")
-        for field in ("acquisitions", "contended", "shared_acquisitions",
-                      "shared_contended"):
-            require(isinstance(site.get(field), int),
-                    f"{sw}: missing int '{field}'")
-        require(isinstance(site.get("contended_fraction"), (int, float)),
-                f"{sw}: missing numeric contended_fraction")
-        require(site["contended"] <= site["acquisitions"],
-                f"{sw}: contended {site['contended']} exceeds "
-                f"acquisitions {site['acquisitions']}")
-        if "wait" in site:
-            wait = site["wait"]
-            for field in ("count", "total_ns"):
-                require(isinstance(wait.get(field), int),
-                        f"{sw}: wait missing int '{field}'")
-            buckets = wait.get("buckets")
-            require(isinstance(buckets, dict), f"{sw}: wait missing buckets")
-            for key, count in buckets.items():
-                require(key.isdigit() and isinstance(count, int) and count > 0,
-                        f"{sw}: malformed wait bucket {key!r}")
-            require(sum(buckets.values()) == wait["count"],
-                    f"{sw}: wait bucket sum != count {wait['count']}")
-        if "stripes" in site:
-            stripes = site["stripes"]
-            require(isinstance(stripes, list) and stripes,
-                    f"{sw}: empty stripes array")
-            for s, stripe in enumerate(stripes):
-                require(stripe.get("index") == s,
-                        f"{sw}: stripes[{s}] has index {stripe.get('index')}")
-                for field in ("acquisitions", "contended"):
-                    require(isinstance(stripe.get(field), int),
-                            f"{sw}: stripes[{s}] missing int '{field}'")
-            for field in ("acquisitions", "contended"):
-                total = sum(stripe[field] for stripe in stripes)
-                require(total == site[field],
-                        f"{sw}: stripe {field} sum {total} != "
-                        f"site {site[field]}")
-        total_acq += site["acquisitions"] + site["shared_acquisitions"]
-        total_cont += site["contended"] + site["shared_contended"]
-    totals = conc.get("totals")
-    require(isinstance(totals, dict), f"{where}: concurrency missing totals")
-    require(totals.get("acquisitions") == total_acq,
-            f"{where}: concurrency totals acquisitions "
-            f"{totals.get('acquisitions')} != site sum {total_acq}")
-    require(totals.get("contended") == total_cont,
-            f"{where}: concurrency totals contended "
-            f"{totals.get('contended')} != site sum {total_cont}")
-    require(isinstance(totals.get("contended_fraction"), (int, float)),
-            f"{where}: concurrency totals missing contended_fraction")
-
-
 def check_report_doc(doc):
     require(doc.get("schema") == SCHEMA, f"schema is {doc.get('schema')!r}")
     require(doc.get("schema_version") == SCHEMA_VERSION,
@@ -391,11 +326,6 @@ def check_report_doc(doc):
         for field in ("total_refs", "windows"):
             require(isinstance(ts.get(field), int),
                     f"timeseries missing int '{field}'")
-    # v3: every report carries the lock-contention section (possibly with an
-    # empty site list when the bench never touched an instrumented lock).
-    conc = doc.get("concurrency")
-    require(isinstance(conc, dict), "missing concurrency section")
-    check_concurrency(conc, "<report>")
     return len(entries)
 
 
@@ -539,7 +469,7 @@ def _sample_host_perf(available=True):
 
 
 def _self_test_sections():
-    """Synthetic-document round trips for the v2/v3 sections: each valid doc
+    """Synthetic-document round trips for the v2 sections: each valid doc
     must pass, each deliberately broken variant must raise Failure."""
     valid = {
         "schema": SCHEMA, "schema_version": SCHEMA_VERSION, "bench": "t",
@@ -558,23 +488,6 @@ def _self_test_sections():
         "throughput": {"refs": 3000, "wall_seconds": 1.5e-4,
                        "refs_per_sec": 2e7},
         "timeseries": {"window_refs": 512, "total_refs": 3000, "windows": 6},
-        "concurrency": {
-            "contention_timing": False,
-            "sites": [
-                {"name": "pt.hashed.alloc", "acquisitions": 12, "contended": 1,
-                 "shared_acquisitions": 0, "shared_contended": 0,
-                 "contended_fraction": 1 / 12,
-                 "wait": {"count": 1, "total_ns": 800, "buckets": {"10": 1}}},
-                {"name": "pt.hashed.stripes", "acquisitions": 10,
-                 "contended": 2, "shared_acquisitions": 0,
-                 "shared_contended": 0, "contended_fraction": 0.2,
-                 "stripes": [
-                     {"index": 0, "acquisitions": 6, "contended": 2},
-                     {"index": 1, "acquisitions": 4, "contended": 0}]},
-            ],
-            "totals": {"acquisitions": 22, "contended": 3,
-                       "contended_fraction": 3 / 22},
-        },
     }
     checks = [("valid report", valid, None)]
 
@@ -594,18 +507,6 @@ def _self_test_sections():
     broken = copy.deepcopy(valid)
     del broken["host_perf"]["counters"]["dtlb_load_misses"]
     checks.append(("missing perf counter", broken, "dtlb_load_misses"))
-    broken = copy.deepcopy(valid)
-    del broken["concurrency"]
-    checks.append(("missing concurrency section", broken, "concurrency"))
-    broken = copy.deepcopy(valid)
-    broken["concurrency"]["sites"][1]["stripes"][0]["acquisitions"] = 7
-    checks.append(("stripe sum mismatch", broken, "stripe acquisitions sum"))
-    broken = copy.deepcopy(valid)
-    broken["concurrency"]["totals"]["acquisitions"] = 99
-    checks.append(("concurrency totals mismatch", broken, "totals acquisitions"))
-    broken = copy.deepcopy(valid)
-    broken["concurrency"]["sites"][0]["wait"]["count"] = 5
-    checks.append(("wait bucket sum mismatch", broken, "wait bucket sum"))
 
     for label, doc, expect in checks:
         try:
@@ -690,7 +591,7 @@ def main():
             print(f"FAIL self-test: {e}")
             return 1
         print(f"OK   self-test: {len(EVENT_KINDS)} event kinds via cpt_lint; "
-              "host_perf/throughput/timeseries/concurrency validators "
+              "host_perf/throughput/timeseries validators "
               "round-trip")
         return 0
 

@@ -50,9 +50,10 @@ Rules (see DESIGN.md "Static analysis" for the catalog and policy):
                           adjacent justification comment, and a member
                           accessed through the atomic API is never also
                           mutated with raw assignment in the same file.
-  raw-sync-primitive      no bare std::mutex/std::lock_guard/std::thread/
-                          pthread_* outside common/sync.h; use the annotated
-                          cpt wrappers (Mutex/MutexLock/ThreadGroup).
+  raw-sync-primitive      no threads or locks (std::mutex/std::lock_guard/
+                          std::thread/pthread_*...) in src/ or bench/: the
+                          simulator is single-threaded and its page tables
+                          single-writer.
   hot-no-alloc            whole-program: nothing reachable from a CPT_HOT
                           root (common/hotpath.h) may allocate — no new/
                           make_unique, no unreserved push_back/resize, no
@@ -3036,20 +3037,15 @@ class AtomicDiscipline(Rule):
 @register
 class RawSyncPrimitive(Rule):
     name = "raw-sync-primitive"
-    help = ("no bare std::mutex/std::lock_guard/std::thread/pthread_* "
-            "outside common/sync.h; use the annotated cpt::Mutex/MutexLock/"
-            "ThreadGroup wrappers")
+    help = ("no threads or locks (std::mutex/std::lock_guard/std::thread/"
+            "pthread_* ...) in src/ or bench/: the simulator is "
+            "single-threaded and its page tables single-writer")
     include = ("src/*", "bench/*", "examples/*", "tests/lint/fixtures/*")
-    # The wrappers themselves are built on the std primitives.
-    exclude = ("src/common/sync.h",)
 
     BANNED_STD = {"mutex", "shared_mutex", "recursive_mutex", "timed_mutex",
                   "recursive_timed_mutex", "lock_guard", "unique_lock",
                   "scoped_lock", "shared_lock", "condition_variable",
                   "condition_variable_any", "once_flag", "call_once",
-                  # Bare threads bypass the join-on-destruct discipline and
-                  # atomic_flag the AtomicCell telemetry; use cpt::ThreadGroup
-                  # and cpt::AtomicCell (common/sync.h).
                   "thread", "jthread", "atomic_flag"}
 
     def check(self, sf, project):
@@ -3061,17 +3057,16 @@ class RawSyncPrimitive(Rule):
             if t.text.startswith("pthread_"):
                 findings.append(Finding(
                     self.name, sf, t.line,
-                    f"raw {t.text}; use the annotated wrappers from "
-                    f"common/sync.h (cpt::Mutex / cpt::MutexLock)"))
+                    f"{t.text}: the simulator is single-threaded and its "
+                    f"page tables single-writer; no threads or locks here"))
                 continue
             prev = toks[i - 1].text if i > 0 else ""
             prev2 = toks[i - 2].text if i > 1 else ""
             if t.text in self.BANNED_STD and prev == "::" and prev2 == "std":
                 findings.append(Finding(
                     self.name, sf, t.line,
-                    f"bare std::{t.text}; use the annotated wrappers from "
-                    f"common/sync.h (cpt::Mutex / cpt::MutexLock) so Clang "
-                    f"TSA sees the capability"))
+                    f"std::{t.text}: the simulator is single-threaded and its "
+                    f"page tables single-writer; no threads or locks here"))
         return findings
 
 

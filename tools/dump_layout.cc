@@ -21,7 +21,6 @@
 #include "common/hash.h"
 #include "common/pte.h"
 #include "common/stats.h"
-#include "common/sync.h"
 #include "common/types.h"
 #include "core/multi_size.h"
 #include "mem/cache_model.h"
@@ -68,11 +67,6 @@ void DumpStructs() {
   STRUCT_BEGIN("BlockSpan", cpt::BlockSpan)
     FIELD(first) FIELD(pages)
   STRUCT_END()
-  STRUCT_BEGIN("Mutex", cpt::Mutex) STRUCT_END()
-  STRUCT_BEGIN("SharedMutex", cpt::SharedMutex) STRUCT_END()
-  STRUCT_BEGIN("WaitHistogram", cpt::WaitHistogram) STRUCT_END()
-  STRUCT_BEGIN("StripeSet", cpt::StripeSet) STRUCT_END()
-  STRUCT_BEGIN("ThreadGroup", cpt::ThreadGroup) STRUCT_END()
   STRUCT_BEGIN("Histogram", cpt::Histogram) STRUCT_END()
   STRUCT_BEGIN("RunningStats", cpt::RunningStats) STRUCT_END()
   STRUCT_BEGIN("BucketHasher", cpt::BucketHasher) STRUCT_END()
@@ -85,8 +79,7 @@ void DumpStructs() {
   STRUCT_BEGIN("HashedPageTable", cpt::pt::HashedPageTable) STRUCT_END()
   STRUCT_BEGIN("HashedPageTable::Options", cpt::pt::HashedPageTable::Options)
     FIELD(num_buckets) FIELD(tag_shift) FIELD(packed_pte) FIELD(inverted)
-    FIELD(hash_kind) FIELD(placement) FIELD(lock_stripes)
-    FIELD(striped_node_capacity)
+    FIELD(hash_kind) FIELD(placement)
   STRUCT_END()
   STRUCT_BEGIN("HashedPageTable::Node", TestBackdoor::HashedNode)
     FIELD(key) FIELD(base_vpn) FIELD(word) FIELD(next) FIELD(addr)
