@@ -169,7 +169,7 @@ std::function<void(std::uint64_t, std::uint64_t)> MachineAccessBody(bool by_run,
     if (*warmed) {
       // Every repetition after the first runs under the allocation guard:
       // the bench doubles as a smoke assertion that the steady-state replay
-      // is heap-free (common/hotguard.h; hot-no-alloc's dynamic twin).
+      // is heap-free (common/hotguard.h).
       HotPathScope guard("bench_micro.machine_access");
       replay();
     } else {

@@ -9,52 +9,21 @@
 // Each helper returns true when it found live state to corrupt; tests should
 // ASSERT_TRUE the return value so an empty table never silently passes.
 //
-// This header must only be included from test code and build-tree tooling
-// (tools/dump_layout.cc uses the layout-probe aliases below); it is never
-// part of the simulator proper.
+// This header must only be included from test code; it is never part of
+// the simulator proper.
 #ifndef CPT_CHECK_TEST_BACKDOOR_H_
 #define CPT_CHECK_TEST_BACKDOOR_H_
 
 #include <cstdint>
 
-#include "core/adaptive.h"
 #include "core/clustered.h"
 #include "mem/reservation.h"
-#include "pt/forward.h"
 #include "pt/hashed.h"
-#include "pt/linear.h"
-#include "pt/multi_hashed.h"
-#include "pt/software_tlb.h"
-#include "tlb/complete_subblock.h"
-#include "tlb/dual_size_setassoc.h"
-#include "tlb/partial_subblock.h"
-#include "tlb/single_page.h"
-#include "tlb/superpage.h"
 
 namespace cpt::check {
 
 class TestBackdoor {
  public:
-  // ---- Layout probes (tools/dump_layout.cc) ----
-  // The node/entry types below are private nested members of their owning
-  // tables; re-exporting them through the friend lets the compiled-truth
-  // layout dump apply sizeof/alignof/offsetof without widening any class's
-  // real API.  The structs' own members are public, so offsetof works on
-  // the alias directly.
-  using HashedNode = pt::HashedPageTable::Node;
-  using SuperpageIndexNode = pt::SuperpageIndexHashed::Node;
-  using ClusteredNode = core::ClusteredPageTable::Node;
-  using AdaptiveNode = core::AdaptiveClusteredPageTable::Node;
-  using ForwardLeaf = pt::ForwardMappedPageTable::Leaf;
-  using ForwardInner = pt::ForwardMappedPageTable::Inner;
-  using LinearLeaf = pt::LinearPageTable::Leaf;
-  using SoftwareTlbEntry = pt::SoftwareTlb::Entry;
-  using SinglePageEntry = tlb::SinglePageTlb::Entry;
-  using SuperpageEntry = tlb::SuperpageTlb::Entry;
-  using PartialSubblockEntry = tlb::PartialSubblockTlb::Entry;
-  using CompleteSubblockEntry = tlb::CompleteSubblockTlb::Entry;
-  using DualSizeEntry = tlb::DualSizeSetAssocTlb::Entry;
-
   // Bumps the first live node's base_vpn by one tag stride so that
   // base_vpn >> tag_shift no longer matches the node's key — the
   // "misaligned tag" defect.

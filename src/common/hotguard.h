@@ -1,15 +1,13 @@
 // Runtime allocation guard for the steady-state replay loop.
 //
-// cpt::HotPathScope is the dynamic half of the hot-path discipline whose
-// static half is cpt_lint.py's hot-no-alloc rule (see common/hotpath.h and
-// DESIGN.md "Hot-path discipline").  While a scope is live on a thread,
-// any heap allocation on that thread — operator new, new[], their aligned
-// and nothrow variants — is a hard CPT_CHECK-style failure naming the
-// scope's site string.  The static rule proves no *reachable statement*
-// allocates; the scope proves no *executed* allocation happened on a real
-// replay, catching what the heuristic call graph cannot see (indirect
-// calls through std function objects, resize hiding inside a library
-// call, a path the lint boundary pruned too generously).
+// cpt::HotPathScope is the hot-path allocation check (DESIGN.md "Hot-path
+// discipline").  While a scope is live on a thread, any heap allocation on
+// that thread — operator new, new[], their aligned and nothrow variants —
+// is a hard CPT_CHECK-style failure naming the scope's site string.  It
+// proves no *executed* allocation happened on a real replay, including
+// ones hidden behind virtual calls, std function objects or library
+// internals.  tests/hotguard_test.cc replays every supported (PtKind,
+// TlbKind) pair under a scope.
 //
 // Mechanism: linking this translation unit (pulled in automatically by
 // any binary that constructs a HotPathScope) replaces the global operator

@@ -212,6 +212,11 @@ class MappingWord {
 
 static_assert(sizeof(MappingWord) == 8, "mapping information must take 8 bytes");
 
+// The simulated word size.  Every paper-model node format (§3, Figure 5)
+// is a small header plus a whole number of these words, and the accounting
+// functions (HashedPageTable::NodeBytes and friends) are written from it.
+inline constexpr std::uint64_t kWordBytes = sizeof(MappingWord);
+
 // Round-trip sanity checks on the bit layout.
 static_assert(MappingWord::Base(Ppn{0x123456}, Attr::ReadWrite()).ppn() == Ppn{0x123456});
 static_assert(MappingWord::Base(kMaxPpn, Attr{}).ppn() == kMaxPpn);

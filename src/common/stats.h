@@ -74,7 +74,7 @@ class Histogram {
     if (value >= counts_.size()) {
       // Within capacity after Reserve() this is a size bump, not an
       // allocation; growth is clamped at max_buckets_ either way.
-      counts_.resize(value + 1, 0);  // cpt-lint: allow(hot-no-alloc)
+      counts_.resize(value + 1, 0);
     }
     ++counts_[value];
     max_seen_ = std::max(max_seen_, value);

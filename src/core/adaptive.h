@@ -27,7 +27,9 @@
 #include "check/fwd.h"
 #include "common/hash.h"
 #include "common/hotpath.h"
+#include "common/pte.h"
 #include "common/stats.h"
+#include "common/types.h"
 #include "mem/sim_alloc.h"
 #include "pt/page_table.h"
 
@@ -102,11 +104,21 @@ class AdaptiveClusteredPageTable final : public pt::PageTable {
     PhysAddr addr{};
     std::vector<AtomicMappingWord> words;  // 1 (single/compact) or factor (array).
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule).
+  // The paper-model NodeBytes() below charges a prefix of this host struct
+  // (the words live behind the vector); the host struct must not silently
+  // grow.
   static_assert(sizeof(Node) == 48 && alignof(Node) == 8);
 
+  // Paper-model node formats: an 8-byte tag (with boff for single-page
+  // nodes) and an 8-byte next pointer, then `factor_` words for an array
+  // node or one word for every compact node.
+  static constexpr std::uint64_t kHeaderBytes = 16;
+  static_assert(kHeaderBytes + kWordBytes <= kDefaultCacheLineSize,
+                "a node's header and first word must share one line");
+
   std::uint64_t NodeBytes(const Node& n) const {
-    return n.kind == NodeKind::kArray ? 16 + 8ull * factor_ : 24;
+    return n.kind == NodeKind::kArray ? kHeaderBytes + kWordBytes * factor_
+                                      : kHeaderBytes + kWordBytes;
   }
   std::uint64_t WordTranslations(const MappingWord& w) const;
   std::uint64_t NodeTranslations(const Node& n) const;

@@ -94,10 +94,9 @@ ClusteredPageTable::Node& ClusteredPageTable::GetOrCreateNode(Vpbn tag, unsigned
     idx = free_nodes_.back();
     free_nodes_.pop_back();
   } else {
-    // Fault path only: a node is created when a key is first inserted.  The
-    // hot traversal reaches this through PageTable::UpdateAttrFlags's
-    // rewrite, which replaces an existing node and never allocates.
-    // cpt-lint: allow(hot-no-alloc)
+    // Fault path only: a node is created when a key is first inserted.
+    // PageTable::UpdateAttrFlags's rewrite replaces an existing node and
+    // never allocates.
     arena_.push_back(Node{});
     idx = static_cast<std::int32_t>(arena_.size() - 1);
   }

@@ -30,7 +30,9 @@
 #include "check/fwd.h"
 #include "common/hash.h"
 #include "common/hotpath.h"
+#include "common/pte.h"
 #include "common/stats.h"
+#include "common/types.h"
 #include "mem/sim_alloc.h"
 #include "pt/page_table.h"
 
@@ -108,13 +110,20 @@ class ClusteredPageTable final : public pt::PageTable {
     PhysAddr addr{};
     std::array<AtomicMappingWord, kMaxSubblockFactor> words{};
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule):
-  // the paper-model NodeBytes() below charges a *used* prefix of this
-  // worst-case host struct, so its real extent must stay visible.
+  // The paper-model NodeBytes() below charges a *used* prefix of this
+  // worst-case host struct; the host struct must not silently grow.
   static_assert(sizeof(Node) == 536 && alignof(Node) == 8);
 
+  // Paper-model node format (Figure 7): an 8-byte VPBN tag and an 8-byte
+  // next pointer, then one mapping word per covered unit.
+  static constexpr std::uint64_t kHeaderBytes = 16;
+  static_assert(kHeaderBytes + kWordBytes <= kDefaultCacheLineSize,
+                "a node's header and first word must share one line");
+
   unsigned WordsInNode(const Node& n) const { return factor_ >> n.sub_log2; }
-  std::uint64_t NodeBytes(const Node& n) const { return 16 + 8ull * WordsInNode(n); }
+  std::uint64_t NodeBytes(const Node& n) const {
+    return kHeaderBytes + kWordBytes * WordsInNode(n);
+  }
 
   // Base pages this node currently translates.
   std::uint64_t NodeTranslations(const Node& n) const;

@@ -46,7 +46,6 @@ std::optional<ReservationAllocator::FrameGrant> ReservationAllocator::Allocate(
     } else {
       // Fault path only, like the fifo push below: the pool grows as groups
       // are first granted instead of being built whole up front.
-      // cpt-lint: allow(hot-no-alloc)
       groups_.emplace_back();
     }
     Group& grp = groups_[g];
@@ -55,10 +54,7 @@ std::optional<ReservationAllocator::FrameGrant> ReservationAllocator::Allocate(
     grp.used_mask = 1u << boff;
     by_owner_.emplace(block_key, g);
     // Fault path only: frames are granted while faulting, which Preload()
-    // front-loads; the replay steady state never reaches here.  (The hot
-    // traversal sees this through same-name resolution with the PTE-node
-    // allocator, not through a real hot call chain.)
-    // cpt-lint: allow(hot-no-alloc)
+    // front-loads; the replay steady state never reaches here.
     reservation_fifo_.push_back(g);
     ++reservations_made_;
     ++frames_used_;
@@ -122,7 +118,6 @@ bool ReservationAllocator::BreakOneReservation() {
     for (unsigned slot = 0; slot < factor_; ++slot) {
       if ((grp.used_mask & (1u << slot)) == 0) {
         // Fault path only (see Allocate); never on the replay steady state.
-        // cpt-lint: allow(hot-no-alloc)
         fragment_pool_.push_back(FrameAt(g, slot));
       }
     }
@@ -150,7 +145,6 @@ void ReservationAllocator::Free(Ppn ppn) {
   if (grp.used_mask != 0) {
     if (grp.state == GroupState::kFragmented) {
       // Unmap/teardown path only; never on the replay steady state.
-      // cpt-lint: allow(hot-no-alloc)
       fragment_pool_.push_back(ppn);
     }
     return;
@@ -161,7 +155,6 @@ void ReservationAllocator::Free(Ppn ppn) {
   }
   grp.state = GroupState::kFree;
   // Unmap/teardown path only, like the fragment-pool push above.
-  // cpt-lint: allow(hot-no-alloc)
   free_groups_.push_back(g);
 }
 

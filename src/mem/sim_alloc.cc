@@ -56,7 +56,6 @@ void SimAllocator::Free(PhysAddr addr, std::uint64_t size) {
   bytes_live_ -= size;
   // The free list is what keeps the steady state allocation-free: it grows
   // only the first time a size class sees a free, then recycles capacity.
-  // cpt-lint: allow(hot-no-alloc)
   free_lists_[rounded].push_back(addr);
 }
 

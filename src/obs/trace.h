@@ -65,9 +65,10 @@ static_assert(static_cast<std::size_t>(EventKind::kSwTlbMiss) + 1 == kEventKindC
 
 // JSON names of the event kinds, indexable by EventKind.  This array is the
 // single source of truth for the wire format: ToString() indexes it, and
-// tools/cpt_lint.py --export-enums parses this initializer so Python-side
-// validators (tools/check_bench_json.py) cannot drift from the enum.  Keep
-// one quoted name per kind, in enum order; the static_asserts pin both ends.
+// tools/check_bench_json.py reads the names from the compiled table through
+// cpt_dump_enums (tools/dump_enums.cc), so it cannot drift from the enum.
+// Keep one quoted name per kind, in enum order; the static_asserts pin both
+// ends.
 inline constexpr const char* kEventKindNames[] = {
     "tlb_hit",           // kTlbHit
     "tlb_miss",          // kTlbMiss

@@ -78,9 +78,9 @@ class AddressSpace {
   // Returns false when physical memory is exhausted.
   //
   // CPT_COLD: page faults are OS work, excluded from the steady-state
-  // replay path the same way AbortWalk discards the walk's line count —
-  // the hot-path lint traversal (common/hotpath.h) prunes here, and
-  // Preload() pre-faulting keeps replays off this path entirely.
+  // replay path the same way AbortWalk discards the walk's line count
+  // (common/hotpath.h); Preload() pre-faulting keeps replays off this path
+  // entirely.
   CPT_COLD bool TouchPage(VirtAddr va);
 
   bool IsResident(Vpn vpn) const;

@@ -85,7 +85,8 @@ class ForwardMappedPageTable final : public PageTable {
     std::array<AtomicMappingWord, kLeafEntries> slots{};
     unsigned live = 0;
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule).
+  // The paper model charges a prefix of this host struct (its mapping
+  // words); the host struct must not silently grow.
   static_assert(sizeof(Leaf) == 2064 && alignof(Leaf) == 8);
 
   struct Inner {

@@ -48,19 +48,18 @@ std::int32_t HashedPageTable::AllocNode() {
     idx = free_nodes_.back();
     free_nodes_.pop_back();
   } else {
-    // Fault path only: a node is created when a key is first inserted.  The
-    // hot traversal reaches this through PageTable::UpdateAttrFlags's
-    // rewrite, which replaces an existing node and never allocates.
-    // cpt-lint: allow(hot-no-alloc)
+    // Fault path only: a node is created when a key is first inserted.
+    // PageTable::UpdateAttrFlags's rewrite replaces an existing node and
+    // never allocates.
     arena_.push_back(Node{});
     idx = static_cast<std::int32_t>(arena_.size() - 1);
   }
-  arena_[idx].addr = alloc_.Allocate(NodeBytes());
+  arena_[idx].addr = alloc_.Allocate(NodeBytes(opts_.packed_pte));
   return idx;
 }
 
 void HashedPageTable::FreeNode(std::int32_t idx) {
-  alloc_.Free(arena_[idx].addr, NodeBytes());
+  alloc_.Free(arena_[idx].addr, NodeBytes(opts_.packed_pte));
   arena_[idx] = Node{};
   free_nodes_.push_back(idx);
 }
@@ -92,12 +91,12 @@ std::optional<TlbFill> HashedPageTable::LookupKey(std::uint64_t key, Vpn faultin
   bool head = true;
   std::uint32_t chain_pos = 0;
   obs::WalkTracer* const tracer = cache_.tracer();
-  cache_.Touch(BucketAddr(b), opts_.inverted ? 8 : TagNextBytes());
+  cache_.Touch(BucketAddr(b), opts_.inverted ? 8 : TagNextBytes(opts_.packed_pte));
   for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
     const Node& n = arena_[idx];
     const PhysAddr addr = (head && !opts_.inverted) ? BucketAddr(b) : n.addr;
     // The handler reads the tag and next pointer of every node it visits.
-    cache_.Touch(addr, TagNextBytes());
+    cache_.Touch(addr, TagNextBytes(opts_.packed_pte));
     if (tracer != nullptr) {
       tracer->Record({.kind = obs::EventKind::kWalkStep,
                       .vpn = faulting_vpn,
@@ -106,7 +105,7 @@ std::optional<TlbFill> HashedPageTable::LookupKey(std::uint64_t key, Vpn faultin
     }
     if (n.key == key) {
       // Read the mapping word of the matching node.
-      cache_.Touch(addr + TagNextBytes(), 8);
+      cache_.Touch(addr + TagNextBytes(opts_.packed_pte), kWordBytes);
       TlbFill fill = FillFrom(n, n.word.load());
       if (fill.Covers(faulting_vpn)) {
         if (tracer != nullptr) {
@@ -247,7 +246,7 @@ bool HashedPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint
 }
 
 std::uint64_t HashedPageTable::SizeBytesPaperModel() const {
-  return live_nodes_ * NodeBytes();
+  return live_nodes_ * NodeBytes(opts_.packed_pte);
 }
 
 std::uint64_t HashedPageTable::SizeBytesActual() const {

@@ -32,7 +32,9 @@
 #include "check/fwd.h"
 #include "common/hash.h"
 #include "common/hotpath.h"
+#include "common/pte.h"
 #include "common/stats.h"
+#include "common/types.h"
 #include "mem/sim_alloc.h"
 #include "pt/page_table.h"
 
@@ -59,6 +61,14 @@ class HashedPageTable final : public PageTable {
 
   HashedPageTable(mem::CacheTouchModel& cache, Options opts);
   ~HashedPageTable() override;
+
+  // Paper-model node format (Figure 4): an 8-byte tag and an 8-byte next
+  // pointer, then one mapping word.  The packed form (Section 7) squeezes
+  // tag+next into one word.
+  static constexpr std::uint64_t TagNextBytes(bool packed) { return packed ? 8 : 16; }
+  static constexpr std::uint64_t NodeBytes(bool packed) {
+    return TagNextBytes(packed) + kWordBytes;
+  }
 
   // ---- PageTable interface ----
   [[nodiscard]] CPT_HOT std::optional<TlbFill> Lookup(VirtAddr va) override;
@@ -118,18 +128,14 @@ class HashedPageTable final : public PageTable {
     std::int32_t next = kNil;
     PhysAddr addr{};
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule):
-  // the paper model charges NodeBytes()/TagNextBytes() per chain step, so
-  // the host struct backing those constants must stay this shape.
+  // The paper model charges NodeBytes()/TagNextBytes() per chain step, a
+  // prefix of this host struct; the host struct must not silently grow.
   static_assert(sizeof(Node) == 40 && alignof(Node) == 8);
 
   // Chain keys deliberately erase the domain: a base-keyed table tags nodes
   // with the VPN, a block-keyed one (tag_shift == log2(s)) with the VPBN.
   // This is the only crossing from Vpn to a raw chain key.
   std::uint64_t ChainKeyOf(Vpn vpn) const { return vpn.raw() >> opts_.tag_shift; }
-
-  std::uint64_t NodeBytes() const { return opts_.packed_pte ? 16 : 24; }
-  std::uint64_t TagNextBytes() const { return opts_.packed_pte ? 8 : 16; }
 
   // The buckets are an array of embedded head nodes (Figure 4): probing a
   // bucket always reads its head slot, even when the chain is empty.  The
@@ -153,6 +159,15 @@ class HashedPageTable final : public PageTable {
   std::uint64_t live_nodes_ = 0;
   std::uint64_t live_translations_ = 0;
 };
+
+static_assert(HashedPageTable::NodeBytes(false) ==
+                      HashedPageTable::TagNextBytes(false) + kWordBytes &&
+                  HashedPageTable::NodeBytes(true) ==
+                      HashedPageTable::TagNextBytes(true) + kWordBytes,
+              "a hashed node is its tag+next header plus exactly one mapping word");
+static_assert(HashedPageTable::NodeBytes(false) <= kDefaultCacheLineSize &&
+                  HashedPageTable::NodeBytes(true) <= kDefaultCacheLineSize,
+              "a hashed chain step must touch one line");
 
 }  // namespace cpt::pt
 

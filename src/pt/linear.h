@@ -94,7 +94,8 @@ class LinearPageTable final : public PageTable {
     std::array<AtomicMappingWord, kPtesPerPage> slots{};
     unsigned live = 0;
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule).
+  // The paper model charges a prefix of this host struct (its mapping
+  // words); the host struct must not silently grow.
   static_assert(sizeof(Leaf) == 4112 && alignof(Leaf) == 8);
 
   // Tree indices deliberately erase the domain: the 6-level radix tree keys

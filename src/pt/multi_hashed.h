@@ -143,7 +143,8 @@ class SuperpageIndexHashed final : public PageTable {
     std::int32_t next = kNil;
     PhysAddr addr{};
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule).
+  // The paper model charges a prefix of this host struct (its mapping
+  // words); the host struct must not silently grow.
   static_assert(sizeof(Node) == 40 && alignof(Node) == 8);
 
   std::int32_t* FindLink(Vpn base_vpn, unsigned pages_log2, MappingKind kind);

@@ -11,8 +11,8 @@ void PageTable::LookupBlock(VirtAddr va, unsigned subblock_factor, std::vector<T
   const Vpn vpn = VpnOf(va);
   const Vpn first = FirstVpnOfBlock(VpbnOf(vpn, subblock_factor), subblock_factor);
   // Callers reuse `out` across walks (Machine::block_fills_); this reserve is
-  // a no-op in the steady state and sanctions the push_backs below and in the
-  // overrides for the hot-no-alloc rule.
+  // a no-op in the steady state, so the push_backs below and in the
+  // overrides never allocate there.
   out.reserve(subblock_factor);
   for (unsigned i = 0; i < subblock_factor; ++i) {
     if (auto fill = Lookup(VaOf(first + i))) {

@@ -65,8 +65,8 @@ struct TlbFill {
   }
 };
 
-// Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule):
-// every TLB stores fills, so TlbFill growth multiplies across all of them.
+// Every TLB stores fills, so TlbFill growth multiplies across all of them;
+// the host struct must not silently grow.
 static_assert(sizeof(TlbFill) == 32 && alignof(TlbFill) == 8);
 
 // kWalkHit `value` payload for a fill (attribution's page-class dimension).

@@ -98,7 +98,7 @@ void SoftwareTlb::Refill(std::uint64_t key, Vpn vpn, const TlbFill& fill) {
   victim->stamp = ++clock_;
   victim->fills.clear();
   // No-op once the entry has refilled before: clear() keeps capacity, so
-  // steady-state refills recycle it (hot-no-alloc discipline).
+  // steady-state refills recycle it and never allocate.
   victim->fills.reserve(opts_.clustered_entries ? opts_.subblock_factor : 1);
   if (opts_.clustered_entries) {
     // Cache every mapping of the page block, like a clustered PTE slot.

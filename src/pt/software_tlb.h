@@ -29,6 +29,8 @@
 #include "check/fwd.h"
 #include "common/hash.h"
 #include "common/hotpath.h"
+#include "common/pte.h"
+#include "common/types.h"
 #include "mem/sim_alloc.h"
 #include "pt/page_table.h"
 
@@ -86,9 +88,15 @@ class SoftwareTlb final : public PageTable {
     std::uint64_t stamp = 0;         // For way replacement.
     std::vector<TlbFill> fills;      // 1 fill (base) or up to s (clustered).
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule):
-  // EntryBytes() charges the paper model, this pins the host struct.
+  // EntryBytes() charges the paper model, a prefix of this host struct (the
+  // fills live behind the vector); the host struct must not silently grow.
   static_assert(sizeof(Entry) == 48 && alignof(Entry) == 8);
+
+  // Paper-model entry format: an 8-byte VPN/VPBN tag, then one mapping word
+  // (base entries) or `subblock_factor` words (clustered entries).
+  static constexpr std::uint64_t kTagBytes = 8;
+  static_assert(kTagBytes + kWordBytes <= kDefaultCacheLineSize,
+                "a base entry must fit in one line");
 
   // Slot keys deliberately erase the domain: one array caches VPN-keyed
   // (base) or VPBN-keyed (clustered) entries depending on configuration, so
@@ -97,7 +105,8 @@ class SoftwareTlb final : public PageTable {
     return opts_.clustered_entries ? VpbnOf(vpn, opts_.subblock_factor).raw() : vpn.raw();
   }
   std::uint64_t EntryBytes() const {
-    return opts_.clustered_entries ? 8 + 8ull * opts_.subblock_factor : 16;
+    return opts_.clustered_entries ? kTagBytes + kWordBytes * opts_.subblock_factor
+                                   : kTagBytes + kWordBytes;
   }
   Entry* FindEntry(std::uint64_t key, bool count_touch);
   void Refill(std::uint64_t key, Vpn vpn, const TlbFill& fill);

@@ -113,9 +113,8 @@ class Machine {
   ~Machine();
 
   // Models one memory reference by process `asid`.  This is the hot root of
-  // the whole simulator (common/hotpath.h): everything it reaches is held
-  // to the hot-path lint rules, and replays under cpt::HotPathScope prove
-  // the steady state allocation-free.
+  // the whole simulator (common/hotpath.h): replays under cpt::HotPathScope
+  // prove its steady state allocation-free.
   CPT_HOT void Access(tlb::Asid asid, VirtAddr va, bool is_write = false);
 
   // Models a workload::Run: `count` (at most workload::kMaxRunRefs)

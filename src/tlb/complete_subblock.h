@@ -55,7 +55,8 @@ class CompleteSubblockTlb final : public Tlb {
     bool valid = false;
     std::uint64_t stamp = 0;
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule).
+  // The simulated TLB charges no bytes for its entries, but every reference
+  // probes them on the host; the host struct must not silently grow.
   static_assert(sizeof(Entry) == 552 && alignof(Entry) == 8);
 
   Entry* FindTag(Asid asid, Vpbn vpbn);

@@ -55,7 +55,8 @@ class DualSizeSetAssocTlb final : public Tlb {
     bool valid = false;
     std::uint64_t stamp = 0;
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule).
+  // The simulated TLB charges no bytes for its entries, but every reference
+  // probes them on the host; the host struct must not silently grow.
   static_assert(sizeof(Entry) == 40 && alignof(Entry) == 8);
 
   // Set indexing always uses the superpage-index bits, whatever the entry's

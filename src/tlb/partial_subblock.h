@@ -50,8 +50,9 @@ class PartialSubblockTlb final : public Tlb {
     bool valid = false;
     std::uint64_t stamp = 0;
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule):
-  // exactly one destructive-interference line per entry.
+  // Exactly one 64-byte host line per entry.  The simulated TLB charges no
+  // bytes for its entries, but every reference probes them on the host; the
+  // host struct must not silently grow.
   static_assert(sizeof(Entry) == 64 && alignof(Entry) == 8);
 
   bool Covers(const Entry& e, Asid asid, Vpn vpn) const;

@@ -36,7 +36,8 @@ class SinglePageTlb final : public Tlb {
     bool valid = false;
     std::uint64_t stamp = 0;
   };
-  // Pinned against tools/layout_ledger.json (cpt_lint layout-ledger rule).
+  // The simulated TLB charges no bytes for its entries, but every reference
+  // probes them on the host; the host struct must not silently grow.
   static_assert(sizeof(Entry) == 40 && alignof(Entry) == 8);
 
   std::vector<Entry> entries_;

@@ -9,7 +9,7 @@
 #
 # Invoked as:
 #   cmake -DBENCH=<binary> -DCHECKER=<check_bench_json.py> -DPYTHON=<python3>
-#         -DOUT=<scratch.json> -P this_file
+#         -DDUMP_ENUMS=<cpt_dump_enums> -DOUT=<scratch.json> -P this_file
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env CPT_NO_HOST_PERF=1 CPT_TRACE_LEN=2000
           "${BENCH}" "--json=${OUT}"
@@ -20,7 +20,7 @@ if(NOT result EQUAL 0)
 endif()
 
 execute_process(
-  COMMAND "${PYTHON}" "${CHECKER}" "${OUT}"
+  COMMAND "${PYTHON}" "${CHECKER}" --dump-enums "${DUMP_ENUMS}" "${OUT}"
   RESULT_VARIABLE result
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)

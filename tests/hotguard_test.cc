@@ -1,8 +1,7 @@
-// The runtime half of the hot-path discipline (common/hotguard.h): a
-// HotPathScope makes any heap allocation on its thread abort with an
-// attributable message, and a preloaded replay of a paper workload runs its
-// steady state under the guard without tripping — the dynamic proof of the
-// property the hot-no-alloc lint rule checks statically.
+// The hot-path allocation check (common/hotguard.h): a HotPathScope makes
+// any heap allocation on its thread abort with an attributable message, and
+// a preloaded replay of a paper workload runs its steady state under the
+// guard without tripping, for every supported (PtKind, TlbKind) pair.
 #include "common/hotguard.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +11,7 @@
 #include <vector>
 
 #include "collect_chain.h"
+#include "machine_combos.h"
 #include "sim/machine.h"
 #include "workload/workload.h"
 
@@ -71,10 +71,10 @@ TEST(HotGuardDeathTest, ContainerGrowthInsideScopeTrips) {
       "HotPathScope violation");
 }
 
-// The integration proof behind the lint rules: after Preload() and a warm-up
-// replay has grown every pool and scratch buffer to its high-water mark, a
-// further replay slice performs zero heap allocations — on the conventional
-// hashed organization and on the paper's clustered table.
+// After Preload() and a warm-up replay has grown every pool and scratch
+// buffer to its high-water mark, a further replay slice performs zero heap
+// allocations — on the conventional hashed organization and on the paper's
+// clustered table.
 TEST(HotGuardTest, SteadyStateReplayDoesNotAllocate) {
   for (const sim::PtKind pt : {sim::PtKind::kHashed, sim::PtKind::kClustered}) {
     SCOPED_TRACE(sim::ToString(pt));
@@ -98,29 +98,39 @@ TEST(HotGuardTest, SteadyStateReplayDoesNotAllocate) {
   }
 }
 
-// The same proof for run-length replay (Machine::AccessRun), including a
-// linear table so the reference TLB's replayed hits are covered too.
+// The same proof for run-length replay (Machine::AccessRun) over every
+// supported (PtKind, TlbKind) pair: each TLB design's probe and fill, each
+// organization's counted walk, and the linear tables' reference TLB.
 TEST(HotGuardTest, SteadyStateRunReplayDoesNotAllocate) {
-  for (const sim::PtKind pt : {sim::PtKind::kClustered, sim::PtKind::kLinear1}) {
-    SCOPED_TRACE(sim::ToString(pt));
-    sim::MachineOptions opts;
-    opts.pt_kind = pt;
-    const auto& spec = workload::GetPaperWorkload("mp3d");
-    const auto snap = workload::BuildSnapshot(spec);
-    sim::Machine m(opts, 1);
-    m.Preload(snap);
-    workload::TraceGenerator gen(spec, snap);
-    const auto replay = [&](std::uint64_t n) {
-      for (std::uint64_t done = 0; done < n;) {
-        const workload::Run run = gen.NextRun(n - done);
-        m.AccessRun(run.asid, run.va, run.count, run.writes);
-        done += run.count;
+  const auto& spec = workload::GetPaperWorkload("mp3d");
+  const auto snap = workload::BuildSnapshot(spec);
+  int pairs = 0;
+  for (const sim::PtKind pt : testutil::kAllPtKinds) {
+    for (const sim::TlbKind tlb : testutil::kAllTlbKinds) {
+      if (!testutil::CombinationSupported(pt, tlb)) {
+        continue;
       }
-    };
-    replay(30000);
-    HotPathScope guard("hotguard_test.steady_state_run_replay");
-    replay(30000);
+      SCOPED_TRACE(sim::ToString(pt) + " / " + sim::ToString(tlb));
+      ++pairs;
+      sim::MachineOptions opts;
+      opts.pt_kind = pt;
+      opts.tlb_kind = tlb;
+      sim::Machine m(opts, 1);
+      m.Preload(snap);
+      workload::TraceGenerator gen(spec, snap);
+      const auto replay = [&](std::uint64_t n) {
+        for (std::uint64_t done = 0; done < n;) {
+          const workload::Run run = gen.NextRun(n - done);
+          m.AccessRun(run.asid, run.va, run.count, run.writes);
+          done += run.count;
+        }
+      };
+      replay(30000);
+      HotPathScope guard("hotguard_test.steady_state_run_replay");
+      replay(30000);
+    }
   }
+  EXPECT_EQ(pairs, 36);
 }
 
 // The same replay with the collect chain attached (attribution ->

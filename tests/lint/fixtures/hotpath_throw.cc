@@ -1,7 +1,9 @@
-// Fixture: hot-no-throw (whole-program; see common/hotpath.h).
+// Fixture: no-throw (per file over src/).
 //
-// FxRootThrow is a CPT_HOT root.  Exceptions and throwing std calls are
-// banned everywhere it reaches; hot-path failures are CPT_CHECK aborts.
+// Simulator failures are CPT_CHECK aborts, so exceptions and throwing std
+// calls are banned everywhere the rule applies, hot path or not.
+#include <optional>
+#include <string>
 #include <vector>
 
 namespace fxthrow {
@@ -16,12 +18,12 @@ struct Index {
 
   // GOOD: suppressed with a rationale comment.
   int First() {
-    // cpt-lint: allow(hot-no-throw)
+    // cpt-lint: allow(no-throw)
     return dense_.at(0);
   }
 };
 
-// BAD: a throw statement behind one call level.
+// BAD: a throw statement.
 int FxParse(int raw) {
   if (raw < 0) {
     throw raw;
@@ -29,13 +31,19 @@ int FxParse(int raw) {
   return raw;
 }
 
-int FxStep(Index& idx, int i) {
-  return idx.Get(i) + FxParse(i);
+// BAD: optional::value() throws bad_optional_access.
+int FxUnwrap(const std::optional<int>& v) {
+  return v.value();
 }
 
-// The hot root.
-CPT_HOT int FxRootThrow(Index& idx) {
-  return FxStep(idx, 3) + idx.First();
+// BAD: std::stoi throws on bad input.
+int FxConvert(const std::string& s) {
+  return std::stoi(s);
+}
+
+// GOOD: checked access that cannot throw.
+int FxDeref(const std::optional<int>& v) {
+  return v.has_value() ? *v : 0;
 }
 
 }  // namespace fxthrow

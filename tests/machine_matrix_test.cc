@@ -13,6 +13,7 @@
 #include "check/audit_visitor.h"
 #include "check/auditor.h"
 #include "collect_chain.h"
+#include "machine_combos.h"
 #include "obs/trace.h"
 #include "sim/analytic.h"
 #include "sim/experiments.h"
@@ -28,23 +29,7 @@ namespace {
 
 using MatrixParam = std::tuple<PtKind, TlbKind>;
 
-bool CombinationSupported(PtKind pt, TlbKind tlb) {
-  // Plain hashed tables cannot store superpage/PSB PTEs (Section 4: they
-  // need the two-table or superpage-index strategy).
-  const bool needs_sp = tlb == TlbKind::kSuperpage || tlb == TlbKind::kPartialSubblock;
-  if (!needs_sp) {
-    return true;
-  }
-  // Intentionally non-exhaustive: this is a filter naming the unsupported
-  // organizations, not a per-kind dispatch.
-  switch (pt) {  // cpt-lint: allow(exhaustive-enum-switch)
-    case PtKind::kHashed:
-    case PtKind::kHashedInverted:
-      return false;
-    default:
-      return true;
-  }
-}
+using testutil::CombinationSupported;
 
 class MachineMatrixTest : public ::testing::TestWithParam<MatrixParam> {};
 
@@ -227,14 +212,8 @@ std::string MatrixName(const ::testing::TestParamInfo<MatrixParam>& info) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCombinations, MachineMatrixTest,
-    ::testing::Combine(::testing::Values(PtKind::kLinear6, PtKind::kLinear1,
-                                         PtKind::kLinearHashed, PtKind::kForward,
-                                         PtKind::kHashed, PtKind::kHashedMulti,
-                                         PtKind::kHashedSpIndex, PtKind::kClustered,
-                                         PtKind::kClusteredAdaptive, PtKind::kHashedInverted),
-                       ::testing::Values(TlbKind::kSinglePage, TlbKind::kSuperpage,
-                                         TlbKind::kPartialSubblock,
-                                         TlbKind::kCompleteSubblock)),
+    ::testing::Combine(::testing::ValuesIn(testutil::kAllPtKinds),
+                       ::testing::ValuesIn(testutil::kAllTlbKinds)),
     MatrixName);
 
 // The same matrix under a software TLB layer.

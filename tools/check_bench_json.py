@@ -6,9 +6,13 @@ schema-versioned envelope that bench/bench_flags.h emits, the per-entry
 shapes that src/sim/serialize.cc writes, and (optionally) that every line
 of a --trace JSONL file parses and carries a known event kind.
 
+Event kinds are checked against the names the compiled binary reports:
+pass --dump-enums <build>/tools/cpt_dump_enums whenever a report, trace or
+timeseries file carries event kinds.
+
 Usage:
   tools/check_bench_json.py report.json [report2.json ...]
-  tools/check_bench_json.py --trace trace.jsonl report.json
+  tools/check_bench_json.py --dump-enums DUMP --trace trace.jsonl report.json
   tools/check_bench_json.py --perfetto trace.perfetto.json
   tools/check_bench_json.py --timeseries windows.jsonl
 
@@ -17,58 +21,41 @@ Exit status 0 iff every file validates; failures print one line each.
 
 import argparse
 import json
+import subprocess
 import sys
-from pathlib import Path
 
 SCHEMA = "cpt-bench-report"
 SCHEMA_VERSION = 4
 
-# The single source of truth for event-kind names is the kEventKindNames
-# table in src/obs/trace.h.  Rather than regex-scraping the header here,
-# this checker asks the project linter for its structured enum export
-# (`tools/cpt_lint.py --export-enums`) — one parser, shared by every
-# Python-side consumer, pinned to the compiled binary by the
-# `lint_enum_sync` ctest.
-TOOLS_DIR = Path(__file__).resolve().parent
 
-
-def load_event_kinds(enums_json=None):
-    """EventKind wire names from the linter's enum export.
-
-    `enums_json` may point to a pre-exported cpt-lint-enums JSON file
-    (useful for testing against a doctored export); by default the cpt_lint
-    module is imported and queried in-process.
-    """
-    if enums_json is not None:
-        doc = json.loads(Path(enums_json).read_text(encoding="utf-8"))
-    else:
-        sys.path.insert(0, str(TOOLS_DIR))
-        try:
-            import cpt_lint
-        finally:
-            sys.path.pop(0)
-        doc = cpt_lint.export_enums()
-    if doc.get("schema") != "cpt-lint-enums":
-        raise Failure(f"enum export has schema {doc.get('schema')!r}, "
-                      "expected 'cpt-lint-enums'")
+def load_event_kinds(dump_enums):
+    """EventKind wire names as printed by the cpt_dump_enums binary, which
+    reads them from kEventKindNames (src/obs/trace.h)."""
+    out = subprocess.run([dump_enums], capture_output=True, text=True,
+                         check=True).stdout
+    doc = json.loads(out)
+    if doc.get("schema") != "cpt-dump-enums":
+        raise Failure(f"enum dump has schema {doc.get('schema')!r}, "
+                      "expected 'cpt-dump-enums'")
     entry = doc.get("enums", {}).get("EventKind")
-    if entry is None:
-        raise Failure("enum export has no EventKind entry")
-    names = entry.get("names")
-    if not names:
-        raise Failure("EventKind export carries no kEventKindNames table")
-    if len(names) != len(entry["enumerators"]):
-        raise Failure(
-            f"EventKind has {len(entry['enumerators'])} enumerators but "
-            f"{len(names)} wire names")
-    count = entry.get("count")
-    if count is not None and count != len(names):
-        raise Failure(f"kEventKindCount={count} but {len(names)} names exported")
+    if not entry or not entry.get("names"):
+        raise Failure("enum dump has no EventKind names")
+    names = entry["names"]
+    if entry.get("count") != len(names):
+        raise Failure(f"EventKind count {entry.get('count')} but "
+                      f"{len(names)} names dumped")
     return set(names)
 
 
-# Populated in main() from --trace-header (or the in-repo default).
-EVENT_KINDS = set()
+# Set in main() from --dump-enums; None means event kinds cannot be checked.
+EVENT_KINDS = None
+
+
+def require_event_kind(kind, where):
+    require(EVENT_KINDS is not None,
+            f"{where}: checking event kinds needs --dump-enums")
+    require(kind in EVENT_KINDS, f"{where}: unknown event kind {kind!r}")
+
 
 # The three attribution dimensions serialize.cc emits, in order.
 ATTRIBUTION_DIMS = ("by_segment", "by_page_class", "by_outcome")
@@ -261,7 +248,7 @@ def check_measurement_entry(entry, i):
                 + m.get("subblock_misses", 0) or m["denominator_misses"] >= 0,
                 f"{where}: nonsensical miss counts")
         for kind in m.get("events", {}):
-            require(kind in EVENT_KINDS, f"{where}: unknown event kind '{kind}'")
+            require_event_kind(kind, where)
         for histo in m.get("histograms", {}).values():
             require({"total", "mean", "overflow", "counts"} <= histo.keys(),
                     f"{where}: malformed histogram")
@@ -346,8 +333,7 @@ def check_trace(path):
                 require("series" in rec and "rng_seed" in rec,
                         f"line {lineno}: malformed context record")
                 continue
-            require(rec.get("kind") in EVENT_KINDS,
-                    f"line {lineno}: unknown kind {rec.get('kind')!r}")
+            require_event_kind(rec.get("kind"), f"line {lineno}")
             n += 1
     return n
 
@@ -406,8 +392,7 @@ def check_timeseries_lines(lines):
             require(isinstance(events, dict),
                     f"line {lineno}: window events not an object")
             for name in events:
-                require(name in EVENT_KINDS,
-                        f"line {lineno}: unknown event kind '{name}'")
+                require_event_kind(name, f"line {lineno}")
             seen += 1
             n_windows += 1
         else:
@@ -551,6 +536,7 @@ def _self_test_sections():
 
 
 def main():
+    global EVENT_KINDS
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("reports", nargs="*", help="--json report files")
     parser.add_argument("--trace", action="append", default=[],
@@ -559,26 +545,30 @@ def main():
                         help="--perfetto Chrome trace-event files")
     parser.add_argument("--timeseries", action="append", default=[],
                         help="--timeseries windowed JSONL files")
-    parser.add_argument("--enums-json", default=None,
-                        help="pre-exported cpt-lint-enums JSON (default: "
-                             "import tools/cpt_lint.py and export in-process)")
+    parser.add_argument("--dump-enums", metavar="PATH",
+                        help="the cpt_dump_enums binary; event kinds are "
+                             "checked against the names it prints")
     parser.add_argument("--self-test", action="store_true",
-                        help="verify the cpt_lint enum import path and the "
-                             "report section validators, then exit")
+                        help="verify the --dump-enums path and the report "
+                             "section validators, then exit")
     args = parser.parse_args()
     if (not args.self_test and not args.reports and not args.trace
             and not args.perfetto and not args.timeseries):
         parser.error("nothing to check")
 
-    try:
-        EVENT_KINDS.update(load_event_kinds(args.enums_json))
-    except (Failure, OSError, json.JSONDecodeError) as e:
-        print(f"FAIL loading event kinds: {e}")
-        return 1
+    if args.self_test and not args.dump_enums:
+        parser.error("--self-test needs --dump-enums")
+    if args.dump_enums:
+        try:
+            EVENT_KINDS = load_event_kinds(args.dump_enums)
+        except (Failure, OSError, subprocess.CalledProcessError,
+                json.JSONDecodeError) as e:
+            print(f"FAIL loading event kinds: {e}")
+            return 1
 
     if args.self_test:
         # The protocol kinds every bench trace is built from must be present;
-        # their absence means the cpt_lint import or parse went wrong.
+        # their absence means the enum dump went wrong.
         core = {"tlb_hit", "tlb_miss", "walk_step", "walk_hit", "walk_end",
                 "walk_abort", "page_fault"}
         missing = core - EVENT_KINDS
@@ -590,7 +580,7 @@ def main():
         except Failure as e:
             print(f"FAIL self-test: {e}")
             return 1
-        print(f"OK   self-test: {len(EVENT_KINDS)} event kinds via cpt_lint; "
+        print(f"OK   self-test: {len(EVENT_KINDS)} event kinds via cpt_dump_enums; "
               "host_perf/throughput/timeseries validators "
               "round-trip")
         return 0

@@ -1,9 +1,7 @@
 // Dumps the simulator's contract enums — counts and wire names — as JSON,
-// straight from the compiled binary.  tests/lint/enum_sync_check.py diffs
-// this against `tools/cpt_lint.py --export-enums`, so the Python linter's
-// *parse* of the C++ sources is pinned to what the C++ compiler actually
-// built: if either side drifts (a renamed wire name, a miscounted table,
-// a tokenizer regression), the ctest `lint_enum_sync` turns red.
+// straight from the compiled binary.  tools/check_bench_json.py runs it
+// (--dump-enums) to learn the EventKind wire names, so the validator checks
+// traces against the table the C++ compiler actually built.
 #include <cstddef>
 #include <iostream>
 
