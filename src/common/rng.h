@@ -6,6 +6,7 @@
 #ifndef CPT_COMMON_RNG_H_
 #define CPT_COMMON_RNG_H_
 
+#include <cmath>
 #include <cstdint>
 
 namespace cpt {
@@ -45,20 +46,43 @@ class Rng {
   // Uniform in [0, 1).
   double NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
-  bool Chance(double p) { return NextDouble() < p; }
+  // Bernoulli draws as integer compares.  NextDouble() is k * 2^-53 for the
+  // 53-bit k = Next() >> 11, and scaling p by 2^53 is exact, so
+  // NextDouble() < p exactly when k < ceil(p * 2^53).  The threshold is 0
+  // for p <= 0 or NaN (never true) and 2^53 for p >= 1 (always true).
+  static std::uint64_t ChanceThreshold(double p) {
+    constexpr double kScale = 0x1.0p53;
+    if (!(p > 0.0)) {
+      return 0;
+    }
+    if (p >= 1.0) {
+      return std::uint64_t{1} << 53;
+    }
+    return static_cast<std::uint64_t>(std::ceil(p * kScale));
+  }
+  // One draw: true with probability threshold / 2^53.
+  bool ChanceBelow(std::uint64_t threshold) { return (Next() >> 11) < threshold; }
+  bool Chance(double p) { return ChanceBelow(ChanceThreshold(p)); }
 
-  // Geometric-ish burst length >= 1 with mean roughly `mean`.
-  std::uint64_t BurstLength(double mean) {
-    if (mean <= 1.0) {
+  // BurstLength's stop threshold for `mean`: kSingleBurst when mean <= 1
+  // (a burst of 1 that makes no draw), else ChanceThreshold(1 / mean).
+  static constexpr std::uint64_t kSingleBurst = ~std::uint64_t{0};
+  static std::uint64_t BurstThreshold(double mean) {
+    return mean <= 1.0 ? kSingleBurst : ChanceThreshold(1.0 / mean);
+  }
+  std::uint64_t BurstLengthBelow(std::uint64_t threshold) {
+    if (threshold == kSingleBurst) {
       return 1;
     }
-    const double p = 1.0 / mean;
     std::uint64_t n = 1;
-    while (!Chance(p) && n < 1000000) {
+    while (!ChanceBelow(threshold) && n < 1000000) {
       ++n;
     }
     return n;
   }
+
+  // Geometric-ish burst length >= 1 with mean roughly `mean`.
+  std::uint64_t BurstLength(double mean) { return BurstLengthBelow(BurstThreshold(mean)); }
 
  private:
   static std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

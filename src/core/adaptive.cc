@@ -57,6 +57,12 @@ std::uint64_t AdaptiveClusteredPageTable::NodeTranslations(const Node& n) const 
   return WordTranslations(n.words[0].load());
 }
 
+void AdaptiveClusteredPageTable::StoreWord(AtomicMappingWord& slot, MappingWord w) {
+  live_translations_ -= WordTranslations(slot.load());
+  live_translations_ += WordTranslations(w);
+  slot.store(w);
+}
+
 std::int32_t AdaptiveClusteredPageTable::AllocNode(Vpbn tag, NodeKind kind, unsigned nwords) {
   std::int32_t idx;
   if (!free_nodes_.empty()) {
@@ -294,21 +300,18 @@ void AdaptiveClusteredPageTable::InsertBase(Vpn vpn, Ppn ppn, Attr attr) {
       continue;
     }
     if (n.kind == NodeKind::kArray) {
-      live_translations_ -= NodeTranslations(n);
-      n.words[boff].store(word);
-      live_translations_ += NodeTranslations(n);
+      StoreWord(n.words[boff], word);
       return;
     }
     if (n.kind == NodeKind::kSingle && n.boff == boff) {
-      n.words[0].store(word);  // Replace: translation count unchanged (1 -> 1).
+      StoreWord(n.words[0], word);
       return;
     }
   }
   // New single-page node; promote the block if it crossed the threshold.
   const std::int32_t idx = AllocNode(tag, NodeKind::kSingle, 1);
   arena_[idx].boff = static_cast<std::uint8_t>(boff);
-  arena_[idx].words[0].store(word);
-  ++live_translations_;
+  StoreWord(arena_[idx].words[0], word);
   if (BlockBaseOccupancy(tag) >= opts_.promote_occupancy) {
     PromoteToArray(tag);
   }
@@ -328,8 +331,7 @@ bool AdaptiveClusteredPageTable::RemoveBase(Vpn vpn) {
       return true;
     }
     if (n.kind == NodeKind::kArray && n.words[boff].load().valid()) {
-      n.words[boff].store(MappingWord::Invalid());
-      --live_translations_;
+      StoreWord(n.words[boff], MappingWord::Invalid());
       const unsigned occupancy = BlockBaseOccupancy(tag);
       if (occupancy == 0) {
         UnlinkNode(idx);
@@ -355,17 +357,14 @@ void AdaptiveClusteredPageTable::InsertSuperpage(Vpn base_vpn, PageSize size, Pp
          idx = arena_[idx].next) {
       Node& n = arena_[idx];
       if (n.tag == first + blk && n.kind == NodeKind::kSuperpage) {
-        live_translations_ -= NodeTranslations(n);
-        n.words[0].store(word);
-        live_translations_ += NodeTranslations(n);
+        StoreWord(n.words[0], word);
         found = true;
         break;
       }
     }
     if (!found) {
       const std::int32_t idx = AllocNode(first + blk, NodeKind::kSuperpage, 1);
-      arena_[idx].words[0].store(word);
-      live_translations_ += factor_;
+      StoreWord(arena_[idx].words[0], word);
     }
   }
 }
@@ -399,15 +398,12 @@ void AdaptiveClusteredPageTable::UpsertPartialSubblock(Vpn block_base_vpn,
   for (std::int32_t idx = buckets_[hasher_(tag)]; idx != kNil; idx = arena_[idx].next) {
     Node& n = arena_[idx];
     if (n.tag == tag && n.kind == NodeKind::kPsb) {
-      live_translations_ -= NodeTranslations(n);
-      n.words[0].store(word);
-      live_translations_ += NodeTranslations(n);
+      StoreWord(n.words[0], word);
       return;
     }
   }
   const std::int32_t idx = AllocNode(tag, NodeKind::kPsb, 1);
-  arena_[idx].words[0].store(word);
-  live_translations_ += WordTranslations(word);
+  StoreWord(arena_[idx].words[0], word);
 }
 
 bool AdaptiveClusteredPageTable::RemovePartialSubblock(Vpn block_base_vpn,

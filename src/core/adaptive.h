@@ -121,7 +121,12 @@ class AdaptiveClusteredPageTable final : public pt::PageTable {
                                       : kHeaderBytes + kWordBytes;
   }
   std::uint64_t WordTranslations(const MappingWord& w) const;
+  // Only whole-node unlinks and promote/demote recount a node; every
+  // single-word write goes through StoreWord.
   std::uint64_t NodeTranslations(const Node& n) const;
+  // Stores `w` in `slot`, adjusting live_translations_ by the word it
+  // replaces.
+  void StoreWord(AtomicMappingWord& slot, MappingWord w);
 
   std::int32_t AllocNode(Vpbn tag, NodeKind kind, unsigned nwords);
   void UnlinkNode(std::int32_t idx);

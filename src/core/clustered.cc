@@ -27,28 +27,36 @@ ClusteredPageTable::ClusteredPageTable(mem::CacheTouchModel& cache, Options opts
 
 ClusteredPageTable::~ClusteredPageTable() = default;
 
+std::uint64_t ClusteredPageTable::WordTranslations(MappingWord w, unsigned sub_log2) const {
+  switch (w.kind()) {
+    case MappingKind::kBase:
+      return w.valid() ? 1 : 0;
+    case MappingKind::kSuperpage:
+      // A replica of a larger superpage still only covers this node's
+      // slice; each word accounts for 2^sub_log2 base pages.
+      return w.valid() ? (std::uint64_t{1} << sub_log2) : 0;
+    case MappingKind::kPartialSubblock: {
+      const std::uint32_t mask = factor_ >= 16 ? 0xFFFFu : ((1u << factor_) - 1);
+      return std::popcount(w.valid_vector() & mask);
+    }
+  }
+  return 0;
+}
+
 std::uint64_t ClusteredPageTable::NodeTranslations(const Node& n) const {
   std::uint64_t total = 0;
   const unsigned words = WordsInNode(n);
   for (unsigned i = 0; i < words; ++i) {
-    const MappingWord w = n.words[i].load();
-    switch (w.kind()) {
-      case MappingKind::kBase:
-        total += w.valid() ? 1 : 0;
-        break;
-      case MappingKind::kSuperpage:
-        // A replica of a larger superpage still only covers this node's
-        // slice; each word accounts for 2^sub_log2 base pages.
-        total += w.valid() ? (std::uint64_t{1} << n.sub_log2) : 0;
-        break;
-      case MappingKind::kPartialSubblock: {
-        const std::uint32_t mask = factor_ >= 16 ? 0xFFFFu : ((1u << factor_) - 1);
-        total += std::popcount(w.valid_vector() & mask);
-        break;
-      }
-    }
+    total += WordTranslations(n.words[i].load(), n.sub_log2);
   }
   return total;
+}
+
+void ClusteredPageTable::StoreWord(Node& n, unsigned word_idx, MappingWord w) {
+  AtomicMappingWord& slot = n.words[word_idx];
+  live_translations_ -= WordTranslations(slot.load(), n.sub_log2);
+  live_translations_ += WordTranslations(w, n.sub_log2);
+  slot.store(w);
 }
 
 bool ClusteredPageTable::NodeEmpty(const Node& n) const {
@@ -242,9 +250,7 @@ void ClusteredPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,
 
 void ClusteredPageTable::InsertBase(Vpn vpn, Ppn ppn, Attr attr) {
   Node& n = GetOrCreateNode(VpbnOf(vpn, factor_), 0, MappingKind::kBase);
-  live_translations_ -= NodeTranslations(n);
-  n.words[BoffOf(vpn, factor_)].store(MappingWord::Base(ppn, attr));
-  live_translations_ += NodeTranslations(n);
+  StoreWord(n, BoffOf(vpn, factor_), MappingWord::Base(ppn, attr));
 }
 
 bool ClusteredPageTable::RemoveBase(Vpn vpn) {
@@ -253,12 +259,11 @@ bool ClusteredPageTable::RemoveBase(Vpn vpn) {
     return false;
   }
   Node& n = arena_[*link];
-  AtomicMappingWord& slot = n.words[BoffOf(vpn, factor_)];
-  if (!slot.load().valid()) {
+  const unsigned word_idx = BoffOf(vpn, factor_);
+  if (!n.words[word_idx].load().valid()) {
     return false;
   }
-  --live_translations_;
-  slot.store(MappingWord::Invalid());
+  StoreWord(n, word_idx, MappingWord::Invalid());
   if (NodeEmpty(n)) {
     UnlinkAndFree(link);
   }
@@ -271,9 +276,7 @@ void ClusteredPageTable::InsertSuperpage(Vpn base_vpn, PageSize size, Ppn base_p
   if (size.pages() < factor_) {
     // A sub-size node: slots of 2^SZ pages each within one block.
     Node& n = GetOrCreateNode(VpbnOf(base_vpn, factor_), size.size_log2, MappingKind::kSuperpage);
-    live_translations_ -= NodeTranslations(n);
-    n.words[BoffOf(base_vpn, factor_) >> size.size_log2].store(word);
-    live_translations_ += NodeTranslations(n);
+    StoreWord(n, BoffOf(base_vpn, factor_) >> size.size_log2, word);
     return;
   }
   // Block-sized or larger: one compact node per covered page block.  Larger
@@ -282,10 +285,7 @@ void ClusteredPageTable::InsertSuperpage(Vpn base_vpn, PageSize size, Ppn base_p
   const unsigned blocks = size.pages() / factor_;
   const Vpbn first_block = VpbnOf(base_vpn, factor_);
   for (unsigned b = 0; b < blocks; ++b) {
-    Node& n = GetOrCreateNode(first_block + b, block_log2_, MappingKind::kSuperpage);
-    live_translations_ -= NodeTranslations(n);
-    n.words[0].store(word);
-    live_translations_ += NodeTranslations(n);
+    StoreWord(GetOrCreateNode(first_block + b, block_log2_, MappingKind::kSuperpage), 0, word);
   }
 }
 
@@ -297,12 +297,11 @@ bool ClusteredPageTable::RemoveSuperpage(Vpn base_vpn, PageSize size) {
       return false;
     }
     Node& n = arena_[*link];
-    AtomicMappingWord& slot = n.words[BoffOf(base_vpn, factor_) >> size.size_log2];
-    if (!slot.load().valid()) {
+    const unsigned word_idx = BoffOf(base_vpn, factor_) >> size.size_log2;
+    if (!n.words[word_idx].load().valid()) {
       return false;
     }
-    live_translations_ -= size.pages();
-    slot.store(MappingWord::InvalidSuperpage(size));
+    StoreWord(n, word_idx, MappingWord::InvalidSuperpage(size));
     if (NodeEmpty(n)) {
       UnlinkAndFree(link);
     }
@@ -329,9 +328,7 @@ void ClusteredPageTable::UpsertPartialSubblock(Vpn block_base_vpn, unsigned subb
              IsSuperpageAligned(block_base_ppn, PageSize{block_log2_}));
   Node& n =
       GetOrCreateNode(VpbnOf(block_base_vpn, factor_), block_log2_, MappingKind::kPartialSubblock);
-  live_translations_ -= NodeTranslations(n);
-  n.words[0].store(MappingWord::PartialSubblock(block_base_ppn, attr, valid_vector));
-  live_translations_ += NodeTranslations(n);
+  StoreWord(n, 0, MappingWord::PartialSubblock(block_base_ppn, attr, valid_vector));
 }
 
 bool ClusteredPageTable::RemovePartialSubblock(Vpn block_base_vpn, unsigned /*subblock_factor*/) {

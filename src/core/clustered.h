@@ -125,8 +125,15 @@ class ClusteredPageTable final : public pt::PageTable {
     return kHeaderBytes + kWordBytes * WordsInNode(n);
   }
 
-  // Base pages this node currently translates.
+  // Base pages one word of a node with 2^sub_log2 pages per word translates.
+  std::uint64_t WordTranslations(MappingWord w, unsigned sub_log2) const;
+  // Base pages this node currently translates.  Only whole-node unlinks
+  // (and the auditor) recount a node; every single-word write goes through
+  // StoreWord.
   std::uint64_t NodeTranslations(const Node& n) const;
+  // Stores `w` at `word_idx`, adjusting live_translations_ by the word it
+  // replaces.
+  void StoreWord(Node& n, unsigned word_idx, MappingWord w);
   bool NodeEmpty(const Node& n) const;
 
   std::int32_t* FindLink(Vpbn tag, unsigned sub_log2, MappingKind kind0);

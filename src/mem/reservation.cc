@@ -22,16 +22,25 @@ std::optional<ReservationAllocator::FrameGrant> ReservationAllocator::Allocate(
   }
 
   // 1. An existing reservation for this virtual block: use the matching slot.
-  if (auto it = by_owner_.find(block_key); it != by_owner_.end()) {
-    Group& grp = groups_[it->second];
-    CPT_DCHECK(grp.state == GroupState::kReserved);
+  //    The group of the last grant is checked first; it is still this key's
+  //    reservation exactly when it is reserved with this owner.
+  std::uint64_t g = last_group_;
+  if (g >= groups_.size() || groups_[g].state != GroupState::kReserved ||
+      groups_[g].owner_key != block_key) {
+    const auto it = by_owner_.find(block_key);
+    g = it != by_owner_.end() ? it->second : kNoGroup;
+  }
+  if (g != kNoGroup) {
+    Group& grp = groups_[g];
+    CPT_DCHECK(grp.state == GroupState::kReserved && grp.owner_key == block_key);
+    last_group_ = g;
     const std::uint32_t bit = 1u << boff;
     CPT_DCHECK((grp.used_mask & bit) == 0, "double allocation of (block, boff)");
     grp.used_mask |= bit;
     ++frames_used_;
     ++grants_;
     ++placed_grants_;
-    const Ppn ppn = FrameAt(it->second, boff);
+    const Ppn ppn = FrameAt(g, boff);
     RecordGrant(ppn, block_key, boff, /*properly_placed=*/true);
     return FrameGrant{ppn, true};
   }
@@ -39,7 +48,7 @@ std::optional<ReservationAllocator::FrameGrant> ReservationAllocator::Allocate(
   // 2. Reserve a free aligned group for this virtual block: a recycled one
   //    if any (the last freed first), else the lowest never-granted one.
   if (!free_groups_.empty() || groups_.size() < num_groups()) {
-    std::uint64_t g = groups_.size();
+    g = groups_.size();
     if (!free_groups_.empty()) {
       g = free_groups_.back();
       free_groups_.pop_back();
@@ -53,6 +62,7 @@ std::optional<ReservationAllocator::FrameGrant> ReservationAllocator::Allocate(
     grp.owner_key = block_key;
     grp.used_mask = 1u << boff;
     by_owner_.emplace(block_key, g);
+    last_group_ = g;
     // Fault path only: frames are granted while faulting, which Preload()
     // front-loads; the replay steady state never reaches here.
     reservation_fifo_.push_back(g);

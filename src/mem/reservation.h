@@ -42,6 +42,7 @@ class ReservationAllocator {
   // identified by `block_key` (an (address space, VPBN) key chosen by the
   // caller).  The same (block_key, boff) must not be allocated twice without
   // an intervening Free.  Returns nullopt when physical memory is exhausted.
+  // Consecutive allocations for one block skip the owner-map lookup.
   // The key is opaque to the allocator, deliberately raw.
   // cpt-lint: allow(raw-address-param)
   std::optional<FrameGrant> Allocate(std::uint64_t block_key, unsigned boff);
@@ -115,6 +116,12 @@ class ReservationAllocator {
   std::vector<Group> groups_;
   std::vector<std::uint64_t> free_groups_;                    // Stack of recycled kFree ids.
   std::unordered_map<std::uint64_t, std::uint64_t> by_owner_;  // block_key -> group id.
+  // The group of the last reserved grant: most faults land in the same
+  // virtual block as the one before, so Allocate checks it before by_owner_.
+  // It needs no invalidation: a group is block_key's reservation exactly
+  // when it is kReserved with owner_key == block_key.
+  static constexpr std::uint64_t kNoGroup = ~std::uint64_t{0};
+  std::uint64_t last_group_ = kNoGroup;
   std::deque<std::uint64_t> reservation_fifo_;                // Steal victims, oldest first.
   std::vector<Ppn> fragment_pool_;                            // Individually-free frames.
 

@@ -13,7 +13,7 @@ AddressSpace::AddressSpace(std::uint32_t id, pt::PageTable& table,
       opts_(opts),
       factor_(opts.subblock_factor),
       block_size_{Log2(opts.subblock_factor)} {
-  CPT_CHECK(IsPowerOfTwo(factor_));
+  CPT_CHECK(IsPowerOfTwo(factor_) && factor_ <= kMaxBlockPages);
   CPT_CHECK(factor_ == frames.subblock_factor());
   if (opts_.strategy == PteStrategy::kPartialSubblock) {
     CPT_CHECK(factor_ <= MappingWord::kMaxPsbFactor);
@@ -29,7 +29,7 @@ AddressSpace::~AddressSpace() = default;
 Ppn AddressSpace::BlockPpnBase(const BlockState& b) const {
   CPT_DCHECK(b.placed_mask != 0);
   const unsigned slot = static_cast<unsigned>(std::countr_zero(b.placed_mask));
-  return b.ppns[slot] - slot;
+  return b.ppn(slot) - slot;
 }
 
 bool AddressSpace::TouchPage(VirtAddr va) {
@@ -38,11 +38,11 @@ bool AddressSpace::TouchPage(VirtAddr va) {
   const unsigned boff = BoffOf(vpn, factor_);
   const std::uint32_t bit = 1u << boff;
 
-  auto [it, inserted] = blocks_.try_emplace(vpbn);
-  BlockState& block = it->second;
-  if (inserted) {
-    block.ppns.resize(factor_, Ppn{});
+  if (last_block_ == nullptr || last_vpbn_ != vpbn) {
+    last_block_ = &blocks_[vpbn];
+    last_vpbn_ = vpbn;
   }
+  BlockState& block = *last_block_;
   if (block.resident_mask & bit) {
     return true;  // Already resident and mapped.
   }
@@ -61,7 +61,7 @@ bool AddressSpace::TouchPage(VirtAddr va) {
   }
   ++resident_pages_;
   block.resident_mask |= bit;
-  block.ppns[boff] = grant->ppn;
+  block.set_ppn(boff, grant->ppn);
   if (grant->properly_placed) {
     block.placed_mask |= bit;
   } else {
@@ -73,7 +73,7 @@ bool AddressSpace::TouchPage(VirtAddr va) {
 
 void AddressSpace::MapNewPage(Vpbn vpbn, BlockState& block, unsigned boff, bool placed) {
   const Vpn vpn = BlockFirstVpn(vpbn) + boff;
-  const Ppn ppn = block.ppns[boff];
+  const Ppn ppn = block.ppn(boff);
   switch (opts_.strategy) {
     case PteStrategy::kBaseOnly:
       table_.InsertBase(vpn, ppn, opts_.default_attr);
@@ -150,7 +150,7 @@ void AddressSpace::UnmapOnePage(Vpn vpn) {
     ++stats_.demotions;
     for (unsigned i = 0; i < factor_; ++i) {
       if (i != boff && (block.resident_mask & (1u << i))) {
-        table_.InsertBase(first + i, block.ppns[i], opts_.default_attr);
+        table_.InsertBase(first + i, block.ppn(i), opts_.default_attr);
       }
     }
   } else if (block.has_psb_pte && (block.placed_mask & bit)) {
@@ -168,13 +168,14 @@ void AddressSpace::UnmapOnePage(Vpn vpn) {
     table_.RemoveBase(vpn);
   }
 
-  frames_.Free(block.ppns[boff]);
+  frames_.Free(block.ppn(boff));
   block.resident_mask &= ~bit;
   block.placed_mask &= ~bit;
-  block.ppns[boff] = Ppn{};
+  block.set_ppn(boff, Ppn{});
   --resident_pages_;
   if (block.resident_mask == 0) {
     blocks_.erase(it);
+    last_block_ = nullptr;
   }
 }
 

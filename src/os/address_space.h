@@ -19,12 +19,16 @@
 //                        PTEs.
 // Unmapping demotes: a superpage PTE is split back into base PTEs for the
 // still-resident pages; a PSB vector shrinks.
+//
+// Apart from the page-table writes it models, a fault costs O(1) host work:
+// a repeat fault in the last faulted block skips the block-map lookup, and
+// a new block's state is one map node with its frames inline.
 #ifndef CPT_OS_ADDRESS_SPACE_H_
 #define CPT_OS_ADDRESS_SPACE_H_
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "common/hotpath.h"
 #include "common/pte.h"
@@ -75,7 +79,8 @@ class AddressSpace {
   AddressSpace& operator=(const AddressSpace&) = delete;
 
   // Demand-fault entry point: makes va's page resident and mapped.
-  // Returns false when physical memory is exhausted.
+  // Returns false when physical memory is exhausted (the block's state is
+  // still created, with no page resident).
   //
   // CPT_COLD: page faults are OS work, excluded from the steady-state
   // replay path the same way AbortWalk discards the walk's line count
@@ -97,13 +102,23 @@ class AddressSpace {
   PteStrategy strategy() const { return opts_.strategy; }
 
  private:
+  // The per-block masks are 32-bit, which caps the subblock factor (the
+  // frame allocator's groups share the cap).
+  static constexpr unsigned kMaxBlockPages = 32;
+
   struct BlockState {
     std::uint32_t resident_mask = 0;
     std::uint32_t placed_mask = 0;       // Pages granted properly placed.
-    std::vector<Ppn> ppns;               // Per-slot frame numbers.
+    // Per-slot frame numbers, inline so a new block costs one map node.
+    // A PPN is 28 bits, so 32 bits hold it and halve the node.
+    std::array<std::uint32_t, kMaxBlockPages> frames{};
     bool promoted = false;               // One superpage PTE covers the block.
     bool has_psb_pte = false;            // A PSB PTE covers placed pages.
+
+    Ppn ppn(unsigned slot) const { return Ppn{frames[slot]}; }
+    void set_ppn(unsigned slot, Ppn ppn) { frames[slot] = static_cast<std::uint32_t>(ppn.raw()); }
   };
+  static_assert(PpnTag::kMaxRaw <= UINT32_MAX, "BlockState::frames holds a PPN in 32 bits");
 
   // Reservation keys deliberately erase the domain: the allocator keys
   // reservations by a salted integer, not by VPBN.
@@ -124,6 +139,11 @@ class AddressSpace {
   unsigned factor_;
   PageSize block_size_;
   std::unordered_map<Vpbn, BlockState> blocks_;
+  // The block of the last TouchPage: most faults land in the same block as
+  // the one before, so they skip the hash lookup.  unordered_map element
+  // pointers survive rehashing; the one blocks_.erase clears it.
+  Vpbn last_vpbn_{};
+  BlockState* last_block_ = nullptr;
   std::uint64_t resident_pages_ = 0;
   Stats stats_;
 };

@@ -110,6 +110,8 @@ TraceGenerator::TraceGenerator(const WorkloadSpec& spec, const Snapshot& snapsho
       SegmentState& st = ps.segments[s];
       st.spec = &segs[s];
       st.pages = &snapshot.pages[p][s];
+      st.write_threshold = Rng::ChanceThreshold(segs[s].write_fraction);
+      st.sojourn_threshold = Rng::BurstThreshold(segs[s].sojourn_mean);
       cum += segs[s].weight;
       ps.cumulative_weight.push_back(cum);
     }
@@ -182,8 +184,8 @@ Run TraceGenerator::NextRun(std::uint64_t max_refs) {
   ProcessState& p = procs_[active_proc_];
   if (p.sojourn_left == 0 || p.current_segment == nullptr) {
     PickNewPage(p);
-    const double mean = p.current_segment != nullptr ? p.current_segment->spec->sojourn_mean : 1.0;
-    p.sojourn_left = rng_.BurstLength(mean);
+    p.sojourn_left = rng_.BurstLengthBelow(
+        p.current_segment != nullptr ? p.current_segment->sojourn_threshold : Rng::kSingleBurst);
   }
   std::uint64_t count = std::min(std::min<std::uint64_t>(kMaxRunRefs, max_refs), p.sojourn_left);
   if (sliced) {
@@ -192,17 +194,17 @@ Run TraceGenerator::NextRun(std::uint64_t max_refs) {
   }
   p.sojourn_left -= count;
 
-  const double write_fraction =
-      p.current_segment != nullptr ? p.current_segment->spec->write_fraction : 0.0;
+  const std::uint64_t write_threshold =
+      p.current_segment != nullptr ? p.current_segment->write_threshold : 0;
   // Each reference draws a pseudo-random offset within the page, then its
   // store bit; the TLB only sees the VPN, so only the first offset is kept.
   Run run{.asid = static_cast<tlb::Asid>(active_proc_),
           .va = VaOf(p.current_page) + (rng_.Next() & 0xFF8),
           .count = static_cast<std::uint32_t>(count)};
-  run.writes = rng_.Chance(write_fraction) ? 1 : 0;
+  run.writes = rng_.ChanceBelow(write_threshold) ? 1 : 0;
   for (std::uint32_t i = 1; i < run.count; ++i) {
     (void)rng_.Next();
-    run.writes |= std::uint64_t{rng_.Chance(write_fraction)} << i;
+    run.writes |= std::uint64_t{rng_.ChanceBelow(write_threshold)} << i;
   }
   return run;
 }

@@ -137,6 +137,10 @@ class TraceGenerator {
     const std::vector<Vpn>* pages = nullptr;
     std::uint64_t cursor = 0;
     std::vector<std::uint32_t> chase_perm;  // Lazy permutation for kPointerChase.
+    // Rng thresholds of the segment's per-reference store bit and its
+    // sojourn length, fixed at construction.
+    std::uint64_t write_threshold = 0;
+    std::uint64_t sojourn_threshold = 0;
   };
   struct ProcessState {
     std::vector<SegmentState> segments;

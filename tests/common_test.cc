@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
+#include <iterator>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -74,6 +77,80 @@ TEST(RngTest, BurstLengthIsAtLeastOne) {
   Rng rng(12);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_GE(rng.BurstLength(0.1), 1u);
+  }
+}
+
+// Chance(p) compares the draw's top 53 bits with ChanceThreshold(p); it must
+// return exactly what `NextDouble() < p` returned, draw for draw.
+TEST(RngTest, ChanceEqualsDoubleCompare) {
+  const double kProbes[] = {0.0,
+                            -0.0,
+                            std::numeric_limits<double>::denorm_min(),
+                            1.0 / 3.0,
+                            0.5,
+                            1.0 - 0x1.0p-53,
+                            1.0,
+                            1.5,
+                            std::numeric_limits<double>::infinity(),
+                            -1.0,
+                            std::numeric_limits<double>::quiet_NaN()};
+  Rng a(21);
+  Rng b(21);
+  Rng pick(22);
+  std::vector<double> probes(std::begin(kProbes), std::end(kProbes));
+  for (int i = 0; i < 200; ++i) {
+    probes.push_back(pick.NextDouble());
+    // A p on the 2^-53 grid: the draw equal to it must compare false.
+    probes.push_back(static_cast<double>(pick.Next() >> 11) * 0x1.0p-53);
+  }
+  for (const double p : probes) {
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_EQ(a.Chance(p), b.NextDouble() < p) << "p=" << p;
+    }
+    // Exact at the cut: draw k passes iff k < threshold, whatever the stream.
+    const std::uint64_t t = Rng::ChanceThreshold(p);
+    ASSERT_LE(t, std::uint64_t{1} << 53) << "p=" << p;
+    if (t > 0) {
+      EXPECT_TRUE(static_cast<double>(t - 1) * 0x1.0p-53 < p) << "p=" << p;
+    }
+    if (t < (std::uint64_t{1} << 53)) {
+      EXPECT_FALSE(static_cast<double>(t) * 0x1.0p-53 < p) << "p=" << p;
+    }
+  }
+  EXPECT_EQ(Rng::ChanceThreshold(0.0), 0u);
+  EXPECT_EQ(Rng::ChanceThreshold(-1.0), 0u);
+  EXPECT_EQ(Rng::ChanceThreshold(std::numeric_limits<double>::quiet_NaN()), 0u);
+  EXPECT_EQ(Rng::ChanceThreshold(1.0), std::uint64_t{1} << 53);
+  EXPECT_EQ(Rng::ChanceThreshold(2.0), std::uint64_t{1} << 53);
+  EXPECT_EQ(Rng::ChanceThreshold(std::numeric_limits<double>::denorm_min()), 1u);
+  EXPECT_EQ(a.Next(), b.Next()) << "both streams must have made the same draws";
+}
+
+// BurstLength must return what the per-draw double loop returned and leave
+// the stream at the same place; mean <= 1 makes no draw.
+TEST(RngTest, BurstLengthEqualsDoubleLoop) {
+  const auto double_loop = [](Rng& rng, double mean) -> std::uint64_t {
+    if (mean <= 1.0) {
+      return 1;
+    }
+    const double p = 1.0 / mean;
+    std::uint64_t n = 1;
+    while (!(rng.NextDouble() < p) && n < 1000000) {
+      ++n;
+    }
+    return n;
+  };
+  Rng a(31);
+  Rng b(31);
+  for (const double mean : {0.1, 1.0, 1.0 + 0x1.0p-52, 1.5, 3.0, 8.0, 16.0, 1000.0,
+                            std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    // An infinite or NaN mean never stops before the 10^6 cap: one burst.
+    const int bursts = std::isfinite(mean) ? 100 : 1;
+    for (int i = 0; i < bursts; ++i) {
+      ASSERT_EQ(a.BurstLength(mean), double_loop(b, mean)) << "mean=" << mean;
+      ASSERT_EQ(a.Next(), b.Next()) << "mean=" << mean;
+    }
   }
 }
 

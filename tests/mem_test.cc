@@ -249,6 +249,46 @@ TEST(ReservationTest, GrantOrderIsRecycledFirstThenFreshAscending) {
   audit_ok();
 }
 
+// Allocate checks the group of its last reserved grant before the owner
+// map.  Breaking that reservation from another key's Allocate must not let
+// the old owner keep drawing placed frames from the now-fragmented group.
+TEST(ReservationTest, BrokenLastOwnerFallsBackToUnplacedFrames) {
+  ReservationAllocator ra(8, 4);  // 2 groups of 4 frames.
+  ra.EnableGrantLog();
+  ASSERT_EQ(ra.Allocate(1, 0)->ppn, Ppn{0});  // Key 1 reserves group 0.
+  ASSERT_EQ(ra.Allocate(2, 0)->ppn, Ppn{4});  // Key 2 reserves group 1.
+  ASSERT_EQ(ra.Allocate(1, 1)->ppn, Ppn{1});  // Key 1's group is the last used.
+  // No free group: key 3 breaks the oldest reservation, key 1's.
+  const auto stolen = ra.Allocate(3, 0);
+  ASSERT_TRUE(stolen.has_value());
+  EXPECT_FALSE(stolen->properly_placed);
+  EXPECT_EQ(ra.reservations_broken(), 1u);
+  const auto after = ra.Allocate(1, 2);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_FALSE(after->properly_placed) << "key 1 no longer owns a reservation";
+  EXPECT_EQ(after->ppn.raw() / 4, 0u) << "the broken group's last spare frame";
+  const check::AuditReport report = check::StructuralAuditor::Audit(ra);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+// Freeing the last owner's group back to empty releases its reservation;
+// when another key then reserves that group, the old owner's next Allocate
+// must reserve a fresh group, not write into the other key's.
+TEST(ReservationTest, FreedLastOwnerReservesAFreshGroup) {
+  ReservationAllocator ra(8, 4);  // 2 groups of 4 frames.
+  ra.EnableGrantLog();
+  ASSERT_EQ(ra.Allocate(1, 3)->ppn, Ppn{3});  // Key 1 reserves group 0.
+  ra.Free(Ppn{3});                             // Group 0 is free again.
+  ASSERT_EQ(ra.Allocate(2, 1)->ppn, Ppn{1});  // Key 2 takes recycled group 0.
+  const auto grant = ra.Allocate(1, 3);
+  ASSERT_TRUE(grant.has_value());
+  EXPECT_TRUE(grant->properly_placed);
+  EXPECT_EQ(grant->ppn, Ppn{7}) << "slot 3 of fresh group 1";
+  EXPECT_EQ(ra.reservations_made(), 3u);
+  const check::AuditReport report = check::StructuralAuditor::Audit(ra);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
 TEST(ReservationTest, PlacementStatsAccumulate) {
   ReservationAllocator ra(64, 16);
   for (unsigned boff = 0; boff < 16; ++boff) {

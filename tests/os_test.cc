@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+
+#include "check/auditor.h"
 #include "core/clustered.h"
 #include "mem/cache_model.h"
 #include "mem/reservation.h"
@@ -186,6 +190,65 @@ TEST_F(OsClusteredTest, CensusCountsMixedBlocks) {
   const auto census = as.Census();
   EXPECT_EQ(census.psb_blocks, 2u);
   EXPECT_EQ(census.base_blocks, 1u);
+}
+
+// TouchPage remembers the block of the last fault.  Unmapping that whole
+// block erases its state; faulting it again must build it afresh, under
+// every PTE strategy (a stale memo would read freed memory, which the
+// asan-ubsan build reports).
+TEST(OsRefaultTest, RefaultAfterUnmappingTheLastFaultedBlock) {
+  const std::pair<PteStrategy, MappingKind> kCases[] = {
+      {PteStrategy::kBaseOnly, MappingKind::kBase},
+      {PteStrategy::kSuperpage, MappingKind::kSuperpage},
+      {PteStrategy::kPartialSubblock, MappingKind::kPartialSubblock},
+  };
+  for (const auto& [strategy, kind] : kCases) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    mem::CacheTouchModel cache(256);
+    mem::ReservationAllocator frames(1 << 12, 16);
+    core::ClusteredPageTable table(cache, {});
+    AddressSpace as(0, table, frames,
+                    AddressSpaceOptions{.strategy = strategy, .subblock_factor = 16});
+    ASSERT_TRUE(as.TouchPage(VaOf(Vpn{0x200})));
+    for (unsigned i = 0; i < 16; ++i) {
+      ASSERT_TRUE(as.TouchPage(VaOf(Vpn{0x100} + i)));
+    }
+    as.UnmapRange(Vpn{0x100}, 16);
+    EXPECT_FALSE(as.IsResident(Vpn{0x100}));
+    for (unsigned i = 0; i < 16; ++i) {
+      ASSERT_TRUE(as.TouchPage(VaOf(Vpn{0x100} + i)));
+    }
+    EXPECT_EQ(as.resident_pages(), 17u);
+    EXPECT_EQ(as.stats().faults, 33u);
+    EXPECT_EQ(as.stats().placement_failures, 0u);
+    const AddressSpace::BlockCensus census = as.Census();
+    EXPECT_EQ(census.super_blocks, strategy == PteStrategy::kSuperpage ? 1u : 0u);
+    EXPECT_EQ(census.psb_blocks, strategy == PteStrategy::kPartialSubblock ? 2u : 0u);
+    EXPECT_EQ(census.base_blocks, strategy == PteStrategy::kPartialSubblock ? 0u
+                                  : strategy == PteStrategy::kSuperpage  ? 1u
+                                                                         : 2u);
+    EXPECT_EQ(table.live_translations(), 17u);
+    std::optional<Ppn> block_ppn;
+    for (unsigned i = 0; i < 16; ++i) {
+      const Vpn vpn = Vpn{0x100} + i;
+      EXPECT_TRUE(as.IsResident(vpn));
+      mem::WalkScope scope(cache);
+      const auto fill = table.Lookup(VaOf(vpn));
+      ASSERT_TRUE(fill.has_value()) << "page " << i;
+      EXPECT_EQ(fill->kind, kind) << "page " << i;
+      // Properly placed: page i sits at slot i of one aligned frame block.
+      const Ppn ppn = fill->Translate(vpn);
+      if (!block_ppn) {
+        block_ppn = ppn;
+        EXPECT_TRUE(IsSuperpageAligned(ppn, kPage64K));
+      }
+      EXPECT_EQ(ppn, *block_ppn + i) << "page " << i;
+    }
+    const check::AuditReport pt_report = check::StructuralAuditor::AuditPageTable(table);
+    EXPECT_TRUE(pt_report.ok()) << pt_report.Summary();
+    const check::AuditReport mem_report = check::StructuralAuditor::Audit(frames);
+    EXPECT_TRUE(mem_report.ok()) << mem_report.Summary();
+  }
 }
 
 // The same policies must work via the multi-table hashed organization.
