@@ -1,5 +1,6 @@
 #include "check/auditor.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
@@ -675,9 +676,25 @@ AuditReport StructuralAuditor::AuditTlb(const tlb::Tlb& t) {
 
 namespace {
 
+// The allocator's state as its AuditVisit reports it.  A machine's default
+// pool (2^22 frames) has 2^18 groups, so the audit keeps per-group state
+// compact: each group's state and used mask in arrays sized up front, and an
+// owner key for reserved groups only.  AuditVisit reports groups in ascending order, so a group's
+// number is its index in `states`.
 class ReservationCollector final : public ReservationAuditVisitor {
  public:
-  void OnGroup(const ReservationGroupView& group) override { groups.push_back(group); }
+  explicit ReservationCollector(std::uint64_t num_groups) {
+    states.reserve(num_groups);
+    used_masks.reserve(num_groups);
+    free_list.reserve(num_groups);
+  }
+  void OnGroup(const ReservationGroupView& group) override {
+    if (group.state == GroupStateView::kReserved) {
+      reserved.push_back({states.size(), group.owner_key});
+    }
+    states.push_back(group.state);
+    used_masks.push_back(group.used_mask);
+  }
   void OnFreeListGroup(std::uint64_t group) override { free_list.push_back(group); }
   void OnFragmentFrame(Ppn ppn) override { fragment_pool.push_back(ppn); }
   void OnOwnerEntry(std::uint64_t key, std::uint64_t group) override {
@@ -687,6 +704,11 @@ class ReservationCollector final : public ReservationAuditVisitor {
     grants.push_back({ppn, block_key, boff, properly_placed});
   }
 
+  struct Reservation {
+    std::uint64_t group;
+    std::uint64_t owner_key;
+    bool in_owner_map = false;
+  };
   struct Grant {
     Ppn ppn;
     std::uint64_t block_key;
@@ -694,7 +716,17 @@ class ReservationCollector final : public ReservationAuditVisitor {
     bool properly_placed;
   };
 
-  std::vector<ReservationGroupView> groups;
+  // The entry of a group whose state is kReserved (`reserved` is in group
+  // order).
+  Reservation& ReservationOf(std::uint64_t group) {
+    return *std::lower_bound(
+        reserved.begin(), reserved.end(), group,
+        [](const Reservation& r, std::uint64_t g) { return r.group < g; });
+  }
+
+  std::vector<GroupStateView> states;
+  std::vector<std::uint32_t> used_masks;
+  std::vector<Reservation> reserved;
   std::vector<std::uint64_t> free_list;
   std::vector<Ppn> fragment_pool;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> owners;
@@ -705,24 +737,25 @@ class ReservationCollector final : public ReservationAuditVisitor {
 
 AuditReport StructuralAuditor::Audit(const mem::ReservationAllocator& alloc) {
   AuditReport report;
-  ReservationCollector c;
-  alloc.AuditVisit(c);
   const unsigned factor = alloc.subblock_factor();
+  ReservationCollector c(alloc.num_frames() / factor);
+  alloc.AuditVisit(c);
+  const std::uint64_t num_groups = c.states.size();
 
   std::uint64_t used = 0;
   std::uint64_t free_groups = 0;
-  for (const ReservationGroupView& g : c.groups) {
-    used += std::popcount(g.used_mask);
-    switch (g.state) {
+  for (std::uint64_t g = 0; g < num_groups; ++g) {
+    used += std::popcount(c.used_masks[g]);
+    switch (c.states[g]) {
       case GroupStateView::kFree:
         ++free_groups;
-        if (g.used_mask != 0) {
-          report.Add("group " + Str(g.group) + " is free but has used frames");
+        if (c.used_masks[g] != 0) {
+          report.Add("group " + Str(g) + " is free but has used frames");
         }
         break;
       case GroupStateView::kReserved:
-        if (g.used_mask == 0) {
-          report.Add("group " + Str(g.group) + " is reserved but entirely unused");
+        if (c.used_masks[g] == 0) {
+          report.Add("group " + Str(g) + " is reserved but entirely unused");
         }
         break;
       case GroupStateView::kFragmented:
@@ -735,41 +768,51 @@ AuditReport StructuralAuditor::Audit(const mem::ReservationAllocator& alloc) {
   }
 
   // Owner map <-> group state, both directions.
-  std::unordered_map<std::uint64_t, std::uint64_t> owner_of;  // group -> key
   for (const auto& [key, g] : c.owners) {
-    owner_of[g] = key;
-    if (g >= c.groups.size()) {
+    if (g >= num_groups) {
       report.Add("owner map points at out-of-range group " + Str(g));
       continue;
     }
-    const ReservationGroupView& grp = c.groups[g];
-    if (grp.state != GroupStateView::kReserved) {
+    if (c.states[g] != GroupStateView::kReserved) {
       report.Add("owner map entry for key " + Str(key) + " points at group " + Str(g) +
                  " which is not reserved");
-    } else if (grp.owner_key != key) {
-      report.Add("group " + Str(g) + " records owner " + Str(grp.owner_key) +
+      continue;
+    }
+    ReservationCollector::Reservation& r = c.ReservationOf(g);
+    r.in_owner_map = true;
+    if (r.owner_key != key) {
+      report.Add("group " + Str(g) + " records owner " + Str(r.owner_key) +
                  " but the owner map files it under " + Str(key));
     }
   }
-  for (const ReservationGroupView& g : c.groups) {
-    if (g.state == GroupStateView::kReserved && owner_of.find(g.group) == owner_of.end()) {
-      report.Add("group " + Str(g.group) + " is reserved but absent from the owner map");
+  for (const ReservationCollector::Reservation& r : c.reserved) {
+    if (!r.in_owner_map) {
+      report.Add("group " + Str(r.group) + " is reserved but absent from the owner map");
     }
   }
 
-  // Free list: exact, duplicate-free, and only kFree groups.
-  std::unordered_set<std::uint64_t> free_seen;
+  // Free list: exact, duplicate-free, and only kFree groups.  A bit per
+  // group marks the entries seen; entries past the last group, which only a
+  // corrupt list holds, go in a set.
+  std::vector<bool> on_free_list(num_groups);
+  std::unordered_set<std::uint64_t> out_of_range;
+  std::uint64_t free_listed = 0;
   for (const std::uint64_t g : c.free_list) {
-    if (!free_seen.insert(g).second) {
+    const bool in_range = g < num_groups;
+    if (in_range ? on_free_list[g] : !out_of_range.insert(g).second) {
       report.Add("group " + Str(g) + " appears twice on the free list");
       continue;
     }
-    if (g >= c.groups.size() || c.groups[g].state != GroupStateView::kFree) {
+    if (in_range) {
+      on_free_list[g] = true;
+    }
+    ++free_listed;
+    if (!in_range || c.states[g] != GroupStateView::kFree) {
       report.Add("free list holds group " + Str(g) + " which is not free");
     }
   }
-  if (free_seen.size() != free_groups) {
-    report.Add("free list holds " + Str(free_seen.size()) + " groups but " + Str(free_groups) +
+  if (free_listed != free_groups) {
+    report.Add("free list holds " + Str(free_listed) + " groups but " + Str(free_groups) +
                " groups are free");
   }
 
@@ -786,7 +829,7 @@ AuditReport StructuralAuditor::Audit(const mem::ReservationAllocator& alloc) {
       const std::uint64_t group = g.ppn.raw() / factor;
       const unsigned slot = static_cast<unsigned>(g.ppn.raw() % factor);
       const std::uint32_t bit = 1u << slot;
-      if (group >= c.groups.size() || (c.groups[group].used_mask & bit) == 0) {
+      if (group >= num_groups || (c.used_masks[group] & bit) == 0) {
         report.Add("granted frame " + Str(g.ppn) + " is not marked used in its group");
       }
       if (g.properly_placed && slot != g.boff) {

@@ -98,6 +98,37 @@ class TestBackdoor {
     return false;
   }
 
+  // Pushes the lowest never-granted group onto the recycled-group stack, so
+  // the free list names it twice.
+  static bool DuplicateFreeGroup(mem::ReservationAllocator& alloc) {
+    if (alloc.groups_.size() >= alloc.num_groups()) {
+      return false;
+    }
+    alloc.free_groups_.push_back(alloc.groups_.size());
+    return true;
+  }
+
+  // Changes the owner recorded in the first reserved group, so the group and
+  // the owner map name different blocks.
+  static bool MisfileReservationOwner(mem::ReservationAllocator& alloc) {
+    for (auto& group : alloc.groups_) {
+      if (group.state == mem::ReservationAllocator::GroupState::kReserved) {
+        ++group.owner_key;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Erases one owner-map entry, so its reserved group is missing from it.
+  static bool DropReservationOwner(mem::ReservationAllocator& alloc) {
+    if (alloc.by_owner_.empty()) {
+      return false;
+    }
+    alloc.by_owner_.erase(alloc.by_owner_.begin());
+    return true;
+  }
+
   // Rewrites the first logged grant to claim proper placement at a slot
   // offset the frame cannot occupy, so the grant-placement audit fires.
   // Requires EnableGrantLog() before the grant was made.

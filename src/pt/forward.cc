@@ -5,10 +5,6 @@
 
 namespace cpt::pt {
 
-namespace {
-constexpr unsigned kPsbPagesLog2 = 4;
-}  // namespace
-
 ForwardMappedPageTable::ForwardMappedPageTable(mem::CacheTouchModel& cache, Options opts)
     : PageTable(cache), opts_(opts), alloc_(cache.line_size(), opts.placement) {}
 
@@ -28,8 +24,8 @@ TlbFill ForwardMappedPageTable::FillFromWord(Vpn vpn, MappingWord word) const {
       fill.base_vpn = SuperpageBaseVpn(vpn, word.page_size());
       break;
     case MappingKind::kPartialSubblock:
-      fill.pages_log2 = kPsbPagesLog2;
-      fill.base_vpn = SuperpageBaseVpn(vpn, PageSize{kPsbPagesLog2});
+      fill.pages_log2 = kReplicatedPsbPagesLog2;
+      fill.base_vpn = SuperpageBaseVpn(vpn, PageSize{kReplicatedPsbPagesLog2});
       break;
   }
   return fill;
@@ -106,17 +102,34 @@ void ForwardMappedPageTable::MaybeFreeInner(Vpn vpn, unsigned level) {
 }
 
 ForwardMappedPageTable::Leaf& ForwardMappedPageTable::LeafFor(Vpn vpn) {
-  auto [it, inserted] = leaves_.try_emplace(PrefixAt(vpn, 1));
+  const std::uint64_t prefix = PrefixAt(vpn, 1);
+  if (memo_leaf_ != nullptr && memo_prefix_ == prefix) {
+    return *memo_leaf_;
+  }
+  auto [it, inserted] = leaves_.try_emplace(prefix);
   if (inserted) {
     it->second.addr = alloc_.Allocate(NodeBytesOfLevel(1));
     AddPath(vpn);
   }
+  memo_prefix_ = prefix;
+  memo_leaf_ = &it->second;
   return it->second;
 }
 
 ForwardMappedPageTable::Leaf* ForwardMappedPageTable::FindLeaf(Vpn vpn) {
-  auto it = leaves_.find(PrefixAt(vpn, 1));
+  const std::uint64_t prefix = PrefixAt(vpn, 1);
+  if (memo_leaf_ != nullptr && memo_prefix_ == prefix) {
+    return memo_leaf_;
+  }
+  auto it = leaves_.find(prefix);
   return it == leaves_.end() ? nullptr : &it->second;
+}
+
+void ForwardMappedPageTable::FreeLeaf(Vpn vpn, Leaf& leaf) {
+  alloc_.Free(leaf.addr, NodeBytesOfLevel(1));
+  memo_leaf_ = nullptr;
+  leaves_.erase(PrefixAt(vpn, 1));
+  RemovePath(vpn);
 }
 
 void ForwardMappedPageTable::SetSlot(Vpn vpn, MappingWord word) {
@@ -124,12 +137,10 @@ void ForwardMappedPageTable::SetSlot(Vpn vpn, MappingWord word) {
   AtomicMappingWord& slot = leaf.slots[IndexAt(vpn, 1)];
   const MappingWord old = slot.load();
   const bool was_occupied = old != MappingWord::Invalid();
-  const bool was_translating = was_occupied && FillFromWord(vpn, old).Covers(vpn);
   const bool now_occupied = word != MappingWord::Invalid();
-  const bool now_translating = now_occupied && FillFromWord(vpn, word).Covers(vpn);
   leaf.live += static_cast<unsigned>(now_occupied) - static_cast<unsigned>(was_occupied);
-  live_translations_ +=
-      static_cast<std::uint64_t>(now_translating) - static_cast<std::uint64_t>(was_translating);
+  live_translations_ += static_cast<std::uint64_t>(TranslatesSite(word, vpn)) -
+                        static_cast<std::uint64_t>(TranslatesSite(old, vpn));
   slot.store(word);
 }
 
@@ -141,17 +152,21 @@ MappingWord ForwardMappedPageTable::ClearSlot(Vpn vpn) {
   AtomicMappingWord& slot = leaf->slots[IndexAt(vpn, 1)];
   const MappingWord old = slot.load();
   if (old != MappingWord::Invalid()) {
-    if (FillFromWord(vpn, old).Covers(vpn)) {
-      --live_translations_;
-    }
+    live_translations_ -= static_cast<std::uint64_t>(TranslatesSite(old, vpn));
     slot.store(MappingWord::Invalid());
     if (--leaf->live == 0) {
-      alloc_.Free(leaf->addr, NodeBytesOfLevel(1));
-      leaves_.erase(PrefixAt(vpn, 1));
-      RemovePath(vpn);
+      FreeLeaf(vpn, *leaf);
     }
   }
   return old;
+}
+
+bool ForwardMappedPageTable::WriteReplicas(Vpn first, std::uint64_t npages, MappingWord word,
+                                           ReplicaSites sites) {
+  return WriteReplicaRuns<kLeafEntries>(
+      first, npages, word, sites, live_translations_,
+      [&](Vpn vpn) { return word != MappingWord::Invalid() ? &LeafFor(vpn) : FindLeaf(vpn); },
+      [&](Vpn vpn, Leaf& leaf) { FreeLeaf(vpn, leaf); });
 }
 
 std::optional<TlbFill> ForwardMappedPageTable::Lookup(VirtAddr va) {
@@ -263,9 +278,7 @@ void ForwardMappedPageTable::InsertSuperpage(Vpn base_vpn, PageSize size, Ppn ba
       }
     }
   }
-  for (unsigned i = 0; i < size.pages(); ++i) {
-    SetSlot(base_vpn + i, word);
-  }
+  WriteReplicas(base_vpn, size.pages(), word, ReplicaSites::kAll);
 }
 
 bool ForwardMappedPageTable::RemoveSuperpage(Vpn base_vpn, PageSize size) {
@@ -285,31 +298,25 @@ bool ForwardMappedPageTable::RemoveSuperpage(Vpn base_vpn, PageSize size) {
       }
     }
   }
-  bool any = false;
-  for (unsigned i = 0; i < size.pages(); ++i) {
-    any |= ClearSlot(base_vpn + i) != MappingWord::Invalid();
-  }
-  return any;
+  return WriteReplicas(base_vpn, size.pages(), MappingWord::Invalid(), ReplicaSites::kAll);
 }
 
 void ForwardMappedPageTable::UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor,
                                                    Ppn block_base_ppn, Attr attr,
                                                    std::uint16_t valid_vector) {
-  CPT_DCHECK(subblock_factor == (1u << kPsbPagesLog2));
+  // Replicated like the linear table's PSB words: base PTEs of unplaced
+  // pages in the block keep their sites.
+  CPT_DCHECK(subblock_factor == (1u << kReplicatedPsbPagesLog2));
   CPT_DCHECK(BoffOf(block_base_vpn, subblock_factor) == 0 &&
-             IsSuperpageAligned(block_base_ppn, PageSize{kPsbPagesLog2}));
-  const MappingWord word = MappingWord::PartialSubblock(block_base_ppn, attr, valid_vector);
-  for (unsigned i = 0; i < subblock_factor; ++i) {
-    SetSlot(block_base_vpn + i, word);
-  }
+             IsSuperpageAligned(block_base_ppn, PageSize{kReplicatedPsbPagesLog2}));
+  WriteReplicas(block_base_vpn, subblock_factor,
+                MappingWord::PartialSubblock(block_base_ppn, attr, valid_vector),
+                ReplicaSites::kAllButBase);
 }
 
 bool ForwardMappedPageTable::RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) {
-  bool any = false;
-  for (unsigned i = 0; i < subblock_factor; ++i) {
-    any |= ClearSlot(block_base_vpn + i) != MappingWord::Invalid();
-  }
-  return any;
+  return WriteReplicas(block_base_vpn, subblock_factor, MappingWord::Invalid(),
+                       ReplicaSites::kPsbOnly);
 }
 
 bool ForwardMappedPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,

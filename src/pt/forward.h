@@ -11,7 +11,9 @@
 // are parameterized by n_i and this choice satisfies sum(bits) = 52 with
 // nlevels = 7.
 //
-// Superpage / partial-subblock PTEs use Replicate-PTEs at the leaf sites.
+// Superpage / partial-subblock PTEs use Replicate-PTEs at the leaf sites
+// (pt/replicate.h): the word is written at every covered base-page site (a
+// PSB word skips sites holding a base PTE), one leaf lookup per leaf node.
 // As an extension (Section 4.2 "Forward-Mapped Intermediate Nodes"),
 // superpages whose size exactly matches a subtree's coverage can instead be
 // stored in the parent's PTP slot, short-circuiting the walk.
@@ -28,6 +30,7 @@
 #include "common/hotpath.h"
 #include "mem/sim_alloc.h"
 #include "pt/page_table.h"
+#include "pt/replicate.h"
 
 namespace cpt::pt {
 
@@ -120,8 +123,14 @@ class ForwardMappedPageTable final : public PageTable {
 
   Leaf& LeafFor(Vpn vpn);
   Leaf* FindLeaf(Vpn vpn);
+  // Frees the emptied leaf holding `vpn`: the table's one leaves_.erase.
+  void FreeLeaf(Vpn vpn, Leaf& leaf);
   void SetSlot(Vpn vpn, MappingWord word);
   MappingWord ClearSlot(Vpn vpn);
+  // Writes `word` (Invalid() clears) at the leaf sites of `npages` pages
+  // from `first` that `sites` allows, one leaf lookup per leaf node; returns
+  // whether an occupied slot was replaced.
+  bool WriteReplicas(Vpn first, std::uint64_t npages, MappingWord word, ReplicaSites sites);
   void AddPath(Vpn vpn);
   void RemovePath(Vpn vpn);
   // Ensures the node at `level` (and its ancestors) exists, then stores an
@@ -138,6 +147,10 @@ class ForwardMappedPageTable final : public PageTable {
   // Levels 2..7: prefix -> Inner (level 7's only prefix is 0).
   std::array<std::unordered_map<std::uint64_t, Inner>, kNumLevels + 1> inner_;
   std::uint64_t live_translations_ = 0;
+  // The leaf LeafFor resolved last; FindLeaf consults it too.  Only writers
+  // set it, so Lookup and UpdateAttrFlags stay read-only.  FreeLeaf resets it.
+  std::uint64_t memo_prefix_ = 0;
+  Leaf* memo_leaf_ = nullptr;
 };
 
 }  // namespace cpt::pt

@@ -5,12 +5,6 @@
 
 namespace cpt::pt {
 
-namespace {
-// Replicated PSB words cover one page block; the factor is fixed by the
-// 16-bit valid vector format.
-constexpr unsigned kPsbPagesLog2 = 4;
-}  // namespace
-
 LinearPageTable::LinearPageTable(mem::CacheTouchModel& cache, Options opts)
     : PageTable(cache), opts_(opts), alloc_(cache.line_size(), opts.placement) {}
 
@@ -30,8 +24,8 @@ TlbFill LinearPageTable::FillFromWord(Vpn vpn, MappingWord word) const {
       fill.base_vpn = SuperpageBaseVpn(vpn, word.page_size());
       break;
     case MappingKind::kPartialSubblock:
-      fill.pages_log2 = kPsbPagesLog2;
-      fill.base_vpn = SuperpageBaseVpn(vpn, PageSize{kPsbPagesLog2});
+      fill.pages_log2 = kReplicatedPsbPagesLog2;
+      fill.base_vpn = SuperpageBaseVpn(vpn, PageSize{kReplicatedPsbPagesLog2});
       break;
   }
   return fill;
@@ -39,17 +33,34 @@ TlbFill LinearPageTable::FillFromWord(Vpn vpn, MappingWord word) const {
 
 LinearPageTable::Leaf& LinearPageTable::LeafFor(Vpn vpn) {
   const std::uint64_t leaf_index = LeafIndexOf(vpn);
+  if (memo_leaf_ != nullptr && memo_index_ == leaf_index) {
+    return *memo_leaf_;
+  }
   auto [it, inserted] = leaves_.try_emplace(leaf_index);
   if (inserted) {
     it->second.addr = alloc_.Allocate(kBasePageSize);
     AddUpperLevels(leaf_index);
   }
+  memo_index_ = leaf_index;
+  memo_leaf_ = &it->second;
   return it->second;
 }
 
 LinearPageTable::Leaf* LinearPageTable::FindLeaf(Vpn vpn) {
-  auto it = leaves_.find(LeafIndexOf(vpn));
+  const std::uint64_t leaf_index = LeafIndexOf(vpn);
+  if (memo_leaf_ != nullptr && memo_index_ == leaf_index) {
+    return memo_leaf_;
+  }
+  auto it = leaves_.find(leaf_index);
   return it == leaves_.end() ? nullptr : &it->second;
+}
+
+void LinearPageTable::FreeLeaf(Vpn vpn, Leaf& leaf) {
+  const std::uint64_t leaf_index = LeafIndexOf(vpn);
+  alloc_.Free(leaf.addr, kBasePageSize);
+  memo_leaf_ = nullptr;
+  leaves_.erase(leaf_index);
+  RemoveUpperLevels(leaf_index);
 }
 
 void LinearPageTable::AddUpperLevels(std::uint64_t leaf_index) {
@@ -82,12 +93,10 @@ void LinearPageTable::SetSlot(Vpn vpn, MappingWord word) {
   AtomicMappingWord& slot = leaf.slots[SlotIndexOf(vpn)];
   const MappingWord old = slot.load();
   const bool was_occupied = old != MappingWord::Invalid();
-  const bool was_translating = was_occupied && FillFromWord(vpn, old).Covers(vpn);
   const bool now_occupied = word != MappingWord::Invalid();
-  const bool now_translating = now_occupied && FillFromWord(vpn, word).Covers(vpn);
   leaf.live += static_cast<unsigned>(now_occupied) - static_cast<unsigned>(was_occupied);
-  live_translations_ +=
-      static_cast<std::uint64_t>(now_translating) - static_cast<std::uint64_t>(was_translating);
+  live_translations_ += static_cast<std::uint64_t>(TranslatesSite(word, vpn)) -
+                        static_cast<std::uint64_t>(TranslatesSite(old, vpn));
   slot.store(word);
 }
 
@@ -99,18 +108,21 @@ MappingWord LinearPageTable::ClearSlot(Vpn vpn) {
   AtomicMappingWord& slot = leaf->slots[SlotIndexOf(vpn)];
   const MappingWord old = slot.load();
   if (old != MappingWord::Invalid()) {
-    if (FillFromWord(vpn, old).Covers(vpn)) {
-      --live_translations_;
-    }
+    live_translations_ -= static_cast<std::uint64_t>(TranslatesSite(old, vpn));
     slot.store(MappingWord::Invalid());
     if (--leaf->live == 0) {
-      const std::uint64_t leaf_index = LeafIndexOf(vpn);
-      alloc_.Free(leaf->addr, kBasePageSize);
-      leaves_.erase(leaf_index);
-      RemoveUpperLevels(leaf_index);
+      FreeLeaf(vpn, *leaf);
     }
   }
   return old;
+}
+
+bool LinearPageTable::WriteReplicas(Vpn first, std::uint64_t npages, MappingWord word,
+                                    ReplicaSites sites) {
+  return WriteReplicaRuns<kPtesPerPage>(
+      first, npages, word, sites, live_translations_,
+      [&](Vpn vpn) { return word != MappingWord::Invalid() ? &LeafFor(vpn) : FindLeaf(vpn); },
+      [&](Vpn vpn, Leaf& leaf) { FreeLeaf(vpn, leaf); });
 }
 
 std::optional<TlbFill> LinearPageTable::Lookup(VirtAddr va) {
@@ -180,40 +192,32 @@ void LinearPageTable::InsertSuperpage(Vpn base_vpn, PageSize size, Ppn base_ppn,
   // Replicate-PTEs (Section 4.2): the superpage PTE is stored at the page
   // table site of every base page it covers.
   CPT_DCHECK(IsSuperpageAligned(base_vpn, size) && IsSuperpageAligned(base_ppn, size));
-  const MappingWord word = MappingWord::Superpage(base_ppn, attr, size);
-  for (unsigned i = 0; i < size.pages(); ++i) {
-    SetSlot(base_vpn + i, word);
-  }
+  WriteReplicas(base_vpn, size.pages(), MappingWord::Superpage(base_ppn, attr, size),
+                ReplicaSites::kAll);
 }
 
 bool LinearPageTable::RemoveSuperpage(Vpn base_vpn, PageSize size) {
-  bool any = false;
-  for (unsigned i = 0; i < size.pages(); ++i) {
-    any |= ClearSlot(base_vpn + i) != MappingWord::Invalid();
-  }
-  return any;
+  return WriteReplicas(base_vpn, size.pages(), MappingWord::Invalid(), ReplicaSites::kAll);
 }
 
 void LinearPageTable::UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor,
                                             Ppn block_base_ppn, Attr attr,
                                             std::uint16_t valid_vector) {
-  // Replicated at every base site; updating the vector rewrites all replicas
-  // (the §4.3 multi-PTE update cost of replication).
-  CPT_DCHECK(subblock_factor == (1u << kPsbPagesLog2));
+  // Replicated at every base site that does not hold a base PTE; updating
+  // the vector rewrites all replicas (the §4.3 multi-PTE update cost of
+  // replication).  A base PTE in the block maps an unplaced page, which the
+  // vector never covers, so it stays.
+  CPT_DCHECK(subblock_factor == (1u << kReplicatedPsbPagesLog2));
   CPT_DCHECK(BoffOf(block_base_vpn, subblock_factor) == 0 &&
-             IsSuperpageAligned(block_base_ppn, PageSize{kPsbPagesLog2}));
-  const MappingWord word = MappingWord::PartialSubblock(block_base_ppn, attr, valid_vector);
-  for (unsigned i = 0; i < subblock_factor; ++i) {
-    SetSlot(block_base_vpn + i, word);
-  }
+             IsSuperpageAligned(block_base_ppn, PageSize{kReplicatedPsbPagesLog2}));
+  WriteReplicas(block_base_vpn, subblock_factor,
+                MappingWord::PartialSubblock(block_base_ppn, attr, valid_vector),
+                ReplicaSites::kAllButBase);
 }
 
 bool LinearPageTable::RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) {
-  bool any = false;
-  for (unsigned i = 0; i < subblock_factor; ++i) {
-    any |= ClearSlot(block_base_vpn + i) != MappingWord::Invalid();
-  }
-  return any;
+  return WriteReplicas(block_base_vpn, subblock_factor, MappingWord::Invalid(),
+                       ReplicaSites::kPsbOnly);
 }
 
 bool LinearPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask) {

@@ -19,8 +19,10 @@
 // touches the leaf slot.
 //
 // Superpage / partial-subblock PTEs use the Replicate-PTEs strategy
-// (Section 4.2): the word is written at every covered base-page site, so
-// lookups are unchanged but the table cannot shrink.
+// (Section 4.2, pt/replicate.h): the word is written at every covered
+// base-page site (a PSB word skips sites holding a base PTE), so lookups are
+// unchanged but the table cannot shrink.  A replicated write resolves each
+// leaf page once and stores its run of replicas in one pass.
 #ifndef CPT_PT_LINEAR_H_
 #define CPT_PT_LINEAR_H_
 
@@ -34,6 +36,7 @@
 #include "common/hotpath.h"
 #include "mem/sim_alloc.h"
 #include "pt/page_table.h"
+#include "pt/replicate.h"
 
 namespace cpt::pt {
 
@@ -111,9 +114,15 @@ class LinearPageTable final : public PageTable {
 
   Leaf& LeafFor(Vpn vpn);
   Leaf* FindLeaf(Vpn vpn);
+  // Frees the emptied leaf holding `vpn`: the table's one leaves_.erase.
+  void FreeLeaf(Vpn vpn, Leaf& leaf);
   void SetSlot(Vpn vpn, MappingWord word);
   // Clears a slot; returns the previous word.
   MappingWord ClearSlot(Vpn vpn);
+  // Writes `word` (Invalid() clears) at the sites of `npages` pages from
+  // `first` that `sites` allows, one leaf lookup per leaf page; returns
+  // whether an occupied slot was replaced.
+  bool WriteReplicas(Vpn first, std::uint64_t npages, MappingWord word, ReplicaSites sites);
   void AddUpperLevels(std::uint64_t leaf_index);
   void RemoveUpperLevels(std::uint64_t leaf_index);
   TlbFill FillFromWord(Vpn vpn, MappingWord word) const;
@@ -125,6 +134,10 @@ class LinearPageTable final : public PageTable {
   // index 1 unused; level i keyed by vpn >> (9*i)).
   std::array<std::unordered_map<std::uint64_t, std::uint32_t>, kNumLevels + 1> upper_;
   std::uint64_t live_translations_ = 0;
+  // The leaf LeafFor resolved last; FindLeaf consults it too.  Only writers
+  // set it, so Lookup and UpdateAttrFlags stay read-only.  FreeLeaf resets it.
+  std::uint64_t memo_index_ = 0;
+  Leaf* memo_leaf_ = nullptr;
 };
 
 }  // namespace cpt::pt

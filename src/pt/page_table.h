@@ -10,7 +10,9 @@
 //
 // Superpage and partial-subblock (PSB) insertion strategies differ per
 // organization, per Sections 4 and 5:
-//   - linear / forward-mapped: replicate the PTE at every covered base site;
+//   - linear / forward-mapped: replicate the PTE at every covered base site
+//                              (pt/replicate.h; a PSB PTE leaves base PTEs
+//                              of unplaced pages in place);
 //   - hashed:                  a second page table keyed by page block
 //                              (see MultiTableHashed);
 //   - clustered:               stored in place, discriminated by the S field.

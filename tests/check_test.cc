@@ -240,6 +240,41 @@ TEST(CorruptionTest, ReservationMaskMismatchIsDetected) {
   EXPECT_NE(r.Summary().find("group masks account for"), std::string::npos) << r.Summary();
 }
 
+TEST(CorruptionTest, DuplicateFreeListGroupIsDetected) {
+  mem::ReservationAllocator alloc(256, 16);
+  ASSERT_TRUE(alloc.Allocate(1, 0).has_value());
+  ASSERT_TRUE(StructuralAuditor::Audit(alloc).ok());
+  ASSERT_TRUE(TestBackdoor::DuplicateFreeGroup(alloc));
+  const AuditReport r = StructuralAuditor::Audit(alloc);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.Summary().find("group 1 appears twice on the free list"), std::string::npos)
+      << r.Summary();
+}
+
+TEST(CorruptionTest, ReservationOwnerMismatchIsDetected) {
+  mem::ReservationAllocator alloc(256, 16);
+  ASSERT_TRUE(alloc.Allocate(7, 3).has_value());
+  ASSERT_TRUE(StructuralAuditor::Audit(alloc).ok());
+  ASSERT_TRUE(TestBackdoor::MisfileReservationOwner(alloc));
+  const AuditReport r = StructuralAuditor::Audit(alloc);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.Summary().find("group 0 records owner 8 but the owner map files it under 7"),
+            std::string::npos)
+      << r.Summary();
+}
+
+TEST(CorruptionTest, ReservedGroupMissingFromOwnerMapIsDetected) {
+  mem::ReservationAllocator alloc(256, 16);
+  ASSERT_TRUE(alloc.Allocate(2, 0).has_value());
+  ASSERT_TRUE(alloc.Allocate(5, 0).has_value());
+  ASSERT_TRUE(StructuralAuditor::Audit(alloc).ok());
+  ASSERT_TRUE(TestBackdoor::DropReservationOwner(alloc));
+  const AuditReport r = StructuralAuditor::Audit(alloc);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.Summary().find("is reserved but absent from the owner map"), std::string::npos)
+      << r.Summary();
+}
+
 TEST(CorruptionTest, MisplacedGrantIsDetected) {
   mem::ReservationAllocator alloc(256, 16);
   alloc.EnableGrantLog();

@@ -3,6 +3,10 @@
 // (seven-level walks, intermediate-node superpages).
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
+#include "accounting_sequence.h"
+#include "check/auditor.h"
 #include "mem/cache_model.h"
 #include "pt/forward.h"
 #include "pt/linear.h"
@@ -191,6 +195,121 @@ TEST_F(ForwardTest, LevelSplitCoversFiftyTwoBits) {
     total += bits;
   }
   EXPECT_EQ(total, 52u);
+}
+
+// ---------------------------------------------------------------------------
+// Replicate-PTEs block writes, on both replicated tables
+// ---------------------------------------------------------------------------
+
+template <typename Table>
+class ReplicatedTableTest : public ::testing::Test {
+ protected:
+  static constexpr unsigned kLeafPages = std::is_same_v<Table, LinearPageTable>
+                                             ? LinearPageTable::kPtesPerPage
+                                             : ForwardMappedPageTable::kLeafEntries;
+
+  ReplicatedTableTest() : cache_(256), table_(cache_, {}) {}
+
+  std::optional<TlbFill> Lookup(Vpn vpn) {
+    mem::WalkScope scope(cache_);
+    return table_.Lookup(VaOf(vpn));
+  }
+
+  std::string Audit() const {
+    return check::StructuralAuditor::AuditPageTable(table_).Summary();
+  }
+
+  mem::CacheTouchModel cache_;
+  Table table_;
+};
+
+using ReplicatedTables = ::testing::Types<LinearPageTable, ForwardMappedPageTable>;
+TYPED_TEST_SUITE(ReplicatedTableTest, ReplicatedTables);
+
+// Random writes of every kind, superpages of 2 to 64 pages: the leaf
+// counters and live_translations() match the recount after every write.
+TYPED_TEST(ReplicatedTableTest, AccountingMatchesAuditAfterEveryWrite) {
+  testutil::RunAccountingSequence(this->table_, 16, {1, 2, 3, 4, 5, 6}, 53, 2000);
+  EXPECT_GT(this->table_.live_translations(), 0u);
+}
+
+// Emptying a leaf frees it; the next write to the same leaf index must
+// build a new leaf, not reuse the remembered one (asan-ubsan reports a
+// stale pointer as a use after free; the audit sees a missing leaf).
+TYPED_TEST(ReplicatedTableTest, LeafMemoIsDroppedWhenItsLeafIsFreed) {
+  auto& t = this->table_;
+  const Vpn block{0x4000};
+  t.InsertBase(block + 3, Ppn{0x77}, Attr::ReadWrite());
+  EXPECT_TRUE(t.RemoveBase(block + 3));
+  EXPECT_EQ(t.ActiveNodesPerLevel()[0], 0u);
+  t.InsertBase(block + 5, Ppn{0x78}, Attr::ReadWrite());
+  auto fill = this->Lookup(block + 5);
+  ASSERT_TRUE(fill.has_value());
+  EXPECT_EQ(fill->Translate(block + 5), Ppn{0x78});
+  EXPECT_EQ(t.ActiveNodesPerLevel()[0], 1u);
+  EXPECT_TRUE(this->Audit().empty()) << this->Audit();
+
+  // The same through the block writer: remove frees, insert rebuilds.
+  EXPECT_TRUE(t.RemoveBase(block + 5));
+  t.UpsertPartialSubblock(block, 16, Ppn{0x100}, Attr::ReadWrite(), 0x00F0);
+  EXPECT_TRUE(t.RemovePartialSubblock(block, 16));
+  EXPECT_EQ(t.ActiveNodesPerLevel()[0], 0u);
+  t.InsertSuperpage(block, kPage64K, Ppn{0x200}, Attr::ReadWrite());
+  fill = this->Lookup(block + 9);
+  ASSERT_TRUE(fill.has_value());
+  EXPECT_EQ(fill->Translate(block + 9), Ppn{0x209});
+  EXPECT_EQ(t.live_translations(), 16u);
+  EXPECT_TRUE(this->Audit().empty()) << this->Audit();
+  EXPECT_TRUE(t.RemoveSuperpage(block, kPage64K));
+  EXPECT_EQ(t.ActiveNodesPerLevel()[0], 0u);
+  EXPECT_EQ(t.live_translations(), 0u);
+}
+
+// A base PTE in a PSB block (an unplaced page) keeps its site through every
+// PSB upsert and removal; removal clears only the PSB replicas.
+TYPED_TEST(ReplicatedTableTest, PsbWritesSkipBasePtes) {
+  auto& t = this->table_;
+  const Vpn block{0x4000};
+  t.InsertBase(block + 1, Ppn{0x9}, Attr::ReadWrite());
+  t.UpsertPartialSubblock(block, 16, Ppn{0x100}, Attr::ReadWrite(), 0x8001);
+  EXPECT_EQ(t.live_translations(), 3u);
+  auto fill = this->Lookup(block + 1);
+  ASSERT_TRUE(fill.has_value());
+  EXPECT_EQ(fill->kind, MappingKind::kBase);
+  EXPECT_EQ(this->Lookup(block + 15)->Translate(block + 15), Ppn{0x10F});
+  t.UpsertPartialSubblock(block, 16, Ppn{0x100}, Attr::ReadWrite(), 0x8000);
+  EXPECT_EQ(t.live_translations(), 2u);
+  EXPECT_FALSE(this->Lookup(block).has_value());
+  EXPECT_TRUE(t.RemovePartialSubblock(block, 16));
+  EXPECT_FALSE(t.RemovePartialSubblock(block, 16)) << "no PSB replica is left";
+  EXPECT_EQ(t.live_translations(), 1u);
+  fill = this->Lookup(block + 1);
+  ASSERT_TRUE(fill.has_value());
+  EXPECT_EQ(fill->Translate(block + 1), Ppn{0x9});
+  EXPECT_TRUE(this->Audit().empty()) << this->Audit();
+}
+
+// A superpage larger than a leaf writes one run per leaf it spans.
+TYPED_TEST(ReplicatedTableTest, SuperpageSpanningLeavesFillsEachLeaf) {
+  auto& t = this->table_;
+  const unsigned leaf_pages = TestFixture::kLeafPages;
+  const PageSize size{Log2(4 * leaf_pages)};
+  const Vpn base{std::uint64_t{1} << 20};
+  t.InsertBase(base + leaf_pages + 7, Ppn{0x5}, Attr::ReadWrite());
+  t.InsertSuperpage(base, size, Ppn{std::uint64_t{1} << 24}, Attr::ReadWrite());
+  EXPECT_EQ(t.ActiveNodesPerLevel()[0], 4u);
+  EXPECT_EQ(t.live_translations(), size.pages());
+  const Vpn last = base + (size.pages() - 1);
+  const auto fill = this->Lookup(last);
+  ASSERT_TRUE(fill.has_value());
+  EXPECT_EQ(fill->Translate(last), Ppn{std::uint64_t{1} << 24} + (size.pages() - 1));
+  EXPECT_EQ(this->Lookup(base + leaf_pages + 7)->kind, MappingKind::kSuperpage)
+      << "a superpage insert replaces base PTEs it covers";
+  EXPECT_TRUE(this->Audit().empty()) << this->Audit();
+  EXPECT_TRUE(t.RemoveSuperpage(base, size));
+  EXPECT_EQ(t.ActiveNodesPerLevel()[0], 0u);
+  EXPECT_EQ(t.live_translations(), 0u);
+  EXPECT_FALSE(t.RemoveSuperpage(base, size));
 }
 
 }  // namespace

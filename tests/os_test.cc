@@ -1,6 +1,7 @@
 // Tests for the OS substrate: demand paging, page-size assignment policy,
 // promotion/demotion, PSB vector maintenance, and unmap paths — against
-// both clustered and multi-table-hashed page tables.
+// clustered and multi-table-hashed page tables, and the replicated (linear,
+// forward-mapped) ones where PSB PTEs share a block with base PTEs.
 #include "os/address_space.h"
 
 #include <gtest/gtest.h>
@@ -9,10 +10,12 @@
 #include <utility>
 
 #include "check/auditor.h"
+#include "check/shadow_oracle.h"
 #include "core/clustered.h"
 #include "mem/cache_model.h"
 #include "mem/reservation.h"
 #include "pt/multi_hashed.h"
+#include "sim/machine.h"
 
 namespace cpt::os {
 namespace {
@@ -284,6 +287,59 @@ TEST(OsMultiHashedTest, PsbPolicyKeepsBaseTableForUnplacedOnly) {
   ASSERT_TRUE(as.TouchPage(VaOf(Vpn{0x300})));  // unplaced -> base
   EXPECT_EQ(table.block_table().node_count(), 2u);
   EXPECT_EQ(table.base_table().node_count(), 1u);
+}
+
+// A mixed block: a PSB PTE for the placed pages plus a base PTE for a page
+// whose frame is unplaced (a straggler).  Unmapping a placed page shrinks
+// the PSB vector, or removes the PSB PTE with the last placed page; either
+// way the straggler must keep its translation.  Replicated tables store the
+// PSB word at every site of the block, so the rewrite must skip the
+// straggler's site.  The shadow oracle holds every mapping the OS made.
+TEST(OsStragglerTest, PsbUpdatesKeepTheStragglersBasePte) {
+  for (const sim::PtKind kind : {sim::PtKind::kLinear1, sim::PtKind::kForward,
+                                 sim::PtKind::kClustered, sim::PtKind::kHashedMulti}) {
+    for (const bool shrink : {true, false}) {
+      SCOPED_TRACE(sim::ToString(kind) + (shrink ? " shrink" : " remove"));
+      mem::CacheTouchModel cache(256);
+      check::ShadowedPageTable table(cache, sim::MakePageTable(kind, cache, {}));
+      // Two frame groups: the third block breaks a reservation, and the
+      // later fault of 0x101 finds its block's group broken.
+      mem::ReservationAllocator frames(32, 16);
+      AddressSpace as(0, table, frames,
+                      AddressSpaceOptions{.strategy = PteStrategy::kPartialSubblock,
+                                          .subblock_factor = 16});
+      ASSERT_TRUE(as.TouchPage(VaOf(Vpn{0x100})));
+      if (shrink) {
+        ASSERT_TRUE(as.TouchPage(VaOf(Vpn{0x10F})));
+      }
+      ASSERT_TRUE(as.TouchPage(VaOf(Vpn{0x200})));
+      ASSERT_TRUE(as.TouchPage(VaOf(Vpn{0x300})));
+      const std::uint64_t failures = as.stats().placement_failures;
+      ASSERT_TRUE(as.TouchPage(VaOf(Vpn{0x101})));
+      ASSERT_EQ(as.stats().placement_failures, failures + 1) << "0x101 must be a straggler";
+      ASSERT_EQ(as.Census().mixed_blocks, 1u);
+
+      as.UnmapRange(Vpn{0x100}, 1);
+      EXPECT_TRUE(as.IsResident(Vpn{0x101}));
+      for (unsigned i = 0; i < 16; ++i) {
+        mem::WalkScope scope(cache);
+        // The oracle checks every translation against the mappings made.
+        (void)table.Lookup(VaOf(Vpn{0x100} + i));
+      }
+      {
+        mem::WalkScope scope(cache);
+        const auto fill = table.Lookup(VaOf(Vpn{0x101}));
+        EXPECT_TRUE(fill.has_value()) << "the straggler lost its translation";
+        EXPECT_EQ(fill.has_value() ? fill->kind : MappingKind::kPartialSubblock,
+                  MappingKind::kBase);
+      }
+      EXPECT_EQ(table.live_translations(), as.resident_pages());
+      const check::AuditReport oracle = table.FinalCheck();
+      EXPECT_TRUE(oracle.ok()) << oracle.Summary();
+      const check::AuditReport audit = check::StructuralAuditor::AuditPageTable(table.inner());
+      EXPECT_TRUE(audit.ok()) << audit.Summary();
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "collect_chain.h"
 #include "obs/json_writer.h"
@@ -191,18 +192,28 @@ TEST(MeasureAccessTimeTest, CollectMatchesPerReferenceReplay) {
 // Memory pressure: too few frames for the working set, so reservations
 // break and references are dropped.  The run replay of MeasureAccessTime
 // and a per-reference replay must still agree on every count, including
-// the drops, and both must audit clean.  The report says so: the JSON
-// carries oom_faults (and reservations_broken, when nonzero), and the
-// Figure 11 cell is marked.
+// the drops, and both must audit clean (with the shadow oracle).  The
+// report says so: the JSON carries oom_faults (and reservations_broken,
+// when nonzero), and the Figure 11 cell is marked.  Under the
+// partial-subblock TLB, the replicated tables (linear, forward-mapped)
+// hold PSB replicas for placed pages and base PTEs for unplaced ones.
+// (A preload fills blocks in order, so no block ends up mixed; the
+// straggler case is OsStragglerTest's.)
 TEST(MemoryPressureTest, RunReplayMatchesPerReferenceReplayWhenReferencesDrop) {
   const auto& spec = workload::GetPaperWorkload("compress");
   const auto snap = workload::BuildSnapshot(spec);
   constexpr std::uint64_t kRefs = 100000;
-  for (const TlbKind tlb : {TlbKind::kSinglePage, TlbKind::kPartialSubblock,
-                            TlbKind::kCompleteSubblock}) {
-    SCOPED_TRACE(ToString(tlb));
+  const std::pair<PtKind, TlbKind> kCases[] = {
+      {PtKind::kClustered, TlbKind::kSinglePage},
+      {PtKind::kClustered, TlbKind::kPartialSubblock},
+      {PtKind::kClustered, TlbKind::kCompleteSubblock},
+      {PtKind::kLinear1, TlbKind::kPartialSubblock},
+      {PtKind::kForward, TlbKind::kPartialSubblock},
+  };
+  for (const auto& [pt_kind, tlb] : kCases) {
+    SCOPED_TRACE(ToString(pt_kind) + " / " + ToString(tlb));
     MachineOptions opts;
-    opts.pt_kind = PtKind::kClustered;
+    opts.pt_kind = pt_kind;
     opts.tlb_kind = tlb;
     opts.phys_frames = snap.TotalPages() / 2;
     opts.audit = true;

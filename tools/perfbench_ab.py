@@ -11,8 +11,10 @@ The base ref is exported with `git archive` into --scratch (default
 tree, each by its own perfbench/run.py.  Every workload then runs --pairs
 pairs, one run per side, alternating which side goes first.  For each metric
 the result prints each side's median and quartiles, the change/parent ratio
-of the medians, the pairs the change won (ties count for neither) and a
-verdict:
+of the medians, the pairs the change won (ties count for neither), a
+verdict, and next to it a 95% bootstrap confidence interval on the ratio:
+the pairs are resampled with replacement from a fixed seed, so the same runs
+always print the same interval.  The verdicts are:
 
   gain        over at least 10 pairs, the change won at least 9/10 of them
               and its median beats the parent's by more than the parent's
@@ -33,6 +35,7 @@ import argparse
 import json
 import math
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -42,6 +45,10 @@ BUILD_TIMEOUT_S = 1800
 # A gain needs at least 10 pairs, and wins in at least 9 of every 10.
 MIN_PAIRS = 10
 WIN_NUM, WIN_DEN = 9, 10
+# The bootstrap interval on the change/parent ratio of medians.
+CI_LEVEL = 0.95
+CI_RESAMPLES = 4000
+CI_SEED = 1995
 
 
 def fail(message):
@@ -59,6 +66,32 @@ def quartiles(values):
     return q1, med, q3
 
 
+def median_ratio(parent, change):
+    """median(change) / median(parent); 1 when both are 0."""
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    return c_med / p_med if p_med != 0 else (1.0 if c_med == 0 else math.inf)
+
+
+def bootstrap_ratio_ci(parent, change, resamples=CI_RESAMPLES, seed=CI_SEED):
+    """Percentile bootstrap interval (CI_LEVEL) on median_ratio.
+
+    Each resample draws len(parent) pair indices with replacement, so a
+    pair's two runs, which shared the host's state, stay together.  The
+    generator is seeded, so the interval is a function of the runs alone.
+    """
+    rng = random.Random(seed)
+    n = len(parent)
+    ratios = []
+    for _ in range(resamples):
+        idx = [rng.randrange(n) for _ in range(n)]
+        ratios.append(median_ratio([parent[i] for i in idx], [change[i] for i in idx]))
+    ratios.sort()
+    tail = (1.0 - CI_LEVEL) / 2
+    lo = ratios[int(math.floor(tail * (resamples - 1)))]
+    hi = ratios[int(math.ceil((1.0 - tail) * (resamples - 1)))]
+    return lo, hi
+
+
 def compare(parent, change, better, bound):
     """Summarises one metric over paired runs.
 
@@ -73,7 +106,7 @@ def compare(parent, change, better, bound):
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
     losses = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
     pairs = len(parent)
-    ratio = c_med / p_med if p_med != 0 else (1.0 if c_med == 0 else math.inf)
+    ratio = median_ratio(parent, change)
     gain = wins * WIN_DEN >= WIN_NUM * pairs and sign * (c_med - p_med) > p_q3 - p_q1
     worse_by = -sign * (c_med - p_med) / abs(p_med) if p_med != 0 else 0.0
     if gain:
@@ -89,6 +122,7 @@ def compare(parent, change, better, bound):
         "parent": {"median": p_med, "q1": p_q1, "q3": p_q3},
         "change": {"median": c_med, "q1": c_q1, "q3": c_q3},
         "ratio": ratio,
+        "ratio_ci": list(bootstrap_ratio_ci(parent, change)),
         "wins": wins,
         "losses": losses,
         "pairs": pairs,
@@ -130,11 +164,14 @@ def format_table(workload, summary, units):
 
     lines = [f"== {workload}",
              f"{'metric':<26} {'unit':<8} {'parent median [q1, q3]':<32} "
-             f"{'change median [q1, q3]':<32} {'chg/par':>8} {'won':>7}  verdict"]
+             f"{'change median [q1, q3]':<32} {'chg/par':>8} {'won':>7}  "
+             f"{'verdict':<10}  chg/par 95% CI"]
     for name, s in summary.items():
         won = f"{s['wins']}/{s['pairs']}"
+        lo, hi = s["ratio_ci"]
         lines.append(f"{name:<26} {units.get(name, ''):<8} {side(s['parent']):<32} "
-                     f"{side(s['change']):<32} {s['ratio']:>8.3f} {won:>7}  {s['verdict']}")
+                     f"{side(s['change']):<32} {s['ratio']:>8.3f} {won:>7}  "
+                     f"{s['verdict']:<10}  [{lo:.3f}, {hi:.3f}]")
     return "\n".join(lines)
 
 
@@ -297,7 +334,28 @@ def self_test():
     check(summary["os.touch_ns"]["verdict"] == "gain"
           and summary["refs_per_s"]["verdict"] == "gain", f"summary: {summary}")
     table = format_table("w", summary, {"refs_per_s": "refs/s"})
-    check("refs_per_s" in table and "10/10" in table, f"table:\n{table}")
+    check("refs_per_s" in table and "10/10" in table and "[2.000, 2.000]" in table,
+          f"table:\n{table}")
+
+    # The bootstrap interval: constant runs give a point; the same runs give
+    # the same interval; the interval holds the observed ratio.
+    check(bootstrap_ratio_ci([4.0] * 10, [6.0] * 10) == (1.5, 1.5), "constant runs")
+    ci = bootstrap_ratio_ci(parent, change)
+    check(ci == bootstrap_ratio_ci(parent, change), f"deterministic: {ci}")
+    check(ci[0] <= compare(parent, change, "higher", 0.25)["ratio"] <= ci[1], f"holds ratio: {ci}")
+    # Coverage on canned data: 100 ten-pair samples of runs with ~5% noise
+    # around a true ratio of medians of 1.3.  A 95% interval must hold 1.3
+    # in most of them (a percentile bootstrap over ten pairs undercovers a
+    # little), and must not be so wide that it also holds 1.0.
+    rng = random.Random(7)
+    covered = holds_one = 0
+    for _ in range(100):
+        p = [100.0 * math.exp(rng.gauss(0.0, 0.05)) for _ in range(10)]
+        c = [130.0 * math.exp(rng.gauss(0.0, 0.05)) for _ in range(10)]
+        lo, hi = bootstrap_ratio_ci(p, c, resamples=400)
+        covered += lo <= 1.3 <= hi
+        holds_one += lo <= 1.0 <= hi
+    check(covered >= 85 and holds_one == 0, f"coverage {covered}/100, holds 1.0 {holds_one}/100")
 
 
 if __name__ == "__main__":
