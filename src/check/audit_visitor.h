@@ -95,10 +95,6 @@ class ReservationAuditVisitor {
   virtual void OnGroup(const ReservationGroupView& group) = 0;
   virtual void OnFreeListGroup(std::uint64_t group) { (void)group; }
   virtual void OnFragmentFrame(Ppn ppn) { (void)ppn; }
-  virtual void OnOwnerEntry(std::uint64_t key, std::uint64_t group) {
-    (void)key;
-    (void)group;
-  }
   // One grant-log record (only emitted when the grant log is enabled).
   // The block key is the allocator's opaque (address space, VPBN) grouping
   // key, deliberately raw.  cpt-lint: allow(raw-address-param)

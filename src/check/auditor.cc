@@ -697,9 +697,6 @@ class ReservationCollector final : public ReservationAuditVisitor {
   }
   void OnFreeListGroup(std::uint64_t group) override { free_list.push_back(group); }
   void OnFragmentFrame(Ppn ppn) override { fragment_pool.push_back(ppn); }
-  void OnOwnerEntry(std::uint64_t key, std::uint64_t group) override {
-    owners.emplace_back(key, group);
-  }
   void OnGrant(Ppn ppn, std::uint64_t block_key, unsigned boff, bool properly_placed) override {
     grants.push_back({ppn, block_key, boff, properly_placed});
   }
@@ -707,7 +704,6 @@ class ReservationCollector final : public ReservationAuditVisitor {
   struct Reservation {
     std::uint64_t group;
     std::uint64_t owner_key;
-    bool in_owner_map = false;
   };
   struct Grant {
     Ppn ppn;
@@ -716,20 +712,11 @@ class ReservationCollector final : public ReservationAuditVisitor {
     bool properly_placed;
   };
 
-  // The entry of a group whose state is kReserved (`reserved` is in group
-  // order).
-  Reservation& ReservationOf(std::uint64_t group) {
-    return *std::lower_bound(
-        reserved.begin(), reserved.end(), group,
-        [](const Reservation& r, std::uint64_t g) { return r.group < g; });
-  }
-
   std::vector<GroupStateView> states;
   std::vector<std::uint32_t> used_masks;
   std::vector<Reservation> reserved;
   std::vector<std::uint64_t> free_list;
   std::vector<Ppn> fragment_pool;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> owners;
   std::vector<Grant> grants;
 };
 
@@ -767,27 +754,18 @@ AuditReport StructuralAuditor::Audit(const mem::ReservationAllocator& alloc) {
                Str(alloc.frames_used()));
   }
 
-  // Owner map <-> group state, both directions.
-  for (const auto& [key, g] : c.owners) {
-    if (g >= num_groups) {
-      report.Add("owner map points at out-of-range group " + Str(g));
-      continue;
-    }
-    if (c.states[g] != GroupStateView::kReserved) {
-      report.Add("owner map entry for key " + Str(key) + " points at group " + Str(g) +
-                 " which is not reserved");
-      continue;
-    }
-    ReservationCollector::Reservation& r = c.ReservationOf(g);
-    r.in_owner_map = true;
-    if (r.owner_key != key) {
-      report.Add("group " + Str(g) + " records owner " + Str(r.owner_key) +
-                 " but the owner map files it under " + Str(key));
-    }
-  }
-  for (const ReservationCollector::Reservation& r : c.reserved) {
-    if (!r.in_owner_map) {
-      report.Add("group " + Str(r.group) + " is reserved but absent from the owner map");
+  // A reservation belongs to one virtual block: no two reserved groups
+  // share an owner key.  `reserved` is in group order, which the stable
+  // sort keeps among equal keys.
+  std::stable_sort(c.reserved.begin(), c.reserved.end(),
+                   [](const ReservationCollector::Reservation& x,
+                      const ReservationCollector::Reservation& y) {
+                     return x.owner_key < y.owner_key;
+                   });
+  for (std::size_t i = 1; i < c.reserved.size(); ++i) {
+    if (c.reserved[i].owner_key == c.reserved[i - 1].owner_key) {
+      report.Add("groups " + Str(c.reserved[i - 1].group) + " and " + Str(c.reserved[i].group) +
+                 " are both reserved for owner " + Str(c.reserved[i].owner_key));
     }
   }
 

@@ -22,9 +22,9 @@
 //   no duplicate tags, and the invalid-entry counter exact.
 //
 //   ReservationAllocator: frames_used equals the mask popcount sum, group
-//   state / owner map / free list mutually consistent, and (with the grant
-//   log on) every outstanding grant marked used, with properly-placed
-//   grants really sitting at block_base + boff.
+//   state and free list consistent, no two reserved groups owned by one
+//   block, and (with the grant log on) every outstanding grant marked used,
+//   with properly-placed grants really sitting at block_base + boff.
 //
 // Each Audit* function returns an AuditReport listing every defect found;
 // an empty report means the structure is sound.  The auditor holds no state

@@ -15,9 +15,11 @@
 #define CPT_CHECK_TEST_BACKDOOR_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "core/clustered.h"
 #include "mem/reservation.h"
+#include "os/address_space.h"
 #include "pt/hashed.h"
 
 namespace cpt::check {
@@ -108,25 +110,22 @@ class TestBackdoor {
     return true;
   }
 
-  // Changes the owner recorded in the first reserved group, so the group and
-  // the owner map name different blocks.
-  static bool MisfileReservationOwner(mem::ReservationAllocator& alloc) {
+  // Gives the second reserved group the first one's owner, so two groups are
+  // reserved for one virtual block.
+  static bool DuplicateReservationOwner(mem::ReservationAllocator& alloc) {
+    mem::ReservationAllocator::Group* first = nullptr;
     for (auto& group : alloc.groups_) {
-      if (group.state == mem::ReservationAllocator::GroupState::kReserved) {
-        ++group.owner_key;
+      if (group.state != mem::ReservationAllocator::GroupState::kReserved) {
+        continue;
+      }
+      if (first == nullptr) {
+        first = &group;
+      } else {
+        group.owner_key = first->owner_key;
         return true;
       }
     }
     return false;
-  }
-
-  // Erases one owner-map entry, so its reserved group is missing from it.
-  static bool DropReservationOwner(mem::ReservationAllocator& alloc) {
-    if (alloc.by_owner_.empty()) {
-      return false;
-    }
-    alloc.by_owner_.erase(alloc.by_owner_.begin());
-    return true;
   }
 
   // Rewrites the first logged grant to claim proper placement at a slot
@@ -141,6 +140,18 @@ class TestBackdoor {
       return true;
     }
     return false;
+  }
+
+  // The frame the address space granted to resident page `vpn`, read from
+  // its block state rather than through the page table; nullopt when the
+  // page is not resident.
+  static std::optional<Ppn> GrantedFrame(const os::AddressSpace& as, Vpn vpn) {
+    const auto it = as.blocks_.find(VpbnOf(vpn, as.factor_));
+    const unsigned boff = BoffOf(vpn, as.factor_);
+    if (it == as.blocks_.end() || ((it->second.resident_mask >> boff) & 1u) == 0) {
+      return std::nullopt;
+    }
+    return it->second.ppn(boff);
   }
 };
 

@@ -9,20 +9,19 @@
 // is checked at run time by cpt::HotPathScope (common/hotguard.h); the
 // throwing half by cpt_lint.py's no-throw rule over all of src/.
 //
-// CPT_COLD is the complementary marker: a function that a hot function may
-// *call* but that is, by design, off the steady-state path (the page-fault
-// handler — OS work, excluded from the paper's per-miss accounting the same
-// way CacheTouchModel::AbortWalk discards the walk).  [[gnu::cold]] keeps
-// its code out of the hot text pages.
+// The page-fault handler (os::AddressSpace::TouchPage) is, by design, off
+// the steady-state path: OS work, excluded from the paper's per-miss
+// accounting the same way CacheTouchModel::AbortWalk discards the walk.  It
+// is not marked [[gnu::cold]], which would compile it for size, because it
+// is all the work of a Preload and of the page-table size sweeps; the
+// replay marks its fault branches unlikely at the call sites instead.
 #ifndef CPT_COMMON_HOTPATH_H_
 #define CPT_COMMON_HOTPATH_H_
 
 #if defined(__GNUC__) || defined(__clang__)
 #define CPT_HOT [[gnu::hot]]
-#define CPT_COLD [[gnu::cold]]
 #else
 #define CPT_HOT
-#define CPT_COLD
 #endif
 
 #endif  // CPT_COMMON_HOTPATH_H_

@@ -12,77 +12,45 @@ ReservationAllocator::ReservationAllocator(std::uint64_t num_frames, unsigned su
   CPT_CHECK(IsPowerOfTwo(subblock_factor) && subblock_factor <= 32,
             "group masks are 32-bit");
   CPT_CHECK(num_frames_ > 0);
+  CPT_CHECK(num_groups() < kNoGroup, "group ids fit a GroupId");
 }
 
-std::optional<ReservationAllocator::FrameGrant> ReservationAllocator::Allocate(
-    std::uint64_t block_key, unsigned boff) {
-  CPT_DCHECK(boff < factor_);
+std::optional<ReservationAllocator::FrameGrant> ReservationAllocator::AllocateMiss(
+    std::uint64_t block_key, unsigned boff, GroupId& group) {
   if (frames_used_ == num_frames_) {
     return std::nullopt;
   }
 
-  // 1. An existing reservation for this virtual block: use the matching slot.
-  //    The group of the last grant is checked first; it is still this key's
-  //    reservation exactly when it is reserved with this owner.
-  std::uint64_t g = last_group_;
-  if (g >= groups_.size() || groups_[g].state != GroupState::kReserved ||
-      groups_[g].owner_key != block_key) {
-    const auto it = by_owner_.find(block_key);
-    g = it != by_owner_.end() ? it->second : kNoGroup;
-  }
-  if (g != kNoGroup) {
-    Group& grp = groups_[g];
-    CPT_DCHECK(grp.state == GroupState::kReserved && grp.owner_key == block_key);
-    last_group_ = g;
-    const std::uint32_t bit = 1u << boff;
-    CPT_DCHECK((grp.used_mask & bit) == 0, "double allocation of (block, boff)");
-    grp.used_mask |= bit;
-    ++frames_used_;
-    ++grants_;
-    ++placed_grants_;
-    const Ppn ppn = FrameAt(g, boff);
-    RecordGrant(ppn, block_key, boff, /*properly_placed=*/true);
-    return FrameGrant{ppn, true};
-  }
-
-  // 2. Reserve a free aligned group for this virtual block: a recycled one
-  //    if any (the last freed first), else the lowest never-granted one.
-  if (!free_groups_.empty() || groups_.size() < num_groups()) {
-    g = groups_.size();
-    if (!free_groups_.empty()) {
-      g = free_groups_.back();
-      free_groups_.pop_back();
-    } else {
-      // Fault path only, like the fifo push below: the pool grows as groups
-      // are first granted instead of being built whole up front.
-      groups_.emplace_back();
-    }
+  // 1. Reserve a free aligned group for this virtual block, unless the
+  //    handle names the block's broken reservation: its placed pages sit
+  //    there, so it is granted only unplaced frames (step 2).
+  const bool broken = group < groups_.size() &&
+                      groups_[group].state == GroupState::kFragmented &&
+                      groups_[group].owner_key == block_key;
+  if (!broken && HasFreeGroup()) {
+    const std::uint64_t g = TakeFreeGroup();
     Group& grp = groups_[g];
     grp.state = GroupState::kReserved;
     grp.owner_key = block_key;
+    grp.reservation = reservations_made_;
     grp.used_mask = 1u << boff;
-    by_owner_.emplace(block_key, g);
-    last_group_ = g;
     // Fault path only: frames are granted while faulting, which Preload()
     // front-loads; the replay steady state never reaches here.
-    reservation_fifo_.push_back(g);
+    reservation_fifo_.push_back({g, reservations_made_});
     ++reservations_made_;
-    ++frames_used_;
-    ++grants_;
-    ++placed_grants_;
-    const Ppn ppn = FrameAt(g, boff);
-    RecordGrant(ppn, block_key, boff, /*properly_placed=*/true);
-    return FrameGrant{ppn, true};
+    group = static_cast<GroupId>(g);
+    return Grant(FrameAt(g, boff), block_key, boff, /*properly_placed=*/true);
   }
 
-  // 3. Memory pressure: draw from the fragment pool, breaking reservations
-  //    as needed.  The resulting frame is (almost surely) not properly
-  //    placed for this virtual block.  Pool entries can go stale (their
-  //    group fully emptied and was recycled, or a duplicate entry's frame
-  //    was already granted), so validate on pop.
+  // 2. Draw from the fragment pool, refilling it from a free group (only a
+  //    broken block gets here with one) or else by breaking the oldest
+  //    reservation.  The frame is (almost surely) not properly placed for
+  //    this virtual block.  Pool entries can go stale (their group fully
+  //    emptied and was recycled, or a duplicate entry's frame was already
+  //    granted), so validate on pop.
   for (;;) {
     while (fragment_pool_.empty()) {
-      if (!BreakOneReservation()) {
+      if (!FragmentFreeGroup(block_key) && !BreakOneReservation()) {
         return std::nullopt;  // All frames genuinely in use.
       }
     }
@@ -94,10 +62,28 @@ std::optional<ReservationAllocator::FrameGrant> ReservationAllocator::Allocate(
       continue;  // Stale entry.
     }
     grp.used_mask |= bit;
-    ++frames_used_;
-    ++grants_;
-    RecordGrant(ppn, block_key, boff, /*properly_placed=*/false);
-    return FrameGrant{ppn, false};
+    return Grant(ppn, block_key, boff, /*properly_placed=*/false);
+  }
+}
+
+std::uint64_t ReservationAllocator::TakeFreeGroup() {
+  if (!free_groups_.empty()) {
+    const std::uint64_t g = free_groups_.back();
+    free_groups_.pop_back();
+    return g;
+  }
+  // Fault path only, like the fifo push in AllocateMiss: the pool grows as
+  // groups are first granted instead of being built whole up front.
+  groups_.emplace_back();
+  return groups_.size() - 1;
+}
+
+void ReservationAllocator::PoolUnusedSlots(std::uint64_t g) {
+  for (unsigned slot = 0; slot < factor_; ++slot) {
+    if ((groups_[g].used_mask & (1u << slot)) == 0) {
+      // Fault path only (see AllocateMiss); never on the replay steady state.
+      fragment_pool_.push_back(FrameAt(g, slot));
+    }
   }
 }
 
@@ -116,27 +102,36 @@ void ReservationAllocator::RecordGrant(Ppn ppn, std::uint64_t block_key, unsigne
 
 bool ReservationAllocator::BreakOneReservation() {
   while (!reservation_fifo_.empty()) {
-    const std::uint64_t g = reservation_fifo_.front();
+    const FifoEntry victim = reservation_fifo_.front();
     reservation_fifo_.pop_front();
-    Group& grp = groups_[g];
-    if (grp.state != GroupState::kReserved) {
-      continue;  // Stale entry: reservation already released or broken.
+    Group& grp = groups_[victim.group];
+    if (grp.state != GroupState::kReserved || grp.reservation != victim.reservation) {
+      continue;  // Stale entry: that reservation was already released or broken.
     }
-    by_owner_.erase(grp.owner_key);
     grp.state = GroupState::kFragmented;
     ++reservations_broken_;
-    for (unsigned slot = 0; slot < factor_; ++slot) {
-      if ((grp.used_mask & (1u << slot)) == 0) {
-        // Fault path only (see Allocate); never on the replay steady state.
-        fragment_pool_.push_back(FrameAt(g, slot));
-      }
-    }
+    PoolUnusedSlots(victim.group);
     if (!fragment_pool_.empty()) {
       return true;
     }
     // A fully-used reservation yielded no frames; keep breaking.
   }
   return false;
+}
+
+bool ReservationAllocator::FragmentFreeGroup(std::uint64_t block_key) {
+  if (!HasFreeGroup()) {
+    return false;
+  }
+  const std::uint64_t g = TakeFreeGroup();
+  Group& grp = groups_[g];
+  grp.state = GroupState::kFragmented;
+  // A handle left from the group's last reservation must not take the group
+  // for its block's broken reservation.  The requesting block's handle names
+  // another group, so owning the group by it matches no handle.
+  grp.owner_key = block_key;
+  PoolUnusedSlots(g);
+  return true;
 }
 
 void ReservationAllocator::Free(Ppn ppn) {
@@ -159,10 +154,8 @@ void ReservationAllocator::Free(Ppn ppn) {
     }
     return;
   }
-  if (grp.state == GroupState::kReserved) {
-    // Its fifo entry becomes stale and is skipped by BreakOneReservation.
-    by_owner_.erase(grp.owner_key);
-  }
+  // A reserved group's fifo entry becomes stale and is skipped by
+  // BreakOneReservation; handles naming the group no longer match.
   grp.state = GroupState::kFree;
   // Unmap/teardown path only, like the fragment-pool push above.
   free_groups_.push_back(g);
@@ -198,9 +191,6 @@ void ReservationAllocator::AuditVisit(check::ReservationAuditVisitor& visitor) c
   }
   for (const Ppn ppn : fragment_pool_) {
     visitor.OnFragmentFrame(ppn);
-  }
-  for (const auto& [key, g] : by_owner_) {
-    visitor.OnOwnerEntry(key, g);
   }
   if (grant_log_enabled_) {
     for (const auto& [ppn, rec] : live_grants_) {

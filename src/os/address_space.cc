@@ -1,8 +1,5 @@
 #include "os/address_space.h"
 
-#include <bit>
-#include "common/check.h"
-
 namespace cpt::os {
 
 AddressSpace::AddressSpace(std::uint32_t id, pt::PageTable& table,
@@ -26,12 +23,6 @@ AddressSpace::AddressSpace(std::uint32_t id, pt::PageTable& table,
 
 AddressSpace::~AddressSpace() = default;
 
-Ppn AddressSpace::BlockPpnBase(const BlockState& b) const {
-  CPT_DCHECK(b.placed_mask != 0);
-  const unsigned slot = static_cast<unsigned>(std::countr_zero(b.placed_mask));
-  return b.ppn(slot) - slot;
-}
-
 bool AddressSpace::TouchPage(VirtAddr va) {
   const Vpn vpn = VpnOf(va);
   const Vpbn vpbn = VpbnOf(vpn, factor_);
@@ -47,7 +38,7 @@ bool AddressSpace::TouchPage(VirtAddr va) {
     return true;  // Already resident and mapped.
   }
 
-  const auto grant = frames_.Allocate(ReservationKey(vpbn), boff);
+  const auto grant = frames_.Allocate(ReservationKey(vpbn), boff, block.reservation);
   if (!grant) {
     ++stats_.oom_faults;
     return false;
@@ -63,6 +54,8 @@ bool AddressSpace::TouchPage(VirtAddr va) {
   block.resident_mask |= bit;
   block.set_ppn(boff, grant->ppn);
   if (grant->properly_placed) {
+    CPT_DCHECK(block.placed_mask == 0 || BlockPpnBase(block) + boff == grant->ppn,
+               "a block's placed pages sit in one aligned physical block");
     block.placed_mask |= bit;
   } else {
     ++stats_.placement_failures;

@@ -21,16 +21,20 @@
 // still-resident pages; a PSB vector shrinks.
 //
 // Apart from the page-table writes it models, a fault costs O(1) host work:
-// a repeat fault in the last faulted block skips the block-map lookup, and
-// a new block's state is one map node with its frames inline.
+// a repeat fault in the last faulted block skips the block-map lookup, a new
+// block's state is one map node with its frames inline, and that state holds
+// the block's reservation handle, so the frame allocator finds the block's
+// reserved group without a lookup of its own.
 #ifndef CPT_OS_ADDRESS_SPACE_H_
 #define CPT_OS_ADDRESS_SPACE_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <unordered_map>
 
-#include "common/hotpath.h"
+#include "check/fwd.h"
+#include "common/check.h"
 #include "common/pte.h"
 #include "common/types.h"
 #include "mem/reservation.h"
@@ -82,11 +86,11 @@ class AddressSpace {
   // Returns false when physical memory is exhausted (the block's state is
   // still created, with no page resident).
   //
-  // CPT_COLD: page faults are OS work, excluded from the steady-state
-  // replay path the same way AbortWalk discards the walk's line count
-  // (common/hotpath.h); Preload() pre-faulting keeps replays off this path
-  // entirely.
-  CPT_COLD bool TouchPage(VirtAddr va);
+  // Page faults are OS work, excluded from the steady-state replay path the
+  // same way AbortWalk discards the walk's line count (common/hotpath.h);
+  // Preload() pre-faulting keeps replays off this path entirely.  Preload
+  // itself is nothing but this call, so it is compiled for speed.
+  bool TouchPage(VirtAddr va);
 
   bool IsResident(Vpn vpn) const;
 
@@ -102,6 +106,8 @@ class AddressSpace {
   PteStrategy strategy() const { return opts_.strategy; }
 
  private:
+  friend class check::TestBackdoor;
+
   // The per-block masks are 32-bit, which caps the subblock factor (the
   // frame allocator's groups share the cap).
   static constexpr unsigned kMaxBlockPages = 32;
@@ -112,6 +118,10 @@ class AddressSpace {
     // Per-slot frame numbers, inline so a new block costs one map node.
     // A PPN is 28 bits, so 32 bits hold it and halve the node.
     std::array<std::uint32_t, kMaxBlockPages> frames{};
+    // The block's reservation handle (mem::ReservationAllocator::Allocate).
+    // It cannot outlive the reservation it names: the state is erased with
+    // the block's last frame, which frees a still-reserved group.
+    mem::ReservationAllocator::GroupId reservation = mem::ReservationAllocator::kNoGroup;
     bool promoted = false;               // One superpage PTE covers the block.
     bool has_psb_pte = false;            // A PSB PTE covers placed pages.
 
@@ -127,7 +137,11 @@ class AddressSpace {
   }
   Vpn BlockFirstVpn(Vpbn vpbn) const { return FirstVpnOfBlock(vpbn, factor_); }
   // The block's aligned physical base, valid when any page is placed.
-  Ppn BlockPpnBase(const BlockState& b) const;
+  static Ppn BlockPpnBase(const BlockState& b) {
+    CPT_DCHECK(b.placed_mask != 0);
+    const auto slot = static_cast<unsigned>(std::countr_zero(b.placed_mask));
+    return b.ppn(slot) - slot;
+  }
   void MapNewPage(Vpbn vpbn, BlockState& block, unsigned boff, bool placed);
   void MaybePromote(Vpbn vpbn, BlockState& block);
   void UnmapOnePage(Vpn vpn);

@@ -211,7 +211,7 @@ void Machine::AttachTracer(obs::WalkTracer* tracer) {
 
 std::optional<pt::TlbFill> Machine::WalkCounted(ProcessCtx& proc, VirtAddr va) {
   cache_.BeginWalk();
-  if (auto fill = proc.table->Lookup(va)) {
+  if (auto fill = proc.table->Lookup(va)) [[likely]] {
     cache_.EndWalk();
     return fill;
   }
@@ -285,7 +285,7 @@ void Machine::Access(tlb::Asid asid, VirtAddr va, bool is_write) {
     for (const pt::TlbFill& f : block_fills_) {
       covered |= f.Covers(vpn);
     }
-    if (covered) {
+    if (covered) [[likely]] {
       cache_.EndWalk();
     } else {
       // The faulting page itself is not resident: page fault, then redo.
@@ -366,9 +366,10 @@ void Machine::Preload(const workload::Snapshot& snapshot) {
   CPT_CHECK(snapshot.pages.size() == num_processes_);
   for (std::size_t p = 0; p < snapshot.pages.size(); ++p) {
     const auto asid = static_cast<tlb::Asid>(p);
+    os::AddressSpace& aspace = *CtxOf(asid).aspace;
     for (const auto& seg_pages : snapshot.pages[p]) {
       for (const Vpn vpn : seg_pages) {
-        CtxOf(asid).aspace->TouchPage(EffectiveVa(asid, VaOf(vpn)));
+        aspace.TouchPage(EffectiveVa(asid, VaOf(vpn)));
       }
     }
   }

@@ -126,8 +126,9 @@ TEST_F(CleanAuditTest, ReservationAllocator) {
   mem::ReservationAllocator alloc(1024, 16);
   alloc.EnableGrantLog();
   for (unsigned blk = 0; blk < 8; ++blk) {
+    mem::ReservationAllocator::GroupId handle = mem::ReservationAllocator::kNoGroup;
     for (unsigned boff = 0; boff < 16; boff += 2) {
-      ASSERT_TRUE(alloc.Allocate(blk, boff).has_value());
+      ASSERT_TRUE(alloc.Allocate(blk, boff, handle).has_value());
     }
   }
   const AuditReport r = StructuralAuditor::Audit(alloc);
@@ -230,8 +231,9 @@ TEST(CorruptionTest, ChainCycleIsDetected) {
 
 TEST(CorruptionTest, ReservationMaskMismatchIsDetected) {
   mem::ReservationAllocator alloc(256, 16);
+  mem::ReservationAllocator::GroupId handle = mem::ReservationAllocator::kNoGroup;
   for (unsigned boff = 0; boff < 8; ++boff) {
-    ASSERT_TRUE(alloc.Allocate(1, boff).has_value());
+    ASSERT_TRUE(alloc.Allocate(1, boff, handle).has_value());
   }
   ASSERT_TRUE(StructuralAuditor::Audit(alloc).ok());
   ASSERT_TRUE(TestBackdoor::CorruptReservationMask(alloc));
@@ -242,7 +244,8 @@ TEST(CorruptionTest, ReservationMaskMismatchIsDetected) {
 
 TEST(CorruptionTest, DuplicateFreeListGroupIsDetected) {
   mem::ReservationAllocator alloc(256, 16);
-  ASSERT_TRUE(alloc.Allocate(1, 0).has_value());
+  mem::ReservationAllocator::GroupId handle = mem::ReservationAllocator::kNoGroup;
+  ASSERT_TRUE(alloc.Allocate(1, 0, handle).has_value());
   ASSERT_TRUE(StructuralAuditor::Audit(alloc).ok());
   ASSERT_TRUE(TestBackdoor::DuplicateFreeGroup(alloc));
   const AuditReport r = StructuralAuditor::Audit(alloc);
@@ -251,34 +254,25 @@ TEST(CorruptionTest, DuplicateFreeListGroupIsDetected) {
       << r.Summary();
 }
 
-TEST(CorruptionTest, ReservationOwnerMismatchIsDetected) {
+TEST(CorruptionTest, DuplicateReservationOwnerIsDetected) {
   mem::ReservationAllocator alloc(256, 16);
-  ASSERT_TRUE(alloc.Allocate(7, 3).has_value());
+  mem::ReservationAllocator::GroupId handles[2] = {mem::ReservationAllocator::kNoGroup,
+                                                   mem::ReservationAllocator::kNoGroup};
+  ASSERT_TRUE(alloc.Allocate(2, 0, handles[0]).has_value());
+  ASSERT_TRUE(alloc.Allocate(5, 0, handles[1]).has_value());
   ASSERT_TRUE(StructuralAuditor::Audit(alloc).ok());
-  ASSERT_TRUE(TestBackdoor::MisfileReservationOwner(alloc));
+  ASSERT_TRUE(TestBackdoor::DuplicateReservationOwner(alloc));
   const AuditReport r = StructuralAuditor::Audit(alloc);
   EXPECT_FALSE(r.ok());
-  EXPECT_NE(r.Summary().find("group 0 records owner 8 but the owner map files it under 7"),
-            std::string::npos)
-      << r.Summary();
-}
-
-TEST(CorruptionTest, ReservedGroupMissingFromOwnerMapIsDetected) {
-  mem::ReservationAllocator alloc(256, 16);
-  ASSERT_TRUE(alloc.Allocate(2, 0).has_value());
-  ASSERT_TRUE(alloc.Allocate(5, 0).has_value());
-  ASSERT_TRUE(StructuralAuditor::Audit(alloc).ok());
-  ASSERT_TRUE(TestBackdoor::DropReservationOwner(alloc));
-  const AuditReport r = StructuralAuditor::Audit(alloc);
-  EXPECT_FALSE(r.ok());
-  EXPECT_NE(r.Summary().find("is reserved but absent from the owner map"), std::string::npos)
+  EXPECT_NE(r.Summary().find("groups 0 and 1 are both reserved for owner 2"), std::string::npos)
       << r.Summary();
 }
 
 TEST(CorruptionTest, MisplacedGrantIsDetected) {
   mem::ReservationAllocator alloc(256, 16);
   alloc.EnableGrantLog();
-  ASSERT_TRUE(alloc.Allocate(3, 5).has_value());
+  mem::ReservationAllocator::GroupId handle = mem::ReservationAllocator::kNoGroup;
+  ASSERT_TRUE(alloc.Allocate(3, 5, handle).has_value());
   ASSERT_TRUE(StructuralAuditor::Audit(alloc).ok());
   ASSERT_TRUE(TestBackdoor::MisplaceGrant(alloc));
   const AuditReport r = StructuralAuditor::Audit(alloc);

@@ -2,6 +2,7 @@
 // allocator, physical frame pool, and the page-reservation allocator.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -139,9 +140,26 @@ TEST(PhysicalMemoryTest, AllocSpecificRespectsOccupancy) {
 // ReservationAllocator
 // ---------------------------------------------------------------------------
 
+// Keeps one reservation handle per block key, as an address space keeps one
+// in each block's state, and allocates through it.
+class Blocks {
+ public:
+  explicit Blocks(ReservationAllocator& ra) : ra_(ra) {}
+
+  std::optional<ReservationAllocator::FrameGrant> Allocate(std::uint64_t key, unsigned boff) {
+    return ra_.Allocate(key, boff, handles_.try_emplace(key, ReservationAllocator::kNoGroup)
+                                       .first->second);
+  }
+
+ private:
+  ReservationAllocator& ra_;
+  std::unordered_map<std::uint64_t, ReservationAllocator::GroupId> handles_;
+};
+
 TEST(ReservationTest, FirstTouchReservesAlignedBlock) {
   ReservationAllocator ra(256, 16);
-  const auto g = ra.Allocate(/*block_key=*/1, /*boff=*/5);
+  Blocks blocks(ra);
+  const auto g = blocks.Allocate(/*block_key=*/1, /*boff=*/5);
   ASSERT_TRUE(g.has_value());
   EXPECT_TRUE(g->properly_placed);
   EXPECT_EQ(g->ppn.raw() % 16, 5u) << "frame must sit at its block offset";
@@ -149,9 +167,10 @@ TEST(ReservationTest, FirstTouchReservesAlignedBlock) {
 
 TEST(ReservationTest, SameBlockGetsMatchingSlots) {
   ReservationAllocator ra(256, 16);
-  const Ppn base = ra.Allocate(7, 0)->ppn;
+  Blocks blocks(ra);
+  const Ppn base = blocks.Allocate(7, 0)->ppn;
   for (unsigned boff = 1; boff < 16; ++boff) {
-    const auto g = ra.Allocate(7, boff);
+    const auto g = blocks.Allocate(7, boff);
     ASSERT_TRUE(g.has_value());
     EXPECT_TRUE(g->properly_placed);
     EXPECT_EQ(g->ppn, base + boff);
@@ -160,34 +179,37 @@ TEST(ReservationTest, SameBlockGetsMatchingSlots) {
 
 TEST(ReservationTest, DistinctBlocksGetDistinctGroups) {
   ReservationAllocator ra(256, 16);
-  const Ppn a = ra.Allocate(1, 0)->ppn;
-  const Ppn b = ra.Allocate(2, 0)->ppn;
+  Blocks blocks(ra);
+  const Ppn a = blocks.Allocate(1, 0)->ppn;
+  const Ppn b = blocks.Allocate(2, 0)->ppn;
   EXPECT_NE(a.raw() / 16, b.raw() / 16);
 }
 
 TEST(ReservationTest, PressureBreaksReservationsButStillAllocates) {
   // 2 groups of 4 frames; reserve both, then demand more single frames.
   ReservationAllocator ra(8, 4);
-  ASSERT_TRUE(ra.Allocate(1, 0));  // Reserves group A (3 slots unused).
-  ASSERT_TRUE(ra.Allocate(2, 0));  // Reserves group B (3 slots unused).
+  Blocks blocks(ra);
+  ASSERT_TRUE(blocks.Allocate(1, 0));  // Reserves group A (3 slots unused).
+  ASSERT_TRUE(blocks.Allocate(2, 0));  // Reserves group B (3 slots unused).
   // Six more single-page blocks: must break the reservations.
   unsigned placed = 0;
   for (int i = 0; i < 6; ++i) {
-    const auto g = ra.Allocate(100 + i, 0);
+    const auto g = blocks.Allocate(100 + i, 0);
     ASSERT_TRUE(g.has_value()) << "frame " << i;
     placed += g->properly_placed ? 1 : 0;
   }
   EXPECT_EQ(placed, 0u) << "pressure allocations are not properly placed";
   EXPECT_EQ(ra.frames_used(), 8u);
-  EXPECT_FALSE(ra.Allocate(200, 0).has_value()) << "memory exhausted";
+  EXPECT_FALSE(blocks.Allocate(200, 0).has_value()) << "memory exhausted";
   EXPECT_GE(ra.reservations_broken(), 2u);
 }
 
 TEST(ReservationTest, FreeReturnsFramesForReuse) {
   ReservationAllocator ra(16, 4);
+  Blocks blocks(ra);
   std::vector<Ppn> got;
   for (unsigned k = 0; k < 4; ++k) {
-    got.push_back(ra.Allocate(k, 0)->ppn);
+    got.push_back(blocks.Allocate(k, 0)->ppn);
   }
   for (const Ppn p : got) {
     ra.Free(p);
@@ -195,7 +217,7 @@ TEST(ReservationTest, FreeReturnsFramesForReuse) {
   EXPECT_EQ(ra.frames_used(), 0u);
   // Everything can be reallocated, properly placed again.
   for (unsigned k = 10; k < 14; ++k) {
-    const auto g = ra.Allocate(k, 3);
+    const auto g = blocks.Allocate(k, 3);
     ASSERT_TRUE(g.has_value());
     EXPECT_TRUE(g->properly_placed);
   }
@@ -203,11 +225,12 @@ TEST(ReservationTest, FreeReturnsFramesForReuse) {
 
 TEST(ReservationTest, FullyFreedReservedGroupBecomesFreeAgain) {
   ReservationAllocator ra(8, 4);
-  const Ppn a = ra.Allocate(1, 2)->ppn;
+  Blocks blocks(ra);
+  const Ppn a = blocks.Allocate(1, 2)->ppn;
   ra.Free(a);
   // The group must be reusable for a different block with full placement.
-  const auto g1 = ra.Allocate(2, 0);
-  const auto g2 = ra.Allocate(3, 0);
+  const auto g1 = blocks.Allocate(2, 0);
+  const auto g2 = blocks.Allocate(3, 0);
   ASSERT_TRUE(g1 && g2);
   EXPECT_TRUE(g1->properly_placed);
   EXPECT_TRUE(g2->properly_placed);
@@ -218,12 +241,13 @@ TEST(ReservationTest, FullyFreedReservedGroupBecomesFreeAgain) {
 // audit sees never-granted groups as free and on the free list.
 TEST(ReservationTest, GrantOrderIsRecycledFirstThenFreshAscending) {
   ReservationAllocator ra(8 * 4, 4);  // 8 groups of 4 frames.
+  Blocks blocks(ra);
   const auto audit_ok = [&ra] {
     const check::AuditReport report = check::StructuralAuditor::Audit(ra);
     EXPECT_TRUE(report.ok()) << report.Summary();
   };
-  const auto group_of_next_grant = [&ra](std::uint64_t key) {
-    const auto grant = ra.Allocate(key, 0);
+  const auto group_of_next_grant = [&blocks](std::uint64_t key) {
+    const auto grant = blocks.Allocate(key, 0);
     EXPECT_TRUE(grant.has_value());
     return grant ? grant->ppn.raw() / 4 : ~std::uint64_t{0};
   };
@@ -242,28 +266,29 @@ TEST(ReservationTest, GrantOrderIsRecycledFirstThenFreshAscending) {
   // Exhaust memory: the remaining groups, then the broken reservations'
   // spare frames, then nothing.
   std::uint64_t key = 100;
-  while (ra.Allocate(key++, 0).has_value()) {
+  while (blocks.Allocate(key++, 0).has_value()) {
   }
   EXPECT_EQ(ra.frames_used(), ra.num_frames());
   EXPECT_GT(ra.reservations_broken(), 0u);
   audit_ok();
 }
 
-// Allocate checks the group of its last reserved grant before the owner
-// map.  Breaking that reservation from another key's Allocate must not let
-// the old owner keep drawing placed frames from the now-fragmented group.
+// A block's handle still names its group after another key's Allocate
+// breaks that reservation.  It must not let the old owner keep drawing
+// placed frames from the now-fragmented group.
 TEST(ReservationTest, BrokenLastOwnerFallsBackToUnplacedFrames) {
   ReservationAllocator ra(8, 4);  // 2 groups of 4 frames.
+  Blocks blocks(ra);
   ra.EnableGrantLog();
-  ASSERT_EQ(ra.Allocate(1, 0)->ppn, Ppn{0});  // Key 1 reserves group 0.
-  ASSERT_EQ(ra.Allocate(2, 0)->ppn, Ppn{4});  // Key 2 reserves group 1.
-  ASSERT_EQ(ra.Allocate(1, 1)->ppn, Ppn{1});  // Key 1's group is the last used.
+  ASSERT_EQ(blocks.Allocate(1, 0)->ppn, Ppn{0});  // Key 1 reserves group 0.
+  ASSERT_EQ(blocks.Allocate(2, 0)->ppn, Ppn{4});  // Key 2 reserves group 1.
+  ASSERT_EQ(blocks.Allocate(1, 1)->ppn, Ppn{1});  // Key 1's group is the last used.
   // No free group: key 3 breaks the oldest reservation, key 1's.
-  const auto stolen = ra.Allocate(3, 0);
+  const auto stolen = blocks.Allocate(3, 0);
   ASSERT_TRUE(stolen.has_value());
   EXPECT_FALSE(stolen->properly_placed);
   EXPECT_EQ(ra.reservations_broken(), 1u);
-  const auto after = ra.Allocate(1, 2);
+  const auto after = blocks.Allocate(1, 2);
   ASSERT_TRUE(after.has_value());
   EXPECT_FALSE(after->properly_placed) << "key 1 no longer owns a reservation";
   EXPECT_EQ(after->ppn.raw() / 4, 0u) << "the broken group's last spare frame";
@@ -271,16 +296,18 @@ TEST(ReservationTest, BrokenLastOwnerFallsBackToUnplacedFrames) {
   EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
-// Freeing the last owner's group back to empty releases its reservation;
-// when another key then reserves that group, the old owner's next Allocate
-// must reserve a fresh group, not write into the other key's.
+// Freeing a block's group back to empty releases its reservation; when
+// another key then reserves that group, the old owner's handle still names
+// it, and its next Allocate must reserve a fresh group, not write into the
+// other key's.
 TEST(ReservationTest, FreedLastOwnerReservesAFreshGroup) {
   ReservationAllocator ra(8, 4);  // 2 groups of 4 frames.
+  Blocks blocks(ra);
   ra.EnableGrantLog();
-  ASSERT_EQ(ra.Allocate(1, 3)->ppn, Ppn{3});  // Key 1 reserves group 0.
+  ASSERT_EQ(blocks.Allocate(1, 3)->ppn, Ppn{3});  // Key 1 reserves group 0.
   ra.Free(Ppn{3});                             // Group 0 is free again.
-  ASSERT_EQ(ra.Allocate(2, 1)->ppn, Ppn{1});  // Key 2 takes recycled group 0.
-  const auto grant = ra.Allocate(1, 3);
+  ASSERT_EQ(blocks.Allocate(2, 1)->ppn, Ppn{1});  // Key 2 takes recycled group 0.
+  const auto grant = blocks.Allocate(1, 3);
   ASSERT_TRUE(grant.has_value());
   EXPECT_TRUE(grant->properly_placed);
   EXPECT_EQ(grant->ppn, Ppn{7}) << "slot 3 of fresh group 1";
@@ -289,10 +316,74 @@ TEST(ReservationTest, FreedLastOwnerReservesAFreshGroup) {
   EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
+// A block whose reservation was broken keeps its placed pages in the broken
+// group, so its later faults get unplaced frames even when a free group
+// would allow a fresh reservation: a placed frame there would put the
+// block's placed pages in two physical blocks.  With the fragment pool
+// empty, the free group is fragmented instead of reserved.
+TEST(ReservationTest, BrokenBlockGetsNoPlacedFrameInAnotherGroup) {
+  ReservationAllocator ra(8, 4);  // 2 groups of 4 frames.
+  Blocks blocks(ra);
+  ra.EnableGrantLog();
+  ASSERT_EQ(blocks.Allocate(1, 0)->ppn, Ppn{0});  // Key 1 reserves group 0.
+  ASSERT_EQ(blocks.Allocate(2, 0)->ppn, Ppn{4});  // Key 2 reserves group 1.
+  for (std::uint64_t key = 3; key <= 5; ++key) {  // Break key 1's and drain it.
+    const auto grant = blocks.Allocate(key, 0);
+    ASSERT_TRUE(grant.has_value());
+    EXPECT_EQ(grant->ppn.raw() / 4, 0u);
+  }
+  EXPECT_EQ(ra.reservations_broken(), 1u);
+  ra.Free(Ppn{4});  // Group 1 is free again.
+  const auto grant = blocks.Allocate(1, 1);
+  ASSERT_TRUE(grant.has_value());
+  EXPECT_FALSE(grant->properly_placed) << "key 1's placed page sits in group 0";
+  EXPECT_EQ(grant->ppn.raw() / 4, 1u) << "a frame of the fragmented free group";
+  EXPECT_EQ(ra.reservations_made(), 2u);
+  // The fragmented group's other frames serve the next fault of any block.
+  const auto next = blocks.Allocate(6, 0);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_FALSE(next->properly_placed);
+  EXPECT_EQ(next->ppn.raw() / 4, 1u);
+  EXPECT_EQ(ra.reservations_broken(), 1u);
+  const check::AuditReport report = check::StructuralAuditor::Audit(ra);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
+// Under pressure the least-recently-reserved reservation is broken first.
+// A group freed and reserved again is the newest reservation, although its
+// first reservation still has an entry at the head of the steal queue.
+TEST(ReservationTest, BreaksTheOldestLiveReservationFirst) {
+  ReservationAllocator ra(16, 4);  // 4 groups of 4 frames.
+  Blocks blocks(ra);
+  ra.EnableGrantLog();
+  ASSERT_EQ(blocks.Allocate(1, 0)->ppn, Ppn{0});  // Key 1 reserves group 0.
+  ASSERT_EQ(blocks.Allocate(2, 0)->ppn, Ppn{4});  // Key 2 reserves group 1.
+  ra.Free(Ppn{0});                                // Group 0 is free again.
+  ASSERT_EQ(blocks.Allocate(3, 0)->ppn, Ppn{0});  // Key 3 takes recycled group 0.
+  ASSERT_EQ(blocks.Allocate(4, 0)->ppn, Ppn{8});
+  ASSERT_EQ(blocks.Allocate(5, 0)->ppn, Ppn{12});
+  // No free group: key 6 breaks the oldest live reservation, key 2's.
+  const auto stolen = blocks.Allocate(6, 0);
+  ASSERT_TRUE(stolen.has_value());
+  EXPECT_FALSE(stolen->properly_placed);
+  EXPECT_EQ(stolen->ppn.raw() / 4, 1u) << "a spare frame of key 2's group";
+  EXPECT_EQ(ra.reservations_broken(), 1u);
+  const auto kept = blocks.Allocate(3, 1);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_TRUE(kept->properly_placed) << "key 3 reserved last but one";
+  EXPECT_EQ(kept->ppn, Ppn{1});
+  const auto broken = blocks.Allocate(2, 1);
+  ASSERT_TRUE(broken.has_value());
+  EXPECT_FALSE(broken->properly_placed);
+  const check::AuditReport report = check::StructuralAuditor::Audit(ra);
+  EXPECT_TRUE(report.ok()) << report.Summary();
+}
+
 TEST(ReservationTest, PlacementStatsAccumulate) {
   ReservationAllocator ra(64, 16);
+  Blocks blocks(ra);
   for (unsigned boff = 0; boff < 16; ++boff) {
-    ra.Allocate(5, boff);
+    blocks.Allocate(5, boff);
   }
   EXPECT_EQ(ra.grants(), 16u);
   EXPECT_EQ(ra.properly_placed_grants(), 16u);
@@ -303,6 +394,7 @@ TEST(ReservationTest, PlacementStatsAccumulate) {
 // mix of allocations and frees with heavy memory pressure.
 TEST(ReservationPropertyTest, NoDoubleGrantsUnderPressure) {
   ReservationAllocator ra(128, 8);
+  Blocks blocks(ra);
   Rng rng(99);
   struct Owner {
     std::uint64_t key;
@@ -317,7 +409,7 @@ TEST(ReservationPropertyTest, NoDoubleGrantsUnderPressure) {
       if (block_masks[key] & (1u << boff)) {
         continue;  // Already allocated (the API forbids double-alloc).
       }
-      const auto g = ra.Allocate(key, boff);
+      const auto g = blocks.Allocate(key, boff);
       if (!g.has_value()) {
         EXPECT_EQ(ra.frames_free(), 0u) << "refusal only when truly full";
         continue;

@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "check/auditor.h"
 #include "check/shadow_oracle.h"
+#include "check/test_backdoor.h"
+#include "common/rng.h"
 #include "core/clustered.h"
 #include "mem/cache_model.h"
 #include "mem/reservation.h"
@@ -19,6 +23,23 @@
 
 namespace cpt::os {
 namespace {
+
+// Every resident page of `as` in [first, first + npages) translates through
+// `table` to the frame `as` granted it.
+void ExpectResidentPagesMapToTheirFrames(const AddressSpace& as, pt::PageTable& table, Vpn first,
+                                         std::uint64_t npages) {
+  for (std::uint64_t i = 0; i < npages; ++i) {
+    const Vpn vpn = first + i;
+    const std::optional<Ppn> granted = check::TestBackdoor::GrantedFrame(as, vpn);
+    if (!granted) {
+      continue;
+    }
+    mem::WalkScope scope(table.cache());
+    const auto fill = table.Lookup(VaOf(vpn));
+    ASSERT_TRUE(fill.has_value()) << "resident page " << vpn << " has no translation";
+    EXPECT_EQ(fill->Translate(vpn), *granted) << "page " << vpn;
+  }
+}
 
 class OsClusteredTest : public ::testing::Test {
  protected:
@@ -338,6 +359,112 @@ TEST(OsStragglerTest, PsbUpdatesKeepTheStragglersBasePte) {
       EXPECT_TRUE(oracle.ok()) << oracle.Summary();
       const check::AuditReport audit = check::StructuralAuditor::AuditPageTable(table.inner());
       EXPECT_TRUE(audit.ok()) << audit.Summary();
+    }
+  }
+}
+
+// The placed pages of a block sit in one aligned physical block: a PSB or
+// superpage PTE maps every one of them from the block's base frame.  A block
+// whose reservation was broken keeps its placed page in the broken group, so
+// its later faults must not be placed in another group, even one freed since.
+TEST(OsBrokenReservationTest, PlacedPagesStayInOneFrameBlock) {
+  for (const sim::PtKind kind : {sim::PtKind::kClustered, sim::PtKind::kLinear1,
+                                 sim::PtKind::kForward, sim::PtKind::kHashedMulti}) {
+    for (const PteStrategy strategy : {PteStrategy::kPartialSubblock, PteStrategy::kSuperpage}) {
+      SCOPED_TRACE(sim::ToString(kind) + " strategy " +
+                   std::to_string(static_cast<int>(strategy)));
+      mem::CacheTouchModel cache(256);
+      const std::unique_ptr<pt::PageTable> table = sim::MakePageTable(kind, cache, {});
+      mem::ReservationAllocator frames(48, 16);  // 3 groups of 16 frames.
+      frames.EnableGrantLog();
+      AddressSpace as(0, *table, frames,
+                      AddressSpaceOptions{.strategy = strategy, .subblock_factor = 16});
+      for (const Vpn vpn : {Vpn{0x100}, Vpn{0x200}, Vpn{0x300}}) {
+        ASSERT_TRUE(as.TouchPage(VaOf(vpn)));
+      }
+      ASSERT_TRUE(as.TouchPage(VaOf(Vpn{0x400})));  // Breaks block 0x100's reservation.
+      ASSERT_EQ(frames.reservations_broken(), 1u);
+      as.UnmapRange(Vpn{0x200}, 1);  // Frees a whole group.
+      ASSERT_TRUE(as.TouchPage(VaOf(Vpn{0x101})));
+      EXPECT_EQ(as.stats().placement_failures, 2u) << "0x101 cannot be placed";
+      ExpectResidentPagesMapToTheirFrames(as, *table, Vpn{0x100}, 16);
+      for (unsigned i = 2; i < 16; ++i) {
+        ASSERT_TRUE(as.TouchPage(VaOf(Vpn{0x100} + i)));
+      }
+      EXPECT_EQ(as.stats().promotions, 0u);
+      EXPECT_EQ(frames.reservations_made(), 3u);
+      EXPECT_EQ(as.stats().placement_failures,
+                frames.grants() - frames.properly_placed_grants());
+      ExpectResidentPagesMapToTheirFrames(as, *table, Vpn{0x100}, 16);
+      ExpectResidentPagesMapToTheirFrames(as, *table, Vpn{0x300}, 0x200);
+      const check::AuditReport pt_report = check::StructuralAuditor::AuditPageTable(*table);
+      EXPECT_TRUE(pt_report.ok()) << pt_report.Summary();
+      const check::AuditReport mem_report = check::StructuralAuditor::Audit(frames);
+      EXPECT_TRUE(mem_report.ok()) << mem_report.Summary();
+    }
+  }
+}
+
+// Property: three address spaces share one small frame pool, and a seeded
+// random mix of faults, unmaps and re-faults keeps it under pressure, so
+// reservations are made, broken, freed and recycled.  After every step each
+// resident page translates to the frame its address space granted it, every
+// structure audits clean, and the pool's used frames are the resident pages.
+TEST(OsPressurePropertyTest, ResidentPagesMapToTheirGrantedFrames) {
+  constexpr unsigned kProcesses = 3;
+  constexpr std::uint64_t kWindowPages = 8 * 16;  // 8 blocks per address space.
+  const Vpn window_base{0x4000};
+  for (const sim::PtKind kind : {sim::PtKind::kClustered, sim::PtKind::kLinear1,
+                                 sim::PtKind::kForward, sim::PtKind::kHashedMulti}) {
+    for (const PteStrategy strategy :
+         {PteStrategy::kBaseOnly, PteStrategy::kSuperpage, PteStrategy::kPartialSubblock}) {
+      SCOPED_TRACE(sim::ToString(kind) + " strategy " +
+                   std::to_string(static_cast<int>(strategy)));
+      sim::Machine machine(sim::MachineOptions{.pt_kind = kind,
+                                               .phys_frames = 16 * 16,  // 16 groups.
+                                               .audit = true,
+                                               .strategy = strategy},
+                           kProcesses);
+      Rng rng(7);
+      // Two thirds of the 384 window pages fit the pool at once.
+      std::vector<std::pair<tlb::Asid, Vpn>> unmapped;  // Candidates for re-faults.
+      for (int step = 0; step < 400; ++step) {
+        const auto asid = static_cast<tlb::Asid>(rng.Below(kProcesses));
+        AddressSpace& as = machine.address_space(asid);
+        const std::uint64_t roll = rng.Below(100);
+        if (roll < 50) {
+          // Fault a run of pages, so that blocks fill and can be promoted.
+          const Vpn first = window_base + rng.Below(kWindowPages);
+          const std::uint64_t run = 1 + rng.Below(8);
+          for (std::uint64_t i = 0; i < run && first + i < window_base + kWindowPages; ++i) {
+            as.TouchPage(VaOf(first + i));
+          }
+        } else if (roll < 80) {
+          const Vpn first = window_base + rng.Below(kWindowPages);
+          const std::uint64_t npages =
+              std::min<std::uint64_t>(1 + rng.Below(24), window_base + kWindowPages - first);
+          as.UnmapRange(first, npages);
+          unmapped.emplace_back(asid, first);
+        } else if (!unmapped.empty()) {
+          const auto [refault_asid, vpn] = unmapped[rng.Below(unmapped.size())];
+          machine.address_space(refault_asid).TouchPage(VaOf(vpn));
+        }
+
+        std::uint64_t resident = 0;
+        for (unsigned p = 0; p < kProcesses; ++p) {
+          const auto id = static_cast<tlb::Asid>(p);
+          resident += machine.address_space(id).resident_pages();
+          ExpectResidentPagesMapToTheirFrames(machine.address_space(id), machine.page_table(id),
+                                              window_base, kWindowPages);
+        }
+        ASSERT_EQ(machine.frames().frames_used(), resident) << "step " << step;
+        const check::AuditReport report = machine.AuditAll();
+        ASSERT_TRUE(report.ok()) << "step " << step << ": " << report.Summary();
+        if (HasFailure()) {
+          FAIL() << "step " << step;
+        }
+      }
+      EXPECT_GT(machine.frames().reservations_broken(), 0u) << "the pool was never short";
     }
   }
 }
