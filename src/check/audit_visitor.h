@@ -31,7 +31,7 @@ namespace cpt::check {
 // ---------------------------------------------------------------------------
 
 struct PtNodeView {
-  std::uint32_t bucket = 0;   // Hash bucket (chain tables); 0 for tree tables.
+  std::uint32_t bucket = 0;   // Hash bucket (chain tables); tree level (trees).
   std::uint64_t tag = 0;      // Chain key (VPN/VPBN key) or leaf index.
   Vpn base_vpn{};           // First VPN the node's word array covers.
   unsigned sub_log2 = 0;      // log2 base pages per word slot.

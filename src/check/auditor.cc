@@ -380,76 +380,30 @@ AuditReport StructuralAuditor::Audit(const pt::SuperpageIndexHashed& table) {
   return report;
 }
 
-AuditReport StructuralAuditor::Audit(const pt::LinearPageTable& table) {
+namespace {
+
+// The linear and forward-mapped trees: Replicate-PTE leaves (bucket 1) whose
+// `index` carries the live-slot counter, plus, in forward-mapped tables,
+// intermediate-superpage words whose `bucket` is their level.  Level l's
+// node prefix is the VPN above the bits levels 1..l consume, so the prefixes
+// the walked nodes imply must match the table's per-level node counts.
+template <typename Table>
+AuditReport AuditLeafTree(const Table& table) {
+  std::array<unsigned, Table::kNumLevels + 1> prefix_shift{};
+  for (unsigned level = 1; level <= Table::kNumLevels; ++level) {
+    prefix_shift[level] = prefix_shift[level - 1] + Table::kLevelBits[level - 1];
+  }
   NodeCollector c;
   table.AuditVisit(c);
   AuditReport report;
   CoverageMap coverage;
   WordCheckParams wcp;  // Leaves mix formats (Replicate-PTEs); all defaults.
   std::uint64_t translations = 0;
-  std::array<std::unordered_set<std::uint64_t>, pt::LinearPageTable::kNumLevels + 1> prefixes;
-  for (const CollectedNode& cn : c.nodes) {
-    translations += CheckNodeWords(cn, wcp, coverage, report);
-    // Recount the leaf's live-slot counter (carried in `index`).
-    unsigned occupied = 0;
-    for (const MappingWord& w : cn.words) {
-      if (w != MappingWord::Invalid()) {
-        ++occupied;
-      }
-    }
-    if (occupied != static_cast<unsigned>(cn.meta.index)) {
-      report.Add(NodeId(cn) + ": leaf live counter " + Str(cn.meta.index) + " but " +
-                 Str(occupied) + " occupied slots");
-    }
-    for (unsigned level = 2; level <= pt::LinearPageTable::kNumLevels; ++level) {
-      prefixes[level].insert(cn.meta.tag >>
-                             (pt::LinearPageTable::kBitsPerLevel * (level - 1)));
-    }
-  }
-  // Replicate-PTE slots are distinct VPNs, so duplicate coverage here always
-  // means corruption.
-  coverage.Report(report);
-  if (translations != table.live_translations()) {
-    report.Add("walk recounted " + Str(translations) + " translations but the table counts " +
-               Str(table.live_translations()));
-  }
-  const auto counts = table.ActiveNodesPerLevel();
-  if (counts[0] != c.nodes.size()) {
-    report.Add("table counts " + Str(counts[0]) + " leaves but the walk saw " +
-               Str(c.nodes.size()));
-  }
-  for (unsigned level = 2; level <= pt::LinearPageTable::kNumLevels; ++level) {
-    if (counts[level - 1] != prefixes[level].size()) {
-      report.Add("level " + Str(level) + " counts " + Str(counts[level - 1]) +
-                 " active nodes; leaves imply " + Str(prefixes[level].size()));
-    }
-  }
-  return report;
-}
-
-AuditReport StructuralAuditor::Audit(const pt::ForwardMappedPageTable& table) {
-  using Fwd = pt::ForwardMappedPageTable;
-  // Reconstruct the level shifts from the public split so the auditor can
-  // recompute each node's ancestors.
-  std::array<unsigned, Fwd::kNumLevels + 2> shift{};
-  for (unsigned level = 1; level <= Fwd::kNumLevels; ++level) {
-    shift[level + 1] = shift[level] + Fwd::kLevelBits[level - 1];
-  }
-  const auto prefix_at = [&shift](Vpn vpn, unsigned level) {
-    return vpn.raw() >> shift[level + 1];  // Tree prefixes are domain-erased keys.
-  };
-
-  NodeCollector c;
-  table.AuditVisit(c);
-  AuditReport report;
-  CoverageMap coverage;
-  WordCheckParams wcp;
-  std::uint64_t translations = 0;
   std::uint64_t leaves = 0;
-  std::array<std::unordered_set<std::uint64_t>, Fwd::kNumLevels + 1> prefixes;
+  std::array<std::unordered_set<std::uint64_t>, Table::kNumLevels + 1> prefixes;
   for (const CollectedNode& cn : c.nodes) {
     translations += CheckNodeWords(cn, wcp, coverage, report);
-    const unsigned level = cn.meta.bucket;  // AuditVisit stores the level here.
+    const unsigned level = cn.meta.bucket;
     if (level == 1) {
       ++leaves;
       unsigned occupied = 0;
@@ -463,12 +417,14 @@ AuditReport StructuralAuditor::Audit(const pt::ForwardMappedPageTable& table) {
                    Str(occupied) + " occupied slots");
       }
     }
-    // Every node (leaf or intermediate-superpage holder) keeps its ancestors
-    // alive.
-    for (unsigned l = std::max(level, 2u); l <= Fwd::kNumLevels; ++l) {
-      prefixes[l].insert(prefix_at(cn.meta.base_vpn, l));
+    // Every node keeps its ancestors alive.  Tree prefixes are domain-erased
+    // keys.
+    for (unsigned l = std::max(level, 2u); l <= Table::kNumLevels; ++l) {
+      prefixes[l].insert(cn.meta.base_vpn.raw() >> prefix_shift[l]);
     }
   }
+  // Replicate-PTE slots are distinct VPNs, so duplicate coverage here always
+  // means corruption.
   coverage.Report(report);
   if (translations != table.live_translations()) {
     report.Add("walk recounted " + Str(translations) + " translations but the table counts " +
@@ -478,14 +434,23 @@ AuditReport StructuralAuditor::Audit(const pt::ForwardMappedPageTable& table) {
   if (counts[0] != leaves) {
     report.Add("table counts " + Str(counts[0]) + " leaves but the walk saw " + Str(leaves));
   }
-  for (unsigned level = 2; level <= Fwd::kNumLevels; ++level) {
+  for (unsigned level = 2; level <= Table::kNumLevels; ++level) {
     if (counts[level - 1] != prefixes[level].size()) {
       report.Add("level " + Str(level) + " counts " + Str(counts[level - 1]) +
-                 " active nodes; leaves and intermediate superpages imply " +
-                 Str(prefixes[level].size()));
+                 " active nodes; the walked nodes imply " + Str(prefixes[level].size()));
     }
   }
   return report;
+}
+
+}  // namespace
+
+AuditReport StructuralAuditor::Audit(const pt::LinearPageTable& table) {
+  return AuditLeafTree(table);
+}
+
+AuditReport StructuralAuditor::Audit(const pt::ForwardMappedPageTable& table) {
+  return AuditLeafTree(table);
 }
 
 AuditReport StructuralAuditor::AuditPageTable(const pt::PageTable& table) {

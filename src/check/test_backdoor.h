@@ -20,7 +20,9 @@
 #include "core/clustered.h"
 #include "mem/reservation.h"
 #include "os/address_space.h"
+#include "pt/forward.h"
 #include "pt/hashed.h"
+#include "pt/linear.h"
 
 namespace cpt::check {
 
@@ -140,6 +142,31 @@ class TestBackdoor {
       return true;
     }
     return false;
+  }
+
+  // Bumps the first leaf's live-slot counter of a linear or forward-mapped
+  // table, so it no longer matches the leaf's occupied slots.
+  template <typename Table, unsigned kLeafSlots>
+  static bool SkewLeafLiveCount(pt::ReplicatedLeafTable<Table, kLeafSlots>& table) {
+    if (table.leaves_.empty()) {
+      return false;
+    }
+    ++table.leaves_.begin()->second.live;
+    return true;
+  }
+
+  // Adds one to a linear or forward-mapped table's translation count.
+  template <typename Table, unsigned kLeafSlots>
+  static void SkewLiveTranslations(pt::ReplicatedLeafTable<Table, kLeafSlots>& table) {
+    ++table.live_translations_;
+  }
+
+  // Adds a level-2 node that no leaf or intermediate superpage lies under.
+  static void AddOrphanLevel2Node(pt::LinearPageTable& table) {
+    table.upper_[2][~std::uint64_t{0}] = 1;
+  }
+  static void AddOrphanLevel2Node(pt::ForwardMappedPageTable& table) {
+    table.inner_[2].try_emplace(~std::uint64_t{0});
   }
 
   // The frame the address space granted to resident page `vpn`, read from

@@ -1,37 +1,15 @@
 #include "pt/forward.h"
 
-#include "check/audit_visitor.h"
 #include "common/check.h"
 
 namespace cpt::pt {
 
 ForwardMappedPageTable::ForwardMappedPageTable(mem::CacheTouchModel& cache, Options opts)
-    : PageTable(cache), opts_(opts), alloc_(cache.line_size(), opts.placement) {}
+    : ReplicatedLeafTable(cache, opts.placement), opts_(opts) {}
 
 ForwardMappedPageTable::~ForwardMappedPageTable() = default;
 
-TlbFill ForwardMappedPageTable::FillFromWord(Vpn vpn, MappingWord word) const {
-  TlbFill fill;
-  fill.kind = word.kind();
-  fill.word = word;
-  switch (word.kind()) {
-    case MappingKind::kBase:
-      fill.base_vpn = vpn;
-      fill.pages_log2 = 0;
-      break;
-    case MappingKind::kSuperpage:
-      fill.pages_log2 = word.page_size().size_log2;
-      fill.base_vpn = SuperpageBaseVpn(vpn, word.page_size());
-      break;
-    case MappingKind::kPartialSubblock:
-      fill.pages_log2 = kReplicatedPsbPagesLog2;
-      fill.base_vpn = SuperpageBaseVpn(vpn, PageSize{kReplicatedPsbPagesLog2});
-      break;
-  }
-  return fill;
-}
-
-void ForwardMappedPageTable::AddPath(Vpn vpn) {
+void ForwardMappedPageTable::OnLeafAdded(Vpn vpn) {
   // Ensure every intermediate node along the path exists, bumping child
   // counts bottom-up.  A node's count is the number of its active children.
   bool child_was_new = true;
@@ -45,7 +23,7 @@ void ForwardMappedPageTable::AddPath(Vpn vpn) {
   }
 }
 
-void ForwardMappedPageTable::RemovePath(Vpn vpn) {
+void ForwardMappedPageTable::OnLeafFreed(Vpn vpn) {
   bool child_died = true;
   for (unsigned level = 2; level <= kNumLevels && child_died; ++level) {
     auto it = inner_[level].find(PrefixAt(vpn, level));
@@ -101,79 +79,12 @@ void ForwardMappedPageTable::MaybeFreeInner(Vpn vpn, unsigned level) {
   }
 }
 
-ForwardMappedPageTable::Leaf& ForwardMappedPageTable::LeafFor(Vpn vpn) {
-  const std::uint64_t prefix = PrefixAt(vpn, 1);
-  if (memo_leaf_ != nullptr && memo_prefix_ == prefix) {
-    return *memo_leaf_;
-  }
-  auto [it, inserted] = leaves_.try_emplace(prefix);
-  if (inserted) {
-    it->second.addr = alloc_.Allocate(NodeBytesOfLevel(1));
-    AddPath(vpn);
-  }
-  memo_prefix_ = prefix;
-  memo_leaf_ = &it->second;
-  return it->second;
-}
-
-ForwardMappedPageTable::Leaf* ForwardMappedPageTable::FindLeaf(Vpn vpn) {
-  const std::uint64_t prefix = PrefixAt(vpn, 1);
-  if (memo_leaf_ != nullptr && memo_prefix_ == prefix) {
-    return memo_leaf_;
-  }
-  auto it = leaves_.find(prefix);
-  return it == leaves_.end() ? nullptr : &it->second;
-}
-
-void ForwardMappedPageTable::FreeLeaf(Vpn vpn, Leaf& leaf) {
-  alloc_.Free(leaf.addr, NodeBytesOfLevel(1));
-  memo_leaf_ = nullptr;
-  leaves_.erase(PrefixAt(vpn, 1));
-  RemovePath(vpn);
-}
-
-void ForwardMappedPageTable::SetSlot(Vpn vpn, MappingWord word) {
-  Leaf& leaf = LeafFor(vpn);
-  AtomicMappingWord& slot = leaf.slots[IndexAt(vpn, 1)];
-  const MappingWord old = slot.load();
-  const bool was_occupied = old != MappingWord::Invalid();
-  const bool now_occupied = word != MappingWord::Invalid();
-  leaf.live += static_cast<unsigned>(now_occupied) - static_cast<unsigned>(was_occupied);
-  live_translations_ += static_cast<std::uint64_t>(TranslatesSite(word, vpn)) -
-                        static_cast<std::uint64_t>(TranslatesSite(old, vpn));
-  slot.store(word);
-}
-
-MappingWord ForwardMappedPageTable::ClearSlot(Vpn vpn) {
-  Leaf* leaf = FindLeaf(vpn);
-  if (leaf == nullptr) {
-    return MappingWord::Invalid();
-  }
-  AtomicMappingWord& slot = leaf->slots[IndexAt(vpn, 1)];
-  const MappingWord old = slot.load();
-  if (old != MappingWord::Invalid()) {
-    live_translations_ -= static_cast<std::uint64_t>(TranslatesSite(old, vpn));
-    slot.store(MappingWord::Invalid());
-    if (--leaf->live == 0) {
-      FreeLeaf(vpn, *leaf);
-    }
-  }
-  return old;
-}
-
-bool ForwardMappedPageTable::WriteReplicas(Vpn first, std::uint64_t npages, MappingWord word,
-                                           ReplicaSites sites) {
-  return WriteReplicaRuns<kLeafEntries>(
-      first, npages, word, sites, live_translations_,
-      [&](Vpn vpn) { return word != MappingWord::Invalid() ? &LeafFor(vpn) : FindLeaf(vpn); },
-      [&](Vpn vpn, Leaf& leaf) { FreeLeaf(vpn, leaf); });
-}
-
 std::optional<TlbFill> ForwardMappedPageTable::Lookup(VirtAddr va) {
   const Vpn vpn = VpnOf(va);
   obs::WalkTracer* const tracer = cache_.tracer();
   // Top-down walk: one PTP read per intermediate level, then the leaf PTE.
-  // Walk-step events use tree depth as the chain position (root = step 1).
+  // Walk-step events use tree depth as the chain position (root = step 1,
+  // the leaf PTE read = step kNumLevels).
   for (unsigned level = kNumLevels; level >= 2; --level) {
     auto it = inner_[level].find(PrefixAt(vpn, level));
     if (it == inner_[level].end()) {
@@ -190,7 +101,7 @@ std::optional<TlbFill> ForwardMappedPageTable::Lookup(VirtAddr va) {
     if (opts_.intermediate_superpages) {
       auto slot_it = it->second.super_slots.find(idx);
       if (slot_it != it->second.super_slots.end()) {
-        TlbFill fill = FillFromWord(vpn, slot_it->second.load());
+        const TlbFill fill = FillFromWord(vpn, slot_it->second.load());
         if (fill.Covers(vpn)) {
           if (tracer != nullptr) {
             tracer->Record({.kind = obs::EventKind::kWalkHit,
@@ -204,27 +115,7 @@ std::optional<TlbFill> ForwardMappedPageTable::Lookup(VirtAddr va) {
       }
     }
   }
-  Leaf* leaf = FindLeaf(vpn);
-  if (leaf == nullptr) {
-    return std::nullopt;
-  }
-  cache_.Touch(leaf->addr + IndexAt(vpn, 1) * 8, 8);
-  const MappingWord word = leaf->slots[IndexAt(vpn, 1)].load();
-  if (word == MappingWord::Invalid()) {
-    return std::nullopt;
-  }
-  TlbFill fill = FillFromWord(vpn, word);
-  if (!fill.Covers(vpn)) {
-    return std::nullopt;
-  }
-  if (tracer != nullptr) {
-    // The leaf PTE read is the final level of the tree walk.
-    tracer->Record({.kind = obs::EventKind::kWalkHit,
-                    .vpn = vpn,
-                    .step = kNumLevels,
-                    .value = WalkHitValue(fill)});
-  }
-  return fill;
+  return ReadLeaf(vpn, kNumLevels);
 }
 
 void ForwardMappedPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,
@@ -239,30 +130,7 @@ void ForwardMappedPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,
     }
     cache_.Touch(it->second.addr + IndexAt(first, level) * 8, 8);
   }
-  Leaf* leaf = FindLeaf(first);
-  if (leaf == nullptr) {
-    return;
-  }
-  const unsigned slot0 = IndexAt(first, 1);
-  cache_.Touch(leaf->addr + slot0 * 8, std::uint64_t{subblock_factor} * 8);
-  for (unsigned i = 0; i < subblock_factor; ++i) {
-    const MappingWord word = leaf->slots[slot0 + i].load();
-    if (word == MappingWord::Invalid()) {
-      continue;
-    }
-    TlbFill fill = FillFromWord(first + i, word);
-    if (fill.Covers(first + i)) {
-      out.push_back(fill);
-    }
-  }
-}
-
-void ForwardMappedPageTable::InsertBase(Vpn vpn, Ppn ppn, Attr attr) {
-  SetSlot(vpn, MappingWord::Base(ppn, attr));
-}
-
-bool ForwardMappedPageTable::RemoveBase(Vpn vpn) {
-  return ClearSlot(vpn) != MappingWord::Invalid();
+  ReadLeafBlock(first, subblock_factor, out);
 }
 
 void ForwardMappedPageTable::InsertSuperpage(Vpn base_vpn, PageSize size, Ppn base_ppn,
@@ -301,24 +169,6 @@ bool ForwardMappedPageTable::RemoveSuperpage(Vpn base_vpn, PageSize size) {
   return WriteReplicas(base_vpn, size.pages(), MappingWord::Invalid(), ReplicaSites::kAll);
 }
 
-void ForwardMappedPageTable::UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor,
-                                                   Ppn block_base_ppn, Attr attr,
-                                                   std::uint16_t valid_vector) {
-  // Replicated like the linear table's PSB words: base PTEs of unplaced
-  // pages in the block keep their sites.
-  CPT_DCHECK(subblock_factor == (1u << kReplicatedPsbPagesLog2));
-  CPT_DCHECK(BoffOf(block_base_vpn, subblock_factor) == 0 &&
-             IsSuperpageAligned(block_base_ppn, PageSize{kReplicatedPsbPagesLog2}));
-  WriteReplicas(block_base_vpn, subblock_factor,
-                MappingWord::PartialSubblock(block_base_ppn, attr, valid_vector),
-                ReplicaSites::kAllButBase);
-}
-
-bool ForwardMappedPageTable::RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) {
-  return WriteReplicas(block_base_vpn, subblock_factor, MappingWord::Invalid(),
-                       ReplicaSites::kPsbOnly);
-}
-
 bool ForwardMappedPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
                                              std::uint16_t clear_mask) {
   // Uncounted structural update: R/M-bit maintenance rides on the walk the
@@ -341,68 +191,11 @@ bool ForwardMappedPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
       }
     }
   }
-  // Leaf words use Replicate-PTEs: the update must hit every covered site or
-  // a later scan at a sibling site would read stale bits.
-  Leaf* leaf = FindLeaf(vpn);
-  if (leaf == nullptr) {
-    return false;
-  }
-  const MappingWord word = leaf->slots[IndexAt(vpn, 1)].load();
-  if (word == MappingWord::Invalid()) {
-    return false;
-  }
-  const TlbFill fill = FillFromWord(vpn, word);
-  if (!fill.Covers(vpn)) {
-    return false;
-  }
-  const std::uint64_t npages = std::uint64_t{1} << fill.pages_log2;
-  for (std::uint64_t i = 0; i < npages; ++i) {
-    const Vpn site = fill.base_vpn + i;
-    Leaf* site_leaf = PrefixAt(site, 1) == PrefixAt(vpn, 1) ? leaf : FindLeaf(site);
-    if (site_leaf == nullptr) {
-      continue;
-    }
-    AtomicMappingWord& slot = site_leaf->slots[IndexAt(site, 1)];
-    const MappingWord replica = slot.load();
-    if (replica == MappingWord::Invalid() || replica.kind() != fill.kind) {
-      continue;
-    }
-    ApplyAttrUpdate(slot, set_mask, clear_mask);
-  }
-  return true;
-}
-
-std::uint64_t ForwardMappedPageTable::ProtectRange(Vpn first_vpn, std::uint64_t npages,
-                                                   Attr attr) {
-  for (std::uint64_t i = 0; i < npages; ++i) {
-    Leaf* leaf = FindLeaf(first_vpn + i);
-    if (leaf == nullptr) {
-      continue;
-    }
-    AtomicMappingWord& slot = leaf->slots[IndexAt(first_vpn + i, 1)];
-    const MappingWord word = slot.load();
-    if (word != MappingWord::Invalid()) {
-      slot.store(word.with_attr(attr));
-    }
-  }
-  return npages;
+  return UpdateLeafAttrFlags(vpn, set_mask, clear_mask);
 }
 
 void ForwardMappedPageTable::AuditVisit(check::PtAuditVisitor& visitor) const {
-  // Leaves: one view per leaf node; `index` carries the live-slot counter,
-  // `bucket` the tree level (1 = leaf).
-  for (const auto& [prefix, leaf] : leaves_) {
-    check::PtNodeView view;
-    view.bucket = 1;
-    view.tag = prefix;
-    view.base_vpn = Vpn{prefix << kLevelBits[0]};
-    view.sub_log2 = 0;
-    view.words = leaf.slots.data();
-    view.num_words = kLeafEntries;
-    view.index = static_cast<std::int32_t>(leaf.live);
-    view.addr = leaf.addr;
-    visitor.OnNode(view);
-  }
+  ReplicatedLeafTable::AuditVisit(visitor);
   // Intermediate-superpage words: one single-word view each, sub_log2 set to
   // the subtree coverage of that level.
   for (unsigned level = 2; level <= kNumLevels; ++level) {
@@ -426,7 +219,7 @@ void ForwardMappedPageTable::AuditVisit(check::PtAuditVisitor& visitor) const {
 std::array<std::uint64_t, ForwardMappedPageTable::kNumLevels>
 ForwardMappedPageTable::ActiveNodesPerLevel() const {
   std::array<std::uint64_t, kNumLevels> counts{};
-  counts[0] = leaves_.size();
+  counts[0] = leaf_count();
   for (unsigned level = 2; level <= kNumLevels; ++level) {
     counts[level - 1] = inner_[level].size();
   }
@@ -434,7 +227,7 @@ ForwardMappedPageTable::ActiveNodesPerLevel() const {
 }
 
 std::uint64_t ForwardMappedPageTable::SizeBytesPaperModel() const {
-  std::uint64_t bytes = leaves_.size() * NodeBytesOfLevel(1);
+  std::uint64_t bytes = leaf_count() * NodeBytesOfLevel(1);
   for (unsigned level = 2; level <= kNumLevels; ++level) {
     bytes += inner_[level].size() * NodeBytesOfLevel(level);
   }
@@ -442,7 +235,5 @@ std::uint64_t ForwardMappedPageTable::SizeBytesPaperModel() const {
 }
 
 std::uint64_t ForwardMappedPageTable::SizeBytesActual() const { return alloc_.bytes_live(); }
-
-std::uint64_t ForwardMappedPageTable::live_translations() const { return live_translations_; }
 
 }  // namespace cpt::pt

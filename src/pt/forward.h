@@ -11,9 +11,9 @@
 // are parameterized by n_i and this choice satisfies sum(bits) = 52 with
 // nlevels = 7.
 //
-// Superpage / partial-subblock PTEs use Replicate-PTEs at the leaf sites
-// (pt/replicate.h): the word is written at every covered base-page site (a
-// PSB word skips sites holding a base PTE), one leaf lookup per leaf node.
+// The leaf nodes, and the Replicate-PTEs strategy for superpage and
+// partial-subblock PTEs at the leaf sites, are the shared leaf layer of
+// pt/replicate.h; this class adds the inner nodes and the top-down walk.
 // As an extension (Section 4.2 "Forward-Mapped Intermediate Nodes"),
 // superpages whose size exactly matches a subtree's coverage can instead be
 // stored in the parent's PTP slot, short-circuiting the walk.
@@ -34,12 +34,13 @@
 
 namespace cpt::pt {
 
-class ForwardMappedPageTable final : public PageTable {
+class ForwardMappedPageTable final : public ReplicatedLeafTable<ForwardMappedPageTable, 256> {
  public:
   static constexpr unsigned kNumLevels = 7;
   // Bits consumed per level, leaf (level 1) first.
   static constexpr std::array<unsigned, kNumLevels> kLevelBits = {8, 8, 8, 8, 8, 8, 4};
   static constexpr unsigned kLeafEntries = 1u << kLevelBits[0];
+  static_assert(kLeafEntries * kWordBytes == kLeafBytes);
 
   struct Options {
     // Store block-sized (and larger, level-aligned) superpages in
@@ -56,41 +57,25 @@ class ForwardMappedPageTable final : public PageTable {
   [[nodiscard]] CPT_HOT std::optional<TlbFill> Lookup(VirtAddr va) override;
   CPT_HOT void LookupBlock(VirtAddr va, unsigned subblock_factor,
                            std::vector<TlbFill>& out) override;
-  void InsertBase(Vpn vpn, Ppn ppn, Attr attr) override;
-  bool RemoveBase(Vpn vpn) override;
-  PtFeatures features() const override {
-    return {.superpages = true, .partial_subblock = true, .adjacent_block_fetch = true};
-  }
   void InsertSuperpage(Vpn base_vpn, PageSize size, Ppn base_ppn, Attr attr) override;
   bool RemoveSuperpage(Vpn base_vpn, PageSize size) override;
-  void UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor, Ppn block_base_ppn,
-                             Attr attr, std::uint16_t valid_vector) override;
-  bool RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) override;
   CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
                                std::uint16_t clear_mask) override;
-  std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
   std::uint64_t SizeBytesPaperModel() const override;
   std::uint64_t SizeBytesActual() const override;
-  std::uint64_t live_translations() const override;
   std::string name() const override { return "forward-mapped"; }
 
   // Active node counts per level (leaf first), for the size formulae.
   std::array<std::uint64_t, kNumLevels> ActiveNodesPerLevel() const;
 
   // ---- Invariant auditing (src/check) ----
+  // The leaf layer's views, then one single-word view per intermediate
+  // superpage, `bucket` its level and `sub_log2` the level's coverage.
   void AuditVisit(check::PtAuditVisitor& visitor) const;
 
  private:
   friend class check::TestBackdoor;
-
-  struct Leaf {
-    PhysAddr addr{};
-    std::array<AtomicMappingWord, kLeafEntries> slots{};
-    unsigned live = 0;
-  };
-  // The paper model charges a prefix of this host struct (its mapping
-  // words); the host struct must not silently grow.
-  static_assert(sizeof(Leaf) == 2064 && alignof(Leaf) == 8);
+  friend ReplicatedLeafTable;
 
   struct Inner {
     PhysAddr addr{};
@@ -121,36 +106,20 @@ class ForwardMappedPageTable final : public PageTable {
     return (std::uint64_t{1} << kLevelBits[level - 1]) * 8;
   }
 
-  Leaf& LeafFor(Vpn vpn);
-  Leaf* FindLeaf(Vpn vpn);
-  // Frees the emptied leaf holding `vpn`: the table's one leaves_.erase.
-  void FreeLeaf(Vpn vpn, Leaf& leaf);
-  void SetSlot(Vpn vpn, MappingWord word);
-  MappingWord ClearSlot(Vpn vpn);
-  // Writes `word` (Invalid() clears) at the leaf sites of `npages` pages
-  // from `first` that `sites` allows, one leaf lookup per leaf node; returns
-  // whether an occupied slot was replaced.
-  bool WriteReplicas(Vpn first, std::uint64_t npages, MappingWord word, ReplicaSites sites);
-  void AddPath(Vpn vpn);
-  void RemovePath(Vpn vpn);
+  // Leaf-layer hooks: a leaf's creation and release add or drop it as a
+  // child of its inner-node path, creating or freeing inner nodes.
+  void OnLeafAdded(Vpn vpn);
+  void OnLeafFreed(Vpn vpn);
   // Ensures the node at `level` (and its ancestors) exists, then stores an
   // intermediate superpage word in its PTP slot.
   void AddIntermediateSuper(Vpn vpn, unsigned level, MappingWord word);
   // Frees the node at `level` if it has no children and no super slots,
   // cascading upward.
   void MaybeFreeInner(Vpn vpn, unsigned level);
-  TlbFill FillFromWord(Vpn vpn, MappingWord word) const;
 
   Options opts_;
-  mem::SimAllocator alloc_;
-  std::unordered_map<std::uint64_t, Leaf> leaves_;
   // Levels 2..7: prefix -> Inner (level 7's only prefix is 0).
   std::array<std::unordered_map<std::uint64_t, Inner>, kNumLevels + 1> inner_;
-  std::uint64_t live_translations_ = 0;
-  // The leaf LeafFor resolved last; FindLeaf consults it too.  Only writers
-  // set it, so Lookup and UpdateAttrFlags stay read-only.  FreeLeaf resets it.
-  std::uint64_t memo_prefix_ = 0;
-  Leaf* memo_leaf_ = nullptr;
 };
 
 }  // namespace cpt::pt

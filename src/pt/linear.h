@@ -18,11 +18,10 @@
 // reserving 8 of the 64 TLB entries for page-table mappings; this class only
 // touches the leaf slot.
 //
-// Superpage / partial-subblock PTEs use the Replicate-PTEs strategy
-// (Section 4.2, pt/replicate.h): the word is written at every covered
-// base-page site (a PSB word skips sites holding a base PTE), so lookups are
-// unchanged but the table cannot shrink.  A replicated write resolves each
-// leaf page once and stores its run of replicas in one pass.
+// The leaf pages, and the Replicate-PTEs strategy for superpage and
+// partial-subblock PTEs (Section 4.2), are the shared leaf layer of
+// pt/replicate.h; this class adds the upper-level refcounts and the size
+// models.
 #ifndef CPT_PT_LINEAR_H_
 #define CPT_PT_LINEAR_H_
 
@@ -40,11 +39,14 @@
 
 namespace cpt::pt {
 
-class LinearPageTable final : public PageTable {
+class LinearPageTable final
+    : public ReplicatedLeafTable<LinearPageTable, kBasePageSize / kWordBytes> {
  public:
-  static constexpr unsigned kPtesPerPage = kBasePageSize / 8;  // 512
+  static constexpr unsigned kPtesPerPage = kBasePageSize / kWordBytes;  // 512
   static constexpr unsigned kBitsPerLevel = 9;
   static constexpr unsigned kNumLevels = 6;  // ceil(52 / 9)
+  // Bits consumed per level, leaf (level 1) first.
+  static constexpr std::array<unsigned, kNumLevels> kLevelBits = {9, 9, 9, 9, 9, 9};
 
   enum class SizeModel : std::uint8_t {
     kSixLevel,     // Charge every level of the 6-level tree.
@@ -62,82 +64,41 @@ class LinearPageTable final : public PageTable {
   LinearPageTable(mem::CacheTouchModel& cache, Options opts);
   ~LinearPageTable() override;
 
-  [[nodiscard]] CPT_HOT std::optional<TlbFill> Lookup(VirtAddr va) override;
+  // Each walk reads one leaf PTE: walk step 1.
+  [[nodiscard]] CPT_HOT std::optional<TlbFill> Lookup(VirtAddr va) override {
+    return ReadLeaf(VpnOf(va), 1);
+  }
   CPT_HOT void LookupBlock(VirtAddr va, unsigned subblock_factor,
-                           std::vector<TlbFill>& out) override;
-  void InsertBase(Vpn vpn, Ppn ppn, Attr attr) override;
-  bool RemoveBase(Vpn vpn) override;
-  PtFeatures features() const override {
-    return {.superpages = true, .partial_subblock = true, .adjacent_block_fetch = true};
+                           std::vector<TlbFill>& out) override {
+    ReadLeafBlock(FirstVpnOfBlock(VpbnOf(VpnOf(va), subblock_factor), subblock_factor),
+                  subblock_factor, out);
   }
   void InsertSuperpage(Vpn base_vpn, PageSize size, Ppn base_ppn, Attr attr) override;
   bool RemoveSuperpage(Vpn base_vpn, PageSize size) override;
-  void UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor, Ppn block_base_ppn,
-                             Attr attr, std::uint16_t valid_vector) override;
-  bool RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) override;
   CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                               std::uint16_t clear_mask) override;
-  std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
+                               std::uint16_t clear_mask) override {
+    return UpdateLeafAttrFlags(vpn, set_mask, clear_mask);
+  }
   std::uint64_t SizeBytesPaperModel() const override;
   std::uint64_t SizeBytesActual() const override;
-  std::uint64_t live_translations() const override;
   std::string name() const override;
 
   // Tree-node counts per level (level 1 = leaves), for the size formulae.
   std::array<std::uint64_t, kNumLevels> ActiveNodesPerLevel() const;
 
-  // ---- Invariant auditing (src/check) ----
-  void AuditVisit(check::PtAuditVisitor& visitor) const;
-
  private:
   friend class check::TestBackdoor;
+  friend ReplicatedLeafTable;
 
-  struct Leaf {
-    PhysAddr addr{};
-    std::array<AtomicMappingWord, kPtesPerPage> slots{};
-    unsigned live = 0;
-  };
-  // The paper model charges a prefix of this host struct (its mapping
-  // words); the host struct must not silently grow.
-  static_assert(sizeof(Leaf) == 4112 && alignof(Leaf) == 8);
-
-  // Tree indices deliberately erase the domain: the 6-level radix tree keys
-  // level i by vpn >> (9*i), a plain array index.  These are the only
-  // crossings from Vpn to a leaf index / slot number and back.
-  static constexpr std::uint64_t LeafIndexOf(Vpn vpn) { return vpn.raw() >> kBitsPerLevel; }
-  static constexpr unsigned SlotIndexOf(Vpn vpn) {
-    return static_cast<unsigned>(vpn.raw() % kPtesPerPage);
-  }
-  static constexpr Vpn FirstVpnOfLeaf(std::uint64_t leaf_index) {
-    return Vpn{leaf_index << kBitsPerLevel};
-  }
-
-  Leaf& LeafFor(Vpn vpn);
-  Leaf* FindLeaf(Vpn vpn);
-  // Frees the emptied leaf holding `vpn`: the table's one leaves_.erase.
-  void FreeLeaf(Vpn vpn, Leaf& leaf);
-  void SetSlot(Vpn vpn, MappingWord word);
-  // Clears a slot; returns the previous word.
-  MappingWord ClearSlot(Vpn vpn);
-  // Writes `word` (Invalid() clears) at the sites of `npages` pages from
-  // `first` that `sites` allows, one leaf lookup per leaf page; returns
-  // whether an occupied slot was replaced.
-  bool WriteReplicas(Vpn first, std::uint64_t npages, MappingWord word, ReplicaSites sites);
-  void AddUpperLevels(std::uint64_t leaf_index);
-  void RemoveUpperLevels(std::uint64_t leaf_index);
-  TlbFill FillFromWord(Vpn vpn, MappingWord word) const;
+  // Leaf-layer hooks: a leaf page's creation and release move the refcounts
+  // of its ancestors at levels 2..6.
+  void OnLeafAdded(Vpn vpn);
+  void OnLeafFreed(Vpn vpn);
 
   Options opts_;
-  mem::SimAllocator alloc_;
-  std::unordered_map<std::uint64_t, Leaf> leaves_;  // keyed by vpn >> 9
   // Refcounts of active intermediate nodes, levels 2..6 (index 0 unused,
-  // index 1 unused; level i keyed by vpn >> (9*i)).
+  // index 1 unused; level i keyed by vpn >> (9*i), a domain-erased index).
   std::array<std::unordered_map<std::uint64_t, std::uint32_t>, kNumLevels + 1> upper_;
-  std::uint64_t live_translations_ = 0;
-  // The leaf LeafFor resolved last; FindLeaf consults it too.  Only writers
-  // set it, so Lookup and UpdateAttrFlags stay read-only.  FreeLeaf resets it.
-  std::uint64_t memo_index_ = 0;
-  Leaf* memo_leaf_ = nullptr;
 };
 
 }  // namespace cpt::pt

@@ -6,7 +6,8 @@
 //      AuditReport.
 //   2. Corrupted structures audit dirty — check::TestBackdoor breaks one
 //      invariant at a time (misaligned tag, duplicated base-page coverage,
-//      hash-chain cycle, inconsistent reservation masks, mis-placed grant)
+//      hash-chain cycle, leaf-tree counters, inconsistent reservation
+//      masks, mis-placed grant)
 //      and the auditor must name the defect.  Without these tests a
 //      vacuously-green auditor would be indistinguishable from a working
 //      one.
@@ -227,6 +228,49 @@ TEST(CorruptionTest, ChainCycleIsDetected) {
   const AuditReport r = StructuralAuditor::Audit(t);
   EXPECT_FALSE(r.ok());
   EXPECT_NE(r.Summary().find("cyclic"), std::string::npos) << r.Summary();
+}
+
+// Linear and forward-mapped trees: each counter the table keeps is recounted
+// from the walk.
+template <typename Table>
+class LeafTreeCorruptionTest : public ::testing::Test {
+ protected:
+  LeafTreeCorruptionTest() : cache_(256), table_(cache_, {}) {
+    for (unsigned i = 0; i < 40; ++i) {
+      table_.InsertBase(Vpn{0x1000 + 7 * i}, Ppn{100 + i}, Attr::ReadWrite());
+    }
+    table_.InsertSuperpage(Vpn{0x4000}, kPage64K, Ppn{0x100}, Attr::ReadWrite());
+  }
+
+  std::string Defects() const { return StructuralAuditor::Audit(table_).Summary(); }
+
+  mem::CacheTouchModel cache_;
+  Table table_;
+};
+
+using LeafTrees = ::testing::Types<pt::LinearPageTable, pt::ForwardMappedPageTable>;
+TYPED_TEST_SUITE(LeafTreeCorruptionTest, LeafTrees);
+
+TYPED_TEST(LeafTreeCorruptionTest, LeafLiveCounterIsRecounted) {
+  ASSERT_EQ(this->Defects(), "");
+  ASSERT_TRUE(TestBackdoor::SkewLeafLiveCount(this->table_));
+  EXPECT_NE(this->Defects().find("leaf live counter"), std::string::npos) << this->Defects();
+}
+
+TYPED_TEST(LeafTreeCorruptionTest, TranslationCountIsRecounted) {
+  ASSERT_EQ(this->Defects(), "");
+  TestBackdoor::SkewLiveTranslations(this->table_);
+  EXPECT_NE(this->Defects().find("walk recounted 56 translations but the table counts 57"),
+            std::string::npos)
+      << this->Defects();
+}
+
+TYPED_TEST(LeafTreeCorruptionTest, LevelNodeCountIsRecounted) {
+  ASSERT_EQ(this->Defects(), "");
+  TestBackdoor::AddOrphanLevel2Node(this->table_);
+  EXPECT_NE(this->Defects().find("level 2 counts 2 active nodes; the walked nodes imply 1"),
+            std::string::npos)
+      << this->Defects();
 }
 
 TEST(CorruptionTest, ReservationMaskMismatchIsDetected) {

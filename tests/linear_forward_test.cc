@@ -3,11 +3,14 @@
 // (seven-level walks, intermediate-node superpages).
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <type_traits>
+#include <vector>
 
 #include "accounting_sequence.h"
 #include "check/auditor.h"
 #include "mem/cache_model.h"
+#include "obs/trace.h"
 #include "pt/forward.h"
 #include "pt/linear.h"
 
@@ -204,9 +207,12 @@ TEST_F(ForwardTest, LevelSplitCoversFiftyTwoBits) {
 template <typename Table>
 class ReplicatedTableTest : public ::testing::Test {
  protected:
-  static constexpr unsigned kLeafPages = std::is_same_v<Table, LinearPageTable>
-                                             ? LinearPageTable::kPtesPerPage
-                                             : ForwardMappedPageTable::kLeafEntries;
+  static constexpr bool kLinear = std::is_same_v<Table, LinearPageTable>;
+  static constexpr unsigned kLeafPages =
+      kLinear ? LinearPageTable::kPtesPerPage : ForwardMappedPageTable::kLeafEntries;
+  // Lines a base-page walk reads: the leaf PTE, after forward-mapped's six
+  // inner levels.
+  static constexpr unsigned kWalkLines = kLinear ? 1 : ForwardMappedPageTable::kNumLevels;
 
   ReplicatedTableTest() : cache_(256), table_(cache_, {}) {}
 
@@ -310,6 +316,59 @@ TYPED_TEST(ReplicatedTableTest, SuperpageSpanningLeavesFillsEachLeaf) {
   EXPECT_EQ(t.ActiveNodesPerLevel()[0], 0u);
   EXPECT_EQ(t.live_translations(), 0u);
   EXPECT_FALSE(t.RemoveSuperpage(base, size));
+}
+
+// A base-page walk records one kWalkStep per line it reads, the leaf PTE
+// read included, numbered 1..n with the lines so far, and hits at step n.
+TYPED_TEST(ReplicatedTableTest, WalkRecordsOneStepPerLineAndHitsAtTheLast) {
+  const Vpn vpn{0x4005};
+  this->table_.InsertBase(vpn, Ppn{0x77}, Attr::ReadWrite());
+  obs::RingBufferTracer ring;
+  this->cache_.set_tracer(&ring);
+  ASSERT_TRUE(this->Lookup(vpn).has_value());
+  this->cache_.set_tracer(nullptr);
+  std::vector<std::uint32_t> steps;
+  std::vector<std::uint32_t> hit_steps;
+  for (const obs::WalkEvent& e : ring.Events()) {
+    if (e.kind == obs::EventKind::kWalkStep) {
+      steps.push_back(e.step);
+      EXPECT_EQ(e.lines, e.step) << "each step reads one new line";
+    } else if (e.kind == obs::EventKind::kWalkHit) {
+      hit_steps.push_back(e.step);
+    }
+  }
+  std::vector<std::uint32_t> want(TestFixture::kWalkLines);
+  std::iota(want.begin(), want.end(), 1u);
+  EXPECT_EQ(steps, want);
+  EXPECT_EQ(hit_steps, std::vector<std::uint32_t>{TestFixture::kWalkLines});
+}
+
+// R/M-bit and protect writes reach every replica of a superpage spanning
+// four leaves, across each leaf boundary.
+TYPED_TEST(ReplicatedTableTest, AttrWritesReachEveryReplicaAcrossLeaves) {
+  auto& t = this->table_;
+  const PageSize size{Log2(4 * TestFixture::kLeafPages)};
+  const Vpn base{std::uint64_t{1} << 20};
+  t.InsertSuperpage(base, size, Ppn{std::uint64_t{1} << 24}, Attr::ReadWrite());
+  ASSERT_EQ(t.ActiveNodesPerLevel()[0], 4u);
+  const auto attr_at = [&t](Vpn vpn) { return t.PeekAttr(vpn).value_or(Attr{}); };
+
+  ASSERT_TRUE(t.UpdateAttrFlags(base + (size.pages() - 1), Attr::kReferenced, 0));
+  for (std::uint64_t i = 0; i < size.pages(); ++i) {
+    ASSERT_TRUE(attr_at(base + i).test(Attr::kReferenced)) << "replica " << i;
+  }
+  EXPECT_EQ(t.ScanAndClearReferenced(base, size.pages()), 1u)
+      << "one word, one referenced bit";
+  for (std::uint64_t i = 0; i < size.pages(); ++i) {
+    ASSERT_FALSE(attr_at(base + i).test(Attr::kReferenced)) << "replica " << i;
+  }
+
+  EXPECT_EQ(t.ProtectRange(base, size.pages(), Attr::ReadOnly()), size.pages());
+  for (std::uint64_t i = 0; i < size.pages(); ++i) {
+    ASSERT_EQ(attr_at(base + i), Attr::ReadOnly()) << "replica " << i;
+  }
+  EXPECT_EQ(t.live_translations(), size.pages());
+  EXPECT_TRUE(this->Audit().empty()) << this->Audit();
 }
 
 }  // namespace

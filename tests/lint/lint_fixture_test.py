@@ -6,9 +6,8 @@ tests/lint/expected/<fixture>.expected lists the findings the linter must
 produce, one `line:rule` per line (empty file = the linter must stay silent,
 which is how the suppression fixture is pinned).  All fixtures are linted in
 one run and each file's findings are compared with its golden.  On top of
-the goldens this runner exercises the baseline round-trip (grandfathering
-silences a finding, a *new* finding still fails), --fix (autofixed files
-re-lint clean), the exit codes and the SARIF output.
+the goldens this runner exercises --fix (autofixed files re-lint clean),
+the exit codes and the SARIF output.
 
 The linter runs in this process (cpt_lint.main with captured output), so a
 case pays for its own lint work but not for an interpreter start.
@@ -51,7 +50,7 @@ def run_lint(*argv):
 
 
 def lint_findings(*paths, extra=()):
-    proc = run_lint("--ignore-scope", "--no-baseline", "--json", *extra,
+    proc = run_lint("--ignore-scope", "--json", *extra,
                     *(str(p) for p in paths))
     try:
         data = json.loads(proc.stdout)
@@ -88,41 +87,13 @@ def golden_tests():
         fail("golden/exit-code", f"exit code {code} for the fixture run")
 
 
-def baseline_roundtrip_test():
-    """Grandfathered findings pass; a new finding still fails."""
-    name = "baseline/roundtrip"
-    fixture = FIXTURES / "determinism.cc"
-    with tempfile.TemporaryDirectory() as tmp:
-        baseline = Path(tmp) / "baseline.json"
-        # Grandfather the current findings.
-        proc = run_lint("--ignore-scope", "--baseline", str(baseline),
-                        "--write-baseline", str(fixture))
-        if proc.returncode != 0:
-            return fail(name, f"--write-baseline failed:\n{proc.stdout}{proc.stderr}")
-        # Same file against the fresh baseline: everything grandfathered.
-        proc = run_lint("--ignore-scope", "--baseline", str(baseline), str(fixture))
-        if proc.returncode != 0:
-            return fail(name, f"grandfathered run not clean:\n{proc.stdout}")
-        if "grandfathered" not in proc.stdout:
-            return fail(name, f"expected grandfathered count in:\n{proc.stdout}")
-        # Seed one more violation: a new finding must fail despite the baseline.
-        bad = Path(tmp) / "determinism.cc"
-        bad.write_text(fixture.read_text() +
-                       "\nnamespace fx { int Extra() { return std::rand(); } }\n")
-        proc = run_lint("--ignore-scope", "--baseline", str(baseline),
-                        "--root", tmp, str(bad))
-        if proc.returncode == 0:
-            return fail(name, f"new finding slipped past the baseline:\n{proc.stdout}")
-    print(f"ok   {name}")
-
-
 def fix_test():
     """--fix rewrites raw assert()/<cassert>; the fixed file re-lints clean."""
     name = "fix/raw_assert"
     with tempfile.TemporaryDirectory() as tmp:
         victim = Path(tmp) / "raw_assert.cc"
         shutil.copy(FIXTURES / "raw_assert.cc", victim)
-        proc = run_lint("--ignore-scope", "--no-baseline", "--fix",
+        proc = run_lint("--ignore-scope", "--fix",
                         "--rules", "check-macro-hygiene",
                         "--root", tmp, str(victim))
         del proc  # Exit code reflects pre-fix findings; re-lint decides.
@@ -146,7 +117,7 @@ def nodiscard_fix_test():
     with tempfile.TemporaryDirectory() as tmp:
         victim = Path(tmp) / "nodiscard.h"
         shutil.copy(FIXTURES / "nodiscard.h", victim)
-        run_lint("--ignore-scope", "--no-baseline", "--fix",
+        run_lint("--ignore-scope", "--fix",
                  "--rules", "nodiscard-query", "--root", tmp, str(victim))
         text = victim.read_text()
         if "[[nodiscard]] Result Lookup(" not in text:
@@ -167,7 +138,7 @@ def fix_idempotency_test():
             victim = Path(tmp) / fixture
             shutil.copy(FIXTURES / fixture, victim)
             victims.append(victim)
-        args = ("--ignore-scope", "--no-baseline", "--fix", "--root", tmp,
+        args = ("--ignore-scope", "--fix", "--root", tmp,
                 *(str(v) for v in victims))
         run_lint(*args)
         first = {v.name: v.read_bytes() for v in victims}
@@ -186,34 +157,27 @@ def exit_code_test():
         clean = Path(tmp) / "clean.cc"
         clean.write_text("namespace fx {\nint Identity(int v) { return v; }\n"
                          "}  // namespace fx\n")
-        proc = run_lint("--ignore-scope", "--no-baseline", str(clean))
+        proc = run_lint("--ignore-scope", str(clean))
         if proc.returncode != 0:
             return fail(name, f"clean file exited {proc.returncode}:\n{proc.stdout}")
-        proc = run_lint("--ignore-scope", "--no-baseline",
-                        str(FIXTURES / "determinism.cc"))
+        proc = run_lint("--ignore-scope", str(FIXTURES / "determinism.cc"))
         if proc.returncode != 1:
             return fail(name, f"findings exited {proc.returncode}, want 1")
         # An unreadable input is an internal error, not a lint verdict.
         garbled = Path(tmp) / "garbled.cc"
         garbled.write_bytes(b"int x = \xff\xfe;\n")
-        proc = run_lint("--ignore-scope", "--no-baseline", str(garbled))
+        proc = run_lint("--ignore-scope", str(garbled))
         if proc.returncode != 2:
             return fail(name, f"unreadable input exited {proc.returncode}, want 2")
         if "internal error" not in proc.stderr:
             return fail(name, f"missing internal-error diagnostic:\n{proc.stderr}")
-        # A malformed baseline is an internal error too.
-        broken = Path(tmp) / "baseline.json"
-        broken.write_text("{not json")
-        proc = run_lint("--ignore-scope", "--baseline", str(broken), str(clean))
-        if proc.returncode != 2:
-            return fail(name, f"broken baseline exited {proc.returncode}, want 2")
     print(f"ok   {name}")
 
 
 def timing_keys_test():
     """The one-shot per-file parse cost is reported as its own key."""
     name = "timing/shared-parse"
-    proc = run_lint("--ignore-scope", "--no-baseline", "--json",
+    proc = run_lint("--ignore-scope", "--json",
                     str(FIXTURES / "determinism.cc"))
     timing = json.loads(proc.stdout).get("rule_timing_ms", {})
     if timing.get("file-parse", 0) <= 0:
@@ -226,7 +190,7 @@ def sarif_output_test():
     name = "sarif/output"
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "lint.sarif"
-        proc = run_lint("--ignore-scope", "--no-baseline", "--sarif", str(out),
+        proc = run_lint("--ignore-scope", "--sarif", str(out),
                         str(FIXTURES / "determinism.cc"))
         if proc.returncode != 1:
             return fail(name, f"expected findings (exit 1), got {proc.returncode}")
@@ -249,7 +213,6 @@ def sarif_output_test():
 
 def main():
     golden_tests()
-    baseline_roundtrip_test()
     fix_test()
     nodiscard_fix_test()
     fix_idempotency_test()

@@ -61,8 +61,8 @@ counts are static_asserts next to each node struct, and "the replay loop
 never allocates" is cpt::HotPathScope (common/hotguard.h), run over every
 (PtKind, TlbKind) pair by tests/hotguard_test.cc.
 
-Exit codes: 0 clean, 1 findings, 2 internal error (an unreadable input or
-a malformed baseline — not a lint verdict).
+Exit codes: 0 clean, 1 findings, 2 internal error (an unreadable input —
+not a lint verdict).  Every finding fails the run.
 
 Suppressions:
   // cpt-lint: allow(rule[, rule])   suppress on this line (trailing) or,
@@ -71,10 +71,6 @@ Suppressions:
   // cpt-lint: off(rule)  ...  // cpt-lint: on(rule)
                                      block suppression (to end of file when
                                      never turned back on).
-
-Baseline: findings fingerprinted as rule + path + message (line-number
-free) may be grandfathered in tools/cpt_lint_baseline.json; anything not
-in the baseline fails the run.  CI keeps the baseline empty.
 
 Usage:
   tools/cpt_lint.py --all              lint the whole tree (gating)
@@ -94,7 +90,6 @@ from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_BASELINE = Path(__file__).resolve().parent / "cpt_lint_baseline.json"
 
 # Directory roots scanned by --all, relative to the repo root.
 LINT_ROOTS = ("src", "bench", "examples", "tests", "tools")
@@ -1250,8 +1245,8 @@ SARIF_SCHEMA = ("https://json.schemastore.org/sarif-2.1.0.json")
 
 
 def sarif_payload(findings):
-    """SARIF 2.1.0 for every rule's findings, with the same line-free
-    fingerprints the baseline uses so annotations survive rebases."""
+    """SARIF 2.1.0 for every rule's findings, with line-free fingerprints
+    (rule + path + message) so annotations survive rebases."""
     return {
         "$schema": SARIF_SCHEMA,
         "version": "2.1.0",
@@ -1344,34 +1339,6 @@ def run_rules(files, project, rule_names=None, ignore_scope=False,
     return findings
 
 
-def load_baseline(path):
-    if path is None or not Path(path).exists():
-        return Counter()
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return Counter(data.get("findings", {}))
-
-
-def write_baseline(path, findings):
-    counts = Counter(f.fingerprint for f in findings)
-    payload = {"schema": "cpt-lint-baseline", "version": 1,
-               "findings": dict(sorted(counts.items()))}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def split_by_baseline(findings, baseline):
-    """Returns (new_findings, grandfathered, stale_fingerprints)."""
-    remaining = Counter(baseline)
-    new, old = [], []
-    for f in findings:
-        if remaining.get(f.fingerprint, 0) > 0:
-            remaining[f.fingerprint] -= 1
-            old.append(f)
-        else:
-            new.append(f)
-    stale = sorted(fp for fp, n in remaining.items() if n > 0)
-    return new, old, stale
-
-
 def apply_fixes(findings, root=REPO_ROOT):
     by_path = {}
     for f in findings:
@@ -1393,7 +1360,7 @@ def apply_fixes(findings, root=REPO_ROOT):
     return fixed_files
 
 
-def print_human(findings, files_by_rel, stale):
+def print_human(findings, files_by_rel):
     for f in findings:
         print(f"{f.path}:{f.line}: [{f.rule}] {f.message}")
         sf = files_by_rel.get(f.path)
@@ -1408,8 +1375,6 @@ def print_human(findings, files_by_rel, stale):
                         print(f"  + {fixed}")
                 else:
                     print(f"    {src}")
-    for fp in stale:
-        print(f"stale baseline entry (fixed? run --write-baseline): {fp}")
 
 
 def apply_spans_to_line(sf, finding):
@@ -1429,15 +1394,15 @@ def apply_spans_to_line(sf, finding):
 def main(argv=None):
     """Exit codes: 0 clean, 1 findings, 2 internal error.
 
-    Anything that stops the lint itself — an unreadable input, undecodable
-    bytes, a malformed baseline — is an internal error (2), distinct
+    Anything that stops the lint itself — an unreadable input or
+    undecodable bytes — is an internal error (2), distinct
     from "the tree has findings" (1) so CI scripts and pre-commit hooks can
     tell a broken run from a failing one.  (argparse uses 2 for usage
     errors already, consistent with this.)
     """
     try:
         return _main(argv)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"cpt-lint: internal error: {e}", file=sys.stderr)
         return 2
 
@@ -1452,14 +1417,8 @@ def _main(argv=None):
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--fix", action="store_true",
                         help="apply fixes for mechanical rules, then report the rest")
-    parser.add_argument("--baseline", default=str(DEFAULT_BASELINE),
-                        help="baseline file of grandfathered findings")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore the baseline (report everything)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite the baseline from current findings")
     parser.add_argument("--sarif", metavar="PATH",
-                        help="also write new findings (all rules) as SARIF 2.1.0")
+                        help="also write the findings (all rules) as SARIF 2.1.0")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--rules", help="comma-separated subset of rules to run")
     parser.add_argument("--ignore-scope", action="store_true",
@@ -1495,16 +1454,9 @@ def _main(argv=None):
     rule_timing = Counter()
     findings = run_rules(files, project, rule_names, args.ignore_scope,
                          rule_timing=rule_timing)
-    baseline = Counter() if args.no_baseline else load_baseline(args.baseline)
-    new, grandfathered, stale = split_by_baseline(findings, baseline)
 
-    if args.write_baseline:
-        write_baseline(args.baseline, findings)
-        print(f"baseline written: {len(findings)} findings -> {args.baseline}")
-        return 0
-
-    if args.fix and new:
-        fixable = [f for f in new if f.fixes]
+    if args.fix and findings:
+        fixable = [f for f in findings if f.fixes]
         if fixable:
             n = apply_fixes(fixable, root=root)
             print(f"fixed {sum(len(f.fixes) for f in fixable)} spans in {n} files")
@@ -1514,29 +1466,25 @@ def _main(argv=None):
             rule_timing = Counter()
             findings = run_rules(files, project, rule_names, args.ignore_scope,
                                  rule_timing=rule_timing)
-            new, grandfathered, stale = split_by_baseline(findings, baseline)
 
     if args.sarif:
         Path(args.sarif).write_text(
-            json.dumps(sarif_payload(new), indent=2) + "\n",
+            json.dumps(sarif_payload(findings), indent=2) + "\n",
             encoding="utf-8")
 
     if args.json:
         print(json.dumps({
             "schema": "cpt-lint-report", "version": 1,
             "checked_files": len(files),
-            "findings": [f.to_json() for f in new],
-            "grandfathered": len(grandfathered),
-            "stale_baseline": stale,
+            "findings": [f.to_json() for f in findings],
             "rule_timing_ms": {name: round(secs * 1000.0, 3)
                                for name, secs in sorted(rule_timing.items())},
         }, indent=2))
     else:
-        print_human(new, {sf.rel: sf for sf in files}, stale)
-        status = "FAIL" if new else "OK"
-        print(f"{status}: {len(files)} files, {len(new)} new findings, "
-              f"{len(grandfathered)} grandfathered, {len(stale)} stale baseline entries")
-    return 1 if new else 0
+        print_human(findings, {sf.rel: sf for sf in files})
+        status = "FAIL" if findings else "OK"
+        print(f"{status}: {len(files)} files, {len(findings)} findings")
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":
