@@ -154,7 +154,7 @@ std::function<void(std::uint64_t, std::uint64_t)> MachineAccessBody(bool by_run,
       if (by_run) {
         for (std::uint64_t n = 0; n < iters;) {
           const workload::Run run = gen->NextRun(iters - n);
-          machine->AccessRun(run.asid, run.va, run.count, run.writes);
+          machine->AccessRun(run);
           n += run.count;
           SlowdownSpin(slowdown * run.count);
         }

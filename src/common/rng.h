@@ -25,6 +25,10 @@ class Rng {
     }
   }
 
+  // An unseeded placeholder to assign a seeded generator over.  Its
+  // all-zero state is one xoshiro never reaches from a seed.
+  Rng() = default;
+
   std::uint64_t Next() {
     const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
     const std::uint64_t t = state_[1] << 17;
@@ -35,6 +39,13 @@ class Rng {
     state_[2] ^= t;
     state_[3] = Rotl(state_[3], 45);
     return result;
+  }
+
+  // Advances the stream by `n` draws without using them.
+  void Skip(std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) {
+      (void)Next();
+    }
   }
 
   // Uniform in [0, bound).  bound must be nonzero.

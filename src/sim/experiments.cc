@@ -149,7 +149,7 @@ AccessMeasurement MeasureAccessTime(const workload::WorkloadSpec& spec, MachineO
   perf.Start();
   for (std::uint64_t done = 0; done < trace_len;) {
     const workload::Run run = gen.NextRun(trace_len - done);
-    machine.AccessRun(run.asid, run.va, run.count, run.writes);
+    machine.AccessRun(run);
     done += run.count;
   }
   m.host_perf = perf.Stop();

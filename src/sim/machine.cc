@@ -334,10 +334,13 @@ void Machine::Access(tlb::Asid asid, VirtAddr va, bool is_write) {
   }
 }
 
-void Machine::AccessRun(tlb::Asid asid, VirtAddr va, std::uint32_t count,
-                        std::uint64_t writes) {
-  CPT_DCHECK(count <= workload::kMaxRunRefs);
-  const Vpn vpn = VpnOf(EffectiveVa(asid, va));
+void Machine::AccessRun(const workload::Run& run) {
+  CPT_DCHECK(run.count <= workload::kMaxRunRefs);
+  const tlb::Asid asid = run.asid;
+  const std::uint32_t count = run.count;
+  // Access() reads a store bit only under maintain_ref_bits.
+  const std::uint64_t writes = opts_.maintain_ref_bits ? run.StoreBits() : 0;
+  const Vpn vpn = VpnOf(EffectiveVa(asid, run.va));
   // A page is settled once both TLBs memoize it: Access() would then only
   // re-score a memo hit in each and publish one kTlbHit.  Until then a
   // reference can miss, walk, fault or refill, so it runs in full.  A page
@@ -348,7 +351,7 @@ void Machine::AccessRun(tlb::Asid asid, VirtAddr va, std::uint32_t count,
   };
   std::uint32_t i = 0;
   for (; i < count && !settled(); ++i) {
-    Access(asid, va, ((writes >> i) & 1) != 0);
+    Access(asid, run.va, ((writes >> i) & 1) != 0);
   }
   if (i < count) {
     tlb_->ReplayHits(count - i);

@@ -117,17 +117,18 @@ class Machine {
   // prove its steady state allocation-free.
   CPT_HOT void Access(tlb::Asid asid, VirtAddr va, bool is_write = false);
 
-  // Models a workload::Run: `count` (at most workload::kMaxRunRefs)
-  // references by `asid` to the page of `va`, where bit i of `writes` is
-  // reference i's store bit.  The effect is that of one Access() per
-  // reference.  References run through Access() until both the effective
-  // and the reference TLB memoize the page; the rest are then certain hits
-  // and are scored in one step (Tlb::ReplayHits).  A tracer receives their
-  // kTlbHit events as one WalkTracer::RecordRepeat call, whose contract is
-  // the effect of one Record() per reference, so every consumer sees the
-  // stream Access() would have published.
-  CPT_HOT void AccessRun(tlb::Asid asid, VirtAddr va, std::uint32_t count,
-                         std::uint64_t writes);
+  // Models a workload::Run: `run.count` (at most workload::kMaxRunRefs)
+  // references by `run.asid` to the page of `run.va`.  The effect is that
+  // of one Access() per reference, with reference i's store bit taken from
+  // run.StoreBits(), which is drawn only when options().maintain_ref_bits
+  // is set: nothing else reads a store bit.  References run through
+  // Access() until both the effective and the reference TLB memoize the
+  // page; the rest are then certain hits and are scored in one step
+  // (Tlb::ReplayHits).  A tracer receives their kTlbHit events as one
+  // WalkTracer::RecordRepeat call, whose contract is the effect of one
+  // Record() per reference, so every consumer sees the stream Access()
+  // would have published.
+  CPT_HOT void AccessRun(const workload::Run& run);
 
   // ---- Telemetry (src/obs) ----
   // Publishes every TLB probe, walk step, page fault, promotion, and

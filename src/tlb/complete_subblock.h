@@ -12,12 +12,12 @@
 #ifndef CPT_TLB_COMPLETE_SUBBLOCK_H_
 #define CPT_TLB_COMPLETE_SUBBLOCK_H_
 
-#include <array>
 #include <span>
 #include <vector>
 
 #include "check/fwd.h"
 #include "common/hotpath.h"
+#include "tlb/entry_columns.h"
 #include "tlb/tlb.h"
 
 namespace cpt::tlb {
@@ -41,29 +41,30 @@ class CompleteSubblockTlb final : public Tlb {
 
  protected:
   [[nodiscard]] CPT_HOT LookupOutcome Probe(Asid asid, Vpn vpn) override;
-  CPT_HOT void DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
+  [[nodiscard]] CPT_HOT EntryHit DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
   void DoFlush() override;
 
  private:
   friend class check::TestBackdoor;
 
-  struct Entry {
-    Asid asid = 0;
-    Vpbn vpbn{};
-    std::uint64_t vector = 0;  // Valid bit per base page.
-    std::array<Ppn, kMaxFactor> ppns{};
-    bool valid = false;
-    std::uint64_t stamp = 0;
-  };
-  // The simulated TLB charges no bytes for its entries, but every reference
-  // probes them on the host; the host struct must not silently grow.
-  static_assert(sizeof(Entry) == 552 && alignof(Entry) == 8);
-
-  Entry* FindTag(Asid asid, Vpbn vpbn);
-  Entry& AllocEntry(Asid asid, Vpbn vpbn);
+  // The live entry of (asid, vpbn), or entries_.size().  Tags are raw VPBNs.
+  unsigned FindTag(Asid asid, Vpbn vpbn) const {
+    return entries_.FindLive(asid, [&](unsigned i) { return entries_.tags[i] == vpbn.raw(); });
+  }
+  // FindTag, else a fresh entry for the block in the LRU victim's place.
+  unsigned FindOrAllocEntry(Asid asid, Vpbn vpbn);
+  // Entry i's PPN for page `boff` of its block.
+  Ppn& PpnAt(unsigned i, unsigned boff) { return ppns_[std::size_t{i} * factor_ + boff]; }
 
   unsigned factor_;
-  std::vector<Entry> entries_;
+  EntryColumns entries_;
+  std::vector<std::uint64_t> vectors_;  // Valid bit per base page.
+  std::vector<Ppn> ppns_;               // factor_ per entry, entry-major.
+  // The simulated TLB charges no bytes for its entries, but every miss scans
+  // them on the host; the columns must not silently grow.  The PPN column
+  // adds factor_ * 8 bytes per entry, which no scan reads.
+  static_assert(EntryColumns::kEntryBytes + sizeof(decltype(vectors_)::value_type) == 27);
+  static_assert(sizeof(decltype(ppns_)::value_type) == 8);
 };
 
 }  // namespace cpt::tlb

@@ -21,14 +21,14 @@ LookupOutcome DualSizeSetAssocTlb::Probe(Asid asid, Vpn vpn) {
   for (unsigned way = 0; way < ways_; ++way) {
     Entry& e = entries_[std::size_t{set} * ways_ + way];
     if (Matches(e, asid, vpn)) {
-      return Hit(asid, vpn, e.stamp, nullptr);
+      return Hit(asid, vpn, EntryHit{&e.stamp, nullptr});
     }
   }
-  RecordMiss(LookupOutcome::kMiss);
+  RecordMiss(asid, vpn, LookupOutcome::kMiss);
   return LookupOutcome::kMiss;
 }
 
-void DualSizeSetAssocTlb::DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
+Tlb::EntryHit DualSizeSetAssocTlb::DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
   Entry incoming;
   incoming.asid = asid;
   incoming.valid = true;
@@ -78,6 +78,7 @@ void DualSizeSetAssocTlb::DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) 
   }
   incoming.stamp = NextStamp();
   *victim = incoming;
+  return Matches(*victim, asid, vpn) ? EntryHit{&victim->stamp, nullptr} : EntryHit{};
 }
 
 void DualSizeSetAssocTlb::DoFlush() {

@@ -5,115 +5,79 @@
 
 namespace cpt::tlb {
 
+namespace {
+constexpr std::uint16_t kAllValid = 0xFFFF;
+}  // namespace
+
 PartialSubblockTlb::PartialSubblockTlb(unsigned num_entries, unsigned subblock_factor)
     : Tlb(num_entries),
       factor_(subblock_factor),
       block_log2_(Log2(subblock_factor)),
-      entries_(num_entries) {
+      entries_(num_entries),
+      spans_(num_entries, ~std::uint64_t{0}),
+      ppns_(num_entries),
+      vectors_(num_entries, kAllValid),
+      blocks_(num_entries) {
   CPT_CHECK(IsPowerOfTwo(subblock_factor) && subblock_factor <= 16,
             "PSB valid vectors hold at most 16 bits");
 }
 
-bool PartialSubblockTlb::Covers(const Entry& e, Asid asid, Vpn vpn) const {
-  if (!e.valid || e.asid != asid) {
-    return false;
-  }
-  if (!e.block_entry) {
-    return e.single_vpn == vpn;
-  }
-  if (VpbnOf(vpn, factor_) != e.vpbn) {
-    return false;
-  }
-  return (e.vector >> BoffOf(vpn, factor_)) & 1u;
-}
-
 LookupOutcome PartialSubblockTlb::Probe(Asid asid, Vpn vpn) {
-  for (Entry& e : entries_) {
-    if (Covers(e, asid, vpn)) {
-      return Hit(asid, vpn, e.stamp, e.block_entry ? &psb_hits_ : nullptr);
-    }
+  const unsigned i = entries_.FindLive(asid, [&](unsigned j) { return Maps(j, vpn); });
+  if (i < entries_.size()) {
+    return Hit(asid, vpn, HitOn(i));
   }
-  RecordMiss(LookupOutcome::kMiss);
+  RecordMiss(asid, vpn, LookupOutcome::kMiss);
   return LookupOutcome::kMiss;
 }
 
-void PartialSubblockTlb::DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
-  Entry incoming;
-  incoming.asid = asid;
-  incoming.valid = true;
-  switch (fill.kind) {
-    case MappingKind::kPartialSubblock:
-      incoming.block_entry = true;
-      incoming.vpbn = VpbnOf(fill.base_vpn, factor_);
-      incoming.block_ppn = fill.word.ppn();
-      incoming.vector = fill.word.valid_vector();
-      break;
-    case MappingKind::kSuperpage:
-      if (fill.pages_log2 == block_log2_) {
-        // A block-sized superpage is an all-valid partial-subblock entry.
-        incoming.block_entry = true;
-        incoming.vpbn = VpbnOf(fill.base_vpn, factor_);
-        incoming.block_ppn = fill.word.ppn();
-        incoming.vector =
-            factor_ >= 16 ? std::uint16_t{0xFFFF} : static_cast<std::uint16_t>((1u << factor_) - 1);
-      } else {
-        // Other sizes don't fit this entry format: map the faulting page.
-        incoming.block_entry = false;
-        incoming.single_vpn = vpn;
-        incoming.single_ppn = fill.Translate(vpn);
-      }
-      break;
-    case MappingKind::kBase:
-      incoming.block_entry = false;
-      incoming.single_vpn = vpn;
-      incoming.single_ppn = fill.Translate(vpn);
-      break;
+Tlb::EntryHit PartialSubblockTlb::DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
+  // A PSB fill, or a block-sized superpage (an all-valid PSB), installs as
+  // a vector-mapped block entry.  Anything else maps the faulting page.
+  const bool block =
+      fill.kind == MappingKind::kPartialSubblock ||
+      (fill.kind == MappingKind::kSuperpage && fill.pages_log2 == block_log2_);
+  std::uint16_t vector = kAllValid;
+  if (fill.kind == MappingKind::kPartialSubblock) {
+    vector = fill.word.valid_vector();
+  } else if (block && factor_ < 16) {
+    vector = static_cast<std::uint16_t>((1u << factor_) - 1);
   }
+  // Bit-packing: the tag column holds the block's first VPN or the page.
+  const std::uint64_t tag =
+      block ? FirstVpnOfBlock(VpbnOf(fill.base_vpn, factor_), factor_).raw() : vpn.raw();
 
-  Entry* victim = &entries_[0];
-  for (Entry& e : entries_) {
-    const bool same_slot =
-        e.valid && e.asid == asid && e.block_entry == incoming.block_entry &&
-        (incoming.block_entry ? e.vpbn == incoming.vpbn : e.single_vpn == incoming.single_vpn);
-    if (same_slot) {
-      victim = &e;  // Refresh (e.g. the PSB vector grew a bit).
-      break;
-    }
-    if (!e.valid) {
-      victim = &e;
-    } else if (victim->valid && e.stamp < victim->stamp) {
-      victim = &e;
-    }
+  // Refresh the entry of the same block or page in the same form, if any
+  // (e.g. the PSB vector grew a bit).
+  unsigned victim = entries_.FindLive(asid, [&](unsigned i) {
+    return entries_.tags[i] == tag && (blocks_[i] != 0) == block;
+  });
+  if (victim == entries_.size()) {
+    victim = entries_.LastInvalidOrOldest();
   }
-  incoming.stamp = NextStamp();
-  *victim = incoming;
+  entries_.Claim(victim, asid, tag);
+  spans_[victim] = block ? ~std::uint64_t{factor_ - 1} : ~std::uint64_t{0};
+  ppns_[victim] = block ? fill.word.ppn() : fill.Translate(vpn);
+  vectors_[victim] = vector;
+  blocks_[victim] = block ? 1 : 0;
+  entries_.stamps[victim] = NextStamp();
+  return Maps(victim, vpn) ? HitOn(victim) : EntryHit{};
 }
 
-void PartialSubblockTlb::DoFlush() {
-  for (Entry& e : entries_) {
-    e.valid = false;
-  }
-}
+void PartialSubblockTlb::DoFlush() { entries_.InvalidateAll(); }
 
 void PartialSubblockTlb::AuditVisit(check::TlbAuditVisitor& visitor) const {
-  for (const Entry& e : entries_) {
+  for (unsigned i = 0; i < entries_.size(); ++i) {
     check::TlbEntryView view;
     view.set = 0;
-    view.valid = e.valid;
-    view.asid = e.asid;
-    view.stamp = e.stamp;
-    view.block_entry = e.block_entry;
-    if (e.block_entry) {
-      view.base_vpn = FirstVpnOfBlock(e.vpbn, factor_);
-      view.base_ppn = e.block_ppn;
-      view.pages_log2 = block_log2_;
-      view.valid_vector = e.vector;
-    } else {
-      view.base_vpn = e.single_vpn;
-      view.base_ppn = e.single_ppn;
-      view.pages_log2 = 0;
-      view.valid_vector = 1;
-    }
+    view.valid = entries_.valid[i] != 0;
+    view.asid = entries_.asids[i];
+    view.stamp = entries_.stamps[i];
+    view.block_entry = blocks_[i] != 0;
+    view.base_vpn = Vpn{entries_.tags[i]};
+    view.base_ppn = ppns_[i];
+    view.pages_log2 = view.block_entry ? block_log2_ : 0;
+    view.valid_vector = view.block_entry ? vectors_[i] : 1;
     visitor.OnEntry(view);
   }
 }

@@ -8,10 +8,12 @@
 #ifndef CPT_TLB_PARTIAL_SUBBLOCK_H_
 #define CPT_TLB_PARTIAL_SUBBLOCK_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "check/fwd.h"
 #include "common/hotpath.h"
+#include "tlb/entry_columns.h"
 #include "tlb/tlb.h"
 
 namespace cpt::tlb {
@@ -33,33 +35,40 @@ class PartialSubblockTlb final : public Tlb {
 
  protected:
   [[nodiscard]] CPT_HOT LookupOutcome Probe(Asid asid, Vpn vpn) override;
-  CPT_HOT void DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
+  [[nodiscard]] CPT_HOT EntryHit DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
   void DoFlush() override;
 
  private:
   friend class check::TestBackdoor;
 
-  struct Entry {
-    Asid asid = 0;
-    Vpbn vpbn{};
-    Ppn block_ppn{};            // Block-aligned when vector-mapped.
-    std::uint16_t vector = 0;     // Valid bits; single-page entries set one.
-    bool block_entry = false;     // True: PSB/superpage form; false: one page.
-    Vpn single_vpn{};           // Valid when !block_entry.
-    Ppn single_ppn{};
-    bool valid = false;
-    std::uint64_t stamp = 0;
-  };
-  // Exactly one 64-byte host line per entry.  The simulated TLB charges no
-  // bytes for its entries, but every reference probes them on the host; the
-  // host struct must not silently grow.
-  static_assert(sizeof(Entry) == 64 && alignof(Entry) == 8);
-
-  bool Covers(const Entry& e, Asid asid, Vpn vpn) const;
+  // Whether entry i maps vpn, given that it is live.  A block entry's tag
+  // is its block's first VPN with spans[i] masking the block offset off; a
+  // single-page entry's tag is its VPN, its span mask all ones and its
+  // vector all ones, so one compare serves both forms (raw bit-packing).
+  bool Maps(unsigned i, Vpn vpn) const {
+    return (vpn.raw() & spans_[i]) == entries_.tags[i] &&
+           ((vectors_[i] >> BoffOf(vpn, factor_)) & 1u) != 0;
+  }
+  // The hit a probe on entry i scores.
+  EntryHit HitOn(unsigned i) {
+    return EntryHit{&entries_.stamps[i], blocks_[i] != 0 ? &psb_hits_ : nullptr};
+  }
 
   unsigned factor_;
   unsigned block_log2_;
-  std::vector<Entry> entries_;
+  EntryColumns entries_;
+  std::vector<std::uint64_t> spans_;
+  std::vector<Ppn> ppns_;  // Block-aligned PPN, or the single page's PPN.
+  std::vector<std::uint16_t> vectors_;  // Valid bits; all ones when single.
+  std::vector<std::uint8_t> blocks_;    // 1: PSB/superpage form; 0: one page.
+  // The simulated TLB charges no bytes for its entries, but every miss scans
+  // them on the host; the columns must not silently grow.
+  static_assert(EntryColumns::kEntryBytes + sizeof(decltype(spans_)::value_type) +
+                    sizeof(decltype(ppns_)::value_type) +
+                    sizeof(decltype(vectors_)::value_type) +
+                    sizeof(decltype(blocks_)::value_type) ==
+                38);
+
   std::uint64_t psb_hits_ = 0;
 };
 

@@ -4,60 +4,48 @@
 
 namespace cpt::tlb {
 
-SinglePageTlb::SinglePageTlb(unsigned num_entries) : Tlb(num_entries), entries_(num_entries) {}
+SinglePageTlb::SinglePageTlb(unsigned num_entries)
+    : Tlb(num_entries), entries_(num_entries), ppns_(num_entries) {}
 
 LookupOutcome SinglePageTlb::Probe(Asid asid, Vpn vpn) {
-  for (Entry& e : entries_) {
-    if (e.valid && e.asid == asid && e.vpn == vpn) {
-      return Hit(asid, vpn, e.stamp, nullptr);
-    }
+  const unsigned i = Find(asid, vpn);
+  if (i < entries_.size()) {
+    return Hit(asid, vpn, EntryHit{&entries_.stamps[i], nullptr});
   }
-  RecordMiss(LookupOutcome::kMiss);
+  RecordMiss(asid, vpn, LookupOutcome::kMiss);
   return LookupOutcome::kMiss;
 }
 
-void SinglePageTlb::DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
+Tlb::EntryHit SinglePageTlb::DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
   // A single-page TLB holds exactly one base translation regardless of the
   // fill's coverage (a superpage fill still installs only the faulting page).
-  Entry* victim = &entries_[0];
-  for (Entry& e : entries_) {
-    if (e.valid && e.asid == asid && e.vpn == vpn) {
-      victim = &e;  // Re-insert over the stale entry.
-      break;
-    }
-    if (!e.valid) {
-      victim = &e;
-    } else if (victim->valid && e.stamp < victim->stamp) {
-      victim = &e;
-    }
+  // A re-insert overwrites the stale entry.
+  unsigned victim = Find(asid, vpn);
+  if (victim == entries_.size()) {
+    victim = entries_.LastInvalidOrOldest();
   }
-  victim->asid = asid;
-  victim->vpn = vpn;
-  victim->ppn = fill.Translate(vpn);
-  victim->valid = true;
-  victim->stamp = NextStamp();
+  entries_.Claim(victim, asid, vpn.raw());
+  ppns_[victim] = fill.Translate(vpn);
+  entries_.stamps[victim] = NextStamp();
+  return EntryHit{&entries_.stamps[victim], nullptr};
 }
 
-void SinglePageTlb::DoFlush() {
-  for (Entry& e : entries_) {
-    e.valid = false;
-  }
-}
+void SinglePageTlb::DoFlush() { entries_.InvalidateAll(); }
 
 void SinglePageTlb::AuditVisit(check::TlbAuditVisitor& visitor) const {
-  for (const Entry& e : entries_) {
+  for (unsigned i = 0; i < entries_.size(); ++i) {
     check::TlbEntryView view;
     view.set = 0;
-    view.valid = e.valid;
-    view.asid = e.asid;
-    view.stamp = e.stamp;
-    view.base_vpn = e.vpn;
-    view.base_ppn = e.ppn;
+    view.valid = entries_.valid[i] != 0;
+    view.asid = entries_.asids[i];
+    view.stamp = entries_.stamps[i];
+    view.base_vpn = Vpn{entries_.tags[i]};
+    view.base_ppn = ppns_[i];
     view.pages_log2 = 0;
     view.valid_vector = 1;
     view.block_entry = false;
-    if (e.valid) {
-      view.translations.emplace_back(e.vpn, e.ppn);
+    if (view.valid) {
+      view.translations.emplace_back(view.base_vpn, view.base_ppn);
     }
     visitor.OnEntry(view);
   }

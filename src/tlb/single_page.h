@@ -8,6 +8,7 @@
 
 #include "check/fwd.h"
 #include "common/hotpath.h"
+#include "tlb/entry_columns.h"
 #include "tlb/tlb.h"
 
 namespace cpt::tlb {
@@ -23,24 +24,22 @@ class SinglePageTlb final : public Tlb {
 
  protected:
   [[nodiscard]] CPT_HOT LookupOutcome Probe(Asid asid, Vpn vpn) override;
-  CPT_HOT void DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
+  [[nodiscard]] CPT_HOT EntryHit DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
   void DoFlush() override;
 
  private:
   friend class check::TestBackdoor;
 
-  struct Entry {
-    Asid asid = 0;
-    Vpn vpn{};
-    Ppn ppn{};
-    bool valid = false;
-    std::uint64_t stamp = 0;
-  };
-  // The simulated TLB charges no bytes for its entries, but every reference
-  // probes them on the host; the host struct must not silently grow.
-  static_assert(sizeof(Entry) == 40 && alignof(Entry) == 8);
+  // The live entry of (asid, vpn), or entries_.size().  Tags are raw VPNs.
+  unsigned Find(Asid asid, Vpn vpn) const {
+    return entries_.FindLive(asid, [&](unsigned i) { return entries_.tags[i] == vpn.raw(); });
+  }
 
-  std::vector<Entry> entries_;
+  EntryColumns entries_;
+  std::vector<Ppn> ppns_;
+  // The simulated TLB charges no bytes for its entries, but every miss scans
+  // them on the host; the columns must not silently grow.
+  static_assert(EntryColumns::kEntryBytes + sizeof(decltype(ppns_)::value_type) == 27);
 };
 
 }  // namespace cpt::tlb

@@ -1,73 +1,68 @@
 #include "tlb/superpage.h"
 
 #include "check/audit_visitor.h"
+#include "common/check.h"
 
 namespace cpt::tlb {
 
-SuperpageTlb::SuperpageTlb(unsigned num_entries) : Tlb(num_entries), entries_(num_entries) {}
+SuperpageTlb::SuperpageTlb(unsigned num_entries)
+    : Tlb(num_entries),
+      entries_(num_entries),
+      spans_(num_entries, ~std::uint64_t{0}),
+      ppns_(num_entries),
+      log2s_(num_entries) {}
 
 LookupOutcome SuperpageTlb::Probe(Asid asid, Vpn vpn) {
-  for (Entry& e : entries_) {
-    const PageSize size{e.pages_log2};
-    if (e.valid && e.asid == asid &&
-        SuperpageBaseVpn(vpn, size) == SuperpageBaseVpn(e.base_vpn, size)) {
-      return Hit(asid, vpn, e.stamp, e.pages_log2 > 0 ? &super_hits_ : nullptr);
-    }
+  const unsigned i = entries_.FindLive(asid, [&](unsigned j) { return SpanHolds(j, vpn); });
+  if (i < entries_.size()) {
+    return Hit(asid, vpn, HitOn(i));
   }
-  RecordMiss(LookupOutcome::kMiss);
+  RecordMiss(asid, vpn, LookupOutcome::kMiss);
   return LookupOutcome::kMiss;
 }
 
-void SuperpageTlb::DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
-  Entry incoming;
-  incoming.asid = asid;
-  incoming.valid = true;
+Tlb::EntryHit SuperpageTlb::DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
+  Vpn base = fill.base_vpn;
+  Ppn ppn = fill.word.ppn();
+  unsigned pages_log2 = fill.pages_log2;
   if (fill.kind == MappingKind::kPartialSubblock) {
     // No valid vector in a superpage entry: install just the faulting page.
-    incoming.base_vpn = vpn;
-    incoming.base_ppn = fill.Translate(vpn);
-    incoming.pages_log2 = 0;
-  } else {
-    incoming.base_vpn = fill.base_vpn;
-    incoming.base_ppn = fill.word.ppn();
-    incoming.pages_log2 = fill.pages_log2;
+    base = vpn;
+    ppn = fill.Translate(vpn);
+    pages_log2 = 0;
   }
+  CPT_DCHECK(IsSuperpageAligned(base, PageSize{pages_log2}), "superpage fills are aligned");
+  const std::uint64_t tag = base.raw();  // Bit-packing: the tag column.
 
-  Entry* victim = &entries_[0];
-  for (Entry& e : entries_) {
-    if (e.valid && e.asid == asid && e.base_vpn == incoming.base_vpn &&
-        e.pages_log2 == incoming.pages_log2) {
-      victim = &e;
-      break;
-    }
-    if (!e.valid) {
-      victim = &e;
-    } else if (victim->valid && e.stamp < victim->stamp) {
-      victim = &e;
-    }
+  // Refresh the entry of the same span and size, if any.
+  unsigned victim = entries_.FindLive(asid, [&](unsigned i) {
+    return entries_.tags[i] == tag && log2s_[i] == pages_log2;
+  });
+  if (victim == entries_.size()) {
+    victim = entries_.LastInvalidOrOldest();
   }
-  incoming.stamp = NextStamp();
-  *victim = incoming;
+  entries_.Claim(victim, asid, tag);
+  spans_[victim] = ~((std::uint64_t{1} << pages_log2) - 1);
+  ppns_[victim] = ppn;
+  log2s_[victim] = static_cast<std::uint8_t>(pages_log2);
+  entries_.stamps[victim] = NextStamp();
+  return SpanHolds(victim, vpn) ? HitOn(victim) : EntryHit{};
 }
 
-void SuperpageTlb::DoFlush() {
-  for (Entry& e : entries_) {
-    e.valid = false;
-  }
-}
+void SuperpageTlb::DoFlush() { entries_.InvalidateAll(); }
 
 void SuperpageTlb::AuditVisit(check::TlbAuditVisitor& visitor) const {
-  for (const Entry& e : entries_) {
+  for (unsigned i = 0; i < entries_.size(); ++i) {
     check::TlbEntryView view;
     view.set = 0;
-    view.valid = e.valid;
-    view.asid = e.asid;
-    view.stamp = e.stamp;
-    view.base_vpn = e.base_vpn;
-    view.base_ppn = e.base_ppn;
-    view.pages_log2 = e.pages_log2;
+    view.valid = entries_.valid[i] != 0;
+    view.asid = entries_.asids[i];
+    view.stamp = entries_.stamps[i];
+    view.base_vpn = Vpn{entries_.tags[i]};
+    view.base_ppn = ppns_[i];
+    view.pages_log2 = log2s_[i];
     view.valid_vector = 1;
-    view.block_entry = e.pages_log2 > 0;
+    view.block_entry = log2s_[i] > 0;
     visitor.OnEntry(view);
   }
 }

@@ -5,10 +5,12 @@
 #ifndef CPT_TLB_SUPERPAGE_H_
 #define CPT_TLB_SUPERPAGE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "check/fwd.h"
 #include "common/hotpath.h"
+#include "tlb/entry_columns.h"
 #include "tlb/tlb.h"
 
 namespace cpt::tlb {
@@ -30,25 +32,33 @@ class SuperpageTlb final : public Tlb {
 
  protected:
   [[nodiscard]] CPT_HOT LookupOutcome Probe(Asid asid, Vpn vpn) override;
-  CPT_HOT void DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
+  [[nodiscard]] CPT_HOT EntryHit DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) override;
   void DoFlush() override;
 
  private:
   friend class check::TestBackdoor;
 
-  struct Entry {
-    Asid asid = 0;
-    Vpn base_vpn{};
-    Ppn base_ppn{};
-    unsigned pages_log2 = 0;
-    bool valid = false;
-    std::uint64_t stamp = 0;
-  };
-  // The simulated TLB charges no bytes for its entries, but every reference
-  // probes them on the host; the host struct must not silently grow.
-  static_assert(sizeof(Entry) == 40 && alignof(Entry) == 8);
+  // Whether entry i's span holds vpn.  Tags are the entry's aligned base
+  // VPN and spans[i] masks a VPN down to its span's base (raw bit-packing).
+  bool SpanHolds(unsigned i, Vpn vpn) const {
+    return (vpn.raw() & spans_[i]) == entries_.tags[i];
+  }
+  // The hit a probe of (asid, vpn) on entry i scores.
+  EntryHit HitOn(unsigned i) {
+    return EntryHit{&entries_.stamps[i], log2s_[i] > 0 ? &super_hits_ : nullptr};
+  }
 
-  std::vector<Entry> entries_;
+  EntryColumns entries_;
+  std::vector<std::uint64_t> spans_;  // ~(pages - 1): the span mask.
+  std::vector<Ppn> ppns_;             // Base PPN of the span.
+  std::vector<std::uint8_t> log2s_;   // log2 pages in the span.
+  // The simulated TLB charges no bytes for its entries, but every miss scans
+  // them on the host; the columns must not silently grow.
+  static_assert(EntryColumns::kEntryBytes + sizeof(decltype(spans_)::value_type) +
+                    sizeof(decltype(ppns_)::value_type) +
+                    sizeof(decltype(log2s_)::value_type) ==
+                36);
+
   std::uint64_t super_hits_ = 0;
 };
 

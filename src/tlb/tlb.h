@@ -53,6 +53,13 @@ struct TlbStats {
 // coverage change only inside Insert/Flush (and CompleteSubblockTlb's
 // InsertBlock), which all forget the memo: between them the scan would
 // find the same first covering entry and do exactly what ReplayHit() does.
+//
+// The fill that serves a miss re-arms the memo.  A full probe that misses
+// records its (asid, vpn) as the pending miss; Insert, Flush and
+// InsertBlock clear it.  So when an Insert or InsertBlock finds its own
+// (asid, vpn) pending, no entry has covered that page since the probe,
+// the fill changed only the entry it wrote, and if that entry covers the
+// page it is the only covering entry: the next probe's scan would hit it.
 class Tlb {
  public:
   explicit Tlb(unsigned num_entries) : num_entries_(num_entries) {}
@@ -89,12 +96,13 @@ class Tlb {
 
   // Installs the page-table fill that satisfied a miss on (asid, vpn).
   CPT_HOT void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
-    ForgetHit();
-    DoInsert(asid, vpn, fill);
+    const bool serves_miss = BeginFill(asid, vpn);
+    EndFill(serves_miss, asid, vpn, DoInsert(asid, vpn, fill));
   }
 
   void Flush() {
     ForgetHit();
+    pending_miss_ = false;
     DoFlush();
   }
 
@@ -105,31 +113,51 @@ class Tlb {
   void ResetStats() { stats_ = TlbStats{}; }
 
  protected:
+  // What a hit on one entry bumps: the entry's LRU stamp and the design's
+  // class counter for it (superpage or PSB hits), or null.  DoInsert returns
+  // the written entry's, with a null `stamp` when the entry does not cover
+  // the filled page.
+  struct EntryHit {
+    std::uint64_t* stamp = nullptr;
+    std::uint64_t* class_hits = nullptr;
+  };
+
   // The design's full probe, reached only when the memo does not answer.
-  // A hit must be scored through Hit().
+  // A hit must be scored through Hit(), a miss through RecordMiss().
   [[nodiscard]] CPT_HOT virtual LookupOutcome Probe(Asid asid, Vpn vpn) = 0;
-  CPT_HOT virtual void DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) = 0;
+  [[nodiscard]] CPT_HOT virtual EntryHit DoInsert(Asid asid, Vpn vpn, const pt::TlbFill& fill) = 0;
   virtual void DoFlush() = 0;
 
-  // Scores a probe hit on the entry owning `stamp` and memoizes it.
-  // `class_hits` is the design's per-class hit counter to bump with it
-  // (superpage or PSB hits), or nullptr.
-  LookupOutcome Hit(Asid asid, Vpn vpn, std::uint64_t& stamp, std::uint64_t* class_hits) {
-    memo_asid_ = asid;
-    memo_vpn_ = vpn;
-    memo_stamp_ = &stamp;
-    memo_class_hits_ = class_hits;
+  // Scores a probe hit on an entry and memoizes it.
+  LookupOutcome Hit(Asid asid, Vpn vpn, EntryHit entry) {
+    Memoize(asid, vpn, entry);
     return ReplayHit();
   }
-  // Every change to an entry's validity or coverage must call this first.
-  void ForgetHit() { memo_stamp_ = nullptr; }
+
+  // Brackets every change to an entry's validity or coverage (Insert and
+  // CompleteSubblockTlb::InsertBlock).  BeginFill forgets the memo and the
+  // pending miss, and returns whether the fill for (asid, vpn) serves that
+  // miss.  EndFill then memoizes the written entry if it does and the entry
+  // covers the page.
+  bool BeginFill(Asid asid, Vpn vpn) {
+    ForgetHit();
+    const bool serves_miss = pending_miss_ && pending_vpn_ == vpn && pending_asid_ == asid;
+    pending_miss_ = false;
+    return serves_miss;
+  }
+  void EndFill(bool serves_miss, Asid asid, Vpn vpn, EntryHit entry) {
+    if (serves_miss && entry.stamp != nullptr) {
+      Memoize(asid, vpn, entry);
+    }
+  }
 
   std::uint64_t NextStamp() { return ++clock_; }
   void RecordHit() {
     ++stats_.accesses;
     ++stats_.hits;
   }
-  void RecordMiss(LookupOutcome kind) {
+  // Scores a probe miss on (asid, vpn) and makes it the pending miss.
+  void RecordMiss(Asid asid, Vpn vpn, LookupOutcome kind) {
     ++stats_.accesses;
     ++stats_.misses;
     if (kind == LookupOutcome::kBlockMiss) {
@@ -137,11 +165,22 @@ class Tlb {
     } else if (kind == LookupOutcome::kSubblockMiss) {
       ++stats_.subblock_misses;
     }
+    pending_miss_ = true;
+    pending_asid_ = asid;
+    pending_vpn_ = vpn;
   }
 
   TlbStats stats_;
 
  private:
+  void Memoize(Asid asid, Vpn vpn, EntryHit entry) {
+    memo_asid_ = asid;
+    memo_vpn_ = vpn;
+    memo_stamp_ = entry.stamp;
+    memo_class_hits_ = entry.class_hits;
+  }
+  void ForgetHit() { memo_stamp_ = nullptr; }
+
   // Does what the scan does on a hit of the memoized entry, in its order.
   LookupOutcome ReplayHit() {
     *memo_stamp_ = NextStamp();
@@ -153,11 +192,14 @@ class Tlb {
   }
 
   unsigned num_entries_;
-  Asid memo_asid_ = 0;  // Fills num_entries_'s padding.
+  Asid memo_asid_ = 0;     // With pending_asid_, fills num_entries_'s padding.
+  Asid pending_asid_ = 0;
   std::uint64_t clock_ = 0;
   Vpn memo_vpn_{};
   std::uint64_t* memo_stamp_ = nullptr;  // Null: no memo.
   std::uint64_t* memo_class_hits_ = nullptr;
+  Vpn pending_vpn_{};
+  bool pending_miss_ = false;  // False: no pending miss.
 };
 
 }  // namespace cpt::tlb

@@ -170,7 +170,7 @@ void TraceGenerator::PickNewPage(ProcessState& p) {
   p.current_page = pages[st.cursor];
 }
 
-Run TraceGenerator::NextRun(std::uint64_t max_refs) {
+Run TraceGenerator::BeginRun(std::uint64_t max_refs) {
   CPT_DCHECK(max_refs >= 1);
   // Several processes take turns in slices: round-robin timeslices, or
   // equal shares of the default trace length one after another.
@@ -194,25 +194,38 @@ Run TraceGenerator::NextRun(std::uint64_t max_refs) {
   }
   p.sojourn_left -= count;
 
-  const std::uint64_t write_threshold =
-      p.current_segment != nullptr ? p.current_segment->write_threshold : 0;
   // Each reference draws a pseudo-random offset within the page, then its
   // store bit; the TLB only sees the VPN, so only the first offset is kept.
-  Run run{.asid = static_cast<tlb::Asid>(active_proc_),
-          .va = VaOf(p.current_page) + (rng_.Next() & 0xFF8),
-          .count = static_cast<std::uint32_t>(count)};
-  run.writes = rng_.ChanceBelow(write_threshold) ? 1 : 0;
-  for (std::uint32_t i = 1; i < run.count; ++i) {
-    (void)rng_.Next();
-    run.writes |= std::uint64_t{rng_.ChanceBelow(write_threshold)} << i;
-  }
+  return Run{.asid = static_cast<tlb::Asid>(active_proc_),
+             .va = VaOf(p.current_page) + (rng_.Next() & 0xFF8),
+             .count = static_cast<std::uint32_t>(count),
+             .store_rng = {},
+             .store_threshold =
+                 p.current_segment != nullptr ? p.current_segment->write_threshold : 0};
+}
+
+Run TraceGenerator::NextRun(std::uint64_t max_refs) {
+  Run run = BeginRun(max_refs);
+  run.store_rng = rng_;
+  // Reference 0's store draw, then an offset and a store draw per reference.
+  rng_.Skip(2 * std::uint64_t{run.count} - 1);
   return run;
 }
 
-// Flattened so the per-reference API pays no call into NextRun.
+// Flattened so the per-reference API pays no call into BeginRun.
 [[gnu::flatten]] Reference TraceGenerator::Next() {
-  const Run run = NextRun(1);
-  return Reference{run.asid, run.va, run.writes != 0};
+  const Run run = BeginRun(1);
+  return Reference{run.asid, run.va, rng_.ChanceBelow(run.store_threshold)};
+}
+
+std::uint64_t Run::StoreBits() const {
+  Rng rng = store_rng;
+  std::uint64_t bits = rng.ChanceBelow(store_threshold) ? 1 : 0;
+  for (std::uint32_t i = 1; i < count; ++i) {
+    (void)rng.Next();  // Reference i's page offset.
+    bits |= std::uint64_t{rng.ChanceBelow(store_threshold)} << i;
+  }
+  return bits;
 }
 
 }  // namespace cpt::workload

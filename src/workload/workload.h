@@ -95,12 +95,20 @@ struct Reference {
 // TraceGenerator::Next() return, in one value.  Only the first reference's
 // address is kept whole; the others differ from it only in the page offset,
 // which nothing below the generator reads (every layer keys on the VPN).
+// The store bits are drawn on demand: the run keeps the generator state at
+// its first store draw, and StoreBits() replays the run's draws from there.
 inline constexpr std::uint32_t kMaxRunRefs = 64;
 struct Run {
   tlb::Asid asid = 0;
-  VirtAddr va{};             // The first reference's exact address.
-  std::uint32_t count = 0;   // 1..kMaxRunRefs references.
-  std::uint64_t writes = 0;  // Bit i set: reference i is a store.
+  VirtAddr va{};            // The first reference's exact address.
+  std::uint32_t count = 0;  // 1..kMaxRunRefs references.
+  Rng store_rng;            // Generator state at reference 0's store draw.
+  std::uint64_t store_threshold = 0;  // The segment's store ChanceThreshold.
+
+  // Bit i set: reference i is a store, as Next() would have drawn it.
+  // Reads nothing but the run, so calling it or not leaves every stream
+  // unchanged.
+  [[nodiscard]] std::uint64_t StoreBits() const;
 };
 
 // Which pages each process has mapped, per segment, in fault order.
@@ -126,12 +134,17 @@ class TraceGenerator {
   Reference Next();
 
   // The next run of up to min(kMaxRunRefs, max_refs) references, cut where
-  // the page's sojourn or the process's scheduling slice ends.  It makes
-  // the same RNG draws, in the same order, as `count` calls of Next(), so
-  // runs and single references can be mixed freely in one stream.
+  // the page's sojourn or the process's scheduling slice ends.  It advances
+  // the RNG past the same draws as `count` calls of Next(), so runs and
+  // single references can be mixed freely in one stream; the store draws
+  // are only skipped here (see Run::StoreBits).
   Run NextRun(std::uint64_t max_refs);
 
  private:
+  // Everything of NextRun(max_refs) but the store draws: schedules the run,
+  // draws its first page offset and leaves the RNG at the first store draw.
+  Run BeginRun(std::uint64_t max_refs);
+
   struct SegmentState {
     const Segment* spec = nullptr;
     const std::vector<Vpn>* pages = nullptr;

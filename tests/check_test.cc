@@ -176,8 +176,8 @@ INSTANTIATE_TEST_SUITE_P(AllTlbs, MachineAuditTest,
                          ::testing::Values(sim::TlbKind::kSinglePage, sim::TlbKind::kSuperpage,
                                            sim::TlbKind::kPartialSubblock,
                                            sim::TlbKind::kCompleteSubblock),
-                         [](const ::testing::TestParamInfo<sim::TlbKind>& info) {
-                           std::string n = sim::ToString(info.param);
+                         [](const ::testing::TestParamInfo<sim::TlbKind>& param_info) {
+                           std::string n = sim::ToString(param_info.param);
                            for (char& c : n) {
                              if (c == '-') {
                                c = '_';

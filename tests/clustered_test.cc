@@ -194,13 +194,14 @@ TEST_F(ClusteredTest, SmallCacheLinesSplitTagAndMapping) {
   small_cache.Reset();
   {
     mem::WalkScope scope(small_cache);
-    t.Lookup(VaOf(Vpn{0x10F}));  // mapping[15] at byte offset 136: a different line.
+    // mapping[15] at byte offset 136: a different line.
+    EXPECT_TRUE(t.Lookup(VaOf(Vpn{0x10F})).has_value());
   }
   EXPECT_GE(small_cache.total_lines(), 2u);
   small_cache.Reset();
   {
     mem::WalkScope scope(small_cache);
-    t.Lookup(VaOf(Vpn{0x100}));  // mapping[0] shares the tag's line.
+    EXPECT_TRUE(t.Lookup(VaOf(Vpn{0x100})).has_value());  // mapping[0] shares the tag's line.
   }
   EXPECT_EQ(small_cache.total_lines(), 1u);
 }

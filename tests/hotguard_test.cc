@@ -121,7 +121,7 @@ TEST(HotGuardTest, SteadyStateRunReplayDoesNotAllocate) {
       const auto replay = [&](std::uint64_t n) {
         for (std::uint64_t done = 0; done < n;) {
           const workload::Run run = gen.NextRun(n - done);
-          m.AccessRun(run.asid, run.va, run.count, run.writes);
+          m.AccessRun(run);
           done += run.count;
         }
       };
@@ -151,7 +151,7 @@ TEST(HotGuardTest, SteadyStateCollectRunReplayDoesNotAllocate) {
     const auto replay = [&](std::uint64_t n) {
       for (std::uint64_t done = 0; done < n;) {
         const workload::Run run = gen.NextRun(n - done);
-        m.AccessRun(run.asid, run.va, run.count, run.writes);
+        m.AccessRun(run);
         done += run.count;
       }
     };

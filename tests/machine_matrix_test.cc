@@ -135,7 +135,7 @@ void ExpectRunReplayMatchesAccess(const workload::WorkloadSpec& spec, const Mach
   workload::TraceGenerator run_gen(spec, snap);
   for (std::uint64_t done = 0; done < n;) {
     const workload::Run run = run_gen.NextRun(n - done);
-    by_run.AccessRun(run.asid, run.va, run.count, run.writes);
+    by_run.AccessRun(run);
     done += run.count;
   }
   workload::TraceGenerator ref_gen(spec, snap);

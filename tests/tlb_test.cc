@@ -1,11 +1,13 @@
 // Tests for the four TLB simulators: hit/miss semantics, LRU replacement,
 // asid isolation, superpage coverage, PSB vectors, complete-subblock
 // block/subblock miss classification with prefetch, and the exactness of
-// the base class's last-hit memo.
+// the base class's memo: each design against a scan-only model of its
+// replacement policy, after every step of a random stream.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -561,6 +563,453 @@ TEST(TlbMemoTest, InsertBlockReusingTheMemoizedSlotMisses) {
   tlb.InsertBlock(0, Vpn{0x9000}, std::span<const pt::TlbFill>(&b, 1));  // Same slot.
   EXPECT_EQ(tlb.Lookup(0, Vpn{0x8000}), LookupOutcome::kBlockMiss);
   EXPECT_EQ(tlb.Lookup(0, Vpn{0x9000}), LookupOutcome::kHit);
+}
+
+// ---------------------------------------------------------------------------
+// Policy model: each design against a scan-only model of its policy
+// ---------------------------------------------------------------------------
+
+enum class Design : std::uint8_t { kSinglePage, kSuperpage, kPartialSubblock, kCompleteSubblock };
+
+// The replacement and coverage policy of one Figure 11 design, written as
+// the plainest scan over entry views: no memo, no packed tags.  A hit stamps
+// the first covering entry in array order.  A fill refreshes the live entry
+// of the same slot, else takes the last invalid entry, else the oldest
+// stamp; a complete-subblock entry is allocated in the first invalid entry,
+// else the oldest.  Its views use the same conventions as AuditVisit.
+class PolicyModel {
+ public:
+  PolicyModel(Design design, unsigned entries, unsigned factor)
+      : design_(design), factor_(factor), entries_(entries) {
+    for (Entry& e : entries_) {
+      e.ppns.resize(factor);
+    }
+  }
+
+  LookupOutcome Lookup(Asid asid, Vpn vpn) {
+    ++stats_.accesses;
+    for (Entry& e : entries_) {
+      if (ViewCovers(e.view, asid, vpn, design_ == Design::kSuperpage)) {
+        e.view.stamp = ++clock_;
+        ++stats_.hits;
+        if (design_ != Design::kCompleteSubblock && e.view.block_entry) {
+          ++class_hits_;
+        }
+        return LookupOutcome::kHit;
+      }
+    }
+    ++stats_.misses;
+    if (design_ != Design::kCompleteSubblock) {
+      return LookupOutcome::kMiss;
+    }
+    for (const Entry& e : entries_) {
+      if (HoldsBlock(e, asid, vpn)) {
+        ++stats_.subblock_misses;
+        return LookupOutcome::kSubblockMiss;
+      }
+    }
+    ++stats_.block_misses;
+    return LookupOutcome::kBlockMiss;
+  }
+
+  void Insert(Asid asid, Vpn vpn, const pt::TlbFill& fill) {
+    if (design_ == Design::kCompleteSubblock) {
+      Entry& e = BlockEntry(asid, vpn);
+      const unsigned boff = BoffOf(vpn, factor_);
+      e.view.valid_vector |= std::uint64_t{1} << boff;
+      e.ppns[boff] = fill.Translate(vpn);
+      e.view.stamp = ++clock_;
+      return;
+    }
+    check::TlbEntryView in;
+    in.valid = true;
+    in.asid = asid;
+    in.valid_vector = 1;
+    in.base_vpn = vpn;
+    switch (design_) {
+      case Design::kSinglePage:
+        in.base_ppn = fill.Translate(vpn);
+        in.translations.emplace_back(vpn, in.base_ppn);
+        break;
+      case Design::kSuperpage:
+        if (fill.kind == MappingKind::kPartialSubblock) {
+          in.base_ppn = fill.Translate(vpn);
+        } else {
+          in.base_vpn = fill.base_vpn;
+          in.base_ppn = fill.word.ppn();
+          in.pages_log2 = fill.pages_log2;
+          in.block_entry = fill.pages_log2 > 0;
+        }
+        break;
+      case Design::kPartialSubblock:
+        if (fill.kind == MappingKind::kPartialSubblock ||
+            (fill.kind == MappingKind::kSuperpage && fill.pages_log2 == Log2(factor_))) {
+          in.block_entry = true;
+          in.base_vpn = FirstVpnOfBlock(VpbnOf(fill.base_vpn, factor_), factor_);
+          in.base_ppn = fill.word.ppn();
+          in.pages_log2 = Log2(factor_);
+          in.valid_vector = fill.kind == MappingKind::kPartialSubblock
+                                ? fill.word.valid_vector()
+                                : (std::uint64_t{1} << factor_) - 1;
+        } else {
+          in.base_ppn = fill.Translate(vpn);
+        }
+        break;
+      case Design::kCompleteSubblock:
+        break;
+    }
+    Entry* victim = nullptr;
+    for (Entry& e : entries_) {
+      if (e.view.valid && e.view.asid == asid && e.view.base_vpn == in.base_vpn &&
+          e.view.pages_log2 == in.pages_log2 && e.view.block_entry == in.block_entry) {
+        victim = &e;
+        break;
+      }
+    }
+    if (victim == nullptr) {
+      victim = &Victim(/*last_invalid=*/true);
+    }
+    in.stamp = ++clock_;
+    victim->view = in;
+  }
+
+  void InsertBlock(Asid asid, Vpn vpn, std::span<const pt::TlbFill> fills) {
+    Entry& e = BlockEntry(asid, vpn);
+    for (const pt::TlbFill& fill : fills) {
+      for (unsigned i = 0; i < factor_; ++i) {
+        if (fill.Covers(e.view.base_vpn + i)) {
+          e.view.valid_vector |= std::uint64_t{1} << i;
+          e.ppns[i] = fill.Translate(e.view.base_vpn + i);
+        }
+      }
+    }
+    e.view.stamp = ++clock_;
+  }
+
+  void Flush() {
+    for (Entry& e : entries_) {
+      e.view.valid = false;
+    }
+  }
+
+  // The entry views AuditVisit would report.
+  std::vector<check::TlbEntryView> Views() const {
+    std::vector<check::TlbEntryView> views;
+    for (const Entry& e : entries_) {
+      views.push_back(e.view);
+      if (design_ == Design::kCompleteSubblock && e.view.valid) {
+        for (unsigned i = 0; i < factor_; ++i) {
+          if ((e.view.valid_vector >> i) & 1u) {
+            views.back().translations.emplace_back(e.view.base_vpn + i, e.ppns[i]);
+          }
+        }
+      }
+    }
+    return views;
+  }
+  const TlbStats& stats() const { return stats_; }
+  double ClassHitFraction() const { return Fraction(class_hits_, stats_.hits); }
+
+ private:
+  struct Entry {
+    check::TlbEntryView view;
+    std::vector<Ppn> ppns;  // Complete-subblock PPN per page of the block.
+  };
+
+  bool HoldsBlock(const Entry& e, Asid asid, Vpn vpn) const {
+    return e.view.valid && e.view.asid == asid &&
+           e.view.base_vpn == FirstVpnOfBlock(VpbnOf(vpn, factor_), factor_);
+  }
+  Entry& Victim(bool last_invalid) {
+    Entry* victim = nullptr;
+    for (Entry& e : entries_) {
+      if (!e.view.valid && (last_invalid || victim == nullptr || victim->view.valid)) {
+        victim = &e;
+      }
+    }
+    if (victim != nullptr) {
+      return *victim;
+    }
+    victim = &entries_[0];
+    for (Entry& e : entries_) {
+      if (e.view.stamp < victim->view.stamp) {
+        victim = &e;
+      }
+    }
+    return *victim;
+  }
+  // The complete-subblock entry of vpn's block, allocated if absent.
+  Entry& BlockEntry(Asid asid, Vpn vpn) {
+    for (Entry& e : entries_) {
+      if (HoldsBlock(e, asid, vpn)) {
+        return e;
+      }
+    }
+    Entry& e = Victim(/*last_invalid=*/false);
+    e.view = check::TlbEntryView{};
+    e.view.valid = true;
+    e.view.asid = asid;
+    e.view.base_vpn = FirstVpnOfBlock(VpbnOf(vpn, factor_), factor_);
+    e.view.pages_log2 = Log2(factor_);
+    e.view.block_entry = true;
+    e.view.stamp = ++clock_;
+    return e;
+  }
+
+  Design design_;
+  unsigned factor_;
+  std::vector<Entry> entries_;
+  TlbStats stats_;
+  std::uint64_t class_hits_ = 0;
+  std::uint64_t clock_ = 0;
+};
+
+// Compares every entry view and the statistics with the model's.  Invalid
+// entries are compared only by validity and stamp: nothing reads the rest.
+template <class T>
+::testing::AssertionResult MatchesModel(const T& tlb, const PolicyModel& model) {
+  const std::vector<check::TlbEntryView> got = ViewsOf(tlb);
+  const std::vector<check::TlbEntryView> want = model.Views();
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure() << got.size() << " entries, model has " << want.size();
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const check::TlbEntryView& g = got[i];
+    const check::TlbEntryView& w = want[i];
+    if (g.valid != w.valid || g.stamp != w.stamp ||
+        (w.valid && (g.asid != w.asid || g.base_vpn != w.base_vpn || g.base_ppn != w.base_ppn ||
+                     g.pages_log2 != w.pages_log2 || g.valid_vector != w.valid_vector ||
+                     g.block_entry != w.block_entry || g.translations != w.translations))) {
+      return ::testing::AssertionFailure()
+             << "entry " << i << ": valid " << g.valid << " stamp " << g.stamp << " base "
+             << g.base_vpn << " vector " << g.valid_vector << "; model: valid " << w.valid
+             << " stamp " << w.stamp << " base " << w.base_vpn << " vector " << w.valid_vector;
+    }
+  }
+  const TlbStats& a = tlb.stats();
+  const TlbStats& b = model.stats();
+  if (a.accesses != b.accesses || a.hits != b.hits || a.misses != b.misses ||
+      a.block_misses != b.block_misses || a.subblock_misses != b.subblock_misses) {
+    return ::testing::AssertionFailure() << "stats differ: hits " << a.hits << " vs " << b.hits
+                                         << ", misses " << a.misses << " vs " << b.misses;
+  }
+  double fraction = 0.0;
+  if constexpr (std::is_same_v<T, SuperpageTlb>) {
+    fraction = tlb.SuperpageHitFraction();
+  } else if constexpr (std::is_same_v<T, PartialSubblockTlb>) {
+    fraction = tlb.SubblockHitFraction();
+  }
+  if (fraction != model.ClassHitFraction()) {
+    return ::testing::AssertionFailure() << "class-hit fraction " << fraction << " vs "
+                                         << model.ClassHitFraction();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+constexpr Vpn kModelFirstVpn{0x8000};
+constexpr unsigned kModelPages = 96;
+
+// A fill for a page of (asid, vpn), chosen from the kinds `design` meets:
+// most cover vpn, some on purpose do not (a PSB vector without vpn's bit,
+// a superpage of the next block).  Each is valid for its design.
+pt::TlbFill RandomFill(Design design, Rng& rng, Vpn vpn) {
+  const Vpn block = SuperpageBaseVpn(vpn, kPage64K);
+  const Ppn block_ppn{block.raw() + 0x100000};
+  const auto psb_vector = [&] {
+    auto vector = static_cast<std::uint16_t>(rng.Below(0x10000));
+    if (rng.Below(4) != 0) {
+      vector |= static_cast<std::uint16_t>(1u << (vpn - block));
+    }
+    return vector;
+  };
+  switch (rng.Below(5)) {
+    case 0:
+      return BaseFill(vpn, Ppn{vpn.raw() + 0x200000});
+    case 1: {
+      const Vpn base = SuperpageBaseVpn(vpn, kPage8K);
+      return SuperFill(base, Ppn{base.raw() + 0x100000}, kPage8K);
+    }
+    case 2:
+      return SuperFill(block, block_ppn, kPage64K);
+    case 3:
+      if (design == Design::kSuperpage || design == Design::kPartialSubblock) {
+        return SuperFill(block + 16, block_ppn + 16, kPage64K);  // Covers the next block.
+      }
+      return BaseFill(vpn, Ppn{vpn.raw() + 0x200000});
+    default:
+      return PsbFill(block, block_ppn, psb_vector());
+  }
+}
+
+// Installs a fill for (asid, vpn) in both: an Insert, or for the
+// complete-subblock design often a block prefetch, whose fills sometimes
+// leave vpn itself out.
+template <class T>
+void InstallBoth(T& tlb, PolicyModel& model, Design design, Rng& rng, Asid asid, Vpn vpn) {
+  if constexpr (std::is_same_v<T, CompleteSubblockTlb>) {
+    if (rng.Below(2) == 0) {
+      const Vpn block = SuperpageBaseVpn(vpn, kPage64K);
+      std::vector<pt::TlbFill> fills;
+      if (rng.Below(5) != 0) {
+        fills.push_back(BaseFill(vpn, Ppn{vpn.raw() + 0x100000}));
+      }
+      for (unsigned i = 0; i < 16; ++i) {
+        if (block + i != vpn && rng.Below(3) == 0) {
+          fills.push_back(BaseFill(block + i, Ppn{block.raw() + i + 0x300000}));
+        }
+      }
+      if (rng.Below(4) == 0) {
+        const Vpn base = SuperpageBaseVpn(block + rng.Below(16), kPage8K);
+        fills.push_back(SuperFill(base, Ppn{base.raw() + 0x100000}, kPage8K));
+      }
+      tlb.InsertBlock(asid, vpn, fills);
+      model.InsertBlock(asid, vpn, fills);
+      return;
+    }
+  }
+  const pt::TlbFill fill = RandomFill(design, rng, vpn);
+  tlb.Insert(asid, vpn, fill);
+  model.Insert(asid, vpn, fill);
+}
+
+// A seeded mix of probes (mostly repeats, the memo's case), refills after
+// misses, inserts that no miss preceded and flushes, checked against the
+// model after every step.
+template <class T>
+void RunAgainstModel(T& tlb, Design design, unsigned factor, std::uint64_t seed) {
+  PolicyModel model(design, tlb.num_entries(), factor);
+  Rng rng(seed);
+  Asid asid = 0;
+  Vpn vpn = kModelFirstVpn;
+  std::uint64_t hits = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t roll = rng.Below(100);
+    if (roll < 1) {
+      tlb.Flush();
+      model.Flush();
+    } else if (roll < 6) {  // An insert with no miss before it; often probed next.
+      asid = static_cast<Asid>(rng.Below(2));
+      vpn = kModelFirstVpn + rng.Below(kModelPages);
+      InstallBoth(tlb, model, design, rng, asid, vpn);
+    } else {
+      if (roll >= 55) {
+        asid = static_cast<Asid>(rng.Below(2));
+        vpn = kModelFirstVpn + rng.Below(kModelPages);
+      }
+      const LookupOutcome out = tlb.Lookup(asid, vpn);
+      ASSERT_EQ(out, model.Lookup(asid, vpn)) << "step " << step;
+      hits += out == LookupOutcome::kHit;
+      if (IsMiss(out) && rng.Below(10) != 0) {
+        InstallBoth(tlb, model, design, rng, asid, vpn);
+      }
+    }
+    ASSERT_TRUE(MatchesModel(tlb, model)) << "step " << step;
+  }
+  EXPECT_GT(hits, 5000u);
+  EXPECT_GT(tlb.stats().misses, 500u);
+}
+
+TEST(TlbMemoModelTest, SinglePageMatchesPolicyModel) {
+  SinglePageTlb tlb(8);
+  RunAgainstModel(tlb, Design::kSinglePage, 16, 21);
+}
+
+TEST(TlbMemoModelTest, SuperpageMatchesPolicyModel) {
+  SuperpageTlb tlb(8);
+  RunAgainstModel(tlb, Design::kSuperpage, 16, 22);
+  EXPECT_GT(tlb.SuperpageHitFraction(), 0.0);
+}
+
+TEST(TlbMemoModelTest, PartialSubblockMatchesPolicyModel) {
+  PartialSubblockTlb tlb(8, 16);
+  RunAgainstModel(tlb, Design::kPartialSubblock, 16, 23);
+  EXPECT_GT(tlb.SubblockHitFraction(), 0.0);
+}
+
+TEST(TlbMemoModelTest, CompleteSubblockMatchesPolicyModel) {
+  CompleteSubblockTlb tlb(4, 16);
+  RunAgainstModel(tlb, Design::kCompleteSubblock, 16, 24);
+  EXPECT_GT(tlb.stats().subblock_misses, 0u);
+}
+
+// An Insert that serves no miss must not memoize its entry, even when the
+// entry covers the page: an older entry earlier in the array may cover it
+// too, and the scan hits that one.
+TEST(TlbMemoModelTest, InsertWithoutMissUnderCoveringSuperpageDoesNotMemoize) {
+  SuperpageTlb tlb(2);
+  const Vpn block{0x8000};
+  const Vpn other{0x9000};
+  tlb.Insert(0, other, BaseFill(other, Ppn{0x300}));                // Entry 1.
+  tlb.Insert(0, block + 3, SuperFill(block, Ppn{0x100}, kPage64K));  // Entry 0.
+  ASSERT_EQ(tlb.Lookup(0, block + 3), LookupOutcome::kHit);  // Entry 1 is now the oldest.
+  ASSERT_TRUE(IsMiss(tlb.Lookup(0, Vpn{0xA000})));  // A pending miss on another page.
+  tlb.Insert(0, block + 5, BaseFill(block + 5, Ppn{0x105}));  // Replaces entry 1.
+  EXPECT_FALSE(tlb.Memoizes(0, block + 5));
+  ASSERT_EQ(tlb.Lookup(0, block + 5), LookupOutcome::kHit);
+  const std::vector<check::TlbEntryView> views = ViewsOf(tlb);
+  ASSERT_EQ(views.size(), 2u);
+  EXPECT_EQ(views[1].base_vpn, block + 5);
+  EXPECT_GT(views[0].stamp, views[1].stamp) << "the hit must stamp the superpage entry";
+  EXPECT_EQ(tlb.SuperpageHitFraction(), 1.0);
+}
+
+// The fill that serves a miss memoizes its entry when that entry covers the
+// page, and the memo lasts until the next Insert, Flush or InsertBlock.
+TYPED_TEST(TlbMemoTypedTest, FillServingAMissMemoizesUntilTheNextChange) {
+  const Vpn vpn{0x8000};
+  const Vpn other{0x9000};
+  for (int change = 0; change < 3; ++change) {
+    auto tlb = MakeTlb<TypeParam>(64);
+    ASSERT_TRUE(IsMiss(tlb->Lookup(0, vpn)));
+    tlb->Insert(0, vpn, BaseFill(vpn, Ppn{1}));
+    ASSERT_TRUE(tlb->Memoizes(0, vpn));
+    if (change == 0) {
+      tlb->Insert(0, other, BaseFill(other, Ppn{2}));
+    } else if (change == 1) {
+      tlb->Flush();
+    } else if constexpr (std::is_same_v<TypeParam, CompleteSubblockTlb>) {
+      const pt::TlbFill fill = BaseFill(other, Ppn{2});
+      tlb->InsertBlock(0, other, std::span<const pt::TlbFill>(&fill, 1));
+    } else {
+      continue;
+    }
+    EXPECT_FALSE(tlb->Memoizes(0, vpn)) << "change " << change;
+    EXPECT_EQ(IsMiss(tlb->Lookup(0, vpn)), change == 1) << "change " << change;
+  }
+}
+
+TYPED_TEST(TlbMemoTypedTest, InsertWithoutAMissDoesNotMemoize) {
+  auto tlb = MakeTlb<TypeParam>(64);
+  const Vpn vpn{0x8000};
+  ASSERT_TRUE(IsMiss(tlb->Lookup(0, vpn + 1)));  // Pending: another page.
+  tlb->Insert(0, vpn, BaseFill(vpn, Ppn{1}));
+  EXPECT_FALSE(tlb->Memoizes(0, vpn));
+  ASSERT_TRUE(IsMiss(tlb->Lookup(1, vpn)));  // Pending: another asid.
+  tlb->Insert(0, vpn, BaseFill(vpn, Ppn{1}));
+  EXPECT_FALSE(tlb->Memoizes(0, vpn));
+}
+
+TEST(TlbMemoTest, PsbFillWithoutThePageDoesNotMemoize) {
+  PartialSubblockTlb tlb(8, 16);
+  const Vpn block{0x8000};
+  ASSERT_TRUE(IsMiss(tlb.Lookup(0, block + 2)));
+  tlb.Insert(0, block + 2, PsbFill(block, Ppn{0x100}, 0x0003));  // Pages 0 and 1 only.
+  EXPECT_FALSE(tlb.Memoizes(0, block + 2));
+  EXPECT_TRUE(IsMiss(tlb.Lookup(0, block + 2)));
+}
+
+TEST(TlbMemoTest, InsertBlockWithoutThePageDoesNotMemoize) {
+  CompleteSubblockTlb tlb(4, 16);
+  const Vpn block{0x8000};
+  ASSERT_EQ(tlb.Lookup(0, block + 2), LookupOutcome::kBlockMiss);
+  const pt::TlbFill fill = BaseFill(block + 1, Ppn{0x101});
+  tlb.InsertBlock(0, block + 2, std::span<const pt::TlbFill>(&fill, 1));
+  EXPECT_FALSE(tlb.Memoizes(0, block + 2));
+  EXPECT_EQ(tlb.Lookup(0, block + 2), LookupOutcome::kSubblockMiss);
+  const pt::TlbFill page2 = BaseFill(block + 2, Ppn{0x102});
+  tlb.InsertBlock(0, block + 2, std::span<const pt::TlbFill>(&page2, 1));
+  EXPECT_TRUE(tlb.Memoizes(0, block + 2));
+  EXPECT_EQ(tlb.Lookup(0, block + 2), LookupOutcome::kHit);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <set>
 #include <vector>
 
@@ -193,9 +194,10 @@ RunCuts ExpectRunsMatchNext(const WorkloadSpec& spec, std::uint64_t n,
     const Run run = runs.NextRun(cap);
     EXPECT_GE(run.count, 1u);
     EXPECT_LE(run.count, std::min<std::uint64_t>(cap, kMaxRunRefs));
+    const std::uint64_t writes = run.StoreBits();
     for (std::uint32_t i = 0; i < run.count; ++i) {
       const Reference ref = refs.Next();
-      const bool is_write = ((run.writes >> i) & 1) != 0;
+      const bool is_write = ((writes >> i) & 1) != 0;
       if (ref.asid != run.asid || VpnOf(ref.va) != VpnOf(run.va) || ref.is_write != is_write ||
           (i == 0 && ref.va != run.va)) {
         ADD_FAILURE() << spec.name << ": run " << k << " reference " << i << " (stream position "
@@ -204,7 +206,7 @@ RunCuts ExpectRunsMatchNext(const WorkloadSpec& spec, std::uint64_t n,
       }
     }
     if (run.count < kMaxRunRefs) {
-      EXPECT_EQ(run.writes >> run.count, 0u) << "store bits past the run's end";
+      EXPECT_EQ(writes >> run.count, 0u) << "store bits past the run's end";
     }
     cuts.full += run.count == kMaxRunRefs;
     cuts.asid_switches += k > 0 && run.asid != last_asid;
@@ -233,6 +235,36 @@ TEST(TraceRunTest, RunsReproduceTheNextStreamForEveryWorkload) {
     }
   }
   EXPECT_GT(full, 0u) << "no sojourn longer than a run was exercised";
+}
+
+// StoreBits() only reads its run: a stream whose store bits were drawn for
+// every run continues exactly like one whose store bits were never drawn.
+TEST(TraceRunTest, StoreBitsLeaveTheStreamUnchanged) {
+  for (const char* name : {"mp3d", "gcc", "ml"}) {
+    const WorkloadSpec& spec = GetPaperWorkload(name);
+    const Snapshot snap = BuildSnapshot(spec);
+    TraceGenerator read(spec, snap);
+    TraceGenerator unread(spec, snap);
+    std::uint64_t stores = 0;
+    for (int k = 0; k < 20000; ++k) {
+      const workload::Run run = read.NextRun(kMaxRunRefs);
+      stores += static_cast<std::uint64_t>(std::popcount(run.StoreBits()));
+      EXPECT_EQ(run.StoreBits(), run.StoreBits());
+      (void)unread.NextRun(kMaxRunRefs);
+    }
+    EXPECT_GT(stores, 0u) << name;
+    for (int k = 0; k < 1000; ++k) {
+      const workload::Run a = read.NextRun(kMaxRunRefs);
+      const workload::Run b = unread.NextRun(kMaxRunRefs);
+      ASSERT_TRUE(a.asid == b.asid && a.va == b.va && a.count == b.count &&
+                  a.StoreBits() == b.StoreBits())
+          << name << ": run " << k << " after the first 20000 differs";
+      const Reference ra = read.Next();
+      const Reference rb = unread.Next();
+      ASSERT_TRUE(ra.asid == rb.asid && ra.va == rb.va && ra.is_write == rb.is_write)
+          << name << ": reference " << k << " after the first 20000 runs differs";
+    }
+  }
 }
 
 TEST(PaperWorkloadsTest, AllElevenPresent) {
