@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -50,8 +49,6 @@ std::string AuditReport::Summary() const {
 }
 
 namespace {
-
-constexpr std::uint64_t kSkip = ~std::uint64_t{0};
 
 std::string Str(std::uint64_t v) { return std::to_string(v); }
 // Diagnostic formatting is a sanctioned serialization boundary: report
@@ -229,108 +226,93 @@ std::uint64_t CheckNodeWords(const CollectedNode& cn, const WordCheckParams& p,
   return translations;
 }
 
-struct ChainExpectations {
-  // tag -> bucket the node must hang on; null skips the bucket check.
-  std::function<std::uint32_t(std::uint64_t)> bucket_of;
-  unsigned tag_shift = 0;  // Invariant: tag == base_vpn >> tag_shift.
-  std::uint64_t nodes = kSkip;
-  std::uint64_t translations = kSkip;
-  std::uint64_t paper_bytes = kSkip;  // Sum of 16 + 8 * num_words per node.
+// What the audit of a chained table expects beyond its words' own checks.
+struct ChainRules {
+  WordCheckParams words;
+  unsigned tag_shift = 0;     // Invariant: tag == base_vpn >> tag_shift.
+  bool paper_bytes = false;   // Recount the paper size as 16 + 8 * words per node.
 };
 
-void AuditChain(const NodeCollector& c, const WordCheckParams& wcp,
-                const ChainExpectations& expect, CoverageMap& coverage, AuditReport& report) {
+// Clustered and adaptive tables key by VPBN and keep one format per node.
+// (An adaptive single-page node's base VPN carries its block offset, which
+// the tag shift drops.)
+template <typename Table>
+ChainRules RulesFor(const Table& table) {
+  return {.words = {.psb_factor = table.subblock_factor(),
+                    .uniform_kind = true,
+                    .check_nonempty = true},
+          .tag_shift = Log2(table.subblock_factor()),
+          .paper_bytes = true};
+}
+ChainRules RulesFor(const pt::HashedPageTable& table) {
+  // A hashed superpage word claims its full 2^SZ pages (TranslationsOf).
+  return {.words = {.psb_factor = table.tag_shift() > 0 ? (1u << table.tag_shift()) : 16,
+                    .superpage_full_claim = true},
+          .tag_shift = table.tag_shift()};
+}
+ChainRules RulesFor(const pt::SuperpageIndexHashed& table) {
+  return {.words = {.psb_factor = 1u << table.block_shift()}, .tag_shift = table.block_shift()};
+}
+
+// The one audit of a pt::ChainArena table: bucket membership, tags, cycles,
+// each node's words, duplicate coverage and the table's own counters.
+template <typename Table>
+AuditReport AuditChains(const Table& table) {
+  const ChainRules rules = RulesFor(table);
+  NodeCollector c;
+  table.AuditVisit(c);
+  AuditReport report;
+  CoverageMap coverage;
   for (const std::uint32_t b : c.cycles) {
     report.Add("hash chain at bucket " + Str(b) + " is cyclic or has an out-of-range index");
   }
   std::uint64_t translations = 0;
   std::uint64_t bytes = 0;
   for (const CollectedNode& cn : c.nodes) {
-    if (expect.bucket_of && expect.bucket_of(cn.meta.tag) != cn.meta.bucket) {
+    const std::uint32_t bucket = table.BucketOf(cn.meta.tag);
+    if (bucket != cn.meta.bucket) {
       report.Add(NodeId(cn) + ": hangs on bucket " + Str(cn.meta.bucket) +
-                 " but its tag hashes to bucket " + Str(expect.bucket_of(cn.meta.tag)));
+                 " but its tag hashes to bucket " + Str(bucket));
     }
     // View tags are domain-erased chain keys; recompute the key the same way.
-    if ((cn.meta.base_vpn.raw() >> expect.tag_shift) != cn.meta.tag) {
+    if ((cn.meta.base_vpn.raw() >> rules.tag_shift) != cn.meta.tag) {
       report.Add(NodeId(cn) + ": tag inconsistent with base VPN (misaligned tag)");
     }
-    translations += CheckNodeWords(cn, wcp, coverage, report);
+    translations += CheckNodeWords(cn, rules.words, coverage, report);
     bytes += 16 + 8ull * cn.words.size();
   }
-  if (expect.nodes != kSkip && c.nodes.size() != expect.nodes) {
+  if (c.nodes.size() != table.node_count()) {
     report.Add("walk saw " + Str(c.nodes.size()) + " nodes but the table counts " +
-               Str(expect.nodes));
+               Str(table.node_count()));
   }
-  if (expect.translations != kSkip && translations != expect.translations) {
+  if (translations != table.live_translations()) {
     report.Add("walk recounted " + Str(translations) + " translations but the table counts " +
-               Str(expect.translations));
+               Str(table.live_translations()));
   }
-  if (expect.paper_bytes != kSkip && bytes != expect.paper_bytes) {
+  if (rules.paper_bytes && bytes != table.SizeBytesPaperModel()) {
     report.Add("walk recounted " + Str(bytes) + " paper-model bytes but the table counts " +
-               Str(expect.paper_bytes));
+               Str(table.SizeBytesPaperModel()));
   }
+  coverage.Report(report);
+  return report;
 }
 
 }  // namespace
 
 AuditReport StructuralAuditor::Audit(const core::ClusteredPageTable& table) {
-  NodeCollector c;
-  table.AuditVisit(c);
-  WordCheckParams wcp;
-  wcp.psb_factor = table.subblock_factor();
-  wcp.uniform_kind = true;
-  wcp.check_nonempty = true;
-  ChainExpectations expect;
-  expect.bucket_of = [&table](std::uint64_t tag) { return table.BucketOfTag(Vpbn{tag}); };
-  expect.tag_shift = Log2(table.subblock_factor());
-  expect.nodes = table.node_count();
-  expect.translations = table.live_translations();
-  expect.paper_bytes = table.SizeBytesPaperModel();
-  AuditReport report;
-  CoverageMap coverage;
-  AuditChain(c, wcp, expect, coverage, report);
-  coverage.Report(report);
-  return report;
+  return AuditChains(table);
 }
 
 AuditReport StructuralAuditor::Audit(const core::AdaptiveClusteredPageTable& table) {
-  NodeCollector c;
-  table.AuditVisit(c);
-  WordCheckParams wcp;
-  wcp.psb_factor = table.subblock_factor();
-  wcp.uniform_kind = true;
-  wcp.check_nonempty = true;
-  ChainExpectations expect;
-  expect.bucket_of = [&table](std::uint64_t tag) { return table.BucketOfTag(Vpbn{tag}); };
-  expect.tag_shift = Log2(table.subblock_factor());
-  expect.nodes = table.node_count();
-  expect.translations = table.live_translations();
-  expect.paper_bytes = table.SizeBytesPaperModel();
-  AuditReport report;
-  CoverageMap coverage;
-  // Adaptive single-page nodes carry the block offset in base_vpn; the tag
-  // check still holds because boff < subblock_factor.
-  AuditChain(c, wcp, expect, coverage, report);
-  coverage.Report(report);
-  return report;
+  return AuditChains(table);
 }
 
 AuditReport StructuralAuditor::Audit(const pt::HashedPageTable& table) {
-  NodeCollector c;
-  table.AuditVisit(c);
-  WordCheckParams wcp;
-  wcp.psb_factor = table.tag_shift() > 0 ? (1u << table.tag_shift()) : 16;
-  wcp.superpage_full_claim = true;  // TranslationsOf counts the full 2^SZ.
-  ChainExpectations expect;
-  expect.bucket_of = [&table](std::uint64_t key) { return table.BucketOfKey(key); };
-  expect.tag_shift = table.tag_shift();
-  expect.nodes = table.node_count();
-  expect.translations = table.live_translations();
-  AuditReport report;
-  CoverageMap coverage;
-  AuditChain(c, wcp, expect, coverage, report);
-  coverage.Report(report);
-  return report;
+  return AuditChains(table);
+}
+
+AuditReport StructuralAuditor::Audit(const pt::SuperpageIndexHashed& table) {
+  return AuditChains(table);
 }
 
 AuditReport StructuralAuditor::Audit(const pt::MultiTableHashed& table) {
@@ -339,43 +321,16 @@ AuditReport StructuralAuditor::Audit(const pt::MultiTableHashed& table) {
   report.Merge(Audit(table.block_table()), "block table");
   // Cross-table duplicate coverage: the OS keeps the two tables disjoint
   // (PSB vector bits for placed pages, base PTEs for the rest).
-  NodeCollector base;
-  table.base_table().AuditVisit(base);
-  NodeCollector block;
-  table.block_table().AuditVisit(block);
   CoverageMap coverage;
   AuditReport scratch;  // Per-table defects were already reported above.
-  WordCheckParams base_wcp;
-  base_wcp.superpage_full_claim = true;
-  WordCheckParams block_wcp;
-  block_wcp.psb_factor = 1u << table.block_table().tag_shift();
-  block_wcp.superpage_full_claim = true;
-  for (const CollectedNode& cn : base.nodes) {
-    CheckNodeWords(cn, base_wcp, coverage, scratch);
+  for (const pt::HashedPageTable* t : {&table.base_table(), &table.block_table()}) {
+    NodeCollector c;
+    t->AuditVisit(c);
+    const WordCheckParams wcp = RulesFor(*t).words;
+    for (const CollectedNode& cn : c.nodes) {
+      CheckNodeWords(cn, wcp, coverage, scratch);
+    }
   }
-  for (const CollectedNode& cn : block.nodes) {
-    CheckNodeWords(cn, block_wcp, coverage, scratch);
-  }
-  coverage.Report(report);
-  return report;
-}
-
-AuditReport StructuralAuditor::Audit(const pt::SuperpageIndexHashed& table) {
-  NodeCollector c;
-  table.AuditVisit(c);
-  WordCheckParams wcp;
-  wcp.psb_factor = 1u << table.block_shift();
-  ChainExpectations expect;
-  const unsigned shift = table.block_shift();
-  expect.bucket_of = [&table, shift](std::uint64_t tag) {
-    return table.BucketOfVpn(Vpn{tag << shift});
-  };
-  expect.tag_shift = shift;
-  expect.nodes = table.node_count();
-  expect.translations = table.live_translations();
-  AuditReport report;
-  CoverageMap coverage;
-  AuditChain(c, wcp, expect, coverage, report);
   coverage.Report(report);
   return report;
 }

@@ -17,9 +17,9 @@
 #include <cstdint>
 #include <optional>
 
-#include "core/clustered.h"
 #include "mem/reservation.h"
 #include "os/address_space.h"
+#include "pt/chain.h"
 #include "pt/forward.h"
 #include "pt/hashed.h"
 #include "pt/linear.h"
@@ -32,59 +32,51 @@ class TestBackdoor {
   // base_vpn >> tag_shift no longer matches the node's key — the
   // "misaligned tag" defect.
   static bool CorruptHashedBaseVpn(pt::HashedPageTable& table) {
-    for (const std::int32_t head : table.buckets_) {
-      if (head == pt::HashedPageTable::kNil) {
+    pt::ChainArena<pt::HashedNode>& chains = table;
+    for (const std::int32_t head : chains.buckets_) {
+      if (head != pt::kChainEnd) {
+        chains.arena_[head].base_vpn += std::uint64_t{1} << table.tag_shift();
+        return true;
+      }
+    }
+    return false;
+  }
+
+  // Clones the head node of the first non-empty chain of a chained table and
+  // links the clone in front of it, so the cloned node's pages are covered
+  // twice.  The node count follows; the table's translation and byte totals
+  // do not, so the audit reports their recounts too.
+  template <typename Node>
+  static bool SeedDuplicateCoverage(pt::ChainArena<Node>& chains) {
+    for (std::uint32_t b = 0; b < chains.buckets_.size(); ++b) {
+      const std::int32_t head = chains.buckets_[b];
+      if (head == pt::kChainEnd) {
         continue;
       }
-      table.arena_[head].base_vpn += std::uint64_t{1} << table.opts_.tag_shift;
+      const Node original = chains.arena_[head];
+      Node& clone = chains.arena_[chains.LinkNewSlot(b)];
+      const std::int32_t next = clone.next;
+      clone = original;
+      clone.next = next;
       return true;
     }
     return false;
   }
 
-  // Clones the head node of the first non-empty chain and links the clone in
-  // front of it.  Node/translation/byte totals are adjusted so the *only*
-  // surviving defect is the duplicated coverage of the cloned node's pages.
-  static bool SeedDuplicateCoverage(core::ClusteredPageTable& table) {
-    constexpr std::int32_t kNil = core::ClusteredPageTable::kNil;
-    for (std::uint32_t b = 0; b < table.buckets_.size(); ++b) {
-      const std::int32_t head = table.buckets_[b];
-      if (head == kNil) {
-        continue;
-      }
-      const auto original = table.arena_[head];
-      std::int32_t clone;
-      if (!table.free_nodes_.empty()) {
-        clone = table.free_nodes_.back();
-        table.free_nodes_.pop_back();
-      } else {
-        clone = static_cast<std::int32_t>(table.arena_.size());
-        table.arena_.emplace_back();
-      }
-      table.arena_[clone] = original;
-      table.arena_[clone].next = head;
-      table.buckets_[b] = clone;
-      table.live_nodes_ += 1;
-      table.live_translations_ += table.NodeTranslations(original);
-      table.paper_bytes_ += table.NodeBytes(original);
-      return true;
-    }
-    return false;
-  }
-
-  // Points the tail of the first non-empty chain back at its head, turning
-  // the chain into a cycle (a self-loop when the chain has one node).
-  static bool SeedChainCycle(core::ClusteredPageTable& table) {
-    constexpr std::int32_t kNil = core::ClusteredPageTable::kNil;
-    for (std::int32_t head : table.buckets_) {
-      if (head == kNil) {
+  // Points the tail of the first non-empty chain of a chained table back at
+  // its head, turning the chain into a cycle (a self-loop when the chain has
+  // one node).
+  template <typename Node>
+  static bool SeedChainCycle(pt::ChainArena<Node>& chains) {
+    for (const std::int32_t head : chains.buckets_) {
+      if (head == pt::kChainEnd) {
         continue;
       }
       std::int32_t tail = head;
-      while (table.arena_[tail].next != kNil) {
-        tail = table.arena_[tail].next;
+      while (chains.arena_[tail].next != pt::kChainEnd) {
+        tail = chains.arena_[tail].next;
       }
-      table.arena_[tail].next = head;
+      chains.arena_[tail].next = head;
       return true;
     }
     return false;

@@ -10,21 +10,10 @@ namespace cpt::core {
 using pt::TlbFill;
 
 AdaptiveClusteredPageTable::AdaptiveClusteredPageTable(mem::CacheTouchModel& cache, Options opts)
-    : PageTable(cache),
-      opts_(opts),
+    : ChainArena(cache, opts.num_buckets, std::bit_ceil(kHeaderBytes + kWordBytes)),
       factor_(opts.subblock_factor),
-      block_log2_(Log2(opts.subblock_factor)),
-      hasher_(opts.num_buckets, opts.hash_kind),
-      alloc_(cache.line_size(), opts.placement),
-      buckets_(opts.num_buckets, kNil) {
-  CPT_CHECK(IsPowerOfTwo(opts.num_buckets));
+      block_log2_(Log2(opts.subblock_factor)) {
   CPT_CHECK(IsPowerOfTwo(factor_) && factor_ >= 2 && factor_ <= kMaxFactor);
-  CPT_CHECK(opts.demote_occupancy < opts.promote_occupancy);
-  bucket_stride_ = std::bit_ceil(std::uint64_t{24});
-  bucket_base_ = alloc_.Allocate(std::uint64_t{opts_.num_buckets} * bucket_stride_);
-  // Hot-path hygiene: UnlinkNode recycles through this free list during
-  // reclustering, so give it slack up front (common/hotpath.h discipline).
-  free_nodes_.reserve(64);
 }
 
 AdaptiveClusteredPageTable::~AdaptiveClusteredPageTable() = default;
@@ -43,7 +32,7 @@ std::uint64_t AdaptiveClusteredPageTable::WordTranslations(const MappingWord& w)
   return 0;
 }
 
-std::uint64_t AdaptiveClusteredPageTable::NodeTranslations(const Node& n) const {
+std::uint64_t AdaptiveClusteredPageTable::NodeTranslations(const AdaptiveNode& n) const {
   if (n.kind == NodeKind::kSingle) {
     return n.words[0].load().valid() ? 1 : 0;
   }
@@ -63,53 +52,22 @@ void AdaptiveClusteredPageTable::StoreWord(AtomicMappingWord& slot, MappingWord 
   slot.store(w);
 }
 
-std::int32_t AdaptiveClusteredPageTable::AllocNode(Vpbn tag, NodeKind kind, unsigned nwords) {
-  std::int32_t idx;
-  if (!free_nodes_.empty()) {
-    idx = free_nodes_.back();
-    free_nodes_.pop_back();
-  } else {
-    // Fault path only: a node is created when a key is first inserted.
-    // PageTable::UpdateAttrFlags's rewrite replaces an existing node and
-    // never allocates.
-    arena_.push_back(Node{});
-    idx = static_cast<std::int32_t>(arena_.size() - 1);
-  }
-  const std::uint32_t b = hasher_(tag);
-  Node& n = arena_[idx];
+AdaptiveNode& AdaptiveClusteredPageTable::NewNode(std::uint32_t b, Vpbn tag, NodeKind kind,
+                                                  unsigned nwords) {
+  AdaptiveNode& n = Alloc(b, NodeBytes(kind));
   n.tag = tag;
   n.kind = kind;
-  n.boff = 0;
   n.words.assign(nwords, AtomicMappingWord{MappingWord::Invalid()});
-  n.next = buckets_[b];
-  buckets_[b] = idx;
-  n.addr = alloc_.Allocate(NodeBytes(n));
-  ++live_nodes_;
-  paper_bytes_ += NodeBytes(n);
-  return idx;
+  return n;
 }
 
-std::int32_t* AdaptiveClusteredPageTable::LinkOf(std::int32_t idx) {
-  const std::uint32_t b = hasher_(arena_[idx].tag);
-  std::int32_t* link = &buckets_[b];
-  while (*link != idx) {
-    CPT_DCHECK(*link != kNil);
-    link = &arena_[*link].next;
-  }
-  return link;
+void AdaptiveClusteredPageTable::RemoveNode(std::int32_t* link) {
+  const AdaptiveNode& n = NodeAt(link);
+  live_translations_ -= NodeTranslations(n);
+  UnlinkAndFree(link, NodeBytes(n.kind));
 }
 
-void AdaptiveClusteredPageTable::UnlinkNode(std::int32_t idx) {
-  Node& n = arena_[idx];
-  paper_bytes_ -= NodeBytes(n);
-  alloc_.Free(n.addr, NodeBytes(n));
-  *LinkOf(idx) = n.next;
-  n = Node{};
-  free_nodes_.push_back(idx);
-  --live_nodes_;
-}
-
-TlbFill AdaptiveClusteredPageTable::FillFromWord(const Node& n, unsigned boff) const {
+TlbFill AdaptiveClusteredPageTable::FillFromWord(const AdaptiveNode& n, unsigned boff) const {
   const Vpn block_first = FirstVpnOfBlock(n.tag, factor_);
   TlbFill fill;
   switch (n.kind) {
@@ -147,15 +105,11 @@ std::optional<TlbFill> AdaptiveClusteredPageTable::Lookup(VirtAddr va) {
   const Vpn vpn = VpnOf(va);
   const Vpbn vpbn = VpbnOf(vpn, factor_);
   const unsigned boff = BoffOf(vpn, factor_);
-  const std::uint32_t b = hasher_(vpbn);
-  cache_.Touch(BucketAddr(b), 16);
-  bool head = true;
+  const std::uint32_t b = BucketOf(vpbn);
+  cache_.Touch(HeadAddr(b), 16);
   std::uint32_t chain_pos = 0;
   obs::WalkTracer* const tracer = cache_.tracer();
-  for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
-    const Node& n = arena_[idx];
-    const PhysAddr addr = head ? BucketAddr(b) : n.addr;
-    head = false;
+  for (const auto [n, addr] : Walk(b)) {
     cache_.Touch(addr, 16);
     if (tracer != nullptr) {
       tracer->Record({.kind = obs::EventKind::kWalkStep,
@@ -192,13 +146,9 @@ void AdaptiveClusteredPageTable::LookupBlock(VirtAddr va, unsigned subblock_fact
                                              std::vector<TlbFill>& out) {
   CPT_DCHECK(subblock_factor == factor_);
   const Vpbn vpbn = VpbnOf(VpnOf(va), factor_);
-  const std::uint32_t b = hasher_(vpbn);
-  cache_.Touch(BucketAddr(b), 16);
-  bool head = true;
-  for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
-    const Node& n = arena_[idx];
-    const PhysAddr addr = head ? BucketAddr(b) : n.addr;
-    head = false;
+  const std::uint32_t b = BucketOf(vpbn);
+  cache_.Touch(HeadAddr(b), 16);
+  for (const auto [n, addr] : Walk(b)) {
     cache_.Touch(addr, 16);
     if (n.tag != vpbn) {
       continue;
@@ -218,42 +168,28 @@ void AdaptiveClusteredPageTable::LookupBlock(VirtAddr va, unsigned subblock_fact
 
 unsigned AdaptiveClusteredPageTable::BlockBaseOccupancy(Vpbn tag) const {
   unsigned occupancy = 0;
-  for (std::int32_t idx = buckets_[hasher_(tag)]; idx != kNil; idx = arena_[idx].next) {
-    const Node& n = arena_[idx];
-    if (n.tag != tag) {
-      continue;
-    }
-    if (n.kind == NodeKind::kSingle) {
-      occupancy += n.words[0].load().valid() ? 1 : 0;
-    } else if (n.kind == NodeKind::kArray) {
-      for (const AtomicMappingWord& cell : n.words) {
-        occupancy += cell.load().valid() ? 1 : 0;
-      }
+  for (const AdaptiveNode& n : Nodes(BucketOf(tag))) {
+    if (n.tag == tag && (n.kind == NodeKind::kSingle || n.kind == NodeKind::kArray)) {
+      occupancy += static_cast<unsigned>(NodeTranslations(n));
     }
   }
   return occupancy;
 }
 
 void AdaptiveClusteredPageTable::PromoteToArray(Vpbn tag) {
-  // Gather the singles, free them, and build one array node.
+  // Gather the singles, free them in chain order, and only then allocate
+  // the array node (the simulated allocator sees the frees first).
   MappingWord words[kMaxFactor];
   for (unsigned i = 0; i < factor_; ++i) {
     words[i] = MappingWord::Invalid();
   }
-  const std::uint32_t b = hasher_(tag);
-  std::int32_t idx = buckets_[b];
-  while (idx != kNil) {
-    const std::int32_t next = arena_[idx].next;
-    Node& n = arena_[idx];
-    if (n.tag == tag && n.kind == NodeKind::kSingle) {
-      words[n.boff] = n.words[0].load();
-      live_translations_ -= NodeTranslations(n);
-      UnlinkNode(idx);
-    }
-    idx = next;
+  const std::uint32_t b = BucketOf(tag);
+  while (std::int32_t* link = FindLink(b, KindMatch(tag, NodeKind::kSingle))) {
+    const AdaptiveNode& n = NodeAt(link);
+    words[n.boff] = n.words[0].load();
+    RemoveNode(link);
   }
-  const std::int32_t array_idx = AllocNode(tag, NodeKind::kArray, factor_);
-  Node& array = arena_[array_idx];
+  AdaptiveNode& array = NewNode(b, tag, NodeKind::kArray, factor_);
   for (unsigned i = 0; i < factor_; ++i) {
     array.words[i].store(words[i]);
   }
@@ -262,27 +198,21 @@ void AdaptiveClusteredPageTable::PromoteToArray(Vpbn tag) {
 }
 
 void AdaptiveClusteredPageTable::DemoteToSingles(Vpbn tag) {
-  std::int32_t array_idx = kNil;
-  for (std::int32_t idx = buckets_[hasher_(tag)]; idx != kNil; idx = arena_[idx].next) {
-    if (arena_[idx].tag == tag && arena_[idx].kind == NodeKind::kArray) {
-      array_idx = idx;
-      break;
-    }
-  }
-  if (array_idx == kNil) {
+  const std::uint32_t b = BucketOf(tag);
+  std::int32_t* link = FindLink(b, KindMatch(tag, NodeKind::kArray));
+  if (link == nullptr) {
     return;
   }
   MappingWord words[kMaxFactor];
   for (unsigned i = 0; i < factor_; ++i) {
-    words[i] = arena_[array_idx].words[i].load();
+    words[i] = NodeAt(link).words[i].load();
   }
-  live_translations_ -= NodeTranslations(arena_[array_idx]);
-  UnlinkNode(array_idx);
+  RemoveNode(link);
   for (unsigned i = 0; i < factor_; ++i) {
     if (words[i].valid()) {
-      const std::int32_t idx = AllocNode(tag, NodeKind::kSingle, 1);
-      arena_[idx].boff = static_cast<std::uint8_t>(i);
-      arena_[idx].words[0].store(words[i]);
+      AdaptiveNode& single = NewNode(b, tag, NodeKind::kSingle, 1);
+      single.boff = static_cast<std::uint8_t>(i);
+      single.words[0].store(words[i]);
       ++live_translations_;
     }
   }
@@ -294,25 +224,20 @@ void AdaptiveClusteredPageTable::InsertBase(Vpn vpn, Ppn ppn, Attr attr) {
   const unsigned boff = BoffOf(vpn, factor_);
   const MappingWord word = MappingWord::Base(ppn, attr);
   // Upsert into an existing array or single node for this page.
-  for (std::int32_t idx = buckets_[hasher_(tag)]; idx != kNil; idx = arena_[idx].next) {
-    Node& n = arena_[idx];
-    if (n.tag != tag) {
-      continue;
-    }
-    if (n.kind == NodeKind::kArray) {
-      StoreWord(n.words[boff], word);
-      return;
-    }
-    if (n.kind == NodeKind::kSingle && n.boff == boff) {
-      StoreWord(n.words[0], word);
-      return;
-    }
+  const std::uint32_t b = BucketOf(tag);
+  AdaptiveNode* n = Find(b, [&](const AdaptiveNode& node) {
+    return node.tag == tag &&
+           (node.kind == NodeKind::kArray || (node.kind == NodeKind::kSingle && node.boff == boff));
+  });
+  if (n != nullptr) {
+    StoreWord(n->words[n->kind == NodeKind::kArray ? boff : 0], word);
+    return;
   }
   // New single-page node; promote the block if it crossed the threshold.
-  const std::int32_t idx = AllocNode(tag, NodeKind::kSingle, 1);
-  arena_[idx].boff = static_cast<std::uint8_t>(boff);
-  StoreWord(arena_[idx].words[0], word);
-  if (BlockBaseOccupancy(tag) >= opts_.promote_occupancy) {
+  AdaptiveNode& single = NewNode(b, tag, NodeKind::kSingle, 1);
+  single.boff = static_cast<std::uint8_t>(boff);
+  StoreWord(single.words[0], word);
+  if (BlockBaseOccupancy(tag) >= kPromoteOccupancy) {
     PromoteToArray(tag);
   }
 }
@@ -320,28 +245,27 @@ void AdaptiveClusteredPageTable::InsertBase(Vpn vpn, Ppn ppn, Attr attr) {
 bool AdaptiveClusteredPageTable::RemoveBase(Vpn vpn) {
   const Vpbn tag = VpbnOf(vpn, factor_);
   const unsigned boff = BoffOf(vpn, factor_);
-  for (std::int32_t idx = buckets_[hasher_(tag)]; idx != kNil; idx = arena_[idx].next) {
-    Node& n = arena_[idx];
-    if (n.tag != tag) {
-      continue;
-    }
-    if (n.kind == NodeKind::kSingle && n.boff == boff && n.words[0].load().valid()) {
-      --live_translations_;
-      UnlinkNode(idx);
-      return true;
-    }
-    if (n.kind == NodeKind::kArray && n.words[boff].load().valid()) {
-      StoreWord(n.words[boff], MappingWord::Invalid());
-      const unsigned occupancy = BlockBaseOccupancy(tag);
-      if (occupancy == 0) {
-        UnlinkNode(idx);
-      } else if (occupancy <= opts_.demote_occupancy) {
-        DemoteToSingles(tag);
-      }
-      return true;
-    }
+  std::int32_t* link = FindLink(BucketOf(tag), [&](const AdaptiveNode& n) {
+    return n.tag == tag &&
+           ((n.kind == NodeKind::kSingle && n.boff == boff && n.words[0].load().valid()) ||
+            (n.kind == NodeKind::kArray && n.words[boff].load().valid()));
+  });
+  if (link == nullptr) {
+    return false;
   }
-  return false;
+  AdaptiveNode& n = NodeAt(link);
+  if (n.kind == NodeKind::kSingle) {
+    RemoveNode(link);
+    return true;
+  }
+  StoreWord(n.words[boff], MappingWord::Invalid());
+  const unsigned occupancy = BlockBaseOccupancy(tag);
+  if (occupancy == 0) {
+    RemoveNode(link);
+  } else if (occupancy <= kDemoteOccupancy) {
+    DemoteToSingles(tag);
+  }
+  return true;
 }
 
 void AdaptiveClusteredPageTable::InsertSuperpage(Vpn base_vpn, PageSize size, Ppn base_ppn,
@@ -352,20 +276,10 @@ void AdaptiveClusteredPageTable::InsertSuperpage(Vpn base_vpn, PageSize size, Pp
   const unsigned blocks = size.pages() / factor_;
   const Vpbn first = VpbnOf(base_vpn, factor_);
   for (unsigned blk = 0; blk < blocks; ++blk) {
-    bool found = false;
-    for (std::int32_t idx = buckets_[hasher_(first + blk)]; idx != kNil;
-         idx = arena_[idx].next) {
-      Node& n = arena_[idx];
-      if (n.tag == first + blk && n.kind == NodeKind::kSuperpage) {
-        StoreWord(n.words[0], word);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      const std::int32_t idx = AllocNode(first + blk, NodeKind::kSuperpage, 1);
-      StoreWord(arena_[idx].words[0], word);
-    }
+    const Vpbn tag = first + blk;
+    const std::uint32_t b = BucketOf(tag);
+    AdaptiveNode* n = Find(b, KindMatch(tag, NodeKind::kSuperpage));
+    StoreWord((n != nullptr ? *n : NewNode(b, tag, NodeKind::kSuperpage, 1)).words[0], word);
   }
 }
 
@@ -374,15 +288,10 @@ bool AdaptiveClusteredPageTable::RemoveSuperpage(Vpn base_vpn, PageSize size) {
   const unsigned blocks = size.pages() >= factor_ ? size.pages() / factor_ : 1;
   const Vpbn first = VpbnOf(base_vpn, factor_);
   for (unsigned blk = 0; blk < blocks; ++blk) {
-    for (std::int32_t idx = buckets_[hasher_(first + blk)]; idx != kNil;
-         idx = arena_[idx].next) {
-      Node& n = arena_[idx];
-      if (n.tag == first + blk && n.kind == NodeKind::kSuperpage) {
-        live_translations_ -= NodeTranslations(n);
-        UnlinkNode(idx);
-        any = true;
-        break;
-      }
+    const Vpbn tag = first + blk;
+    if (std::int32_t* link = FindLink(BucketOf(tag), KindMatch(tag, NodeKind::kSuperpage))) {
+      RemoveNode(link);
+      any = true;
     }
   }
   return any;
@@ -395,29 +304,20 @@ void AdaptiveClusteredPageTable::UpsertPartialSubblock(Vpn block_base_vpn,
   CPT_DCHECK(subblock_factor == factor_ && factor_ <= MappingWord::kMaxPsbFactor);
   const Vpbn tag = VpbnOf(block_base_vpn, factor_);
   const MappingWord word = MappingWord::PartialSubblock(block_base_ppn, attr, valid_vector);
-  for (std::int32_t idx = buckets_[hasher_(tag)]; idx != kNil; idx = arena_[idx].next) {
-    Node& n = arena_[idx];
-    if (n.tag == tag && n.kind == NodeKind::kPsb) {
-      StoreWord(n.words[0], word);
-      return;
-    }
-  }
-  const std::int32_t idx = AllocNode(tag, NodeKind::kPsb, 1);
-  StoreWord(arena_[idx].words[0], word);
+  const std::uint32_t b = BucketOf(tag);
+  AdaptiveNode* n = Find(b, KindMatch(tag, NodeKind::kPsb));
+  StoreWord((n != nullptr ? *n : NewNode(b, tag, NodeKind::kPsb, 1)).words[0], word);
 }
 
 bool AdaptiveClusteredPageTable::RemovePartialSubblock(Vpn block_base_vpn,
                                                        unsigned /*subblock_factor*/) {
   const Vpbn tag = VpbnOf(block_base_vpn, factor_);
-  for (std::int32_t idx = buckets_[hasher_(tag)]; idx != kNil; idx = arena_[idx].next) {
-    Node& n = arena_[idx];
-    if (n.tag == tag && n.kind == NodeKind::kPsb) {
-      live_translations_ -= NodeTranslations(n);
-      UnlinkNode(idx);
-      return true;
-    }
+  std::int32_t* link = FindLink(BucketOf(tag), KindMatch(tag, NodeKind::kPsb));
+  if (link == nullptr) {
+    return false;
   }
-  return false;
+  RemoveNode(link);
+  return true;
 }
 
 bool AdaptiveClusteredPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
@@ -429,8 +329,7 @@ bool AdaptiveClusteredPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask
   // read stale bits.
   const Vpbn vpbn = VpbnOf(vpn, factor_);
   const unsigned boff = BoffOf(vpn, factor_);
-  for (std::int32_t idx = buckets_[hasher_(vpbn)]; idx != kNil; idx = arena_[idx].next) {
-    Node& n = arena_[idx];
+  for (AdaptiveNode& n : Nodes(BucketOf(vpbn))) {
     if (n.tag != vpbn) {
       continue;
     }
@@ -447,16 +346,12 @@ bool AdaptiveClusteredPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask
       const unsigned blocks = 1u << (fill.pages_log2 - block_log2_);
       const Vpbn first_block = VpbnOf(fill.base_vpn, factor_);
       for (unsigned blk = 0; blk < blocks; ++blk) {
-        if (first_block + blk == vpbn) {
+        const Vpbn tag = first_block + blk;
+        if (tag == vpbn) {
           continue;
         }
-        for (std::int32_t sidx = buckets_[hasher_(first_block + blk)]; sidx != kNil;
-             sidx = arena_[sidx].next) {
-          Node& sibling = arena_[sidx];
-          if (sibling.tag == first_block + blk && sibling.kind == NodeKind::kSuperpage) {
-            ApplyAttrUpdate(sibling.words[0], set_mask, clear_mask);
-            break;
-          }
+        if (AdaptiveNode* sibling = Find(BucketOf(tag), KindMatch(tag, NodeKind::kSuperpage))) {
+          ApplyAttrUpdate(sibling->words[0], set_mask, clear_mask);
         }
       }
     }
@@ -474,8 +369,7 @@ std::uint64_t AdaptiveClusteredPageTable::ProtectRange(Vpn first_vpn, std::uint6
   const Vpn last_vpn = first_vpn + npages - 1;
   for (Vpbn tag = VpbnOf(first_vpn, factor_); tag <= VpbnOf(last_vpn, factor_); ++tag) {
     ++searches;
-    for (std::int32_t idx = buckets_[hasher_(tag)]; idx != kNil; idx = arena_[idx].next) {
-      Node& n = arena_[idx];
+    for (AdaptiveNode& n : Nodes(BucketOf(tag))) {
       if (n.tag != tag) {
         continue;
       }
@@ -490,61 +384,31 @@ std::uint64_t AdaptiveClusteredPageTable::ProtectRange(Vpn first_vpn, std::uint6
   return searches;
 }
 
-std::uint64_t AdaptiveClusteredPageTable::SizeBytesActual() const { return alloc_.bytes_live(); }
-
 std::string AdaptiveClusteredPageTable::name() const {
   return "clustered-adaptive-s" + std::to_string(factor_);
 }
 
 void AdaptiveClusteredPageTable::AuditVisit(check::PtAuditVisitor& visitor) const {
-  const std::uint64_t step_limit = live_nodes_ + 1;
-  for (std::uint32_t b = 0; b < buckets_.size(); ++b) {
-    std::uint64_t steps = 0;
-    for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
-      if (++steps > step_limit || idx < 0 ||
-          static_cast<std::size_t>(idx) >= arena_.size()) {
-        visitor.OnChainCycle(b);
+  VisitChains(visitor, [this](const AdaptiveNode& n, check::PtNodeView& view) {
+    view.tag = n.tag.raw();  // PtNodeView tags are deliberately domain-erased chain keys.
+    view.words = n.words.data();
+    view.num_words = static_cast<unsigned>(n.words.size());
+    view.base_vpn = FirstVpnOfBlock(n.tag, factor_);
+    switch (n.kind) {
+      case NodeKind::kSingle:
+        view.base_vpn += n.boff;
+        view.sub_log2 = 0;
         break;
-      }
-      const Node& n = arena_[idx];
-      check::PtNodeView view;
-      view.bucket = b;
-      view.tag = n.tag.raw();  // PtNodeView tags are deliberately domain-erased chain keys.
-      view.index = idx;
-      view.addr = n.addr;
-      view.words = n.words.data();
-      view.num_words = static_cast<unsigned>(n.words.size());
-      switch (n.kind) {
-        case NodeKind::kSingle:
-          view.base_vpn = FirstVpnOfBlock(n.tag, factor_) + n.boff;
-          view.sub_log2 = 0;
-          break;
-        case NodeKind::kArray:
-          view.base_vpn = FirstVpnOfBlock(n.tag, factor_);
-          view.sub_log2 = 0;
-          break;
-        case NodeKind::kSuperpage:
-        case NodeKind::kPsb:
-          // One compact word covering the whole block.
-          view.base_vpn = FirstVpnOfBlock(n.tag, factor_);
-          view.sub_log2 = block_log2_;
-          break;
-      }
-      visitor.OnNode(view);
+      case NodeKind::kArray:
+        view.sub_log2 = 0;
+        break;
+      case NodeKind::kSuperpage:
+      case NodeKind::kPsb:
+        // One compact word covering the whole block.
+        view.sub_log2 = block_log2_;
+        break;
     }
-  }
-}
-
-Histogram AdaptiveClusteredPageTable::ChainLengthHistogram() const {
-  Histogram h;
-  for (const std::int32_t head : buckets_) {
-    std::size_t len = 0;
-    for (std::int32_t idx = head; idx != kNil; idx = arena_[idx].next) {
-      ++len;
-    }
-    h.Add(len);
-  }
-  return h;
+  });
 }
 
 }  // namespace cpt::core

@@ -9,20 +9,14 @@ namespace cpt::core {
 
 using pt::TlbFill;
 
+// Bucket heads are embedded base-size nodes: probing an empty bucket still
+// reads one line, as in the hashed table.
 ClusteredPageTable::ClusteredPageTable(mem::CacheTouchModel& cache, Options opts)
-    : PageTable(cache),
-      opts_(opts),
+    : ChainArena(cache, opts.num_buckets,
+                 std::bit_ceil(kHeaderBytes + kWordBytes * opts.subblock_factor)),
       factor_(opts.subblock_factor),
-      block_log2_(Log2(opts.subblock_factor)),
-      hasher_(opts.num_buckets, opts.hash_kind),
-      alloc_(cache.line_size(), opts.placement),
-      buckets_(opts.num_buckets, kNil) {
-  CPT_CHECK(IsPowerOfTwo(opts.num_buckets));
-  CPT_CHECK(IsPowerOfTwo(factor_) && factor_ >= 2 && factor_ <= kMaxSubblockFactor);
-  // Bucket heads are embedded base-size nodes: probing an empty bucket still
-  // reads one line, as in the hashed table.
-  bucket_stride_ = std::bit_ceil(16 + 8ull * factor_);
-  bucket_base_ = alloc_.Allocate(std::uint64_t{opts_.num_buckets} * bucket_stride_);
+      block_log2_(Log2(opts.subblock_factor)) {
+  CPT_CHECK(IsPowerOfTwo(factor_) && factor_ >= 2 && factor_ <= kMaxClusteredFactor);
 }
 
 ClusteredPageTable::~ClusteredPageTable() = default;
@@ -43,24 +37,24 @@ std::uint64_t ClusteredPageTable::WordTranslations(MappingWord w, unsigned sub_l
   return 0;
 }
 
-std::uint64_t ClusteredPageTable::NodeTranslations(const Node& n) const {
+std::uint64_t ClusteredPageTable::NodeTranslations(const ClusteredNode& n) const {
   std::uint64_t total = 0;
-  const unsigned words = WordsInNode(n);
+  const unsigned words = WordsInNode(n.sub_log2);
   for (unsigned i = 0; i < words; ++i) {
     total += WordTranslations(n.words[i].load(), n.sub_log2);
   }
   return total;
 }
 
-void ClusteredPageTable::StoreWord(Node& n, unsigned word_idx, MappingWord w) {
+void ClusteredPageTable::StoreWord(ClusteredNode& n, unsigned word_idx, MappingWord w) {
   AtomicMappingWord& slot = n.words[word_idx];
   live_translations_ -= WordTranslations(slot.load(), n.sub_log2);
   live_translations_ += WordTranslations(w, n.sub_log2);
   slot.store(w);
 }
 
-bool ClusteredPageTable::NodeEmpty(const Node& n) const {
-  const unsigned words = WordsInNode(n);
+bool ClusteredPageTable::NodeEmpty(const ClusteredNode& n) const {
+  const unsigned words = WordsInNode(n.sub_log2);
   for (unsigned i = 0; i < words; ++i) {
     if (n.words[i].load().valid()) {
       return false;
@@ -69,53 +63,18 @@ bool ClusteredPageTable::NodeEmpty(const Node& n) const {
   return true;
 }
 
-std::int32_t* ClusteredPageTable::FindLink(Vpbn tag, unsigned sub_log2, MappingKind kind0) {
-  std::int32_t* link = &buckets_[hasher_(tag)];
-  while (*link != kNil) {
-    Node& n = arena_[*link];
-    if (n.tag == tag && n.sub_log2 == sub_log2 && n.words[0].load().kind() == kind0) {
-      return link;
-    }
-    link = &n.next;
+ClusteredNode& ClusteredPageTable::GetOrCreateNode(Vpbn tag, unsigned sub_log2,
+                                                   MappingKind kind0) {
+  const std::uint32_t b = BucketOf(tag);
+  if (ClusteredNode* n = Find(b, NodeMatch(tag, sub_log2, kind0))) {
+    return *n;
   }
-  return nullptr;
-}
-
-const ClusteredPageTable::Node* ClusteredPageTable::FindNode(Vpbn tag, unsigned sub_log2,
-                                                             MappingKind kind0) const {
-  for (std::int32_t idx = buckets_[hasher_(tag)]; idx != kNil; idx = arena_[idx].next) {
-    const Node& n = arena_[idx];
-    if (n.tag == tag && n.sub_log2 == sub_log2 && n.words[0].load().kind() == kind0) {
-      return &n;
-    }
-  }
-  return nullptr;
-}
-
-ClusteredPageTable::Node& ClusteredPageTable::GetOrCreateNode(Vpbn tag, unsigned sub_log2,
-                                                              MappingKind kind0) {
-  if (std::int32_t* link = FindLink(tag, sub_log2, kind0)) {
-    return arena_[*link];
-  }
-  std::int32_t idx;
-  if (!free_nodes_.empty()) {
-    idx = free_nodes_.back();
-    free_nodes_.pop_back();
-  } else {
-    // Fault path only: a node is created when a key is first inserted.
-    // PageTable::UpdateAttrFlags's rewrite replaces an existing node and
-    // never allocates.
-    arena_.push_back(Node{});
-    idx = static_cast<std::int32_t>(arena_.size() - 1);
-  }
-  const std::uint32_t b = hasher_(tag);
-  Node& n = arena_[idx];
+  ClusteredNode& n = Alloc(b, NodeBytes(sub_log2));
   n.tag = tag;
   n.sub_log2 = static_cast<std::uint8_t>(sub_log2);
-  n.next = buckets_[b];
   // Empty slots stay self-describing: sub-size superpage nodes carry the SZ
   // field even in invalid words; PSB nodes carry a zero valid vector.
-  const unsigned words = factor_ >> sub_log2;
+  const unsigned words = WordsInNode(sub_log2);
   for (unsigned i = 0; i < words; ++i) {
     switch (kind0) {
       case MappingKind::kBase:
@@ -129,25 +88,16 @@ ClusteredPageTable::Node& ClusteredPageTable::GetOrCreateNode(Vpbn tag, unsigned
         break;
     }
   }
-  n.addr = alloc_.Allocate(NodeBytes(n));
-  buckets_[b] = idx;
-  ++live_nodes_;
-  paper_bytes_ += NodeBytes(n);
   return n;
 }
 
-void ClusteredPageTable::UnlinkAndFree(std::int32_t* link) {
-  const std::int32_t idx = *link;
-  Node& n = arena_[idx];
-  paper_bytes_ -= NodeBytes(n);
-  alloc_.Free(n.addr, NodeBytes(n));
-  *link = n.next;
-  n = Node{};
-  free_nodes_.push_back(idx);
-  --live_nodes_;
+void ClusteredPageTable::RemoveNode(std::int32_t* link) {
+  const ClusteredNode& n = NodeAt(link);
+  live_translations_ -= NodeTranslations(n);
+  UnlinkAndFree(link, NodeBytes(n.sub_log2));
 }
 
-TlbFill ClusteredPageTable::FillFromNode(const Node& n, unsigned word_idx) const {
+TlbFill ClusteredPageTable::FillFromNode(const ClusteredNode& n, unsigned word_idx) const {
   const MappingWord w = n.words[word_idx].load();
   const Vpn block_first = FirstVpnOfBlock(n.tag, factor_);
   TlbFill fill;
@@ -176,16 +126,12 @@ std::optional<TlbFill> ClusteredPageTable::Lookup(VirtAddr va) {
   const Vpn vpn = VpnOf(va);
   const Vpbn vpbn = VpbnOf(vpn, factor_);
   const unsigned boff = BoffOf(vpn, factor_);
-  const std::uint32_t b = hasher_(vpbn);
+  const std::uint32_t b = BucketOf(vpbn);
   // The bucket head is an embedded node: one line even when empty.
-  cache_.Touch(BucketAddr(b), 16);
-  bool head = true;
+  cache_.Touch(HeadAddr(b), 16);
   std::uint32_t chain_pos = 0;
   obs::WalkTracer* const tracer = cache_.tracer();
-  for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
-    const Node& n = arena_[idx];
-    const PhysAddr addr = head ? BucketAddr(b) : n.addr;
-    head = false;
+  for (const auto [n, addr] : Walk(b)) {
     // Chain traversal is identical to a hashed table: read tag and next.
     cache_.Touch(addr, 16);
     if (tracer != nullptr) {
@@ -225,20 +171,16 @@ void ClusteredPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,
   CPT_DCHECK(subblock_factor == factor_);
   const Vpn vpn = VpnOf(va);
   const Vpbn vpbn = VpbnOf(vpn, factor_);
-  const std::uint32_t b = hasher_(vpbn);
-  cache_.Touch(BucketAddr(b), 16);
-  bool head = true;
-  for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
-    const Node& n = arena_[idx];
-    const PhysAddr addr = head ? BucketAddr(b) : n.addr;
-    head = false;
+  const std::uint32_t b = BucketOf(vpbn);
+  cache_.Touch(HeadAddr(b), 16);
+  for (const auto [n, addr] : Walk(b)) {
     cache_.Touch(addr, 16);
     if (n.tag != vpbn) {
       continue;
     }
     // All of the block's mappings are adjacent in this node; a clustered PTE
     // mirrors a complete-subblock TLB entry (Section 4.4).
-    const unsigned words = WordsInNode(n);
+    const unsigned words = WordsInNode(n.sub_log2);
     cache_.Touch(addr + 16, 8ull * words);
     for (unsigned i = 0; i < words; ++i) {
       if (n.words[i].load().valid()) {
@@ -249,23 +191,24 @@ void ClusteredPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,
 }
 
 void ClusteredPageTable::InsertBase(Vpn vpn, Ppn ppn, Attr attr) {
-  Node& n = GetOrCreateNode(VpbnOf(vpn, factor_), 0, MappingKind::kBase);
+  ClusteredNode& n = GetOrCreateNode(VpbnOf(vpn, factor_), 0, MappingKind::kBase);
   StoreWord(n, BoffOf(vpn, factor_), MappingWord::Base(ppn, attr));
 }
 
 bool ClusteredPageTable::RemoveBase(Vpn vpn) {
-  std::int32_t* link = FindLink(VpbnOf(vpn, factor_), 0, MappingKind::kBase);
+  const Vpbn tag = VpbnOf(vpn, factor_);
+  std::int32_t* link = LinkOf(tag, 0, MappingKind::kBase);
   if (link == nullptr) {
     return false;
   }
-  Node& n = arena_[*link];
+  ClusteredNode& n = NodeAt(link);
   const unsigned word_idx = BoffOf(vpn, factor_);
   if (!n.words[word_idx].load().valid()) {
     return false;
   }
   StoreWord(n, word_idx, MappingWord::Invalid());
   if (NodeEmpty(n)) {
-    UnlinkAndFree(link);
+    RemoveNode(link);
   }
   return true;
 }
@@ -275,7 +218,8 @@ void ClusteredPageTable::InsertSuperpage(Vpn base_vpn, PageSize size, Ppn base_p
   const MappingWord word = MappingWord::Superpage(base_ppn, attr, size);
   if (size.pages() < factor_) {
     // A sub-size node: slots of 2^SZ pages each within one block.
-    Node& n = GetOrCreateNode(VpbnOf(base_vpn, factor_), size.size_log2, MappingKind::kSuperpage);
+    ClusteredNode& n =
+        GetOrCreateNode(VpbnOf(base_vpn, factor_), size.size_log2, MappingKind::kSuperpage);
     StoreWord(n, BoffOf(base_vpn, factor_) >> size.size_log2, word);
     return;
   }
@@ -291,19 +235,19 @@ void ClusteredPageTable::InsertSuperpage(Vpn base_vpn, PageSize size, Ppn base_p
 
 bool ClusteredPageTable::RemoveSuperpage(Vpn base_vpn, PageSize size) {
   if (size.pages() < factor_) {
-    std::int32_t* link =
-        FindLink(VpbnOf(base_vpn, factor_), size.size_log2, MappingKind::kSuperpage);
+    const Vpbn tag = VpbnOf(base_vpn, factor_);
+    std::int32_t* link = LinkOf(tag, size.size_log2, MappingKind::kSuperpage);
     if (link == nullptr) {
       return false;
     }
-    Node& n = arena_[*link];
+    ClusteredNode& n = NodeAt(link);
     const unsigned word_idx = BoffOf(base_vpn, factor_) >> size.size_log2;
     if (!n.words[word_idx].load().valid()) {
       return false;
     }
     StoreWord(n, word_idx, MappingWord::InvalidSuperpage(size));
     if (NodeEmpty(n)) {
-      UnlinkAndFree(link);
+      RemoveNode(link);
     }
     return true;
   }
@@ -311,9 +255,9 @@ bool ClusteredPageTable::RemoveSuperpage(Vpn base_vpn, PageSize size) {
   const unsigned blocks = size.pages() / factor_;
   const Vpbn first_block = VpbnOf(base_vpn, factor_);
   for (unsigned b = 0; b < blocks; ++b) {
-    if (std::int32_t* link = FindLink(first_block + b, block_log2_, MappingKind::kSuperpage)) {
-      live_translations_ -= NodeTranslations(arena_[*link]);
-      UnlinkAndFree(link);
+    const Vpbn tag = first_block + b;
+    if (std::int32_t* link = LinkOf(tag, block_log2_, MappingKind::kSuperpage)) {
+      RemoveNode(link);
       any = true;
     }
   }
@@ -326,19 +270,18 @@ void ClusteredPageTable::UpsertPartialSubblock(Vpn block_base_vpn, unsigned subb
   CPT_DCHECK(subblock_factor == factor_ && factor_ <= MappingWord::kMaxPsbFactor);
   CPT_DCHECK(BoffOf(block_base_vpn, factor_) == 0 &&
              IsSuperpageAligned(block_base_ppn, PageSize{block_log2_}));
-  Node& n =
+  ClusteredNode& n =
       GetOrCreateNode(VpbnOf(block_base_vpn, factor_), block_log2_, MappingKind::kPartialSubblock);
   StoreWord(n, 0, MappingWord::PartialSubblock(block_base_ppn, attr, valid_vector));
 }
 
 bool ClusteredPageTable::RemovePartialSubblock(Vpn block_base_vpn, unsigned /*subblock_factor*/) {
-  std::int32_t* link =
-      FindLink(VpbnOf(block_base_vpn, factor_), block_log2_, MappingKind::kPartialSubblock);
+  const Vpbn tag = VpbnOf(block_base_vpn, factor_);
+  std::int32_t* link = LinkOf(tag, block_log2_, MappingKind::kPartialSubblock);
   if (link == nullptr) {
     return false;
   }
-  live_translations_ -= NodeTranslations(arena_[*link]);
-  UnlinkAndFree(link);
+  RemoveNode(link);
   return true;
 }
 
@@ -351,8 +294,7 @@ bool ClusteredPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
   // would read stale bits.
   const Vpbn vpbn = VpbnOf(vpn, factor_);
   const unsigned boff = BoffOf(vpn, factor_);
-  for (std::int32_t idx = buckets_[hasher_(vpbn)]; idx != kNil; idx = arena_[idx].next) {
-    Node& n = arena_[idx];
+  for (ClusteredNode& n : Nodes(BucketOf(vpbn))) {
     if (n.tag != vpbn) {
       continue;
     }
@@ -366,11 +308,12 @@ bool ClusteredPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
       const unsigned blocks = 1u << (fill.pages_log2 - block_log2_);
       const Vpbn first_block = VpbnOf(fill.base_vpn, factor_);
       for (unsigned b = 0; b < blocks; ++b) {
-        if (first_block + b == vpbn) {
+        const Vpbn tag = first_block + b;
+        if (tag == vpbn) {
           continue;
         }
-        if (std::int32_t* link = FindLink(first_block + b, block_log2_, MappingKind::kSuperpage)) {
-          ApplyAttrUpdate(arena_[*link].words[0], set_mask, clear_mask);
+        if (std::int32_t* link = LinkOf(tag, block_log2_, MappingKind::kSuperpage)) {
+          ApplyAttrUpdate(NodeAt(link).words[0], set_mask, clear_mask);
         }
       }
     }
@@ -388,12 +331,11 @@ std::uint64_t ClusteredPageTable::ProtectRange(Vpn first_vpn, std::uint64_t npag
   const Vpn last_vpn = first_vpn + npages - 1;
   for (Vpbn tag = VpbnOf(first_vpn, factor_); tag <= VpbnOf(last_vpn, factor_); ++tag) {
     ++searches;
-    for (std::int32_t idx = buckets_[hasher_(tag)]; idx != kNil; idx = arena_[idx].next) {
-      Node& n = arena_[idx];
+    for (ClusteredNode& n : Nodes(BucketOf(tag))) {
       if (n.tag != tag) {
         continue;
       }
-      const unsigned words = WordsInNode(n);
+      const unsigned words = WordsInNode(n.sub_log2);
       for (unsigned i = 0; i < words; ++i) {
         const MappingWord w = n.words[i].load();
         if (!w.valid()) {
@@ -411,7 +353,7 @@ std::uint64_t ClusteredPageTable::ProtectRange(Vpn first_vpn, std::uint64_t npag
 }
 
 bool ClusteredPageTable::BlockReadyForPromotion(Vpbn vpbn) const {
-  const Node* n = FindNode(vpbn, 0, MappingKind::kBase);
+  const ClusteredNode* n = NodeOf(vpbn, 0, MappingKind::kBase);
   if (n == nullptr) {
     return false;
   }
@@ -430,7 +372,8 @@ bool ClusteredPageTable::BlockReadyForPromotion(Vpbn vpbn) const {
 }
 
 std::optional<MappingWord> ClusteredPageTable::PeekBase(Vpn vpn) const {
-  const Node* n = FindNode(VpbnOf(vpn, factor_), 0, MappingKind::kBase);
+  const Vpbn tag = VpbnOf(vpn, factor_);
+  const ClusteredNode* n = NodeOf(tag, 0, MappingKind::kBase);
   if (n == nullptr) {
     return std::nullopt;
   }
@@ -438,61 +381,24 @@ std::optional<MappingWord> ClusteredPageTable::PeekBase(Vpn vpn) const {
   return w.valid() ? std::optional<MappingWord>(w) : std::nullopt;
 }
 
-std::uint64_t ClusteredPageTable::SizeBytesPaperModel() const { return paper_bytes_; }
-
-std::uint64_t ClusteredPageTable::SizeBytesActual() const {
-  // bytes_live already includes the embedded-head bucket array.
-  return alloc_.bytes_live();
-}
-
-std::uint64_t ClusteredPageTable::live_translations() const { return live_translations_; }
-
 std::string ClusteredPageTable::name() const {
   return "clustered-s" + std::to_string(factor_);
 }
 
 void ClusteredPageTable::AuditVisit(check::PtAuditVisitor& visitor) const {
-  const std::uint64_t step_limit = live_nodes_ + 1;
-  for (std::uint32_t b = 0; b < buckets_.size(); ++b) {
-    std::uint64_t steps = 0;
-    for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
-      if (++steps > step_limit || idx < 0 ||
-          static_cast<std::size_t>(idx) >= arena_.size()) {
-        visitor.OnChainCycle(b);
-        break;
-      }
-      const Node& n = arena_[idx];
-      check::PtNodeView view;
-      view.bucket = b;
-      view.tag = n.tag.raw();  // PtNodeView tags are deliberately domain-erased chain keys.
-      view.base_vpn = FirstVpnOfBlock(n.tag, factor_);
-      view.sub_log2 = n.sub_log2;
-      view.words = n.words.data();
-      view.num_words = WordsInNode(n);
-      view.index = idx;
-      view.addr = n.addr;
-      visitor.OnNode(view);
-    }
-  }
-}
-
-Histogram ClusteredPageTable::ChainLengthHistogram() const {
-  Histogram h;
-  for (const std::int32_t head : buckets_) {
-    std::size_t len = 0;
-    for (std::int32_t idx = head; idx != kNil; idx = arena_[idx].next) {
-      ++len;
-    }
-    h.Add(len);
-  }
-  return h;
+  VisitChains(visitor, [this](const ClusteredNode& n, check::PtNodeView& view) {
+    view.tag = n.tag.raw();  // PtNodeView tags are deliberately domain-erased chain keys.
+    view.base_vpn = FirstVpnOfBlock(n.tag, factor_);
+    view.sub_log2 = n.sub_log2;
+    view.words = n.words.data();
+    view.num_words = WordsInNode(n.sub_log2);
+  });
 }
 
 Histogram ClusteredPageTable::BlockOccupancyHistogram() const {
   Histogram h;
-  for (std::uint32_t b = 0; b < buckets_.size(); ++b) {
-    for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
-      const Node& n = arena_[idx];
+  for (std::uint32_t b = 0; b < num_buckets(); ++b) {
+    for (const ClusteredNode& n : Nodes(b)) {
       if (n.sub_log2 == 0 && n.words[0].load().kind() == MappingKind::kBase) {
         std::size_t occ = 0;
         for (unsigned i = 0; i < factor_; ++i) {

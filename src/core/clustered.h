@@ -28,25 +28,33 @@
 #include <vector>
 
 #include "check/fwd.h"
-#include "common/hash.h"
 #include "common/hotpath.h"
 #include "common/pte.h"
 #include "common/stats.h"
 #include "common/types.h"
-#include "mem/sim_alloc.h"
+#include "pt/chain.h"
 #include "pt/page_table.h"
 
 namespace cpt::core {
 
-class ClusteredPageTable final : public pt::PageTable {
- public:
-  static constexpr unsigned kMaxSubblockFactor = 64;
+inline constexpr unsigned kMaxClusteredFactor = 64;
 
+struct ClusteredNode {
+  Vpbn tag{};
+  std::uint8_t sub_log2 = 0;  // log2 base pages covered per word.
+  std::int32_t next = pt::kChainEnd;
+  PhysAddr addr{};
+  std::array<AtomicMappingWord, kMaxClusteredFactor> words{};
+};
+// The paper-model NodeBytes() charges a *used* prefix of this worst-case
+// host struct; the host struct must not silently grow.
+static_assert(sizeof(ClusteredNode) == 536 && alignof(ClusteredNode) == 8);
+
+class ClusteredPageTable final : public pt::ChainArena<ClusteredNode> {
+ public:
   struct Options {
     std::uint32_t num_buckets = kDefaultHashBuckets;
     unsigned subblock_factor = kDefaultSubblockFactor;  // Power of two, <= 64.
-    HashKind hash_kind = HashKind::kMix;
-    mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
   };
 
   ClusteredPageTable(mem::CacheTouchModel& cache, Options opts);
@@ -69,9 +77,6 @@ class ClusteredPageTable final : public pt::PageTable {
   CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
                                std::uint16_t clear_mask) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
-  std::uint64_t SizeBytesPaperModel() const override;
-  std::uint64_t SizeBytesActual() const override;
-  std::uint64_t live_translations() const override;
   std::string name() const override;
 
   // ---- Clustered-specific operations ----
@@ -86,43 +91,21 @@ class ClusteredPageTable final : public pt::PageTable {
 
   // ---- Introspection ----
   unsigned subblock_factor() const { return factor_; }
-  std::uint32_t num_buckets() const { return opts_.num_buckets; }
-  std::uint64_t node_count() const { return live_nodes_; }
-  double LoadFactor() const {
-    return static_cast<double>(live_nodes_) / static_cast<double>(opts_.num_buckets);
-  }
-  Histogram ChainLengthHistogram() const;
   Histogram BlockOccupancyHistogram() const;  // Valid base mappings per base node.
 
   // ---- Invariant auditing (src/check) ----
-  std::uint32_t BucketOfTag(Vpbn tag) const { return hasher_(tag); }
   void AuditVisit(check::PtAuditVisitor& visitor) const;
 
  private:
-  friend class check::TestBackdoor;
-
-  static constexpr std::int32_t kNil = -1;
-
-  struct Node {
-    Vpbn tag{};
-    std::uint8_t sub_log2 = 0;  // log2 base pages covered per word.
-    std::int32_t next = kNil;
-    PhysAddr addr{};
-    std::array<AtomicMappingWord, kMaxSubblockFactor> words{};
-  };
-  // The paper-model NodeBytes() below charges a *used* prefix of this
-  // worst-case host struct; the host struct must not silently grow.
-  static_assert(sizeof(Node) == 536 && alignof(Node) == 8);
-
   // Paper-model node format (Figure 7): an 8-byte VPBN tag and an 8-byte
   // next pointer, then one mapping word per covered unit.
   static constexpr std::uint64_t kHeaderBytes = 16;
   static_assert(kHeaderBytes + kWordBytes <= kDefaultCacheLineSize,
                 "a node's header and first word must share one line");
 
-  unsigned WordsInNode(const Node& n) const { return factor_ >> n.sub_log2; }
-  std::uint64_t NodeBytes(const Node& n) const {
-    return kHeaderBytes + kWordBytes * WordsInNode(n);
+  unsigned WordsInNode(unsigned sub_log2) const { return factor_ >> sub_log2; }
+  std::uint64_t NodeBytes(unsigned sub_log2) const {
+    return kHeaderBytes + kWordBytes * WordsInNode(sub_log2);
   }
 
   // Base pages one word of a node with 2^sub_log2 pages per word translates.
@@ -130,34 +113,32 @@ class ClusteredPageTable final : public pt::PageTable {
   // Base pages this node currently translates.  Only whole-node unlinks
   // (and the auditor) recount a node; every single-word write goes through
   // StoreWord.
-  std::uint64_t NodeTranslations(const Node& n) const;
+  std::uint64_t NodeTranslations(const ClusteredNode& n) const;
   // Stores `w` at `word_idx`, adjusting live_translations_ by the word it
   // replaces.
-  void StoreWord(Node& n, unsigned word_idx, MappingWord w);
-  bool NodeEmpty(const Node& n) const;
+  void StoreWord(ClusteredNode& n, unsigned word_idx, MappingWord w);
+  bool NodeEmpty(const ClusteredNode& n) const;
 
-  std::int32_t* FindLink(Vpbn tag, unsigned sub_log2, MappingKind kind0);
-  const Node* FindNode(Vpbn tag, unsigned sub_log2, MappingKind kind0) const;
-  Node& GetOrCreateNode(Vpbn tag, unsigned sub_log2, MappingKind kind0);
-  void UnlinkAndFree(std::int32_t* link);
-  pt::TlbFill FillFromNode(const Node& n, unsigned word_idx) const;
+  // The node of block `tag` with 2^sub_log2 pages per word whose first word
+  // has format `kind0`: a format is the node's identity on a shared chain.
+  static auto NodeMatch(Vpbn tag, unsigned sub_log2, MappingKind kind0) {
+    return [=](const ClusteredNode& n) {
+      return n.tag == tag && n.sub_log2 == sub_log2 && n.words[0].load().kind() == kind0;
+    };
+  }
+  std::int32_t* LinkOf(Vpbn tag, unsigned sub_log2, MappingKind kind0) {
+    return FindLink(BucketOf(tag), NodeMatch(tag, sub_log2, kind0));
+  }
+  const ClusteredNode* NodeOf(Vpbn tag, unsigned sub_log2, MappingKind kind0) const {
+    return Find(BucketOf(tag), NodeMatch(tag, sub_log2, kind0));
+  }
+  ClusteredNode& GetOrCreateNode(Vpbn tag, unsigned sub_log2, MappingKind kind0);
+  // Unlinks a node after settling the translations it held.
+  void RemoveNode(std::int32_t* link);
+  pt::TlbFill FillFromNode(const ClusteredNode& n, unsigned word_idx) const;
 
-  // Embedded bucket-head addressing (see HashedPageTable::BucketAddr).
-  PhysAddr BucketAddr(std::uint32_t b) const { return bucket_base_ + b * bucket_stride_; }
-
-  Options opts_;
   unsigned factor_;
   unsigned block_log2_;
-  BucketHasher hasher_;
-  mem::SimAllocator alloc_;
-  PhysAddr bucket_base_{};
-  std::uint64_t bucket_stride_ = 0;
-  std::vector<Node> arena_;
-  std::vector<std::int32_t> free_nodes_;
-  std::vector<std::int32_t> buckets_;
-  std::uint64_t live_nodes_ = 0;
-  std::uint64_t live_translations_ = 0;
-  std::uint64_t paper_bytes_ = 0;
 };
 
 }  // namespace cpt::core

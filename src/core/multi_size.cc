@@ -10,8 +10,6 @@ ClusteredPageTable::Options TableOptions(const MultiSizeClustered::Options& o, u
   return ClusteredPageTable::Options{
       .num_buckets = o.num_buckets,
       .subblock_factor = factor,
-      .hash_kind = o.hash_kind,
-      .placement = o.placement,
   };
 }
 

@@ -35,8 +35,6 @@ class MultiSizeClustered final : public pt::PageTable {
     std::uint32_t num_buckets = kDefaultHashBuckets;  // Per constituent table.
     unsigned small_factor = 16;  // Small-block table: pages per block.
     unsigned large_factor = 64;  // Large-block table: pages per block.
-    HashKind hash_kind = HashKind::kMix;
-    mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
   };
 
   MultiSizeClustered(mem::CacheTouchModel& cache, Options opts);

@@ -24,23 +24,30 @@
 #ifndef CPT_PT_HASHED_H_
 #define CPT_PT_HASHED_H_
 
-#include <bit>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "check/fwd.h"
-#include "common/hash.h"
 #include "common/hotpath.h"
 #include "common/pte.h"
-#include "common/stats.h"
 #include "common/types.h"
-#include "mem/sim_alloc.h"
+#include "pt/chain.h"
 #include "pt/page_table.h"
 
 namespace cpt::pt {
 
-class HashedPageTable final : public PageTable {
+struct HashedNode {
+  std::uint64_t key = 0;
+  Vpn base_vpn{};  // First VPN covered by the word (host-side metadata).
+  AtomicMappingWord word{};
+  std::int32_t next = kChainEnd;
+  PhysAddr addr{};
+};
+// The paper model charges NodeBytes()/TagNextBytes() per chain step, a
+// prefix of this host struct; the host struct must not silently grow.
+static_assert(sizeof(HashedNode) == 40 && alignof(HashedNode) == 8);
+
+class HashedPageTable final : public ChainArena<HashedNode> {
  public:
   struct Options {
     std::uint32_t num_buckets = kDefaultHashBuckets;
@@ -55,8 +62,6 @@ class HashedPageTable final : public PageTable {
     // while the bucket array itself is 8 bytes per bucket instead of a
     // full embedded node.
     bool inverted = false;
-    HashKind hash_kind = HashKind::kMix;
-    mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
   };
 
   HashedPageTable(mem::CacheTouchModel& cache, Options opts);
@@ -80,84 +85,38 @@ class HashedPageTable final : public PageTable {
   // walkers and other updaters.
   CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
                                std::uint16_t clear_mask) override;
-  std::uint64_t SizeBytesPaperModel() const override;
-  std::uint64_t SizeBytesActual() const override;
-  std::uint64_t live_translations() const override;
   std::string name() const override;
 
   // ---- Generic keyed access (used directly by MultiTableHashed) ----
 
-  // Inserts or replaces the PTE whose tag is `vpn >> tag_shift`.
+  // Inserts or replaces the PTE whose tag is `vpn >> tag_shift`, base is
+  // `base_vpn` and format (and, for superpages, size) is `word`'s.
   void UpsertWord(Vpn base_vpn, MappingWord word);
-  bool RemoveKey(std::uint64_t key);
+  // Removes the PTE UpsertWord would replace with a word of `kind` (and,
+  // for superpages, `size`) at `base_vpn`; false when there is none.
+  bool RemoveWord(Vpn base_vpn, MappingKind kind, PageSize size = {});
   // Chain walk for the key; cache-line counted.  `faulting_vpn` selects the
   // covered page when building the fill.
   [[nodiscard]] CPT_HOT std::optional<TlbFill> LookupKey(std::uint64_t key, Vpn faulting_vpn);
   // Uncounted read of the stored word (OS-side inspection).
   std::optional<MappingWord> Peek(std::uint64_t key) const;
 
-  // ---- Introspection for tests and benches ----
+  // ---- Introspection for tests, benches and the auditor ----
   unsigned tag_shift() const { return opts_.tag_shift; }
-  std::uint32_t num_buckets() const { return opts_.num_buckets; }
-  std::uint64_t node_count() const { return live_nodes_; }
-  double LoadFactor() const {
-    return static_cast<double>(live_nodes_) / static_cast<double>(opts_.num_buckets);
-  }
-  Histogram ChainLengthHistogram() const;
-
-  // ---- Invariant auditing (src/check) ----
-
-  // The bucket a chain key belongs in, for bucket-membership verification.
-  std::uint32_t BucketOfKey(std::uint64_t key) const { return hasher_(key); }
   bool packed_pte() const { return opts_.packed_pte; }
-
-  // Walks every chain node, reporting a read-only view of each to the
-  // visitor.  Chain walks are bounded at the live node count; running past
-  // the bound reports a cycle and stops that bucket.
   void AuditVisit(check::PtAuditVisitor& visitor) const;
 
  private:
-  friend class check::TestBackdoor;
-
-  static constexpr std::int32_t kNil = -1;
-
-  struct Node {
-    std::uint64_t key = 0;
-    Vpn base_vpn{};  // First VPN covered by the word (host-side metadata).
-    AtomicMappingWord word{};
-    std::int32_t next = kNil;
-    PhysAddr addr{};
-  };
-  // The paper model charges NodeBytes()/TagNextBytes() per chain step, a
-  // prefix of this host struct; the host struct must not silently grow.
-  static_assert(sizeof(Node) == 40 && alignof(Node) == 8);
-
   // Chain keys deliberately erase the domain: a base-keyed table tags nodes
   // with the VPN, a block-keyed one (tag_shift == log2(s)) with the VPBN.
   // This is the only crossing from Vpn to a raw chain key.
   std::uint64_t ChainKeyOf(Vpn vpn) const { return vpn.raw() >> opts_.tag_shift; }
 
-  // The buckets are an array of embedded head nodes (Figure 4): probing a
-  // bucket always reads its head slot, even when the chain is empty.  The
-  // first chain node is charged at the head slot's address; overflow nodes
-  // at their own.  Head slots are strided by a power of two so one never
-  // straddles a cache line.
-  PhysAddr BucketAddr(std::uint32_t b) const { return bucket_base_ + b * bucket_stride_; }
-
-  std::int32_t AllocNode();
-  void FreeNode(std::int32_t idx);
-  TlbFill FillFrom(const Node& n, MappingWord word) const;
+  // The link to the node UpsertWord rewrites, on bucket `b` of its key.
+  std::int32_t* FindWord(std::uint32_t b, Vpn base_vpn, MappingKind kind, PageSize size);
+  TlbFill FillFrom(const HashedNode& n, MappingWord word) const;
 
   const Options opts_;
-  const BucketHasher hasher_;
-  const std::uint64_t bucket_stride_;
-  mem::SimAllocator alloc_;
-  const PhysAddr bucket_base_;
-  std::vector<Node> arena_;
-  std::vector<std::int32_t> free_nodes_;
-  std::vector<std::int32_t> buckets_;
-  std::uint64_t live_nodes_ = 0;
-  std::uint64_t live_translations_ = 0;
 };
 
 static_assert(HashedPageTable::NodeBytes(false) ==

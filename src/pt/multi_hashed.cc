@@ -18,8 +18,6 @@ HashedPageTable::Options BaseTableOptions(const MultiTableHashed::Options& o) {
       .num_buckets = o.num_buckets,
       .tag_shift = 0,
       .packed_pte = o.packed_pte,
-      .hash_kind = o.hash_kind,
-      .placement = o.placement,
   };
 }
 
@@ -28,8 +26,6 @@ HashedPageTable::Options BlockTableOptions(const MultiTableHashed::Options& o) {
       .num_buckets = o.num_buckets,
       .tag_shift = Log2(o.subblock_factor),
       .packed_pte = o.packed_pte,
-      .hash_kind = o.hash_kind,
-      .placement = o.placement,
   };
 }
 
@@ -71,8 +67,8 @@ void MultiTableHashed::InsertSuperpage(Vpn base_vpn, PageSize size, Ppn base_ppn
   block_.UpsertWord(base_vpn, MappingWord::Superpage(base_ppn, attr, size));
 }
 
-bool MultiTableHashed::RemoveSuperpage(Vpn base_vpn, PageSize /*size*/) {
-  return block_.RemoveKey(BlockKeyOf(base_vpn));
+bool MultiTableHashed::RemoveSuperpage(Vpn base_vpn, PageSize size) {
+  return block_.RemoveWord(base_vpn, MappingKind::kSuperpage, size);
 }
 
 void MultiTableHashed::UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor,
@@ -86,7 +82,7 @@ void MultiTableHashed::UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblo
 }
 
 bool MultiTableHashed::RemovePartialSubblock(Vpn block_base_vpn, unsigned /*subblock_factor*/) {
-  return block_.RemoveKey(BlockKeyOf(block_base_vpn));
+  return block_.RemoveWord(block_base_vpn, MappingKind::kPartialSubblock);
 }
 
 bool MultiTableHashed::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask) {
@@ -134,24 +130,20 @@ void MultiTableHashed::AuditVisit(check::PtAuditVisitor& visitor) const {
 // ---------------------------------------------------------------------------
 
 SuperpageIndexHashed::SuperpageIndexHashed(mem::CacheTouchModel& cache, Options opts)
-    : PageTable(cache),
+    : ChainArena(cache, opts.num_buckets, std::bit_ceil(kNodeBytes)),
       opts_(opts),
-      block_shift_(Log2(opts.subblock_factor)),
-      hasher_(opts.num_buckets, opts.hash_kind),
-      alloc_(cache.line_size(), opts.placement),
-      buckets_(opts.num_buckets, kNil) {
-  CPT_CHECK(IsPowerOfTwo(opts.num_buckets) && IsPowerOfTwo(opts.subblock_factor));
-  bucket_base_ = alloc_.Allocate(std::uint64_t{opts_.num_buckets} * 32);
+      block_shift_(Log2(opts.subblock_factor)) {
+  CPT_CHECK(IsPowerOfTwo(opts.subblock_factor));
 }
 
-TlbFill SuperpageIndexHashed::FillFrom(const Node& n, MappingWord word) const {
+TlbFill SuperpageIndexHashed::FillFrom(const SpIndexNode& n, MappingWord word) {
   return TlbFill{.kind = word.kind(),
                  .base_vpn = n.base_vpn,
                  .pages_log2 = n.pages_log2,
                  .word = word};
 }
 
-std::uint64_t SuperpageIndexHashed::TranslationCount(const Node& n) const {
+std::uint64_t SuperpageIndexHashed::TranslationCount(const SpIndexNode& n) {
   const MappingWord word = n.word.load();
   switch (word.kind()) {
     case MappingKind::kBase:
@@ -166,15 +158,11 @@ std::uint64_t SuperpageIndexHashed::TranslationCount(const Node& n) const {
 
 std::optional<TlbFill> SuperpageIndexHashed::Lookup(VirtAddr va) {
   const Vpn vpn = VpnOf(va);
-  const std::uint32_t b = hasher_(BlockKeyOf(vpn));
-  cache_.Touch(BucketAddr(b), 16);
-  bool head = true;
+  const std::uint32_t b = BucketOf(BlockKeyOf(vpn));
+  cache_.Touch(HeadAddr(b), 16);
   std::uint32_t chain_pos = 0;
   obs::WalkTracer* const tracer = cache_.tracer();
-  for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
-    const Node& n = arena_[idx];
-    const PhysAddr addr = head ? BucketAddr(b) : n.addr;
-    head = false;
+  for (const auto [n, addr] : Walk(b)) {
     cache_.Touch(addr, 16);
     if (tracer != nullptr) {
       tracer->Record({.kind = obs::EventKind::kWalkStep,
@@ -202,63 +190,36 @@ std::optional<TlbFill> SuperpageIndexHashed::Lookup(VirtAddr va) {
   return std::nullopt;
 }
 
-std::int32_t* SuperpageIndexHashed::FindLink(Vpn base_vpn, unsigned pages_log2, MappingKind kind) {
-  const std::uint32_t b = hasher_(BlockKeyOf(base_vpn));
-  std::int32_t* link = &buckets_[b];
-  while (*link != kNil) {
-    Node& n = arena_[*link];
-    if (n.base_vpn == base_vpn && n.pages_log2 == pages_log2 && n.word.load().kind() == kind) {
-      return link;
-    }
-    link = &n.next;
-  }
-  return nullptr;
+std::int32_t* SuperpageIndexHashed::FindNode(std::uint32_t b, Vpn base_vpn, unsigned pages_log2,
+                                             MappingKind kind) {
+  return FindLink(b, [&](const SpIndexNode& n) {
+    return n.base_vpn == base_vpn && n.pages_log2 == pages_log2 && n.word.load().kind() == kind;
+  });
 }
 
 void SuperpageIndexHashed::Upsert(Vpn base_vpn, unsigned pages_log2, MappingWord word) {
-  if (std::int32_t* link = FindLink(base_vpn, pages_log2, word.kind())) {
-    Node& n = arena_[*link];
+  const std::uint32_t b = BucketOf(BlockKeyOf(base_vpn));
+  if (std::int32_t* link = FindNode(b, base_vpn, pages_log2, word.kind())) {
+    SpIndexNode& n = NodeAt(link);
     live_translations_ -= TranslationCount(n);
     n.word.store(word);
     live_translations_ += TranslationCount(n);
     return;
   }
-  std::int32_t idx;
-  if (!free_nodes_.empty()) {
-    idx = free_nodes_.back();
-    free_nodes_.pop_back();
-  } else {
-    // Fault path only: a node is created when a key is first inserted.
-    // PageTable::UpdateAttrFlags's rewrite replaces an existing node and
-    // never allocates.
-    arena_.push_back(Node{});
-    idx = static_cast<std::int32_t>(arena_.size() - 1);
-  }
-  const std::uint32_t b = hasher_(BlockKeyOf(base_vpn));
-  Node& n = arena_[idx];
+  SpIndexNode& n = Alloc(b, kNodeBytes);
   n.base_vpn = base_vpn;
   n.pages_log2 = pages_log2;
   n.word.store(word);
-  n.next = buckets_[b];
-  n.addr = alloc_.Allocate(24);
-  buckets_[b] = idx;
-  ++live_nodes_;
   live_translations_ += TranslationCount(n);
 }
 
 bool SuperpageIndexHashed::Remove(Vpn base_vpn, unsigned pages_log2, MappingKind kind) {
-  std::int32_t* link = FindLink(base_vpn, pages_log2, kind);
+  std::int32_t* link = FindNode(BucketOf(BlockKeyOf(base_vpn)), base_vpn, pages_log2, kind);
   if (link == nullptr) {
     return false;
   }
-  const std::int32_t idx = *link;
-  Node& n = arena_[idx];
-  live_translations_ -= TranslationCount(n);
-  *link = n.next;
-  alloc_.Free(n.addr, 24);
-  n = Node{};
-  free_nodes_.push_back(idx);
-  --live_nodes_;
+  live_translations_ -= TranslationCount(NodeAt(link));
+  UnlinkAndFree(link, kNodeBytes);
   return true;
 }
 
@@ -298,9 +259,7 @@ bool SuperpageIndexHashed::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
   // of the walk the miss already paid for (Section 3.1), so it models no
   // extra memory traffic.  The update hits the word in place — atomically —
   // so a single node carries the bit for every page it covers.
-  const std::uint32_t b = hasher_(BlockKeyOf(vpn));
-  for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
-    Node& n = arena_[idx];
+  for (SpIndexNode& n : Nodes(BucketOf(BlockKeyOf(vpn)))) {
     const PageSize node_size{n.pages_log2};
     if (SuperpageBaseVpn(vpn, node_size) != SuperpageBaseVpn(n.base_vpn, node_size)) {
       continue;
@@ -325,11 +284,9 @@ std::uint64_t SuperpageIndexHashed::ProtectRange(Vpn first_vpn, std::uint64_t np
   const Vpn last_vpn = first_vpn + (npages - 1);
   for (std::uint64_t key = BlockKeyOf(first_vpn); key <= BlockKeyOf(last_vpn); ++key) {
     ++searches;
-    const std::uint32_t b = hasher_(key);
-    for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
-      Node& n = arena_[idx];
-      if (BlockKeyOf(n.base_vpn) == key && n.base_vpn >= first_vpn &&
-          n.base_vpn <= last_vpn) {
+    for (SpIndexNode& n : Nodes(BucketOf(key))) {
+      const Vpn node_last = n.base_vpn + ((std::uint64_t{1} << n.pages_log2) - 1);
+      if (BlockKeyOf(n.base_vpn) == key && node_last >= first_vpn && n.base_vpn <= last_vpn) {
         n.word.store(n.word.load().with_attr(attr));
       }
     }
@@ -337,50 +294,14 @@ std::uint64_t SuperpageIndexHashed::ProtectRange(Vpn first_vpn, std::uint64_t np
   return searches;
 }
 
-std::uint64_t SuperpageIndexHashed::SizeBytesPaperModel() const { return live_nodes_ * 24; }
-
-std::uint64_t SuperpageIndexHashed::SizeBytesActual() const {
-  // bytes_live already includes the embedded-head bucket array.
-  return alloc_.bytes_live();
-}
-
-std::uint64_t SuperpageIndexHashed::live_translations() const { return live_translations_; }
-
 void SuperpageIndexHashed::AuditVisit(check::PtAuditVisitor& visitor) const {
-  const std::uint64_t step_limit = live_nodes_ + 1;
-  for (std::uint32_t b = 0; b < buckets_.size(); ++b) {
-    std::uint64_t steps = 0;
-    for (std::int32_t idx = buckets_[b]; idx != kNil; idx = arena_[idx].next) {
-      if (++steps > step_limit || idx < 0 ||
-          static_cast<std::size_t>(idx) >= arena_.size()) {
-        visitor.OnChainCycle(b);
-        break;
-      }
-      const Node& n = arena_[idx];
-      check::PtNodeView view;
-      view.bucket = b;
-      view.tag = BlockKeyOf(n.base_vpn);
-      view.base_vpn = n.base_vpn;
-      view.sub_log2 = n.pages_log2;
-      view.words = &n.word;
-      view.num_words = 1;
-      view.index = idx;
-      view.addr = n.addr;
-      visitor.OnNode(view);
-    }
-  }
-}
-
-Histogram SuperpageIndexHashed::ChainLengthHistogram() const {
-  Histogram h;
-  for (const std::int32_t head : buckets_) {
-    std::size_t len = 0;
-    for (std::int32_t idx = head; idx != kNil; idx = arena_[idx].next) {
-      ++len;
-    }
-    h.Add(len);
-  }
-  return h;
+  VisitChains(visitor, [this](const SpIndexNode& n, check::PtNodeView& view) {
+    view.tag = BlockKeyOf(n.base_vpn);
+    view.base_vpn = n.base_vpn;
+    view.sub_log2 = n.pages_log2;
+    view.words = &n.word;
+    view.num_words = 1;
+  });
 }
 
 }  // namespace cpt::pt

@@ -23,9 +23,8 @@
 #include <vector>
 
 #include "check/fwd.h"
-#include "common/hash.h"
 #include "common/hotpath.h"
-#include "mem/sim_alloc.h"
+#include "pt/chain.h"
 #include "pt/hashed.h"
 #include "pt/page_table.h"
 
@@ -43,8 +42,6 @@ class MultiTableHashed final : public PageTable {
     unsigned subblock_factor = kDefaultSubblockFactor;
     SearchOrder order = SearchOrder::kBaseFirst;
     bool packed_pte = false;
-    HashKind hash_kind = HashKind::kMix;
-    mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
   };
 
   MultiTableHashed(mem::CacheTouchModel& cache, Options opts);
@@ -77,7 +74,7 @@ class MultiTableHashed final : public PageTable {
  private:
   // Chain keys for the constituent tables deliberately erase the domain: the
   // base table is VPN-keyed (tag_shift 0), the block table VPBN-keyed.  These
-  // are the only crossings from Vpn to the raw keys LookupKey/RemoveKey take.
+  // are the only crossings from Vpn to the raw keys LookupKey takes.
   std::uint64_t BaseKeyOf(Vpn vpn) const { return vpn.raw(); }
   // cpt-lint: allow(raw-address-param): the sanctioned key crossing above.
   std::uint64_t BlockKeyOf(Vpn vpn) const { return vpn.raw() >> block_shift_; }
@@ -88,13 +85,23 @@ class MultiTableHashed final : public PageTable {
   HashedPageTable block_;
 };
 
-class SuperpageIndexHashed final : public PageTable {
+// A node tagged by the exact range it covers; hashed by page block.
+struct SpIndexNode {
+  Vpn base_vpn{};
+  unsigned pages_log2 = 0;
+  AtomicMappingWord word{};
+  std::int32_t next = kChainEnd;
+  PhysAddr addr{};
+};
+// The paper model charges a prefix of this host struct (its mapping
+// words); the host struct must not silently grow.
+static_assert(sizeof(SpIndexNode) == 40 && alignof(SpIndexNode) == 8);
+
+class SuperpageIndexHashed final : public ChainArena<SpIndexNode> {
  public:
   struct Options {
     std::uint32_t num_buckets = kDefaultHashBuckets;
     unsigned subblock_factor = kDefaultSubblockFactor;  // The hash index size.
-    HashKind hash_kind = HashKind::kMix;
-    mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
   };
 
   SuperpageIndexHashed(mem::CacheTouchModel& cache, Options opts);
@@ -111,23 +118,15 @@ class SuperpageIndexHashed final : public PageTable {
   CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
                                std::uint16_t clear_mask) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
-  std::uint64_t SizeBytesPaperModel() const override;
-  std::uint64_t SizeBytesActual() const override;
-  std::uint64_t live_translations() const override;
   std::string name() const override { return "hashed-spindex"; }
-
-  Histogram ChainLengthHistogram() const;
 
   // ---- Invariant auditing (src/check) ----
   unsigned block_shift() const { return block_shift_; }
-  std::uint64_t node_count() const { return live_nodes_; }
-  std::uint32_t BucketOfVpn(Vpn vpn) const { return hasher_(BlockKeyOf(vpn)); }
   void AuditVisit(check::PtAuditVisitor& visitor) const;
 
  private:
-  friend class check::TestBackdoor;
-
-  static constexpr std::int32_t kNil = -1;
+  // Paper-model node: an 8-byte tag, an 8-byte next pointer and one word.
+  static constexpr std::uint64_t kNodeBytes = 24;
 
   // Hash keys deliberately erase the domain: every node — base, superpage,
   // or partial-subblock — hashes by its page-block number so one probe finds
@@ -135,37 +134,15 @@ class SuperpageIndexHashed final : public PageTable {
   // cpt-lint: allow(raw-address-param)
   std::uint64_t BlockKeyOf(Vpn vpn) const { return vpn.raw() >> block_shift_; }
 
-  // A node tagged by the exact range it covers; hashed by page block.
-  struct Node {
-    Vpn base_vpn{};
-    unsigned pages_log2 = 0;
-    AtomicMappingWord word{};
-    std::int32_t next = kNil;
-    PhysAddr addr{};
-  };
-  // The paper model charges a prefix of this host struct (its mapping
-  // words); the host struct must not silently grow.
-  static_assert(sizeof(Node) == 40 && alignof(Node) == 8);
-
-  std::int32_t* FindLink(Vpn base_vpn, unsigned pages_log2, MappingKind kind);
+  // The link to the node of exactly this range and format, on bucket `b`.
+  std::int32_t* FindNode(std::uint32_t b, Vpn base_vpn, unsigned pages_log2, MappingKind kind);
   void Upsert(Vpn base_vpn, unsigned pages_log2, MappingWord word);
   bool Remove(Vpn base_vpn, unsigned pages_log2, MappingKind kind);
-  TlbFill FillFrom(const Node& n, MappingWord word) const;
-  std::uint64_t TranslationCount(const Node& n) const;
-
-  // Embedded bucket-head addressing (see HashedPageTable::BucketAddr).
-  PhysAddr BucketAddr(std::uint32_t b) const { return bucket_base_ + b * 32; }
+  static TlbFill FillFrom(const SpIndexNode& n, MappingWord word);
+  static std::uint64_t TranslationCount(const SpIndexNode& n);
 
   Options opts_;
   unsigned block_shift_;
-  BucketHasher hasher_;
-  mem::SimAllocator alloc_;
-  PhysAddr bucket_base_{};
-  std::vector<Node> arena_;
-  std::vector<std::int32_t> free_nodes_;
-  std::vector<std::int32_t> buckets_;
-  std::uint64_t live_nodes_ = 0;
-  std::uint64_t live_translations_ = 0;
 };
 
 }  // namespace cpt::pt

@@ -24,6 +24,7 @@
 #include "mem/cache_model.h"
 #include "mem/reservation.h"
 #include "pt/forward.h"
+#include "pt/hashed.h"
 #include "pt/linear.h"
 #include "pt/multi_hashed.h"
 #include "sim/experiments.h"
@@ -203,31 +204,42 @@ TEST(CorruptionTest, MisalignedTagIsDetected) {
   EXPECT_NE(r.Summary().find("misaligned tag"), std::string::npos) << r.Summary();
 }
 
-TEST(CorruptionTest, DuplicateCoverageIsDetected) {
-  mem::CacheTouchModel cache(256);
-  core::ClusteredPageTable t(cache, {});
-  for (unsigned i = 0; i < 32; ++i) {
-    t.InsertBase(Vpn{0x900 + i}, Ppn{40 + i}, Attr::ReadWrite());
+// Chained tables: corruption seeded in the shared chain layer (pt/chain.h)
+// is found on each of them.
+template <typename Table>
+class ChainCorruptionTest : public ::testing::Test {
+ protected:
+  ChainCorruptionTest() : cache_(256), table_(cache_, {}) {}
+
+  // 32 base pages, `stride` pages apart.
+  void InsertPages(unsigned stride) {
+    for (unsigned i = 0; i < 32; ++i) {
+      table_.InsertBase(Vpn{0x900 + stride * i}, Ppn{40 + i}, Attr::ReadWrite());
+    }
   }
-  ASSERT_TRUE(StructuralAuditor::Audit(t).ok());
-  ASSERT_TRUE(TestBackdoor::SeedDuplicateCoverage(t));
-  const AuditReport r = StructuralAuditor::Audit(t);
-  EXPECT_FALSE(r.ok());
-  EXPECT_NE(r.Summary().find("covered by more than one valid mapping"), std::string::npos)
-      << r.Summary();
+  std::string Defects() const { return StructuralAuditor::Audit(table_).Summary(); }
+
+  mem::CacheTouchModel cache_;
+  Table table_;
+};
+
+using ChainedTables = ::testing::Types<pt::HashedPageTable, pt::SuperpageIndexHashed,
+                                       core::ClusteredPageTable, core::AdaptiveClusteredPageTable>;
+TYPED_TEST_SUITE(ChainCorruptionTest, ChainedTables);
+
+TYPED_TEST(ChainCorruptionTest, DuplicateCoverageIsDetected) {
+  this->InsertPages(1);
+  ASSERT_EQ(this->Defects(), "");
+  ASSERT_TRUE(TestBackdoor::SeedDuplicateCoverage(this->table_));
+  EXPECT_NE(this->Defects().find("covered by more than one valid mapping"), std::string::npos)
+      << this->Defects();
 }
 
-TEST(CorruptionTest, ChainCycleIsDetected) {
-  mem::CacheTouchModel cache(256);
-  core::ClusteredPageTable t(cache, {});
-  for (unsigned i = 0; i < 32; ++i) {
-    t.InsertBase(Vpn{0x900 + 16 * i}, Ppn{40 + i}, Attr::ReadWrite());
-  }
-  ASSERT_TRUE(StructuralAuditor::Audit(t).ok());
-  ASSERT_TRUE(TestBackdoor::SeedChainCycle(t));
-  const AuditReport r = StructuralAuditor::Audit(t);
-  EXPECT_FALSE(r.ok());
-  EXPECT_NE(r.Summary().find("cyclic"), std::string::npos) << r.Summary();
+TYPED_TEST(ChainCorruptionTest, ChainCycleIsDetected) {
+  this->InsertPages(16);
+  ASSERT_EQ(this->Defects(), "");
+  ASSERT_TRUE(TestBackdoor::SeedChainCycle(this->table_));
+  EXPECT_NE(this->Defects().find("cyclic"), std::string::npos) << this->Defects();
 }
 
 // Linear and forward-mapped trees: each counter the table keeps is recounted

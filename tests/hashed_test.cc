@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "accounting_sequence.h"
 #include "common/rng.h"
 #include "mem/cache_model.h"
 #include "pt/multi_hashed.h"
@@ -264,6 +265,29 @@ TEST(SuperpageIndexTest, RejectsSuperpagesLargerThanIndex) {
   t.InsertSuperpage(Vpn{0x4000}, kPage64K, Ppn{0x100}, Attr::ReadWrite());
   EXPECT_EQ(t.live_translations(), 16u);
   EXPECT_DEBUG_DEATH(t.InsertSuperpage(Vpn{0x8000}, PageSize{5}, Ppn{0x200}, Attr::ReadWrite()), "");
+}
+
+// ---------------------------------------------------------------------------
+// Translation accounting: every write adjusts live_translations() by the
+// words it replaced, and the auditor's recount must agree after each one.
+// ---------------------------------------------------------------------------
+
+// The two-table organization keeps superpage and PSB words in its
+// block-keyed table; the superpage-index one chains every word by its page
+// block.
+TEST(TranslationAccountingTest, MultiTableHashedMatchesAuditInBothTables) {
+  mem::CacheTouchModel cache(256);
+  MultiTableHashed t(cache, {.num_buckets = 64});
+  testutil::RunAccountingSequence(t, 16, {1, 2, 3, 4}, 59, 2000);
+  EXPECT_GT(t.base_table().live_translations(), 0u);
+  EXPECT_GT(t.block_table().live_translations(), 0u);
+}
+
+TEST(TranslationAccountingTest, SuperpageIndexHashedMatchesAuditAfterEveryWrite) {
+  mem::CacheTouchModel cache(256);
+  SuperpageIndexHashed t(cache, {.num_buckets = 64});
+  testutil::RunAccountingSequence(t, 16, {1, 2, 3, 4}, 61, 2000);
+  EXPECT_GT(t.live_translations(), 0u);
 }
 
 }  // namespace

@@ -280,6 +280,39 @@ TEST_P(PtSpPsbConformanceTest, MixedPsbAndBaseWithinOneBlock) {
   EXPECT_FALSE(Lookup(Vpn{0x800C}).has_value()) << "neither PTE covers page 12";
 }
 
+// A range that starts inside a superpage or PSB PTE still protects its pages.
+// Pages outside the range are left unchecked: replicated tables rewrite each
+// page's site, chained tables the whole word.
+TEST_P(PtSpPsbConformanceTest, ProtectRangeInsideAPteProtectsEveryPageInRange) {
+  table_->InsertSuperpage(Vpn{0x1000}, kPage64K, Ppn{0x1000}, Attr::ReadWrite());
+  table_->UpsertPartialSubblock(Vpn{0x1010}, 16, Ppn{0x2000}, Attr::ReadWrite(), 0x00FF);
+  table_->ProtectRange(Vpn{0x1004}, 4, Attr::ReadOnly());
+  table_->ProtectRange(Vpn{0x1014}, 2, Attr::ReadOnly());
+  for (const Vpn first : {Vpn{0x1004}, Vpn{0x1014}}) {
+    const unsigned npages = first == Vpn{0x1004} ? 4 : 2;
+    for (Vpn vpn = first; vpn < first + npages; ++vpn) {
+      const auto attr = table_->PeekAttr(vpn);
+      ASSERT_TRUE(attr.has_value()) << "vpn 0x" << std::hex << vpn;
+      EXPECT_EQ(*attr, Attr::ReadOnly()) << "vpn 0x" << std::hex << vpn;
+    }
+  }
+}
+
+// Removing one superpage leaves a sibling superpage of the same page block.
+TEST_P(PtSpPsbConformanceTest, RemoveSuperpageKeepsItsSiblingInTheBlock) {
+  if (GetParam() == PtKind::kClusteredAdaptive) {
+    GTEST_SKIP() << "the adaptive table stores only block-sized or larger superpages";
+  }
+  table_->InsertSuperpage(Vpn{0x1000}, kPage8K, Ppn{0x3000}, Attr::ReadWrite());
+  table_->InsertSuperpage(Vpn{0x1002}, kPage8K, Ppn{0x3002}, Attr::ReadWrite());
+  EXPECT_TRUE(table_->RemoveSuperpage(Vpn{0x1000}, kPage8K));
+  EXPECT_FALSE(Lookup(Vpn{0x1000}).has_value());
+  const auto sibling = Lookup(Vpn{0x1003});
+  ASSERT_TRUE(sibling.has_value());
+  EXPECT_EQ(sibling->Translate(Vpn{0x1003}), Ppn{0x3003});
+  EXPECT_EQ(table_->live_translations(), 2u);
+}
+
 INSTANTIATE_TEST_SUITE_P(SpPsbTables, PtSpPsbConformanceTest,
                          ::testing::Values(PtKind::kLinear6, PtKind::kLinear1, PtKind::kForward,
                                            PtKind::kHashedMulti, PtKind::kHashedSpIndex,
