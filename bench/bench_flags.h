@@ -250,14 +250,6 @@ class BenchIo {
                              .collect = json_enabled()};
   }
 
-  // Accumulates one run into the report's aggregate "throughput" section.
-  // RecordAccess calls this automatically; benches with their own replay
-  // loops (bench_micro) call it directly.
-  void AddThroughput(std::uint64_t refs, double seconds) {
-    throughput_refs_ += refs;
-    throughput_seconds_ += seconds;
-  }
-
   // Records one access-time measurement under a series label ("clustered",
   // "hashed-2tbl", ...), and flushes the trace ring into one JSONL section.
   void RecordAccess(std::string_view series, const sim::AccessMeasurement& m) {
@@ -275,7 +267,9 @@ class BenchIo {
                        {"pt", sim::ToString(m.options.pt_kind)}});
       }
     }
-    AddThroughput(m.trace_refs, m.wall_seconds);
+    // Every access run adds to the report's aggregate "throughput" section.
+    throughput_refs_ += m.trace_refs;
+    throughput_seconds_ += m.wall_seconds;
     FlushTraceSection("access", series, m.workload, m.rng_seed, m.options);
     FlushTimeseriesSection("access", series, m.workload);
     MarkSection("access", series, m.workload);

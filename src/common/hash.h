@@ -1,14 +1,11 @@
 // Hash functions for hashed and clustered page tables.
 //
 // The paper's hash tables index 4096 buckets with a function of the VPN (or
-// VPBN for clustered tables).  Real implementations (e.g. UltraSPARC's TSB)
-// use simple shift/xor folds; we provide both a fold hash (the default, fast
-// and representative) and a stronger mix for property tests that need
-// near-uniform bucket distribution.
+// VPBN for clustered tables).  Every hashed structure here uses one full
+// 64-bit avalanche mix, so aligned region bases spread over the buckets.
 #ifndef CPT_COMMON_HASH_H_
 #define CPT_COMMON_HASH_H_
 
-#include <bit>
 #include <cstdint>
 
 #include "common/types.h"
@@ -25,18 +22,11 @@ constexpr std::uint64_t Mix64(std::uint64_t x) {
   return x;
 }
 
-enum class HashKind : std::uint8_t {
-  kFold,  // xor-fold of the key halves, like simple TLB-handler hashes
-  kMix,   // full 64-bit avalanche mix
-};
-
-// Maps a VPN/VPBN (optionally salted with a process/context id) to a bucket
-// index in [0, num_buckets).  num_buckets must be a power of two.
+// Maps a VPN/VPBN to a bucket index in [0, num_buckets) through Mix64.
+// num_buckets must be a power of two.
 class BucketHasher {
  public:
-  constexpr BucketHasher(std::uint32_t num_buckets, HashKind kind = HashKind::kMix,
-                         std::uint64_t context_salt = 0)
-      : mask_(num_buckets - 1), kind_(kind), salt_(context_salt) {}
+  constexpr explicit BucketHasher(std::uint32_t num_buckets) : mask_(num_buckets - 1) {}
 
   // Strong address keys (Vpn for hashed tables, Vpbn for clustered ones)
   // unwrap here: hashing is a sanctioned .raw() boundary.
@@ -46,29 +36,13 @@ class BucketHasher {
   }
 
   constexpr std::uint32_t operator()(std::uint64_t key) const {
-    key ^= salt_;
-    if (kind_ == HashKind::kMix) {
-      return static_cast<std::uint32_t>(Mix64(key) & mask_);
-    }
-    // Classic xor-fold in bucket-index-width chunks, the style of hash a
-    // hand-coded TLB miss handler can afford.  Folding by the index width
-    // keeps distinct aligned regions (whose bases differ only above the
-    // index bits) from landing on identical bucket ranges.
-    const unsigned width = static_cast<unsigned>(std::popcount(mask_));
-    std::uint64_t h = 0;
-    while (key != 0) {
-      h ^= key & mask_;
-      key >>= width;
-    }
-    return static_cast<std::uint32_t>(h & mask_);
+    return static_cast<std::uint32_t>(Mix64(key) & mask_);
   }
 
   constexpr std::uint32_t num_buckets() const { return static_cast<std::uint32_t>(mask_ + 1); }
 
  private:
   std::uint64_t mask_;
-  HashKind kind_;
-  std::uint64_t salt_;
 };
 
 }  // namespace cpt

@@ -21,7 +21,7 @@
 // is always armed).  Scopes nest; the guard trips while any is live.
 //
 // Usage:
-//   cpt::HotPathScope guard("bench_micro.machine_access");
+//   cpt::HotPathScope guard("hotguard_test.steady_state_replay");
 //   for (...) machine.Access(...);   // aborts loudly if anything allocates
 #ifndef CPT_COMMON_HOTGUARD_H_
 #define CPT_COMMON_HOTGUARD_H_

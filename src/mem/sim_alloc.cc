@@ -9,18 +9,14 @@ namespace {
 std::uint64_t next_region_id = 1;
 }  // namespace
 
-SimAllocator::SimAllocator(std::uint32_t line_size, NodePlacement placement)
-    : line_size_(line_size), placement_(placement) {
+SimAllocator::SimAllocator(std::uint32_t line_size) : line_size_(line_size) {
   CPT_CHECK(IsPowerOfTwo(line_size));
   bump_ = PhysAddr{(next_region_id++ << 44) + kBasePageSize};
 }
 
 std::uint64_t SimAllocator::AlignmentFor(std::uint64_t size) const {
-  if (placement_ == NodePlacement::kPacked) {
-    return 8;
-  }
-  // Line-aligned placement: page-sized structures keep page alignment so the
-  // linear page table's leaf pages stay page-aligned.
+  // Page-sized structures keep page alignment so the linear page table's
+  // leaf pages stay page-aligned.
   return size >= kBasePageSize ? kBasePageSize : line_size_;
 }
 

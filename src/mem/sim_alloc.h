@@ -22,26 +22,17 @@
 
 namespace cpt::mem {
 
-// How page-table nodes are placed relative to cache lines.
-enum class NodePlacement : std::uint8_t {
-  // Every node starts on a cache-line boundary (the paper's Section 6.1
-  // assumption: "each PTE starts on a cache line boundary").
-  kLineAligned,
-  // Nodes are packed at their natural 8-byte alignment; used by the
-  // sensitivity ablation to measure straddling costs.
-  kPacked,
-};
-
 class SimAllocator {
  public:
   // Each allocator instance carves addresses from its own disjoint 16TB
   // region of the simulated physical address space, so structures owned by
   // different tables never alias in the cache-line model.
-  explicit SimAllocator(std::uint32_t line_size = kDefaultCacheLineSize,
-                        NodePlacement placement = NodePlacement::kLineAligned);
+  explicit SimAllocator(std::uint32_t line_size = kDefaultCacheLineSize);
 
-  // Returns a simulated physical address for `size` bytes.  Alignment is
-  // cache-line or 8 bytes depending on the placement policy.
+  // Returns a simulated physical address for `size` bytes.  Every node
+  // starts on a cache-line boundary (the paper's Section 6.1 assumption:
+  // "each PTE starts on a cache line boundary"); page-sized structures are
+  // page-aligned.
   PhysAddr Allocate(std::uint64_t size);
 
   // Returns the block to the allocator's free list.
@@ -49,14 +40,12 @@ class SimAllocator {
 
   std::uint64_t bytes_live() const { return bytes_live_; }
   std::uint64_t high_water_bytes() const { return high_water_; }
-  NodePlacement placement() const { return placement_; }
   std::uint32_t line_size() const { return line_size_; }
 
  private:
   std::uint64_t AlignmentFor(std::uint64_t size) const;
 
   std::uint32_t line_size_;
-  NodePlacement placement_;
   PhysAddr bump_{};  // Set in the constructor; never 0 so 0 can mean "null".
   std::uint64_t bytes_live_ = 0;
   std::uint64_t high_water_ = 0;

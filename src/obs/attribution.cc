@@ -164,7 +164,7 @@ void AttributionTracer::Record(const WalkEvent& event) {
 
   // Only the walk-service protocol events drive the state machine; the
   // remaining kinds (promotions, grants, ...) are passed through untouched.
-  switch (event.kind) {  // cpt-lint: allow(exhaustive-enum-switch)
+  switch (event.kind) {
     case EventKind::kTlbMiss:
     case EventKind::kTlbBlockMiss:
     case EventKind::kTlbSubblockMiss:
@@ -194,7 +194,13 @@ void AttributionTracer::Record(const WalkEvent& event) {
         pending_commit_ = true;
       }
       break;
-    default:
+    case EventKind::kTlbHit:
+    case EventKind::kPageFault:
+    case EventKind::kPtePromotion:
+    case EventKind::kBlockPrefetch:
+    case EventKind::kReservationGrant:
+    case EventKind::kSwTlbHit:
+    case EventKind::kSwTlbMiss:
       break;
   }
   if (forward_ != nullptr) {

@@ -90,36 +90,6 @@ double HostPerfSample::BranchMpki() const {
   return PerKiloInstructions(branch_misses, instructions);
 }
 
-void HostPerfSample::Accumulate(const HostPerfSample& other) {
-  if (source.empty()) {
-    // First contribution defines the mode strings.
-    available = other.available;
-    source = other.source;
-    reason = other.reason;
-  } else if (!other.available) {
-    available = false;
-    source = other.source;
-    if (reason.empty()) {
-      reason = other.reason;
-    }
-  }
-  wall_seconds += other.wall_seconds;
-  cycles += other.cycles;
-  instructions += other.instructions;
-  llc_misses += other.llc_misses;
-  dtlb_load_misses += other.dtlb_load_misses;
-  branch_misses += other.branch_misses;
-  time_enabled_ns += other.time_enabled_ns;
-  time_running_ns += other.time_running_ns;
-  user_seconds += other.user_seconds;
-  sys_seconds += other.sys_seconds;
-  max_rss_kb = max_rss_kb > other.max_rss_kb ? max_rss_kb : other.max_rss_kb;
-  minor_faults += other.minor_faults;
-  major_faults += other.major_faults;
-  voluntary_ctx_switches += other.voluntary_ctx_switches;
-  involuntary_ctx_switches += other.involuntary_ctx_switches;
-}
-
 void ToJson(JsonWriter& w, const HostPerfSample& s) {
   w.BeginObject();
   w.KV("available", s.available);

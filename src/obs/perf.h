@@ -65,10 +65,6 @@ struct HostPerfSample {
   double LlcMpki() const;     // LLC misses per kilo-instruction.
   double DtlbMpki() const;    // dTLB load misses per kilo-instruction.
   double BranchMpki() const;  // Branch misses per kilo-instruction.
-
-  // Accumulates another sample into this one (counter/rusage deltas add,
-  // max_rss takes the max, availability degrades to the weaker of the two).
-  void Accumulate(const HostPerfSample& other);
 };
 
 // Emits the sample as one JSON object with a shape that does not depend on

@@ -94,7 +94,7 @@ void StatsTracer::Record(const WalkEvent& event) {
   ++counts_[event.kind];
   // Only walk-boundary events shape the histograms; every other kind is
   // counted above and forwarded below.
-  switch (event.kind) {  // cpt-lint: allow(exhaustive-enum-switch)
+  switch (event.kind) {
     case EventKind::kWalkStep:
       ++pending_steps_;
       break;
@@ -108,7 +108,17 @@ void StatsTracer::Record(const WalkEvent& event) {
       // walk, so drop them rather than fold them into the next one.
       pending_steps_ = 0;
       break;
-    default:
+    case EventKind::kTlbHit:
+    case EventKind::kTlbMiss:
+    case EventKind::kTlbBlockMiss:
+    case EventKind::kTlbSubblockMiss:
+    case EventKind::kWalkHit:
+    case EventKind::kPageFault:
+    case EventKind::kPtePromotion:
+    case EventKind::kBlockPrefetch:
+    case EventKind::kReservationGrant:
+    case EventKind::kSwTlbHit:
+    case EventKind::kSwTlbMiss:
       break;
   }
   if (forward_ != nullptr) {
@@ -139,9 +149,9 @@ void EventToJson(std::ostream& os, const WalkEvent& event) {
   if (event.kind == EventKind::kWalkStep || event.kind == EventKind::kWalkEnd) {
     w.KV("lines", std::uint64_t{event.lines});
   }
-  // Kind-specific payload fields; kinds without one fall through to the
-  // common envelope emitted above.
-  switch (event.kind) {  // cpt-lint: allow(exhaustive-enum-switch)
+  // Kind-specific payload fields; kinds without one carry only the common
+  // envelope emitted above.
+  switch (event.kind) {
     case EventKind::kWalkHit:
       w.KV("class", ToString(WalkHitClassOf(event.value)));
       w.KV("pages_log2", std::uint64_t{WalkHitPagesLog2Of(event.value)});
@@ -152,7 +162,17 @@ void EventToJson(std::ostream& os, const WalkEvent& event) {
     case EventKind::kReservationGrant:
       w.KV("properly_placed", event.value != 0);
       break;
-    default:
+    case EventKind::kTlbHit:
+    case EventKind::kTlbMiss:
+    case EventKind::kTlbBlockMiss:
+    case EventKind::kTlbSubblockMiss:
+    case EventKind::kWalkStep:
+    case EventKind::kWalkEnd:
+    case EventKind::kWalkAbort:
+    case EventKind::kPageFault:
+    case EventKind::kPtePromotion:
+    case EventKind::kSwTlbHit:
+    case EventKind::kSwTlbMiss:
       break;
   }
   w.EndObject();

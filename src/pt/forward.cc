@@ -5,7 +5,7 @@
 namespace cpt::pt {
 
 ForwardMappedPageTable::ForwardMappedPageTable(mem::CacheTouchModel& cache, Options opts)
-    : ReplicatedLeafTable(cache, opts.placement), opts_(opts) {}
+    : ReplicatedLeafTable(cache), opts_(opts) {}
 
 ForwardMappedPageTable::~ForwardMappedPageTable() = default;
 

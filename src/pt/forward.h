@@ -48,7 +48,6 @@ class ForwardMappedPageTable final : public ReplicatedLeafTable<ForwardMappedPag
     // sizes equal to a full subtree's coverage qualify (e.g. 2^8 pages =
     // 1MB); other sizes still replicate.
     bool intermediate_superpages = false;
-    mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
   };
 
   ForwardMappedPageTable(mem::CacheTouchModel& cache, Options opts);

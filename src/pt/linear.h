@@ -58,7 +58,6 @@ class LinearPageTable final
 
   struct Options {
     SizeModel size_model = SizeModel::kSixLevel;
-    mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
   };
 
   LinearPageTable(mem::CacheTouchModel& cache, Options opts);

@@ -161,8 +161,8 @@ class ReplicatedLeafTable : public PageTable {
   }
 
  protected:
-  ReplicatedLeafTable(mem::CacheTouchModel& cache, mem::NodePlacement placement)
-      : PageTable(cache), alloc_(cache.line_size(), placement) {}
+  explicit ReplicatedLeafTable(mem::CacheTouchModel& cache)
+      : PageTable(cache), alloc_(cache.line_size()) {}
 
   std::uint64_t leaf_count() const { return leaves_.size(); }
 

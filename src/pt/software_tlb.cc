@@ -10,8 +10,8 @@ SoftwareTlb::SoftwareTlb(mem::CacheTouchModel& cache, std::unique_ptr<PageTable>
     : PageTable(cache),
       opts_(opts),
       backing_(std::move(backing)),
-      hasher_(opts.num_sets, opts.hash_kind),
-      alloc_(cache.line_size(), opts.placement) {
+      hasher_(opts.num_sets),
+      alloc_(cache.line_size()) {
   CPT_CHECK(IsPowerOfTwo(opts.num_sets) && opts.ways >= 1);
   CPT_CHECK(backing_ != nullptr);
   slot_stride_ = std::bit_ceil(EntryBytes());

@@ -44,8 +44,6 @@ class SoftwareTlb final : public PageTable {
     // Use clustered (page-block) entries instead of single-page entries.
     bool clustered_entries = false;
     unsigned subblock_factor = kDefaultSubblockFactor;
-    HashKind hash_kind = HashKind::kMix;
-    mem::NodePlacement placement = mem::NodePlacement::kLineAligned;
   };
 
   SoftwareTlb(mem::CacheTouchModel& cache, std::unique_ptr<PageTable> backing, Options opts);

@@ -2,7 +2,7 @@
 # baselines.  Runs each baseline bench at the trace length its BENCH_*.json
 # was generated with (CPT_TRACE_LEN=50000) and requires tools/bench_diff.py
 # to find no simulated or structural difference.  Timing keys are reported
-# by bench_diff but never fail it without --time-tol.  Every bench is run
+# by bench_diff but never fail it.  Every bench is run
 # and diffed before the script fails, and the failure names each one that
 # crashed or drifted, so a drift in one baseline cannot hide another.
 #

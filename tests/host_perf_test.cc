@@ -184,42 +184,6 @@ TEST(HostPerfTest, LiveCountersAreMonotoneWhenAvailable) {
   EXPECT_GT(s.Ipc(), 0.0);
 }
 
-TEST(HostPerfTest, AccumulateSumsAndDegradesAvailability) {
-  HostPerfSample a;
-  a.available = true;
-  a.source = "perf_event";
-  a.wall_seconds = 1.0;
-  a.cycles = 100;
-  a.instructions = 400;
-  a.max_rss_kb = 50;
-  a.minor_faults = 3;
-
-  HostPerfSample b;
-  b.available = false;
-  b.source = "rusage";
-  b.reason = "testing";
-  b.wall_seconds = 2.0;
-  b.max_rss_kb = 80;
-  b.minor_faults = 4;
-
-  HostPerfSample sum;
-  sum.Accumulate(a);
-  EXPECT_TRUE(sum.available);
-  EXPECT_EQ(sum.source, "perf_event");
-
-  sum.Accumulate(b);
-  // One degraded contributor degrades the whole aggregate.
-  EXPECT_FALSE(sum.available);
-  EXPECT_EQ(sum.source, "rusage");
-  EXPECT_EQ(sum.reason, "testing");
-  EXPECT_DOUBLE_EQ(sum.wall_seconds, 3.0);
-  EXPECT_EQ(sum.cycles, 100u);
-  EXPECT_EQ(sum.instructions, 400u);
-  EXPECT_EQ(sum.max_rss_kb, 80u);  // max, not sum.
-  EXPECT_EQ(sum.minor_faults, 7u);
-  EXPECT_DOUBLE_EQ(sum.Ipc(), 4.0);
-}
-
 TEST(HostPerfTest, DerivedRatesGuardZeroDenominators) {
   const HostPerfSample zero;
   EXPECT_DOUBLE_EQ(zero.Ipc(), 0.0);

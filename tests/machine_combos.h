@@ -31,15 +31,7 @@ inline bool CombinationSupported(sim::PtKind pt, sim::TlbKind tlb) {
   if (!needs_sp) {
     return true;
   }
-  // Intentionally non-exhaustive: this is a filter naming the unsupported
-  // organizations, not a per-kind dispatch.
-  switch (pt) {  // cpt-lint: allow(exhaustive-enum-switch)
-    case sim::PtKind::kHashed:
-    case sim::PtKind::kHashedInverted:
-      return false;
-    default:
-      return true;
-  }
+  return pt != sim::PtKind::kHashed && pt != sim::PtKind::kHashedInverted;
 }
 
 }  // namespace cpt::testutil

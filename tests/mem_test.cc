@@ -28,14 +28,6 @@ TEST(SimAllocatorTest, AllocationsAreLineAlignedByDefault) {
   }
 }
 
-TEST(SimAllocatorTest, PackedPlacementUsesEightByteAlignment) {
-  SimAllocator a(256, NodePlacement::kPacked);
-  const PhysAddr first = a.Allocate(24);
-  const PhysAddr second = a.Allocate(24);
-  EXPECT_EQ(first.raw() % 8, 0u);
-  EXPECT_EQ(second - first, 24u) << "packed nodes are contiguous";
-}
-
 TEST(SimAllocatorTest, PageSizedAllocationsArePageAligned) {
   SimAllocator a(256);
   const PhysAddr addr = a.Allocate(kBasePageSize);

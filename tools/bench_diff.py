@@ -6,17 +6,12 @@ every *simulated* metric (miss counts, lines per miss, page-table bytes,
 histograms, attribution cells, ...) must match the baseline bit for bit.
 Wall-clock-derived keys (wall_seconds, refs_per_sec, misses_per_sec) and
 host-side subtrees (timing, host_perf, throughput, timeseries, phases) are
-machine noise; they are reported but only enforced when --time-tol is given.
-
---throughput-tol adds a one-sided gate on the schema-v2 throughput keys
-(the report's aggregate refs_per_sec plus every micro entry's
-median_refs_per_sec): the diff fails when current falls more than the given
-fraction below baseline.  Faster-than-baseline never fails.
+machine noise; they are reported and never fail the diff.  Whether a change
+made the simulator slower is decided by an interleaved A/B run on one host
+(tools/perfbench_ab.py --gate), not by comparing against stored times.
 
 Usage:
   tools/bench_diff.py baseline.json current.json
-  tools/bench_diff.py baseline.json current.json --time-tol 0.5
-  tools/bench_diff.py BENCH_throughput.json current.json --throughput-tol 0.6
 
 Exit status: 0 = no drift, 1 = drift found, 2 = usage / malformed input.
 Stdlib-only (the repo's no-new-dependencies rule).
@@ -70,12 +65,9 @@ def metric_key(inst):
 class Diff:
     """Accumulates per-metric rows and renders the human-readable table."""
 
-    def __init__(self, time_tol):
-        self.time_tol = time_tol
+    def __init__(self):
         self.rows = []          # (where, metric, baseline, current, verdict)
         self.hard_failures = 0  # Simulated drift or structural mismatch.
-        self.timing_failures = 0
-        self.throughput_failures = 0
 
     def structural(self, where, message):
         self.rows.append((where, "<structure>", "", "", message))
@@ -85,24 +77,15 @@ class Diff:
         if base == cur:
             return
         if is_timing(path):
-            rel = None
             numeric = (isinstance(base, (int, float)) and not isinstance(base, bool)
                        and isinstance(cur, (int, float)) and not isinstance(cur, bool))
             if numeric:
-                denom = max(abs(base), abs(cur), 1e-12)
-                rel = abs(cur - base) / denom
-            if not numeric:
+                rel = abs(cur - base) / max(abs(base), abs(cur), 1e-12)
+                self.rows.append((where, path, base, cur, f"timing noise ({rel:.1%})"))
+            else:
                 # Availability / source / reason strings inside host_perf
                 # legitimately differ across hosts; never a failure.
                 self.rows.append((where, path, base, cur, "host noise (non-numeric)"))
-                return
-            if self.time_tol is not None and rel > self.time_tol:
-                self.rows.append((where, path, base, cur,
-                                  f"TIMING DRIFT {rel:.1%} > tol {self.time_tol:.0%}"))
-                self.timing_failures += 1
-            else:
-                note = f"timing noise ({rel:.1%})" if rel is not None else "timing noise"
-                self.rows.append((where, path, base, cur, note))
             return
         self.rows.append((where, path, base, cur, "SIMULATED DRIFT"))
         self.hard_failures += 1
@@ -120,8 +103,7 @@ class Diff:
 
     @property
     def failed(self):
-        return (self.hard_failures + self.timing_failures
-                + self.throughput_failures) > 0
+        return self.hard_failures > 0
 
     def render(self, out=sys.stdout):
         if not self.rows:
@@ -144,52 +126,8 @@ def _fmt(v):
     return str(v)
 
 
-def throughput_points(report):
-    """Yields (where, refs_per_sec) gate points of a schema-v2 report."""
-    agg = report.get("throughput", {})
-    if isinstance(agg.get("refs_per_sec"), (int, float)):
-        yield "throughput", agg["refs_per_sec"]
-    for entry in report.get("entries", []):
-        if entry.get("type") != "micro":
-            continue
-        median = entry.get("throughput", {}).get("median_refs_per_sec")
-        if isinstance(median, (int, float)):
-            yield f"micro/{entry.get('series', '?')}", median
-
-
-def gate_throughput(d, baseline, current, tol):
-    """One-sided refs/sec gate: current may not fall > tol below baseline."""
-    base_points = dict(throughput_points(baseline))
-    cur_points = dict(throughput_points(current))
-    for where in sorted(base_points.keys() | cur_points.keys()):
-        if where not in cur_points:
-            d.structural(where, "throughput point missing from current")
-            continue
-        if where not in base_points:
-            d.structural(where, "throughput point not in baseline")
-            continue
-        base, cur = base_points[where], cur_points[where]
-        if base <= 0.0:
-            d.rows.append((where, "median_refs_per_sec", base, cur,
-                           "baseline zero; skipped"))
-            continue
-        ratio = cur / base
-        if ratio < 1.0 - tol:
-            d.rows.append((where, "median_refs_per_sec", base, cur,
-                           f"THROUGHPUT REGRESSION {1.0 - ratio:.1%} below "
-                           f"baseline > tol {tol:.0%}"))
-            d.throughput_failures += 1
-        elif ratio > 1.0 + tol:
-            d.rows.append((where, "median_refs_per_sec", base, cur,
-                           f"FASTER (+{ratio - 1.0:.1%}); consider re-pinning "
-                           "the baseline"))
-        else:
-            d.rows.append((where, "median_refs_per_sec", base, cur,
-                           f"within band ({ratio - 1.0:+.1%})"))
-
-
-def diff_reports(baseline, current, time_tol):
-    d = Diff(time_tol)
+def diff_reports(baseline, current):
+    d = Diff()
 
     for field in ("schema", "schema_version", "bench", "trace_len_override"):
         if baseline.get(field) != current.get(field):
@@ -229,14 +167,6 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline", help="committed baseline report")
     parser.add_argument("current", help="freshly generated report")
-    parser.add_argument("--time-tol", type=float, default=None, metavar="FRAC",
-                        help="fail when a timing key drifts more than this "
-                             "relative fraction (default: report only)")
-    parser.add_argument("--throughput-tol", type=float, default=None,
-                        metavar="FRAC",
-                        help="fail when aggregate or per-micro refs/sec falls "
-                             "more than this fraction below baseline "
-                             "(one-sided; faster never fails)")
     args = parser.parse_args()
 
     try:
@@ -248,14 +178,10 @@ def main():
         print(f"bench_diff: {e}", file=sys.stderr)
         return 2
 
-    d = diff_reports(baseline, current, args.time_tol)
-    if args.throughput_tol is not None:
-        gate_throughput(d, baseline, current, args.throughput_tol)
+    d = diff_reports(baseline, current)
     d.render()
     if d.failed:
-        print(f"\nbench_diff: FAIL ({d.hard_failures} simulated/structural, "
-              f"{d.timing_failures} timing, "
-              f"{d.throughput_failures} throughput)")
+        print(f"\nbench_diff: FAIL ({d.hard_failures} simulated/structural)")
         return 1
     noise = sum(1 for r in d.rows if "timing" in r[4])
     print(f"\nbench_diff: OK ({noise} timing-noise keys ignored)")

@@ -112,15 +112,6 @@ HOST_PERF_COUNTERS = {
 
 HOST_PERF_DERIVED = {"ipc", "llc_mpki", "dtlb_mpki", "branch_mpki"}
 
-MICRO_THROUGHPUT_FIELDS = {
-    "median_refs_per_sec": (int, float),
-    "best_refs_per_sec": (int, float),
-    "worst_refs_per_sec": (int, float),
-    "median_ns_per_op": (int, float),
-    "rep_refs_per_sec": list,
-    "rep_seconds": list,
-}
-
 OPTION_FIELDS = {
     "pt_kind", "tlb_kind", "tlb_entries", "subblock_factor", "num_buckets",
     "line_size", "phys_frames",
@@ -189,26 +180,6 @@ def check_timing(timing, where):
         require(isinstance(phase.get("host_perf"), dict),
                 f"{pw}: missing host_perf")
         check_host_perf(phase["host_perf"], pw)
-
-
-def check_micro_entry(entry, i):
-    where = f"entries[{i}] (micro/{entry.get('series', '?')})"
-    require("series" in entry, f"{where}: missing 'series'")
-    for field in ("iterations", "reps", "warmup_reps"):
-        require(isinstance(entry.get(field), int),
-                f"{where}: missing int '{field}'")
-    tp = entry.get("throughput")
-    require(isinstance(tp, dict), f"{where}: missing throughput")
-    check_fields(tp, MICRO_THROUGHPUT_FIELDS, where)
-    for field in ("rep_refs_per_sec", "rep_seconds"):
-        require(len(tp[field]) == entry["reps"],
-                f"{where}: {field} has {len(tp[field])} samples for "
-                f"{entry['reps']} reps")
-        require(all(isinstance(v, (int, float)) for v in tp[field]),
-                f"{where}: non-numeric sample in {field}")
-    require(isinstance(entry.get("host_perf"), dict),
-            f"{where}: missing host_perf")
-    check_host_perf(entry["host_perf"], where)
 
 
 def check_attribution(attr, where):
@@ -284,8 +255,6 @@ def check_report_doc(doc):
             check_measurement_entry(entry, i)
         elif entry["type"] == "table":
             check_table_entry(entry, i)
-        elif entry["type"] == "micro":
-            check_micro_entry(entry, i)
         # Other custom entry types (rangeops, ...) only need type + series.
         else:
             require("series" in entry, f"entries[{i}]: missing 'series'")
@@ -460,14 +429,12 @@ def _self_test_sections():
         "schema": SCHEMA, "schema_version": SCHEMA_VERSION, "bench": "t",
         "trace_len_override": 0,
         "entries": [{
-            "type": "micro", "series": "lookup/clustered",
-            "iterations": 1000, "reps": 3, "warmup_reps": 1, "slowdown": 0,
-            "throughput": {
-                "median_refs_per_sec": 2e7, "best_refs_per_sec": 2.2e7,
-                "worst_refs_per_sec": 1.9e7, "median_ns_per_op": 50.0,
-                "rep_refs_per_sec": [1.9e7, 2e7, 2.2e7],
-                "rep_seconds": [5e-5, 5e-5, 4.5e-5]},
-            "host_perf": _sample_host_perf(False),
+            "type": "size", "series": "clustered",
+            "measurement": {
+                "workload": "gcc", "bytes": 4096, "hashed_bytes": 8192,
+                "normalized": 0.5, "census": {}, "rng_seed": 1,
+                "wall_seconds": 1e-3, "host_perf": _sample_host_perf(False),
+                "options": dict.fromkeys(OPTION_FIELDS, 0)},
         }],
         "host_perf": _sample_host_perf(True),
         "throughput": {"refs": 3000, "wall_seconds": 1.5e-4,
@@ -481,14 +448,11 @@ def _self_test_sections():
     del broken["host_perf"]
     checks.append(("missing host_perf section", broken, "host_perf"))
     broken = copy.deepcopy(valid)
-    broken["entries"][0]["host_perf"]["reason"] = ""
+    broken["entries"][0]["measurement"]["host_perf"]["reason"] = ""
     checks.append(("degraded without reason", broken, "reason"))
     broken = copy.deepcopy(valid)
     del broken["throughput"]["refs_per_sec"]
     checks.append(("throughput missing refs_per_sec", broken, "refs_per_sec"))
-    broken = copy.deepcopy(valid)
-    broken["entries"][0]["throughput"]["rep_seconds"] = [1.0]
-    checks.append(("rep count mismatch", broken, "samples"))
     broken = copy.deepcopy(valid)
     del broken["host_perf"]["counters"]["dtlb_load_misses"]
     checks.append(("missing perf counter", broken, "dtlb_load_misses"))

@@ -3,8 +3,9 @@
 
 The simulator's headline numbers are pure counting metrics, so the repo's
 correctness story is contract discipline: walk events must stay paired,
-switches over contract enums must stay exhaustive, enum<->name tables must
-stay in sync, and nothing nondeterministic may leak into simulated counts.
+enum<->name tables must stay in sync, and nothing nondeterministic may leak
+into simulated counts.  (Exhaustive enum switches are the compiler's job:
+the build passes -Wswitch-enum.)
 The runtime half of those contracts lives in src/check (StructuralAuditor,
 ShadowedPageTable); this tool is the static half, run at build/CI time
 before a trace is ever produced.
@@ -17,9 +18,6 @@ fails loudly (via the fixture tests) when it is not.
 
 Rules (see DESIGN.md "Static analysis" for the catalog and policy):
 
-  exhaustive-enum-switch  switches over contract enums (EventKind,
-                          MappingKind, SegmentKind, ...) must list every
-                          enumerator or carry a suppression.
   name-table-sync         k<Enum>Names arrays need an adjacent
                           static_assert and one entry per enumerator.
   walk-protocol-pairing   BeginWalk must pair with EndWalk/AbortWalk (or
@@ -96,17 +94,6 @@ LINT_ROOTS = ("src", "bench", "examples", "tests", "tools")
 SOURCE_SUFFIXES = (".h", ".hpp", ".cc", ".cpp")
 # Known-bad lint-test inputs must never gate the real tree.
 EXCLUDED_GLOBS = ("tests/lint/fixtures/*",)
-
-# Enums whose switches must stay exhaustive as enumerators are added.
-# Deliberately broad: every closed-vocabulary enum in the simulator's
-# contracts.  A switch that intentionally handles a subset carries a
-# suppression explaining why.
-CONTRACT_ENUMS = {
-    "EventKind", "WalkHitClass", "SegmentClass", "SegmentKind",
-    "MappingKind", "LookupOutcome", "PtKind", "TlbKind", "AccessPattern",
-    "PteStrategy", "GroupState", "GroupStateView", "NodeKind", "SizeModel",
-    "SearchOrder", "HashKind", "NodePlacement", "AuditVerdict",
-}
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -476,23 +463,19 @@ class Project:
                 self.enums.setdefault(e.name, []).append(e)
             self.name_tables.extend(parse_name_tables(sf))
 
-    def enum_for_switch(self, name, seen_enumerators, rel=None):
-        """The unique EnumDef consistent with the observed case labels.
+    def enum_named(self, name, rel=None):
+        """The unique EnumDef called `name`, or None when it is ambiguous.
 
         A definition in the file being linted shadows same-named enums
         elsewhere (test fixtures and doubles clone contract enums locally).
         """
         defs = self.enums.get(name, [])
-        consistent = [d for d in defs if seen_enumerators <= set(d.enumerators)]
         if rel is not None:
-            local = [d for d in consistent if d.file == rel]
+            local = [d for d in defs if d.file == rel]
             if local:
-                consistent = local
-        if len(consistent) == 1:
-            return consistent[0]
-        if consistent and all(set(d.enumerators) == set(consistent[0].enumerators)
-                              for d in consistent):
-            return consistent[0]
+                defs = local
+        if defs and all(set(d.enumerators) == set(defs[0].enumerators) for d in defs):
+            return defs[0]
         return None
 
 
@@ -526,71 +509,6 @@ def register(cls):
     return cls
 
 
-# ---- exhaustive-enum-switch -----------------------------------------------
-
-@register
-class ExhaustiveEnumSwitch(Rule):
-    name = "exhaustive-enum-switch"
-    help = ("switch statements over contract enums must list every enumerator "
-            "(or carry a suppression explaining the subset)")
-
-    def check(self, sf, project):
-        findings = []
-        toks = sf.tokens
-        for i, t in enumerate(toks):
-            if t.kind == "id" and t.text == "switch":
-                self._check_switch(sf, project, toks, i, findings)
-        return findings
-
-    def _check_switch(self, sf, project, toks, i, findings):
-        # Find the controlled body: switch ( cond ) { ... }
-        j = i + 1
-        if j >= len(toks) or toks[j].text != "(":
-            return
-        j = _match_paren(toks, j, "(", ")") + 1
-        if j >= len(toks) or toks[j].text != "{":
-            return
-        close = _match_paren(toks, j, "{", "}")
-        labels = {}  # enum name -> set(enumerator)
-        k = j + 1
-        while k < close:
-            tk = toks[k]
-            if tk.kind == "id" and tk.text == "switch":
-                # Nested switch: its labels belong to it, not to us (the
-                # outer token scan in check() will visit it on its own).
-                nj = k + 1
-                if nj < len(toks) and toks[nj].text == "(":
-                    nj = _match_paren(toks, nj, "(", ")") + 1
-                if nj < len(toks) and toks[nj].text == "{":
-                    k = _match_paren(toks, nj, "{", "}") + 1
-                    continue
-            if tk.kind == "id" and tk.text == "case":
-                ids = []
-                k += 1
-                while k < close and toks[k].text != ":":
-                    if toks[k].kind == "id":
-                        ids.append(toks[k].text)
-                    k += 1
-                if len(ids) >= 2:
-                    labels.setdefault(ids[-2], set()).add(ids[-1])
-                continue
-            k += 1
-        for enum_name, seen in labels.items():
-            if enum_name not in CONTRACT_ENUMS:
-                continue
-            enum_def = project.enum_for_switch(enum_name, seen, sf.rel)
-            if enum_def is None:
-                continue
-            missing = sorted(set(enum_def.enumerators) - seen)
-            if not missing:
-                continue
-            shown = ", ".join(missing[:6]) + (", ..." if len(missing) > 6 else "")
-            findings.append(Finding(
-                self.name, sf, toks[i].line,
-                f"switch over {enum_name} is missing {len(missing)} of "
-                f"{len(enum_def.enumerators)} enumerators: {shown}"))
-
-
 # ---- name-table-sync -------------------------------------------------------
 
 @register
@@ -611,7 +529,7 @@ class NameTableSync(Rule):
                     f"static_assert(std::size({table.name}) == ...) within "
                     f"{self.ADJACENT_LINES} lines"))
             enum_name = table.name[1:-len("Names")]
-            enum_def = project.enum_for_switch(enum_name, set(), sf.rel)
+            enum_def = project.enum_named(enum_name, sf.rel)
             if enum_def is not None and len(table.strings) != len(enum_def.enumerators):
                 findings.append(Finding(
                     self.name, sf, table.line,
@@ -1437,7 +1355,7 @@ def _main(argv=None):
     if args.paths:
         files = [SourceFile(p, root=root) for p in args.paths]
         # Enum/name-table context always comes from the full src tree, so
-        # linting one .cc still knows the enums its switches dispatch over.
+        # linting one .cc still knows the enums its name tables index.
         seen = {sf.rel for sf in files}
         context = files + [sf for sf in collect_source_files(root, roots=("src",))
                            if sf.rel not in seen]

@@ -25,10 +25,18 @@ always print the same interval.  The verdicts are:
               and not every change run beats every parent run;
   within      none of the above (for metrics without a bound: no gain).
 
+--gate makes the comparison a pass/fail check: it exits 1 when, for any
+end-to-end metric with a bound, on any workload run, the 95% interval lies
+wholly beyond the bound in the bad direction (its upper end below 1 - bound
+for a higher-better metric, its lower end above 1 + bound for a lower-better
+one), and prints each metric and workload that tripped it.  An interval that
+straddles the bound is noise, not a regression, and passes.
+
 A run whose output check fails, or that reports failed references, stops the
-comparison.  --json writes every run's metrics.  The tool only reads
-perfbench/ and BENCHMARK.json.  --self-test checks the statistics on canned
-inputs without building or running anything.
+comparison with exit status 2, as do usage errors.  --json writes every run's
+metrics.  The tool only reads perfbench/ and BENCHMARK.json.  --self-test
+checks the statistics and the gate on canned inputs without building or
+running anything.
 """
 
 import argparse
@@ -130,6 +138,24 @@ def compare(parent, change, better, bound):
     }
 
 
+def gate_trips(workload, summary, benchmark):
+    """'<workload> <metric> ...' for each bounded end-to-end metric whose
+    ratio interval lies wholly beyond its bound in the bad direction."""
+    trips = []
+    for m in benchmark.get("end_to_end", []):
+        name, bound = m["name"], m.get("bound")
+        if bound is None or name not in summary:
+            continue
+        lo, hi = summary[name]["ratio_ci"]
+        if m["better"] == "higher" and hi < 1.0 - bound:
+            trips.append(f"{workload} {name}: change/parent 95% CI [{lo:.3f}, {hi:.3f}] "
+                         f"lies below 1 - {bound:g}")
+        elif m["better"] == "lower" and lo > 1.0 + bound:
+            trips.append(f"{workload} {name}: change/parent 95% CI [{lo:.3f}, {hi:.3f}] "
+                         f"lies above 1 + {bound:g}")
+    return trips
+
+
 def first_side(pair_index):
     """Which side runs first in a pair: the parent on even pairs."""
     return "parent" if pair_index % 2 == 0 else "change"
@@ -229,6 +255,9 @@ def main():
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--scratch", default=os.path.join(".bench_build", "ab"))
     parser.add_argument("--json", help="write every run's metrics here")
+    parser.add_argument("--gate", action="store_true",
+                        help="exit 1 when a bounded end-to-end metric's CI lies "
+                             "wholly beyond its bound in the bad direction")
     parser.add_argument("--self-test", action="store_true")
     args = parser.parse_args()
     if args.self_test:
@@ -256,6 +285,7 @@ def main():
 
     record = {"base": commit, "seed": args.seed, "seconds": args.seconds,
               "trace": args.trace, "workloads": {}}
+    trips = []
     for workload in workloads:
         runs = {"parent": [], "change": []}
         units = {}
@@ -269,9 +299,15 @@ def main():
         summary = summarize(runs, specs)
         record["workloads"][workload] = {"runs": runs, "summary": summary}
         print(format_table(workload, summary, units), flush=True)
+        trips += gate_trips(workload, summary, benchmark)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as f:
             json.dump(record, f, indent=1)
+    if args.gate:
+        if trips:
+            print("\nperfbench_ab gate: FAIL", *trips, sep="\n  ")
+            return 1
+        print("\nperfbench_ab gate: ok (no bounded metric's CI lies beyond its bound)")
     return 0
 
 
@@ -356,6 +392,36 @@ def self_test():
         covered += lo <= 1.3 <= hi
         holds_one += lo <= 1.0 <= hi
     check(covered >= 85 and holds_one == 0, f"coverage {covered}/100, holds 1.0 {holds_one}/100")
+
+    # The gate trips only on an interval wholly beyond the bound, in the
+    # metric's bad direction; per-layer and unbounded metrics never trip it.
+    bench = {"end_to_end": [{"name": "refs_per_s", "better": "higher", "bound": 0.25},
+                            {"name": "setup_s", "better": "lower", "bound": 0.25},
+                            {"name": "failed_frac", "better": "lower"}]}
+
+    def trips(name, ci):
+        return gate_trips("w", {name: {"ratio_ci": ci}}, bench)
+
+    check(trips("refs_per_s", [0.60, 0.74]) == [
+        "w refs_per_s: change/parent 95% CI [0.600, 0.740] lies below 1 - 0.25"],
+        "higher-better CI below 1 - bound trips")
+    check(trips("refs_per_s", [0.70, 0.80]) == [], "higher-better CI straddling 0.75 passes")
+    check(trips("refs_per_s", [1.30, 1.50]) == [], "a faster change passes")
+    check(trips("setup_s", [1.26, 1.40]) == [
+        "w setup_s: change/parent 95% CI [1.260, 1.400] lies above 1 + 0.25"],
+        "lower-better CI above 1 + bound trips")
+    check(trips("setup_s", [1.20, 1.30]) == [], "lower-better CI straddling 1.25 passes")
+    check(trips("setup_s", [0.50, 0.70]) == [], "a quicker set-up passes")
+    check(trips("failed_frac", [5.0, 9.0]) == [], "an unbounded metric never trips")
+    check(trips("os.touch_ns", [5.0, 9.0]) == [], "a per-layer metric never trips")
+    # End to end over canned runs: a 40% slower change trips, the same runs
+    # on both sides do not.
+    slow = summarize({"parent": [{"refs_per_s": v} for v in parent],
+                      "change": [{"refs_per_s": 0.6 * v} for v in parent]}, specs)
+    check(len(gate_trips("w", slow, bench)) == 1, f"40% slower trips: {slow}")
+    same = summarize({"parent": [{"refs_per_s": v} for v in parent],
+                      "change": [{"refs_per_s": v} for v in reversed(parent)]}, specs)
+    check(gate_trips("w", same, bench) == [], f"same runs pass: {same}")
 
 
 if __name__ == "__main__":
