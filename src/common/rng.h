@@ -6,6 +6,7 @@
 #ifndef CPT_COMMON_RNG_H_
 #define CPT_COMMON_RNG_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 
@@ -29,6 +30,17 @@ class Rng {
   // all-zero state is one xoshiro never reaches from a seed.
   Rng() = default;
 
+  // A generator at exactly `state` (xoshiro's four state words), for
+  // checks of the state step itself.  The all-zero state never leaves zero.
+  static Rng FromState(const std::array<std::uint64_t, 4>& state) {
+    Rng rng;
+    rng.state_ = state;
+    return rng;
+  }
+
+  // Same state: the two generators draw the same stream from here on.
+  friend bool operator==(const Rng&, const Rng&) = default;
+
   std::uint64_t Next() {
     const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
     const std::uint64_t t = state_[1] << 17;
@@ -47,6 +59,13 @@ class Rng {
       (void)Next();
     }
   }
+
+  // Skip(kJumpDraws) in one step, the draws a full trace run passes over
+  // (workload::Run).  The state step is linear over GF(2), so kJumpDraws of
+  // them are one fixed 256x256 bit matrix, applied as 32 lookups, one per
+  // state byte, in a 256 KiB table (common/rng.cc).
+  static constexpr std::uint64_t kJumpDraws = 127;
+  void Jump();
 
   // Uniform in [0, bound).  bound must be nonzero.
   std::uint64_t Below(std::uint64_t bound) { return Next() % bound; }
@@ -98,7 +117,7 @@ class Rng {
  private:
   static std::uint64_t Rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
-  std::uint64_t state_[4] = {};
+  std::array<std::uint64_t, 4> state_ = {};
 };
 
 }  // namespace cpt

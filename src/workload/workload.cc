@@ -204,11 +204,18 @@ Run TraceGenerator::BeginRun(std::uint64_t max_refs) {
                  p.current_segment != nullptr ? p.current_segment->write_threshold : 0};
 }
 
+// A full run skips exactly one table jump of draws.
+static_assert(2 * std::uint64_t{kMaxRunRefs} - 1 == Rng::kJumpDraws);
+
 Run TraceGenerator::NextRun(std::uint64_t max_refs) {
   Run run = BeginRun(max_refs);
   run.store_rng = rng_;
   // Reference 0's store draw, then an offset and a store draw per reference.
-  rng_.Skip(2 * std::uint64_t{run.count} - 1);
+  if (run.count == kMaxRunRefs) {
+    rng_.Jump();
+  } else {
+    rng_.Skip(2 * std::uint64_t{run.count} - 1);
+  }
   return run;
 }
 

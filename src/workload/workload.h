@@ -97,6 +97,9 @@ struct Reference {
 // which nothing below the generator reads (every layer keys on the VPN).
 // The store bits are drawn on demand: the run keeps the generator state at
 // its first store draw, and StoreBits() replays the run's draws from there.
+// NextRun passes over those draws without computing them: a full run's
+// 2 * kMaxRunRefs - 1 of them in one Rng::Jump(), a shorter run's by
+// stepping the state.
 inline constexpr std::uint32_t kMaxRunRefs = 64;
 struct Run {
   tlb::Asid asid = 0;
@@ -136,8 +139,9 @@ class TraceGenerator {
   // The next run of up to min(kMaxRunRefs, max_refs) references, cut where
   // the page's sojourn or the process's scheduling slice ends.  It advances
   // the RNG past the same draws as `count` calls of Next(), so runs and
-  // single references can be mixed freely in one stream; the store draws
-  // are only skipped here (see Run::StoreBits).
+  // single references can be mixed freely in one stream.  Only the first
+  // page offset is drawn; the rest of the run's draws are jumped (a full
+  // run) or stepped over, and its store bits are left to Run::StoreBits.
   Run NextRun(std::uint64_t max_refs);
 
  private:

@@ -2,16 +2,19 @@
 // statistics helpers (including the merge combines).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <iterator>
 #include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "workload/workload.h"
 
 namespace cpt {
 namespace {
@@ -151,6 +154,40 @@ TEST(RngTest, BurstLengthEqualsDoubleLoop) {
       ASSERT_EQ(a.BurstLength(mean), double_loop(b, mean)) << "mean=" << mean;
       ASSERT_EQ(a.Next(), b.Next()) << "mean=" << mean;
     }
+  }
+}
+
+// Jump() must land exactly where Skip(127) does.  The unit-vector states
+// read every state bit's image, the states whose 32 bytes all equal v read
+// every table entry for v, and seeded states (the paper workloads' among
+// them) read random mixes of entries.
+TEST(RngTest, JumpEqualsSkip127) {
+  static_assert(Rng::kJumpDraws == 127);
+  const auto expect_jump_equals_skip = [](const Rng& start, const std::string& what) {
+    Rng jumped = start;
+    Rng stepped = start;
+    jumped.Jump();
+    stepped.Skip(127);
+    EXPECT_TRUE(jumped == stepped) << what;
+    EXPECT_EQ(jumped.Next(), stepped.Next()) << what;
+  };
+  for (std::size_t bit = 0; bit < 256; ++bit) {
+    std::array<std::uint64_t, 4> state{};
+    state[bit / 64] = std::uint64_t{1} << (bit % 64);
+    expect_jump_equals_skip(Rng::FromState(state), "unit state bit " + std::to_string(bit));
+  }
+  for (std::uint64_t v = 1; v < 256; ++v) {
+    const std::uint64_t word = v * 0x0101010101010101ull;
+    expect_jump_equals_skip(Rng::FromState({word, word, word, word}),
+                            "every byte " + std::to_string(v));
+  }
+  for (std::uint64_t seed = 0; seed < 1000; ++seed) {
+    expect_jump_equals_skip(Rng(seed), "seed " + std::to_string(seed));
+  }
+  // The snapshot and trace seeds of every paper workload.
+  for (const workload::WorkloadSpec& spec : workload::PaperWorkloads()) {
+    expect_jump_equals_skip(Rng(spec.seed), spec.name + " snapshot");
+    expect_jump_equals_skip(Rng(spec.seed ^ 0x9E3779B97F4A7C15ull), spec.name + " trace");
   }
 }
 

@@ -174,6 +174,7 @@ TEST(TraceTest, SojournControlsPageChangeRate) {
 // How a run stream was cut, for checking that every cut reason occurred.
 struct RunCuts {
   std::uint64_t full = 0;           // Runs of kMaxRunRefs references.
+  std::uint64_t one_short = 0;      // Runs of kMaxRunRefs - 1 references.
   std::uint64_t asid_switches = 0;  // Run boundaries that switch process.
 };
 
@@ -209,6 +210,7 @@ RunCuts ExpectRunsMatchNext(const WorkloadSpec& spec, std::uint64_t n,
       EXPECT_EQ(writes >> run.count, 0u) << "store bits past the run's end";
     }
     cuts.full += run.count == kMaxRunRefs;
+    cuts.one_short += run.count == kMaxRunRefs - 1;
     cuts.asid_switches += k > 0 && run.asid != last_asid;
     last_asid = run.asid;
     done += run.count;
@@ -216,25 +218,50 @@ RunCuts ExpectRunsMatchNext(const WorkloadSpec& spec, std::uint64_t n,
   return cuts;
 }
 
+// The ten traced paper workloads (the kernel is a snapshot only).
+const char* const kTracedWorkloads[] = {"coral", "nasa7", "compress", "fftpde", "wave5",
+                                        "mp3d",  "spice", "pthor",    "ml",     "gcc"};
+
+// References to replay so the stream crosses slice ends: gcc's first process
+// runs for a whole share of the default length, so go past it.
+std::uint64_t CrossingLength(const WorkloadSpec& spec) {
+  return spec.sequential_processes
+             ? spec.default_trace_length / spec.processes.size() + 50'000
+             : 200'000;
+}
+
 TEST(TraceRunTest, RunsReproduceTheNextStreamForEveryWorkload) {
   // Caps mix unbounded runs, single references, and cuts inside a run.
   const std::vector<std::uint64_t> caps = {1'000'000, 1, 5, 64, 2, 100, 63};
   std::uint64_t full = 0;
-  for (const char* name : {"coral", "nasa7", "compress", "fftpde", "wave5", "mp3d", "spice",
-                           "pthor", "ml", "gcc"}) {
+  for (const char* name : kTracedWorkloads) {
     const WorkloadSpec& spec = GetPaperWorkload(name);
-    // gcc's first process runs for a whole share of the default length;
-    // go past it so the stream crosses a sequential-process cut.
-    const std::uint64_t n =
-        spec.sequential_processes ? spec.default_trace_length / spec.processes.size() + 50'000
-                                  : 200'000;
-    const RunCuts cuts = ExpectRunsMatchNext(spec, n, caps);
+    const RunCuts cuts = ExpectRunsMatchNext(spec, CrossingLength(spec), caps);
     full += cuts.full;
     if (spec.processes.size() > 1) {
       EXPECT_GT(cuts.asid_switches, 0u) << name << ": no slice cut was exercised";
     }
   }
   EXPECT_GT(full, 0u) << "no sojourn longer than a run was exercised";
+}
+
+// A full run jumps the RNG and a shorter one steps it: caps just below, at
+// and above kMaxRunRefs put runs of 63 and 64 references, and runs cut
+// shorter by sojourn and slice ends, side by side in one stream.
+TEST(TraceRunTest, RunsAroundTheJumpMatchTheNextStream) {
+  const std::vector<std::uint64_t> caps = {kMaxRunRefs - 1, kMaxRunRefs, kMaxRunRefs + 1};
+  RunCuts total;
+  for (const char* name : kTracedWorkloads) {
+    const WorkloadSpec& spec = GetPaperWorkload(name);
+    const RunCuts cuts = ExpectRunsMatchNext(spec, CrossingLength(spec), caps);
+    if (spec.processes.size() > 1) {
+      EXPECT_GT(cuts.asid_switches, 0u) << name << ": no slice cut was exercised";
+    }
+    total.full += cuts.full;
+    total.one_short += cuts.one_short;
+  }
+  EXPECT_GT(total.full, 0u) << "no run was jumped";
+  EXPECT_GT(total.one_short, 0u) << "no run one short of a jump was stepped";
 }
 
 // StoreBits() only reads its run: a stream whose store bits were drawn for
