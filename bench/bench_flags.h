@@ -32,8 +32,7 @@
 // Error handling: an unopenable path, a malformed flag, or a stream that
 // goes bad while writing all terminate the bench with a nonzero exit and a
 // message naming the file — a truncated report must never look like success.
-#ifndef CPT_BENCH_BENCH_FLAGS_H_
-#define CPT_BENCH_BENCH_FLAGS_H_
+#pragma once
 
 #include <cstdio>
 #include <cstdlib>
@@ -431,5 +430,3 @@ class BenchIo {
 };
 
 }  // namespace cpt::bench
-
-#endif  // CPT_BENCH_BENCH_FLAGS_H_

@@ -2,8 +2,7 @@
 // workload against a set of page-table kinds under one TLB design and prints
 // the paper's metric — average cache lines accessed per TLB miss, normalized
 // by the misses of the full-size (64-entry) TLB.
-#ifndef CPT_BENCH_FIG11_COMMON_H_
-#define CPT_BENCH_FIG11_COMMON_H_
+#pragma once
 
 #include <cstdint>
 #include <cstdio>
@@ -78,5 +77,3 @@ inline void RunFig11(BenchIo& io, const char* title, sim::TlbKind tlb_kind,
 }
 
 }  // namespace cpt::bench
-
-#endif  // CPT_BENCH_FIG11_COMMON_H_

@@ -14,8 +14,7 @@
 //   - TlbEntryView: one TLB entry and the (vpn -> ppn) translations it
 //     currently serves;
 //   - ReservationGroupView: one physical frame group and its bookkeeping.
-#ifndef CPT_CHECK_AUDIT_VISITOR_H_
-#define CPT_CHECK_AUDIT_VISITOR_H_
+#pragma once
 
 #include <cstdint>
 #include <utility>
@@ -107,5 +106,3 @@ class ReservationAuditVisitor {
 };
 
 }  // namespace cpt::check
-
-#endif  // CPT_CHECK_AUDIT_VISITOR_H_

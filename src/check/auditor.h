@@ -29,8 +29,7 @@
 // Each Audit* function returns an AuditReport listing every defect found;
 // an empty report means the structure is sound.  The auditor holds no state
 // between calls and never mutates what it audits.
-#ifndef CPT_CHECK_AUDITOR_H_
-#define CPT_CHECK_AUDITOR_H_
+#pragma once
 
 #include <string>
 #include <string_view>
@@ -90,5 +89,3 @@ class StructuralAuditor {
 };
 
 }  // namespace cpt::check
-
-#endif  // CPT_CHECK_AUDITOR_H_

@@ -1,8 +1,7 @@
 // Forward declarations for the audit subsystem, so audited headers can
 // declare `AuditVisit` hooks and the TestBackdoor friendship without pulling
 // in the visitor definitions.
-#ifndef CPT_CHECK_FWD_H_
-#define CPT_CHECK_FWD_H_
+#pragma once
 
 namespace cpt::check {
 
@@ -15,5 +14,3 @@ class ReservationAuditVisitor;
 class TestBackdoor;
 
 }  // namespace cpt::check
-
-#endif  // CPT_CHECK_FWD_H_

@@ -17,8 +17,7 @@
 // can aggregate them into one AuditReport alongside the structural audits;
 // FinalCheck() additionally compares the organization's live-translation
 // accounting against the shadow's size.
-#ifndef CPT_CHECK_SHADOW_ORACLE_H_
-#define CPT_CHECK_SHADOW_ORACLE_H_
+#pragma once
 
 #include <cstdint>
 #include <memory>
@@ -91,5 +90,3 @@ class ShadowedPageTable final : public pt::PageTable {
 };
 
 }  // namespace cpt::check
-
-#endif  // CPT_CHECK_SHADOW_ORACLE_H_

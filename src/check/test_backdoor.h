@@ -11,8 +11,7 @@
 //
 // This header must only be included from test code; it is never part of
 // the simulator proper.
-#ifndef CPT_CHECK_TEST_BACKDOOR_H_
-#define CPT_CHECK_TEST_BACKDOOR_H_
+#pragma once
 
 #include <cstdint>
 #include <optional>
@@ -175,5 +174,3 @@ class TestBackdoor {
 };
 
 }  // namespace cpt::check
-
-#endif  // CPT_CHECK_TEST_BACKDOOR_H_

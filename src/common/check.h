@@ -21,8 +21,7 @@
 // A failed check prints the expression, location, and message to stderr and
 // aborts, so sanitizer builds and CI get a deterministic, loud failure
 // instead of silently corrupt measurements.
-#ifndef CPT_COMMON_CHECK_H_
-#define CPT_COMMON_CHECK_H_
+#pragma once
 
 #include <cstdio>
 #include <cstdlib>
@@ -54,5 +53,3 @@ namespace cpt::check_internal {
        : ::cpt::check_internal::CheckFail("CPT_DCHECK", #cond, __FILE__, __LINE__,        \
                                           ##__VA_ARGS__))
 #endif
-
-#endif  // CPT_COMMON_CHECK_H_

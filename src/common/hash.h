@@ -3,8 +3,7 @@
 // The paper's hash tables index 4096 buckets with a function of the VPN (or
 // VPBN for clustered tables).  Every hashed structure here uses one full
 // 64-bit avalanche mix, so aligned region bases spread over the buckets.
-#ifndef CPT_COMMON_HASH_H_
-#define CPT_COMMON_HASH_H_
+#pragma once
 
 #include <cstdint>
 
@@ -46,5 +45,3 @@ class BucketHasher {
 };
 
 }  // namespace cpt
-
-#endif  // CPT_COMMON_HASH_H_

@@ -23,8 +23,7 @@
 // Usage:
 //   cpt::HotPathScope guard("hotguard_test.steady_state_replay");
 //   for (...) machine.Access(...);   // aborts loudly if anything allocates
-#ifndef CPT_COMMON_HOTGUARD_H_
-#define CPT_COMMON_HOTGUARD_H_
+#pragma once
 
 namespace cpt {
 
@@ -46,5 +45,3 @@ class HotPathScope {
 };
 
 }  // namespace cpt
-
-#endif  // CPT_COMMON_HOTGUARD_H_

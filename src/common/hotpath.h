@@ -15,13 +15,10 @@
 // is not marked [[gnu::cold]], which would compile it for size, because it
 // is all the work of a Preload and of the page-table size sweeps; the
 // replay marks its fault branches unlikely at the call sites instead.
-#ifndef CPT_COMMON_HOTPATH_H_
-#define CPT_COMMON_HOTPATH_H_
+#pragma once
 
 #if defined(__GNUC__) || defined(__clang__)
 #define CPT_HOT [[gnu::hot]]
 #else
 #define CPT_HOT
 #endif
-
-#endif  // CPT_COMMON_HOTPATH_H_

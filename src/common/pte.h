@@ -26,8 +26,7 @@
 // does not pin S to a bit position; we place it at bits 41..40, inside PAD,
 // where it does not collide with the PSB valid vector (bits 63..48) or the
 // superpage SZ field (bits 62..59).
-#ifndef CPT_COMMON_PTE_H_
-#define CPT_COMMON_PTE_H_
+#pragma once
 
 #include <atomic>
 #include <cstdint>
@@ -337,5 +336,3 @@ inline void ApplyAttrUpdate(AtomicMappingWord& cell, std::uint16_t set_mask,
 }
 
 }  // namespace cpt
-
-#endif  // CPT_COMMON_PTE_H_

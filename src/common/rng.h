@@ -3,8 +3,7 @@
 // Simulations must be reproducible run-to-run, so all randomness flows
 // through this splitmix64-seeded xoshiro256** generator rather than
 // std::random_device or unseeded std engines.
-#ifndef CPT_COMMON_RNG_H_
-#define CPT_COMMON_RNG_H_
+#pragma once
 
 #include <array>
 #include <cmath>
@@ -121,5 +120,3 @@ class Rng {
 };
 
 }  // namespace cpt
-
-#endif  // CPT_COMMON_RNG_H_

@@ -1,6 +1,5 @@
 // Small statistics helpers used by the simulator and benches.
-#ifndef CPT_COMMON_STATS_H_
-#define CPT_COMMON_STATS_H_
+#pragma once
 
 #include <algorithm>
 #include <cmath>
@@ -132,5 +131,3 @@ class Histogram {
 std::string FormatBytes(std::uint64_t bytes);
 
 }  // namespace cpt
-
-#endif  // CPT_COMMON_STATS_H_

@@ -17,8 +17,7 @@
 // probe, is a compile error instead of a silently wrong count deep in a
 // bench run.  See DESIGN.md "Address domains" for the taxonomy and the
 // `.raw()` escape-hatch policy.
-#ifndef CPT_COMMON_TYPES_H_
-#define CPT_COMMON_TYPES_H_
+#pragma once
 
 #include <bit>
 #include <compare>
@@ -252,5 +251,3 @@ struct std::hash<cpt::TaggedU64<Tag>> {
     return std::hash<std::uint64_t>{}(v.raw());
   }
 };
-
-#endif  // CPT_COMMON_TYPES_H_

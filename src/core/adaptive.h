@@ -17,8 +17,7 @@
 // like the other clustered formats.
 //
 // Superpage/PSB PTEs work as in ClusteredPageTable (compact nodes).
-#ifndef CPT_CORE_ADAPTIVE_H_
-#define CPT_CORE_ADAPTIVE_H_
+#pragma once
 
 #include <cstdint>
 #include <optional>
@@ -138,5 +137,3 @@ class AdaptiveClusteredPageTable final : public pt::ChainArena<AdaptiveNode> {
 };
 
 }  // namespace cpt::core
-
-#endif  // CPT_CORE_ADAPTIVE_H_

@@ -19,8 +19,7 @@
 //
 // Size accounting (Table 2): a base node costs 8s + 16 bytes, a compact
 // (superpage or PSB) node 24 bytes, and a sub-size node 16 + 8 * (s >> SZ).
-#ifndef CPT_CORE_CLUSTERED_H_
-#define CPT_CORE_CLUSTERED_H_
+#pragma once
 
 #include <array>
 #include <cstdint>
@@ -142,5 +141,3 @@ class ClusteredPageTable final : public pt::ChainArena<ClusteredNode> {
 };
 
 }  // namespace cpt::core
-
-#endif  // CPT_CORE_CLUSTERED_H_

@@ -16,8 +16,7 @@
 //
 // A TLB miss probes the small table first (small pages miss most often),
 // then the large table.
-#ifndef CPT_CORE_MULTI_SIZE_H_
-#define CPT_CORE_MULTI_SIZE_H_
+#pragma once
 
 #include <cstdint>
 #include <optional>
@@ -72,5 +71,3 @@ class MultiSizeClustered final : public pt::PageTable {
 };
 
 }  // namespace cpt::core
-
-#endif  // CPT_CORE_MULTI_SIZE_H_

@@ -19,6 +19,7 @@ CacheTouchModel::CacheTouchModel(std::uint32_t line_size) : line_size_(line_size
 }
 
 void CacheTouchModel::BeginWalk() {
+  CPT_DCHECK(!in_walk_, "BeginWalk inside an open walk would drop its lines");
   walk_lines_.clear();
   in_walk_ = true;
 }
@@ -39,9 +40,7 @@ void CacheTouchModel::Touch(PhysAddr addr, std::uint64_t size) {
 }
 
 void CacheTouchModel::EndWalk() {
-  if (!in_walk_) {
-    return;
-  }
+  CPT_DCHECK(in_walk_, "EndWalk without a BeginWalk");
   in_walk_ = false;
   total_lines_ += walk_lines_.size();
   ++total_walks_;

@@ -6,8 +6,7 @@
 // tables in this library place their structures at simulated physical
 // addresses; every walk records the byte ranges it reads through this model,
 // which counts distinct lines per walk and cumulative totals.
-#ifndef CPT_MEM_CACHE_MODEL_H_
-#define CPT_MEM_CACHE_MODEL_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -35,7 +34,9 @@ class CacheTouchModel {
   obs::WalkTracer* tracer() const { return tracer_; }
   bool in_walk() const { return in_walk_; }
 
-  // Starts accounting for one page-table walk (one TLB miss service).
+  // Starts accounting for one page-table walk (one TLB miss service).  The
+  // bracket checks itself: BeginWalk inside an open walk, and EndWalk with
+  // none open, fail a CPT_DCHECK.
   CPT_HOT void BeginWalk();
 
   // Records a read of [addr, addr + size) in simulated physical memory.
@@ -91,5 +92,3 @@ class WalkScope {
 };
 
 }  // namespace cpt::mem
-
-#endif  // CPT_MEM_CACHE_MODEL_H_

@@ -3,8 +3,7 @@
 // The paper evaluates on a machine with real DRAM; here the only properties
 // that matter are which frame numbers are handed out and how they align, so
 // physical memory is just an allocatable set of frame numbers plus counters.
-#ifndef CPT_MEM_PHYS_MEM_H_
-#define CPT_MEM_PHYS_MEM_H_
+#pragma once
 
 #include <cstdint>
 #include <optional>
@@ -40,5 +39,3 @@ class PhysicalMemory {
 };
 
 }  // namespace cpt::mem
-
-#endif  // CPT_MEM_PHYS_MEM_H_

@@ -21,8 +21,7 @@
 //     other group would split the block across two physical blocks), until
 //     that group empties;
 //   - reservations are broken least-recently-reserved first.
-#ifndef CPT_MEM_RESERVATION_H_
-#define CPT_MEM_RESERVATION_H_
+#pragma once
 
 #include <cstdint>
 #include <deque>
@@ -204,5 +203,3 @@ class ReservationAllocator {
 };
 
 }  // namespace cpt::mem
-
-#endif  // CPT_MEM_RESERVATION_H_

@@ -11,8 +11,7 @@
 // (e.g. 24 bytes per hashed PTE) and charge nothing for empty buckets; the
 // page-table classes compute that "paper model" size themselves and use this
 // allocator for the physically-accurate view and for address assignment.
-#ifndef CPT_MEM_SIM_ALLOC_H_
-#define CPT_MEM_SIM_ALLOC_H_
+#pragma once
 
 #include <cstdint>
 #include <unordered_map>
@@ -54,5 +53,3 @@ class SimAllocator {
 };
 
 }  // namespace cpt::mem
-
-#endif  // CPT_MEM_SIM_ALLOC_H_

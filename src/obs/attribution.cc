@@ -7,25 +7,22 @@
 
 namespace cpt::obs {
 
-namespace {
-
-// Report labels of the segment classes, indexable by SegmentClass.
-constexpr const char* kSegmentClassNames[] = {
-    "text",     // kText
-    "heap",     // kHeap
-    "data",     // kData
-    "mmap",     // kMmap
-    "stack",    // kStack
-    "unknown",  // kUnknown
-};
-static_assert(std::size(kSegmentClassNames) == kSegmentClassCount,
-              "every SegmentClass needs a report label, in enum order");
-
-}  // namespace
-
 const char* ToString(SegmentClass cls) {
-  const auto idx = static_cast<std::size_t>(cls);
-  return idx < kSegmentClassCount ? kSegmentClassNames[idx] : "?";
+  switch (cls) {
+    case SegmentClass::kText:
+      return "text";
+    case SegmentClass::kHeap:
+      return "heap";
+    case SegmentClass::kData:
+      return "data";
+    case SegmentClass::kMmap:
+      return "mmap";
+    case SegmentClass::kStack:
+      return "stack";
+    case SegmentClass::kUnknown:
+      return "unknown";
+  }
+  return "?";
 }
 
 void SegmentMap::Add(std::uint16_t asid, Vpn begin_vpn, Vpn end_vpn, SegmentClass cls) {

@@ -22,8 +22,7 @@
 //
 // The tracer is an ordinary WalkTracer: attach it anywhere in a tracer
 // chain; like every obs consumer it never affects simulated counts.
-#ifndef CPT_OBS_ATTRIBUTION_H_
-#define CPT_OBS_ATTRIBUTION_H_
+#pragma once
 
 #include <array>
 #include <cstdint>
@@ -178,5 +177,3 @@ class AttributionTracer final : public WalkTracer {
 };
 
 }  // namespace cpt::obs
-
-#endif  // CPT_OBS_ATTRIBUTION_H_

@@ -9,8 +9,7 @@
 // with the repo's asserts-always-on policy).  Doubles are emitted with
 // enough precision to round-trip (%.17g); NaN and infinities — which JSON
 // cannot represent — become null.
-#ifndef CPT_OBS_JSON_WRITER_H_
-#define CPT_OBS_JSON_WRITER_H_
+#pragma once
 
 #include <cstdint>
 #include <ostream>
@@ -85,5 +84,3 @@ class JsonWriter {
 };
 
 }  // namespace cpt::obs
-
-#endif  // CPT_OBS_JSON_WRITER_H_

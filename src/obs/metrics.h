@@ -11,8 +11,7 @@
 // per-workload series.  Lookup interns the instrument on first use and
 // returns a reference with a stable address, so hot paths can resolve once
 // and bump a plain integer thereafter.
-#ifndef CPT_OBS_METRICS_H_
-#define CPT_OBS_METRICS_H_
+#pragma once
 
 #include <cstdint>
 #include <map>
@@ -83,5 +82,3 @@ void HistogramToJson(JsonWriter& w, const Histogram& h);
 void RunningStatsToJson(JsonWriter& w, const RunningStats& s);
 
 }  // namespace cpt::obs
-
-#endif  // CPT_OBS_METRICS_H_

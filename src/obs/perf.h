@@ -21,8 +21,7 @@
 // This header and perf.cc are (with obs/timer.h) the only files allowed to
 // touch raw clocks — the cpt_lint `timing-discipline` rule keeps every
 // other steady_clock/clock_gettime use out of the tree.
-#ifndef CPT_OBS_PERF_H_
-#define CPT_OBS_PERF_H_
+#pragma once
 
 #include <cstdint>
 #include <string>
@@ -107,5 +106,3 @@ class HostPerfCounters {
 };
 
 }  // namespace cpt::obs
-
-#endif  // CPT_OBS_PERF_H_

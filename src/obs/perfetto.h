@@ -22,8 +22,7 @@
 // The output is the legacy JSON trace format: {"traceEvents": [...]}.  It is
 // streamed, so arbitrarily long runs need no buffering; `max_events` caps
 // the file (drops are counted and noted in trace metadata).
-#ifndef CPT_OBS_PERFETTO_H_
-#define CPT_OBS_PERFETTO_H_
+#pragma once
 
 #include <cstdint>
 #include <initializer_list>
@@ -122,5 +121,3 @@ class PerfettoExporter final : public WalkTracer {
 };
 
 }  // namespace cpt::obs
-
-#endif  // CPT_OBS_PERFETTO_H_

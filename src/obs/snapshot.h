@@ -28,8 +28,7 @@
 // Like every tracer, the snapshotter observes and never steers: simulated
 // metrics are bit-identical with and without one attached (pinned by
 // tests/timeseries_test.cc).
-#ifndef CPT_OBS_SNAPSHOT_H_
-#define CPT_OBS_SNAPSHOT_H_
+#pragma once
 
 #include <cstdint>
 #include <map>
@@ -110,5 +109,3 @@ class IntervalSnapshotter final : public WalkTracer {
 };
 
 }  // namespace cpt::obs
-
-#endif  // CPT_OBS_SNAPSHOT_H_

@@ -5,8 +5,7 @@
 // trace references and TLB misses the *simulator* retires per second.
 // ScopedTimer measures one bracketed region; PhaseProfiler accumulates
 // named phases (snapshot build, preload, trace run) across a bench run.
-#ifndef CPT_OBS_TIMER_H_
-#define CPT_OBS_TIMER_H_
+#pragma once
 
 #include <chrono>
 #include <cstdint>
@@ -87,5 +86,3 @@ class PhaseProfiler {
 };
 
 }  // namespace cpt::obs
-
-#endif  // CPT_OBS_TIMER_H_

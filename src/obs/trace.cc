@@ -6,27 +6,51 @@
 namespace cpt::obs {
 
 const char* ToString(EventKind kind) {
-  const auto idx = static_cast<std::size_t>(kind);
-  return idx < kEventKindCount ? kEventKindNames[idx] : "?";
+  switch (kind) {
+    case EventKind::kTlbHit:
+      return "tlb_hit";
+    case EventKind::kTlbMiss:
+      return "tlb_miss";
+    case EventKind::kTlbBlockMiss:
+      return "tlb_block_miss";
+    case EventKind::kTlbSubblockMiss:
+      return "tlb_subblock_miss";
+    case EventKind::kWalkStep:
+      return "walk_step";
+    case EventKind::kWalkHit:
+      return "walk_hit";
+    case EventKind::kWalkEnd:
+      return "walk_end";
+    case EventKind::kWalkAbort:
+      return "walk_abort";
+    case EventKind::kPageFault:
+      return "page_fault";
+    case EventKind::kPtePromotion:
+      return "pte_promotion";
+    case EventKind::kBlockPrefetch:
+      return "block_prefetch";
+    case EventKind::kReservationGrant:
+      return "reservation_grant";
+    case EventKind::kSwTlbHit:
+      return "swtlb_hit";
+    case EventKind::kSwTlbMiss:
+      return "swtlb_miss";
+  }
+  return "?";
 }
 
-namespace {
-
-// Wire names of the walk-hit classes, indexable by WalkHitClass.
-constexpr const char* kWalkHitClassNames[] = {
-    "base",              // kBase
-    "superpage",         // kSuperpage
-    "partial-subblock",  // kPartialSubblock
-    "swtlb",             // kSwTlb
-};
-static_assert(std::size(kWalkHitClassNames) == kWalkHitClassCount,
-              "every WalkHitClass needs a wire name, in enum order");
-
-}  // namespace
-
 const char* ToString(WalkHitClass cls) {
-  const auto idx = static_cast<std::size_t>(cls);
-  return idx < kWalkHitClassCount ? kWalkHitClassNames[idx] : "?";
+  switch (cls) {
+    case WalkHitClass::kBase:
+      return "base";
+    case WalkHitClass::kSuperpage:
+      return "superpage";
+    case WalkHitClass::kPartialSubblock:
+      return "partial-subblock";
+    case WalkHitClass::kSwTlb:
+      return "swtlb";
+  }
+  return "?";
 }
 
 std::uint64_t EventCounts::total() const {

@@ -27,8 +27,7 @@
 // default implementation is that loop.  Machine::AccessRun uses it for the
 // kTlbHit events of a run's settled tail, and a tracer may override it where
 // a count does the work of the loop (StatsTracer, AttributionTracer).
-#ifndef CPT_OBS_TRACE_H_
-#define CPT_OBS_TRACE_H_
+#pragma once
 
 #include <array>
 #include <cstdint>
@@ -63,31 +62,12 @@ inline constexpr std::size_t kEventKindCount = 14;
 static_assert(static_cast<std::size_t>(EventKind::kSwTlbMiss) + 1 == kEventKindCount,
               "kEventKindCount must track the last EventKind enumerator");
 
-// JSON names of the event kinds, indexable by EventKind.  This array is the
-// single source of truth for the wire format: ToString() indexes it, and
-// tools/check_bench_json.py reads the names from the compiled table through
-// cpt_dump_enums (tools/dump_enums.cc), so it cannot drift from the enum.
-// Keep one quoted name per kind, in enum order; the static_asserts pin both
-// ends.
-inline constexpr const char* kEventKindNames[] = {
-    "tlb_hit",           // kTlbHit
-    "tlb_miss",          // kTlbMiss
-    "tlb_block_miss",    // kTlbBlockMiss
-    "tlb_subblock_miss", // kTlbSubblockMiss
-    "walk_step",         // kWalkStep
-    "walk_hit",          // kWalkHit
-    "walk_end",          // kWalkEnd
-    "walk_abort",        // kWalkAbort
-    "page_fault",        // kPageFault
-    "pte_promotion",     // kPtePromotion
-    "block_prefetch",    // kBlockPrefetch
-    "reservation_grant", // kReservationGrant
-    "swtlb_hit",         // kSwTlbHit
-    "swtlb_miss",        // kSwTlbMiss
-};
-static_assert(std::size(kEventKindNames) == kEventKindCount,
-              "every EventKind needs a JSON wire name, in enum order");
-
+// JSON wire name of each event kind.  ToString()'s switch is the single
+// source of truth for the wire format: -Wswitch-enum (an error under
+// -Werror) makes it name every kind, and tools/check_bench_json.py reads the
+// names from the compiled binary through cpt_dump_enums
+// (tools/dump_enums.cc), so they cannot drift from the enum.  Out-of-range
+// values map to "?".
 const char* ToString(EventKind kind);
 
 // What kind of mapping a kWalkHit delivered, mirroring MappingKind without
@@ -249,5 +229,3 @@ class TeeTracer final : public WalkTracer {
 void EventToJson(std::ostream& os, const WalkEvent& event);
 
 }  // namespace cpt::obs
-
-#endif  // CPT_OBS_TRACE_H_

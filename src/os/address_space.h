@@ -25,8 +25,7 @@
 // block's state is one map node with its frames inline, and that state holds
 // the block's reservation handle, so the frame allocator finds the block's
 // reserved group without a lookup of its own.
-#ifndef CPT_OS_ADDRESS_SPACE_H_
-#define CPT_OS_ADDRESS_SPACE_H_
+#pragma once
 
 #include <array>
 #include <bit>
@@ -163,5 +162,3 @@ class AddressSpace {
 };
 
 }  // namespace cpt::os
-
-#endif  // CPT_OS_ADDRESS_SPACE_H_

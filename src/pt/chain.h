@@ -26,8 +26,7 @@
 //
 // `Node` must be default-constructible and copyable, with members
 // `std::int32_t next` (kChainEnd-terminated) and `PhysAddr addr`.
-#ifndef CPT_PT_CHAIN_H_
-#define CPT_PT_CHAIN_H_
+#pragma once
 
 #include <cstdint>
 #include <iterator>
@@ -264,5 +263,3 @@ class ChainArena : public PageTable {
 };
 
 }  // namespace cpt::pt
-
-#endif  // CPT_PT_CHAIN_H_

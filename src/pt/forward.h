@@ -17,8 +17,7 @@
 // As an extension (Section 4.2 "Forward-Mapped Intermediate Nodes"),
 // superpages whose size exactly matches a subtree's coverage can instead be
 // stored in the parent's PTP slot, short-circuiting the walk.
-#ifndef CPT_PT_FORWARD_H_
-#define CPT_PT_FORWARD_H_
+#pragma once
 
 #include <array>
 #include <cstdint>
@@ -122,5 +121,3 @@ class ForwardMappedPageTable final : public ReplicatedLeafTable<ForwardMappedPag
 };
 
 }  // namespace cpt::pt
-
-#endif  // CPT_PT_FORWARD_H_

@@ -21,8 +21,7 @@
 //     (Section 3.1) are safe on a table whose structure is not changing.
 //   - Structural mutation (Insert*/Remove*/ProtectRange) is single-writer and
 //     must not overlap any other call.
-#ifndef CPT_PT_HASHED_H_
-#define CPT_PT_HASHED_H_
+#pragma once
 
 #include <cstdint>
 #include <optional>
@@ -129,5 +128,3 @@ static_assert(HashedPageTable::NodeBytes(false) <= kDefaultCacheLineSize &&
               "a hashed chain step must touch one line");
 
 }  // namespace cpt::pt
-
-#endif  // CPT_PT_HASHED_H_

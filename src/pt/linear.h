@@ -22,8 +22,7 @@
 // partial-subblock PTEs (Section 4.2), are the shared leaf layer of
 // pt/replicate.h; this class adds the upper-level refcounts and the size
 // models.
-#ifndef CPT_PT_LINEAR_H_
-#define CPT_PT_LINEAR_H_
+#pragma once
 
 #include <array>
 #include <cstdint>
@@ -101,5 +100,3 @@ class LinearPageTable final
 };
 
 }  // namespace cpt::pt
-
-#endif  // CPT_PT_LINEAR_H_

@@ -14,8 +14,7 @@
 // table whose hash function always uses the page-block number, so base PTEs
 // for the same block chain into one bucket alongside any superpage/PSB PTEs.
 // One probe suffices, but chains are longer.
-#ifndef CPT_PT_MULTI_HASHED_H_
-#define CPT_PT_MULTI_HASHED_H_
+#pragma once
 
 #include <cstdint>
 #include <memory>
@@ -146,5 +145,3 @@ class SuperpageIndexHashed final : public ChainArena<SpIndexNode> {
 };
 
 }  // namespace cpt::pt
-
-#endif  // CPT_PT_MULTI_HASHED_H_

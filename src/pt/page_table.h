@@ -17,8 +17,7 @@
 //                              (see MultiTableHashed);
 //   - clustered:               stored in place, discriminated by the S field.
 // Tables that cannot store a format return false from supports().
-#ifndef CPT_PT_PAGE_TABLE_H_
-#define CPT_PT_PAGE_TABLE_H_
+#pragma once
 
 #include <cstdint>
 #include <optional>
@@ -180,5 +179,3 @@ class PageTable {
 };
 
 }  // namespace cpt::pt
-
-#endif  // CPT_PT_PAGE_TABLE_H_

@@ -14,8 +14,7 @@
 // and freeing through two hooks the layer calls statically:
 // `Table::OnLeafAdded(vpn)` after a new leaf is allocated and
 // `Table::OnLeafFreed(vpn)` after an emptied one is released.
-#ifndef CPT_PT_REPLICATE_H_
-#define CPT_PT_REPLICATE_H_
+#pragma once
 
 #include <algorithm>
 #include <array>
@@ -362,5 +361,3 @@ class ReplicatedLeafTable : public PageTable {
 };
 
 }  // namespace cpt::pt
-
-#endif  // CPT_PT_REPLICATE_H_

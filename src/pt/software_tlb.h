@@ -18,8 +18,7 @@
 //
 // Implemented as a PageTable decorator: Lookup() probes the array first;
 // updates write through to the backing table and invalidate affected slots.
-#ifndef CPT_PT_SOFTWARE_TLB_H_
-#define CPT_PT_SOFTWARE_TLB_H_
+#pragma once
 
 #include <cstdint>
 #include <memory>
@@ -125,5 +124,3 @@ class SoftwareTlb final : public PageTable {
 };
 
 }  // namespace cpt::pt
-
-#endif  // CPT_PT_SOFTWARE_TLB_H_

@@ -3,8 +3,7 @@
 // miss.  The paper's results use simulation; these formulae exist to sanity-
 // check the simulators (bench_table2 prints both side by side, and property
 // tests require exact agreement where the accounting is exact).
-#ifndef CPT_SIM_ANALYTIC_H_
-#define CPT_SIM_ANALYTIC_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -53,5 +52,3 @@ double LinearLines(double nested_miss_ratio, double nested_lines);
 double ForwardLines(unsigned nlevels = 7);
 
 }  // namespace cpt::sim::analytic
-
-#endif  // CPT_SIM_ANALYTIC_H_

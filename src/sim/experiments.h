@@ -6,8 +6,7 @@
 // paper-model byte counts.  Access-time experiments additionally run a
 // reference trace through the Machine and report the average number of
 // cache lines touched per TLB miss.
-#ifndef CPT_SIM_EXPERIMENTS_H_
-#define CPT_SIM_EXPERIMENTS_H_
+#pragma once
 
 #include <cstdint>
 #include <string>
@@ -146,5 +145,3 @@ std::vector<std::string> AllWorkloadNames();
 std::uint64_t TraceLengthFromEnv(std::uint64_t fallback);
 
 }  // namespace cpt::sim
-
-#endif  // CPT_SIM_EXPERIMENTS_H_

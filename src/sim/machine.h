@@ -15,8 +15,7 @@
 // a full-size reference TLB provides the normalization denominator, so the
 // reported cache-lines-per-miss metric includes the opportunity cost of the
 // reserved entries (Section 6.1).
-#ifndef CPT_SIM_MACHINE_H_
-#define CPT_SIM_MACHINE_H_
+#pragma once
 
 #include <cstdint>
 #include <memory>
@@ -207,5 +206,3 @@ class Machine {
 };
 
 }  // namespace cpt::sim
-
-#endif  // CPT_SIM_MACHINE_H_

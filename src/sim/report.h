@@ -1,7 +1,6 @@
 // Fixed-width text tables matching the paper's rows/series, used by the
 // bench binaries to print each reproduced table and figure.
-#ifndef CPT_SIM_REPORT_H_
-#define CPT_SIM_REPORT_H_
+#pragma once
 
 #include <cstdint>
 #include <string>
@@ -47,5 +46,3 @@ inline constexpr const char* kDroppedRefsFootnote =
     "* the run dropped references for lack of a free frame (oom_faults > 0)";
 
 }  // namespace cpt::sim
-
-#endif  // CPT_SIM_REPORT_H_

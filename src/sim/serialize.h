@@ -2,8 +2,7 @@
 // via the telemetry writer (obs/json_writer.h).  Each ToJson emits one JSON
 // object; the caller owns the surrounding document structure (the bench
 // binaries wrap these in the schema-versioned envelope of bench/bench_flags.h).
-#ifndef CPT_SIM_SERIALIZE_H_
-#define CPT_SIM_SERIALIZE_H_
+#pragma once
 
 #include "sim/experiments.h"
 
@@ -27,5 +26,3 @@ void ToJson(obs::JsonWriter& w, const SizeMeasurement& m);
 void ToJson(obs::JsonWriter& w, const AccessMeasurement& m);
 
 }  // namespace cpt::sim
-
-#endif  // CPT_SIM_SERIALIZE_H_

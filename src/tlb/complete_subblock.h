@@ -9,8 +9,7 @@
 // resident mapping of the block at once, eliminating subblock misses for
 // pages resident at block-miss time.  Prefetch never evicts anything extra,
 // so it cannot pollute the TLB.
-#ifndef CPT_TLB_COMPLETE_SUBBLOCK_H_
-#define CPT_TLB_COMPLETE_SUBBLOCK_H_
+#pragma once
 
 #include <span>
 #include <vector>
@@ -68,5 +67,3 @@ class CompleteSubblockTlb final : public Tlb {
 };
 
 }  // namespace cpt::tlb
-
-#endif  // CPT_TLB_COMPLETE_SUBBLOCK_H_

@@ -8,8 +8,7 @@
 // superpage entry on the block number.  Consequence: all base pages of one
 // page block compete for one set — the same crowding that shows up as long
 // chains in the superpage-index hashed table.
-#ifndef CPT_TLB_DUAL_SIZE_SETASSOC_H_
-#define CPT_TLB_DUAL_SIZE_SETASSOC_H_
+#pragma once
 
 #include <vector>
 
@@ -79,5 +78,3 @@ class DualSizeSetAssocTlb final : public Tlb {
 };
 
 }  // namespace cpt::tlb
-
-#endif  // CPT_TLB_DUAL_SIZE_SETASSOC_H_

@@ -6,8 +6,7 @@
 // per entry; the asid, valid flag and LRU stamp are read only for the few
 // entries whose tag matches, and a design's payload columns (PPNs, valid
 // vectors, page sizes) only on a hit or a fill.
-#ifndef CPT_TLB_ENTRY_COLUMNS_H_
-#define CPT_TLB_ENTRY_COLUMNS_H_
+#pragma once
 
 #include <algorithm>
 #include <cstddef>
@@ -87,5 +86,3 @@ struct EntryColumns {
 };
 
 }  // namespace cpt::tlb
-
-#endif  // CPT_TLB_ENTRY_COLUMNS_H_

@@ -5,8 +5,7 @@
 // frames are properly placed.  Pages that are not properly placed occupy
 // conventional single-page entries.  Superpage fills install as an
 // all-valid-vector entry (a superpage is the degenerate partial-subblock).
-#ifndef CPT_TLB_PARTIAL_SUBBLOCK_H_
-#define CPT_TLB_PARTIAL_SUBBLOCK_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -25,6 +24,8 @@ class PartialSubblockTlb final : public Tlb {
   std::string name() const override { return "partial-subblock"; }
 
   unsigned subblock_factor() const { return factor_; }
+  // Hits served by partial-subblock entries, and their fraction.
+  std::uint64_t subblock_hits() const { return psb_hits_; }
   double SubblockHitFraction() const {
     return stats_.hits == 0 ? 0.0
                             : static_cast<double>(psb_hits_) / static_cast<double>(stats_.hits);
@@ -73,5 +74,3 @@ class PartialSubblockTlb final : public Tlb {
 };
 
 }  // namespace cpt::tlb
-
-#endif  // CPT_TLB_PARTIAL_SUBBLOCK_H_

@@ -1,8 +1,7 @@
 // Conventional single-page-size TLB: one base page per entry (Figure 11a's
 // 64-entry fully-associative baseline, also the normalization reference for
 // every other experiment).
-#ifndef CPT_TLB_SINGLE_PAGE_H_
-#define CPT_TLB_SINGLE_PAGE_H_
+#pragma once
 
 #include <vector>
 
@@ -43,5 +42,3 @@ class SinglePageTlb final : public Tlb {
 };
 
 }  // namespace cpt::tlb
-
-#endif  // CPT_TLB_SINGLE_PAGE_H_

@@ -2,8 +2,7 @@
 // (Figure 11b).  Entries created from base fills cover one page; superpage
 // fills cover 2^SZ pages.  A PSB fill degrades to a base entry for the
 // faulting page (a superpage TLB has no valid vector).
-#ifndef CPT_TLB_SUPERPAGE_H_
-#define CPT_TLB_SUPERPAGE_H_
+#pragma once
 
 #include <cstdint>
 #include <vector>
@@ -21,7 +20,8 @@ class SuperpageTlb final : public Tlb {
 
   std::string name() const override { return "superpage"; }
 
-  // Fraction of hits served by entries larger than a base page.
+  // Hits served by entries larger than a base page, and their fraction.
+  std::uint64_t superpage_hits() const { return super_hits_; }
   double SuperpageHitFraction() const {
     return stats_.hits == 0 ? 0.0
                             : static_cast<double>(super_hits_) / static_cast<double>(stats_.hits);
@@ -63,5 +63,3 @@ class SuperpageTlb final : public Tlb {
 };
 
 }  // namespace cpt::tlb
-
-#endif  // CPT_TLB_SUPERPAGE_H_

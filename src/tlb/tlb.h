@@ -10,8 +10,7 @@
 //
 // All are asid-tagged so multiprogrammed workloads share one TLB without
 // flushes.  TLBs translate via pt::TlbFill payloads produced by page tables.
-#ifndef CPT_TLB_TLB_H_
-#define CPT_TLB_TLB_H_
+#pragma once
 
 #include <cstdint>
 #include <string>
@@ -203,5 +202,3 @@ class Tlb {
 };
 
 }  // namespace cpt::tlb
-
-#endif  // CPT_TLB_TLB_H_

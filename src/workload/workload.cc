@@ -1,31 +1,27 @@
 #include "workload/workload.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "common/check.h"
 
 namespace cpt::workload {
 
-namespace {
-
-// Spec/report labels of the segment kinds, indexable by SegmentKind.
-constexpr const char* kSegmentKindNames[] = {
-    "text",     // kText
-    "heap",     // kHeap
-    "data",     // kData
-    "mmap",     // kMmap
-    "stack",    // kStack
-    "unknown",  // kUnknown
-};
-static_assert(std::size(kSegmentKindNames) == kSegmentKindCount,
-              "every SegmentKind needs a label, in enum order");
-
-}  // namespace
-
 const char* ToString(SegmentKind kind) {
-  const auto idx = static_cast<std::size_t>(kind);
-  return idx < kSegmentKindCount ? kSegmentKindNames[idx] : "invalid";
+  switch (kind) {
+    case SegmentKind::kText:
+      return "text";
+    case SegmentKind::kHeap:
+      return "heap";
+    case SegmentKind::kData:
+      return "data";
+    case SegmentKind::kMmap:
+      return "mmap";
+    case SegmentKind::kStack:
+      return "stack";
+    case SegmentKind::kUnknown:
+      return "unknown";
+  }
+  return "invalid";
 }
 
 std::uint64_t Snapshot::TotalPages() const {

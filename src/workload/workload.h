@@ -16,8 +16,7 @@
 //      *access-time* experiments (Figure 11, Table 1 miss counts).
 //
 // Everything is deterministic given the spec's seed.
-#ifndef CPT_WORKLOAD_WORKLOAD_H_
-#define CPT_WORKLOAD_WORKLOAD_H_
+#pragma once
 
 #include <cstddef>
 #include <cstdint>
@@ -195,5 +194,3 @@ struct PaperReference {
 const std::vector<PaperReference>& PaperTable1();
 
 }  // namespace cpt::workload
-
-#endif  // CPT_WORKLOAD_WORKLOAD_H_

@@ -2,8 +2,7 @@
 // page-table write, with the auditor's recount checked after each step.
 // Each table adjusts live_translations() by the words a write replaced; the
 // recount must agree with it after every single write.
-#ifndef CPT_TESTS_ACCOUNTING_SEQUENCE_H_
-#define CPT_TESTS_ACCOUNTING_SEQUENCE_H_
+#pragma once
 
 #include <gtest/gtest.h>
 
@@ -81,5 +80,3 @@ inline void RunAccountingSequence(pt::PageTable& t, unsigned factor,
 }
 
 }  // namespace cpt::testutil
-
-#endif  // CPT_TESTS_ACCOUNTING_SEQUENCE_H_

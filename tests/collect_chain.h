@@ -2,8 +2,7 @@
 // forwarding into a RingBufferTracer that keeps the event stream, plus
 // gtest helpers that compare telemetry field by field.  Tests use them to
 // show that two replay paths publish the same telemetry.
-#ifndef CPT_TESTS_COLLECT_CHAIN_H_
-#define CPT_TESTS_COLLECT_CHAIN_H_
+#pragma once
 
 #include <gtest/gtest.h>
 
@@ -115,5 +114,3 @@ inline void ExpectSameChain(CollectChain& a, CollectChain& b) {
 }
 
 }  // namespace cpt::testutil
-
-#endif  // CPT_TESTS_COLLECT_CHAIN_H_

@@ -1,8 +1,8 @@
 // Fixture: determinism-guards.
 //
 // The simulator must be bit-identical run to run: all randomness goes
-// through cpt::Rng, all timing through obs/timer.h, and floats never get
-// compared with == (the bench gate compares serialized decimals instead).
+// through cpt::Rng and all timing through obs/timer.h.  (Exact float
+// compares are the compiler's: the build passes -Wfloat-equal.)
 #include <cstdlib>
 #include <ctime>
 #include <random>
@@ -23,11 +23,6 @@ unsigned ClockSeed() {
 unsigned HardwareSeed() {
   std::random_device rd;
   return rd();
-}
-
-// BAD: exact float equality.
-bool Converged(double ratio) {
-  return ratio == 1.0;
 }
 
 // GOOD: integer comparison is exact; nothing to flag.

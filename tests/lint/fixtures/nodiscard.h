@@ -1,7 +1,6 @@
 // Fixture: nodiscard-query.  Lookup-style query declarations must be
 // [[nodiscard]] — discarding a lookup result is always a bug.
-#ifndef CPT_TESTS_LINT_FIXTURES_NODISCARD_H_
-#define CPT_TESTS_LINT_FIXTURES_NODISCARD_H_
+#pragma once
 
 #include <cstdint>
 
@@ -24,5 +23,3 @@ class Table {
 };
 
 }  // namespace fx
-
-#endif  // CPT_TESTS_LINT_FIXTURES_NODISCARD_H_

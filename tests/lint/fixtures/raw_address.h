@@ -2,8 +2,7 @@
 // PPNs, block numbers) cross public-header APIs as the strong types from
 // common/types.h; raw std::uint64_t parameters and returns named after an
 // address domain are flagged.
-#ifndef CPT_TESTS_LINT_FIXTURES_RAW_ADDRESS_H_
-#define CPT_TESTS_LINT_FIXTURES_RAW_ADDRESS_H_
+#pragma once
 
 #include <cstdint>
 
@@ -34,5 +33,3 @@ class Table {
 std::uint64_t FaultVaOf(std::uint64_t cause);
 
 }  // namespace fx
-
-#endif  // CPT_TESTS_LINT_FIXTURES_RAW_ADDRESS_H_

@@ -1,8 +1,7 @@
 // The (PtKind, TlbKind) matrix: every page-table organization and TLB
 // design, and which pairs the machine supports.  Shared by the tests that
 // sweep the matrix so they agree on what "every supported pair" means.
-#ifndef CPT_TESTS_MACHINE_COMBOS_H_
-#define CPT_TESTS_MACHINE_COMBOS_H_
+#pragma once
 
 #include <array>
 
@@ -35,5 +34,3 @@ inline bool CombinationSupported(sim::PtKind pt, sim::TlbKind tlb) {
 }
 
 }  // namespace cpt::testutil
-
-#endif  // CPT_TESTS_MACHINE_COMBOS_H_

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "collect_chain.h"
@@ -20,6 +23,7 @@
 #include "obs/timer.h"
 #include "obs/trace.h"
 #include "sim/machine.h"
+#include "workload/workload.h"
 
 namespace cpt::obs {
 namespace {
@@ -258,6 +262,32 @@ TEST(RingBufferTracerTest, WriteJsonlAfterWraparoundIsChronological) {
             "{\"kind\":\"walk_step\",\"asid\":0,\"vpn\":1,\"step\":1,\"lines\":1}\n"
             "{\"kind\":\"walk_step\",\"asid\":0,\"vpn\":2,\"step\":1,\"lines\":1}\n"
             "{\"kind\":\"walk_step\",\"asid\":0,\"vpn\":3,\"step\":1,\"lines\":1}\n");
+}
+
+// --- Enum names ----------------------------------------------------------
+
+// Every enumerator in [0, count) has its own name, none of them the
+// out-of-range fallback, and `count` itself maps to the fallback.  The
+// compiler proves each ToString switch names every enumerator;
+// tools/check_bench_json.py --dump-enums also needs the names distinct.
+template <typename Enum>
+void ExpectDistinctNames(const char* (*name_of)(Enum), std::size_t count,
+                         std::string_view fallback) {
+  std::set<std::string_view> seen;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::string_view name = name_of(static_cast<Enum>(i));
+    EXPECT_NE(name, fallback) << "enumerator " << i;
+    EXPECT_TRUE(seen.insert(name).second) << "enumerator " << i << " repeats " << name;
+  }
+  EXPECT_EQ(name_of(static_cast<Enum>(count)), fallback);
+}
+
+TEST(EnumNamesTest, EveryEnumeratorHasADistinctName) {
+  ExpectDistinctNames<EventKind>(&ToString, kEventKindCount, "?");
+  ExpectDistinctNames<WalkHitClass>(&ToString, kWalkHitClassCount, "?");
+  ExpectDistinctNames<SegmentClass>(&ToString, kSegmentClassCount, "?");
+  ExpectDistinctNames<workload::SegmentKind>(&workload::ToString, workload::kSegmentKindCount,
+                                             "invalid");
 }
 
 // --- StatsTracer ---------------------------------------------------------

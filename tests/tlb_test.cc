@@ -413,10 +413,6 @@ MemoStreamResult RunMemoStream(T& tlb, bool whole_span, std::uint64_t seed,
   return r;
 }
 
-double Fraction(std::uint64_t part, std::uint64_t whole) {
-  return whole == 0 ? 0.0 : static_cast<double>(part) / static_cast<double>(whole);
-}
-
 TEST(TlbMemoTest, SinglePageStreamMatchesScan) {
   SinglePageTlb tlb(8);
   const MemoStreamResult r = RunMemoStream(tlb, false, 11, [&](Rng&, Asid asid, Vpn vpn) {
@@ -441,7 +437,7 @@ TEST(TlbMemoTest, SuperpageStreamMatchesScan) {
     }
   });
   EXPECT_GT(r.class_hits, 0u);
-  EXPECT_EQ(tlb.SuperpageHitFraction(), Fraction(r.class_hits, r.hits));
+  EXPECT_EQ(tlb.superpage_hits(), r.class_hits);
 }
 
 TEST(TlbMemoTest, PartialSubblockStreamMatchesScan) {
@@ -465,7 +461,7 @@ TEST(TlbMemoTest, PartialSubblockStreamMatchesScan) {
     }
   });
   EXPECT_GT(r.class_hits, 0u);
-  EXPECT_EQ(tlb.SubblockHitFraction(), Fraction(r.class_hits, r.hits));
+  EXPECT_EQ(tlb.subblock_hits(), r.class_hits);
 }
 
 TEST(TlbMemoTest, CompleteSubblockStreamMatchesScan) {
@@ -708,7 +704,7 @@ class PolicyModel {
     return views;
   }
   const TlbStats& stats() const { return stats_; }
-  double ClassHitFraction() const { return Fraction(class_hits_, stats_.hits); }
+  std::uint64_t class_hits() const { return class_hits_; }
 
  private:
   struct Entry {
@@ -793,15 +789,15 @@ template <class T>
     return ::testing::AssertionFailure() << "stats differ: hits " << a.hits << " vs " << b.hits
                                          << ", misses " << a.misses << " vs " << b.misses;
   }
-  double fraction = 0.0;
+  std::uint64_t class_hits = 0;
   if constexpr (std::is_same_v<T, SuperpageTlb>) {
-    fraction = tlb.SuperpageHitFraction();
+    class_hits = tlb.superpage_hits();
   } else if constexpr (std::is_same_v<T, PartialSubblockTlb>) {
-    fraction = tlb.SubblockHitFraction();
+    class_hits = tlb.subblock_hits();
   }
-  if (fraction != model.ClassHitFraction()) {
-    return ::testing::AssertionFailure() << "class-hit fraction " << fraction << " vs "
-                                         << model.ClassHitFraction();
+  if (class_hits != model.class_hits()) {
+    return ::testing::AssertionFailure() << "class hits " << class_hits << " vs "
+                                         << model.class_hits();
   }
   return ::testing::AssertionSuccess();
 }
@@ -950,7 +946,7 @@ TEST(TlbMemoModelTest, InsertWithoutMissUnderCoveringSuperpageDoesNotMemoize) {
   ASSERT_EQ(views.size(), 2u);
   EXPECT_EQ(views[1].base_vpn, block + 5);
   EXPECT_GT(views[0].stamp, views[1].stamp) << "the hit must stamp the superpage entry";
-  EXPECT_EQ(tlb.SuperpageHitFraction(), 1.0);
+  EXPECT_EQ(tlb.superpage_hits(), tlb.stats().hits);
 }
 
 // The fill that serves a miss memoizes its entry when that entry covers the

@@ -30,7 +30,7 @@ SCHEMA_VERSION = 4
 
 def load_event_kinds(dump_enums):
     """EventKind wire names as printed by the cpt_dump_enums binary, which
-    reads them from kEventKindNames (src/obs/trace.h)."""
+    reads them from ToString(EventKind) (src/obs/trace.cc)."""
     out = subprocess.run([dump_enums], capture_output=True, text=True,
                          check=True).stdout
     doc = json.loads(out)

@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """cpt-lint: project-specific static analysis for the clustered-page-table simulator.
 
-The simulator's headline numbers are pure counting metrics, so the repo's
-correctness story is contract discipline: walk events must stay paired,
-enum<->name tables must stay in sync, and nothing nondeterministic may leak
-into simulated counts.  (Exhaustive enum switches are the compiler's job:
-the build passes -Wswitch-enum.)
-The runtime half of those contracts lives in src/check (StructuralAuditor,
-ShadowedPageTable); this tool is the static half, run at build/CI time
-before a trace is ever produced.
+The simulator's headline numbers are pure counting metrics, so nothing
+nondeterministic may leak into simulated counts, and failures must abort
+loudly.  This tool holds the contracts the compiler cannot express.  What
+gcc can check is gcc's: -Wswitch-enum makes every enum switch (the
+ToString name switches included) name every enumerator, -Wfloat-equal bans
+exact float compares, and headers use #pragma once.  The walk bracket
+(CacheTouchModel::BeginWalk/EndWalk) checks itself with CPT_DCHECKs, and
+the runtime half of the invariants lives in src/check.
 
 Stdlib-only, tokenizer-based (no libclang).  The tokenizer understands
 comments, string/char literals (including raw strings), preprocessor
@@ -18,24 +18,16 @@ fails loudly (via the fixture tests) when it is not.
 
 Rules (see DESIGN.md "Static analysis" for the catalog and policy):
 
-  name-table-sync         k<Enum>Names arrays need an adjacent
-                          static_assert and one entry per enumerator.
-  walk-protocol-pairing   BeginWalk must pair with EndWalk/AbortWalk (or
-                          WalkScope) in the same function; a function
-                          emitting both kWalkHit and kWalkEnd must emit
-                          the hit first.
   check-macro-hygiene     no raw assert()/abort()/<cassert> in simulator
                           code; use CPT_CHECK / CPT_DCHECK.
   determinism-guards      no rand()/time()/std::random_device outside
-                          common/rng.h; no float literal ==/!= compares.
+                          common/rng.h.
   timing-discipline       no raw std::chrono clocks (steady_clock,
                           high_resolution_clock, system_clock) or
                           clock_gettime/clock_getres outside obs/timer.*
                           and obs/perf.* — every host-time measurement
                           flows through ScopedTimer/PhaseProfiler or
                           HostPerfCounters so reports stay comparable.
-  include-guard           headers use canonical CPT_..._H_ guards with a
-                          matching  #endif  //  comment.
   nodiscard-query         Lookup/LookupKey query methods in headers must
                           be [[nodiscard]].
   raw-address-param       address-domain values (va/vpn/vpbn/ppn/pfn/block
@@ -74,8 +66,6 @@ Usage:
   tools/cpt_lint.py --all              lint the whole tree (gating)
   tools/cpt_lint.py src/pt/hashed.cc   lint specific files
   tools/cpt_lint.py --all --json       machine-readable findings
-  tools/cpt_lint.py --all --fix        apply fixes for mechanical rules
-  tools/cpt_lint.py --all --sarif=f    also write findings as SARIF 2.1.0
 """
 
 import argparse
@@ -83,8 +73,6 @@ import fnmatch
 import json
 import re
 import sys
-import time
-from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -110,13 +98,12 @@ MULTI_OPS = sorted(
 
 
 class Token:
-    __slots__ = ("kind", "text", "line", "pos")
+    __slots__ = ("kind", "text", "line")
 
-    def __init__(self, kind, text, line, pos):
+    def __init__(self, kind, text, line):
         self.kind = kind  # id | num | str | chr | punct
         self.text = text
         self.line = line
-        self.pos = pos
 
     def __repr__(self):
         return f"Token({self.kind},{self.text!r},L{self.line})"
@@ -133,13 +120,11 @@ class Comment:
 
 
 class Directive:
-    __slots__ = ("line", "text", "pos", "end")
+    __slots__ = ("line", "text")
 
-    def __init__(self, line, text, pos, end):
+    def __init__(self, line, text):
         self.line = line
         self.text = text
-        self.pos = pos  # byte offset of '#'
-        self.end = end  # byte offset one past the directive's last char
 
 
 def tokenize(text):
@@ -171,7 +156,7 @@ def tokenize(text):
                     i = j
                     continue
                 i += 1
-            directives.append(Directive(start_line, text[start:i], start, i))
+            directives.append(Directive(start_line, text[start:i]))
             continue
         if c == "/" and text[i:i + 2] == "//":
             j = text.find("\n", i)
@@ -195,7 +180,7 @@ def tokenize(text):
                     j += 1
                 j += 1
             j = min(j + 1, n)
-            tokens.append(Token("str", text[i:j], line, i))
+            tokens.append(Token("str", text[i:j], line))
             line += text.count("\n", i, j)
             i = j
             continue
@@ -206,7 +191,7 @@ def tokenize(text):
                     j += 1
                 j += 1
             j = min(j + 1, n)
-            tokens.append(Token("chr", text[i:j], line, i))
+            tokens.append(Token("chr", text[i:j], line))
             i = j
             continue
         m = ID_RE.match(text, i)
@@ -218,38 +203,27 @@ def tokenize(text):
                 delim = text[m.end() + 1:dend]
                 close = text.find(")" + delim + '"', dend)
                 close = n if close < 0 else close + len(delim) + 2
-                tokens.append(Token("str", text[i:close], line, i))
+                tokens.append(Token("str", text[i:close], line))
                 line += text.count("\n", i, close)
                 i = close
                 continue
-            tokens.append(Token("id", word, line, i))
+            tokens.append(Token("id", word, line))
             i = m.end()
             continue
         if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
             m = NUM_RE.match(text, i)
-            tokens.append(Token("num", m.group(0), line, i))
+            tokens.append(Token("num", m.group(0), line))
             i = m.end()
             continue
         for op in MULTI_OPS:
             if text.startswith(op, i):
-                tokens.append(Token("punct", op, line, i))
+                tokens.append(Token("punct", op, line))
                 i += len(op)
                 break
         else:
-            tokens.append(Token("punct", c, line, i))
+            tokens.append(Token("punct", c, line))
             i += 1
     return tokens, comments, directives
-
-
-def is_float_literal(tok):
-    if tok.kind != "num":
-        return False
-    t = tok.text.replace("'", "")
-    while t and t[-1] in "fFlL":
-        t = t[:-1]
-    if t.startswith(("0x", "0X")):
-        return False
-    return "." in t or "e" in t or "E" in t
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +234,14 @@ SUPP_RE = re.compile(r"cpt-lint:\s*(allow|off|on)\s*\(\s*([A-Za-z0-9_,\s\-]*?)\s
 
 
 class SourceFile:
-    def __init__(self, path, root=REPO_ROOT):
+    def __init__(self, path):
         self.path = Path(path)
         try:
-            self.rel = self.path.resolve().relative_to(root).as_posix()
+            self.rel = self.path.resolve().relative_to(REPO_ROOT).as_posix()
         except ValueError:
             self.rel = self.path.as_posix()
-        t0 = time.perf_counter()
         self.text = self.path.read_text(encoding="utf-8")
         self.tokens, self.comments, self.directives = tokenize(self.text)
-        self.parse_seconds = time.perf_counter() - t0
         self._allow = {}   # line -> set(rule)
         self._blocks = []  # (rule, start_line, end_line_inclusive)
         self._parse_suppressions()
@@ -306,43 +278,20 @@ class SourceFile:
 
 
 class Finding:
-    def __init__(self, rule, sf, line, message, fixes=None):
+    def __init__(self, rule, sf, line, message):
         self.rule = rule
         self.path = sf.rel
         self.line = line
         self.message = message
-        self.fixes = fixes or []  # [(start_offset, end_offset, replacement)]
-
-    @property
-    def fingerprint(self):
-        return f"{self.rule}::{self.path}::{self.message}"
 
     def to_json(self):
         return {"rule": self.rule, "path": self.path, "line": self.line,
-                "message": self.message, "fixable": bool(self.fixes),
-                "fingerprint": self.fingerprint}
+                "message": self.message}
 
 
 # ---------------------------------------------------------------------------
-# Project-wide context: enums and name tables
+# Rule framework
 # ---------------------------------------------------------------------------
-
-class EnumDef:
-    def __init__(self, name, sf, line, enumerators):
-        self.name = name
-        self.file = sf.rel
-        self.line = line
-        self.enumerators = enumerators
-
-
-class NameTable:
-    def __init__(self, name, sf, line, end_line, strings):
-        self.name = name
-        self.file = sf.rel
-        self.line = line
-        self.end_line = end_line
-        self.strings = strings
-
 
 def _match_paren(tokens, i, open_ch, close_ch):
     """tokens[i] must be open_ch; returns index of the matching close_ch."""
@@ -358,130 +307,6 @@ def _match_paren(tokens, i, open_ch, close_ch):
         i += 1
     return len(tokens) - 1
 
-
-def parse_enums(sf):
-    out = []
-    toks = sf.tokens
-    i = 0
-    while i < len(toks):
-        if toks[i].text != "enum" or toks[i].kind != "id":
-            i += 1
-            continue
-        j = i + 1
-        if j < len(toks) and toks[j].text in ("class", "struct"):
-            j += 1
-        if j >= len(toks) or toks[j].kind != "id":
-            i = j
-            continue
-        name_tok = toks[j]
-        j += 1
-        while j < len(toks) and toks[j].text not in ("{", ";"):
-            j += 1  # underlying-type clause
-        if j >= len(toks) or toks[j].text != "{":
-            i = j  # forward declaration
-            continue
-        close = _match_paren(toks, j, "{", "}")
-        enumerators = []
-        expect_name = True
-        depth = 0
-        for k in range(j + 1, close):
-            t = toks[k]
-            if t.text in ("(", "{", "["):
-                depth += 1
-            elif t.text in (")", "}", "]"):
-                depth -= 1
-            elif depth == 0 and t.text == ",":
-                expect_name = True
-            elif depth == 0 and expect_name and t.kind == "id":
-                enumerators.append(t.text)
-                expect_name = False
-        out.append(EnumDef(name_tok.text, sf, name_tok.line, enumerators))
-        i = close + 1
-    return out
-
-
-NAME_TABLE_RE = re.compile(r"^k[A-Z]\w*Names$")
-
-
-def parse_name_tables(sf):
-    out = []
-    toks = sf.tokens
-    i = 0
-    while i < len(toks):
-        t = toks[i]
-        if not (t.kind == "id" and NAME_TABLE_RE.match(t.text)):
-            i += 1
-            continue
-        j = i + 1
-        if j >= len(toks) or toks[j].text != "[":
-            i += 1
-            continue
-        j = _match_paren(toks, j, "[", "]") + 1
-        if j + 1 >= len(toks) or toks[j].text != "=" or toks[j + 1].text != "{":
-            i += 1  # an indexing use, not a definition
-            continue
-        close = _match_paren(toks, j + 1, "{", "}")
-        depth = 0
-        strings = []
-        for k in range(j + 2, close):
-            tk = toks[k]
-            if tk.text in ("{", "(", "["):
-                depth += 1
-            elif tk.text in ("}", ")", "]"):
-                depth -= 1
-            elif depth == 0 and tk.kind == "str":
-                strings.append(json_unquote(tk.text))
-        semi = close + 1 if close + 1 < len(toks) and toks[close + 1].text == ";" else close
-        out.append(NameTable(t.text, sf, t.line, toks[semi].line, strings))
-        i = semi + 1
-    return out
-
-
-def json_unquote(cpp_string_token):
-    """Decodes a simple C++ string literal token to its value."""
-    s = cpp_string_token
-    if s.startswith(("u8", "u", "U", "L")):
-        s = s.lstrip("u8UL")
-    if s.startswith('R"'):
-        body = s[2:-1]
-        delim, _, rest = body.partition("(")
-        return rest[: len(rest) - len(delim) - 1] if delim else rest[:-1]
-    try:
-        return json.loads(s)
-    except (json.JSONDecodeError, ValueError):
-        return s.strip('"')
-
-
-class Project:
-    """Cross-file context shared by all rules."""
-
-    def __init__(self, files):
-        self.enums = {}         # name -> [EnumDef]
-        self.name_tables = []   # [NameTable]
-        for sf in files:
-            for e in parse_enums(sf):
-                self.enums.setdefault(e.name, []).append(e)
-            self.name_tables.extend(parse_name_tables(sf))
-
-    def enum_named(self, name, rel=None):
-        """The unique EnumDef called `name`, or None when it is ambiguous.
-
-        A definition in the file being linted shadows same-named enums
-        elsewhere (test fixtures and doubles clone contract enums locally).
-        """
-        defs = self.enums.get(name, [])
-        if rel is not None:
-            local = [d for d in defs if d.file == rel]
-            if local:
-                defs = local
-        if defs and all(set(d.enumerators) == set(defs[0].enumerators) for d in defs):
-            return defs[0]
-        return None
-
-
-# ---------------------------------------------------------------------------
-# Rule framework
-# ---------------------------------------------------------------------------
 
 RULES = {}
 
@@ -500,168 +325,13 @@ class Rule:
             return True
         return any(fnmatch.fnmatch(rel, g) for g in self.include)
 
-    def check(self, sf, project):
+    def check(self, sf):
         raise NotImplementedError
 
 
 def register(cls):
     RULES[cls.name] = cls()
     return cls
-
-
-# ---- name-table-sync -------------------------------------------------------
-
-@register
-class NameTableSync(Rule):
-    name = "name-table-sync"
-    help = ("k<Enum>Names arrays must sit adjacent to a static_assert tying "
-            "their length to the enum, and carry one entry per enumerator")
-    ADJACENT_LINES = 4
-
-    def check(self, sf, project):
-        findings = []
-        asserts = self._static_assert_spans(sf)
-        for table in (t for t in project.name_tables if t.file == sf.rel):
-            if not self._has_adjacent_assert(table, asserts):
-                findings.append(Finding(
-                    self.name, sf, table.line,
-                    f"name table {table.name} has no adjacent "
-                    f"static_assert(std::size({table.name}) == ...) within "
-                    f"{self.ADJACENT_LINES} lines"))
-            enum_name = table.name[1:-len("Names")]
-            enum_def = project.enum_named(enum_name, sf.rel)
-            if enum_def is not None and len(table.strings) != len(enum_def.enumerators):
-                findings.append(Finding(
-                    self.name, sf, table.line,
-                    f"{table.name} has {len(table.strings)} entries but enum "
-                    f"{enum_name} has {len(enum_def.enumerators)} enumerators"))
-        return findings
-
-    @staticmethod
-    def _static_assert_spans(sf):
-        spans = []
-        toks = sf.tokens
-        for i, t in enumerate(toks):
-            if t.kind == "id" and t.text == "static_assert" and i + 1 < len(toks) \
-                    and toks[i + 1].text == "(":
-                close = _match_paren(toks, i + 1, "(", ")")
-                names = {tk.text for tk in toks[i + 2:close] if tk.kind == "id"}
-                spans.append((t.line, toks[close].line, names))
-        return spans
-
-    def _has_adjacent_assert(self, table, asserts):
-        for start, end, names in asserts:
-            if table.name not in names:
-                continue
-            if (abs(start - table.end_line) <= self.ADJACENT_LINES
-                    or abs(end - table.line) <= self.ADJACENT_LINES):
-                return True
-        return False
-
-
-# ---- walk-protocol-pairing -------------------------------------------------
-
-def function_bodies(toks):
-    """Yields (start_index, end_index) spans of function bodies.
-
-    Heuristic: a '{' opens a function body when, scanning back over type
-    and specifier tokens, the previous structural token is ')'.  Nested
-    braces (blocks, lambdas, initializers) inside a body are part of it.
-    """
-    skippable = {"const", "noexcept", "override", "final", "mutable", "&", "&&",
-                 "->", "::", "<", ">", ",", "*", "]", "[", "try"}
-    depth = 0
-    fn_start = fn_depth = None
-    for i, t in enumerate(toks):
-        if t.text == "{":
-            if fn_start is None and _is_function_header(toks, i, skippable):
-                fn_start, fn_depth = i, depth
-            depth += 1
-        elif t.text == "}":
-            depth -= 1
-            if fn_start is not None and depth == fn_depth:
-                yield fn_start, i
-                fn_start = fn_depth = None
-
-
-def _is_function_header(toks, brace_index, skippable):
-    j = brace_index - 1
-    budget = 24
-    while j >= 0 and budget > 0:
-        t = toks[j]
-        if t.text == ")":
-            return True
-        if t.kind == "id" and (t.text in skippable or ID_RE.match(t.text)):
-            # Identifiers cover trailing return types and ctor-init names;
-            # anything structural ends the scan below.
-            j -= 1
-            budget -= 1
-            continue
-        if t.text in skippable:
-            j -= 1
-            budget -= 1
-            continue
-        return False
-    return False
-
-
-@register
-class WalkProtocolPairing(Rule):
-    name = "walk-protocol-pairing"
-    help = ("BeginWalk() needs a matching EndWalk()/AbortWalk() (or WalkScope) "
-            "in the same function, and kWalkHit must be emitted before kWalkEnd")
-    include = ("src/pt/*", "src/tlb/*", "src/mem/*", "src/sim/*", "src/core/*",
-               "src/os/*", "tests/lint/fixtures/*")
-    # The cache model defines the walk brackets themselves (WalkScope's ctor
-    # and dtor intentionally split the pair across two bodies).
-    exclude = ("src/mem/cache_model.h", "src/mem/cache_model.cc")
-
-    WALK_EVENTS = ("kWalkHit", "kWalkEnd", "kWalkAbort", "kWalkStep")
-
-    def check(self, sf, project):
-        findings = []
-        toks = sf.tokens
-        for start, end in function_bodies(toks):
-            self._check_body(sf, toks, start, end, findings)
-        return findings
-
-    def _check_body(self, sf, toks, start, end, findings):
-        begin = finish = None
-        emissions = []  # (event_name, line) inside Record(...) calls
-        i = start
-        while i <= end:
-            t = toks[i]
-            prev = toks[i - 1].text if i > 0 else ""
-            nxt = toks[i + 1].text if i + 1 < len(toks) else ""
-            if t.kind == "id" and prev in (".", "->") and nxt == "(":
-                if t.text == "BeginWalk" and begin is None:
-                    begin = t
-                elif t.text in ("EndWalk", "AbortWalk") and finish is None:
-                    finish = t
-            if t.kind == "id" and t.text == "WalkScope" and finish is None:
-                finish = t
-            if t.kind == "id" and t.text == "Record" and nxt == "(":
-                close = _match_paren(toks, i + 1, "(", ")")
-                for k in range(i + 2, close):
-                    tk = toks[k]
-                    if tk.kind == "id" and tk.text in self.WALK_EVENTS \
-                            and toks[k - 1].text == "::":
-                        emissions.append((tk.text, tk.line))
-                i = close + 1
-                continue
-            i += 1
-        if begin is not None and finish is None:
-            findings.append(Finding(
-                self.name, sf, begin.line,
-                "BeginWalk() without a matching EndWalk()/AbortWalk() or "
-                "WalkScope in the same function"))
-        hit = next((line for name, line in emissions if name == "kWalkHit"), None)
-        walk_end = next((line for name, line in emissions if name == "kWalkEnd"), None)
-        if hit is not None and walk_end is not None and walk_end < hit:
-            findings.append(Finding(
-                self.name, sf, walk_end,
-                "kWalkEnd emitted before kWalkHit in the same function "
-                "(the hit marker must precede the walk-end bracket)"))
 
 
 # ---- check-macro-hygiene ---------------------------------------------------
@@ -675,7 +345,7 @@ class CheckMacroHygiene(Rule):
 
     INCLUDE_RE = re.compile(r"#\s*include\s*[<\"](cassert|assert\.h)[>\"]")
 
-    def check(self, sf, project):
+    def check(self, sf):
         findings = []
         toks = sf.tokens
         for i, t in enumerate(toks):
@@ -687,8 +357,7 @@ class CheckMacroHygiene(Rule):
                 findings.append(Finding(
                     self.name, sf, t.line,
                     "raw assert(); use CPT_DCHECK (hot path) or CPT_CHECK "
-                    "(always-on) from common/check.h",
-                    fixes=[(t.pos, t.pos + len(t.text), "CPT_DCHECK")]))
+                    "(always-on) from common/check.h"))
             elif t.text == "abort" and prev not in (".", "->"):
                 findings.append(Finding(
                     self.name, sf, t.line,
@@ -699,8 +368,7 @@ class CheckMacroHygiene(Rule):
                 findings.append(Finding(
                     self.name, sf, d.line,
                     "#include <cassert> in simulator code; include "
-                    "common/check.h instead",
-                    fixes=[(d.pos, min(d.end + 1, len(sf.text)), "")]))
+                    "common/check.h instead"))
         return findings
 
 
@@ -710,7 +378,7 @@ class CheckMacroHygiene(Rule):
 class DeterminismGuards(Rule):
     name = "determinism-guards"
     help = ("all randomness flows through common/rng.h and all timing through "
-            "obs/timer.h; no float-literal ==/!= comparisons")
+            "obs/timer.h")
     include = ("src/*", "bench/*", "examples/*", "tests/*")
     exclude = ("src/common/rng.h",)
 
@@ -718,7 +386,7 @@ class DeterminismGuards(Rule):
                     "gettimeofday", "timespec_get"}
     BANNED_TYPES = {"random_device"}
 
-    def check(self, sf, project):
+    def check(self, sf):
         findings = []
         toks = sf.tokens
         for i, t in enumerate(toks):
@@ -736,13 +404,6 @@ class DeterminismGuards(Rule):
                     f"{t.text}() breaks run-to-run reproducibility; use "
                     "cpt::Rng (common/rng.h) for randomness or obs/timer.h "
                     "for timing"))
-            elif t.text in ("==", "!=") and (
-                    (i > 0 and is_float_literal(toks[i - 1]))
-                    or (i + 1 < len(toks) and is_float_literal(toks[i + 1]))):
-                findings.append(Finding(
-                    self.name, sf, t.line,
-                    "exact float comparison against a literal; compare "
-                    "integers or use an explicit tolerance"))
         return findings
 
 
@@ -764,7 +425,7 @@ class TimingDiscipline(Rule):
     # banned clock()/time()).
     BANNED_CALLS = {"clock_gettime", "clock_getres"}
 
-    def check(self, sf, project):
+    def check(self, sf):
         findings = []
         toks = sf.tokens
         for i, t in enumerate(toks):
@@ -788,75 +449,6 @@ class TimingDiscipline(Rule):
         return findings
 
 
-# ---- include-guard ---------------------------------------------------------
-
-IFNDEF_RE = re.compile(r"#\s*ifndef\s+(\w+)")
-DEFINE_RE = re.compile(r"#\s*define\s+(\w+)")
-ENDIF_RE = re.compile(r"#\s*endif(?:\s*//\s*(\w+))?")
-PRAGMA_ONCE_RE = re.compile(r"#\s*pragma\s+once")
-
-
-@register
-class IncludeGuard(Rule):
-    name = "include-guard"
-    help = ("headers carry canonical CPT_<PATH>_H_ guards with a matching "
-            "'#endif  // <GUARD>' trailer")
-    include = ("src/*.h", "src/*/*.h", "bench/*.h", "tests/lint/fixtures/*.h")
-
-    @staticmethod
-    def expected_guard(rel):
-        parts = Path(rel).parts
-        if parts and parts[0] == "src":
-            parts = parts[1:]
-        stem = Path(parts[-1]).stem
-        pieces = [p.upper() for p in parts[:-1]] + [stem.upper()]
-        return "CPT_" + "_".join(re.sub(r"[^A-Z0-9]", "_", p) for p in pieces) + "_H_"
-
-    def check(self, sf, project):
-        if not sf.rel.endswith((".h", ".hpp")):
-            return []  # Intrinsically a header rule, even under --ignore-scope.
-        want = self.expected_guard(sf.rel)
-        findings = []
-        ds = sf.directives
-        if any(PRAGMA_ONCE_RE.search(d.text) for d in ds):
-            findings.append(Finding(
-                self.name, sf, 1,
-                f"#pragma once; use the canonical guard {want}"))
-            return findings
-        if len(ds) < 3:
-            findings.append(Finding(
-                self.name, sf, 1, f"missing include guard {want}"))
-            return findings
-        first, second, last = ds[0], ds[1], ds[-1]
-        m_if, m_def = IFNDEF_RE.match(first.text), DEFINE_RE.match(second.text)
-        m_end = ENDIF_RE.match(last.text)
-        if not m_if or not m_def or not m_end:
-            findings.append(Finding(
-                self.name, sf, first.line,
-                f"header does not open with #ifndef/#define and close with "
-                f"#endif (expected guard {want})"))
-            return findings
-        got_if, got_def = m_if.group(1), m_def.group(1)
-        if got_if != want or got_def != want:
-            fixes = []
-            if got_if == got_def:
-                fixes = [(first.pos, first.end, f"#ifndef {want}"),
-                         (second.pos, second.end, f"#define {want}")]
-                if m_end.group(1) != want:
-                    # Retarget the trailer in the same pass: --fix must be a
-                    # fixed point, not converge across two runs.
-                    fixes.append((last.pos, last.end, f"#endif  // {want}"))
-            findings.append(Finding(
-                self.name, sf, first.line,
-                f"include guard is {got_if} (expected {want})", fixes=fixes))
-        elif m_end.group(1) != want:
-            findings.append(Finding(
-                self.name, sf, last.line,
-                f"#endif lacks the '  // {want}' trailer",
-                fixes=[(last.pos, last.end, f"#endif  // {want}")]))
-        return findings
-
-
 # ---- nodiscard-query -------------------------------------------------------
 
 @register
@@ -869,7 +461,7 @@ class NodiscardQuery(Rule):
     QUERY_METHODS = {"Lookup", "LookupKey"}
     DECL_STOP = {";", "{", "}"}
 
-    def check(self, sf, project):
+    def check(self, sf):
         findings = []
         toks = sf.tokens
         for i, t in enumerate(toks):
@@ -880,18 +472,15 @@ class NodiscardQuery(Rule):
             prev = toks[i - 1] if i > 0 else None
             if prev is None or prev.text in (".", "->", "::", "(", ",", "=", "return", "!"):
                 continue  # a call, not a declaration
-            decl_start, prefix = self._decl_prefix(toks, i)
-            texts = [p.text for p in prefix]
+            texts = self._decl_prefix(toks, i)
             if not texts or texts[-1] == "void":
                 continue  # void return: nothing to discard
             if "nodiscard" in texts:
                 continue
-            first = toks[decl_start]
             findings.append(Finding(
                 self.name, sf, t.line,
                 f"{t.text}() returns a value callers must not drop; declare "
-                f"it [[nodiscard]]",
-                fixes=[(first.pos, first.pos, "[[nodiscard]] ")]))
+                f"it [[nodiscard]]"))
         return findings
 
     def _decl_prefix(self, toks, name_index):
@@ -904,8 +493,7 @@ class NodiscardQuery(Rule):
                     "public", "private", "protected"):
                 break
             j -= 1
-        start = j + 1
-        return start, toks[start:name_index]
+        return [t.text for t in toks[j + 1:name_index]]
 
 
 # ---- raw-address-param -----------------------------------------------------
@@ -939,7 +527,7 @@ class RawAddressParam(Rule):
     CALL_PREV = {".", "->", "::", "(", ",", "=", "return", "!", "<", "&&",
                  "||", "case", "+", "-", "*", "/", "%", "&", "|", "^"}
 
-    def check(self, sf, project):
+    def check(self, sf):
         if not sf.rel.endswith((".h", ".hpp")):
             return []  # Intrinsically a header rule, even under --ignore-scope.
         findings = []
@@ -1025,7 +613,7 @@ class AtomicDiscipline(Rule):
     # justifies the order (call arguments often wrap one line).
     ADJACENT_LINES = 2
 
-    def check(self, sf, project):
+    def check(self, sf):
         findings = []
         toks = sf.tokens
         justified = set()
@@ -1088,7 +676,7 @@ class RawSyncPrimitive(Rule):
                   "condition_variable_any", "once_flag", "call_once",
                   "thread", "jthread", "atomic_flag"}
 
-    def check(self, sf, project):
+    def check(self, sf):
         findings = []
         toks = sf.tokens
         for i, t in enumerate(toks):
@@ -1129,7 +717,7 @@ class NoThrow(Rule):
     THROWING_CALLS = {"stoi", "stol", "stoll", "stoul", "stoull",
                       "stof", "stod", "stold"}
 
-    def check(self, sf, project):
+    def check(self, sf):
         findings = []
         toks = sf.tokens
         for i, t in enumerate(toks):
@@ -1156,126 +744,34 @@ class NoThrow(Rule):
 
 
 # ---------------------------------------------------------------------------
-# SARIF export (CI PR annotations)
-# ---------------------------------------------------------------------------
-
-SARIF_SCHEMA = ("https://json.schemastore.org/sarif-2.1.0.json")
-
-
-def sarif_payload(findings):
-    """SARIF 2.1.0 for every rule's findings, with line-free fingerprints
-    (rule + path + message) so annotations survive rebases."""
-    return {
-        "$schema": SARIF_SCHEMA,
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {
-                "driver": {
-                    "name": "cpt-lint",
-                    "informationUri":
-                        "tools/cpt_lint.py (project-local linter)",
-                    "rules": [
-                        {"id": name,
-                         "shortDescription": {"text": rule.help}}
-                        for name, rule in sorted(RULES.items())
-                    ],
-                },
-            },
-            "results": [
-                {
-                    "ruleId": f.rule,
-                    "level": "error",
-                    "message": {"text": f.message},
-                    "locations": [{
-                        "physicalLocation": {
-                            "artifactLocation": {"uri": f.path},
-                            "region": {"startLine": max(f.line, 1)},
-                        },
-                    }],
-                    "partialFingerprints": {
-                        "cptLintFingerprint/v1": f.fingerprint,
-                    },
-                }
-                for f in findings
-            ],
-        }],
-    }
-
-
-# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
-def collect_source_files(root=REPO_ROOT, roots=LINT_ROOTS):
+def collect_source_files():
     out = []
-    root = Path(root)
-    for sub in roots:
-        base = root / sub
-        if not base.is_dir():
-            continue
-        for path in sorted(base.rglob("*")):
+    for sub in LINT_ROOTS:
+        for path in sorted((REPO_ROOT / sub).rglob("*")):
             if path.suffix not in SOURCE_SUFFIXES or not path.is_file():
                 continue
-            rel = path.relative_to(root).as_posix()
+            rel = path.relative_to(REPO_ROOT).as_posix()
             if any(fnmatch.fnmatch(rel, g) for g in EXCLUDED_GLOBS):
                 continue
-            out.append(SourceFile(path, root=root))
+            out.append(SourceFile(path))
     return out
 
 
-def _lint_one_file(sf, project, rule_names, ignore_scope):
-    """Findings plus per-rule wall time (seconds) for one file."""
+def run_rules(files, rule_names=None, ignore_scope=False):
     findings = []
-    timing = Counter()
-    for name, rule in RULES.items():
-        if rule_names is not None and name not in rule_names:
-            continue
-        if not ignore_scope and not rule.applies(sf.rel):
-            continue
-        t0 = time.perf_counter()
-        for f in rule.check(sf, project):
-            if not sf.suppressed(f.rule, f.line):
-                findings.append(f)
-        timing[name] += time.perf_counter() - t0
-    return findings, timing
-
-
-def run_rules(files, project, rule_names=None, ignore_scope=False,
-              rule_timing=None):
-    findings = []
-    timing = Counter()
     for sf in files:
-        file_findings, file_timing = _lint_one_file(
-            sf, project, rule_names, ignore_scope)
-        findings.extend(file_findings)
-        timing.update(file_timing)
-    if rule_timing is not None:
-        # The one-shot tokenize cost per file, next to the per-rule entries.
-        timing["file-parse"] += sum(sf.parse_seconds for sf in files)
-        rule_timing.update(timing)
+        for name, rule in RULES.items():
+            if rule_names is not None and name not in rule_names:
+                continue
+            if not ignore_scope and not rule.applies(sf.rel):
+                continue
+            findings.extend(f for f in rule.check(sf)
+                            if not sf.suppressed(f.rule, f.line))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
-
-
-def apply_fixes(findings, root=REPO_ROOT):
-    by_path = {}
-    for f in findings:
-        for span in f.fixes:
-            by_path.setdefault(f.path, []).append(span)
-    fixed_files = 0
-    for rel, spans in by_path.items():
-        path = Path(root) / rel
-        text = path.read_text(encoding="utf-8")
-        spans.sort(key=lambda s: s[0], reverse=True)
-        last_start = None
-        for start, end, repl in spans:
-            if last_start is not None and end > last_start:
-                continue  # overlapping fix; first one wins
-            text = text[:start] + repl + text[end:]
-            last_start = start
-        path.write_text(text, encoding="utf-8")
-        fixed_files += 1
-    return fixed_files
 
 
 def print_human(findings, files_by_rel):
@@ -1285,28 +781,7 @@ def print_human(findings, files_by_rel):
         if sf is not None:
             lines = sf.text.splitlines()
             if 0 < f.line <= len(lines):
-                src = lines[f.line - 1].rstrip()
-                if f.fixes:
-                    print(f"  - {src}")
-                    fixed = apply_spans_to_line(sf, f)
-                    if fixed is not None:
-                        print(f"  + {fixed}")
-                else:
-                    print(f"    {src}")
-
-
-def apply_spans_to_line(sf, finding):
-    """Renders the post-fix version of the finding's first fixed line."""
-    spans = [s for s in finding.fixes]
-    if not spans:
-        return None
-    text = sf.text
-    spans.sort(key=lambda s: s[0], reverse=True)
-    for start, end, repl in spans:
-        text = text[:start] + repl + text[end:]
-    lines = text.splitlines()
-    idx = min(finding.line - 1, len(lines) - 1)
-    return lines[idx].rstrip() if 0 <= idx < len(lines) else None
+                print(f"    {lines[f.line - 1].rstrip()}")
 
 
 def main(argv=None):
@@ -1333,16 +808,10 @@ def _main(argv=None):
     parser.add_argument("--all", action="store_true",
                         help=f"lint every source file under {', '.join(LINT_ROOTS)}/")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--fix", action="store_true",
-                        help="apply fixes for mechanical rules, then report the rest")
-    parser.add_argument("--sarif", metavar="PATH",
-                        help="also write the findings (all rules) as SARIF 2.1.0")
     parser.add_argument("--list-rules", action="store_true")
     parser.add_argument("--rules", help="comma-separated subset of rules to run")
     parser.add_argument("--ignore-scope", action="store_true",
                         help="run every rule on every file (fixture tests)")
-    parser.add_argument("--root", default=str(REPO_ROOT),
-                        help="repository root (for relative paths and guards)")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -1350,53 +819,20 @@ def _main(argv=None):
             print(f"{name}: {rule.help}")
         return 0
 
-    root = Path(args.root).resolve()
-
-    if args.paths:
-        files = [SourceFile(p, root=root) for p in args.paths]
-        # Enum/name-table context always comes from the full src tree, so
-        # linting one .cc still knows the enums its name tables index.
-        seen = {sf.rel for sf in files}
-        context = files + [sf for sf in collect_source_files(root, roots=("src",))
-                           if sf.rel not in seen]
-        project = Project(context)
-    else:
-        files = collect_source_files(root)
-        project = Project(files)
+    files = ([SourceFile(p) for p in args.paths] if args.paths
+             else collect_source_files())
     rule_names = set(args.rules.split(",")) if args.rules else None
     if rule_names is not None:
         unknown = rule_names - RULES.keys()
         if unknown:
             parser.error(f"unknown rules: {', '.join(sorted(unknown))}")
 
-    rule_timing = Counter()
-    findings = run_rules(files, project, rule_names, args.ignore_scope,
-                         rule_timing=rule_timing)
-
-    if args.fix and findings:
-        fixable = [f for f in findings if f.fixes]
-        if fixable:
-            n = apply_fixes(fixable, root=root)
-            print(f"fixed {sum(len(f.fixes) for f in fixable)} spans in {n} files")
-            # Re-lint so the report reflects the post-fix tree.
-            files = [SourceFile(root / sf.rel, root=root) for sf in files]
-            project = Project(files)
-            rule_timing = Counter()
-            findings = run_rules(files, project, rule_names, args.ignore_scope,
-                                 rule_timing=rule_timing)
-
-    if args.sarif:
-        Path(args.sarif).write_text(
-            json.dumps(sarif_payload(findings), indent=2) + "\n",
-            encoding="utf-8")
-
+    findings = run_rules(files, rule_names, args.ignore_scope)
     if args.json:
         print(json.dumps({
             "schema": "cpt-lint-report", "version": 1,
             "checked_files": len(files),
             "findings": [f.to_json() for f in findings],
-            "rule_timing_ms": {name: round(secs * 1000.0, 3)
-                               for name, secs in sorted(rule_timing.items())},
         }, indent=2))
     else:
         print_human(findings, {sf.rel: sf for sf in files})
