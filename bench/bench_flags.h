@@ -9,10 +9,6 @@
 //   --perfetto=<path>  render the walk-event stream as Chrome trace-event
 //                   JSON loadable in ui.perfetto.dev: one track per
 //                   component plus counter tracks (see obs/perfetto.h)
-//   --timeseries=<path>  write windowed time-series JSONL: one window line
-//                   every --timeseries-window simulated references (default
-//                   8192), via obs::IntervalSnapshotter; windows also render
-//                   as Perfetto counter tracks when --perfetto is given
 //
 // All flags are parsed and *removed* from argv, so a bench's own argument
 // parsing never sees them.  With no flags, Hooks() returns empty hooks, no
@@ -29,6 +25,10 @@
 // Schema v4: drops v3's "concurrency" section (lock-contention sites) and
 // its lock-stripe machine option, which leaves the v2 layout.
 //
+// Schema v5: drops the top-level "metrics" array, a second copy of every
+// entry's attribution cells, and v2's windowed time-series sidecar file with
+// its summary section.  Each attribution cell now appears once, in its entry.
+//
 // Error handling: an unopenable path, a malformed flag, or a stream that
 // goes bad while writing all terminate the bench with a nonzero exit and a
 // message naming the file — a truncated report must never look like success.
@@ -42,12 +42,9 @@
 #include <string>
 #include <string_view>
 
-#include "obs/attribution.h"
 #include "obs/json_writer.h"
-#include "obs/metrics.h"
 #include "obs/perf.h"
 #include "obs/perfetto.h"
-#include "obs/snapshot.h"
 #include "obs/trace.h"
 #include "sim/experiments.h"
 #include "sim/report.h"
@@ -56,14 +53,13 @@
 namespace cpt::bench {
 
 // Version of the JSON document layout; bump on breaking schema changes.
-// tools/check_bench_json.py validates against this.
-// v2: host_perf + throughput sections, timing.phases, timeseries sidecar.
+// tools/bench_diff.py fails when a report's version differs from its
+// baseline's.
+// v2: host_perf + throughput sections, timing.phases, time-series sidecar.
 // v3: concurrency section (lock-contention sites) and a lock-stripe option.
 // v4: both v3 additions removed.
-inline constexpr std::uint64_t kBenchSchemaVersion = 4;
-
-// Default time-series window width, in simulated references.
-inline constexpr std::uint64_t kDefaultTimeseriesWindow = 8192;
+// v5: metrics section and time-series sidecar removed.
+inline constexpr std::uint64_t kBenchSchemaVersion = 5;
 
 class BenchIo {
  public:
@@ -75,8 +71,6 @@ class BenchIo {
     std::string json_path;
     std::string trace_path;
     std::string perfetto_path;
-    std::string timeseries_path;
-    std::uint64_t timeseries_window = kDefaultTimeseriesWindow;
     int out = 1;
     for (int i = 1; i < *argc; ++i) {
       const std::string_view arg = argv[i];
@@ -89,17 +83,6 @@ class BenchIo {
       } else if (arg.rfind("--perfetto", 0) == 0 &&
                  (arg.size() == 10 || arg[10] == '=')) {
         perfetto_path = RequireValue(arg, "--perfetto");
-      } else if (arg.rfind("--timeseries-window", 0) == 0 &&
-                 (arg.size() == 19 || arg[19] == '=')) {
-        const std::string v = RequireValue(arg, "--timeseries-window");
-        timeseries_window = std::strtoull(v.c_str(), nullptr, 10);
-        if (timeseries_window == 0) {
-          std::fprintf(stderr, "usage: --timeseries-window=<refs> (> 0)\n");
-          std::exit(2);
-        }
-      } else if (arg.rfind("--timeseries", 0) == 0 &&
-                 (arg.size() == 12 || arg[12] == '=')) {
-        timeseries_path = RequireValue(arg, "--timeseries");
       } else {
         argv[out++] = argv[i];
       }
@@ -148,30 +131,8 @@ class BenchIo {
       writer_->Key("entries");
       writer_->BeginArray();
     }
-    if (!timeseries_path.empty()) {
-      timeseries_path_ = timeseries_path;
-      timeseries_os_.open(timeseries_path);
-      if (!timeseries_os_) {
-        Die("cannot open timeseries file", timeseries_path);
-      }
-      snapshotter_ = std::make_unique<obs::IntervalSnapshotter>(
-          timeseries_window, &metrics_, perfetto_.get());
-      obs::JsonWriter w(timeseries_os_, /*pretty=*/false);
-      w.BeginObject();
-      w.KV("type", "header");
-      w.KV("schema", "cpt-bench-timeseries");
-      w.KV("schema_version", kBenchSchemaVersion);
-      w.KV("bench", bench_name_);
-      w.KV("window_refs", timeseries_window);
-      w.EndObject();
-      timeseries_os_ << '\n';
-    }
-    // Attachment order matters: the snapshotter samples the Perfetto logical
-    // clock at window boundaries, so it must see each event *after* the
-    // exporter has ticked (obs/snapshot.h).
     tee_.Add(ring_.get());
     tee_.Add(perfetto_.get());
-    tee_.Add(snapshotter_.get());
     bench_perf_.Start();
   }
 
@@ -179,10 +140,6 @@ class BenchIo {
     const obs::HostPerfSample bench_perf = bench_perf_.Stop();
     if (writer_ != nullptr) {
       writer_->EndArray();
-      if (!metrics_.empty()) {
-        writer_->Key("metrics");
-        metrics_.ToJson(*writer_);
-      }
       // Bench-wide host cost (whole process, all phases) and aggregate
       // simulated-reference throughput over every recorded access run.
       writer_->Key("host_perf");
@@ -196,25 +153,11 @@ class BenchIo {
                       ? static_cast<double>(throughput_refs_) / throughput_seconds_
                       : 0.0);
       writer_->EndObject();
-      if (snapshotter_ != nullptr) {
-        writer_->Key("timeseries");
-        writer_->BeginObject();
-        writer_->KV("window_refs", snapshotter_->window_refs());
-        writer_->KV("total_refs", snapshotter_->total_refs());
-        writer_->KV("windows", timeseries_windows_);
-        writer_->EndObject();
-      }
       writer_->EndObject();
       json_os_ << '\n';
       json_os_.flush();
       if (!json_os_) {
         DieLate("json report write failed", json_path_);
-      }
-    }
-    if (timeseries_os_.is_open()) {
-      timeseries_os_.flush();
-      if (!timeseries_os_) {
-        DieLate("timeseries file write failed", timeseries_path_);
       }
     }
     if (perfetto_ != nullptr) {
@@ -238,11 +181,10 @@ class BenchIo {
   bool json_enabled() const { return writer_ != nullptr; }
   bool trace_enabled() const { return ring_ != nullptr; }
   bool perfetto_enabled() const { return perfetto_ != nullptr; }
-  bool timeseries_enabled() const { return snapshotter_ != nullptr; }
 
   // Hooks for MeasureAccessTime: histograms are collected only when a JSON
-  // report wants them; events are recorded when a trace file, Perfetto
-  // trace, or time-series file wants them (all fan out through a tee).
+  // report wants them; events are recorded when a trace file or Perfetto
+  // trace wants them (both fan out through a tee).
   // Default-constructed (no flags) attaches nothing.
   sim::MeasureHooks Hooks() {
     return sim::MeasureHooks{.tracer = tee_.size() > 0 ? &tee_ : nullptr,
@@ -259,18 +201,11 @@ class BenchIo {
       writer_->Key("measurement");
       sim::ToJson(*writer_, m);
       writer_->EndObject();
-      if (m.telemetry_valid) {
-        obs::ExportTo(metrics_, m.attribution,
-                      {{"series", std::string(series)},
-                       {"workload", m.workload},
-                       {"pt", sim::ToString(m.options.pt_kind)}});
-      }
     }
     // Every access run adds to the report's aggregate "throughput" section.
     throughput_refs_ += m.trace_refs;
     throughput_seconds_ += m.wall_seconds;
     FlushTraceSection("access", series, m.workload, m.rng_seed, m.options);
-    FlushTimeseriesSection("access", series, m.workload);
     MarkSection("access", series, m.workload);
   }
 
@@ -382,51 +317,20 @@ class BenchIo {
     ring_->Clear();
   }
 
-  // One time-series section: a context line naming the measurement, then
-  // the snapshotter's windows (the final partial window included), then a
-  // Reset() so the next measurement starts a fresh window sequence.
-  void FlushTimeseriesSection(std::string_view type, std::string_view series,
-                              std::string_view workload) {
-    if (snapshotter_ == nullptr) {
-      return;
-    }
-    snapshotter_->Finish();
-    {
-      obs::JsonWriter w(timeseries_os_, /*pretty=*/false);
-      w.BeginObject();
-      w.KV("type", "context");
-      w.KV("entry_type", type);
-      w.KV("series", series);
-      w.KV("workload", workload);
-      w.KV("window_refs", snapshotter_->window_refs());
-      w.KV("windows", std::uint64_t{snapshotter_->windows().size()});
-      w.EndObject();
-    }
-    timeseries_os_ << '\n';
-    snapshotter_->WriteJsonl(timeseries_os_);
-    timeseries_windows_ += snapshotter_->windows().size();
-    snapshotter_->Reset();
-  }
-
   std::string bench_name_;
   std::string json_path_;
   std::string trace_path_;
   std::string perfetto_path_;
-  std::string timeseries_path_;
   std::ofstream trace_os_;
   std::ofstream json_os_;
   std::ofstream perfetto_os_;
-  std::ofstream timeseries_os_;
   std::unique_ptr<obs::JsonWriter> writer_;  // After json_os_: destroyed first.
   std::unique_ptr<obs::RingBufferTracer> ring_;
   std::unique_ptr<obs::PerfettoExporter> perfetto_;  // After perfetto_os_.
-  std::unique_ptr<obs::IntervalSnapshotter> snapshotter_;  // After perfetto_.
   obs::TeeTracer tee_;  // Fans events out to every enabled consumer.
-  obs::MetricRegistry metrics_;  // Attribution instruments, dumped at exit.
   obs::HostPerfCounters bench_perf_;  // Whole-bench host-cost bracket.
   std::uint64_t throughput_refs_ = 0;      // Aggregate refs over access runs.
   double throughput_seconds_ = 0.0;        // Aggregate replay wall time.
-  std::uint64_t timeseries_windows_ = 0;   // Windows written across sections.
 };
 
 }  // namespace cpt::bench

@@ -251,6 +251,19 @@ AttributionResult AttributionTracer::Result() {
   });
   fill(r.by_outcome, out_.data(), out_.size(),
        [](std::size_t i) { return std::string(OutcomeName(i)); });
+  // Each dimension partitions the counted walks, so its cells must add up
+  // to the totals the report's lines-per-miss figure is built from.
+  for (const std::vector<AttributionCell>* cells :
+       {&r.by_segment, &r.by_page_class, &r.by_outcome}) {
+    AttributionCell sum;
+    for (const AttributionCell& c : *cells) {
+      sum.walks += c.walks;
+      sum.lines += c.lines;
+      sum.steps += c.steps;
+    }
+    CPT_CHECK(sum.walks == r.walks && sum.lines == r.lines && sum.steps == r.steps,
+              "attribution cells do not sum to the totals");
+  }
   return r;
 }
 
@@ -285,22 +298,6 @@ void ToJson(JsonWriter& w, const AttributionResult& r) {
   w.Key("by_outcome");
   CellsToJson(w, r.by_outcome);
   w.EndObject();
-}
-
-void ExportTo(MetricRegistry& registry, const AttributionResult& r,
-              const MetricRegistry::Labels& base_labels) {
-  auto emit = [&](const char* dim, const std::vector<AttributionCell>& cells) {
-    for (const AttributionCell& c : cells) {
-      MetricRegistry::Labels labels = base_labels;
-      labels.emplace_back("dim", dim);
-      labels.emplace_back("value", c.label);
-      registry.Counter("attribution_walks", labels) += c.walks;
-      registry.Counter("attribution_lines", labels) += c.lines;
-    }
-  };
-  emit("segment", r.by_segment);
-  emit("page_class", r.by_page_class);
-  emit("outcome", r.by_outcome);
 }
 
 }  // namespace cpt::obs

@@ -17,8 +17,8 @@
 //
 // Each dimension partitions the set of counted walks, so for every dimension
 // the per-value `lines` sum equals the total lines touched — which is the
-// numerator of the headline lines-per-miss figure.  tests/obs_test.cc
-// asserts this reconciliation end-to-end against a real Machine run.
+// numerator of the headline lines-per-miss figure.  Result() CPT_CHECKs
+// this reconciliation (walks, lines and steps) on every breakdown it builds.
 //
 // The tracer is an ordinary WalkTracer: attach it anywhere in a tracer
 // chain; like every obs consumer it never affects simulated counts.
@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace cpt::obs {
@@ -101,12 +100,6 @@ struct AttributionResult {
 // per-cell lines_per_walk convenience ratios.
 void ToJson(JsonWriter& w, const AttributionResult& r);
 
-// Materializes the breakdown as labeled registry instruments:
-//   attribution_walks{dim=..., value=..., <base labels>}
-//   attribution_lines{dim=..., value=..., <base labels>}
-void ExportTo(MetricRegistry& registry, const AttributionResult& r,
-              const MetricRegistry::Labels& base_labels);
-
 // Streams walk events into the per-dimension tables.  Forwarding tracer like
 // StatsTracer: pass-through to `forward` keeps one event stream feeding the
 // histogram aggregator, the ring buffer, and this attribution pass at once.
@@ -122,7 +115,8 @@ class AttributionTracer final : public WalkTracer {
   void RecordRepeat(const WalkEvent& event, std::uint64_t n) override;
 
   // Finalizes any walk whose block-prefetch marker is still pending and
-  // returns the breakdown.
+  // returns the breakdown.  Aborts unless every dimension's cells sum to
+  // the totals.
   AttributionResult Result();
 
   std::uint64_t walks() const { return walks_; }

@@ -1,6 +1,6 @@
 // Hand-rolled streaming JSON emitter — the serialization backbone of the
-// telemetry layer (bench --json documents, trace JSONL records, registry
-// dumps).  No external dependencies: the repo's rule is that observability
+// telemetry layer (bench --json documents, trace JSONL records, Perfetto
+// traces).  No external dependencies: the repo's rule is that observability
 // must not pull a JSON library into the simulator's build.
 //
 // The writer is a push-down automaton over object/array nesting: it inserts

@@ -19,7 +19,6 @@ PerfettoExporter::PerfettoExporter(std::ostream& os, Options opts)
   EmitMeta("thread_name", kTrackAllocator, "allocator");
   EmitMeta("thread_name", kTrackSwTlb, "softTLB");
   EmitMeta("thread_name", kTrackSections, "sections");
-  EmitMeta("thread_name", kTrackTimeseries, "timeseries");
 }
 
 PerfettoExporter::~PerfettoExporter() { Finish(); }
@@ -97,23 +96,6 @@ void PerfettoExporter::CounterSample() {
   writer_->KV("misses", misses_);
   writer_->KV("lines_per_miss",
               misses_ == 0 ? 0.0 : static_cast<double>(lines_) / static_cast<double>(misses_));
-  writer_->EndObject();
-  EndEvent();
-  ++events_written_;
-}
-
-void PerfettoExporter::CounterTrack(std::string_view name,
-                                    std::initializer_list<std::pair<const char*, double>> args) {
-  CPT_CHECK(!finished_);
-  if (!Budget()) {
-    return;
-  }
-  BeginEvent("C", name, kTrackTimeseries, now_);
-  writer_->Key("args");
-  writer_->BeginObject();
-  for (const auto& [key, value] : args) {
-    writer_->KV(key, value);
-  }
   writer_->EndObject();
   EndEvent();
   ++events_written_;

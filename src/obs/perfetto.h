@@ -25,11 +25,9 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <ostream>
 #include <string_view>
-#include <utility>
 
 #include "obs/trace.h"
 
@@ -60,12 +58,6 @@ class PerfettoExporter final : public WalkTracer {
   // Marks a bench measurement boundary on the sections track.
   void BeginSection(std::string_view label);
 
-  // One sample on the named counter track at the current logical time.
-  // Used by IntervalSnapshotter to render windowed time-series (miss rate,
-  // lines per miss, ...) as curves next to the event tracks.
-  void CounterTrack(std::string_view name,
-                    std::initializer_list<std::pair<const char*, double>> args);
-
   // Writes the closing metadata and finishes the JSON document.  Called by
   // the destructor if not called explicitly; no events may be recorded
   // afterwards.
@@ -84,7 +76,6 @@ class PerfettoExporter final : public WalkTracer {
     kTrackAllocator = 4,
     kTrackSwTlb = 5,
     kTrackSections = 6,
-    kTrackTimeseries = 7,
   };
 
   // The open walk slice, from its miss to its kWalkEnd.

@@ -64,10 +64,8 @@ static_assert(static_cast<std::size_t>(EventKind::kSwTlbMiss) + 1 == kEventKindC
 
 // JSON wire name of each event kind.  ToString()'s switch is the single
 // source of truth for the wire format: -Wswitch-enum (an error under
-// -Werror) makes it name every kind, and tools/check_bench_json.py reads the
-// names from the compiled binary through cpt_dump_enums
-// (tools/dump_enums.cc), so they cannot drift from the enum.  Out-of-range
-// values map to "?".
+// -Werror) makes it name every kind, so the names cannot drift from the
+// enum.  Out-of-range values map to "?".
 const char* ToString(EventKind kind);
 
 // What kind of mapping a kWalkHit delivered, mirroring MappingKind without
@@ -196,9 +194,8 @@ class StatsTracer final : public WalkTracer {
 // Fan-out tracer: forwards every event to each attached downstream tracer,
 // in attachment order.  Null sinks are ignored, so callers can compose
 // optional consumers (ring buffer, Perfetto exporter) without branching.
-// RecordRepeat keeps the per-event default on purpose: sinks may observe
-// one another (IntervalSnapshotter stamps windows with PerfettoExporter's
-// logical clock), so a batch must reach every sink one event at a time.
+// RecordRepeat keeps the per-event default: neither of those sinks batches,
+// so forwarding a batch whole would buy nothing.
 class TeeTracer final : public WalkTracer {
  public:
   TeeTracer() = default;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/check.h"
 #include "obs/json_writer.h"
 #include "sim/experiments.h"
 
@@ -12,7 +13,7 @@ namespace cpt::sim {
 Report::Report(std::vector<std::string> columns) : columns_(std::move(columns)) {}
 
 void Report::AddRow(std::vector<std::string> cells) {
-  cells.resize(columns_.size());
+  CPT_CHECK(cells.size() == columns_.size(), "report row width differs from the header's");
   rows_.push_back(std::move(cells));
 }
 

@@ -18,6 +18,7 @@ class Report {
  public:
   explicit Report(std::vector<std::string> columns);
 
+  // Aborts unless the row has one cell per column.
   void AddRow(std::vector<std::string> cells);
 
   // Helpers for common cell formats.

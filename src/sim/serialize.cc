@@ -1,11 +1,33 @@
 #include "sim/serialize.h"
 
+#include <string>
+
+#include "common/stats.h"
 #include "obs/json_writer.h"
-#include "obs/metrics.h"
 #include "obs/perf.h"
 #include "obs/trace.h"
 
 namespace cpt::sim {
+namespace {
+
+// {"total","mean","overflow","counts":{...}}, zero buckets omitted.
+void HistogramToJson(obs::JsonWriter& w, const Histogram& h) {
+  w.BeginObject();
+  w.KV("total", h.total());
+  w.KV("mean", h.mean());
+  w.KV("overflow", h.overflow());
+  w.Key("counts");
+  w.BeginObject();
+  for (std::size_t v = 0; v <= h.max_value(); ++v) {
+    if (h.count(v) != 0) {
+      w.KV(std::to_string(v), h.count(v));
+    }
+  }
+  w.EndObject();
+  w.EndObject();
+}
+
+}  // namespace
 
 void ToJson(obs::JsonWriter& w, const MachineOptions& opts) {
   w.BeginObject();
@@ -116,9 +138,9 @@ void ToJson(obs::JsonWriter& w, const AccessMeasurement& m) {
     w.Key("histograms");
     w.BeginObject();
     w.Key("chain_length");
-    obs::HistogramToJson(w, m.chain_length);
+    HistogramToJson(w, m.chain_length);
     w.Key("lines_per_walk");
-    obs::HistogramToJson(w, m.lines_per_walk);
+    HistogramToJson(w, m.lines_per_walk);
     w.EndObject();
     w.Key("events");
     w.BeginObject();

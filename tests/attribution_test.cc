@@ -14,7 +14,6 @@
 
 #include "obs/attribution.h"
 #include "obs/json_writer.h"
-#include "obs/metrics.h"
 #include "obs/perfetto.h"
 #include "obs/trace.h"
 #include "sim/experiments.h"
@@ -421,7 +420,7 @@ TEST(AttributionTracerTest, EveryDimensionSumsToTheTotals) {
   }
 }
 
-TEST(AttributionTracerTest, ToJsonAndExportToEmitEveryCell) {
+TEST(AttributionTracerTest, ToJsonEmitsEveryCell) {
   SegmentMap map;
   map.Add(0, Vpn{0}, Vpn{100}, SegmentClass::kData);
   AttributionTracer attr(&map);
@@ -440,15 +439,6 @@ TEST(AttributionTracerTest, ToJsonAndExportToEmitEveryCell) {
   EXPECT_TRUE(MiniJson(os.str()).Valid());
   EXPECT_NE(os.str().find("\"by_segment\""), std::string::npos);
   EXPECT_NE(os.str().find("\"data\""), std::string::npos);
-
-  MetricRegistry reg;
-  ExportTo(reg, r, {{"workload", "unit"}});
-  // 3 dimensions x 1 cell x 2 instruments.
-  EXPECT_EQ(reg.size(), 6u);
-  EXPECT_EQ(reg.Counter("attribution_lines", {{"workload", "unit"},
-                                              {"dim", "segment"},
-                                              {"value", "data"}}),
-            2u);
 }
 
 // --- PerfettoExporter ----------------------------------------------------

@@ -1,7 +1,7 @@
-// Tests for the telemetry layer (src/obs): JSON emission, the metric
-// registry, the tracer implementations, and the end-to-end guarantee the
-// benches rely on — that the events a Machine publishes agree with the
-// simulated counters they mirror.
+// Tests for the telemetry layer (src/obs): JSON emission, the tracer
+// implementations, and the end-to-end guarantee the benches rely on — that
+// the events a Machine publishes agree with the simulated counters they
+// mirror.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,9 +17,7 @@
 #include "common/stats.h"
 #include "obs/attribution.h"
 #include "obs/json_writer.h"
-#include "obs/metrics.h"
 #include "obs/perfetto.h"
-#include "obs/snapshot.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
 #include "sim/machine.h"
@@ -96,51 +94,6 @@ TEST(JsonWriterTest, CompleteOnlyAfterAllContainersClose) {
   EXPECT_FALSE(w.Complete());
   w.EndObject();
   EXPECT_TRUE(w.Complete());
-}
-
-// --- MetricRegistry ------------------------------------------------------
-
-TEST(MetricRegistryTest, InterningReturnsStableReferences) {
-  MetricRegistry reg;
-  std::uint64_t& misses = reg.Counter("tlb_misses", {{"workload", "coral"}});
-  misses = 3;
-  // Same name + labels resolves to the same instrument.
-  reg.Counter("tlb_misses", {{"workload", "coral"}}) += 2;
-  EXPECT_EQ(misses, 5u);
-  EXPECT_EQ(reg.size(), 1u);
-  // Different labels are a different series.
-  reg.Counter("tlb_misses", {{"workload", "mp3d"}}) = 9;
-  EXPECT_EQ(reg.size(), 2u);
-  EXPECT_EQ(misses, 5u);
-}
-
-TEST(MetricRegistryTest, HoldsAllFourInstrumentTypes) {
-  MetricRegistry reg;
-  reg.Counter("walks") = 7;
-  reg.Gauge("load_factor") = 0.75;
-  reg.Histo("chain_length").Add(2);
-  reg.Stats("wall_seconds").Add(1.5);
-  EXPECT_EQ(reg.size(), 4u);
-  EXPECT_EQ(reg.Counter("walks"), 7u);
-  EXPECT_DOUBLE_EQ(reg.Gauge("load_factor"), 0.75);
-  EXPECT_EQ(reg.Histo("chain_length").total(), 1u);
-  EXPECT_EQ(reg.Stats("wall_seconds").count(), 1u);
-}
-
-TEST(MetricRegistryTest, ToJsonEmitsEverySeries) {
-  MetricRegistry reg;
-  reg.Counter("b_counter") = 1;
-  reg.Gauge("a_gauge") = 2.0;
-  std::ostringstream os;
-  {
-    JsonWriter w(os, /*pretty=*/false);
-    reg.ToJson(w);
-  }
-  const std::string out = os.str();
-  EXPECT_NE(out.find("\"a_gauge\""), std::string::npos);
-  EXPECT_NE(out.find("\"b_counter\""), std::string::npos);
-  // std::map ordering: a_gauge serialized before b_counter.
-  EXPECT_LT(out.find("a_gauge"), out.find("b_counter"));
 }
 
 // --- Histogram / RunningStats (satellite hardening) ----------------------
@@ -268,8 +221,8 @@ TEST(RingBufferTracerTest, WriteJsonlAfterWraparoundIsChronological) {
 
 // Every enumerator in [0, count) has its own name, none of them the
 // out-of-range fallback, and `count` itself maps to the fallback.  The
-// compiler proves each ToString switch names every enumerator;
-// tools/check_bench_json.py --dump-enums also needs the names distinct.
+// compiler proves each ToString switch names every enumerator; the trace
+// and Perfetto wire formats also need the names distinct.
 template <typename Enum>
 void ExpectDistinctNames(const char* (*name_of)(Enum), std::size_t count,
                          std::string_view fallback) {
@@ -498,9 +451,8 @@ TEST(RecordRepeatTest, RingBufferTracerMatchesRecordLoopAcrossAWrap) {
   }
 }
 
-// BenchIo's composition: the snapshotter stamps each closed window with the
-// exporter's logical clock, so the tee must hand a batch to its sinks one
-// event at a time.
+// BenchIo's composition: a tee over the ring buffer and the Perfetto
+// exporter.
 TEST(RecordRepeatTest, TeeTracerMatchesRecordLoop) {
   for (const std::uint64_t n : kRepeatCounts) {
     SCOPED_TRACE("n=" + std::to_string(n));
@@ -510,42 +462,13 @@ TEST(RecordRepeatTest, TeeTracerMatchesRecordLoop) {
     RingBufferTracer looped_ring(64);
     PerfettoExporter batched_perfetto(batched_trace);
     PerfettoExporter looped_perfetto(looped_trace);
-    IntervalSnapshotter batched_windows(3, nullptr, &batched_perfetto);
-    IntervalSnapshotter looped_windows(3, nullptr, &looped_perfetto);
-    TeeTracer batched{&batched_ring, &batched_perfetto, &batched_windows};
-    TeeTracer looped{&looped_ring, &looped_perfetto, &looped_windows};
+    TeeTracer batched{&batched_ring, &batched_perfetto};
+    TeeTracer looped{&looped_ring, &looped_perfetto};
     FeedBatchedAndLooped(batched, looped, kRepeatedHit, n);
-    batched_windows.Finish();
-    looped_windows.Finish();
     batched_perfetto.Finish();
     looped_perfetto.Finish();
     testutil::ExpectSameRing(batched_ring, looped_ring);
     EXPECT_EQ(batched_trace.str(), looped_trace.str());
-    std::ostringstream a;
-    std::ostringstream b;
-    batched_windows.WriteJsonl(a);
-    looped_windows.WriteJsonl(b);
-    EXPECT_EQ(a.str(), b.str());
-  }
-}
-
-TEST(RecordRepeatTest, IntervalSnapshotterMatchesRecordLoopAcrossAWindowBoundary) {
-  for (const std::uint64_t n : kRepeatCounts) {
-    SCOPED_TRACE("n=" + std::to_string(n));
-    // 3-reference windows: the prefix holds two references, so the batch
-    // closes a window part way through.
-    IntervalSnapshotter batched(3);
-    IntervalSnapshotter looped(3);
-    FeedBatchedAndLooped(batched, looped, kRepeatedHit, n);
-    batched.Finish();
-    looped.Finish();
-    EXPECT_EQ(batched.total_refs(), looped.total_refs());
-    EXPECT_EQ(batched.windows().size(), looped.windows().size());
-    std::ostringstream a;
-    std::ostringstream b;
-    batched.WriteJsonl(a);
-    looped.WriteJsonl(b);
-    EXPECT_EQ(a.str(), b.str());
   }
 }
 

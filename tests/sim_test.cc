@@ -392,6 +392,12 @@ TEST(ReportTest, AlignsColumnsAndFormatsCells) {
   EXPECT_EQ(Report::Kb(2048), "2KB");
 }
 
+TEST(ReportDeathTest, AddRowRejectsARowOfTheWrongWidth) {
+  Report r({"name", "value"});
+  EXPECT_DEATH(r.AddRow({"short"}), "row width");
+  EXPECT_DEATH(r.AddRow({"a", "b", "c"}), "row width");
+}
+
 TEST(ExperimentsTest, TraceLengthEnvOverride) {
   EXPECT_EQ(TraceLengthFromEnv(123), 123u);
 }

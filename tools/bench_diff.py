@@ -5,10 +5,12 @@ The simulator is deterministic: for an identical RNG seed and trace length,
 every *simulated* metric (miss counts, lines per miss, page-table bytes,
 histograms, attribution cells, ...) must match the baseline bit for bit.
 Wall-clock-derived keys (wall_seconds, refs_per_sec, misses_per_sec) and
-host-side subtrees (timing, host_perf, throughput, timeseries, phases) are
-machine noise; they are reported and never fail the diff.  Whether a change
-made the simulator slower is decided by an interleaved A/B run on one host
-(tools/perfbench_ab.py --gate), not by comparing against stored times.
+host-side subtrees (timing, host_perf, throughput, phases) are machine
+noise; they are reported and never fail the diff.  A report section or key
+that is missing or extra anywhere, the top level included, is a structural
+failure.  Whether a change made the simulator slower is decided by an
+interleaved A/B run on one host (tools/perfbench_ab.py --gate), not by
+comparing against stored times.
 
 Usage:
   tools/bench_diff.py baseline.json current.json
@@ -28,7 +30,7 @@ TIMING_KEYS = {"wall_seconds", "refs_per_sec", "misses_per_sec"}
 # Subtrees that are host-side measurements end to end: anything under a
 # component with one of these names is timing noise (perf counters, rusage,
 # per-phase rates, per-rep throughput samples).
-TIMING_SUBTREES = {"timing", "host_perf", "throughput", "timeseries", "phases"}
+TIMING_SUBTREES = {"timing", "host_perf", "throughput", "phases"}
 
 
 def flatten(value, prefix=""):
@@ -56,10 +58,6 @@ def entry_key(entry):
     series = entry.get("series", "?")
     workload = entry.get("measurement", {}).get("workload", "")
     return (kind, series, workload)
-
-
-def metric_key(inst):
-    return (inst.get("name", "?"), tuple(sorted(inst.get("labels", {}).items())))
 
 
 class Diff:
@@ -139,6 +137,16 @@ def diff_reports(baseline, current):
         # stop here with a focused message instead of pages of noise.
         return d
 
+    for section in sorted(baseline.keys() - current.keys()):
+        d.structural("<report>", f"section '{section}' missing from current")
+    for section in sorted(current.keys() - baseline.keys()):
+        d.structural("<report>", f"section '{section}' not in baseline")
+    # The sections besides the entries must keep their keys too; the values
+    # under host_perf and throughput are host timing.
+    for section in sorted((baseline.keys() & current.keys()) - {"entries"}):
+        d.compare_tree("<report>", {section: baseline[section]},
+                       {section: current[section]})
+
     base_entries = {entry_key(e): e for e in baseline.get("entries", [])}
     cur_entries = {entry_key(e): e for e in current.get("entries", [])}
     for key in sorted(base_entries.keys() | cur_entries.keys()):
@@ -149,17 +157,6 @@ def diff_reports(baseline, current):
             d.structural(where, "entry not in baseline")
         else:
             d.compare_tree(where, base_entries[key], cur_entries[key])
-
-    base_metrics = {metric_key(m): m for m in baseline.get("metrics", [])}
-    cur_metrics = {metric_key(m): m for m in current.get("metrics", [])}
-    for key in sorted(base_metrics.keys() | cur_metrics.keys()):
-        where = f"metrics/{key[0]}{list(key[1])}"
-        if key not in cur_metrics:
-            d.structural(where, "instrument missing from current")
-        elif key not in base_metrics:
-            d.structural(where, "instrument not in baseline")
-        else:
-            d.compare_tree(where, base_metrics[key], cur_metrics[key])
     return d
 
 
