@@ -15,19 +15,11 @@
 // tracer is ever attached, and the bench's text output is bit-identical to
 // the pre-telemetry binaries.
 //
-// Schema v2: every JSON report additionally carries a bench-wide "host_perf"
+// Besides the entries, a JSON report carries a bench-wide "host_perf"
 // section (perf_event counters with rusage fallback — obs/perf.h's
-// degradation contract keeps the shape identical either way), a
+// degradation contract keeps the shape identical either way) and a
 // "throughput" section aggregating refs/sec over every recorded access
-// measurement, and per-measurement "timing" blocks gain per-phase host
-// samples.  v1 consumers must re-pin baselines.
-//
-// Schema v4: drops v3's "concurrency" section (lock-contention sites) and
-// its lock-stripe machine option, which leaves the v2 layout.
-//
-// Schema v5: drops the top-level "metrics" array, a second copy of every
-// entry's attribution cells, and v2's windowed time-series sidecar file with
-// its summary section.  Each attribution cell now appears once, in its entry.
+// measurement.  Every run uses the trace length the paper's figures use.
 //
 // Error handling: an unopenable path, a malformed flag, or a stream that
 // goes bad while writing all terminate the bench with a nonzero exit and a
@@ -58,8 +50,10 @@ namespace cpt::bench {
 // v2: host_perf + throughput sections, timing.phases, time-series sidecar.
 // v3: concurrency section (lock-contention sites) and a lock-stripe option.
 // v4: both v3 additions removed.
-// v5: metrics section and time-series sidecar removed.
-inline constexpr std::uint64_t kBenchSchemaVersion = 5;
+// v5: metrics section (a second copy of the attribution cells) and the
+//     time-series sidecar removed.
+// v6: the trace-length override key removed; no run is shortened any more.
+inline constexpr std::uint64_t kBenchSchemaVersion = 6;
 
 class BenchIo {
  public:
@@ -126,8 +120,6 @@ class BenchIo {
       writer_->KV("schema", "cpt-bench-report");
       writer_->KV("schema_version", kBenchSchemaVersion);
       writer_->KV("bench", bench_name_);
-      // Non-zero when CPT_TRACE_LEN shortened the runs (CI small presets).
-      writer_->KV("trace_len_override", sim::TraceLengthFromEnv(0));
       writer_->Key("entries");
       writer_->BeginArray();
     }

@@ -12,6 +12,8 @@
 #include <cstdio>
 
 #include "bench/bench_flags.h"
+#include "common/check.h"
+#include "sim/analytic.h"
 #include "sim/experiments.h"
 #include "sim/report.h"
 #include "workload/workload.h"
@@ -29,7 +31,7 @@ const char* g_section = "";
 sim::AccessMeasurement Run(const char* workload, sim::MachineOptions opts,
                            std::uint64_t trace_len = 400000) {
   auto m = sim::MeasureAccessTime(workload::GetPaperWorkload(workload), opts,
-                                  sim::TraceLengthFromEnv(trace_len), g_io->Hooks());
+                                  trace_len, g_io->Hooks());
   g_io->RecordAccess(std::string(g_section) + "/" + sim::ToString(opts.pt_kind), m);
   return m;
 }
@@ -87,13 +89,17 @@ void BucketSweep() {
   g_section = "bucket-load";
   std::printf("--- 3. hash-table load factor (hashed, coral) ---\n\n");
   Report r({"buckets", "load", "lines/miss"});
+  // Load factor alpha = mapped PTEs / buckets.  Coral is one process, so its
+  // per-process hashed table holds every page of its snapshot.
+  const workload::Snapshot snap = workload::BuildSnapshot(workload::GetPaperWorkload("coral"));
+  CPT_CHECK(snap.pages.size() == 1, "coral's load column assumes one process");
+  const double ptes = static_cast<double>(sim::analytic::Nactive(snap.FlatProcess(0), 1));
   for (const std::uint32_t buckets : {512u, 1024u, 2048u, 4096u, 8192u, 16384u}) {
     sim::MachineOptions opts;
     opts.pt_kind = sim::PtKind::kHashed;
     opts.num_buckets = buckets;
     const auto m = Run("coral", opts);
-    const double load = 4856.0 / buckets;  // coral maps ~4856 pages.
-    r.AddRow({Report::Num(buckets), Report::Fixed(load, 2),
+    r.AddRow({Report::Num(buckets), Report::Fixed(ptes / buckets, 2),
               Report::Fixed(m.avg_lines_per_miss, 2)});
   }
   g_io->RecordTable("hash-table load factor", r);

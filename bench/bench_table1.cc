@@ -21,14 +21,13 @@ int main(int argc, char** argv) {
   Report report({"workload", "refs", "TLB misses", "miss%", "est time in TLB", "hashed PT",
                  "paper PT"});
 
-  const std::uint64_t trace_len = sim::TraceLengthFromEnv(0);
   for (const std::string& name : sim::TraceWorkloadNames()) {
     const workload::WorkloadSpec& spec = workload::GetPaperWorkload(name);
     sim::MachineOptions opts;
     opts.pt_kind = sim::PtKind::kHashed;
     opts.tlb_kind = sim::TlbKind::kSinglePage;
     const sim::AccessMeasurement m =
-        sim::MeasureAccessTime(spec, opts, trace_len, io.Hooks());
+        sim::MeasureAccessTime(spec, opts, /*trace_len=*/0, io.Hooks());
     io.RecordAccess("hashed-single-page", m);
 
     // Model: 1 cycle per reference plus a 40-cycle TLB miss penalty

@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
   Report access_report(
       {"workload", "alpha(hashed)", "1+a/2", "hashed(sim)", "alpha(clust)", "1+a/2",
        "clust(sim)"});
-  const std::uint64_t trace_len = sim::TraceLengthFromEnv(0);
   for (const std::string& name : sim::TraceWorkloadNames()) {
     const workload::WorkloadSpec& spec = workload::GetPaperWorkload(name);
     const workload::Snapshot snap = workload::BuildSnapshot(spec);
@@ -90,11 +89,11 @@ int main(int argc, char** argv) {
 
     sim::MachineOptions h_opts;
     h_opts.pt_kind = sim::PtKind::kHashed;
-    const auto h = sim::MeasureAccessTime(spec, h_opts, trace_len, io.Hooks());
+    const auto h = sim::MeasureAccessTime(spec, h_opts, /*trace_len=*/0, io.Hooks());
     io.RecordAccess("hashed", h);
     sim::MachineOptions c_opts;
     c_opts.pt_kind = sim::PtKind::kClustered;
-    const auto c = sim::MeasureAccessTime(spec, c_opts, trace_len, io.Hooks());
+    const auto c = sim::MeasureAccessTime(spec, c_opts, /*trace_len=*/0, io.Hooks());
     io.RecordAccess("clustered", c);
 
     access_report.AddRow({name, Report::Fixed(alpha_hashed, 3),

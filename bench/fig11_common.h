@@ -34,7 +34,6 @@ inline void RunFig11(BenchIo& io, const char* title, sim::TlbKind tlb_kind,
   }
   sim::Report report(columns);
 
-  const std::uint64_t trace_len = sim::TraceLengthFromEnv(0);
   bool dropped_refs = false;
   for (const std::string& name : sim::TraceWorkloadNames()) {
     const workload::WorkloadSpec& spec = workload::GetPaperWorkload(name);
@@ -49,7 +48,7 @@ inline void RunFig11(BenchIo& io, const char* title, sim::TlbKind tlb_kind,
       opts.pt_kind = s.pt_kind;
       opts.tlb_kind = tlb_kind;
       const sim::AccessMeasurement m =
-          sim::MeasureAccessTime(spec, opts, trace_len, io.Hooks());
+          sim::MeasureAccessTime(spec, opts, /*trace_len=*/0, io.Hooks());
       io.RecordAccess(s.label, m);
       if (!sim::IsLinearTable(s.pt_kind)) {
         const std::pair misses{m.denominator_misses, m.effective_misses};

@@ -17,7 +17,6 @@ HashedPageTable::Options BaseTableOptions(const MultiTableHashed::Options& o) {
   return HashedPageTable::Options{
       .num_buckets = o.num_buckets,
       .tag_shift = 0,
-      .packed_pte = o.packed_pte,
   };
 }
 
@@ -25,7 +24,6 @@ HashedPageTable::Options BlockTableOptions(const MultiTableHashed::Options& o) {
   return HashedPageTable::Options{
       .num_buckets = o.num_buckets,
       .tag_shift = Log2(o.subblock_factor),
-      .packed_pte = o.packed_pte,
   };
 }
 

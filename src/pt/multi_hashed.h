@@ -40,7 +40,6 @@ class MultiTableHashed final : public PageTable {
     std::uint32_t num_buckets = kDefaultHashBuckets;  // Per constituent table.
     unsigned subblock_factor = kDefaultSubblockFactor;
     SearchOrder order = SearchOrder::kBaseFirst;
-    bool packed_pte = false;
   };
 
   MultiTableHashed(mem::CacheTouchModel& cache, Options opts);

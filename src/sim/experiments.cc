@@ -1,6 +1,6 @@
 #include "sim/experiments.h"
 
-#include <cstdlib>
+#include <cstddef>
 #include <utility>
 
 #include "obs/perf.h"
@@ -198,16 +198,6 @@ std::vector<std::string> AllWorkloadNames() {
   auto names = TraceWorkloadNames();
   names.push_back("kernel");
   return names;
-}
-
-std::uint64_t TraceLengthFromEnv(std::uint64_t fallback) {
-  if (const char* env = std::getenv("CPT_TRACE_LEN")) {
-    const std::uint64_t v = std::strtoull(env, nullptr, 10);
-    if (v > 0) {
-      return v;
-    }
-  }
-  return fallback;
 }
 
 }  // namespace cpt::sim

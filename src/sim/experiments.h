@@ -140,8 +140,4 @@ std::vector<std::string> TraceWorkloadNames();
 // All workload names including "kernel".
 std::vector<std::string> AllWorkloadNames();
 
-// Reads a trace-length override from the CPT_TRACE_LEN environment variable
-// (benches use it to trade precision for speed); falls back to `fallback`.
-std::uint64_t TraceLengthFromEnv(std::uint64_t fallback);
-
 }  // namespace cpt::sim

@@ -398,10 +398,6 @@ TEST(ReportDeathTest, AddRowRejectsARowOfTheWrongWidth) {
   EXPECT_DEATH(r.AddRow({"a", "b", "c"}), "row width");
 }
 
-TEST(ExperimentsTest, TraceLengthEnvOverride) {
-  EXPECT_EQ(TraceLengthFromEnv(123), 123u);
-}
-
 TEST(ExperimentsTest, WorkloadNameLists) {
   EXPECT_EQ(TraceWorkloadNames().size(), 10u);
   EXPECT_EQ(AllWorkloadNames().size(), 11u);

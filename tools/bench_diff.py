@@ -8,7 +8,8 @@ Wall-clock-derived keys (wall_seconds, refs_per_sec, misses_per_sec) and
 host-side subtrees (timing, host_perf, throughput, phases) are machine
 noise; they are reported and never fail the diff.  A report section or key
 that is missing or extra anywhere, the top level included, is a structural
-failure.  Whether a change made the simulator slower is decided by an
+failure, and so is a different number of entries: entries match by position.
+Whether a change made the simulator slower is decided by an
 interleaved A/B run on one host (tools/perfbench_ab.py --gate), not by
 comparing against stored times.
 
@@ -50,14 +51,13 @@ def is_timing(path):
     return parts[-1] in TIMING_KEYS or any(p in TIMING_SUBTREES for p in parts)
 
 
-def entry_key(entry):
-    """Stable identity of a report entry across runs."""
+def entry_label(index, entry):
+    """Names a report entry in the diff table; entries match by position."""
     kind = entry.get("type", "?")
     if kind == "table":
-        return ("table", entry.get("title", "?"))
-    series = entry.get("series", "?")
+        return f"[{index}] table/{entry.get('title', '?')}"
     workload = entry.get("measurement", {}).get("workload", "")
-    return (kind, series, workload)
+    return f"[{index}] {kind}/{entry.get('series', '?')}/{workload}"
 
 
 class Diff:
@@ -127,14 +127,14 @@ def _fmt(v):
 def diff_reports(baseline, current):
     d = Diff()
 
-    for field in ("schema", "schema_version", "bench", "trace_len_override"):
+    for field in ("schema", "schema_version", "bench"):
         if baseline.get(field) != current.get(field):
             d.structural("<header>",
                          f"{field}: baseline {baseline.get(field)!r} vs "
                          f"current {current.get(field)!r}")
     if d.hard_failures:
-        # A different bench or trace length explains every downstream delta;
-        # stop here with a focused message instead of pages of noise.
+        # A different bench or schema explains every downstream delta; stop
+        # here with a focused message instead of pages of noise.
         return d
 
     for section in sorted(baseline.keys() - current.keys()):
@@ -147,16 +147,16 @@ def diff_reports(baseline, current):
         d.compare_tree("<report>", {section: baseline[section]},
                        {section: current[section]})
 
-    base_entries = {entry_key(e): e for e in baseline.get("entries", [])}
-    cur_entries = {entry_key(e): e for e in current.get("entries", [])}
-    for key in sorted(base_entries.keys() | cur_entries.keys()):
-        where = "/".join(str(k) for k in key)
-        if key not in cur_entries:
-            d.structural(where, "entry missing from current")
-        elif key not in base_entries:
-            d.structural(where, "entry not in baseline")
-        else:
-            d.compare_tree(where, base_entries[key], cur_entries[key])
+    # Entries are compared in order: a bench writes them deterministically,
+    # and several may share a series and workload (a sweep over one option).
+    base_entries = baseline.get("entries", [])
+    cur_entries = current.get("entries", [])
+    if len(base_entries) != len(cur_entries):
+        d.structural("<report>", f"{len(base_entries)} entries in baseline vs "
+                                 f"{len(cur_entries)} in current")
+        return d
+    for i, (base, cur) in enumerate(zip(base_entries, cur_entries)):
+        d.compare_tree(entry_label(i, base), base, cur)
     return d
 
 
