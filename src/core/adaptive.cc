@@ -105,41 +105,22 @@ std::optional<TlbFill> AdaptiveClusteredPageTable::Lookup(VirtAddr va) {
   const Vpn vpn = VpnOf(va);
   const Vpbn vpbn = VpbnOf(vpn, factor_);
   const unsigned boff = BoffOf(vpn, factor_);
-  const std::uint32_t b = BucketOf(vpbn);
-  cache_.Touch(HeadAddr(b), 16);
-  std::uint32_t chain_pos = 0;
-  obs::WalkTracer* const tracer = cache_.tracer();
-  for (const auto [n, addr] : Walk(b)) {
-    cache_.Touch(addr, 16);
-    if (tracer != nullptr) {
-      tracer->Record({.kind = obs::EventKind::kWalkStep,
-                      .vpn = vpn,
-                      .step = ++chain_pos,
-                      .lines = static_cast<std::uint32_t>(cache_.LinesThisWalk())});
-    }
-    if (n.tag != vpbn) {
-      continue;
-    }
-    // Read word 0 (the S/format check), then the selected word for arrays.
-    cache_.Touch(addr + 16, 8);
-    if (n.kind == NodeKind::kArray && boff != 0) {
-      cache_.Touch(addr + 16 + boff * 8ull, 8);
-    }
-    if (n.kind == NodeKind::kSingle && n.boff != boff) {
-      continue;
-    }
-    TlbFill fill = FillFromWord(n, boff);
-    if (fill.Covers(vpn)) {
-      if (tracer != nullptr) {
-        tracer->Record({.kind = obs::EventKind::kWalkHit,
-                        .vpn = vpn,
-                        .step = chain_pos,
-                        .value = pt::WalkHitValue(fill)});
-      }
-      return fill;
-    }
-  }
-  return std::nullopt;
+  return Probe(BucketOf(vpbn), vpn, kHeaderBytes,
+               [&](const AdaptiveNode& n, PhysAddr addr) -> std::optional<TlbFill> {
+                 if (n.tag != vpbn) {
+                   return std::nullopt;
+                 }
+                 // Read word 0 (the S/format check), then the selected word
+                 // for arrays.
+                 cache_.Touch(addr + kHeaderBytes, kWordBytes);
+                 if (n.kind == NodeKind::kArray && boff != 0) {
+                   cache_.Touch(addr + kHeaderBytes + boff * kWordBytes, kWordBytes);
+                 }
+                 if (n.kind == NodeKind::kSingle && n.boff != boff) {
+                   return std::nullopt;
+                 }
+                 return FillFromWord(n, boff);
+               });
 }
 
 void AdaptiveClusteredPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,

@@ -123,47 +123,25 @@ TlbFill ClusteredPageTable::FillFromNode(const ClusteredNode& n, unsigned word_i
 }
 
 std::optional<TlbFill> ClusteredPageTable::Lookup(VirtAddr va) {
+  // Chain traversal is identical to a hashed table's; the bucket head is an
+  // embedded node, so even an empty bucket costs one line.
   const Vpn vpn = VpnOf(va);
   const Vpbn vpbn = VpbnOf(vpn, factor_);
   const unsigned boff = BoffOf(vpn, factor_);
-  const std::uint32_t b = BucketOf(vpbn);
-  // The bucket head is an embedded node: one line even when empty.
-  cache_.Touch(HeadAddr(b), 16);
-  std::uint32_t chain_pos = 0;
-  obs::WalkTracer* const tracer = cache_.tracer();
-  for (const auto [n, addr] : Walk(b)) {
-    // Chain traversal is identical to a hashed table: read tag and next.
-    cache_.Touch(addr, 16);
-    if (tracer != nullptr) {
-      tracer->Record({.kind = obs::EventKind::kWalkStep,
-                      .vpn = vpn,
-                      .step = ++chain_pos,
-                      .lines = static_cast<std::uint32_t>(cache_.LinesThisWalk())});
-    }
-    if (n.tag != vpbn) {
-      continue;
-    }
-    // Tag matched: read mapping[0] to consult the S field (Figure 8), then
-    // the block-offset-selected word.
-    cache_.Touch(addr + 16, 8);
-    const unsigned word_idx = boff >> n.sub_log2;
-    if (word_idx != 0) {
-      cache_.Touch(addr + 16 + word_idx * 8ull, 8);
-    }
-    TlbFill fill = FillFromNode(n, word_idx);
-    if (fill.Covers(vpn)) {
-      if (tracer != nullptr) {
-        tracer->Record({.kind = obs::EventKind::kWalkHit,
-                        .vpn = vpn,
-                        .step = chain_pos,
-                        .value = pt::WalkHitValue(fill)});
-      }
-      return fill;
-    }
-    // Valid-mapping check failed (invalid slot or subblock bit): continue
-    // searching the chain — another node may map this page (Section 5).
-  }
-  return std::nullopt;
+  return Probe(BucketOf(vpbn), vpn, kHeaderBytes,
+               [&](const ClusteredNode& n, PhysAddr addr) -> std::optional<TlbFill> {
+                 if (n.tag != vpbn) {
+                   return std::nullopt;
+                 }
+                 // Tag matched: read mapping[0] to consult the S field
+                 // (Figure 8), then the block-offset-selected word.
+                 cache_.Touch(addr + kHeaderBytes, kWordBytes);
+                 const unsigned word_idx = boff >> n.sub_log2;
+                 if (word_idx != 0) {
+                   cache_.Touch(addr + kHeaderBytes + word_idx * kWordBytes, kWordBytes);
+                 }
+                 return FillFromNode(n, word_idx);
+               });
 }
 
 void ClusteredPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,

@@ -18,9 +18,9 @@
 // compatible with one from bare metal; only values differ.  Setting
 // CPT_NO_HOST_PERF=1 forces the degraded path (how tests pin it).
 //
-// This header and perf.cc are (with obs/timer.h) the only files allowed to
-// touch raw clocks — the cpt_lint `timing-discipline` rule keeps every
-// other steady_clock/clock_gettime use out of the tree.
+// This header and perf.cc are the only files allowed to touch raw clocks —
+// the cpt_lint `timing-discipline` rule keeps every other
+// steady_clock/clock_gettime use out of the tree.
 #pragma once
 
 #include <cstdint>

@@ -8,8 +8,11 @@
 //
 //   Machine            — TLB probe hit/miss (with block/subblock kind),
 //                        page faults, block-prefetch fills
-//   page tables        — one kWalkStep per chain node / tree level visited,
-//                        carrying the chain position and lines-so-far
+//   page tables        — through one pt::WalkRecorder per probe: one
+//                        kWalkStep per chain node / tree level visited,
+//                        carrying the step (from 1 in each probe) and
+//                        lines-so-far, then one kWalkHit at the step that
+//                        found the PTE (step 0 after a software-TLB hit)
 //   CacheTouchModel    — kWalkEnd (counted walk finished, total lines) and
 //                        kWalkAbort (walk discarded, e.g. it page-faulted)
 //   SoftwareTlb        — TSB probe hit/miss

@@ -14,10 +14,12 @@
 //   - node allocation and unlink-and-free, with their simulated allocator
 //     calls, and the node count, node bytes and live translations;
 //   - chain iteration, FindLink, the cycle-guarded audit walk and the
-//     chain-length histogram.
+//     chain-length histogram;
+//   - the counted chain probe (Probe): head slot, node headers and the
+//     walk-event protocol (WalkRecorder) of every chained Lookup.
 // The table above it keeps its key and tag derivation and match predicates,
-// its node payload, which node bytes each walk charges and its tracing, and
-// the byte size of each node format.  Its Table 2 (paper model) size is the
+// its node payload, which word bytes a matching node charges, and the byte
+// size of each node format.  Its Table 2 (paper model) size is the
 // sum of its live nodes' bytes.
 //
 // Two things here are simulated state that the figures depend on: a new node
@@ -30,6 +32,7 @@
 
 #include <cstdint>
 #include <iterator>
+#include <optional>
 #include <vector>
 
 #include "check/audit_visitor.h"
@@ -148,6 +151,29 @@ class ChainArena : public PageTable {
     return {{arena_.data(), buckets_[b], inverted_ ? PhysAddr{} : HeadAddr(b)}};
   }
 
+  // The counted chain probe of every chained Lookup.  Reads bucket `b`'s
+  // head slot, then for each node in chain order charges its tag and next
+  // pointer (`header_bytes` at its charged address) and records the step;
+  // `match(node, addr)` charges the word reads it makes and returns the
+  // node's fill for `vpn`, or nullopt on a tag mismatch.  Returns the first
+  // fill that covers `vpn`: a tag match that does not cover it (an invalid
+  // slot or subblock bit, a smaller co-resident superpage) keeps searching,
+  // as Section 5 requires.  An inverted table's head slot is a pointer.
+  template <typename Match>
+  std::optional<TlbFill> Probe(std::uint32_t b, Vpn vpn, std::uint64_t header_bytes,
+                               Match match) {
+    WalkRecorder rec(cache_, vpn);
+    cache_.Touch(HeadAddr(b), inverted_ ? kHeadPointerBytes : header_bytes);
+    for (const auto [n, addr] : Walk(b)) {
+      cache_.Touch(addr, header_bytes);
+      rec.Step();
+      if (const std::optional<TlbFill> fill = match(n, addr); fill && fill->Covers(vpn)) {
+        return rec.Hit(*fill);
+      }
+    }
+    return std::nullopt;
+  }
+
   // The link (bucket head or `next` field) that points at the first node of
   // bucket `b`'s chain satisfying `match`, or nullptr.  Callers hash a key
   // once with BucketOf and pass the bucket to both FindLink and Alloc.
@@ -233,6 +259,8 @@ class ChainArena : public PageTable {
 
  private:
   friend class check::TestBackdoor;
+
+  static constexpr std::uint64_t kHeadPointerBytes = 8;
 
   // Takes a free arena slot and links it at the head of bucket `b`.
   std::int32_t LinkNewSlot(std::uint32_t b) {

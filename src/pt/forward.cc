@@ -81,10 +81,10 @@ void ForwardMappedPageTable::MaybeFreeInner(Vpn vpn, unsigned level) {
 
 std::optional<TlbFill> ForwardMappedPageTable::Lookup(VirtAddr va) {
   const Vpn vpn = VpnOf(va);
-  obs::WalkTracer* const tracer = cache_.tracer();
   // Top-down walk: one PTP read per intermediate level, then the leaf PTE.
-  // Walk-step events use tree depth as the chain position (root = step 1,
-  // the leaf PTE read = step kNumLevels).
+  // Each read is one walk step, so the step is the tree depth (root = step
+  // 1, the leaf PTE read = step kNumLevels).
+  WalkRecorder rec(cache_, vpn);
   for (unsigned level = kNumLevels; level >= 2; --level) {
     auto it = inner_[level].find(PrefixAt(vpn, level));
     if (it == inner_[level].end()) {
@@ -92,30 +92,19 @@ std::optional<TlbFill> ForwardMappedPageTable::Lookup(VirtAddr va) {
     }
     const unsigned idx = IndexAt(vpn, level);
     cache_.Touch(it->second.addr + idx * 8, 8);
-    if (tracer != nullptr) {
-      tracer->Record({.kind = obs::EventKind::kWalkStep,
-                      .vpn = vpn,
-                      .step = kNumLevels - level + 1,
-                      .lines = static_cast<std::uint32_t>(cache_.LinesThisWalk())});
-    }
+    rec.Step();
     if (opts_.intermediate_superpages) {
       auto slot_it = it->second.super_slots.find(idx);
       if (slot_it != it->second.super_slots.end()) {
         const TlbFill fill = FillFromWord(vpn, slot_it->second.load());
         if (fill.Covers(vpn)) {
-          if (tracer != nullptr) {
-            tracer->Record({.kind = obs::EventKind::kWalkHit,
-                            .vpn = vpn,
-                            .step = kNumLevels - level + 1,
-                            .value = WalkHitValue(fill)});
-          }
-          return fill;  // Short-circuit: the PTP slot held a superpage PTE.
+          return rec.Hit(fill);  // Short-circuit: the PTP slot held a superpage PTE.
         }
         return std::nullopt;
       }
     }
   }
-  return ReadLeaf(vpn, kNumLevels);
+  return ReadLeaf(vpn, rec);
 }
 
 void ForwardMappedPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,

@@ -54,47 +54,22 @@ TlbFill HashedPageTable::FillFrom(const HashedNode& n, MappingWord word) const {
   return fill;
 }
 
-std::optional<TlbFill> HashedPageTable::LookupKey(std::uint64_t key, Vpn faulting_vpn) {
-  const std::uint32_t b = BucketOf(key);
+std::optional<TlbFill> HashedPageTable::Lookup(VirtAddr va) {
   // Embedded organization (Figure 4): the bucket head is itself a node, so
   // reading it costs one line even for an empty bucket.  Inverted
   // organization: the bucket holds a pointer; every node sits elsewhere.
-  std::uint32_t chain_pos = 0;
-  obs::WalkTracer* const tracer = cache_.tracer();
-  cache_.Touch(HeadAddr(b), opts_.inverted ? 8 : TagNextBytes(opts_.packed_pte));
-  for (const auto [n, addr] : Walk(b)) {
-    // The handler reads the tag and next pointer of every node it visits.
-    cache_.Touch(addr, TagNextBytes(opts_.packed_pte));
-    if (tracer != nullptr) {
-      tracer->Record({.kind = obs::EventKind::kWalkStep,
-                      .vpn = faulting_vpn,
-                      .step = ++chain_pos,
-                      .lines = static_cast<std::uint32_t>(cache_.LinesThisWalk())});
-    }
-    if (n.key == key) {
-      // Read the mapping word of the matching node.
-      cache_.Touch(addr + TagNextBytes(opts_.packed_pte), kWordBytes);
-      TlbFill fill = FillFrom(n, n.word.load());
-      if (fill.Covers(faulting_vpn)) {
-        if (tracer != nullptr) {
-          tracer->Record({.kind = obs::EventKind::kWalkHit,
-                          .vpn = faulting_vpn,
-                          .step = chain_pos,
-                          .value = WalkHitValue(fill)});
-        }
-        return fill;
-      }
-      // Tag matched but this word does not map the faulting page (invalid
-      // subblock bit, or a smaller co-resident superpage): keep searching,
-      // as Section 5 requires.
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<TlbFill> HashedPageTable::Lookup(VirtAddr va) {
   const Vpn vpn = VpnOf(va);
-  return LookupKey(ChainKeyOf(vpn), vpn);
+  const std::uint64_t key = ChainKeyOf(vpn);
+  const std::uint64_t tag_next = TagNextBytes(opts_.packed_pte);
+  return Probe(BucketOf(key), vpn, tag_next,
+               [&](const HashedNode& n, PhysAddr addr) -> std::optional<TlbFill> {
+                 if (n.key != key) {
+                   return std::nullopt;
+                 }
+                 // Read the mapping word of the matching node.
+                 cache_.Touch(addr + tag_next, kWordBytes);
+                 return FillFrom(n, n.word.load());
+               });
 }
 
 std::int32_t* HashedPageTable::FindWord(std::uint32_t b, Vpn base_vpn, MappingKind kind,
@@ -181,7 +156,7 @@ bool HashedPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint
     }
     const TlbFill fill = FillFrom(n, n.word.load());
     if (!fill.Covers(vpn)) {
-      continue;  // Keep searching, as in LookupKey (Section 5).
+      continue;  // Keep searching, as in Lookup (Section 5).
     }
     ApplyAttrUpdate(n.word, set_mask, clear_mask);
     return true;

@@ -94,9 +94,6 @@ class HashedPageTable final : public ChainArena<HashedNode> {
   // Removes the PTE UpsertWord would replace with a word of `kind` (and,
   // for superpages, `size`) at `base_vpn`; false when there is none.
   bool RemoveWord(Vpn base_vpn, MappingKind kind, PageSize size = {});
-  // Chain walk for the key; cache-line counted.  `faulting_vpn` selects the
-  // covered page when building the fill.
-  [[nodiscard]] CPT_HOT std::optional<TlbFill> LookupKey(std::uint64_t key, Vpn faulting_vpn);
   // Uncounted read of the stored word (OS-side inspection).
   std::optional<MappingWord> Peek(std::uint64_t key) const;
 

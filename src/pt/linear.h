@@ -64,7 +64,9 @@ class LinearPageTable final
 
   // Each walk reads one leaf PTE: walk step 1.
   [[nodiscard]] CPT_HOT std::optional<TlbFill> Lookup(VirtAddr va) override {
-    return ReadLeaf(VpnOf(va), 1);
+    const Vpn vpn = VpnOf(va);
+    WalkRecorder rec(cache_, vpn);
+    return ReadLeaf(vpn, rec);
   }
   CPT_HOT void LookupBlock(VirtAddr va, unsigned subblock_factor,
                            std::vector<TlbFill>& out) override {

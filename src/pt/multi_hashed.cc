@@ -32,28 +32,19 @@ HashedPageTable::Options BlockTableOptions(const MultiTableHashed::Options& o) {
 MultiTableHashed::MultiTableHashed(mem::CacheTouchModel& cache, Options opts)
     : PageTable(cache),
       opts_(opts),
-      block_shift_(Log2(opts.subblock_factor)),
       base_(cache, BaseTableOptions(opts)),
       block_(cache, BlockTableOptions(opts)) {
   CPT_CHECK(IsPowerOfTwo(opts.subblock_factor));
 }
 
 std::optional<TlbFill> MultiTableHashed::Lookup(VirtAddr va) {
-  const Vpn vpn = VpnOf(va);
-  HashedPageTable* first = &base_;
-  HashedPageTable* second = &block_;
-  std::uint64_t first_key = BaseKeyOf(vpn);
-  std::uint64_t second_key = BlockKeyOf(vpn);
-  if (opts_.order == SearchOrder::kBlockFirst) {
-    std::swap(first, second);
-    std::swap(first_key, second_key);
-  }
-  if (auto fill = first->LookupKey(first_key, vpn)) {
+  const auto [first, second] = InSearchOrder();
+  if (auto fill = first->Lookup(va)) {
     return fill;
   }
   // The first search failed; the TLB miss handler must now search the other
   // page table — this second full search is the cost Section 6.3 highlights.
-  return second->LookupKey(second_key, vpn);
+  return second->Lookup(va);
 }
 
 void MultiTableHashed::InsertBase(Vpn vpn, Ppn ppn, Attr attr) { base_.InsertBase(vpn, ppn, attr); }
@@ -84,14 +75,10 @@ bool MultiTableHashed::RemovePartialSubblock(Vpn block_base_vpn, unsigned /*subb
 }
 
 bool MultiTableHashed::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask) {
-  // R/M bits live in whichever constituent table holds the covering PTE;
-  // probe in the configured search order, same as Lookup.
-  if (opts_.order == SearchOrder::kBlockFirst) {
-    return block_.UpdateAttrFlags(vpn, set_mask, clear_mask) ||
-           base_.UpdateAttrFlags(vpn, set_mask, clear_mask);
-  }
-  return base_.UpdateAttrFlags(vpn, set_mask, clear_mask) ||
-         block_.UpdateAttrFlags(vpn, set_mask, clear_mask);
+  // R/M bits live in whichever constituent table holds the covering PTE.
+  const auto [first, second] = InSearchOrder();
+  return first->UpdateAttrFlags(vpn, set_mask, clear_mask) ||
+         second->UpdateAttrFlags(vpn, set_mask, clear_mask);
 }
 
 std::uint64_t MultiTableHashed::ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) {
@@ -156,36 +143,18 @@ std::uint64_t SuperpageIndexHashed::TranslationCount(const SpIndexNode& n) {
 
 std::optional<TlbFill> SuperpageIndexHashed::Lookup(VirtAddr va) {
   const Vpn vpn = VpnOf(va);
-  const std::uint32_t b = BucketOf(BlockKeyOf(vpn));
-  cache_.Touch(HeadAddr(b), 16);
-  std::uint32_t chain_pos = 0;
-  obs::WalkTracer* const tracer = cache_.tracer();
-  for (const auto [n, addr] : Walk(b)) {
-    cache_.Touch(addr, 16);
-    if (tracer != nullptr) {
-      tracer->Record({.kind = obs::EventKind::kWalkStep,
-                      .vpn = vpn,
-                      .step = ++chain_pos,
-                      .lines = static_cast<std::uint32_t>(cache_.LinesThisWalk())});
-    }
-    // Tag comparison checks whether this node's covered range contains the
-    // faulting page; superpage and base PTEs for one block share the bucket.
-    const PageSize node_size{n.pages_log2};
-    if (SuperpageBaseVpn(vpn, node_size) == SuperpageBaseVpn(n.base_vpn, node_size)) {
-      cache_.Touch(addr + 16, 8);
-      TlbFill fill = FillFrom(n, n.word.load());
-      if (fill.Covers(vpn)) {
-        if (tracer != nullptr) {
-          tracer->Record({.kind = obs::EventKind::kWalkHit,
-                          .vpn = vpn,
-                          .step = chain_pos,
-                          .value = WalkHitValue(fill)});
-        }
-        return fill;
-      }
-    }
-  }
-  return std::nullopt;
+  return Probe(BucketOf(BlockKeyOf(vpn)), vpn, kTagNextBytes,
+               [&](const SpIndexNode& n, PhysAddr addr) -> std::optional<TlbFill> {
+                 // Tag comparison checks whether this node's covered range
+                 // contains the faulting page; superpage and base PTEs for
+                 // one block share the bucket.
+                 const PageSize node_size{n.pages_log2};
+                 if (SuperpageBaseVpn(vpn, node_size) != SuperpageBaseVpn(n.base_vpn, node_size)) {
+                   return std::nullopt;
+                 }
+                 cache_.Touch(addr + kTagNextBytes, kWordBytes);
+                 return FillFrom(n, n.word.load());
+               });
 }
 
 std::int32_t* SuperpageIndexHashed::FindNode(std::uint32_t b, Vpn base_vpn, unsigned pages_log2,

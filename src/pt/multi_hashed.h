@@ -70,15 +70,18 @@ class MultiTableHashed final : public PageTable {
   void AuditVisit(check::PtAuditVisitor& visitor) const;
 
  private:
-  // Chain keys for the constituent tables deliberately erase the domain: the
-  // base table is VPN-keyed (tag_shift 0), the block table VPBN-keyed.  These
-  // are the only crossings from Vpn to the raw keys LookupKey takes.
-  std::uint64_t BaseKeyOf(Vpn vpn) const { return vpn.raw(); }
-  // cpt-lint: allow(raw-address-param): the sanctioned key crossing above.
-  std::uint64_t BlockKeyOf(Vpn vpn) const { return vpn.raw() >> block_shift_; }
+  // The constituent tables in the configured search order: Lookup and
+  // UpdateAttrFlags both probe `first`, then `second`.
+  struct Order {
+    HashedPageTable* first;
+    HashedPageTable* second;
+  };
+  Order InSearchOrder() {
+    return opts_.order == SearchOrder::kBlockFirst ? Order{&block_, &base_}
+                                                   : Order{&base_, &block_};
+  }
 
   Options opts_;
-  unsigned block_shift_;
   HashedPageTable base_;
   HashedPageTable block_;
 };
@@ -124,7 +127,8 @@ class SuperpageIndexHashed final : public ChainArena<SpIndexNode> {
 
  private:
   // Paper-model node: an 8-byte tag, an 8-byte next pointer and one word.
-  static constexpr std::uint64_t kNodeBytes = 24;
+  static constexpr std::uint64_t kTagNextBytes = 16;
+  static constexpr std::uint64_t kNodeBytes = kTagNextBytes + kWordBytes;
 
   // Hash keys deliberately erase the domain: every node — base, superpage,
   // or partial-subblock — hashes by its page-block number so one probe finds

@@ -21,11 +21,16 @@ void PageTable::LookupBlock(VirtAddr va, unsigned subblock_factor, std::vector<T
   }
 }
 
+std::optional<TlbFill> PageTable::LookupUncounted(VirtAddr va) {
+  cache_.BeginWalk();
+  auto fill = Lookup(va);
+  cache_.AbortWalk();
+  return fill;
+}
+
 bool PageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask) {
   // Uncounted walk: the miss handler just read this word's line.
-  cache_.BeginWalk();
-  const auto fill = Lookup(VaOf(vpn));
-  cache_.AbortWalk();
+  const auto fill = LookupUncounted(VaOf(vpn));
   if (!fill) {
     return false;
   }
@@ -49,9 +54,7 @@ bool PageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t c
 }
 
 std::optional<Attr> PageTable::PeekAttr(Vpn vpn) {
-  cache_.BeginWalk();
-  const auto fill = Lookup(VaOf(vpn));
-  cache_.AbortWalk();
+  const auto fill = LookupUncounted(VaOf(vpn));
   if (!fill) {
     return std::nullopt;
   }

@@ -86,6 +86,57 @@ constexpr std::uint64_t WalkHitValue(const TlbFill& fill) {
   return obs::EncodeWalkHitClass(WalkHitClassFor(fill.kind), fill.pages_log2);
 }
 
+// The walk-event protocol of one probe (DESIGN.md decision 14): one
+// kWalkStep{step, lines so far} per chain node or tree level the probe
+// reads, numbered from 1, then at most one kWalkHit{step, WalkHitValue} at
+// the step that produced the fill.  Each probe builds its own recorder, so
+// a table searched second (MultiTableHashed) numbers its steps from 1 again.
+// A software-TLB hit is the one hit at step 0: it reads no structure.
+class WalkRecorder {
+ public:
+  WalkRecorder(const mem::CacheTouchModel& cache, Vpn vpn)
+      : cache_(cache), tracer_(cache.tracer()), vpn_(vpn) {}
+
+  void Step() {
+    ++step_;
+    if (tracer_ != nullptr) {
+      tracer_->Record({.kind = obs::EventKind::kWalkStep,
+                       .vpn = vpn_,
+                       .step = step_,
+                       .lines = cache_.LinesThisWalk()});
+    }
+  }
+
+  // Records the hit at the current step and hands the fill back.
+  const TlbFill& Hit(const TlbFill& fill) const {
+    if (tracer_ != nullptr) {
+      tracer_->Record({.kind = obs::EventKind::kWalkHit,
+                       .vpn = vpn_,
+                       .step = step_,
+                       .value = WalkHitValue(fill)});
+    }
+    return fill;
+  }
+
+  // A TSB hit: kSwTlbHit, then the step-0 kWalkHit of class kSwTlb.
+  void SwTlbHit(const TlbFill& fill) const {
+    if (tracer_ != nullptr) {
+      tracer_->Record({.kind = obs::EventKind::kSwTlbHit, .vpn = vpn_});
+      tracer_->Record({.kind = obs::EventKind::kWalkHit,
+                       .vpn = vpn_,
+                       .step = 0,
+                       .value = obs::EncodeWalkHitClass(obs::WalkHitClass::kSwTlb,
+                                                        fill.pages_log2)});
+    }
+  }
+
+ private:
+  const mem::CacheTouchModel& cache_;
+  obs::WalkTracer* const tracer_;
+  const Vpn vpn_;
+  std::uint32_t step_ = 0;
+};
+
 // Capability bits: which PTE formats a table can store natively or via its
 // designated strategy.
 struct PtFeatures {
@@ -115,6 +166,11 @@ class PageTable {
   // adjacent PTE storage override it.
   CPT_HOT virtual void LookupBlock(VirtAddr va, unsigned subblock_factor,
                                    std::vector<TlbFill>& out);
+
+  // Lookup inside a walk that is then aborted, so it counts no lines: the
+  // reference-TLB refill, PeekAttr and the default UpdateAttrFlags.  A
+  // tracer still sees its steps, closed by kWalkAbort.
+  [[nodiscard]] CPT_HOT std::optional<TlbFill> LookupUncounted(VirtAddr va);
 
   // ---- OS update path ----
 

@@ -165,22 +165,17 @@ class ReplicatedLeafTable : public PageTable {
 
   std::uint64_t leaf_count() const { return leaves_.size(); }
 
-  // The leaf PTE read of a walk, as walk step `step`: one line, then the
-  // fill if the slot's word translates `vpn`.  A missing leaf is a fault
+  // The leaf PTE read of a walk, as the next step of `rec`: one line, then
+  // the fill if the slot's word translates `vpn`.  A missing leaf is a fault
   // before any read.
-  std::optional<TlbFill> ReadLeaf(Vpn vpn, unsigned step) {
+  std::optional<TlbFill> ReadLeaf(Vpn vpn, WalkRecorder& rec) {
     const Leaf* leaf = FindLeaf(vpn);
     if (leaf == nullptr) {
       return std::nullopt;
     }
     const unsigned slot = SlotOf(vpn);
     cache_.Touch(leaf->addr + slot * kWordBytes, kWordBytes);
-    if (obs::WalkTracer* const tracer = cache_.tracer()) {
-      tracer->Record({.kind = obs::EventKind::kWalkStep,
-                      .vpn = vpn,
-                      .step = step,
-                      .lines = static_cast<std::uint32_t>(cache_.LinesThisWalk())});
-    }
+    rec.Step();
     const MappingWord word = leaf->slots[slot].load();
     if (word == MappingWord::Invalid()) {
       return std::nullopt;
@@ -189,13 +184,7 @@ class ReplicatedLeafTable : public PageTable {
     if (!fill.Covers(vpn)) {
       return std::nullopt;  // e.g. PSB replica whose valid bit for vpn is clear.
     }
-    if (obs::WalkTracer* const tracer = cache_.tracer()) {
-      tracer->Record({.kind = obs::EventKind::kWalkHit,
-                      .vpn = vpn,
-                      .step = step,
-                      .value = WalkHitValue(fill)});
-    }
-    return fill;
+    return rec.Hit(fill);
   }
 
   // The block's PTEs are adjacent slots: one read of factor * 8 bytes.  A

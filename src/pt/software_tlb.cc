@@ -46,21 +46,12 @@ SoftwareTlb::Entry* SoftwareTlb::FindEntry(std::uint64_t key, bool count_touch) 
 std::optional<TlbFill> SoftwareTlb::Lookup(VirtAddr va) {
   const Vpn vpn = VpnOf(va);
   const std::uint64_t key = KeyOf(vpn);
-  obs::WalkTracer* const tracer = cache_.tracer();
   if (Entry* e = FindEntry(key, /*count_touch=*/true)) {
     for (const TlbFill& fill : e->fills) {
       if (fill.Covers(vpn)) {
         ++hits_;
-        if (tracer != nullptr) {
-          tracer->Record({.kind = obs::EventKind::kSwTlbHit, .vpn = vpn});
-          // A TSB hit resolves the walk without reaching the backing table;
-          // step 0 distinguishes it from any real chain position.
-          tracer->Record({.kind = obs::EventKind::kWalkHit,
-                          .vpn = vpn,
-                          .step = 0,
-                          .value = obs::EncodeWalkHitClass(obs::WalkHitClass::kSwTlb,
-                                                           fill.pages_log2)});
-        }
+        // A TSB hit resolves the walk without reaching the backing table.
+        WalkRecorder(cache_, vpn).SwTlbHit(fill);
         return fill;
       }
     }
@@ -68,7 +59,7 @@ std::optional<TlbFill> SoftwareTlb::Lookup(VirtAddr va) {
     // whose block gained a page since the refill): fall through.
   }
   ++misses_;
-  if (tracer != nullptr) {
+  if (obs::WalkTracer* const tracer = cache_.tracer()) {
     tracer->Record({.kind = obs::EventKind::kSwTlbMiss, .vpn = vpn});
   }
   // Miss: consult the backing page table (full walk cost) and refill.

@@ -70,10 +70,6 @@ class SoftwareTlb final : public PageTable {
   const PageTable& backing() const { return *backing_; }
   std::uint64_t probe_hits() const { return hits_; }
   std::uint64_t probe_misses() const { return misses_; }
-  double HitRatio() const {
-    const std::uint64_t total = hits_ + misses_;
-    return total == 0 ? 0.0 : static_cast<double>(hits_) / static_cast<double>(total);
-  }
   void FlushCache();
 
  private:

@@ -1,5 +1,7 @@
 #include "sim/machine.h"
 
+#include <algorithm>
+
 #include "check/shadow_oracle.h"
 #include "common/check.h"
 #include "core/adaptive.h"
@@ -209,29 +211,23 @@ void Machine::AttachTracer(obs::WalkTracer* tracer) {
   frames_.set_tracer(tracer);
 }
 
-std::optional<pt::TlbFill> Machine::WalkCounted(ProcessCtx& proc, VirtAddr va) {
+template <typename Walk>
+bool Machine::WalkOrFault(ProcessCtx& proc, VirtAddr va, Walk walk) {
   cache_.BeginWalk();
-  if (auto fill = proc.table->Lookup(va)) [[likely]] {
+  if (walk()) [[likely]] {
     cache_.EndWalk();
-    return fill;
+    return true;
   }
   // Page fault: the failed walk is OS work, not TLB-miss service.
   cache_.AbortWalk();
   if (!proc.aspace->TouchPage(va)) {
-    return std::nullopt;  // Out of physical memory.
+    return false;  // Out of physical memory.
   }
   cache_.BeginWalk();
-  auto fill = proc.table->Lookup(va);
+  const bool served = walk();
   cache_.EndWalk();
-  CPT_DCHECK(fill.has_value(), "fault handler mapped the page; the walk must succeed");
-  return fill;
-}
-
-std::optional<pt::TlbFill> Machine::WalkUncounted(ProcessCtx& proc, VirtAddr va) {
-  cache_.BeginWalk();
-  auto fill = proc.table->Lookup(va);
-  cache_.AbortWalk();
-  return fill;
+  CPT_DCHECK(served, "fault handler mapped the page; the walk must succeed");
+  return true;
 }
 
 void Machine::Access(tlb::Asid asid, VirtAddr va, bool is_write) {
@@ -267,7 +263,7 @@ void Machine::Access(tlb::Asid asid, VirtAddr va, bool is_write) {
     if (ref_missed) {
       // Can only happen transiently (different effective/reference insert
       // histories); refill the reference TLB without counting the walk.
-      if (auto fill = WalkUncounted(proc, va)) {
+      if (auto fill = proc.table->LookupUncounted(va)) {
         ref_tlb_->Insert(asid, vpn, *fill);
       }
     }
@@ -277,28 +273,17 @@ void Machine::Access(tlb::Asid asid, VirtAddr va, bool is_write) {
   // TLB miss: service it with a counted page-table walk.
   if (opts_.tlb_kind == TlbKind::kCompleteSubblock && opts_.prefetch_on_block_miss &&
       outcome == tlb::LookupOutcome::kBlockMiss) {
-    auto& cs_tlb = static_cast<tlb::CompleteSubblockTlb&>(*tlb_);
-    block_fills_.clear();
-    cache_.BeginWalk();
-    proc.table->LookupBlock(va, opts_.subblock_factor, block_fills_);
-    bool covered = false;
-    for (const pt::TlbFill& f : block_fills_) {
-      covered |= f.Covers(vpn);
-    }
-    if (covered) [[likely]] {
-      cache_.EndWalk();
-    } else {
-      // The faulting page itself is not resident: page fault, then redo.
-      cache_.AbortWalk();
-      if (!proc.aspace->TouchPage(va)) {
-        return;
-      }
+    // The block walk serves the miss if one of its fills covers the page.
+    const bool served = WalkOrFault(proc, va, [&] {
       block_fills_.clear();
-      cache_.BeginWalk();
       proc.table->LookupBlock(va, opts_.subblock_factor, block_fills_);
-      cache_.EndWalk();
+      return std::ranges::any_of(block_fills_,
+                                 [vpn](const pt::TlbFill& f) { return f.Covers(vpn); });
+    });
+    if (!served) {
+      return;  // Out of memory; drop the reference.
     }
-    cs_tlb.InsertBlock(asid, vpn, block_fills_);
+    static_cast<tlb::CompleteSubblockTlb&>(*tlb_).InsertBlock(asid, vpn, block_fills_);
     if (tracer_ != nullptr) {
       tracer_->Record({.kind = obs::EventKind::kBlockPrefetch,
                        .asid = asid,
@@ -306,24 +291,17 @@ void Machine::Access(tlb::Asid asid, VirtAddr va, bool is_write) {
                        .value = block_fills_.size()});
     }
     if (ref_missed) {
-      auto& ref = static_cast<tlb::CompleteSubblockTlb&>(*ref_tlb_);
-      ref.InsertBlock(asid, vpn, block_fills_);
+      static_cast<tlb::CompleteSubblockTlb&>(*ref_tlb_).InsertBlock(asid, vpn, block_fills_);
     }
-    if (opts_.maintain_ref_bits) {
-      const std::uint16_t set =
-          Attr::kReferenced | (is_write ? Attr::kModified : std::uint16_t{0});
-      proc.table->UpdateAttrFlags(vpn, set, 0);
+  } else {
+    std::optional<pt::TlbFill> fill;
+    if (!WalkOrFault(proc, va, [&] { return (fill = proc.table->Lookup(va)).has_value(); })) {
+      return;  // Out of memory; drop the reference.
     }
-    return;
-  }
-
-  auto fill = WalkCounted(proc, va);
-  if (!fill) {
-    return;  // Out of memory; drop the reference.
-  }
-  tlb_->Insert(asid, vpn, *fill);
-  if (ref_missed) {
-    ref_tlb_->Insert(asid, vpn, *fill);
+    tlb_->Insert(asid, vpn, *fill);
+    if (ref_missed) {
+      ref_tlb_->Insert(asid, vpn, *fill);
+    }
   }
   if (opts_.maintain_ref_bits) {
     // The handler already holds the PTE's line: set R (and M for stores)

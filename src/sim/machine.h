@@ -188,11 +188,12 @@ class Machine {
   VirtAddr EffectiveVa(tlb::Asid asid, VirtAddr va) const {
     return opts_.shared_page_table ? VirtAddr{va.raw() ^ (std::uint64_t{asid} << 49)} : va;
   }
-  // Counted walk; page faults are handled and the walk re-runs.  Returns
-  // nullopt only if memory is exhausted.
-  CPT_HOT std::optional<pt::TlbFill> WalkCounted(ProcessCtx& proc, VirtAddr va);
-  // Uncounted walk for reference-TLB refills.
-  CPT_HOT std::optional<pt::TlbFill> WalkUncounted(ProcessCtx& proc, VirtAddr va);
+  // The fault-and-rewalk protocol of every counted walk: runs `walk` (true
+  // when it served va's page) between BeginWalk and EndWalk.  On a page
+  // fault the walk is aborted, the OS fault handler runs and the walk runs
+  // again, counted.  Returns false only if memory is exhausted.
+  template <typename Walk>
+  CPT_HOT bool WalkOrFault(ProcessCtx& proc, VirtAddr va, Walk walk);
 
   MachineOptions opts_;
   unsigned num_processes_ = 1;

@@ -1,7 +1,7 @@
 // Fixture: determinism-guards.
 //
 // The simulator must be bit-identical run to run: all randomness goes
-// through cpt::Rng and all timing through obs/timer.h.  (Exact float
+// through cpt::Rng and all timing through obs/perf.h.  (Exact float
 // compares are the compiler's: the build passes -Wfloat-equal.)
 #include <cstdlib>
 #include <ctime>

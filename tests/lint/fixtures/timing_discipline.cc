@@ -1,15 +1,15 @@
 // Fixture: timing-discipline.
 //
-// Every host-time measurement flows through obs/timer.h (ScopedTimer /
-// PhaseProfiler) or obs/perf.h (HostPerfCounters); raw std::chrono clock
-// reads and POSIX clock syscalls anywhere else make reported numbers
-// incomparable across the tree.
+// Every host-time measurement flows through obs/perf.h
+// (HostPerfCounters); raw std::chrono clock reads and POSIX clock
+// syscalls anywhere else make reported numbers incomparable across the
+// tree.
 #include <chrono>
 #include <ctime>
 
 namespace fx {
 
-// BAD: raw steady_clock read outside obs/timer.* / obs/perf.*.
+// BAD: raw steady_clock read outside obs/perf.*.
 double NowSeconds() {
   const auto t = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t.time_since_epoch()).count();

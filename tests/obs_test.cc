@@ -18,7 +18,6 @@
 #include "obs/attribution.h"
 #include "obs/json_writer.h"
 #include "obs/perfetto.h"
-#include "obs/timer.h"
 #include "obs/trace.h"
 #include "sim/machine.h"
 #include "workload/workload.h"
@@ -285,30 +284,6 @@ TEST(StatsTracerTest, ForwardsEveryEventDownstream) {
   stats.Record({.kind = EventKind::kPageFault, .vpn = Vpn{2}});
   EXPECT_EQ(ring.total_recorded(), 3u);
   EXPECT_EQ(ring.counts()[EventKind::kPageFault], 1u);
-}
-
-// --- Timers --------------------------------------------------------------
-
-TEST(TimerTest, ScopedTimerAccumulatesIntoBothSinks) {
-  double seconds = 0.0;
-  RunningStats samples;
-  { ScopedTimer t(&seconds, &samples); }
-  { ScopedTimer t(&seconds, &samples); }
-  EXPECT_GE(seconds, 0.0);
-  EXPECT_EQ(samples.count(), 2u);
-}
-
-TEST(TimerTest, PhaseProfilerAccumulatesRepeatedPhases) {
-  PhaseProfiler prof;
-  { PhaseProfiler::Scope s(prof, "preload"); }
-  { PhaseProfiler::Scope s(prof, "replay"); }
-  { PhaseProfiler::Scope s(prof, "replay"); }
-  ASSERT_EQ(prof.phases().size(), 2u);
-  EXPECT_EQ(prof.phases()[0].name, "preload");
-  EXPECT_EQ(prof.phases()[0].count, 1u);
-  EXPECT_EQ(prof.phases()[1].name, "replay");
-  EXPECT_EQ(prof.phases()[1].count, 2u);
-  EXPECT_GE(prof.TotalSeconds(), 0.0);
 }
 
 // --- RecordRepeat: the batch contract ------------------------------------

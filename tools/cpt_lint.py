@@ -24,9 +24,8 @@ Rules (see DESIGN.md "Static analysis" for the catalog and policy):
                           common/rng.h.
   timing-discipline       no raw std::chrono clocks (steady_clock,
                           high_resolution_clock, system_clock) or
-                          clock_gettime/clock_getres outside obs/timer.*
-                          and obs/perf.* — every host-time measurement
-                          flows through ScopedTimer/PhaseProfiler or
+                          clock_gettime/clock_getres outside obs/perf.* —
+                          every host-time measurement flows through
                           HostPerfCounters so reports stay comparable.
   nodiscard-query         Lookup/LookupKey query methods in headers must
                           be [[nodiscard]].
@@ -378,7 +377,7 @@ class CheckMacroHygiene(Rule):
 class DeterminismGuards(Rule):
     name = "determinism-guards"
     help = ("all randomness flows through common/rng.h and all timing through "
-            "obs/timer.h")
+            "obs/perf.h")
     include = ("src/*", "bench/*", "examples/*", "tests/*")
     exclude = ("src/common/rng.h",)
 
@@ -402,7 +401,7 @@ class DeterminismGuards(Rule):
                 findings.append(Finding(
                     self.name, sf, t.line,
                     f"{t.text}() breaks run-to-run reproducibility; use "
-                    "cpt::Rng (common/rng.h) for randomness or obs/timer.h "
+                    "cpt::Rng (common/rng.h) for randomness or obs/perf.h "
                     "for timing"))
         return findings
 
@@ -412,12 +411,10 @@ class DeterminismGuards(Rule):
 @register
 class TimingDiscipline(Rule):
     name = "timing-discipline"
-    help = ("raw clock reads live only in obs/timer.* and obs/perf.*; "
-            "measure host time with ScopedTimer/PhaseProfiler or "
-            "HostPerfCounters so every reported number shares one clock")
+    help = ("raw clock reads live only in obs/perf.*; measure host time "
+            "with HostPerfCounters so every reported number shares one clock")
     include = ("src/*", "bench/*", "examples/*", "tests/*")
-    exclude = ("src/obs/timer.h", "src/obs/timer.cc",
-               "src/obs/perf.h", "src/obs/perf.cc")
+    exclude = ("src/obs/perf.h", "src/obs/perf.cc")
 
     # std::chrono clock types whose now() is a raw wall/CPU-time read.
     BANNED_CLOCKS = {"steady_clock", "high_resolution_clock", "system_clock"}
@@ -439,13 +436,12 @@ class TimingDiscipline(Rule):
                 findings.append(Finding(
                     self.name, sf, t.line,
                     f"raw std::chrono::{t.text} use; route host timing "
-                    "through obs/timer.h (ScopedTimer/PhaseProfiler) or "
-                    "obs/perf.h (HostPerfCounters)"))
+                    "through obs/perf.h (HostPerfCounters)"))
             elif t.text in self.BANNED_CALLS and nxt == "(":
                 findings.append(Finding(
                     self.name, sf, t.line,
                     f"{t.text}() bypasses the shared timing layer; use "
-                    "obs/timer.h or obs/perf.h"))
+                    "obs/perf.h"))
         return findings
 
 
