@@ -171,8 +171,6 @@ class BenchIo {
   BenchIo& operator=(const BenchIo&) = delete;
 
   bool json_enabled() const { return writer_ != nullptr; }
-  bool trace_enabled() const { return ring_ != nullptr; }
-  bool perfetto_enabled() const { return perfetto_ != nullptr; }
 
   // Hooks for MeasureAccessTime: histograms are collected only when a JSON
   // report wants them; events are recorded when a trace file or Perfetto

@@ -161,8 +161,8 @@ std::uint64_t ShadowedPageTable::ProtectRange(Vpn first_vpn, std::uint64_t npage
   return inner_->ProtectRange(first_vpn, npages, attr);  // Attrs are not shadowed.
 }
 
-bool ShadowedPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                                        std::uint16_t clear_mask) {
+std::optional<Attr> ShadowedPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                                       std::uint16_t clear_mask) {
   return inner_->UpdateAttrFlags(vpn, set_mask, clear_mask);
 }
 

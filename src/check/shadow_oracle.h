@@ -49,7 +49,8 @@ class ShadowedPageTable final : public pt::PageTable {
                              Attr attr, std::uint16_t valid_vector) override;
   bool RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
-  bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask) override;
+  std::optional<Attr> UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                      std::uint16_t clear_mask) override;
   std::uint64_t SizeBytesPaperModel() const override { return inner_->SizeBytesPaperModel(); }
   std::uint64_t SizeBytesActual() const override { return inner_->SizeBytesActual(); }
   std::uint64_t live_translations() const override { return inner_->live_translations(); }

@@ -281,11 +281,13 @@ class AtomicMappingWord {
   // one atomic step.  The mask must stay within the low 12 ATTR bits, so the
   // operation can never corrupt the PPN/kind/valid fields regardless of what
   // the word holds concurrently.
-  void FetchOrAttr(std::uint16_t set_mask) {
+  // Returns the word as it was before the OR.
+  MappingWord FetchOrAttr(std::uint16_t set_mask) {
     CPT_DCHECK((set_mask & ~std::uint16_t{0xFFF}) == 0, "attr mask beyond the 12 ATTR bits");
     // acq_rel: the RMW both observes the latest word and publishes the
     // updated attribute bits to subsequent acquire loaders.
-    cell_.fetch_or(std::uint64_t{set_mask}, std::memory_order_acq_rel);
+    return MappingWord::FromBits(
+        cell_.fetch_or(std::uint64_t{set_mask}, std::memory_order_acq_rel));
   }
 
   // CAS step for read-modify-write updates that cannot be expressed as a
@@ -314,23 +316,25 @@ static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
 static_assert(sizeof(AtomicMappingWord) == sizeof(MappingWord),
               "atomic PTE storage must not change the paper's size model");
 
-// Applies an attribute-flag update to one PTE cell: the common set-only case
-// (R/M maintenance from the miss handler) is a single lock-free fetch_or;
+// Applies an attribute-flag update to one PTE cell and returns its
+// attribute bits from before the update: the test-and-set (or -clear) that
+// every R/M-bit read and write goes through.  A zero-mask update is a plain
+// atomic load, so a peek stays read-only; the common set-only case (R/M
+// maintenance from the miss handler) is a single lock-free fetch_or;
 // updates that clear bits take the CAS path.  Bits outside the 12-bit ATTR
 // field are never touched, and a concurrent FetchOrAttr can interleave with
 // the CAS loop without losing either update.
-inline void ApplyAttrUpdate(AtomicMappingWord& cell, std::uint16_t set_mask,
+inline Attr ApplyAttrUpdate(AtomicMappingWord& cell, std::uint16_t set_mask,
                             std::uint16_t clear_mask) {
   if (clear_mask == 0) {
-    cell.FetchOrAttr(set_mask);
-    return;
+    return (set_mask == 0 ? cell.load() : cell.FetchOrAttr(set_mask)).attr();
   }
   MappingWord expected = cell.load();
   for (;;) {
     const auto bits =
         static_cast<std::uint16_t>((expected.attr().bits | set_mask) & ~clear_mask);
     if (cell.CompareExchange(expected, expected.with_attr(Attr{bits}))) {
-      return;
+      return expected.attr();
     }
   }
 }

@@ -101,26 +101,31 @@ TlbFill AdaptiveClusteredPageTable::FillFromWord(const AdaptiveNode& n, unsigned
   return fill;
 }
 
+std::optional<TlbFill> AdaptiveClusteredPageTable::Match(const AdaptiveNode& n, Vpbn vpbn,
+                                                         unsigned boff) const {
+  if (n.tag != vpbn) {
+    return std::nullopt;
+  }
+  // A single-page node of another page decodes to a fill that does not
+  // cover this one, so the search goes on.
+  return FillFromWord(n, boff);
+}
+
 std::optional<TlbFill> AdaptiveClusteredPageTable::Lookup(VirtAddr va) {
   const Vpn vpn = VpnOf(va);
   const Vpbn vpbn = VpbnOf(vpn, factor_);
   const unsigned boff = BoffOf(vpn, factor_);
-  return Probe(BucketOf(vpbn), vpn, kHeaderBytes,
-               [&](const AdaptiveNode& n, PhysAddr addr) -> std::optional<TlbFill> {
-                 if (n.tag != vpbn) {
-                   return std::nullopt;
-                 }
-                 // Read word 0 (the S/format check), then the selected word
-                 // for arrays.
-                 cache_.Touch(addr + kHeaderBytes, kWordBytes);
-                 if (n.kind == NodeKind::kArray && boff != 0) {
-                   cache_.Touch(addr + kHeaderBytes + boff * kWordBytes, kWordBytes);
-                 }
-                 if (n.kind == NodeKind::kSingle && n.boff != boff) {
-                   return std::nullopt;
-                 }
-                 return FillFromWord(n, boff);
-               });
+  return Probe(BucketOf(vpbn), vpn, kHeaderBytes, [&](const AdaptiveNode& n, PhysAddr addr) {
+    const std::optional<TlbFill> fill = Match(n, vpbn, boff);
+    if (fill) {
+      // Read word 0 (the S/format check), then the selected word for arrays.
+      cache_.Touch(addr + kHeaderBytes, kWordBytes);
+      if (n.kind == NodeKind::kArray && boff != 0) {
+        cache_.Touch(addr + kHeaderBytes + boff * kWordBytes, kWordBytes);
+      }
+    }
+    return fill;
+  });
 }
 
 void AdaptiveClusteredPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,
@@ -301,44 +306,35 @@ bool AdaptiveClusteredPageTable::RemovePartialSubblock(Vpn block_base_vpn,
   return true;
 }
 
-bool AdaptiveClusteredPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                                                 std::uint16_t clear_mask) {
-  // Uncounted structural update: R/M-bit maintenance rides on the walk the
-  // miss already paid for (Section 3.1), so it models no memory traffic.
+std::optional<Attr> AdaptiveClusteredPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                                                std::uint16_t clear_mask) {
   // Multi-block superpages replicate one compact node per covered block; the
   // update must hit every replica or a later scan at a sibling block would
   // read stale bits.
   const Vpbn vpbn = VpbnOf(vpn, factor_);
   const unsigned boff = BoffOf(vpn, factor_);
-  for (AdaptiveNode& n : Nodes(BucketOf(vpbn))) {
-    if (n.tag != vpbn) {
-      continue;
-    }
-    if (n.kind == NodeKind::kSingle && n.boff != boff) {
-      continue;
-    }
-    const TlbFill fill = FillFromWord(n, boff);
-    if (!fill.Covers(vpn)) {
-      continue;
-    }
-    const unsigned word_idx = n.kind == NodeKind::kArray ? boff : 0;
-    ApplyAttrUpdate(n.words[word_idx], set_mask, clear_mask);
-    if (n.kind == NodeKind::kSuperpage && fill.pages_log2 > block_log2_) {
-      const unsigned blocks = 1u << (fill.pages_log2 - block_log2_);
-      const Vpbn first_block = VpbnOf(fill.base_vpn, factor_);
-      for (unsigned blk = 0; blk < blocks; ++blk) {
-        const Vpbn tag = first_block + blk;
-        if (tag == vpbn) {
-          continue;
-        }
-        if (AdaptiveNode* sibling = Find(BucketOf(tag), KindMatch(tag, NodeKind::kSuperpage))) {
-          ApplyAttrUpdate(sibling->words[0], set_mask, clear_mask);
-        }
+  const auto hit = FindCovering(BucketOf(vpbn), vpn,
+                                [&](const AdaptiveNode& n) { return Match(n, vpbn, boff); });
+  if (!hit) {
+    return std::nullopt;
+  }
+  const auto& [n, fill] = *hit;
+  const Attr was =
+      ApplyAttrUpdate(n.words[n.kind == NodeKind::kArray ? boff : 0], set_mask, clear_mask);
+  if (n.kind == NodeKind::kSuperpage && fill.pages_log2 > block_log2_) {
+    const unsigned blocks = 1u << (fill.pages_log2 - block_log2_);
+    const Vpbn first_block = VpbnOf(fill.base_vpn, factor_);
+    for (unsigned blk = 0; blk < blocks; ++blk) {
+      const Vpbn tag = first_block + blk;
+      if (tag == vpbn) {
+        continue;
+      }
+      if (AdaptiveNode* sibling = Find(BucketOf(tag), KindMatch(tag, NodeKind::kSuperpage))) {
+        ApplyAttrUpdate(sibling->words[0], set_mask, clear_mask);
       }
     }
-    return true;
   }
-  return false;
+  return was;
 }
 
 std::uint64_t AdaptiveClusteredPageTable::ProtectRange(Vpn first_vpn, std::uint64_t npages,

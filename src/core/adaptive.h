@@ -81,8 +81,8 @@ class AdaptiveClusteredPageTable final : public pt::ChainArena<AdaptiveNode> {
   void UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor, Ppn block_base_ppn,
                              Attr attr, std::uint16_t valid_vector) override;
   bool RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) override;
-  CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                               std::uint16_t clear_mask) override;
+  CPT_HOT std::optional<Attr> UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                              std::uint16_t clear_mask) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
   std::string name() const override;
 
@@ -129,6 +129,10 @@ class AdaptiveClusteredPageTable final : public pt::ChainArena<AdaptiveNode> {
   void PromoteToArray(Vpbn tag);
   void DemoteToSingles(Vpbn tag);
   pt::TlbFill FillFromWord(const AdaptiveNode& n, unsigned boff) const;
+  // The one match of Lookup and UpdateAttrFlags: the fill node `n` holds
+  // for the page at block offset `boff` of block `vpbn`, or nullopt on a
+  // tag mismatch.
+  std::optional<pt::TlbFill> Match(const AdaptiveNode& n, Vpbn vpbn, unsigned boff) const;
 
   unsigned factor_;
   unsigned block_log2_;

@@ -122,26 +122,32 @@ TlbFill ClusteredPageTable::FillFromNode(const ClusteredNode& n, unsigned word_i
   return fill;
 }
 
+std::optional<TlbFill> ClusteredPageTable::Match(const ClusteredNode& n, Vpbn vpbn,
+                                                 unsigned boff) const {
+  if (n.tag != vpbn) {
+    return std::nullopt;
+  }
+  return FillFromNode(n, boff >> n.sub_log2);
+}
+
 std::optional<TlbFill> ClusteredPageTable::Lookup(VirtAddr va) {
   // Chain traversal is identical to a hashed table's; the bucket head is an
   // embedded node, so even an empty bucket costs one line.
   const Vpn vpn = VpnOf(va);
   const Vpbn vpbn = VpbnOf(vpn, factor_);
   const unsigned boff = BoffOf(vpn, factor_);
-  return Probe(BucketOf(vpbn), vpn, kHeaderBytes,
-               [&](const ClusteredNode& n, PhysAddr addr) -> std::optional<TlbFill> {
-                 if (n.tag != vpbn) {
-                   return std::nullopt;
-                 }
-                 // Tag matched: read mapping[0] to consult the S field
-                 // (Figure 8), then the block-offset-selected word.
-                 cache_.Touch(addr + kHeaderBytes, kWordBytes);
-                 const unsigned word_idx = boff >> n.sub_log2;
-                 if (word_idx != 0) {
-                   cache_.Touch(addr + kHeaderBytes + word_idx * kWordBytes, kWordBytes);
-                 }
-                 return FillFromNode(n, word_idx);
-               });
+  return Probe(BucketOf(vpbn), vpn, kHeaderBytes, [&](const ClusteredNode& n, PhysAddr addr) {
+    const std::optional<TlbFill> fill = Match(n, vpbn, boff);
+    if (fill) {
+      // Tag matched: read mapping[0] to consult the S field (Figure 8),
+      // then the block-offset-selected word.
+      cache_.Touch(addr + kHeaderBytes, kWordBytes);
+      if (const unsigned word_idx = boff >> n.sub_log2; word_idx != 0) {
+        cache_.Touch(addr + kHeaderBytes + word_idx * kWordBytes, kWordBytes);
+      }
+    }
+    return fill;
+  });
 }
 
 void ClusteredPageTable::LookupBlock(VirtAddr va, unsigned subblock_factor,
@@ -263,41 +269,34 @@ bool ClusteredPageTable::RemovePartialSubblock(Vpn block_base_vpn, unsigned /*su
   return true;
 }
 
-bool ClusteredPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                                         std::uint16_t clear_mask) {
-  // Uncounted structural update: R/M-bit maintenance rides on the walk the
-  // miss already paid for (Section 3.1), so it models no memory traffic.
+std::optional<Attr> ClusteredPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                                        std::uint16_t clear_mask) {
   // Superpages larger than one block replicate one word per covered block;
   // the update must hit every replica or a later scan at a sibling block
   // would read stale bits.
   const Vpbn vpbn = VpbnOf(vpn, factor_);
   const unsigned boff = BoffOf(vpn, factor_);
-  for (ClusteredNode& n : Nodes(BucketOf(vpbn))) {
-    if (n.tag != vpbn) {
-      continue;
-    }
-    const unsigned word_idx = boff >> n.sub_log2;
-    const TlbFill fill = FillFromNode(n, word_idx);
-    if (!fill.Covers(vpn)) {
-      continue;
-    }
-    ApplyAttrUpdate(n.words[word_idx], set_mask, clear_mask);
-    if (fill.kind == MappingKind::kSuperpage && fill.pages_log2 > block_log2_) {
-      const unsigned blocks = 1u << (fill.pages_log2 - block_log2_);
-      const Vpbn first_block = VpbnOf(fill.base_vpn, factor_);
-      for (unsigned b = 0; b < blocks; ++b) {
-        const Vpbn tag = first_block + b;
-        if (tag == vpbn) {
-          continue;
-        }
-        if (std::int32_t* link = LinkOf(tag, block_log2_, MappingKind::kSuperpage)) {
-          ApplyAttrUpdate(NodeAt(link).words[0], set_mask, clear_mask);
-        }
+  const auto hit = FindCovering(BucketOf(vpbn), vpn,
+                                [&](const ClusteredNode& n) { return Match(n, vpbn, boff); });
+  if (!hit) {
+    return std::nullopt;
+  }
+  const auto& [n, fill] = *hit;
+  const Attr was = ApplyAttrUpdate(n.words[boff >> n.sub_log2], set_mask, clear_mask);
+  if (fill.kind == MappingKind::kSuperpage && fill.pages_log2 > block_log2_) {
+    const unsigned blocks = 1u << (fill.pages_log2 - block_log2_);
+    const Vpbn first_block = VpbnOf(fill.base_vpn, factor_);
+    for (unsigned b = 0; b < blocks; ++b) {
+      const Vpbn tag = first_block + b;
+      if (tag == vpbn) {
+        continue;
+      }
+      if (std::int32_t* link = LinkOf(tag, block_log2_, MappingKind::kSuperpage)) {
+        ApplyAttrUpdate(NodeAt(link).words[0], set_mask, clear_mask);
       }
     }
-    return true;
   }
-  return false;
+  return was;
 }
 
 std::uint64_t ClusteredPageTable::ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) {
@@ -347,16 +346,6 @@ bool ClusteredPageTable::BlockReadyForPromotion(Vpbn vpbn) const {
     }
   }
   return true;
-}
-
-std::optional<MappingWord> ClusteredPageTable::PeekBase(Vpn vpn) const {
-  const Vpbn tag = VpbnOf(vpn, factor_);
-  const ClusteredNode* n = NodeOf(tag, 0, MappingKind::kBase);
-  if (n == nullptr) {
-    return std::nullopt;
-  }
-  const MappingWord w = n->words[BoffOf(vpn, factor_)].load();
-  return w.valid() ? std::optional<MappingWord>(w) : std::nullopt;
 }
 
 std::string ClusteredPageTable::name() const {

@@ -73,8 +73,8 @@ class ClusteredPageTable final : public pt::ChainArena<ClusteredNode> {
   void UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor, Ppn block_base_ppn,
                              Attr attr, std::uint16_t valid_vector) override;
   bool RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) override;
-  CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                               std::uint16_t clear_mask) override;
+  CPT_HOT std::optional<Attr> UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                              std::uint16_t clear_mask) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
   std::string name() const override;
 
@@ -84,9 +84,6 @@ class ClusteredPageTable final : public pt::ChainArena<ClusteredNode> {
   // the physical frames are properly placed — the incremental-promotion
   // check Section 5 describes (the OS may then promote to a superpage PTE).
   bool BlockReadyForPromotion(Vpbn vpbn) const;
-
-  // OS-side (uncounted) read of the base word for a page, if present.
-  std::optional<MappingWord> PeekBase(Vpn vpn) const;
 
   // ---- Introspection ----
   unsigned subblock_factor() const { return factor_; }
@@ -135,6 +132,10 @@ class ClusteredPageTable final : public pt::ChainArena<ClusteredNode> {
   // Unlinks a node after settling the translations it held.
   void RemoveNode(std::int32_t* link);
   pt::TlbFill FillFromNode(const ClusteredNode& n, unsigned word_idx) const;
+  // The one match of Lookup and UpdateAttrFlags: the fill node `n` holds
+  // for the page at block offset `boff` of block `vpbn`, or nullopt on a
+  // tag mismatch.
+  std::optional<pt::TlbFill> Match(const ClusteredNode& n, Vpbn vpbn, unsigned boff) const;
 
   unsigned factor_;
   unsigned block_log2_;

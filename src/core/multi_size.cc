@@ -69,11 +69,13 @@ bool MultiSizeClustered::RemovePartialSubblock(Vpn block_base_vpn, unsigned subb
   return small_.RemovePartialSubblock(block_base_vpn, subblock_factor);
 }
 
-bool MultiSizeClustered::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                                         std::uint16_t clear_mask) {
-  // Probe order matches Lookup: small-block table first, then large.
-  return small_.UpdateAttrFlags(vpn, set_mask, clear_mask) ||
-         large_.UpdateAttrFlags(vpn, set_mask, clear_mask);
+std::optional<Attr> MultiSizeClustered::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                                        std::uint16_t clear_mask) {
+  // Probe order matches Lookup: the small-block table answers first.
+  if (const auto was = small_.UpdateAttrFlags(vpn, set_mask, clear_mask)) {
+    return was;
+  }
+  return large_.UpdateAttrFlags(vpn, set_mask, clear_mask);
 }
 
 std::uint64_t MultiSizeClustered::ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) {

@@ -51,8 +51,8 @@ class MultiSizeClustered final : public pt::PageTable {
   void UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor, Ppn block_base_ppn,
                              Attr attr, std::uint16_t valid_vector) override;
   bool RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) override;
-  CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                               std::uint16_t clear_mask) override;
+  CPT_HOT std::optional<Attr> UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                              std::uint16_t clear_mask) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
   std::uint64_t SizeBytesPaperModel() const override;
   std::uint64_t SizeBytesActual() const override;

@@ -16,11 +16,13 @@
 //   - chain iteration, FindLink, the cycle-guarded audit walk and the
 //     chain-length histogram;
 //   - the counted chain probe (Probe): head slot, node headers and the
-//     walk-event protocol (WalkRecorder) of every chained Lookup.
-// The table above it keeps its key and tag derivation and match predicates,
-// its node payload, which word bytes a matching node charges, and the byte
-// size of each node format.  Its Table 2 (paper model) size is the
-// sum of its live nodes' bytes.
+//     walk-event protocol (WalkRecorder) of every chained Lookup, and its
+//     uncounted twin (FindCovering) that UpdateAttrFlags searches with.
+// The table above it keeps its key and tag derivation, its one match (tag
+// test and fill decode) that both searches run, its node payload, which
+// word bytes a matching node charges, and the byte size of each node
+// format.  Its Table 2 (paper model) size is the sum of its live nodes'
+// bytes.
 //
 // Two things here are simulated state that the figures depend on: a new node
 // goes on at the head of its chain, and every node costs exactly one
@@ -54,6 +56,13 @@ template <typename N>
 struct ChainStep {
   N& node;
   PhysAddr addr;
+};
+
+// The node FindCovering found and the fill its match decoded for the vpn.
+template <typename N>
+struct CoveringNode {
+  N& node;
+  TlbFill fill;
 };
 
 template <typename Node>
@@ -154,11 +163,12 @@ class ChainArena : public PageTable {
   // The counted chain probe of every chained Lookup.  Reads bucket `b`'s
   // head slot, then for each node in chain order charges its tag and next
   // pointer (`header_bytes` at its charged address) and records the step;
-  // `match(node, addr)` charges the word reads it makes and returns the
-  // node's fill for `vpn`, or nullopt on a tag mismatch.  Returns the first
-  // fill that covers `vpn`: a tag match that does not cover it (an invalid
-  // slot or subblock bit, a smaller co-resident superpage) keeps searching,
-  // as Section 5 requires.  An inverted table's head slot is a pointer.
+  // `match(node, addr)` runs the table's match, charges the word reads a
+  // tag match makes and returns the node's fill for `vpn`, or nullopt on a
+  // tag mismatch.  Returns the first fill that covers `vpn`: a tag match
+  // that does not cover it (an invalid slot or subblock bit, a smaller
+  // co-resident superpage) keeps searching, as Section 5 requires.  An
+  // inverted table's head slot is a pointer.
   template <typename Match>
   std::optional<TlbFill> Probe(std::uint32_t b, Vpn vpn, std::uint64_t header_bytes,
                                Match match) {
@@ -169,6 +179,19 @@ class ChainArena : public PageTable {
       rec.Step();
       if (const std::optional<TlbFill> fill = match(n, addr); fill && fill->Covers(vpn)) {
         return rec.Hit(*fill);
+      }
+    }
+    return std::nullopt;
+  }
+
+  // Probe's uncounted twin: the first node of bucket `b`'s chain whose
+  // `match(node)` fill covers `vpn`, with that fill, or nullopt.  It charges
+  // no line and records no event, so it may run outside a walk.
+  template <typename Match>
+  std::optional<CoveringNode<Node>> FindCovering(std::uint32_t b, Vpn vpn, Match match) {
+    for (Node& n : Nodes(b)) {
+      if (const std::optional<TlbFill> fill = match(n); fill && fill->Covers(vpn)) {
+        return CoveringNode<Node>{n, *fill};
       }
     }
     return std::nullopt;
@@ -207,8 +230,7 @@ class ChainArena : public PageTable {
 
   // A new node of `bytes` simulated bytes, linked at the head of bucket
   // `b`'s chain and otherwise default-initialized.  Fault path only: a node
-  // is created when a key is first inserted; PageTable::UpdateAttrFlags's
-  // rewrite replaces an existing node and never allocates.
+  // is created when a key is first inserted.
   Node& Alloc(std::uint32_t b, std::uint64_t bytes) {
     const std::int32_t idx = LinkNewSlot(b);
     Node& n = arena_[idx];

@@ -158,25 +158,21 @@ bool ForwardMappedPageTable::RemoveSuperpage(Vpn base_vpn, PageSize size) {
   return WriteReplicas(base_vpn, size.pages(), MappingWord::Invalid(), ReplicaSites::kAll);
 }
 
-bool ForwardMappedPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                                             std::uint16_t clear_mask) {
-  // Uncounted structural update: R/M-bit maintenance rides on the walk the
-  // miss already paid for (Section 3.1), so it models no memory traffic.
+std::optional<Attr> ForwardMappedPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                                            std::uint16_t clear_mask) {
   if (opts_.intermediate_superpages) {
     for (unsigned level = kNumLevels; level >= 2; --level) {
       auto it = inner_[level].find(PrefixAt(vpn, level));
       if (it == inner_[level].end()) {
-        return false;
+        return std::nullopt;
       }
       auto slot_it = it->second.super_slots.find(IndexAt(vpn, level));
       if (slot_it != it->second.super_slots.end()) {
-        const TlbFill fill = FillFromWord(vpn, slot_it->second.load());
-        if (!fill.Covers(vpn)) {
-          return false;
+        if (!FillFromWord(vpn, slot_it->second.load()).Covers(vpn)) {
+          return std::nullopt;
         }
         // Intermediate superpage PTEs are single-site: one word, no replicas.
-        ApplyAttrUpdate(slot_it->second, set_mask, clear_mask);
-        return true;
+        return ApplyAttrUpdate(slot_it->second, set_mask, clear_mask);
       }
     }
   }

@@ -57,8 +57,8 @@ class ForwardMappedPageTable final : public ReplicatedLeafTable<ForwardMappedPag
                            std::vector<TlbFill>& out) override;
   void InsertSuperpage(Vpn base_vpn, PageSize size, Ppn base_ppn, Attr attr) override;
   bool RemoveSuperpage(Vpn base_vpn, PageSize size) override;
-  CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                               std::uint16_t clear_mask) override;
+  CPT_HOT std::optional<Attr> UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                              std::uint16_t clear_mask) override;
   std::uint64_t SizeBytesPaperModel() const override;
   std::uint64_t SizeBytesActual() const override;
   std::string name() const override { return "forward-mapped"; }

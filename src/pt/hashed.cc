@@ -35,14 +35,14 @@ HashedPageTable::HashedPageTable(mem::CacheTouchModel& cache, Options opts)
 
 HashedPageTable::~HashedPageTable() = default;
 
-TlbFill HashedPageTable::FillFrom(const HashedNode& n, MappingWord word) const {
-  TlbFill fill;
-  fill.kind = word.kind();
-  fill.word = word;
-  fill.base_vpn = n.base_vpn;
+std::optional<TlbFill> HashedPageTable::Match(const HashedNode& n, std::uint64_t key) const {
+  if (n.key != key) {
+    return std::nullopt;
+  }
+  const MappingWord word = n.word.load();
+  TlbFill fill{.kind = word.kind(), .base_vpn = n.base_vpn, .word = word};
   switch (word.kind()) {
     case MappingKind::kBase:
-      fill.pages_log2 = 0;
       break;
     case MappingKind::kSuperpage:
       fill.pages_log2 = word.page_size().size_log2;
@@ -61,15 +61,25 @@ std::optional<TlbFill> HashedPageTable::Lookup(VirtAddr va) {
   const Vpn vpn = VpnOf(va);
   const std::uint64_t key = ChainKeyOf(vpn);
   const std::uint64_t tag_next = TagNextBytes(opts_.packed_pte);
-  return Probe(BucketOf(key), vpn, tag_next,
-               [&](const HashedNode& n, PhysAddr addr) -> std::optional<TlbFill> {
-                 if (n.key != key) {
-                   return std::nullopt;
-                 }
-                 // Read the mapping word of the matching node.
-                 cache_.Touch(addr + tag_next, kWordBytes);
-                 return FillFrom(n, n.word.load());
-               });
+  return Probe(BucketOf(key), vpn, tag_next, [&](const HashedNode& n, PhysAddr addr) {
+    const std::optional<TlbFill> fill = Match(n, key);
+    if (fill) {
+      // Read the mapping word of the matching node.
+      cache_.Touch(addr + tag_next, kWordBytes);
+    }
+    return fill;
+  });
+}
+
+std::optional<Attr> HashedPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                                     std::uint16_t clear_mask) {
+  const std::uint64_t key = ChainKeyOf(vpn);
+  const auto hit =
+      FindCovering(BucketOf(key), vpn, [&](const HashedNode& n) { return Match(n, key); });
+  if (!hit) {
+    return std::nullopt;
+  }
+  return ApplyAttrUpdate(hit->node.word, set_mask, clear_mask);
 }
 
 std::int32_t* HashedPageTable::FindWord(std::uint32_t b, Vpn base_vpn, MappingKind kind,
@@ -144,24 +154,6 @@ std::uint64_t HashedPageTable::ProtectRange(Vpn first_vpn, std::uint64_t npages,
     }
   }
   return searches;
-}
-
-bool HashedPageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask) {
-  // Section 3.1: an uncounted chain walk, then an atomic R/M update on the
-  // covering word — no lock, no word rewrite, safe under concurrent walkers.
-  const std::uint64_t key = ChainKeyOf(vpn);
-  for (HashedNode& n : Nodes(BucketOf(key))) {
-    if (n.key != key) {
-      continue;
-    }
-    const TlbFill fill = FillFrom(n, n.word.load());
-    if (!fill.Covers(vpn)) {
-      continue;  // Keep searching, as in Lookup (Section 5).
-    }
-    ApplyAttrUpdate(n.word, set_mask, clear_mask);
-    return true;
-  }
-  return false;
 }
 
 std::string HashedPageTable::name() const {

@@ -79,11 +79,8 @@ class HashedPageTable final : public ChainArena<HashedNode> {
   void InsertBase(Vpn vpn, Ppn ppn, Attr attr) override;
   bool RemoveBase(Vpn vpn) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
-  // Lock-free R/M-bit update (Section 3.1): an uncounted chain walk followed
-  // by an atomic fetch_or/CAS on the covering word — safe against concurrent
-  // walkers and other updaters.
-  CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                               std::uint16_t clear_mask) override;
+  CPT_HOT std::optional<Attr> UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                              std::uint16_t clear_mask) override;
   std::string name() const override;
 
   // ---- Generic keyed access (used directly by MultiTableHashed) ----
@@ -110,7 +107,9 @@ class HashedPageTable final : public ChainArena<HashedNode> {
 
   // The link to the node UpsertWord rewrites, on bucket `b` of its key.
   std::int32_t* FindWord(std::uint32_t b, Vpn base_vpn, MappingKind kind, PageSize size);
-  TlbFill FillFrom(const HashedNode& n, MappingWord word) const;
+  // The one match of Lookup and UpdateAttrFlags: the fill node `n` holds
+  // for chain key `key`, or nullopt on a tag mismatch.
+  std::optional<TlbFill> Match(const HashedNode& n, std::uint64_t key) const;
 
   const Options opts_;
 };

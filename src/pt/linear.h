@@ -75,8 +75,8 @@ class LinearPageTable final
   }
   void InsertSuperpage(Vpn base_vpn, PageSize size, Ppn base_ppn, Attr attr) override;
   bool RemoveSuperpage(Vpn base_vpn, PageSize size) override;
-  CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                               std::uint16_t clear_mask) override {
+  CPT_HOT std::optional<Attr> UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                              std::uint16_t clear_mask) override {
     return UpdateLeafAttrFlags(vpn, set_mask, clear_mask);
   }
   std::uint64_t SizeBytesPaperModel() const override;

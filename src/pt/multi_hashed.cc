@@ -74,11 +74,15 @@ bool MultiTableHashed::RemovePartialSubblock(Vpn block_base_vpn, unsigned /*subb
   return block_.RemoveWord(block_base_vpn, MappingKind::kPartialSubblock);
 }
 
-bool MultiTableHashed::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask) {
-  // R/M bits live in whichever constituent table holds the covering PTE.
+std::optional<Attr> MultiTableHashed::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                                      std::uint16_t clear_mask) {
+  // R/M bits live in whichever constituent table holds the covering PTE;
+  // the first one in search order answers, as in Lookup.
   const auto [first, second] = InSearchOrder();
-  return first->UpdateAttrFlags(vpn, set_mask, clear_mask) ||
-         second->UpdateAttrFlags(vpn, set_mask, clear_mask);
+  if (const auto was = first->UpdateAttrFlags(vpn, set_mask, clear_mask)) {
+    return was;
+  }
+  return second->UpdateAttrFlags(vpn, set_mask, clear_mask);
 }
 
 std::uint64_t MultiTableHashed::ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) {
@@ -121,13 +125,6 @@ SuperpageIndexHashed::SuperpageIndexHashed(mem::CacheTouchModel& cache, Options 
   CPT_CHECK(IsPowerOfTwo(opts.subblock_factor));
 }
 
-TlbFill SuperpageIndexHashed::FillFrom(const SpIndexNode& n, MappingWord word) {
-  return TlbFill{.kind = word.kind(),
-                 .base_vpn = n.base_vpn,
-                 .pages_log2 = n.pages_log2,
-                 .word = word};
-}
-
 std::uint64_t SuperpageIndexHashed::TranslationCount(const SpIndexNode& n) {
   const MappingWord word = n.word.load();
   switch (word.kind()) {
@@ -141,20 +138,40 @@ std::uint64_t SuperpageIndexHashed::TranslationCount(const SpIndexNode& n) {
   return 0;
 }
 
+std::optional<TlbFill> SuperpageIndexHashed::Match(const SpIndexNode& n, Vpn vpn) {
+  // Tag comparison checks whether this node's covered range contains the
+  // page; superpage and base PTEs for one block share the bucket.
+  const PageSize node_size{n.pages_log2};
+  if (SuperpageBaseVpn(vpn, node_size) != SuperpageBaseVpn(n.base_vpn, node_size)) {
+    return std::nullopt;
+  }
+  const MappingWord word = n.word.load();
+  return TlbFill{
+      .kind = word.kind(), .base_vpn = n.base_vpn, .pages_log2 = n.pages_log2, .word = word};
+}
+
 std::optional<TlbFill> SuperpageIndexHashed::Lookup(VirtAddr va) {
   const Vpn vpn = VpnOf(va);
   return Probe(BucketOf(BlockKeyOf(vpn)), vpn, kTagNextBytes,
-               [&](const SpIndexNode& n, PhysAddr addr) -> std::optional<TlbFill> {
-                 // Tag comparison checks whether this node's covered range
-                 // contains the faulting page; superpage and base PTEs for
-                 // one block share the bucket.
-                 const PageSize node_size{n.pages_log2};
-                 if (SuperpageBaseVpn(vpn, node_size) != SuperpageBaseVpn(n.base_vpn, node_size)) {
-                   return std::nullopt;
+               [&](const SpIndexNode& n, PhysAddr addr) {
+                 const std::optional<TlbFill> fill = Match(n, vpn);
+                 if (fill) {
+                   cache_.Touch(addr + kTagNextBytes, kWordBytes);
                  }
-                 cache_.Touch(addr + kTagNextBytes, kWordBytes);
-                 return FillFrom(n, n.word.load());
+                 return fill;
                });
+}
+
+std::optional<Attr> SuperpageIndexHashed::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                                          std::uint16_t clear_mask) {
+  // The update hits the word in place, so a single node carries the bit for
+  // every page it covers.
+  const auto hit = FindCovering(BucketOf(BlockKeyOf(vpn)), vpn,
+                                [&](const SpIndexNode& n) { return Match(n, vpn); });
+  if (!hit) {
+    return std::nullopt;
+  }
+  return ApplyAttrUpdate(hit->node.word, set_mask, clear_mask);
 }
 
 std::int32_t* SuperpageIndexHashed::FindNode(std::uint32_t b, Vpn base_vpn, unsigned pages_log2,
@@ -218,27 +235,6 @@ void SuperpageIndexHashed::UpsertPartialSubblock(Vpn block_base_vpn, unsigned su
 
 bool SuperpageIndexHashed::RemovePartialSubblock(Vpn block_base_vpn, unsigned /*subblock_factor*/) {
   return Remove(block_base_vpn, block_shift_, MappingKind::kPartialSubblock);
-}
-
-bool SuperpageIndexHashed::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                                           std::uint16_t clear_mask) {
-  // Uncounted structural walk: R/M-bit maintenance is a hardware side effect
-  // of the walk the miss already paid for (Section 3.1), so it models no
-  // extra memory traffic.  The update hits the word in place — atomically —
-  // so a single node carries the bit for every page it covers.
-  for (SpIndexNode& n : Nodes(BucketOf(BlockKeyOf(vpn)))) {
-    const PageSize node_size{n.pages_log2};
-    if (SuperpageBaseVpn(vpn, node_size) != SuperpageBaseVpn(n.base_vpn, node_size)) {
-      continue;
-    }
-    const TlbFill fill = FillFrom(n, n.word.load());
-    if (!fill.Covers(vpn)) {
-      continue;
-    }
-    ApplyAttrUpdate(n.word, set_mask, clear_mask);
-    return true;
-  }
-  return false;
 }
 
 std::uint64_t SuperpageIndexHashed::ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) {

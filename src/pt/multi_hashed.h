@@ -53,8 +53,8 @@ class MultiTableHashed final : public PageTable {
   void UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor, Ppn block_base_ppn,
                              Attr attr, std::uint16_t valid_vector) override;
   bool RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) override;
-  CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                               std::uint16_t clear_mask) override;
+  CPT_HOT std::optional<Attr> UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                              std::uint16_t clear_mask) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
   std::uint64_t SizeBytesPaperModel() const override;
   std::uint64_t SizeBytesActual() const override;
@@ -116,8 +116,8 @@ class SuperpageIndexHashed final : public ChainArena<SpIndexNode> {
   void UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor, Ppn block_base_ppn,
                              Attr attr, std::uint16_t valid_vector) override;
   bool RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) override;
-  CPT_HOT bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
-                               std::uint16_t clear_mask) override;
+  CPT_HOT std::optional<Attr> UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                              std::uint16_t clear_mask) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
   std::string name() const override { return "hashed-spindex"; }
 
@@ -140,7 +140,9 @@ class SuperpageIndexHashed final : public ChainArena<SpIndexNode> {
   std::int32_t* FindNode(std::uint32_t b, Vpn base_vpn, unsigned pages_log2, MappingKind kind);
   void Upsert(Vpn base_vpn, unsigned pages_log2, MappingWord word);
   bool Remove(Vpn base_vpn, unsigned pages_log2, MappingKind kind);
-  static TlbFill FillFrom(const SpIndexNode& n, MappingWord word);
+  // The one match of Lookup and UpdateAttrFlags: the fill node `n` holds
+  // for `vpn`, or nullopt when its range does not contain vpn's.
+  static std::optional<TlbFill> Match(const SpIndexNode& n, Vpn vpn);
   static std::uint64_t TranslationCount(const SpIndexNode& n);
 
   Options opts_;

@@ -28,49 +28,14 @@ std::optional<TlbFill> PageTable::LookupUncounted(VirtAddr va) {
   return fill;
 }
 
-bool PageTable::UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask) {
-  // Uncounted walk: the miss handler just read this word's line.
-  const auto fill = LookupUncounted(VaOf(vpn));
-  if (!fill) {
-    return false;
-  }
-  const Attr updated{
-      static_cast<std::uint16_t>((fill->word.attr().bits | set_mask) & ~clear_mask)};
-  // Rewrite the covering word through the table's own upsert operation for
-  // its format; every organization replaces in place.
-  switch (fill->kind) {
-    case MappingKind::kBase:
-      InsertBase(vpn, fill->word.ppn(), updated);
-      break;
-    case MappingKind::kSuperpage:
-      InsertSuperpage(fill->base_vpn, fill->word.page_size(), fill->word.ppn(), updated);
-      break;
-    case MappingKind::kPartialSubblock:
-      UpsertPartialSubblock(fill->base_vpn, fill->pages(), fill->word.ppn(), updated,
-                            fill->word.valid_vector());
-      break;
-  }
-  return true;
-}
-
-std::optional<Attr> PageTable::PeekAttr(Vpn vpn) {
-  const auto fill = LookupUncounted(VaOf(vpn));
-  if (!fill) {
-    return std::nullopt;
-  }
-  return fill->word.attr();
-}
-
 std::uint64_t PageTable::ScanAndClearReferenced(Vpn first_vpn, std::uint64_t npages) {
   // The clock-daemon sweep.  The count is PTE-granular: a referenced
   // superpage or PSB word counts once, because clearing its bit at the
   // first covered page clears it for the rest of the word's range.
   std::uint64_t referenced = 0;
   for (std::uint64_t i = 0; i < npages; ++i) {
-    const Vpn vpn = first_vpn + i;
-    const auto attr = PeekAttr(vpn);
-    if (attr.has_value() && attr->test(Attr::kReferenced)) {
-      UpdateAttrFlags(vpn, 0, Attr::kReferenced);
+    const auto was = UpdateAttrFlags(first_vpn + i, 0, Attr::kReferenced);
+    if (was.has_value() && was->test(Attr::kReferenced)) {
       ++referenced;
     }
   }

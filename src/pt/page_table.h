@@ -167,9 +167,9 @@ class PageTable {
   CPT_HOT virtual void LookupBlock(VirtAddr va, unsigned subblock_factor,
                                    std::vector<TlbFill>& out);
 
-  // Lookup inside a walk that is then aborted, so it counts no lines: the
-  // reference-TLB refill, PeekAttr and the default UpdateAttrFlags.  A
-  // tracer still sees its steps, closed by kWalkAbort.
+  // Lookup inside a walk that is then aborted, so it counts no lines.  Its
+  // one caller is the reference-TLB refill (sim::Machine::Access).  A tracer
+  // still sees its steps, closed by kWalkAbort.
   [[nodiscard]] CPT_HOT std::optional<TlbFill> LookupUncounted(VirtAddr va);
 
   // ---- OS update path ----
@@ -196,21 +196,25 @@ class PageTable {
   // Returns the number of structure searches performed (Section 3.1 metric).
   virtual std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) = 0;
 
-  // ORs `set_mask` into and clears `clear_mask` from the attribute bits of
-  // the word covering vpn.  This is the TLB miss handler's lock-free
-  // referenced/modified-bit update (Section 3.1) and the page daemon's
-  // clear; the word's line was just read by the walk, so it is uncounted.
-  // Returns false when no mapping covers vpn.  The default implementation
-  // re-walks (uncounted) and asks the table to rewrite the found word; it
-  // works for every organization because UpdateWordAttr dispatches on the
-  // fill the walk produced.
-  CPT_HOT virtual bool UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask);
+  // The one R/M-bit primitive (DESIGN.md decision 15): ORs `set_mask` into
+  // and clears `clear_mask` from the attribute bits of the word covering
+  // vpn, atomically and without a lock, and returns those bits as they were
+  // before the update; nullopt when nothing maps vpn.  It is the TLB miss
+  // handler's referenced/modified-bit update (Section 3.1), the page
+  // daemon's test-and-clear and, with both masks zero, a read-only peek.
+  // The table that stores the word owns its bits: a wrapper forwards, and
+  // a word replicated per site or per page block is updated at every
+  // replica.  It touches no cache model (the miss handler already read the
+  // word's line), so any thread may call it while the structure is frozen.
+  CPT_HOT virtual std::optional<Attr> UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                                      std::uint16_t clear_mask) = 0;
 
-  // Reads the attribute bits of the covering word without counting lines.
-  std::optional<Attr> PeekAttr(Vpn vpn);
+  // The attribute bits of the word covering vpn: UpdateAttrFlags(vpn, 0, 0).
+  std::optional<Attr> PeekAttr(Vpn vpn) { return UpdateAttrFlags(vpn, 0, 0); }
 
-  // Clock-daemon sweep: counts pages in [first_vpn, first_vpn+npages) whose
-  // referenced bit is set, clearing it (Section 3.1's page-aging scan).
+  // Clock-daemon sweep: one test-and-clear of the referenced bit per page of
+  // [first_vpn, first_vpn+npages); returns how many were set (Section 3.1's
+  // page-aging scan).
   std::uint64_t ScanAndClearReferenced(Vpn first_vpn, std::uint64_t npages);
 
   // ---- Metrics ----

@@ -208,26 +208,31 @@ class ReplicatedLeafTable : public PageTable {
     }
   }
 
-  // Uncounted structural update: R/M-bit maintenance rides on the walk the
-  // miss already paid for (Section 3.1), so it models no memory traffic.
-  // The update hits every replica of the word covering `vpn`; otherwise a
-  // later scan at a sibling site would read stale bits.
-  bool UpdateLeafAttrFlags(Vpn vpn, std::uint16_t set_mask, std::uint16_t clear_mask) {
+  // PageTable::UpdateAttrFlags for the leaves.  The update hits every
+  // replica of the word covering `vpn`; otherwise a later scan at a sibling
+  // site would read stale bits.  Returns the bits of the word at vpn's site.
+  std::optional<Attr> UpdateLeafAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                          std::uint16_t clear_mask) {
     Leaf* leaf = FindLeaf(vpn);
     if (leaf == nullptr) {
-      return false;
+      return std::nullopt;
     }
-    const MappingWord word = leaf->slots[SlotOf(vpn)].load();
+    AtomicMappingWord& own = leaf->slots[SlotOf(vpn)];
+    const MappingWord word = own.load();
     if (word == MappingWord::Invalid()) {
-      return false;
+      return std::nullopt;
     }
     const TlbFill fill = FillFromWord(vpn, word);
     if (!fill.Covers(vpn)) {
-      return false;
+      return std::nullopt;
     }
+    const Attr was = ApplyAttrUpdate(own, set_mask, clear_mask);
     const std::uint64_t npages = std::uint64_t{1} << fill.pages_log2;
     for (std::uint64_t i = 0; i < npages; ++i) {
       const Vpn site = fill.base_vpn + i;
+      if (site == vpn) {
+        continue;
+      }
       Leaf* site_leaf = KeyOf(site) == KeyOf(vpn) ? leaf : FindLeaf(site);
       if (site_leaf == nullptr) {
         continue;
@@ -239,7 +244,7 @@ class ReplicatedLeafTable : public PageTable {
       }
       ApplyAttrUpdate(slot, set_mask, clear_mask);
     }
-    return true;
+    return was;
   }
 
   // Stores `word` (MappingWord::Invalid() clears) at the sites of the

@@ -182,12 +182,4 @@ std::string SoftwareTlb::name() const {
          backing_->name();
 }
 
-void SoftwareTlb::FlushCache() {
-  for (Entry& e : entries_) {
-    e.valid = false;
-  }
-  hits_ = 0;
-  misses_ = 0;
-}
-
 }  // namespace cpt::pt

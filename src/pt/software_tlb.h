@@ -18,6 +18,8 @@
 //
 // Implemented as a PageTable decorator: Lookup() probes the array first;
 // updates write through to the backing table and invalidate affected slots.
+// R/M bits live in the backing table alone (UpdateAttrFlags forwards), so a
+// slot's copy of a word's attribute bits is never read.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +63,12 @@ class SoftwareTlb final : public PageTable {
                              Attr attr, std::uint16_t valid_vector) override;
   bool RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
+  // The backing table owns the R/M bits: slots cache translations only, so
+  // an attribute update neither reads nor invalidates them.
+  CPT_HOT std::optional<Attr> UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
+                                              std::uint16_t clear_mask) override {
+    return backing_->UpdateAttrFlags(vpn, set_mask, clear_mask);
+  }
   std::uint64_t SizeBytesPaperModel() const override;
   std::uint64_t SizeBytesActual() const override;
   std::uint64_t live_translations() const override { return backing_->live_translations(); }
@@ -70,7 +78,6 @@ class SoftwareTlb final : public PageTable {
   const PageTable& backing() const { return *backing_; }
   std::uint64_t probe_hits() const { return hits_; }
   std::uint64_t probe_misses() const { return misses_; }
-  void FlushCache();
 
  private:
   friend class check::TestBackdoor;

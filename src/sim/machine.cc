@@ -119,7 +119,7 @@ std::unique_ptr<pt::PageTable> MakePageTable(PtKind kind, mem::CacheTouchModel& 
     table = std::make_unique<pt::SoftwareTlb>(
         cache, std::move(table),
         pt::SoftwareTlb::Options{.num_sets = opts.swtlb_sets,
-                                 .ways = opts.swtlb_ways,
+                                 .ways = kSwTlbWays,
                                  .clustered_entries = opts.swtlb_clustered_entries,
                                  .subblock_factor = opts.subblock_factor});
   }
@@ -188,13 +188,13 @@ Machine::Machine(MachineOptions opts, unsigned num_processes)
                                 .subblock_factor = opts_.subblock_factor});
     procs_.push_back(std::move(ctx));
   }
-  // Linear page tables live in virtual memory: 8 of the TLB's entries are
-  // reserved for mappings to the table itself, so the workload effectively
-  // has fewer entries, while the normalization denominator still uses the
-  // full-size TLB (Section 6.1).
+  // Linear page tables live in virtual memory: kLinearReservedTlbEntries of
+  // the TLB's entries are reserved for mappings to the table itself, so the
+  // workload effectively has fewer entries, while the normalization
+  // denominator still uses the full-size TLB (Section 6.1).
   if (IsLinearTable(opts_.pt_kind)) {
-    CPT_CHECK(opts_.tlb_entries > opts_.linear_reserved_entries);
-    tlb_ = MakeTlb(opts_.tlb_entries - opts_.linear_reserved_entries);
+    CPT_CHECK(opts_.tlb_entries > kLinearReservedTlbEntries);
+    tlb_ = MakeTlb(opts_.tlb_entries - kLinearReservedTlbEntries);
     ref_tlb_ = MakeTlb(opts_.tlb_entries);
   } else {
     tlb_ = MakeTlb(opts_.tlb_entries);

@@ -11,7 +11,7 @@
 // whole block's mappings in one walk (Section 4.4).
 //
 // Linear page tables get the paper's reserved-entry treatment: the effective
-// TLB loses `linear_reserved_entries` entries to page-table mappings, while
+// TLB loses kLinearReservedTlbEntries entries to page-table mappings, while
 // a full-size reference TLB provides the normalization denominator, so the
 // reported cache-lines-per-miss metric includes the opportunity cost of the
 // reserved entries (Section 6.1).
@@ -63,12 +63,16 @@ constexpr bool IsLinearTable(PtKind kind) {
   return kind == PtKind::kLinear6 || kind == PtKind::kLinear1 || kind == PtKind::kLinearHashed;
 }
 
+// TLB entries a linear page table reserves for its own mappings: the
+// paper's 8 of 64 (Section 6.1).
+inline constexpr unsigned kLinearReservedTlbEntries = 8;
+// Associativity of the software TLB (MachineOptions::swtlb_sets).
+inline constexpr unsigned kSwTlbWays = 2;
+
 struct MachineOptions {
   PtKind pt_kind = PtKind::kClustered;
   TlbKind tlb_kind = TlbKind::kSinglePage;
   unsigned tlb_entries = 64;
-  // Linear page tables reserve this many TLB entries for their own mappings.
-  unsigned linear_reserved_entries = 8;
   unsigned subblock_factor = kDefaultSubblockFactor;
   std::uint32_t num_buckets = kDefaultHashBuckets;
   std::uint32_t line_size = kDefaultCacheLineSize;
@@ -79,7 +83,6 @@ struct MachineOptions {
   // Interpose a software TLB (TSB) between the hardware TLB and the page
   // table (Sections 2 & 7).  0 disables it.
   std::uint32_t swtlb_sets = 0;
-  unsigned swtlb_ways = 2;
   bool swtlb_clustered_entries = false;
   // Section 7: use one page table shared by all processes (global effective
   // addresses, as in single-address-space or segmented systems) instead of

@@ -34,14 +34,14 @@ void ToJson(obs::JsonWriter& w, const MachineOptions& opts) {
   w.KV("pt_kind", ToString(opts.pt_kind));
   w.KV("tlb_kind", ToString(opts.tlb_kind));
   w.KV("tlb_entries", opts.tlb_entries);
-  w.KV("linear_reserved_entries", opts.linear_reserved_entries);
+  w.KV("linear_reserved_entries", kLinearReservedTlbEntries);
   w.KV("subblock_factor", opts.subblock_factor);
   w.KV("num_buckets", opts.num_buckets);
   w.KV("line_size", opts.line_size);
   w.KV("prefetch_on_block_miss", opts.prefetch_on_block_miss);
   w.KV("hashed_block_first", opts.hashed_block_first);
   w.KV("swtlb_sets", opts.swtlb_sets);
-  w.KV("swtlb_ways", opts.swtlb_ways);
+  w.KV("swtlb_ways", kSwTlbWays);
   w.KV("swtlb_clustered_entries", opts.swtlb_clustered_entries);
   w.KV("shared_page_table", opts.shared_page_table);
   w.KV("maintain_ref_bits", opts.maintain_ref_bits);

@@ -357,7 +357,7 @@ TEST(AttributionTracerTest, DeepChainHitOverflows) {
 
 TEST(AttributionTracerTest, EventsOutsideAServiceAreUncounted) {
   AttributionTracer attr;
-  // Reference-TLB refills and PeekAttr probes walk without a preceding miss
+  // Reference-TLB refills (LookupUncounted) walk without a preceding miss
   // event; they must not pollute the breakdown.
   attr.Record(Step(1, 1));
   attr.Record(End(1, 1));

@@ -10,7 +10,8 @@
 //     threads start;
 //   - the cache-touch model is single-walker: exactly one thread performs
 //     counted walks, so every other thread sticks to uncounted operations
-//     (UpdateAttrFlags, Peek/PeekBase).
+//     (UpdateAttrFlags and the PeekAttr and ScanAndClearReferenced built on
+//     it, HashedPageTable::Peek).
 //
 // gtest assertions are not thread-safe, so worker threads record failures
 // in atomics and the main thread asserts after joining.
@@ -105,8 +106,9 @@ TEST(ConcurrencyHammerTest, HashedLookupUpdate) {
   EXPECT_TRUE(report.ok()) << report.Summary();
 }
 
-// Clustered table: concurrent Lookup, PeekBase, and R/M updates over base
-// pages and a superpage word (whose single PTE all covered pages share).
+// Clustered table: concurrent Lookup, PeekAttr, R/M updates over base pages
+// and a superpage word (whose single PTE all covered pages share), and a
+// clock sweep test-and-clearing R over the base pages as they are set.
 TEST(ConcurrencyHammerTest, ClusteredLookupUpdate) {
   constexpr unsigned kPages = 512;
   constexpr unsigned kUpdaters = 2;
@@ -141,18 +143,37 @@ TEST(ConcurrencyHammerTest, ClusteredLookupUpdate) {
   threads.emplace_back([&] {  // uncounted reader
     for (unsigned pass = 0; pass < kPasses; ++pass) {
       for (unsigned i = 0; i < kPages; ++i) {
-        if (!table.PeekBase(base + i).has_value()) {
+        const auto attr = table.PeekAttr(base + i);
+        if (!attr.has_value() || !attr->test(Attr::kWrite)) {
           failures.fetch_add(1, std::memory_order_relaxed);
         }
       }
     }
   });
+  // Every update and sweep step is a test-and-set or test-and-clear, so
+  // each R transition is seen by exactly one thread: the updaters' 0->1
+  // transitions must equal the sweeps' 1->0 transitions plus the R bits
+  // left at the end.  A clear that is not one atomic step loses a set that
+  // lands inside it and breaks the balance.
+  std::atomic<std::uint64_t> r_sets{0};
+  std::atomic<std::uint64_t> r_clears{0};
+  threads.emplace_back([&] {  // clock sweep
+    for (unsigned pass = 0; pass < kPasses; ++pass) {
+      r_clears.fetch_add(table.ScanAndClearReferenced(base, kPages), std::memory_order_relaxed);
+    }
+  });
   for (unsigned u = 0; u < kUpdaters; ++u) {
     threads.emplace_back([&, u] {
       for (unsigned pass = 0; pass < kPasses; ++pass) {
+        // M is set once, on the first pass, so an M lost to a sweep's
+        // concurrent clear of R would stay lost.
+        const std::uint16_t set = pass == 0 ? kRefMod : Attr::kReferenced;
         for (unsigned i = 0; i < kPages; ++i) {
-          if (!table.UpdateAttrFlags(base + i, kRefMod, 0)) {
+          const auto was = table.UpdateAttrFlags(base + i, set, 0);
+          if (!was) {
             failures.fetch_add(1, std::memory_order_relaxed);
+          } else if (!was->test(Attr::kReferenced)) {
+            r_sets.fetch_add(1, std::memory_order_relaxed);
           }
         }
         // Both updaters hit the same superpage word through different
@@ -169,9 +190,14 @@ TEST(ConcurrencyHammerTest, ClusteredLookupUpdate) {
   for (unsigned i = 0; i < kPages; ++i) {
     const auto attr = table.PeekAttr(base + i);
     ASSERT_TRUE(attr.has_value());
-    EXPECT_TRUE(attr->test(Attr::kReferenced));
-    EXPECT_TRUE(attr->test(Attr::kModified));
+    EXPECT_TRUE(attr->test(Attr::kModified)) << "the sweep's clear of R must not lose M";
+    EXPECT_TRUE(attr->test(Attr::kRead) && attr->test(Attr::kWrite))
+        << "protection bits must survive the hammer";
   }
+  // A last sweep clears whatever R the updaters left; the next finds none.
+  EXPECT_EQ(r_sets.load(), r_clears.load() + table.ScanAndClearReferenced(base, kPages))
+      << "an R transition was lost";
+  EXPECT_EQ(table.ScanAndClearReferenced(base, kPages), 0u);
   // The superpage's one PTE is referenced and counts exactly once.
   EXPECT_TRUE(table.PeekAttr(super_base + super_pages - 1)->test(Attr::kReferenced));
   EXPECT_EQ(table.ScanAndClearReferenced(super_base, super_pages), 1u);
