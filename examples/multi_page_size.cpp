@@ -80,11 +80,9 @@ int main() {
       if (log2 == 0) {
         table->InsertBase(m.base_vpn, Ppn{m.base_vpn.raw() & kPpnMask}, Attr::ReadWrite());
       } else {
-        table->UpsertWord(
-            m.base_vpn,
-            MappingWord::Superpage(
-                Ppn{m.base_vpn.raw() & kPpnMask & ~((1ull << log2) - 1)},
-                Attr::ReadWrite(), PageSize{log2}));
+        table->InsertSuperpage(m.base_vpn, PageSize{log2},
+                               Ppn{m.base_vpn.raw() & kPpnMask & ~((1ull << log2) - 1)},
+                               Attr::ReadWrite());
       }
     }
     hashed_bytes += table->SizeBytesPaperModel();

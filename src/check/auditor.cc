@@ -245,13 +245,10 @@ ChainRules RulesFor(const Table& table) {
           .paper_bytes = true};
 }
 ChainRules RulesFor(const pt::HashedPageTable& table) {
-  // A hashed superpage word claims its full 2^SZ pages (TranslationsOf).
-  return {.words = {.psb_factor = table.tag_shift() > 0 ? (1u << table.tag_shift()) : 16,
-                    .superpage_full_claim = true},
+  // A hashed superpage word claims its full 2^SZ pages (TranslationsOf); a
+  // PSB word is one key span.
+  return {.words = {.psb_factor = 1u << table.tag_shift(), .superpage_full_claim = true},
           .tag_shift = table.tag_shift()};
-}
-ChainRules RulesFor(const pt::SuperpageIndexHashed& table) {
-  return {.words = {.psb_factor = 1u << table.block_shift()}, .tag_shift = table.block_shift()};
 }
 
 // The one audit of a pt::ChainArena table: bucket membership, tags, cycles,
@@ -308,10 +305,6 @@ AuditReport StructuralAuditor::Audit(const core::AdaptiveClusteredPageTable& tab
 }
 
 AuditReport StructuralAuditor::Audit(const pt::HashedPageTable& table) {
-  return AuditChains(table);
-}
-
-AuditReport StructuralAuditor::Audit(const pt::SuperpageIndexHashed& table) {
   return AuditChains(table);
 }
 
@@ -427,9 +420,6 @@ AuditReport StructuralAuditor::AuditPageTable(const pt::PageTable& table) {
     return report;
   }
   if (const auto* t = dynamic_cast<const pt::MultiTableHashed*>(&table)) {
-    return Audit(*t);
-  }
-  if (const auto* t = dynamic_cast<const pt::SuperpageIndexHashed*>(&table)) {
     return Audit(*t);
   }
   if (const auto* t = dynamic_cast<const pt::HashedPageTable*>(&table)) {

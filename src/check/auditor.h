@@ -43,7 +43,6 @@ namespace cpt::pt {
 class PageTable;
 class HashedPageTable;
 class MultiTableHashed;
-class SuperpageIndexHashed;
 class LinearPageTable;
 class ForwardMappedPageTable;
 }  // namespace cpt::pt
@@ -74,7 +73,6 @@ class StructuralAuditor {
   static AuditReport Audit(const core::AdaptiveClusteredPageTable& table);
   static AuditReport Audit(const pt::HashedPageTable& table);
   static AuditReport Audit(const pt::MultiTableHashed& table);
-  static AuditReport Audit(const pt::SuperpageIndexHashed& table);
   static AuditReport Audit(const pt::LinearPageTable& table);
   static AuditReport Audit(const pt::ForwardMappedPageTable& table);
 

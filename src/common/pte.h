@@ -339,4 +339,15 @@ inline Attr ApplyAttrUpdate(AtomicMappingWord& cell, std::uint16_t set_mask,
   }
 }
 
+// The one attribute write of ProtectRange: gives one PTE cell `attr`'s
+// protection bits and keeps its Referenced/Modified bits, in one atomic
+// update, so an mprotect loses neither the R/M history nor an R/M bit a
+// concurrent miss handler sets.
+inline void ProtectWord(AtomicMappingWord& cell, Attr attr) {
+  constexpr std::uint16_t kAttrBits = 0xFFF;
+  constexpr std::uint16_t kKept = Attr::kReferenced | Attr::kModified;
+  const auto set = static_cast<std::uint16_t>(attr.bits & kAttrBits & ~kKept);
+  ApplyAttrUpdate(cell, set, static_cast<std::uint16_t>(kAttrBits & ~kKept & ~set));
+}
+
 }  // namespace cpt

@@ -342,6 +342,8 @@ std::uint64_t AdaptiveClusteredPageTable::ProtectRange(Vpn first_vpn, std::uint6
   if (npages == 0) {
     return 0;
   }
+  // One hash search per page block; each word is rewritten only if its own
+  // range (its page, or the block for a compact node) overlaps the range.
   std::uint64_t searches = 0;
   const Vpn last_vpn = first_vpn + npages - 1;
   for (Vpbn tag = VpbnOf(first_vpn, factor_); tag <= VpbnOf(last_vpn, factor_); ++tag) {
@@ -350,10 +352,10 @@ std::uint64_t AdaptiveClusteredPageTable::ProtectRange(Vpn first_vpn, std::uint6
       if (n.tag != tag) {
         continue;
       }
-      for (std::size_t i = 0; i < n.words.size(); ++i) {
-        const MappingWord w = n.words[i].load();
-        if (w.valid()) {
-          n.words[i].store(w.with_attr(attr));
+      for (unsigned i = 0; i < n.words.size(); ++i) {
+        const TlbFill fill = FillFromWord(n, i);
+        if (fill.word.valid() && fill.Overlaps(first_vpn, last_vpn)) {
+          ProtectWord(n.words[i], attr);
         }
       }
     }

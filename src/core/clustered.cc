@@ -321,7 +321,7 @@ std::uint64_t ClusteredPageTable::ProtectRange(Vpn first_vpn, std::uint64_t npag
         const Vpn word_first = FirstVpnOfBlock(tag, factor_) + (std::uint64_t{i} << n.sub_log2);
         const Vpn word_last = word_first + ((std::uint64_t{1} << n.sub_log2) - 1);
         if (word_last >= first_vpn && word_first <= last_vpn) {
-          n.words[i].store(w.with_attr(attr));
+          ProtectWord(n.words[i], attr);
         }
       }
     }

@@ -1,5 +1,6 @@
-// Hash chains (Figures 4 and 7): the one node layer of the hashed,
-// superpage-index hashed, clustered and adaptive clustered tables.
+// Hash chains (Figures 4 and 7): the one node layer of the hashed (base- or
+// block-keyed; block-keyed is the superpage-index table), clustered and
+// adaptive clustered tables.
 //
 // Each of those tables is an open hash table whose bucket array holds
 // embedded head nodes, each chaining further nodes of one tag, one next

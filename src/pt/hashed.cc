@@ -29,8 +29,8 @@ std::uint64_t TranslationsOf(const MappingWord& w, unsigned psb_factor_log2) {
 }  // namespace
 
 HashedPageTable::HashedPageTable(mem::CacheTouchModel& cache, Options opts)
-    : ChainArena(cache, opts.num_buckets,
-                 opts.inverted ? 8 : std::bit_ceil(NodeBytes(opts.packed_pte)), opts.inverted),
+    : ChainArena(cache, opts.num_buckets, opts.inverted ? 8 : std::bit_ceil(kNodeBytes),
+                 opts.inverted),
       opts_(opts) {}
 
 HashedPageTable::~HashedPageTable() = default;
@@ -60,12 +60,11 @@ std::optional<TlbFill> HashedPageTable::Lookup(VirtAddr va) {
   // organization: the bucket holds a pointer; every node sits elsewhere.
   const Vpn vpn = VpnOf(va);
   const std::uint64_t key = ChainKeyOf(vpn);
-  const std::uint64_t tag_next = TagNextBytes(opts_.packed_pte);
-  return Probe(BucketOf(key), vpn, tag_next, [&](const HashedNode& n, PhysAddr addr) {
+  return Probe(BucketOf(key), vpn, kTagNextBytes, [&](const HashedNode& n, PhysAddr addr) {
     const std::optional<TlbFill> fill = Match(n, key);
     if (fill) {
       // Read the mapping word of the matching node.
-      cache_.Touch(addr + tag_next, kWordBytes);
+      cache_.Touch(addr + kTagNextBytes, kWordBytes);
     }
     return fill;
   });
@@ -102,7 +101,7 @@ void HashedPageTable::UpsertWord(Vpn base_vpn, MappingWord word) {
     live_translations_ += TranslationsOf(word, opts_.tag_shift);
     return;
   }
-  HashedNode& n = Alloc(b, NodeBytes(opts_.packed_pte));
+  HashedNode& n = Alloc(b, kNodeBytes);
   n.key = key;
   n.base_vpn = base_vpn;
   n.word.store(word);
@@ -115,18 +114,38 @@ bool HashedPageTable::RemoveWord(Vpn base_vpn, MappingKind kind, PageSize size) 
     return false;
   }
   live_translations_ -= TranslationsOf(NodeAt(link).word.load(), opts_.tag_shift);
-  UnlinkAndFree(link, NodeBytes(opts_.packed_pte));
+  UnlinkAndFree(link, kNodeBytes);
   return true;
 }
 
 void HashedPageTable::InsertBase(Vpn vpn, Ppn ppn, Attr attr) {
-  CPT_DCHECK(opts_.tag_shift == 0, "base PTEs belong in a base-keyed table");
   UpsertWord(vpn, MappingWord::Base(ppn, attr));
 }
 
-bool HashedPageTable::RemoveBase(Vpn vpn) {
-  CPT_DCHECK(opts_.tag_shift == 0);
-  return RemoveWord(vpn, MappingKind::kBase);
+bool HashedPageTable::RemoveBase(Vpn vpn) { return RemoveWord(vpn, MappingKind::kBase); }
+
+void HashedPageTable::InsertSuperpage(Vpn base_vpn, PageSize size, Ppn base_ppn, Attr attr) {
+  CPT_DCHECK(size.pages() <= (std::uint64_t{1} << opts_.tag_shift),
+             "superpages larger than the key span need another table");
+  CPT_DCHECK(IsSuperpageAligned(base_vpn, size) && IsSuperpageAligned(base_ppn, size));
+  UpsertWord(base_vpn, MappingWord::Superpage(base_ppn, attr, size));
+}
+
+bool HashedPageTable::RemoveSuperpage(Vpn base_vpn, PageSize size) {
+  return RemoveWord(base_vpn, MappingKind::kSuperpage, size);
+}
+
+void HashedPageTable::UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor,
+                                            Ppn block_base_ppn, Attr attr,
+                                            std::uint16_t valid_vector) {
+  CPT_DCHECK(subblock_factor == (1u << opts_.tag_shift));
+  CPT_DCHECK(BoffOf(block_base_vpn, subblock_factor) == 0 &&
+             IsSuperpageAligned(block_base_ppn, PageSize{opts_.tag_shift}));
+  UpsertWord(block_base_vpn, MappingWord::PartialSubblock(block_base_ppn, attr, valid_vector));
+}
+
+bool HashedPageTable::RemovePartialSubblock(Vpn block_base_vpn, unsigned /*subblock_factor*/) {
+  return RemoveWord(block_base_vpn, MappingKind::kPartialSubblock);
 }
 
 std::optional<MappingWord> HashedPageTable::Peek(std::uint64_t key) const {
@@ -138,18 +157,19 @@ std::optional<MappingWord> HashedPageTable::Peek(std::uint64_t key) const {
 std::uint64_t HashedPageTable::ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) {
   // A base-keyed hashed table must search once per base page (Section 3.1):
   // neighboring pages live in unrelated buckets.  A block-keyed table
-  // searches once per key.
+  // searches once per key and rewrites only the words whose own range
+  // overlaps the range.
   if (npages == 0) {
     return 0;
   }
   std::uint64_t searches = 0;
-  const std::uint64_t first_key = ChainKeyOf(first_vpn);
-  const std::uint64_t last_key = ChainKeyOf(first_vpn + (npages - 1));
-  for (std::uint64_t key = first_key; key <= last_key; ++key) {
+  const Vpn last_vpn = first_vpn + (npages - 1);
+  for (std::uint64_t key = ChainKeyOf(first_vpn); key <= ChainKeyOf(last_vpn); ++key) {
     ++searches;
     for (HashedNode& n : Nodes(BucketOf(key))) {
-      if (n.key == key) {
-        n.word.store(n.word.load().with_attr(attr));
+      if (const std::optional<TlbFill> fill = Match(n, key);
+          fill && fill->Overlaps(first_vpn, last_vpn)) {
+        ProtectWord(n.word, attr);
       }
     }
   }
@@ -157,7 +177,7 @@ std::uint64_t HashedPageTable::ProtectRange(Vpn first_vpn, std::uint64_t npages,
 }
 
 std::string HashedPageTable::name() const {
-  std::string n = opts_.packed_pte ? "hashed-packed" : "hashed";
+  std::string n = "hashed";
   if (opts_.inverted) {
     n += "-inverted";
   }
@@ -171,7 +191,7 @@ void HashedPageTable::AuditVisit(check::PtAuditVisitor& visitor) const {
   VisitChains(visitor, [this](const HashedNode& n, check::PtNodeView& view) {
     view.tag = n.key;
     view.base_vpn = n.base_vpn;
-    view.sub_log2 = opts_.tag_shift;
+    view.sub_log2 = Match(n, n.key)->pages_log2;  // The word's own range.
     view.words = &n.word;
     view.num_words = 1;
   });

@@ -1,14 +1,17 @@
 // Hashed (inverted) page table — Figure 4 of the paper.
 //
 // An open hash table with chaining.  Each PTE stores an 8-byte tag, an
-// 8-byte next pointer, and 8 bytes of mapping information (24 bytes total;
-// Section 7's packed optimization squeezes tag+next into 8 bytes for 16).
+// 8-byte next pointer, and 8 bytes of mapping information (24 bytes total).
 //
 // The table is keyed by `vpn >> tag_shift`:
 //   - tag_shift == 0:        a conventional base-page hashed table;
-//   - tag_shift == log2(s):  a per-page-block table storing superpage /
-//     partial-subblock PTEs, used as the second table of MultiTableHashed
-//     (Section 4.2 "Multiple Page Tables").
+//   - tag_shift == log2(s):  a per-page-block table that also stores
+//     superpage / partial-subblock PTEs of up to s pages.  Alone it is the
+//     "Superpage-Index Hashed" table of Section 4.2 (base PTEs of one block
+//     chain into its bucket next to the block's superpage/PSB PTEs); it is
+//     also the second table of MultiTableHashed (Section 4.2 "Multiple Page
+//     Tables").  A node's tag is its page block, so a lookup keeps searching
+//     past same-block nodes that do not cover the page.
 //
 // Cache-line accounting (Section 6.1 model): each chain node visited touches
 // its tag+next words; the matching node's mapping word is then read.  The
@@ -42,7 +45,7 @@ struct HashedNode {
   std::int32_t next = kChainEnd;
   PhysAddr addr{};
 };
-// The paper model charges NodeBytes()/TagNextBytes() per chain step, a
+// The paper model charges kNodeBytes/kTagNextBytes per chain step, a
 // prefix of this host struct; the host struct must not silently grow.
 static_assert(sizeof(HashedNode) == 40 && alignof(HashedNode) == 8);
 
@@ -52,9 +55,6 @@ class HashedPageTable final : public ChainArena<HashedNode> {
     std::uint32_t num_buckets = kDefaultHashBuckets;
     // Key granularity: PTEs are tagged with vpn >> tag_shift.
     unsigned tag_shift = 0;
-    // Section 7 optimization: 16-byte PTEs (short next pointer, inferred tag
-    // bits).  Changes size accounting only; the access pattern is identical.
-    bool packed_pte = false;
     // Inverted-page-table organization (Section 2 / IBM System/38): the
     // buckets are an array of *pointers* dereferenced to reach the first
     // node, so even a one-node chain costs two lines (pointer + node),
@@ -67,36 +67,36 @@ class HashedPageTable final : public ChainArena<HashedNode> {
   ~HashedPageTable() override;
 
   // Paper-model node format (Figure 4): an 8-byte tag and an 8-byte next
-  // pointer, then one mapping word.  The packed form (Section 7) squeezes
-  // tag+next into one word.
-  static constexpr std::uint64_t TagNextBytes(bool packed) { return packed ? 8 : 16; }
-  static constexpr std::uint64_t NodeBytes(bool packed) {
-    return TagNextBytes(packed) + kWordBytes;
-  }
+  // pointer, then one mapping word.
+  static constexpr std::uint64_t kTagNextBytes = 16;
+  static constexpr std::uint64_t kNodeBytes = kTagNextBytes + kWordBytes;
 
   // ---- PageTable interface ----
   [[nodiscard]] CPT_HOT std::optional<TlbFill> Lookup(VirtAddr va) override;
   void InsertBase(Vpn vpn, Ppn ppn, Attr attr) override;
   bool RemoveBase(Vpn vpn) override;
+  // A block-keyed table stores superpage and PSB PTEs too.
+  PtFeatures features() const override {
+    return {.superpages = opts_.tag_shift > 0, .partial_subblock = opts_.tag_shift > 0};
+  }
+  // Superpages larger than the key span "must be handled another way"
+  // (Section 4.2): lookups from their second page block on would miss, so
+  // they are rejected.
+  void InsertSuperpage(Vpn base_vpn, PageSize size, Ppn base_ppn, Attr attr) override;
+  bool RemoveSuperpage(Vpn base_vpn, PageSize size) override;
+  void UpsertPartialSubblock(Vpn block_base_vpn, unsigned subblock_factor, Ppn block_base_ppn,
+                             Attr attr, std::uint16_t valid_vector) override;
+  bool RemovePartialSubblock(Vpn block_base_vpn, unsigned subblock_factor) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
   CPT_HOT std::optional<Attr> UpdateAttrFlags(Vpn vpn, std::uint16_t set_mask,
                                               std::uint16_t clear_mask) override;
   std::string name() const override;
 
-  // ---- Generic keyed access (used directly by MultiTableHashed) ----
-
-  // Inserts or replaces the PTE whose tag is `vpn >> tag_shift`, base is
-  // `base_vpn` and format (and, for superpages, size) is `word`'s.
-  void UpsertWord(Vpn base_vpn, MappingWord word);
-  // Removes the PTE UpsertWord would replace with a word of `kind` (and,
-  // for superpages, `size`) at `base_vpn`; false when there is none.
-  bool RemoveWord(Vpn base_vpn, MappingKind kind, PageSize size = {});
   // Uncounted read of the stored word (OS-side inspection).
   std::optional<MappingWord> Peek(std::uint64_t key) const;
 
   // ---- Introspection for tests, benches and the auditor ----
   unsigned tag_shift() const { return opts_.tag_shift; }
-  bool packed_pte() const { return opts_.packed_pte; }
   void AuditVisit(check::PtAuditVisitor& visitor) const;
 
  private:
@@ -105,22 +105,24 @@ class HashedPageTable final : public ChainArena<HashedNode> {
   // This is the only crossing from Vpn to a raw chain key.
   std::uint64_t ChainKeyOf(Vpn vpn) const { return vpn.raw() >> opts_.tag_shift; }
 
+  // Inserts or replaces the PTE whose tag is `vpn >> tag_shift`, base is
+  // `base_vpn` and format (and, for superpages, size) is `word`'s.
+  void UpsertWord(Vpn base_vpn, MappingWord word);
+  // Removes the PTE UpsertWord would replace with a word of `kind` (and,
+  // for superpages, `size`) at `base_vpn`; false when there is none.
+  bool RemoveWord(Vpn base_vpn, MappingKind kind, PageSize size = {});
+
   // The link to the node UpsertWord rewrites, on bucket `b` of its key.
   std::int32_t* FindWord(std::uint32_t b, Vpn base_vpn, MappingKind kind, PageSize size);
-  // The one match of Lookup and UpdateAttrFlags: the fill node `n` holds
-  // for chain key `key`, or nullopt on a tag mismatch.
+  // The one match of Lookup, UpdateAttrFlags, ProtectRange and AuditVisit:
+  // the fill node `n` holds for chain key `key` (the word's own range), or
+  // nullopt on a tag mismatch.
   std::optional<TlbFill> Match(const HashedNode& n, std::uint64_t key) const;
 
   const Options opts_;
 };
 
-static_assert(HashedPageTable::NodeBytes(false) ==
-                      HashedPageTable::TagNextBytes(false) + kWordBytes &&
-                  HashedPageTable::NodeBytes(true) ==
-                      HashedPageTable::TagNextBytes(true) + kWordBytes,
-              "a hashed node is its tag+next header plus exactly one mapping word");
-static_assert(HashedPageTable::NodeBytes(false) <= kDefaultCacheLineSize &&
-                  HashedPageTable::NodeBytes(true) <= kDefaultCacheLineSize,
+static_assert(HashedPageTable::kNodeBytes <= kDefaultCacheLineSize,
               "a hashed chain step must touch one line");
 
 }  // namespace cpt::pt

@@ -51,6 +51,11 @@ struct TlbFill {
     return word.valid();
   }
 
+  // Whether the entry's range meets [first, last] (valid bits aside).
+  bool Overlaps(Vpn first, Vpn last) const {
+    return base_vpn <= last && base_vpn + (pages() - 1) >= first;
+  }
+
   // Physical page for a covered VPN.
   Ppn Translate(Vpn vpn) const {
     const unsigned off = static_cast<unsigned>(vpn - base_vpn);

@@ -132,9 +132,8 @@ class ReplicatedLeafTable : public PageTable {
         continue;
       }
       AtomicMappingWord& slot = leaf->slots[SlotOf(first_vpn + i)];
-      const MappingWord word = slot.load();
-      if (word != MappingWord::Invalid()) {
-        slot.store(word.with_attr(attr));
+      if (slot.load() != MappingWord::Invalid()) {
+        ProtectWord(slot, attr);
       }
     }
     return npages;

@@ -90,9 +90,9 @@ std::unique_ptr<pt::PageTable> MakeBareTable(PtKind kind, mem::CacheTouchModel& 
               .order = opts.hashed_block_first ? pt::MultiTableHashed::SearchOrder::kBlockFirst
                                                : pt::MultiTableHashed::SearchOrder::kBaseFirst});
     case PtKind::kHashedSpIndex:
-      return std::make_unique<pt::SuperpageIndexHashed>(
-          cache, pt::SuperpageIndexHashed::Options{.num_buckets = opts.num_buckets,
-                                                   .subblock_factor = opts.subblock_factor});
+      return std::make_unique<pt::HashedPageTable>(
+          cache, pt::HashedPageTable::Options{.num_buckets = opts.num_buckets,
+                                              .tag_shift = Log2(opts.subblock_factor)});
     case PtKind::kClustered:
       return std::make_unique<core::ClusteredPageTable>(
           cache, core::ClusteredPageTable::Options{.num_buckets = opts.num_buckets,

@@ -33,6 +33,11 @@
 #include "workload/workload.h"
 
 namespace cpt::check {
+
+// The superpage-index organization in typed tests: a HashedPageTable keyed
+// by page block.
+struct HashedSpIndex {};
+
 namespace {
 
 using ::testing::AssertionResult;
@@ -104,7 +109,7 @@ TEST_F(CleanAuditTest, HashedMulti) {
 }
 
 TEST_F(CleanAuditTest, HashedSpIndex) {
-  pt::SuperpageIndexHashed t(cache_, {});
+  pt::HashedPageTable t(cache_, {.tag_shift = 4});
   Populate(t);
   const AuditReport r = StructuralAuditor::Audit(t);
   EXPECT_TRUE(r.ok()) << r.Summary();
@@ -204,12 +209,24 @@ TEST(CorruptionTest, MisalignedTagIsDetected) {
   EXPECT_NE(r.Summary().find("misaligned tag"), std::string::npos) << r.Summary();
 }
 
+// A chained table type and the options the fixture builds it with.
+template <typename T>
+struct Built {
+  using Table = T;
+  static constexpr typename T::Options kOptions{};
+};
+template <>
+struct Built<HashedSpIndex> {
+  using Table = pt::HashedPageTable;
+  static constexpr pt::HashedPageTable::Options kOptions{.tag_shift = 4};
+};
+
 // Chained tables: corruption seeded in the shared chain layer (pt/chain.h)
 // is found on each of them.
-template <typename Table>
+template <typename T>
 class ChainCorruptionTest : public ::testing::Test {
  protected:
-  ChainCorruptionTest() : cache_(256), table_(cache_, {}) {}
+  ChainCorruptionTest() : cache_(256), table_(cache_, Built<T>::kOptions) {}
 
   // 32 base pages, `stride` pages apart.
   void InsertPages(unsigned stride) {
@@ -220,10 +237,10 @@ class ChainCorruptionTest : public ::testing::Test {
   std::string Defects() const { return StructuralAuditor::Audit(table_).Summary(); }
 
   mem::CacheTouchModel cache_;
-  Table table_;
+  typename Built<T>::Table table_;
 };
 
-using ChainedTables = ::testing::Types<pt::HashedPageTable, pt::SuperpageIndexHashed,
+using ChainedTables = ::testing::Types<pt::HashedPageTable, HashedSpIndex,
                                        core::ClusteredPageTable, core::AdaptiveClusteredPageTable>;
 TYPED_TEST_SUITE(ChainCorruptionTest, ChainedTables);
 

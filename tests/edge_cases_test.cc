@@ -149,21 +149,6 @@ TEST(MixedFormatChurnTest, AdaptiveSurvivesPromoteDemoteStorm) {
 // Partial-range operations.
 // ---------------------------------------------------------------------------
 
-TEST(PartialRangeTest, ProtectRangeTouchesOnlyTheRange) {
-  mem::CacheTouchModel cache(256);
-  core::ClusteredPageTable t(cache, {});
-  for (Vpn vpn{0x100}; vpn < Vpn{0x130}; ++vpn) {
-    t.InsertBase(vpn, Ppn{vpn.raw()}, Attr::ReadWrite());
-  }
-  // Protect a range that starts and ends mid-block.
-  t.ProtectRange(Vpn{0x108}, 0x18, Attr::ReadOnly());
-  mem::WalkScope scope(cache);
-  EXPECT_EQ(t.Lookup(VaOf(Vpn{0x107}))->word.attr(), Attr::ReadWrite());
-  EXPECT_EQ(t.Lookup(VaOf(Vpn{0x108}))->word.attr(), Attr::ReadOnly());
-  EXPECT_EQ(t.Lookup(VaOf(Vpn{0x11F}))->word.attr(), Attr::ReadOnly());
-  EXPECT_EQ(t.Lookup(VaOf(Vpn{0x120}))->word.attr(), Attr::ReadWrite());
-}
-
 TEST(PartialRangeTest, UnmapRangePartiallyOverlapsBlocks) {
   mem::CacheTouchModel cache(256);
   core::ClusteredPageTable table(cache, {});

@@ -1,6 +1,6 @@
 // Unit tests for the hashed page table and its superpage/PSB strategies:
-// chain behaviour, packed PTEs, block-keyed tables, two-table search order,
-// and the superpage-index variant's chain packing.
+// chain behaviour, block-keyed tables, two-table search order, and the
+// superpage-index organization's chain packing.
 #include "pt/hashed.h"
 
 #include <gtest/gtest.h>
@@ -72,35 +72,17 @@ TEST_F(HashedTest, ChainCollisionsCostExtraLines) {
   EXPECT_GE(max_lines, 8u);
 }
 
-TEST_F(HashedTest, PackedVariantShrinksSizeOnly) {
-  mem::CacheTouchModel cache(256);
-  HashedPageTable packed(cache, {.packed_pte = true});
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    packed.InsertBase(Vpn{i * 997}, Ppn{i}, Attr::ReadWrite());
-    table_.InsertBase(Vpn{i * 997}, Ppn{i}, Attr::ReadWrite());
-  }
-  EXPECT_EQ(packed.SizeBytesPaperModel(), 160u);  // 16 bytes per PTE.
-  EXPECT_EQ(table_.SizeBytesPaperModel(), 240u);
-  EXPECT_EQ(packed.SizeBytesPaperModel() * 3, table_.SizeBytesPaperModel() * 2)
-      << "Section 7: packing saves 33%";
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    mem::WalkScope scope(cache);
-    EXPECT_TRUE(packed.Lookup(VaOf(Vpn{i * 997})).has_value());
-  }
-}
-
 TEST_F(HashedTest, BlockKeyedTableStoresSuperpageAndPsb) {
   mem::CacheTouchModel cache(256);
   HashedPageTable block(cache, {.tag_shift = 4});
-  block.UpsertWord(Vpn{0x4000}, MappingWord::Superpage(Ppn{0x100}, Attr::ReadWrite(), kPage64K));
+  block.InsertSuperpage(Vpn{0x4000}, kPage64K, Ppn{0x100}, Attr::ReadWrite());
   {
     mem::WalkScope scope(cache);
     const auto fill = block.Lookup(VaOf(Vpn{0x4009}));
     ASSERT_TRUE(fill.has_value());
     EXPECT_EQ(fill->Translate(Vpn{0x4009}), Ppn{0x109});
   }
-  block.UpsertWord(Vpn{0x8000},
-                   MappingWord::PartialSubblock(Ppn{0x200}, Attr::ReadWrite(), 0x0010));
+  block.UpsertPartialSubblock(Vpn{0x8000}, 16, Ppn{0x200}, Attr::ReadWrite(), 0x0010);
   {
     mem::WalkScope scope(cache);
     EXPECT_TRUE(block.Lookup(VaOf(Vpn{0x8004})).has_value());
@@ -112,10 +94,8 @@ TEST_F(HashedTest, BlockKeyedTableStoresSuperpageAndPsb) {
 TEST_F(HashedTest, UpsertReplacesPsbVectorInPlace) {
   mem::CacheTouchModel cache(256);
   HashedPageTable block(cache, {.tag_shift = 4});
-  block.UpsertWord(Vpn{0x8000},
-                   MappingWord::PartialSubblock(Ppn{0x200}, Attr::ReadWrite(), 0x0001));
-  block.UpsertWord(Vpn{0x8000},
-                   MappingWord::PartialSubblock(Ppn{0x200}, Attr::ReadWrite(), 0x0003));
+  block.UpsertPartialSubblock(Vpn{0x8000}, 16, Ppn{0x200}, Attr::ReadWrite(), 0x0001);
+  block.UpsertPartialSubblock(Vpn{0x8000}, 16, Ppn{0x200}, Attr::ReadWrite(), 0x0003);
   EXPECT_EQ(block.node_count(), 1u);
   EXPECT_EQ(block.live_translations(), 2u);
 }
@@ -211,12 +191,16 @@ TEST(MultiTableHashedTest, ProtectRangeCoversBothTables) {
 }
 
 // ---------------------------------------------------------------------------
-// SuperpageIndexHashed
+// Superpage-index hashed: one block-keyed table holds every PTE.
 // ---------------------------------------------------------------------------
+
+HashedPageTable::Options SuperpageIndex(std::uint32_t num_buckets = kDefaultHashBuckets) {
+  return {.num_buckets = num_buckets, .tag_shift = 4};
+}
 
 TEST(SuperpageIndexTest, OneProbeButLongerChains) {
   mem::CacheTouchModel cache(256);
-  SuperpageIndexHashed t(cache, {});
+  HashedPageTable t(cache, SuperpageIndex());
   // Sixteen base pages of one block all chain into one bucket.
   for (unsigned i = 0; i < 16; ++i) {
     t.InsertBase(Vpn{0x100} + i, Ppn{i}, Attr::ReadWrite());
@@ -234,7 +218,7 @@ TEST(SuperpageIndexTest, OneProbeButLongerChains) {
 
 TEST(SuperpageIndexTest, PsbPteShortensChains) {
   mem::CacheTouchModel cache(256);
-  SuperpageIndexHashed t(cache, {});
+  HashedPageTable t(cache, SuperpageIndex());
   t.UpsertPartialSubblock(Vpn{0x100}, 16, Ppn{0x40}, Attr::ReadWrite(), 0xFFFF);
   EXPECT_EQ(t.ChainLengthHistogram().max_value(), 1u)
       << "one PSB PTE replaces sixteen chained base PTEs (Section 4.3)";
@@ -246,7 +230,7 @@ TEST(SuperpageIndexTest, PsbPteShortensChains) {
 
 TEST(SuperpageIndexTest, SmallerSuperpagesCoResideInBucket) {
   mem::CacheTouchModel cache(256);
-  SuperpageIndexHashed t(cache, {});
+  HashedPageTable t(cache, SuperpageIndex());
   t.InsertSuperpage(Vpn{0x100}, kPage16K, Ppn{0x20}, Attr::ReadWrite());   // Pages 0-3.
   t.InsertSuperpage(Vpn{0x104}, kPage16K, Ppn{0x60}, Attr::ReadWrite());   // Pages 4-7.
   t.InsertBase(Vpn{0x108}, Ppn{0x99}, Attr::ReadWrite());
@@ -258,13 +242,18 @@ TEST(SuperpageIndexTest, SmallerSuperpagesCoResideInBucket) {
 }
 
 TEST(SuperpageIndexTest, RejectsSuperpagesLargerThanIndex) {
-  mem::CacheTouchModel cache(256);
-  SuperpageIndexHashed t(cache, {});
   // A 64KB superpage equals the index size and is fine; larger must be
-  // "handled another way" (Section 4.2) and is rejected by contract.
-  t.InsertSuperpage(Vpn{0x4000}, kPage64K, Ppn{0x100}, Attr::ReadWrite());
-  EXPECT_EQ(t.live_translations(), 16u);
-  EXPECT_DEBUG_DEATH(t.InsertSuperpage(Vpn{0x8000}, PageSize{5}, Ppn{0x200}, Attr::ReadWrite()), "");
+  // "handled another way" (Section 4.2) and is rejected by contract, in the
+  // superpage-index table and in the two-table organization's block table.
+  mem::CacheTouchModel cache(256);
+  HashedPageTable spindex(cache, SuperpageIndex());
+  MultiTableHashed multi(cache, {});
+  for (PageTable* t : std::initializer_list<PageTable*>{&spindex, &multi}) {
+    t->InsertSuperpage(Vpn{0x4000}, kPage64K, Ppn{0x100}, Attr::ReadWrite());
+    EXPECT_EQ(t->live_translations(), 16u);
+    EXPECT_DEBUG_DEATH(t->InsertSuperpage(Vpn{0x8000}, PageSize{5}, Ppn{0x200}, Attr::ReadWrite()),
+                       "key span");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -283,9 +272,9 @@ TEST(TranslationAccountingTest, MultiTableHashedMatchesAuditInBothTables) {
   EXPECT_GT(t.block_table().live_translations(), 0u);
 }
 
-TEST(TranslationAccountingTest, SuperpageIndexHashedMatchesAuditAfterEveryWrite) {
+TEST(TranslationAccountingTest, SuperpageIndexMatchesAuditAfterEveryWrite) {
   mem::CacheTouchModel cache(256);
-  SuperpageIndexHashed t(cache, {.num_buckets = 64});
+  HashedPageTable t(cache, SuperpageIndex(64));
   testutil::RunAccountingSequence(t, 16, {1, 2, 3, 4}, 61, 2000);
   EXPECT_GT(t.live_translations(), 0u);
 }

@@ -128,6 +128,36 @@ TEST_P(PtConformanceTest, ProtectRangeRewritesAttributes) {
   }
 }
 
+TEST_P(PtConformanceTest, ProtectRangeTouchesOnlyTheRange) {
+  for (Vpn vpn{0x100}; vpn < Vpn{0x130}; ++vpn) {
+    table_->InsertBase(vpn, Ppn{vpn.raw()}, Attr::ReadWrite());
+  }
+  // Three pages of a sparse block.
+  for (const Vpn vpn : {Vpn{0x201}, Vpn{0x203}, Vpn{0x205}}) {
+    table_->InsertBase(vpn, Ppn{vpn.raw()}, Attr::ReadWrite());
+  }
+  // Protect a range that starts and ends mid-block, and one sparse page.
+  table_->ProtectRange(Vpn{0x108}, 0x18, Attr::ReadOnly());
+  table_->ProtectRange(Vpn{0x203}, 1, Attr::ReadOnly());
+  EXPECT_EQ(Lookup(Vpn{0x107})->word.attr(), Attr::ReadWrite());
+  EXPECT_EQ(Lookup(Vpn{0x108})->word.attr(), Attr::ReadOnly());
+  EXPECT_EQ(Lookup(Vpn{0x11F})->word.attr(), Attr::ReadOnly());
+  EXPECT_EQ(Lookup(Vpn{0x120})->word.attr(), Attr::ReadWrite());
+  EXPECT_EQ(Lookup(Vpn{0x201})->word.attr(), Attr::ReadWrite());
+  EXPECT_EQ(Lookup(Vpn{0x203})->word.attr(), Attr::ReadOnly());
+  EXPECT_EQ(Lookup(Vpn{0x205})->word.attr(), Attr::ReadWrite());
+}
+
+// Changing a page's protection keeps the R/M history the miss handler and
+// the page daemon rely on (Section 3.1).
+TEST_P(PtConformanceTest, ProtectRangeKeepsReferencedAndModifiedBits) {
+  constexpr std::uint16_t kRefMod = Attr::kReferenced | Attr::kModified;
+  table_->InsertBase(Vpn{0x1234}, Ppn{0x777}, Attr::ReadWrite());
+  ASSERT_TRUE(table_->UpdateAttrFlags(Vpn{0x1234}, kRefMod, 0).has_value());
+  table_->ProtectRange(Vpn{0x1234}, 1, Attr::ReadOnly());
+  EXPECT_EQ(table_->PeekAttr(Vpn{0x1234}), Attr::ReadOnly().with(kRefMod));
+}
+
 TEST_P(PtConformanceTest, WalksAlwaysTouchAtLeastOneLineWhenMapped) {
   table_->InsertBase(Vpn{0x3210}, Ppn{0x99}, Attr::ReadWrite());
   cache_.Reset();

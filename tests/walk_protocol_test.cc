@@ -197,7 +197,7 @@ TEST(WalkProtocolSequenceTest, InvertedHashedTwoNodeChain) {
 TEST(WalkProtocolSequenceTest, SuperpageIndexTwoNodeChain) {
   // Two base pages of one block share the block's bucket.
   mem::CacheTouchModel cache(kLine);
-  pt::SuperpageIndexHashed t(cache, {.num_buckets = 1});
+  pt::HashedPageTable t(cache, {.num_buckets = 1, .tag_shift = 4});
   t.InsertBase(Vpn{0x4001}, Ppn{1}, Attr::ReadWrite());
   t.InsertBase(Vpn{0x4002}, Ppn{2}, Attr::ReadWrite());
   EXPECT_EQ(WalkEvents(t, Vpn{0x4002}), "step1@1 hit1 end1");
