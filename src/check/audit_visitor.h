@@ -1,22 +1,19 @@
 // Structure-traversal interfaces for the invariant auditor.
 //
-// Every page-table organization, TLB, and the reservation allocator exposes
-// one `AuditVisit(visitor)` hook that walks its private structure and
-// reports a uniform read-only view of each element.  The auditor (see
-// auditor.h) implements the visitors and verifies the invariants; the
-// audited classes never learn what is being checked, and the auditor never
-// needs friend access (the single TestBackdoor friend exists only so tests
-// can *seed* corruption, not read it).
-//
-// The views deliberately flatten each organization's node/entry layout into
-// "what does this element claim to translate":
-//   - PtNodeView:   one chain node / tree leaf and its mapping word array;
-//   - TlbEntryView: one TLB entry and the (vpn -> ppn) translations it
-//     currently serves;
-//   - ReservationGroupView: one physical frame group and its bookkeeping.
+// Every page table, TLB and the reservation allocator has one
+// `AuditVisit(visitor)` hook, a pure virtual of pt::PageTable and tlb::Tlb,
+// that reports a read-only view of its private structure: a header with the
+// format rules it obeys and the counters it keeps, then one view per
+// element.  A wrapper reports what it wraps; a composite reports each
+// constituent under its own header.  The auditor (auditor.h) checks the
+// views and names no class, so a new organization or design needs no
+// auditor edit.  Only TestBackdoor reaches past the views, to seed
+// corruption in tests.
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,22 +26,43 @@ namespace cpt::check {
 // Page tables
 // ---------------------------------------------------------------------------
 
+// One table's format rules and counters, reported once before its nodes.
+struct PtTableView {
+  std::string name{};       // Prefixes the table's defects.
+  unsigned tag_shift = 0;     // A level-1 node's tag is base_vpn >> tag_shift.
+  unsigned psb_factor = 16;   // Pages per partial-subblock valid vector.
+  bool uniform_kind = false;  // Multi-word nodes mix no formats (S field).
+  bool check_nonempty = false;  // No node but a PSB-first one is empty.
+  // Its own counters: level-1 nodes (chain nodes or tree leaves), base-page
+  // translations and, where a node costs 16 header bytes plus 8 per word,
+  // Table 2 (paper model) bytes.
+  std::uint64_t node_count = 0;
+  std::uint64_t live_translations = 0;
+  std::optional<std::uint64_t> paper_bytes{};
+  // Trees only: the VPN bits each level consumes and each level's active
+  // node count, leaf (level 1) first.
+  std::vector<unsigned> level_bits{};
+  std::vector<std::uint64_t> level_nodes{};
+};
+
 struct PtNodeView {
-  std::uint32_t bucket = 0;   // Hash bucket (chain tables); tree level (trees).
-  std::uint64_t tag = 0;      // Chain key (VPN/VPBN key) or leaf index.
-  Vpn base_vpn{};           // First VPN the node's word array covers.
-  unsigned sub_log2 = 0;      // log2 base pages per word slot.
-  // Word storage is atomic tree-wide (Section 3.1); auditors snapshot each
-  // slot with load() before checking it.
-  const AtomicMappingWord* words = nullptr;
+  unsigned level = 1;              // Tree level; 1 for chain nodes and leaves.
+  std::uint32_t bucket = 0;        // Hash bucket the node hangs on (chains).
+  std::uint32_t home_bucket = 0;   // Bucket its tag hashes to (chains).
+  std::uint64_t tag = 0;           // Chain key or tree-node key.
+  Vpn base_vpn{};                  // First VPN the node's word array covers.
+  unsigned sub_log2 = 0;           // log2 base pages per word slot.
+  const AtomicMappingWord* words = nullptr;  // Atomic (Section 3.1): load() each.
   unsigned num_words = 0;
-  std::int32_t index = -1;    // Arena index; -1 when not arena-backed.
-  PhysAddr addr{};          // Simulated physical address of the node.
+  // Occupied slots by the node's own counter (tree leaves), recounted.
+  std::optional<unsigned> live_slots{};
 };
 
 class PtAuditVisitor {
  public:
   virtual ~PtAuditVisitor() = default;
+  // Starts a table: its nodes follow.
+  virtual void OnTable(const PtTableView& table) { (void)table; }
   virtual void OnNode(const PtNodeView& node) = 0;
   // The chain rooted at `bucket` ran past the table's own node budget —
   // a `next` cycle.  The walk stops for that bucket.
@@ -55,23 +73,52 @@ class PtAuditVisitor {
 // TLBs
 // ---------------------------------------------------------------------------
 
+// A TLB's geometry, reported once before its entries.  A TLB that reports
+// none is one fully-associative set that holds any page size and keeps no
+// invalid-entry counter.
+struct TlbView {
+  // Set s holds the entries whose (base_vpn >> set_shift) & (num_sets - 1)
+  // is s.
+  unsigned num_sets = 1;
+  unsigned set_shift = 0;
+  std::uint64_t page_sizes = ~std::uint64_t{0};  // Bit k: it holds 2^k-page entries.
+  // Invalid entries by the TLB's own counter, where it keeps one.
+  std::optional<std::uint64_t> invalid_entries{};
+};
+
 struct TlbEntryView {
-  unsigned set = 0;             // Set index; 0 for fully-associative TLBs.
+  unsigned set = 0;
   bool valid = false;
   std::uint16_t asid = 0;
   std::uint64_t stamp = 0;
-  Vpn base_vpn{};             // First VPN covered (block base for PSB/CSB).
-  Ppn base_ppn{};             // Base/block PPN of the entry, when one exists.
-  unsigned pages_log2 = 0;      // Coverage span of the tag.
-  std::uint64_t valid_vector = 0;  // One bit per covered base page.
-  bool block_entry = false;     // PSB TLB: vector-mapped vs single-page form.
+  Vpn base_vpn{};          // First VPN of the entry's span.
+  unsigned pages_log2 = 0; // The span: 2^pages_log2 base pages.
+  // The frame of base_vpn, where the entry maps its span to one frame run;
+  // Ppn{} for an entry that keeps a frame per page (complete-subblock).
+  Ppn base_ppn{};
+  // Per-page valid bits of a subblock entry (bit j: page base_vpn + j);
+  // 0 for an entry that maps its whole span.
+  std::uint64_t valid_vector = 0;
   // Every (vpn -> ppn) translation this entry currently serves.
-  std::vector<std::pair<Vpn, Ppn>> translations;
+  std::vector<std::pair<Vpn, Ppn>> translations{};
+
+  // Fills `translations` for an entry that maps page base_vpn + j to frame
+  // base_ppn + j: every page of the span, or with `by_vector` each page whose
+  // valid bit is set.  An invalid entry serves none.
+  void TranslateRun(bool by_vector = false) {
+    const std::uint64_t pages = std::uint64_t{1} << pages_log2;
+    for (std::uint64_t j = 0; valid && j < pages; ++j) {
+      if (!by_vector || (j < 64 && ((valid_vector >> j) & 1u) != 0)) {
+        translations.emplace_back(base_vpn + j, base_ppn + j);
+      }
+    }
+  }
 };
 
 class TlbAuditVisitor {
  public:
   virtual ~TlbAuditVisitor() = default;
+  virtual void OnTlb(const TlbView& tlb) { (void)tlb; }
   virtual void OnEntry(const TlbEntryView& entry) = 0;
 };
 

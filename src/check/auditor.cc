@@ -3,28 +3,20 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <set>
 #include <sstream>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "check/audit_visitor.h"
+#include "common/check.h"
 #include "common/pte.h"
 #include "common/types.h"
-#include "core/adaptive.h"
-#include "core/clustered.h"
-#include "core/multi_size.h"
 #include "mem/reservation.h"
-#include "pt/forward.h"
-#include "pt/hashed.h"
-#include "pt/linear.h"
-#include "pt/multi_hashed.h"
-#include "pt/software_tlb.h"
-#include "tlb/complete_subblock.h"
-#include "tlb/dual_size_setassoc.h"
-#include "tlb/partial_subblock.h"
-#include "tlb/single_page.h"
-#include "tlb/superpage.h"
+#include "pt/page_table.h"
+#include "tlb/tlb.h"
 
 namespace cpt::check {
 
@@ -55,31 +47,6 @@ std::string Str(std::uint64_t v) { return std::to_string(v); }
 // strings carry the raw frame number.
 std::string Str(Ppn ppn) { return std::to_string(ppn.raw()); }
 
-// One collected node: the view metadata plus a copy of its word array (the
-// view's `words` pointer is only valid during the walk).
-struct CollectedNode {
-  PtNodeView meta;
-  std::vector<MappingWord> words;
-};
-
-class NodeCollector final : public PtAuditVisitor {
- public:
-  void OnNode(const PtNodeView& node) override {
-    CollectedNode cn;
-    cn.meta = node;
-    cn.words.reserve(node.num_words);
-    for (unsigned i = 0; i < node.num_words; ++i) {
-      cn.words.push_back(node.words[i].load());
-    }
-    cn.meta.words = nullptr;
-    nodes.push_back(std::move(cn));
-  }
-  void OnChainCycle(std::uint32_t bucket) override { cycles.push_back(bucket); }
-
-  std::vector<CollectedNode> nodes;
-  std::vector<std::uint32_t> cycles;
-};
-
 // Tracks which base pages are covered by a valid translation, to catch two
 // nodes translating the same page.
 class CoverageMap {
@@ -90,12 +57,8 @@ class CoverageMap {
     }
   }
   void Report(AuditReport& report) const {
-    std::uint64_t dups = 0;
-    for (const auto& [vpn, n] : count_) {
-      if (n > 1) {
-        ++dups;
-      }
-    }
+    const auto dups = std::count_if(count_.begin(), count_.end(),
+                                    [](const auto& vpn_count) { return vpn_count.second > 1; });
     if (dups == 0) {
       return;
     }
@@ -112,338 +75,197 @@ class CoverageMap {
   std::vector<Vpn> examples_;
 };
 
-struct WordCheckParams {
-  unsigned psb_factor = 16;      // Pages per partial-subblock valid vector.
-  bool uniform_kind = false;     // Multi-word nodes must not mix formats.
-  bool check_nonempty = false;   // Chain nodes must translate >= 1 page
-                                 // (empty PSB nodes tolerated).
-  bool superpage_full_claim = false;  // Org counts a superpage word's full
-                                      // 2^SZ pages even beyond its slot.
-};
-
-std::string NodeId(const CollectedNode& cn) {
+std::string NodeId(const PtNodeView& n) {
   std::ostringstream os;
-  os << "node tag=0x" << std::hex << cn.meta.tag << " base_vpn=0x" << cn.meta.base_vpn
-     << std::dec << " bucket=" << cn.meta.bucket;
+  os << "node tag=0x" << std::hex << n.tag << " base_vpn=0x" << n.base_vpn << std::dec
+     << " bucket=" << n.bucket;
   return os.str();
 }
 
-// Verifies one node's mapping words (format discrimination, alignment, PSB
-// vector bounds), adds its valid translations to `coverage`, and returns how
-// many base pages the node translates under the organization's own counting
-// rules.
-std::uint64_t CheckNodeWords(const CollectedNode& cn, const WordCheckParams& p,
-                             CoverageMap& coverage, AuditReport& report) {
-  const PtNodeView& m = cn.meta;
-  const std::uint64_t span = std::uint64_t{1} << m.sub_log2;
-  std::uint64_t translations = 0;
-  bool have_kind = false;
-  MappingKind kind0 = MappingKind::kBase;
-  bool any_valid = false;
-
-  for (unsigned i = 0; i < cn.words.size(); ++i) {
-    const MappingWord& w = cn.words[i];
-    const Vpn slot_base = m.base_vpn + std::uint64_t{i} * span;
-    switch (w.kind()) {
-      case MappingKind::kBase:
-        if (!w.valid()) {
-          continue;  // Empty slot.
-        }
-        if (span > 1) {
-          report.Add(NodeId(cn) + ": base word in a slot spanning " + Str(span) + " pages");
-        }
-        coverage.Add(slot_base);
-        ++translations;
-        break;
-      case MappingKind::kSuperpage: {
-        if (!w.valid()) {
-          continue;  // Empty slot of a sub-size node.
-        }
-        const unsigned sz = w.page_size().size_log2;
-        const std::uint64_t claim = std::uint64_t{1} << sz;
-        // Hashed tables (superpage_full_claim) store one node per superpage:
-        // the word's own 2^SZ-page claim is the coverage, and claims smaller
-        // than the keying span are legitimate (an 8KB superpage in a
-        // block-keyed table).  Clustered-family tables instead store replica
-        // slices: every slot of span 2^S is covered by its word, and a word
-        // claiming less than its slot would leave pages untranslated.
-        if (claim < span && !p.superpage_full_claim) {
-          report.Add(NodeId(cn) + ": superpage word (SZ=" + Str(sz) +
-                     ") smaller than its slot span " + Str(span));
-        }
-        if (!IsSuperpageAligned(w.ppn(), PageSize{sz})) {
-          report.Add(NodeId(cn) + ": superpage PPN " + Str(w.ppn()) + " not aligned to 2^" +
-                     Str(sz) + " pages");
-        }
-        const std::uint64_t cover = p.superpage_full_claim ? claim : span;
-        for (std::uint64_t j = 0; j < cover; ++j) {
-          coverage.Add(slot_base + j);
-        }
-        translations += cover;
-        break;
-      }
-      case MappingKind::kPartialSubblock: {
-        const unsigned factor = p.psb_factor;
-        const std::uint64_t mask =
-            factor >= 16 ? 0xFFFFu : ((std::uint64_t{1} << factor) - 1);
-        const std::uint16_t vec = w.valid_vector();
-        if ((vec & ~mask) != 0) {
-          report.Add(NodeId(cn) + ": PSB valid bits beyond subblock factor " + Str(factor));
-        }
-        if (vec != 0 && !IsSuperpageAligned(w.ppn(), PageSize{Log2(factor)})) {
-          report.Add(NodeId(cn) + ": PSB block PPN " + Str(w.ppn()) +
-                     " not aligned to factor " + Str(factor));
-        }
-        if (vec == 0) {
-          continue;  // Empty PSB word.
-        }
-        const Vpn block_base = SuperpageBaseVpn(slot_base, PageSize{Log2(factor)});
-        for (unsigned j = 0; j < factor; ++j) {
-          const Vpn page = block_base + j;
-          if (((vec >> j) & 1u) != 0 && page >= slot_base && page < slot_base + span) {
-            coverage.Add(page);
-            ++translations;
-          }
-        }
-        break;
-      }
+// The page-table visitor: checks each node against its table's header as
+// it arrives, and each table's counters when the next table starts or the
+// visit ends.  One coverage map spans every table of the visit.
+class PtAuditor final : public PtAuditVisitor {
+ public:
+  void OnTable(const PtTableView& table) override {
+    CPT_CHECK(table.level_nodes.size() == table.level_bits.size(),
+              "a tree header counts the nodes of every level it describes");
+    FinishTable();
+    table_ = table;
+    seen_ = {};
+    shift_.assign(1, table.tag_shift);
+    for (unsigned l = 1; l < table.level_bits.size(); ++l) {
+      shift_.push_back(shift_.back() + table.level_bits[l]);
     }
-    // The word provided at least one translation; enforce one format per
-    // multi-word node (the S-field discrimination).
-    any_valid = true;
-    if (!have_kind) {
-      have_kind = true;
-      kind0 = w.kind();
-    } else if (p.uniform_kind && w.kind() != kind0) {
-      report.Add(NodeId(cn) + ": mixed mapping formats within one node");
+    prefixes_.assign(shift_.size(), {});
+  }
+
+  void OnNode(const PtNodeView& n) override {
+    CPT_CHECK(n.level >= 1 && n.level <= shift_.size(), "a node view needs its table's header");
+    words_.clear();
+    for (unsigned i = 0; i < n.num_words; ++i) {
+      words_.push_back(n.words[i].load());
     }
-  }
-
-  if (p.check_nonempty && !any_valid &&
-      (cn.words.empty() || cn.words[0].kind() != MappingKind::kPartialSubblock)) {
-    report.Add(NodeId(cn) + ": live node translates nothing");
-  }
-  return translations;
-}
-
-// What the audit of a chained table expects beyond its words' own checks.
-struct ChainRules {
-  WordCheckParams words;
-  unsigned tag_shift = 0;     // Invariant: tag == base_vpn >> tag_shift.
-  bool paper_bytes = false;   // Recount the paper size as 16 + 8 * words per node.
-};
-
-// Clustered and adaptive tables key by VPBN and keep one format per node.
-// (An adaptive single-page node's base VPN carries its block offset, which
-// the tag shift drops.)
-template <typename Table>
-ChainRules RulesFor(const Table& table) {
-  return {.words = {.psb_factor = table.subblock_factor(),
-                    .uniform_kind = true,
-                    .check_nonempty = true},
-          .tag_shift = Log2(table.subblock_factor()),
-          .paper_bytes = true};
-}
-ChainRules RulesFor(const pt::HashedPageTable& table) {
-  // A hashed superpage word claims its full 2^SZ pages (TranslationsOf); a
-  // PSB word is one key span.
-  return {.words = {.psb_factor = 1u << table.tag_shift(), .superpage_full_claim = true},
-          .tag_shift = table.tag_shift()};
-}
-
-// The one audit of a pt::ChainArena table: bucket membership, tags, cycles,
-// each node's words, duplicate coverage and the table's own counters.
-template <typename Table>
-AuditReport AuditChains(const Table& table) {
-  const ChainRules rules = RulesFor(table);
-  NodeCollector c;
-  table.AuditVisit(c);
-  AuditReport report;
-  CoverageMap coverage;
-  for (const std::uint32_t b : c.cycles) {
-    report.Add("hash chain at bucket " + Str(b) + " is cyclic or has an out-of-range index");
-  }
-  std::uint64_t translations = 0;
-  std::uint64_t bytes = 0;
-  for (const CollectedNode& cn : c.nodes) {
-    const std::uint32_t bucket = table.BucketOf(cn.meta.tag);
-    if (bucket != cn.meta.bucket) {
-      report.Add(NodeId(cn) + ": hangs on bucket " + Str(cn.meta.bucket) +
-                 " but its tag hashes to bucket " + Str(bucket));
+    if (n.bucket != n.home_bucket) {
+      Add(NodeId(n) + ": hangs on bucket " + Str(n.bucket) + " but its tag hashes to bucket " +
+          Str(n.home_bucket));
     }
-    // View tags are domain-erased chain keys; recompute the key the same way.
-    if ((cn.meta.base_vpn.raw() >> rules.tag_shift) != cn.meta.tag) {
-      report.Add(NodeId(cn) + ": tag inconsistent with base VPN (misaligned tag)");
+    // View tags are domain-erased keys; recompute the key the same way.
+    if ((n.base_vpn.raw() >> shift_[n.level - 1]) != n.tag) {
+      Add(NodeId(n) + ": tag inconsistent with base VPN (misaligned tag)");
     }
-    translations += CheckNodeWords(cn, rules.words, coverage, report);
-    bytes += 16 + 8ull * cn.words.size();
-  }
-  if (c.nodes.size() != table.node_count()) {
-    report.Add("walk saw " + Str(c.nodes.size()) + " nodes but the table counts " +
-               Str(table.node_count()));
-  }
-  if (translations != table.live_translations()) {
-    report.Add("walk recounted " + Str(translations) + " translations but the table counts " +
-               Str(table.live_translations()));
-  }
-  if (rules.paper_bytes && bytes != table.SizeBytesPaperModel()) {
-    report.Add("walk recounted " + Str(bytes) + " paper-model bytes but the table counts " +
-               Str(table.SizeBytesPaperModel()));
-  }
-  coverage.Report(report);
-  return report;
-}
-
-}  // namespace
-
-AuditReport StructuralAuditor::Audit(const core::ClusteredPageTable& table) {
-  return AuditChains(table);
-}
-
-AuditReport StructuralAuditor::Audit(const core::AdaptiveClusteredPageTable& table) {
-  return AuditChains(table);
-}
-
-AuditReport StructuralAuditor::Audit(const pt::HashedPageTable& table) {
-  return AuditChains(table);
-}
-
-AuditReport StructuralAuditor::Audit(const pt::MultiTableHashed& table) {
-  AuditReport report;
-  report.Merge(Audit(table.base_table()), "base table");
-  report.Merge(Audit(table.block_table()), "block table");
-  // Cross-table duplicate coverage: the OS keeps the two tables disjoint
-  // (PSB vector bits for placed pages, base PTEs for the rest).
-  CoverageMap coverage;
-  AuditReport scratch;  // Per-table defects were already reported above.
-  for (const pt::HashedPageTable* t : {&table.base_table(), &table.block_table()}) {
-    NodeCollector c;
-    t->AuditVisit(c);
-    const WordCheckParams wcp = RulesFor(*t).words;
-    for (const CollectedNode& cn : c.nodes) {
-      CheckNodeWords(cn, wcp, coverage, scratch);
-    }
-  }
-  coverage.Report(report);
-  return report;
-}
-
-namespace {
-
-// The linear and forward-mapped trees: Replicate-PTE leaves (bucket 1) whose
-// `index` carries the live-slot counter, plus, in forward-mapped tables,
-// intermediate-superpage words whose `bucket` is their level.  Level l's
-// node prefix is the VPN above the bits levels 1..l consume, so the prefixes
-// the walked nodes imply must match the table's per-level node counts.
-template <typename Table>
-AuditReport AuditLeafTree(const Table& table) {
-  std::array<unsigned, Table::kNumLevels + 1> prefix_shift{};
-  for (unsigned level = 1; level <= Table::kNumLevels; ++level) {
-    prefix_shift[level] = prefix_shift[level - 1] + Table::kLevelBits[level - 1];
-  }
-  NodeCollector c;
-  table.AuditVisit(c);
-  AuditReport report;
-  CoverageMap coverage;
-  WordCheckParams wcp;  // Leaves mix formats (Replicate-PTEs); all defaults.
-  std::uint64_t translations = 0;
-  std::uint64_t leaves = 0;
-  std::array<std::unordered_set<std::uint64_t>, Table::kNumLevels + 1> prefixes;
-  for (const CollectedNode& cn : c.nodes) {
-    translations += CheckNodeWords(cn, wcp, coverage, report);
-    const unsigned level = cn.meta.bucket;
-    if (level == 1) {
-      ++leaves;
-      unsigned occupied = 0;
-      for (const MappingWord& w : cn.words) {
-        if (w != MappingWord::Invalid()) {
-          ++occupied;
-        }
-      }
-      if (occupied != static_cast<unsigned>(cn.meta.index)) {
-        report.Add(NodeId(cn) + ": leaf live counter " + Str(cn.meta.index) + " but " +
-                   Str(occupied) + " occupied slots");
+    if (n.live_slots) {
+      const auto occupied = static_cast<unsigned>(std::count_if(
+          words_.begin(), words_.end(), [](MappingWord w) { return w != MappingWord::Invalid(); }));
+      if (occupied != *n.live_slots) {
+        Add(NodeId(n) + ": leaf live counter " + Str(*n.live_slots) + " but " + Str(occupied) +
+            " occupied slots");
       }
     }
     // Every node keeps its ancestors alive.  Tree prefixes are domain-erased
     // keys.
-    for (unsigned l = std::max(level, 2u); l <= Table::kNumLevels; ++l) {
-      prefixes[l].insert(cn.meta.base_vpn.raw() >> prefix_shift[l]);
+    for (unsigned l = std::max(n.level, 2u); l <= shift_.size(); ++l) {
+      prefixes_[l - 1].insert(n.base_vpn.raw() >> shift_[l - 1]);
+    }
+    seen_.nodes += n.level == 1 ? 1 : 0;
+    seen_.translations += CheckWords(n);
+    seen_.bytes += 16 + 8ull * n.num_words;
+  }
+
+  void OnChainCycle(std::uint32_t bucket) override {
+    Add("hash chain at bucket " + Str(bucket) + " is cyclic or has an out-of-range index");
+  }
+
+  AuditReport Finish() && {
+    FinishTable();
+    coverage_.Report(report_);
+    return std::move(report_);
+  }
+
+ private:
+  void Add(std::string defect) { report_.Add(table_.name + ": " + std::move(defect)); }
+
+  // Verifies one node's mapping words (format discrimination, alignment,
+  // PSB vector bounds), adds its valid translations to the coverage map,
+  // and returns how many base pages the node translates.
+  std::uint64_t CheckWords(const PtNodeView& n) {
+    const std::uint64_t span = std::uint64_t{1} << n.sub_log2;
+    std::uint64_t translations = 0;
+    std::optional<MappingKind> kind0;
+    for (unsigned i = 0; i < words_.size(); ++i) {
+      const MappingWord w = words_[i];
+      const Vpn slot_base = n.base_vpn + std::uint64_t{i} * span;
+      switch (w.kind()) {
+        case MappingKind::kBase:
+          if (!w.valid()) {
+            continue;  // Empty slot.
+          }
+          if (span > 1) {
+            Add(NodeId(n) + ": base word in a slot spanning " + Str(span) + " pages");
+          }
+          coverage_.Add(slot_base);
+          ++translations;
+          break;
+        case MappingKind::kSuperpage: {
+          if (!w.valid()) {
+            continue;  // Empty slot of a sub-size node.
+          }
+          // A superpage word covers its whole slot: a word claiming less
+          // would leave pages of the slot untranslated.
+          const unsigned sz = w.page_size().size_log2;
+          if ((std::uint64_t{1} << sz) < span) {
+            Add(NodeId(n) + ": superpage word (SZ=" + Str(sz) + ") smaller than its slot span " +
+                Str(span));
+          }
+          if (!IsSuperpageAligned(w.ppn(), PageSize{sz})) {
+            Add(NodeId(n) + ": superpage PPN " + Str(w.ppn()) + " not aligned to 2^" + Str(sz) +
+                " pages");
+          }
+          for (std::uint64_t j = 0; j < span; ++j) {
+            coverage_.Add(slot_base + j);
+          }
+          translations += span;
+          break;
+        }
+        case MappingKind::kPartialSubblock: {
+          const unsigned factor = table_.psb_factor;
+          const std::uint64_t mask =
+              factor >= 16 ? 0xFFFFu : ((std::uint64_t{1} << factor) - 1);
+          const std::uint16_t vec = w.valid_vector();
+          if ((vec & ~mask) != 0) {
+            Add(NodeId(n) + ": PSB valid bits beyond subblock factor " + Str(factor));
+          }
+          if (vec != 0 && !IsSuperpageAligned(w.ppn(), PageSize{Log2(factor)})) {
+            Add(NodeId(n) + ": PSB block PPN " + Str(w.ppn()) + " not aligned to factor " +
+                Str(factor));
+          }
+          if (vec == 0) {
+            continue;  // Empty PSB word.
+          }
+          const Vpn block_base = SuperpageBaseVpn(slot_base, PageSize{Log2(factor)});
+          for (unsigned j = 0; j < factor; ++j) {
+            const Vpn page = block_base + j;
+            if (((vec >> j) & 1u) != 0 && page >= slot_base && page < slot_base + span) {
+              coverage_.Add(page);
+              ++translations;
+            }
+          }
+          break;
+        }
+      }
+      // The word provided at least one translation; enforce one format per
+      // multi-word node (the S-field discrimination).
+      if (!kind0) {
+        kind0 = w.kind();
+      } else if (table_.uniform_kind && w.kind() != *kind0) {
+        Add(NodeId(n) + ": mixed mapping formats within one node");
+      }
+    }
+    if (table_.check_nonempty && !kind0 &&
+        (words_.empty() || words_[0].kind() != MappingKind::kPartialSubblock)) {
+      Add(NodeId(n) + ": live node translates nothing");
+    }
+    return translations;
+  }
+
+  // Compares the finished table's counters with the walk's recount.
+  void FinishTable() {
+    if (shift_.empty()) {
+      return;  // No table yet.
+    }
+    if (seen_.nodes != table_.node_count) {
+      Add("walk saw " + Str(seen_.nodes) + " nodes but the table counts " +
+          Str(table_.node_count));
+    }
+    if (seen_.translations != table_.live_translations) {
+      Add("walk recounted " + Str(seen_.translations) + " translations but the table counts " +
+          Str(table_.live_translations));
+    }
+    if (table_.paper_bytes && seen_.bytes != *table_.paper_bytes) {
+      Add("walk recounted " + Str(seen_.bytes) + " paper-model bytes but the table counts " +
+          Str(*table_.paper_bytes));
+    }
+    for (unsigned l = 2; l <= table_.level_nodes.size(); ++l) {
+      if (table_.level_nodes[l - 1] != prefixes_[l - 1].size()) {
+        Add("level " + Str(l) + " counts " + Str(table_.level_nodes[l - 1]) +
+            " active nodes; the walked nodes imply " + Str(prefixes_[l - 1].size()));
+      }
     }
   }
-  // Replicate-PTE slots are distinct VPNs, so duplicate coverage here always
-  // means corruption.
-  coverage.Report(report);
-  if (translations != table.live_translations()) {
-    report.Add("walk recounted " + Str(translations) + " translations but the table counts " +
-               Str(table.live_translations()));
-  }
-  const auto counts = table.ActiveNodesPerLevel();
-  if (counts[0] != leaves) {
-    report.Add("table counts " + Str(counts[0]) + " leaves but the walk saw " + Str(leaves));
-  }
-  for (unsigned level = 2; level <= Table::kNumLevels; ++level) {
-    if (counts[level - 1] != prefixes[level].size()) {
-      report.Add("level " + Str(level) + " counts " + Str(counts[level - 1]) +
-                 " active nodes; the walked nodes imply " + Str(prefixes[level].size()));
-    }
-  }
-  return report;
-}
 
-}  // namespace
+  struct Recount {
+    std::uint64_t nodes = 0;  // Level-1 nodes.
+    std::uint64_t translations = 0;
+    std::uint64_t bytes = 0;
+  };
 
-AuditReport StructuralAuditor::Audit(const pt::LinearPageTable& table) {
-  return AuditLeafTree(table);
-}
-
-AuditReport StructuralAuditor::Audit(const pt::ForwardMappedPageTable& table) {
-  return AuditLeafTree(table);
-}
-
-AuditReport StructuralAuditor::AuditPageTable(const pt::PageTable& table) {
-  if (const auto* t = dynamic_cast<const pt::SoftwareTlb*>(&table)) {
-    AuditReport report;
-    report.Merge(AuditPageTable(t->backing()), "swtlb backing");
-    return report;
-  }
-  if (const auto* t = dynamic_cast<const core::ClusteredPageTable*>(&table)) {
-    return Audit(*t);
-  }
-  if (const auto* t = dynamic_cast<const core::AdaptiveClusteredPageTable*>(&table)) {
-    return Audit(*t);
-  }
-  if (const auto* t = dynamic_cast<const core::MultiSizeClustered*>(&table)) {
-    AuditReport report;
-    report.Merge(Audit(t->small_table()), "small table");
-    report.Merge(Audit(t->large_table()), "large table");
-    return report;
-  }
-  if (const auto* t = dynamic_cast<const pt::MultiTableHashed*>(&table)) {
-    return Audit(*t);
-  }
-  if (const auto* t = dynamic_cast<const pt::HashedPageTable*>(&table)) {
-    return Audit(*t);
-  }
-  if (const auto* t = dynamic_cast<const pt::LinearPageTable*>(&table)) {
-    return Audit(*t);
-  }
-  if (const auto* t = dynamic_cast<const pt::ForwardMappedPageTable*>(&table)) {
-    return Audit(*t);
-  }
-  return AuditReport{};  // Unknown organization: nothing to check.
-}
-
-// ---------------------------------------------------------------------------
-// TLBs
-// ---------------------------------------------------------------------------
-
-namespace {
-
-class EntryCollector final : public TlbAuditVisitor {
- public:
-  void OnEntry(const TlbEntryView& entry) override { entries.push_back(entry); }
-  std::vector<TlbEntryView> entries;
+  PtTableView table_;
+  Recount seen_;
+  std::vector<unsigned> shift_;  // Level l's key is base_vpn >> shift_[l - 1].
+  std::vector<std::unordered_set<std::uint64_t>> prefixes_;  // Keys seen per level.
+  std::vector<MappingWord> words_;  // The current node's words, loaded once.
+  CoverageMap coverage_;
+  AuditReport report_;
 };
 
 std::string EntryId(const TlbEntryView& e) {
@@ -452,132 +274,74 @@ std::string EntryId(const TlbEntryView& e) {
   return os.str();
 }
 
-void CheckNoDuplicateTags(const std::vector<TlbEntryView>& entries, AuditReport& report) {
-  std::unordered_set<std::uint64_t> seen;
-  for (const TlbEntryView& e : entries) {
+// The TLB visitor: checks each entry against the TLB's geometry as it
+// arrives, and the invalid-entry counter at the end.
+class TlbAuditor final : public TlbAuditVisitor {
+ public:
+  void OnTlb(const TlbView& tlb) override { tlb_ = tlb; }
+
+  void OnEntry(const TlbEntryView& e) override {
     if (!e.valid) {
-      continue;
+      ++invalid_;
+      return;
     }
-    // Tag identity: (asid, base_vpn, block form).  Hash them together; the
-    // VPN occupies at most 52 bits.
-    const std::uint64_t key =
-        (e.base_vpn.raw() << 1 | (e.block_entry ? 1u : 0u)) ^ (std::uint64_t{e.asid} << 54);
-    if (!seen.insert(key).second) {
-      report.Add(EntryId(e) + ": duplicate TLB tag");
+    const unsigned k = e.pages_log2;
+    if (((tlb_.page_sizes >> k) & 1u) == 0) {
+      report_.Add(EntryId(e) + ": page size 2^" + Str(k) + " is not one the TLB holds");
+    }
+    // Set indexing unwraps the VPN, as the TLB's own index does.
+    const auto set = static_cast<unsigned>((e.base_vpn.raw() >> tlb_.set_shift) &
+                                           (tlb_.num_sets - 1));
+    if (e.set != set) {
+      report_.Add(EntryId(e) + ": stored in set " + Str(e.set) + " but indexes to set " +
+                  Str(set));
+    }
+    if (!IsSuperpageAligned(e.base_vpn, PageSize{k})) {
+      report_.Add(EntryId(e) + ": VPN not aligned to its 2^" + Str(k) + "-page span");
+    }
+    if (!IsSuperpageAligned(e.base_ppn, PageSize{k})) {
+      report_.Add(EntryId(e) + ": PPN not aligned to its 2^" + Str(k) + "-page span");
+    }
+    const std::uint64_t pages = std::uint64_t{1} << k;
+    const std::uint64_t mask = pages >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << pages) - 1;
+    if ((e.valid_vector & ~mask) != 0) {
+      report_.Add(EntryId(e) + ": valid bits beyond subblock factor " + Str(pages));
+    }
+    if (e.translations.empty()) {
+      report_.Add(EntryId(e) + ": valid entry translates nothing (empty valid vector)");
+    }
+    if (!tags_.emplace(e.asid, e.base_vpn, k).second) {
+      report_.Add(EntryId(e) + ": duplicate TLB tag");
     }
   }
-}
+
+  AuditReport Finish() && {
+    if (tlb_.invalid_entries && *tlb_.invalid_entries != invalid_) {
+      report_.Add("TLB counts " + Str(*tlb_.invalid_entries) +
+                  " invalid entries but the walk saw " + Str(invalid_));
+    }
+    return std::move(report_);
+  }
+
+ private:
+  TlbView tlb_;
+  std::uint64_t invalid_ = 0;
+  std::set<std::tuple<std::uint16_t, Vpn, unsigned>> tags_;
+  AuditReport report_;
+};
 
 }  // namespace
 
-AuditReport StructuralAuditor::AuditTlb(const tlb::Tlb& t) {
-  AuditReport report;
-  EntryCollector c;
-  if (const auto* tlb = dynamic_cast<const tlb::SinglePageTlb*>(&t)) {
-    tlb->AuditVisit(c);
-    CheckNoDuplicateTags(c.entries, report);
-    return report;
-  }
-  if (const auto* tlb = dynamic_cast<const tlb::SuperpageTlb*>(&t)) {
-    tlb->AuditVisit(c);
-    for (const TlbEntryView& e : c.entries) {
-      if (!e.valid) {
-        continue;
-      }
-      const PageSize size{e.pages_log2};
-      if (!IsSuperpageAligned(e.base_vpn, size)) {
-        report.Add(EntryId(e) + ": VPN not aligned to its 2^" + Str(e.pages_log2) +
-                   "-page size");
-      }
-      if (!IsSuperpageAligned(e.base_ppn, size)) {
-        report.Add(EntryId(e) + ": PPN not aligned to its 2^" + Str(e.pages_log2) +
-                   "-page size");
-      }
-    }
-    // No overlap check: without TLB shootdown, stale-but-consistent entries
-    // may legitimately overlap newer ones.
-    return report;
-  }
-  if (const auto* tlb = dynamic_cast<const tlb::PartialSubblockTlb*>(&t)) {
-    tlb->AuditVisit(c);
-    const unsigned factor = tlb->subblock_factor();
-    const std::uint64_t mask =
-        factor >= 16 ? 0xFFFFu : ((std::uint64_t{1} << factor) - 1);
-    for (const TlbEntryView& e : c.entries) {
-      if (!e.valid || !e.block_entry) {
-        continue;
-      }
-      if ((e.valid_vector & ~mask) != 0) {
-        report.Add(EntryId(e) + ": valid bits beyond subblock factor " + Str(factor));
-      }
-      if (e.valid_vector == 0) {
-        report.Add(EntryId(e) + ": block entry with empty valid vector");
-      }
-      if (!IsSuperpageAligned(e.base_ppn, PageSize{Log2(factor)})) {
-        report.Add(EntryId(e) + ": block PPN not aligned to factor " + Str(factor));
-      }
-      if (BoffOf(e.base_vpn, factor) != 0) {
-        report.Add(EntryId(e) + ": block VPN not aligned to factor " + Str(factor));
-      }
-    }
-    CheckNoDuplicateTags(c.entries, report);
-    return report;
-  }
-  if (const auto* tlb = dynamic_cast<const tlb::CompleteSubblockTlb*>(&t)) {
-    tlb->AuditVisit(c);
-    const unsigned factor = tlb->subblock_factor();
-    const std::uint64_t mask =
-        factor >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << factor) - 1);
-    for (const TlbEntryView& e : c.entries) {
-      if (!e.valid) {
-        continue;
-      }
-      if ((e.valid_vector & ~mask) != 0) {
-        report.Add(EntryId(e) + ": valid bits beyond subblock factor " + Str(factor));
-      }
-      if (BoffOf(e.base_vpn, factor) != 0) {
-        report.Add(EntryId(e) + ": block VPN not aligned to factor " + Str(factor));
-      }
-      if (e.translations.size() !=
-          static_cast<std::size_t>(std::popcount(e.valid_vector & mask))) {
-        report.Add(EntryId(e) + ": translation count disagrees with the valid vector");
-      }
-    }
-    CheckNoDuplicateTags(c.entries, report);
-    return report;
-  }
-  if (const auto* tlb = dynamic_cast<const tlb::DualSizeSetAssocTlb*>(&t)) {
-    tlb->AuditVisit(c);
-    const unsigned super_log2 = tlb->superpage_log2();
-    std::uint64_t invalid = 0;
-    for (const TlbEntryView& e : c.entries) {
-      if (!e.valid) {
-        ++invalid;
-        continue;
-      }
-      // Recompute the superpage-index set the same way the TLB does.
-      const unsigned expected_set =
-          static_cast<unsigned>((e.base_vpn.raw() >> super_log2) & (tlb->num_sets() - 1));
-      if (e.set != expected_set) {
-        report.Add(EntryId(e) + ": stored in set " + Str(e.set) + " but indexes to set " +
-                   Str(expected_set));
-      }
-      if (e.pages_log2 != 0 && e.pages_log2 != super_log2) {
-        report.Add(EntryId(e) + ": page size 2^" + Str(e.pages_log2) +
-                   " is neither base nor the superpage size");
-      }
-      const PageSize size{e.pages_log2};
-      if (!IsSuperpageAligned(e.base_vpn, size) || !IsSuperpageAligned(e.base_ppn, size)) {
-        report.Add(EntryId(e) + ": VPN/PPN not aligned to its page size");
-      }
-    }
-    if (invalid != tlb->invalid_entries()) {
-      report.Add("TLB counts " + Str(tlb->invalid_entries()) + " invalid entries but the walk saw " +
-                 Str(invalid));
-    }
-    return report;
-  }
-  return report;  // Unknown TLB design: nothing to check.
+AuditReport StructuralAuditor::Audit(const pt::PageTable& table) {
+  PtAuditor auditor;
+  table.AuditVisit(auditor);
+  return std::move(auditor).Finish();
+}
+
+AuditReport StructuralAuditor::Audit(const tlb::Tlb& tlb) {
+  TlbAuditor auditor;
+  tlb.AuditVisit(auditor);
+  return std::move(auditor).Finish();
 }
 
 // ---------------------------------------------------------------------------

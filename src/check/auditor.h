@@ -1,50 +1,34 @@
-// Structural invariant auditor (the ISSUE's "static analysis at runtime").
+// Structural invariant auditor: static analysis at runtime.
 //
 // StructuralAuditor walks a page table, TLB, or reservation allocator
-// through its AuditVisit hook (see audit_visitor.h) and verifies the
-// structural invariants each organization promises:
-//
-//   Page tables (all four organizations):
-//     - every chain node hangs on the bucket its tag hashes to, and the
-//       stored base VPN is consistent with the tag (no misaligned tags);
-//     - chains are acyclic and contain only in-range arena indices;
-//     - no two nodes provide a valid translation for the same base page
-//       (one page, one mapping — across formats and, for the multi-table
-//       organization, across its two constituent tables);
-//     - superpage words are size-aligned, PSB words have block-aligned PPNs
-//       and no valid bits beyond the subblock factor, and multi-word nodes
-//       mix no formats (the S-field discrimination of Figure 8);
-//     - the table's own accounting (node count, live translations, Table 2
-//       paper bytes) matches a recount of what the walk saw.
-//
-//   TLBs: entry tags aligned to their coverage, valid vectors within the
-//   subblock factor, set-associative entries in the set their VPN indexes,
-//   no duplicate tags, and the invalid-entry counter exact.
-//
-//   ReservationAllocator: frames_used equals the mask popcount sum, group
-//   state and free list consistent, no two reserved groups owned by one
-//   block, and (with the grant log on) every outstanding grant marked used,
-//   with properly-placed grants really sitting at block_base + boff.
-//
-// Each Audit* function returns an AuditReport listing every defect found;
-// an empty report means the structure is sound.  The auditor holds no state
-// between calls and never mutates what it audits.
+// through its AuditVisit hook (audit_visitor.h) and checks the invariants
+// its view declares, naming no organization or design:
+//   - page tables: chain nodes hang on the bucket their tag hashes to; tags
+//     agree with base VPNs; chains are acyclic; no base page has two valid
+//     mappings across every table of one visit; superpage and PSB words are
+//     aligned, PSB vectors stay within the subblock factor and, where the
+//     header asks, nodes mix no formats (Figure 8's S field) and are not
+//     empty; node, translation, paper-byte, leaf and per-level counters
+//     match a recount;
+//   - TLBs: each entry has a page size the TLB holds, sits in the set its
+//     VPN indexes, is aligned to its span, keeps no valid bits beyond it and
+//     translates a page; no two entries share an (asid, base VPN, page size)
+//     tag; the invalid-entry counter, where kept, is exact;
+//   - ReservationAllocator: frames_used equals the mask popcount sum, group
+//     state and free list agree, no block owns two reserved groups, and
+//     (grant log on) every grant is marked used and properly-placed grants
+//     sit at block_base + boff.
+// Each Audit returns every defect found; an empty report means the
+// structure is sound.  The auditor holds no state between calls and never
+// mutates what it audits.
 #pragma once
 
 #include <string>
 #include <string_view>
 #include <vector>
 
-namespace cpt::core {
-class ClusteredPageTable;
-class AdaptiveClusteredPageTable;
-}  // namespace cpt::core
 namespace cpt::pt {
 class PageTable;
-class HashedPageTable;
-class MultiTableHashed;
-class LinearPageTable;
-class ForwardMappedPageTable;
 }  // namespace cpt::pt
 namespace cpt::tlb {
 class Tlb;
@@ -68,21 +52,8 @@ struct AuditReport {
 
 class StructuralAuditor {
  public:
-  // Per-organization page-table audits.
-  static AuditReport Audit(const core::ClusteredPageTable& table);
-  static AuditReport Audit(const core::AdaptiveClusteredPageTable& table);
-  static AuditReport Audit(const pt::HashedPageTable& table);
-  static AuditReport Audit(const pt::MultiTableHashed& table);
-  static AuditReport Audit(const pt::LinearPageTable& table);
-  static AuditReport Audit(const pt::ForwardMappedPageTable& table);
-
-  // Dispatches on the concrete organization; unknown types yield an empty
-  // report (nothing to check is not a defect).
-  static AuditReport AuditPageTable(const pt::PageTable& table);
-
-  // Dispatches on the concrete TLB design.
-  static AuditReport AuditTlb(const tlb::Tlb& tlb);
-
+  static AuditReport Audit(const pt::PageTable& table);
+  static AuditReport Audit(const tlb::Tlb& tlb);
   static AuditReport Audit(const mem::ReservationAllocator& alloc);
 };
 

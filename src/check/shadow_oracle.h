@@ -56,6 +56,7 @@ class ShadowedPageTable final : public pt::PageTable {
   std::uint64_t live_translations() const override { return inner_->live_translations(); }
   // Keeps the wrapped organization's name so experiment labels are unchanged.
   std::string name() const override { return inner_->name(); }
+  void AuditVisit(PtAuditVisitor& visitor) const override { inner_->AuditVisit(visitor); }
 
   // ---- Oracle interface ----
   pt::PageTable& inner() { return *inner_; }

@@ -368,7 +368,14 @@ std::string AdaptiveClusteredPageTable::name() const {
 }
 
 void AdaptiveClusteredPageTable::AuditVisit(check::PtAuditVisitor& visitor) const {
-  VisitChains(visitor, [this](const AdaptiveNode& n, check::PtNodeView& view) {
+  // Keyed by VPBN, one format per node.  (A single-page node's base VPN
+  // carries its block offset, which the tag shift drops.)
+  const check::PtTableView table{.name = name(),
+                                 .tag_shift = block_log2_,
+                                 .psb_factor = factor_,
+                                 .uniform_kind = true,
+                                 .check_nonempty = true};
+  VisitChains(visitor, table, [this](const AdaptiveNode& n, check::PtNodeView& view) {
     view.tag = n.tag.raw();  // PtNodeView tags are deliberately domain-erased chain keys.
     view.words = n.words.data();
     view.num_words = static_cast<unsigned>(n.words.size());

@@ -85,13 +85,10 @@ class AdaptiveClusteredPageTable final : public pt::ChainArena<AdaptiveNode> {
                                               std::uint16_t clear_mask) override;
   std::uint64_t ProtectRange(Vpn first_vpn, std::uint64_t npages, Attr attr) override;
   std::string name() const override;
+  void AuditVisit(check::PtAuditVisitor& visitor) const override;
 
   std::uint64_t promotions() const { return promotions_; }
   std::uint64_t demotions() const { return demotions_; }
-
-  // ---- Invariant auditing (src/check) ----
-  unsigned subblock_factor() const { return factor_; }
-  void AuditVisit(check::PtAuditVisitor& visitor) const;
 
  private:
   using NodeKind = AdaptiveNode::Kind;

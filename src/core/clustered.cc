@@ -353,7 +353,13 @@ std::string ClusteredPageTable::name() const {
 }
 
 void ClusteredPageTable::AuditVisit(check::PtAuditVisitor& visitor) const {
-  VisitChains(visitor, [this](const ClusteredNode& n, check::PtNodeView& view) {
+  // Keyed by VPBN, one format per node.
+  const check::PtTableView table{.name = name(),
+                                 .tag_shift = block_log2_,
+                                 .psb_factor = factor_,
+                                 .uniform_kind = true,
+                                 .check_nonempty = true};
+  VisitChains(visitor, table, [this](const ClusteredNode& n, check::PtNodeView& view) {
     view.tag = n.tag.raw();  // PtNodeView tags are deliberately domain-erased chain keys.
     view.base_vpn = FirstVpnOfBlock(n.tag, factor_);
     view.sub_log2 = n.sub_log2;

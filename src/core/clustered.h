@@ -89,8 +89,7 @@ class ClusteredPageTable final : public pt::ChainArena<ClusteredNode> {
   unsigned subblock_factor() const { return factor_; }
   Histogram BlockOccupancyHistogram() const;  // Valid base mappings per base node.
 
-  // ---- Invariant auditing (src/check) ----
-  void AuditVisit(check::PtAuditVisitor& visitor) const;
+  void AuditVisit(check::PtAuditVisitor& visitor) const override;
 
  private:
   // Paper-model node format (Figure 7): an 8-byte VPBN tag and an 8-byte

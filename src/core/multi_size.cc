@@ -95,4 +95,9 @@ std::uint64_t MultiSizeClustered::live_translations() const {
   return small_.live_translations() + large_.live_translations();
 }
 
+void MultiSizeClustered::AuditVisit(check::PtAuditVisitor& visitor) const {
+  small_.AuditVisit(visitor);
+  large_.AuditVisit(visitor);
+}
+
 }  // namespace cpt::core

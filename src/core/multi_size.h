@@ -58,6 +58,8 @@ class MultiSizeClustered final : public pt::PageTable {
   std::uint64_t SizeBytesActual() const override;
   std::uint64_t live_translations() const override;
   std::string name() const override { return "clustered-multisize"; }
+  // Each constituent under its own header.
+  void AuditVisit(check::PtAuditVisitor& visitor) const override;
 
   ClusteredPageTable& small_table() { return small_; }
   ClusteredPageTable& large_table() { return large_; }

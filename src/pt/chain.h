@@ -74,8 +74,7 @@ class ChainArena : public PageTable {
   std::uint64_t SizeBytesActual() const final { return alloc_.bytes_live(); }
   std::uint64_t live_translations() const final { return live_translations_; }
 
-  // The bucket a chain key hangs on.  A table's audit-view tag is its chain
-  // key, so the auditor checks bucket membership with this too.
+  // The bucket a chain key hangs on.
   template <typename Key>
   std::uint32_t BucketOf(Key key) const {
     return hasher_(key);
@@ -253,12 +252,21 @@ class ChainArena : public PageTable {
     --live_nodes_;
   }
 
-  // Reports every chain node to `visitor`, bucket by bucket in chain order.
-  // The layer fills the view's bucket, index and addr; `view_of(node, view)`
-  // fills the rest.  A chain that runs past the live node count or off the
-  // arena is reported as a cycle, and that bucket's walk stops.
+  // Reports the table to `visitor`: `table`, the table's rules, completed
+  // with the layer's counters, then every chain node, bucket by bucket in
+  // chain order.  Every node costs a 16-byte header plus 8 bytes per word,
+  // so the header's paper bytes are recounted.  `view_of(node, view)` fills
+  // a node's view; the layer adds the bucket it hangs on and the bucket its
+  // tag (the chain key) hashes to.  A chain that runs past the live node
+  // count or off the arena is reported as a cycle, and that bucket's walk
+  // stops.
   template <typename ViewOf>
-  void VisitChains(check::PtAuditVisitor& visitor, ViewOf view_of) const {
+  void VisitChains(check::PtAuditVisitor& visitor, check::PtTableView table,
+                   ViewOf view_of) const {
+    table.node_count = live_nodes_;
+    table.live_translations = live_translations_;
+    table.paper_bytes = node_bytes_;
+    visitor.OnTable(table);
     const std::uint64_t step_limit = live_nodes_ + 1;
     for (std::uint32_t b = 0; b < buckets_.size(); ++b) {
       std::uint64_t steps = 0;
@@ -270,9 +278,8 @@ class ChainArena : public PageTable {
         const Node& n = arena_[idx];
         check::PtNodeView view;
         view.bucket = b;
-        view.index = idx;
-        view.addr = n.addr;
         view_of(n, view);
+        view.home_bucket = BucketOf(view.tag);
         visitor.OnNode(view);
       }
     }

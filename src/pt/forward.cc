@@ -186,16 +186,13 @@ void ForwardMappedPageTable::AuditVisit(check::PtAuditVisitor& visitor) const {
   for (unsigned level = 2; level <= kNumLevels; ++level) {
     for (const auto& [prefix, inner] : inner_[level]) {
       for (const auto& [idx, word] : inner.super_slots) {
-        check::PtNodeView view;
-        view.bucket = level;
-        view.tag = prefix;
-        view.base_vpn = Vpn{((prefix << kLevelBits[level - 1]) | idx) << ShiftOfLevel(level)};
-        view.sub_log2 = ShiftOfLevel(level);
-        view.words = &word;
-        view.num_words = 1;
-        view.index = static_cast<std::int32_t>(inner.children);
-        view.addr = inner.addr;
-        visitor.OnNode(view);
+        visitor.OnNode(
+            {.level = level,
+             .tag = prefix,
+             .base_vpn = Vpn{((prefix << kLevelBits[level - 1]) | idx) << ShiftOfLevel(level)},
+             .sub_log2 = ShiftOfLevel(level),
+             .words = &word,
+             .num_words = 1});
       }
     }
   }

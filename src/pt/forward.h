@@ -66,10 +66,9 @@ class ForwardMappedPageTable final : public ReplicatedLeafTable<ForwardMappedPag
   // Active node counts per level (leaf first), for the size formulae.
   std::array<std::uint64_t, kNumLevels> ActiveNodesPerLevel() const;
 
-  // ---- Invariant auditing (src/check) ----
   // The leaf layer's views, then one single-word view per intermediate
-  // superpage, `bucket` its level and `sub_log2` the level's coverage.
-  void AuditVisit(check::PtAuditVisitor& visitor) const;
+  // superpage at its level, `sub_log2` the level's coverage.
+  void AuditVisit(check::PtAuditVisitor& visitor) const override;
 
  private:
   friend class check::TestBackdoor;

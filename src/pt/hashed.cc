@@ -188,7 +188,10 @@ std::string HashedPageTable::name() const {
 }
 
 void HashedPageTable::AuditVisit(check::PtAuditVisitor& visitor) const {
-  VisitChains(visitor, [this](const HashedNode& n, check::PtNodeView& view) {
+  // A PSB word covers one key span.
+  const check::PtTableView table{
+      .name = name(), .tag_shift = opts_.tag_shift, .psb_factor = 1u << opts_.tag_shift};
+  VisitChains(visitor, table, [this](const HashedNode& n, check::PtNodeView& view) {
     view.tag = n.key;
     view.base_vpn = n.base_vpn;
     view.sub_log2 = Match(n, n.key)->pages_log2;  // The word's own range.

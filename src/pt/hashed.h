@@ -95,9 +95,10 @@ class HashedPageTable final : public ChainArena<HashedNode> {
   // Uncounted read of the stored word (OS-side inspection).
   std::optional<MappingWord> Peek(std::uint64_t key) const;
 
-  // ---- Introspection for tests, benches and the auditor ----
+  void AuditVisit(check::PtAuditVisitor& visitor) const override;
+
+  // ---- Introspection for tests and benches ----
   unsigned tag_shift() const { return opts_.tag_shift; }
-  void AuditVisit(check::PtAuditVisitor& visitor) const;
 
  private:
   // Chain keys deliberately erase the domain: a base-keyed table tags nodes

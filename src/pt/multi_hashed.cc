@@ -97,9 +97,6 @@ std::string MultiTableHashed::name() const {
 }
 
 void MultiTableHashed::AuditVisit(check::PtAuditVisitor& visitor) const {
-  // Bucket numbers of the two constituent tables overlap; per-table bucket
-  // checks should use base_table()/block_table() directly.  This combined
-  // walk serves whole-table coverage checks.
   base_.AuditVisit(visitor);
   block_.AuditVisit(visitor);
 }

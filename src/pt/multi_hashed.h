@@ -53,14 +53,13 @@ class MultiTableHashed final : public PageTable {
   std::uint64_t SizeBytesActual() const override;
   std::uint64_t live_translations() const override;
   std::string name() const override;
+  // Each constituent under its own header.
+  void AuditVisit(check::PtAuditVisitor& visitor) const override;
 
   HashedPageTable& base_table() { return base_; }
   HashedPageTable& block_table() { return block_; }
   const HashedPageTable& base_table() const { return base_; }
   const HashedPageTable& block_table() const { return block_; }
-
-  // ---- Invariant auditing (src/check) ----
-  void AuditVisit(check::PtAuditVisitor& visitor) const;
 
  private:
   // The constituent tables in the configured search order: Lookup and

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "check/fwd.h"
 #include "common/hotpath.h"
 #include "common/pte.h"
 #include "common/types.h"
@@ -236,6 +237,11 @@ class PageTable {
   virtual std::uint64_t live_translations() const = 0;
 
   virtual std::string name() const = 0;
+
+  // Reports the table's audit view (check/audit_visitor.h): a header with
+  // its format rules and counters, then its nodes.  A wrapper reports the
+  // table it wraps; a composite reports each constituent in turn.
+  virtual void AuditVisit(check::PtAuditVisitor& visitor) const = 0;
 
   mem::CacheTouchModel& cache() { return cache_; }
 

@@ -141,20 +141,25 @@ class ReplicatedLeafTable : public PageTable {
 
   std::uint64_t live_translations() const final { return live_translations_; }
 
-  // One view per leaf: `bucket` is the tree level (1), `tag` the leaf key
-  // and `index` the leaf's live-slot counter, which the auditor recounts.
-  void AuditVisit(check::PtAuditVisitor& visitor) const {
+  // The tree's header (its level widths and per-level node counts), then
+  // one view per leaf: `tag` is the leaf key and `live_slots` the leaf's
+  // live-slot counter, which the auditor recounts.  Leaves mix formats
+  // (Replicate-PTEs), so the word rules are the defaults.
+  void AuditVisit(check::PtAuditVisitor& visitor) const override {
+    const Table& table = static_cast<const Table&>(*this);
+    const auto counts = table.ActiveNodesPerLevel();
+    visitor.OnTable({.name = table.name(),
+                     .tag_shift = Table::kLevelBits[0],
+                     .node_count = counts[0],
+                     .live_translations = live_translations_,
+                     .level_bits = {Table::kLevelBits.begin(), Table::kLevelBits.end()},
+                     .level_nodes = {counts.begin(), counts.end()}});
     for (const auto& [key, leaf] : leaves_) {
-      check::PtNodeView view;
-      view.bucket = 1;
-      view.tag = key;
-      view.base_vpn = Vpn{key * kLeafSlots};
-      view.sub_log2 = 0;
-      view.words = leaf.slots.data();
-      view.num_words = kLeafSlots;
-      view.index = static_cast<std::int32_t>(leaf.live);
-      view.addr = leaf.addr;
-      visitor.OnNode(view);
+      visitor.OnNode({.tag = key,
+                      .base_vpn = Vpn{key * kLeafSlots},
+                      .words = leaf.slots.data(),
+                      .num_words = kLeafSlots,
+                      .live_slots = leaf.live});
     }
   }
 

@@ -73,9 +73,11 @@ class SoftwareTlb final : public PageTable {
   std::uint64_t SizeBytesActual() const override;
   std::uint64_t live_translations() const override { return backing_->live_translations(); }
   std::string name() const override;
+  // The backing table's view: the slots cache translations it holds.
+  void AuditVisit(check::PtAuditVisitor& visitor) const override {
+    backing_->AuditVisit(visitor);
+  }
 
-  PageTable& backing() { return *backing_; }
-  const PageTable& backing() const { return *backing_; }
   std::uint64_t probe_hits() const { return hits_; }
   std::uint64_t probe_misses() const { return misses_; }
 

@@ -180,7 +180,9 @@ Machine::Machine(MachineOptions opts, unsigned num_processes)
     if (opts_.audit) {
       // The oracle wraps outermost — above any software TLB — so it also
       // cross-checks the software TLB's write-through invalidation.
-      ctx.table = std::make_unique<check::ShadowedPageTable>(cache_, std::move(ctx.table));
+      auto oracle = std::make_unique<check::ShadowedPageTable>(cache_, std::move(ctx.table));
+      oracles_.push_back(oracle.get());
+      ctx.table = std::move(oracle);
     }
     ctx.aspace = std::make_unique<os::AddressSpace>(
         p, *ctx.table, frames_,
@@ -385,19 +387,16 @@ std::uint64_t Machine::TotalPtBytesActual() const {
 check::AuditReport Machine::AuditAll() const {
   check::AuditReport report;
   for (std::size_t p = 0; p < procs_.size(); ++p) {
-    const pt::PageTable* table = procs_[p].table.get();
     const std::string prefix = "proc " + std::to_string(p);
     if (opts_.audit) {
-      const auto& shadow = static_cast<const check::ShadowedPageTable&>(*table);
-      report.Merge(shadow.FinalCheck(), prefix + " oracle");
-      table = &shadow.inner();
+      report.Merge(oracles_[p]->FinalCheck(), prefix + " oracle");
     }
-    report.Merge(check::StructuralAuditor::AuditPageTable(*table), prefix);
+    report.Merge(check::StructuralAuditor::Audit(*procs_[p].table), prefix);
   }
   report.Merge(check::StructuralAuditor::Audit(frames_), "frames");
-  report.Merge(check::StructuralAuditor::AuditTlb(*tlb_), "tlb");
+  report.Merge(check::StructuralAuditor::Audit(*tlb_), "tlb");
   if (ref_tlb_) {
-    report.Merge(check::StructuralAuditor::AuditTlb(*ref_tlb_), "ref-tlb");
+    report.Merge(check::StructuralAuditor::Audit(*ref_tlb_), "ref-tlb");
   }
   return report;
 }

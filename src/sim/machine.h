@@ -32,6 +32,10 @@
 #include "tlb/tlb.h"
 #include "workload/workload.h"
 
+namespace cpt::check {
+class ShadowedPageTable;
+}  // namespace cpt::check
+
 namespace cpt::sim {
 
 enum class PtKind : std::uint8_t {
@@ -207,6 +211,8 @@ class Machine {
   std::unique_ptr<tlb::Tlb> ref_tlb_;  // Full-size reference TLB (linear only).
   std::vector<pt::TlbFill> block_fills_;  // Scratch for prefetch.
   obs::WalkTracer* tracer_ = nullptr;
+  // Under options().audit, the shadow oracle that is each process's table.
+  std::vector<const check::ShadowedPageTable*> oracles_;
 };
 
 }  // namespace cpt::sim

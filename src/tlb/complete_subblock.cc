@@ -75,16 +75,12 @@ void CompleteSubblockTlb::DoFlush() { entries_.InvalidateAll(); }
 
 void CompleteSubblockTlb::AuditVisit(check::TlbAuditVisitor& visitor) const {
   for (unsigned i = 0; i < entries_.size(); ++i) {
-    check::TlbEntryView view;
-    view.set = 0;
-    view.valid = entries_.valid[i] != 0;
-    view.asid = entries_.asids[i];
-    view.stamp = entries_.stamps[i];
-    view.base_vpn = FirstVpnOfBlock(Vpbn{entries_.tags[i]}, factor_);
-    view.base_ppn = Ppn{};
-    view.pages_log2 = Log2(factor_);
-    view.valid_vector = vectors_[i];
-    view.block_entry = true;
+    check::TlbEntryView view{.valid = entries_.valid[i] != 0,
+                             .asid = entries_.asids[i],
+                             .stamp = entries_.stamps[i],
+                             .base_vpn = FirstVpnOfBlock(Vpbn{entries_.tags[i]}, factor_),
+                             .pages_log2 = Log2(factor_),
+                             .valid_vector = vectors_[i]};
     if (view.valid) {
       for (unsigned b = 0; b < factor_; ++b) {
         if ((vectors_[i] >> b) & 1u) {

@@ -28,15 +28,11 @@ class CompleteSubblockTlb final : public Tlb {
   CompleteSubblockTlb(unsigned num_entries, unsigned subblock_factor);
 
   std::string name() const override { return "complete-subblock"; }
+  void AuditVisit(check::TlbAuditVisitor& visitor) const override;
 
   // Block-miss prefetch: installs every page of vpn's block that the given
   // fills cover, allocating the entry if needed (one replacement at most).
   CPT_HOT void InsertBlock(Asid asid, Vpn vpn, std::span<const pt::TlbFill> fills);
-
-  unsigned subblock_factor() const { return factor_; }
-
-  // ---- Invariant auditing (src/check) ----
-  void AuditVisit(check::TlbAuditVisitor& visitor) const;
 
  protected:
   [[nodiscard]] CPT_HOT LookupOutcome Probe(Asid asid, Vpn vpn) override;

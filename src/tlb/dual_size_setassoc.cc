@@ -89,18 +89,20 @@ void DualSizeSetAssocTlb::DoFlush() {
 }
 
 void DualSizeSetAssocTlb::AuditVisit(check::TlbAuditVisitor& visitor) const {
+  visitor.OnTlb({.num_sets = num_sets_,
+                 .set_shift = superpage_log2_,
+                 .page_sizes = 1u | (std::uint64_t{1} << superpage_log2_),
+                 .invalid_entries = invalid_entries_});
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];
-    check::TlbEntryView view;
-    view.set = static_cast<unsigned>(i / ways_);
-    view.valid = e.valid;
-    view.asid = e.asid;
-    view.stamp = e.stamp;
-    view.base_vpn = e.base_vpn;
-    view.base_ppn = e.base_ppn;
-    view.pages_log2 = e.pages_log2;
-    view.valid_vector = 1;
-    view.block_entry = e.pages_log2 > 0;
+    check::TlbEntryView view{.set = static_cast<unsigned>(i / ways_),
+                             .valid = e.valid,
+                             .asid = e.asid,
+                             .stamp = e.stamp,
+                             .base_vpn = e.base_vpn,
+                             .pages_log2 = e.pages_log2,
+                             .base_ppn = e.base_ppn};
+    view.TranslateRun();
     visitor.OnEntry(view);
   }
 }

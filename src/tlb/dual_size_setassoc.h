@@ -26,17 +26,11 @@ class DualSizeSetAssocTlb final : public Tlb {
   DualSizeSetAssocTlb(unsigned num_sets, unsigned ways, unsigned superpage_log2 = 4);
 
   std::string name() const override { return "dual-size-setassoc"; }
+  void AuditVisit(check::TlbAuditVisitor& visitor) const override;
 
-  unsigned num_sets() const { return num_sets_; }
-  unsigned ways() const { return ways_; }
   // Conflict evictions: replacements that happened while other sets had
   // invalid entries — the set-crowding cost of superpage indexing.
   std::uint64_t conflict_evictions() const { return conflict_evictions_; }
-
-  // ---- Invariant auditing (src/check) ----
-  unsigned superpage_log2() const { return superpage_log2_; }
-  std::uint64_t invalid_entries() const { return invalid_entries_; }
-  void AuditVisit(check::TlbAuditVisitor& visitor) const;
 
  protected:
   [[nodiscard]] CPT_HOT LookupOutcome Probe(Asid asid, Vpn vpn) override;

@@ -68,16 +68,15 @@ void PartialSubblockTlb::DoFlush() { entries_.InvalidateAll(); }
 
 void PartialSubblockTlb::AuditVisit(check::TlbAuditVisitor& visitor) const {
   for (unsigned i = 0; i < entries_.size(); ++i) {
-    check::TlbEntryView view;
-    view.set = 0;
-    view.valid = entries_.valid[i] != 0;
-    view.asid = entries_.asids[i];
-    view.stamp = entries_.stamps[i];
-    view.block_entry = blocks_[i] != 0;
-    view.base_vpn = Vpn{entries_.tags[i]};
-    view.base_ppn = ppns_[i];
-    view.pages_log2 = view.block_entry ? block_log2_ : 0;
-    view.valid_vector = view.block_entry ? vectors_[i] : 1;
+    const bool block = blocks_[i] != 0;
+    check::TlbEntryView view{.valid = entries_.valid[i] != 0,
+                             .asid = entries_.asids[i],
+                             .stamp = entries_.stamps[i],
+                             .base_vpn = Vpn{entries_.tags[i]},
+                             .pages_log2 = block ? block_log2_ : 0,
+                             .base_ppn = ppns_[i],
+                             .valid_vector = block ? vectors_[i] : 0u};
+    view.TranslateRun(/*by_vector=*/block);
     visitor.OnEntry(view);
   }
 }

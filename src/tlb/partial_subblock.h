@@ -22,17 +22,14 @@ class PartialSubblockTlb final : public Tlb {
   PartialSubblockTlb(unsigned num_entries, unsigned subblock_factor);
 
   std::string name() const override { return "partial-subblock"; }
+  void AuditVisit(check::TlbAuditVisitor& visitor) const override;
 
-  unsigned subblock_factor() const { return factor_; }
   // Hits served by partial-subblock entries, and their fraction.
   std::uint64_t subblock_hits() const { return psb_hits_; }
   double SubblockHitFraction() const {
     return stats_.hits == 0 ? 0.0
                             : static_cast<double>(psb_hits_) / static_cast<double>(stats_.hits);
   }
-
-  // ---- Invariant auditing (src/check) ----
-  void AuditVisit(check::TlbAuditVisitor& visitor) const;
 
  protected:
   [[nodiscard]] CPT_HOT LookupOutcome Probe(Asid asid, Vpn vpn) override;

@@ -34,19 +34,12 @@ void SinglePageTlb::DoFlush() { entries_.InvalidateAll(); }
 
 void SinglePageTlb::AuditVisit(check::TlbAuditVisitor& visitor) const {
   for (unsigned i = 0; i < entries_.size(); ++i) {
-    check::TlbEntryView view;
-    view.set = 0;
-    view.valid = entries_.valid[i] != 0;
-    view.asid = entries_.asids[i];
-    view.stamp = entries_.stamps[i];
-    view.base_vpn = Vpn{entries_.tags[i]};
-    view.base_ppn = ppns_[i];
-    view.pages_log2 = 0;
-    view.valid_vector = 1;
-    view.block_entry = false;
-    if (view.valid) {
-      view.translations.emplace_back(view.base_vpn, view.base_ppn);
-    }
+    check::TlbEntryView view{.valid = entries_.valid[i] != 0,
+                             .asid = entries_.asids[i],
+                             .stamp = entries_.stamps[i],
+                             .base_vpn = Vpn{entries_.tags[i]},
+                             .base_ppn = ppns_[i]};
+    view.TranslateRun();
     visitor.OnEntry(view);
   }
 }

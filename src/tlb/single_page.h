@@ -17,9 +17,7 @@ class SinglePageTlb final : public Tlb {
   explicit SinglePageTlb(unsigned num_entries);
 
   std::string name() const override { return "single-page"; }
-
-  // ---- Invariant auditing (src/check) ----
-  void AuditVisit(check::TlbAuditVisitor& visitor) const;
+  void AuditVisit(check::TlbAuditVisitor& visitor) const override;
 
  protected:
   [[nodiscard]] CPT_HOT LookupOutcome Probe(Asid asid, Vpn vpn) override;

@@ -53,16 +53,13 @@ void SuperpageTlb::DoFlush() { entries_.InvalidateAll(); }
 
 void SuperpageTlb::AuditVisit(check::TlbAuditVisitor& visitor) const {
   for (unsigned i = 0; i < entries_.size(); ++i) {
-    check::TlbEntryView view;
-    view.set = 0;
-    view.valid = entries_.valid[i] != 0;
-    view.asid = entries_.asids[i];
-    view.stamp = entries_.stamps[i];
-    view.base_vpn = Vpn{entries_.tags[i]};
-    view.base_ppn = ppns_[i];
-    view.pages_log2 = log2s_[i];
-    view.valid_vector = 1;
-    view.block_entry = log2s_[i] > 0;
+    check::TlbEntryView view{.valid = entries_.valid[i] != 0,
+                             .asid = entries_.asids[i],
+                             .stamp = entries_.stamps[i],
+                             .base_vpn = Vpn{entries_.tags[i]},
+                             .pages_log2 = log2s_[i],
+                             .base_ppn = ppns_[i]};
+    view.TranslateRun();
     visitor.OnEntry(view);
   }
 }

@@ -19,6 +19,7 @@ class SuperpageTlb final : public Tlb {
   explicit SuperpageTlb(unsigned num_entries);
 
   std::string name() const override { return "superpage"; }
+  void AuditVisit(check::TlbAuditVisitor& visitor) const override;
 
   // Hits served by entries larger than a base page, and their fraction.
   std::uint64_t superpage_hits() const { return super_hits_; }
@@ -26,9 +27,6 @@ class SuperpageTlb final : public Tlb {
     return stats_.hits == 0 ? 0.0
                             : static_cast<double>(super_hits_) / static_cast<double>(stats_.hits);
   }
-
-  // ---- Invariant auditing (src/check) ----
-  void AuditVisit(check::TlbAuditVisitor& visitor) const;
 
  protected:
   [[nodiscard]] CPT_HOT LookupOutcome Probe(Asid asid, Vpn vpn) override;

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <string>
 
+#include "check/fwd.h"
 #include "common/check.h"
 #include "common/hotpath.h"
 #include "common/types.h"
@@ -106,6 +107,11 @@ class Tlb {
   }
 
   virtual std::string name() const = 0;
+
+  // Reports the TLB's audit view (check/audit_visitor.h): its geometry,
+  // where it is not one fully-associative set, then every entry in array
+  // order.
+  virtual void AuditVisit(check::TlbAuditVisitor& visitor) const = 0;
 
   unsigned num_entries() const { return num_entries_; }
   const TlbStats& stats() const { return stats_; }

@@ -23,7 +23,7 @@ namespace cpt::testutil {
 // coverage) but which has no bearing on the counts.
 inline std::string AccountingDefects(const pt::PageTable& table) {
   std::string out;
-  for (const std::string& d : check::StructuralAuditor::AuditPageTable(table).defects) {
+  for (const std::string& d : check::StructuralAuditor::Audit(table).defects) {
     if (d.find(" counts ") != std::string::npos || d.find("live counter") != std::string::npos) {
       out += d + "\n";
     }

@@ -222,7 +222,7 @@ class ReplicatedTableTest : public ::testing::Test {
   }
 
   std::string Audit() const {
-    return check::StructuralAuditor::AuditPageTable(table_).Summary();
+    return check::StructuralAuditor::Audit(table_).Summary();
   }
 
   mem::CacheTouchModel cache_;

@@ -18,9 +18,7 @@
 #include "sim/analytic.h"
 #include "sim/experiments.h"
 #include "sim/machine.h"
-#include "tlb/complete_subblock.h"
 #include "tlb/partial_subblock.h"
-#include "tlb/single_page.h"
 #include "tlb/superpage.h"
 #include "workload/workload.h"
 
@@ -78,22 +76,9 @@ class EntryCollector final : public check::TlbAuditVisitor {
 // The effective TLB's replacement state: every entry's validity, tag and
 // LRU stamp, in array order.
 std::vector<std::tuple<bool, std::uint16_t, std::uint64_t, std::uint64_t>> LruState(
-    const tlb::Tlb& t, TlbKind kind) {
+    const tlb::Tlb& t) {
   EntryCollector c;
-  switch (kind) {
-    case TlbKind::kSinglePage:
-      static_cast<const tlb::SinglePageTlb&>(t).AuditVisit(c);
-      break;
-    case TlbKind::kSuperpage:
-      static_cast<const tlb::SuperpageTlb&>(t).AuditVisit(c);
-      break;
-    case TlbKind::kPartialSubblock:
-      static_cast<const tlb::PartialSubblockTlb&>(t).AuditVisit(c);
-      break;
-    case TlbKind::kCompleteSubblock:
-      static_cast<const tlb::CompleteSubblockTlb&>(t).AuditVisit(c);
-      break;
-  }
+  t.AuditVisit(c);
   return std::move(c.entries);
 }
 
@@ -154,7 +139,7 @@ void ExpectRunReplayMatchesAccess(const workload::WorkloadSpec& spec, const Mach
   EXPECT_EQ(a.subblock_misses, b.subblock_misses);
   EXPECT_EQ(ClassHitFraction(by_run.tlb(), opts.tlb_kind),
             ClassHitFraction(by_ref.tlb(), opts.tlb_kind));
-  EXPECT_EQ(LruState(by_run.tlb(), opts.tlb_kind), LruState(by_ref.tlb(), opts.tlb_kind));
+  EXPECT_EQ(LruState(by_run.tlb()), LruState(by_ref.tlb()));
   EXPECT_EQ(by_run.DenominatorMisses(), by_ref.DenominatorMisses());
   EXPECT_EQ(by_run.cache().total_lines(), by_ref.cache().total_lines());
   EXPECT_EQ(by_run.cache().total_walks(), by_ref.cache().total_walks());

@@ -268,7 +268,7 @@ TEST(OsRefaultTest, RefaultAfterUnmappingTheLastFaultedBlock) {
       }
       EXPECT_EQ(ppn, *block_ppn + i) << "page " << i;
     }
-    const check::AuditReport pt_report = check::StructuralAuditor::AuditPageTable(table);
+    const check::AuditReport pt_report = check::StructuralAuditor::Audit(table);
     EXPECT_TRUE(pt_report.ok()) << pt_report.Summary();
     const check::AuditReport mem_report = check::StructuralAuditor::Audit(frames);
     EXPECT_TRUE(mem_report.ok()) << mem_report.Summary();
@@ -357,7 +357,7 @@ TEST(OsStragglerTest, PsbUpdatesKeepTheStragglersBasePte) {
       EXPECT_EQ(table.live_translations(), as.resident_pages());
       const check::AuditReport oracle = table.FinalCheck();
       EXPECT_TRUE(oracle.ok()) << oracle.Summary();
-      const check::AuditReport audit = check::StructuralAuditor::AuditPageTable(table.inner());
+      const check::AuditReport audit = check::StructuralAuditor::Audit(table);
       EXPECT_TRUE(audit.ok()) << audit.Summary();
     }
   }
@@ -397,7 +397,7 @@ TEST(OsBrokenReservationTest, PlacedPagesStayInOneFrameBlock) {
                 frames.grants() - frames.properly_placed_grants());
       ExpectResidentPagesMapToTheirFrames(as, *table, Vpn{0x100}, 16);
       ExpectResidentPagesMapToTheirFrames(as, *table, Vpn{0x300}, 0x200);
-      const check::AuditReport pt_report = check::StructuralAuditor::AuditPageTable(*table);
+      const check::AuditReport pt_report = check::StructuralAuditor::Audit(*table);
       EXPECT_TRUE(pt_report.ok()) << pt_report.Summary();
       const check::AuditReport mem_report = check::StructuralAuditor::Audit(frames);
       EXPECT_TRUE(mem_report.ok()) << mem_report.Summary();

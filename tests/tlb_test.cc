@@ -5,6 +5,7 @@
 // replacement policy, after every step of a random stream.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <span>
@@ -313,29 +314,23 @@ class ViewCollector final : public check::TlbAuditVisitor {
   std::vector<check::TlbEntryView> views;
 };
 
-template <class T>
-std::vector<check::TlbEntryView> ViewsOf(const T& tlb) {
+std::vector<check::TlbEntryView> ViewsOf(const tlb::Tlb& tlb) {
   ViewCollector c;
   tlb.AuditVisit(c);
   return std::move(c.views);
 }
 
-// Whether an entry view serves (asid, vpn).  Superpage-TLB views carry no
-// valid vector (`whole_span`): a live entry serves its whole span.
-bool ViewCovers(const check::TlbEntryView& v, Asid asid, Vpn vpn, bool whole_span) {
-  if (!v.valid || v.asid != asid) {
-    return false;
-  }
-  const Vpn base = SuperpageBaseVpn(v.base_vpn, PageSize{v.pages_log2});
-  if (vpn < base || vpn - base >= (std::uint64_t{1} << v.pages_log2)) {
-    return false;
-  }
-  return whole_span || ((v.valid_vector >> (vpn - base)) & 1u);
+// Whether an entry view serves (asid, vpn): it lists vpn among its
+// translations.
+bool ViewCovers(const check::TlbEntryView& v, Asid asid, Vpn vpn) {
+  return v.valid && v.asid == asid &&
+         std::any_of(v.translations.begin(), v.translations.end(),
+                     [vpn](const std::pair<Vpn, Ppn>& t) { return t.first == vpn; });
 }
 
 struct MemoStreamResult {
   std::uint64_t hits = 0;
-  std::uint64_t class_hits = 0;  // Hits served by block_entry views.
+  std::uint64_t class_hits = 0;  // Hits served by views larger than a page.
 };
 
 // Drives `tlb` with a seeded mix of repeated probes (the memo's case),
@@ -344,7 +339,7 @@ struct MemoStreamResult {
 // first entry, in array order, that covers (asid, vpn); a miss means no
 // entry covers it.  `install` inserts a fill covering (asid, vpn).
 template <class T>
-MemoStreamResult RunMemoStream(T& tlb, bool whole_span, std::uint64_t seed,
+MemoStreamResult RunMemoStream(T& tlb, std::uint64_t seed,
                                const std::function<void(Rng&, Asid, Vpn)>& install) {
   Rng rng(seed);
   MemoStreamResult r;
@@ -373,7 +368,7 @@ MemoStreamResult RunMemoStream(T& tlb, bool whole_span, std::uint64_t seed,
     const std::vector<check::TlbEntryView> views = ViewsOf(tlb);
     std::size_t first = views.size();
     for (std::size_t i = 0; i < views.size(); ++i) {
-      if (ViewCovers(views[i], asid, vpn, whole_span)) {
+      if (ViewCovers(views[i], asid, vpn)) {
         first = i;
         break;
       }
@@ -403,7 +398,7 @@ MemoStreamResult RunMemoStream(T& tlb, bool whole_span, std::uint64_t seed,
     ++r.hits;
     hit_asid = asid;
     hit_vpn = vpn;
-    if (views[first].block_entry) {
+    if (views[first].pages_log2 > 0) {
       ++r.class_hits;
     }
   }
@@ -415,7 +410,7 @@ MemoStreamResult RunMemoStream(T& tlb, bool whole_span, std::uint64_t seed,
 
 TEST(TlbMemoTest, SinglePageStreamMatchesScan) {
   SinglePageTlb tlb(8);
-  const MemoStreamResult r = RunMemoStream(tlb, false, 11, [&](Rng&, Asid asid, Vpn vpn) {
+  const MemoStreamResult r = RunMemoStream(tlb, 11, [&](Rng&, Asid asid, Vpn vpn) {
     tlb.Insert(asid, vpn, BaseFill(vpn, Ppn{vpn.raw() + 0x100000}));
   });
   EXPECT_GT(r.hits, 5000u);
@@ -423,7 +418,7 @@ TEST(TlbMemoTest, SinglePageStreamMatchesScan) {
 
 TEST(TlbMemoTest, SuperpageStreamMatchesScan) {
   SuperpageTlb tlb(8);
-  const MemoStreamResult r = RunMemoStream(tlb, true, 12, [&](Rng& rng, Asid asid, Vpn vpn) {
+  const MemoStreamResult r = RunMemoStream(tlb, 12, [&](Rng& rng, Asid asid, Vpn vpn) {
     const std::uint64_t kind = rng.Below(4);
     if (kind == 0) {
       tlb.Insert(asid, vpn, BaseFill(vpn, Ppn{vpn.raw() + 0x100000}));
@@ -442,7 +437,7 @@ TEST(TlbMemoTest, SuperpageStreamMatchesScan) {
 
 TEST(TlbMemoTest, PartialSubblockStreamMatchesScan) {
   PartialSubblockTlb tlb(8, 16);
-  const MemoStreamResult r = RunMemoStream(tlb, false, 13, [&](Rng& rng, Asid asid, Vpn vpn) {
+  const MemoStreamResult r = RunMemoStream(tlb, 13, [&](Rng& rng, Asid asid, Vpn vpn) {
     const Vpn block = SuperpageBaseVpn(vpn, kPage64K);
     const Ppn block_ppn{block.raw() + 0x100000};
     switch (rng.Below(3)) {
@@ -466,7 +461,7 @@ TEST(TlbMemoTest, PartialSubblockStreamMatchesScan) {
 
 TEST(TlbMemoTest, CompleteSubblockStreamMatchesScan) {
   CompleteSubblockTlb tlb(2, 16);  // Small, so refills often evict the memo's entry.
-  const MemoStreamResult r = RunMemoStream(tlb, false, 14, [&](Rng& rng, Asid asid, Vpn vpn) {
+  const MemoStreamResult r = RunMemoStream(tlb, 14, [&](Rng& rng, Asid asid, Vpn vpn) {
     if (rng.Below(2) == 0) {
       tlb.Insert(asid, vpn, BaseFill(vpn, Ppn{vpn.raw() + 0x100000}));
       return;
@@ -585,10 +580,10 @@ class PolicyModel {
   LookupOutcome Lookup(Asid asid, Vpn vpn) {
     ++stats_.accesses;
     for (Entry& e : entries_) {
-      if (ViewCovers(e.view, asid, vpn, design_ == Design::kSuperpage)) {
+      if (ViewCovers(ViewOf(e), asid, vpn)) {
         e.view.stamp = ++clock_;
         ++stats_.hits;
-        if (design_ != Design::kCompleteSubblock && e.view.block_entry) {
+        if (design_ != Design::kCompleteSubblock && e.view.pages_log2 > 0) {
           ++class_hits_;
         }
         return LookupOutcome::kHit;
@@ -620,12 +615,10 @@ class PolicyModel {
     check::TlbEntryView in;
     in.valid = true;
     in.asid = asid;
-    in.valid_vector = 1;
     in.base_vpn = vpn;
     switch (design_) {
       case Design::kSinglePage:
         in.base_ppn = fill.Translate(vpn);
-        in.translations.emplace_back(vpn, in.base_ppn);
         break;
       case Design::kSuperpage:
         if (fill.kind == MappingKind::kPartialSubblock) {
@@ -634,13 +627,11 @@ class PolicyModel {
           in.base_vpn = fill.base_vpn;
           in.base_ppn = fill.word.ppn();
           in.pages_log2 = fill.pages_log2;
-          in.block_entry = fill.pages_log2 > 0;
         }
         break;
       case Design::kPartialSubblock:
         if (fill.kind == MappingKind::kPartialSubblock ||
             (fill.kind == MappingKind::kSuperpage && fill.pages_log2 == Log2(factor_))) {
-          in.block_entry = true;
           in.base_vpn = FirstVpnOfBlock(VpbnOf(fill.base_vpn, factor_), factor_);
           in.base_ppn = fill.word.ppn();
           in.pages_log2 = Log2(factor_);
@@ -657,7 +648,7 @@ class PolicyModel {
     Entry* victim = nullptr;
     for (Entry& e : entries_) {
       if (e.view.valid && e.view.asid == asid && e.view.base_vpn == in.base_vpn &&
-          e.view.pages_log2 == in.pages_log2 && e.view.block_entry == in.block_entry) {
+          e.view.pages_log2 == in.pages_log2) {
         victim = &e;
         break;
       }
@@ -692,14 +683,7 @@ class PolicyModel {
   std::vector<check::TlbEntryView> Views() const {
     std::vector<check::TlbEntryView> views;
     for (const Entry& e : entries_) {
-      views.push_back(e.view);
-      if (design_ == Design::kCompleteSubblock && e.view.valid) {
-        for (unsigned i = 0; i < factor_; ++i) {
-          if ((e.view.valid_vector >> i) & 1u) {
-            views.back().translations.emplace_back(e.view.base_vpn + i, e.ppns[i]);
-          }
-        }
-      }
+      views.push_back(ViewOf(e));
     }
     return views;
   }
@@ -711,6 +695,22 @@ class PolicyModel {
     check::TlbEntryView view;
     std::vector<Ppn> ppns;  // Complete-subblock PPN per page of the block.
   };
+
+  // An entry's view with its translations: a complete-subblock entry's
+  // pages map to their own frames, every other entry's to one frame run.
+  check::TlbEntryView ViewOf(const Entry& e) const {
+    check::TlbEntryView view = e.view;
+    if (design_ != Design::kCompleteSubblock) {
+      view.TranslateRun(/*by_vector=*/design_ == Design::kPartialSubblock && view.pages_log2 > 0);
+      return view;
+    }
+    for (unsigned i = 0; view.valid && i < factor_; ++i) {
+      if ((view.valid_vector >> i) & 1u) {
+        view.translations.emplace_back(view.base_vpn + i, e.ppns[i]);
+      }
+    }
+    return view;
+  }
 
   bool HoldsBlock(const Entry& e, Asid asid, Vpn vpn) const {
     return e.view.valid && e.view.asid == asid &&
@@ -747,7 +747,6 @@ class PolicyModel {
     e.view.asid = asid;
     e.view.base_vpn = FirstVpnOfBlock(VpbnOf(vpn, factor_), factor_);
     e.view.pages_log2 = Log2(factor_);
-    e.view.block_entry = true;
     e.view.stamp = ++clock_;
     return e;
   }
@@ -775,7 +774,7 @@ template <class T>
     if (g.valid != w.valid || g.stamp != w.stamp ||
         (w.valid && (g.asid != w.asid || g.base_vpn != w.base_vpn || g.base_ppn != w.base_ppn ||
                      g.pages_log2 != w.pages_log2 || g.valid_vector != w.valid_vector ||
-                     g.block_entry != w.block_entry || g.translations != w.translations))) {
+                     g.translations != w.translations))) {
       return ::testing::AssertionFailure()
              << "entry " << i << ": valid " << g.valid << " stamp " << g.stamp << " base "
              << g.base_vpn << " vector " << g.valid_vector << "; model: valid " << w.valid
